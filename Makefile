@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench bench-full loadsmoke chaossmoke replsmoke cover reproduce examples clean
+.PHONY: all build vet test race bench bench-full benchcheck loadsmoke chaossmoke replsmoke cover reproduce examples clean
 
 all: build vet test
 
@@ -30,6 +30,13 @@ bench:
 
 bench-full:
 	$(GO) test -bench=. -benchmem ./...
+
+# The benchmark lives in its own module (bench/), which `go build ./...`
+# and `go test ./...` at the root never see. Its layer ladder imports
+# ofmf/internal/..., so build and smoke-test it here: an API change that
+# breaks it should fail this gate, not the next benchmark run.
+benchcheck:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Smoke-run the serving-path load harness against the in-process
 # testbed: a 2s window whose output is validated (every class saw

@@ -17,11 +17,10 @@
 // Without -data-dir the store is purely in-memory, as before.
 //
 // Scaling: -shards partitions the resource tree by top-level URI
-// segment into independently locked store shards, each with its own WAL
-// stream and group-commit leader, so writers to different subtrees
-// (Fabrics vs Systems) never contend. -shards 0 sizes the partition to
-// the CPU count; a data dir written at a different shard count is
-// migrated automatically at boot.
+// segment into independently locked store shards, so writers to
+// different subtrees (Fabrics vs Systems) never contend on a lock.
+// -shards 0 sizes the partition to the CPU count. The shard count never
+// touches the data directory: every shard commits to the one WAL.
 //
 // Usage:
 //
@@ -68,13 +67,12 @@ func main() {
 		testbed      = flag.Bool("testbed", false, "assemble the emulated composable testbed")
 		nodes        = flag.Int("nodes", 8, "testbed compute node count")
 		oomMiB       = flag.Int64("oom-hot-add", 0, "enable the OOM mitigation rule with this hot-add step (MiB)")
-		snapshot     = flag.String("snapshot", "", "tree snapshot file: loaded at startup when present, written on SIGINT/SIGTERM")
 		dataDir      = flag.String("data-dir", "", "durable store directory (WAL + snapshots); empty keeps the tree in-memory only")
 		fsync        = flag.Bool("fsync", true, "with -data-dir: mutations wait for the WAL fsync (group-committed); false flushes to the OS only")
 		snapInterval = flag.Duration("snapshot-interval", 5*time.Minute,
 			"with -data-dir: cadence of compacted snapshots and WAL rotation (0 disables the periodic loop)")
 		shards = flag.Int("shards", 1,
-			"store shard count: independent locks and WAL streams per top-level URI partition; 0 sizes to the CPU count, 1 keeps the single-stream layout")
+			"store shard count: independent locks per top-level URI partition; 0 sizes to the CPU count")
 		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
 		withMetrics = flag.Bool("metrics", true, "expose Prometheus-format metrics at /metrics")
 		withPprof   = flag.Bool("pprof", false, "expose Go profiling at /debug/pprof")
@@ -137,8 +135,6 @@ func main() {
 		creds = sessions.StaticCredentials(map[string]string{user: pass})
 	}
 
-	// Resolve the shard count once: the store and the persistence layer
-	// must agree for per-shard WAL streams to engage.
 	nShards := *shards
 	if nShards <= 0 {
 		nShards = runtime.GOMAXPROCS(0)
@@ -225,7 +221,6 @@ func main() {
 		backend, err := persist.Open(persist.Options{
 			Dir:              *dataDir,
 			Fsync:            *fsync,
-			Shards:           nShards,
 			SnapshotInterval: *snapInterval,
 			Logger:           logger,
 			Metrics:          metrics,
@@ -238,11 +233,9 @@ func main() {
 		if err != nil {
 			fatal("ofmf: recovery", err)
 		}
-		if *role == "" {
-			// Replicated leaders attach through the replication tee
-			// below; unreplicated nodes log straight to disk.
-			tree.AttachBackend(backend, stats.LastSeq)
-		}
+		// A replicated leader re-attaches through the replication tee
+		// below, which continues from the sequence number set here.
+		tree.AttachBackend(backend, stats.LastSeq)
 		backend.StartSnapshots(tree)
 		pb.Store(backend)
 		bootStats = stats
@@ -250,7 +243,7 @@ func main() {
 			"data_dir", *dataDir, "resources", stats.Resources,
 			"replayed", stats.Replayed, "snapshot_seq", stats.SnapshotSeq,
 			"truncated", stats.Truncated, "dropped", stats.Dropped,
-			"shards", stats.Shards, "fsync", *fsync,
+			"fsync", *fsync,
 			"duration", stats.Duration)
 		ofmfSvc.Bus().Publish(events.Record(redfish.EventStatusChange, "recovery",
 			fmt.Sprintf("OFMF store recovered: %d resources restored, %d WAL records replayed in %s",
@@ -341,7 +334,6 @@ func main() {
 				b, err := persist.Open(persist.Options{
 					Dir:              *dataDir,
 					Fsync:            *fsync,
-					Shards:           nShards,
 					SnapshotInterval: *snapInterval,
 					Logger:           logger,
 					Metrics:          metrics,
@@ -382,23 +374,8 @@ func main() {
 		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
 	}
 
-	// Legacy portable snapshot file: load at startup, write at shutdown.
-	// Orthogonal to -data-dir (which owns its own snapshot format); the
-	// same export is also reachable over the wire via `ofmfctl dump`.
-	if *snapshot != "" {
-		if data, err := os.ReadFile(*snapshot); err == nil {
-			if err := tree.Import(data); err != nil {
-				fatal("ofmf: snapshot import", err)
-			}
-			logger.Info("ofmf: snapshot restored", "resources", tree.Len(), "file", *snapshot)
-		} else if !os.IsNotExist(err) {
-			fatal("ofmf: snapshot read", err)
-		}
-	}
-
-	// Graceful shutdown: stop accepting requests, write the legacy
-	// snapshot if configured, then let the deferred closes flush and
-	// close the durable backend.
+	// Graceful shutdown: stop accepting requests, then let the deferred
+	// closes flush and close the durable backend.
 	srv := &http.Server{Addr: *addr, Handler: mux}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
@@ -417,17 +394,6 @@ func main() {
 		"durable", *dataDir != "")
 	if err := srv.ListenAndServe(); err != nil && err != http.ErrServerClosed {
 		fatal("ofmf: server failed", err)
-	}
-	if *snapshot != "" {
-		data, err := tree.Export()
-		if err == nil {
-			err = os.WriteFile(*snapshot, data, 0o644)
-		}
-		if err != nil {
-			logger.Error("ofmf: snapshot write failed", "err", err)
-		} else {
-			logger.Info("ofmf: snapshot written", "file", *snapshot)
-		}
 	}
 	logger.Info("ofmf: stopped")
 }

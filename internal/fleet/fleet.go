@@ -178,7 +178,6 @@ func (f *Fleet) boot() (persist.RecoveryStats, error) {
 		b, err := persist.Open(persist.Options{
 			Dir:    f.opts.PersistDir,
 			Fsync:  false, // process-kill durability is enough for the sim
-			Shards: f.opts.StoreShards,
 			Logger: f.opts.Logger,
 		})
 		if err != nil {

@@ -31,13 +31,9 @@ type Options struct {
 	// OS before the mutation returns — surviving a process kill but not
 	// a power failure.
 	Fsync bool
-	// Shards is the number of independent WAL streams. 0 or 1 keeps the
-	// original single-stream layout (byte-compatible with data dirs
-	// written before sharding existed); higher counts give each store
-	// shard its own segment stream and group-commit leader, under
-	// shard-NN subdirectories. Pass the store's shard count — per-shard
-	// appends only engage when the two match. A data dir written at a
-	// different count is migrated automatically during Recover.
+	// Deprecated: Shards is ignored — the backend keeps one WAL stream
+	// whatever the store's shard count. It exists only so the frozen
+	// bench/ module still compiles; the next benchmark PR deletes it.
 	Shards int
 	// SnapshotInterval is the cadence of compacted snapshots and WAL
 	// rotation. Zero or negative disables the periodic loop; a final
@@ -68,8 +64,9 @@ type RecoveryStats struct {
 	Truncated bool
 	// Dropped is the number of decoded records NOT replayed because an
 	// earlier record in the global order was lost (a sequence gap after
-	// merging the per-shard streams — only possible with a sharded
-	// layout). Their segments are quarantined, not deleted.
+	// merging the streams of a legacy sharded directory — impossible in
+	// the one-stream layout this package writes). Their segments are
+	// quarantined, not deleted.
 	Dropped int
 	// Resources is the store's resource count after recovery.
 	Resources int
@@ -81,33 +78,28 @@ type RecoveryStats struct {
 	// leader seeds its term from it so epochs never move backwards
 	// across a restart.
 	LastEpoch uint64
-	// Shards is the stream count the directory was compacted into (the
-	// configured layout).
-	Shards int
 	// Duration is the wall time recovery took, compaction included.
 	Duration time.Duration
 }
 
-// FileBackend is the store.Backend persisting mutations to per-shard
-// WAL streams plus global compacted snapshots in a data directory. It
-// implements store.ShardedBackend: when its stream count matches the
-// store's shard count, each shard appends to its own stream with its
-// own group-commit leader, so fsync batching parallelizes across
-// shards. Lifecycle:
+// FileBackend is the store.Backend persisting mutations to one WAL
+// stream plus compacted snapshots in a data directory. The store hands
+// it batches in commit order (see store.Backend), so the log on disk is
+// the global history and one group-commit leader serves every shard.
+// Lifecycle:
 //
 //	b, _ := persist.Open(opts)
-//	stats, _ := b.Recover(st)          // load snapshot, merge-replay streams
+//	stats, _ := b.Recover(st)          // load snapshot, replay the log
 //	st.AttachBackend(b, stats.LastSeq) // start logging new mutations
 //	b.StartSnapshots(st)               // periodic compaction
 //	...
 //	st.Close()                         // detaches and closes b
 type FileBackend struct {
-	opts   Options
-	shards int // normalized stream count (>= 1)
-	log    *slog.Logger
+	opts Options
+	log  *slog.Logger
 
-	mu          sync.Mutex // guards wals swaps and lastSnapSeq
-	wals        []*wal     // one active segment per stream; nil until Recover
+	mu          sync.Mutex // guards w swaps and lastSnapSeq
+	w           *wal       // the active segment; nil until Recover and after Close
 	lastSnapSeq uint64
 
 	// compactMu serializes whole compaction passes (periodic loop,
@@ -121,10 +113,15 @@ type FileBackend struct {
 
 	closeOnce sync.Once
 	closeErr  error
+
+	// afterStep, when non-nil, is told each time Recover finishes one of
+	// its numbered compaction steps; an error aborts Recover there,
+	// leaving the directory as a crash at that point would. Tests only.
+	afterStep func(step int) error
 }
 
 // Open prepares a file backend on dir. No file is touched beyond
-// creating the directory; Recover opens the streams.
+// creating the directory; Recover opens the log.
 func Open(opts Options) (*FileBackend, error) {
 	if opts.Dir == "" {
 		return nil, errors.New("persist: Options.Dir required")
@@ -136,38 +133,42 @@ func Open(opts Options) (*FileBackend, error) {
 	if log == nil {
 		log = obsv.NopLogger()
 	}
-	shards := opts.Shards
-	if shards < 1 {
-		shards = 1
-	}
-	return &FileBackend{opts: opts, shards: shards, log: log}, nil
+	return &FileBackend{opts: opts, log: log}, nil
 }
 
-// Shards implements store.ShardedBackend.
-func (b *FileBackend) Shards() int { return b.shards }
+// Deprecated: Shards always returns 1. Kept for the frozen bench/
+// module; the next benchmark PR deletes it.
+func (b *FileBackend) Shards() int { return 1 }
+
+// Deprecated: AppendShard calls Append. Kept for the frozen bench/
+// module; the next benchmark PR deletes it.
+func (b *FileBackend) AppendShard(_ int, batch []store.Record) func() error { return b.Append(batch) }
 
 // Recover rebuilds st from the data directory: load the newest valid
-// snapshot through Store.Import, merge every stream's records by global
-// sequence number, replay the longest contiguous prefix through
-// Store.Apply (truncating torn tails, quarantining untrusted segments),
-// then compact into the configured layout — write a fresh snapshot of
-// the recovered tree, start new log segments, and delete the superseded
-// files — so the next boot loads one snapshot and empty tails. A data
-// dir written at a different shard count (including the flat pre-shard
-// layout) is migrated here: replay reads the on-disk layout, compaction
-// writes the configured one, and every intermediate crash leaves a
-// directory either layout's recovery handles. Call it exactly once,
-// before AttachBackend.
+// snapshot through Store.Import, replay the log's longest contiguous
+// prefix through Store.Apply (truncating a torn tail, quarantining
+// untrusted segments), then compact — write a fresh snapshot of the
+// recovered tree, delete the superseded files and start a new log
+// segment — so the next boot loads one snapshot and an empty tail.
+//
+// A directory written by the retired per-shard-stream layout
+// (layout.json declaring Shards > 1, segments under shard-NN/) is read
+// here one last time: its streams are merged by Seq, records beyond a
+// sequence gap are dropped and their segments quarantined, and the
+// compaction below leaves the flat layout and removes the descriptor.
+// The conversion is one-way and every intermediate crash leaves a
+// directory this function handles. Call it exactly once, before
+// AttachBackend.
 func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 	start := time.Now()
 	var stats RecoveryStats
 	dir := b.opts.Dir
-	stats.Shards = b.shards
 
-	diskShards, err := readLayout(dir)
+	dirs, err := streamDirs(dir)
 	if err != nil {
 		return stats, err
 	}
+	legacy := len(dirs) > 1
 
 	snap, ok, skipped, err := loadNewestSnapshot(dir)
 	if err != nil {
@@ -184,23 +185,22 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 	}
 	lastSeq := stats.SnapshotSeq
 
-	// Decode every stream, handling tears per stream: a tear marks the
-	// end of that stream's trustworthy prefix, so its later segments are
-	// quarantined and the torn tail truncated — exactly the single-
-	// stream protocol, applied stream by stream.
+	// Decode every stream (one, unless the directory is a legacy sharded
+	// one), handling tears per stream: a tear marks the end of that
+	// stream's trustworthy prefix, so its later segments are quarantined
+	// and the torn tail truncated.
 	type sourced struct {
-		rec    store.Record
-		stream int
-		seg    uint64
+		rec  store.Record
+		path string // segment the record was read from
 	}
 	var merged []sourced
-	for si := 0; si < diskShards; si++ {
-		sdir := shardDir(dir, diskShards, si)
-		if _, serr := os.Stat(sdir); os.IsNotExist(serr) {
-			continue // a shard that never committed anything
-		}
+	var segPaths []string // every segment left in place, replayed or not
+	for _, sdir := range dirs {
 		segs, err := listSeqs(sdir, walPrefix, walSuffix)
 		if err != nil {
+			if os.IsNotExist(err) {
+				continue // a legacy shard dir already retired, or never written
+			}
 			return stats, err
 		}
 		for i, seg := range segs {
@@ -243,8 +243,9 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 					return stats, fmt.Errorf("persist: truncate torn tail: %w", err)
 				}
 			}
+			segPaths = append(segPaths, path)
 			for _, rec := range recs {
-				merged = append(merged, sourced{rec: rec, stream: si, seg: seg})
+				merged = append(merged, sourced{rec: rec, path: path})
 			}
 			if torn {
 				break
@@ -252,24 +253,22 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 		}
 	}
 
-	// Each stream is sequence-ascending (records are stamped under the
-	// shard's write lock), so a stable sort by Seq is a merge that
-	// reconstructs the global commit order.
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].rec.Seq < merged[j].rec.Seq })
-
-	// Replay the longest contiguous prefix of the merged order. With one
-	// stream the order is trivially gap-free; with several, a truncated
-	// tail on one stream can leave later-sequence records on the others
-	// — records whose commit order depends on a mutation that was lost.
-	// Replay stops at the first gap: the store recovers the committed
-	// prefix of the *global* history, and the dropped records' segments
-	// are quarantined below rather than deleted.
+	// One stream is already in commit order. Legacy streams are each
+	// sequence-ascending, so a stable sort by Seq merges them back into
+	// the global commit order; a tail lost on one stream can then leave
+	// later-sequence records on the others — records whose commit order
+	// depends on a mutation that is gone. Replay stops at the first such
+	// gap and the dropped records' segments are quarantined below rather
+	// than deleted.
+	if legacy {
+		sort.SliceStable(merged, func(i, j int) bool { return merged[i].rec.Seq < merged[j].rec.Seq })
+	}
 	dropFrom := len(merged)
 	for k, sr := range merged {
 		if sr.rec.Seq <= lastSeq {
 			continue // already in the snapshot (or a duplicate)
 		}
-		if diskShards > 1 && sr.rec.Seq != lastSeq+1 {
+		if legacy && sr.rec.Seq != lastSeq+1 {
 			dropFrom = k
 			break
 		}
@@ -285,7 +284,7 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 	stats.Dropped = len(merged) - dropFrom
 	quarantine := make(map[string]bool)
 	for _, sr := range merged[dropFrom:] {
-		quarantine[walPath(shardDir(dir, diskShards, sr.stream), sr.seg)] = true
+		quarantine[sr.path] = true
 	}
 	if stats.Dropped > 0 {
 		b.log.Warn("persist: dropping records after global sequence gap",
@@ -296,14 +295,15 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 	stats.LastSeq = lastSeq
 	stats.Resources = st.Len()
 
-	// Compact into the configured layout: the recovered tree becomes the
-	// new baseline. Step order is what makes a crashed migration safe —
+	// Compact: the recovered tree becomes the new baseline. Step order is
+	// what makes a crash here (and a crashed legacy conversion) safe —
 	// (1) snapshot at lastSeq: from here replay is optional; (2) retire
-	// the old segments (quarantining any that held dropped records);
-	// (3) switch the layout descriptor; (4) create the fresh streams. A
-	// crash after (1) replays nothing new from the old segments; after
-	// (2) the old layout is empty but described; after (3) the new
-	// layout is described and empty; after (4) we are here.
+	// the old segments (quarantining any that held dropped records) and
+	// the emptied legacy shard dirs; (3) remove the legacy descriptor;
+	// (4) create the fresh segment. A crash after (1) replays nothing new
+	// from the old segments; after (2) a legacy dir is empty but still
+	// described; after (3) the directory is flat and holds no log; after
+	// (4) we are here.
 	export, err := st.Export()
 	if err != nil {
 		return stats, fmt.Errorf("persist: recovery export: %w", err)
@@ -311,54 +311,44 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 	if err := writeSnapshot(dir, lastSeq, export); err != nil {
 		return stats, err
 	}
-	for si := 0; si < diskShards; si++ {
-		sdir := shardDir(dir, diskShards, si)
-		segs, err := listSeqs(sdir, walPrefix, walSuffix)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue
-			}
-			return stats, err
-		}
-		for _, seg := range segs {
-			p := walPath(sdir, seg)
-			if quarantine[p] {
-				b.log.Warn("persist: quarantining segment beyond sequence gap",
-					"segment", p, "quarantined", p+quarantineSuffix)
-				if err := os.Rename(p, p+quarantineSuffix); err != nil {
-					return stats, fmt.Errorf("persist: quarantine %s: %w", p, err)
-				}
-				b.countQuarantine()
-				continue
-			}
+	if err := b.stepDone(1); err != nil {
+		return stats, err
+	}
+	for _, p := range segPaths {
+		if !quarantine[p] {
 			os.Remove(p)
+			continue
 		}
-		if diskShards > 1 && diskShards != b.shards {
-			// Old layout's shard dir; gone unless quarantined files remain.
-			os.Remove(sdir)
+		b.log.Warn("persist: quarantining segment beyond sequence gap",
+			"segment", p, "quarantined", p+quarantineSuffix)
+		if err := os.Rename(p, p+quarantineSuffix); err != nil {
+			return stats, fmt.Errorf("persist: quarantine %s: %w", p, err)
+		}
+		b.countQuarantine()
+	}
+	if legacy {
+		for _, sdir := range dirs {
+			os.Remove(sdir) // gone unless quarantined files remain for an operator
 		}
 	}
-	if diskShards != b.shards {
-		if err := installLayout(dir, b.shards); err != nil {
-			return stats, err
-		}
-		b.log.Info("persist: data dir layout migrated",
-			"from_shards", diskShards, "to_shards", b.shards)
+	if err := b.stepDone(2); err != nil {
+		return stats, err
 	}
-	ws := make([]*wal, b.shards)
-	for i := range ws {
-		sdir := shardDir(dir, b.shards, i)
-		if err := os.MkdirAll(sdir, 0o755); err != nil {
-			return stats, fmt.Errorf("persist: shard dir: %w", err)
-		}
-		w, err := openWAL(walPath(sdir, lastSeq+1), lastSeq, b.opts.Fsync, b.onFsync)
-		if err != nil {
+	if legacy {
+		if err := removeLayout(dir); err != nil {
 			return stats, err
 		}
-		ws[i] = w
+		b.log.Info("persist: legacy sharded data dir converted to one log", "from_shards", len(dirs))
+	}
+	if err := b.stepDone(3); err != nil {
+		return stats, err
+	}
+	w, err := openWAL(walPath(dir, lastSeq+1), lastSeq, b.opts.Fsync, b.onFsync)
+	if err != nil {
+		return stats, err
 	}
 	b.mu.Lock()
-	b.wals = ws
+	b.w = w
 	b.lastSnapSeq = lastSeq
 	b.mu.Unlock()
 	// The recovered store is the natural snapshot source for the final
@@ -373,9 +363,16 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 	b.log.Info("persist: recovery complete",
 		"resources", stats.Resources, "replayed", stats.Replayed,
 		"snapshot_seq", stats.SnapshotSeq, "truncated", stats.Truncated,
-		"dropped", stats.Dropped, "shards", b.shards,
-		"duration", stats.Duration)
+		"dropped", stats.Dropped, "duration", stats.Duration)
 	return stats, nil
+}
+
+// stepDone reports a finished compaction step to the test hook.
+func (b *FileBackend) stepDone(step int) error {
+	if b.afterStep == nil {
+		return nil
+	}
+	return b.afterStep(step)
 }
 
 // countQuarantine records one quarantined WAL segment in the metrics
@@ -395,35 +392,23 @@ func (b *FileBackend) onFsync(d time.Duration) {
 	b.opts.Tracer.Observe("wal.fsync", d)
 }
 
-// AppendShard implements store.ShardedBackend. It runs under the
-// shard's write lock, so it only frames the batch into that stream's
-// active segment buffer; the returned wait completes durability after
-// the lock is released. Streams are independent: appends on different
-// shards share nothing but the backend mutex ordering them against
-// rotation.
-func (b *FileBackend) AppendShard(shard int, batch []store.Record) func() error {
+// Append implements store.Backend. It runs under the store's locks, so
+// it only frames the batch into the active segment's buffer; the
+// returned wait completes durability after the locks are released.
+func (b *FileBackend) Append(batch []store.Record) func() error {
 	start := time.Now()
 	b.mu.Lock()
-	if b.wals == nil {
+	if b.w == nil {
 		b.mu.Unlock()
 		return func() error { return errors.New("persist: backend not recovered or already closed") }
 	}
-	wait := b.wals[shard].append(batch)
+	wait := b.w.append(batch)
 	b.mu.Unlock()
 	if m := b.opts.Metrics; m != nil {
 		m.WALAppends.Add(float64(len(batch)))
 	}
 	b.opts.Tracer.Observe("wal.append", time.Since(start))
 	return wait
-}
-
-// Append implements store.Backend for stores whose shard count differs
-// from the backend's stream count (including the plain single-stream
-// case). Batches arrive globally ordered (the store serializes them),
-// and recovery orders by sequence number, not stream, so funneling them
-// all into stream 0 is correct — it just forgoes per-shard parallelism.
-func (b *FileBackend) Append(batch []store.Record) func() error {
-	return b.AppendShard(0, batch)
 }
 
 // StartSnapshots begins the periodic snapshot/compaction loop over
@@ -453,15 +438,14 @@ func (b *FileBackend) StartSnapshots(src SnapshotSource) {
 	}()
 }
 
-// Compact rotates every stream that holds records and installs a fresh
-// global snapshot, then deletes the files the snapshot supersedes. It
-// is a no-op when nothing was appended anywhere since the last
-// compaction.
+// Compact rotates the log and installs a fresh snapshot, then deletes
+// the files the snapshot supersedes. It is a no-op when nothing was
+// appended since the last compaction.
 //
 // The order matters for crash safety: rotate first, snapshot second.
 // The snapshot is captured after rotation, so its sequence number
-// covers every record in the retired segments — records committed in
-// between land in the new segments with Seq <= the snapshot's and are
+// covers every record in the retired segment — records committed in
+// between land in the new segment with Seq <= the snapshot's and are
 // skipped on replay (puts are idempotent post-state anyway). A crash
 // between the steps leaves old snapshot + all segments: fully
 // recoverable.
@@ -473,47 +457,34 @@ func (b *FileBackend) Compact() error {
 	defer b.compactMu.Unlock()
 
 	b.mu.Lock()
-	if b.wals == nil {
+	w := b.w
+	if w == nil {
 		b.mu.Unlock()
 		return errors.New("persist: backend closed")
 	}
-	var maxLast uint64
-	for _, w := range b.wals {
-		if l := w.seq(); l > maxLast {
-			maxLast = l
-		}
-	}
-	if maxLast == b.lastSnapSeq {
+	last := w.seq()
+	if last == b.lastSnapSeq {
 		b.mu.Unlock()
 		return nil
 	}
-	// Rotate only streams whose active segment holds records. An empty
-	// active segment (nothing appended to that shard since the last
-	// rotation, or a previous snapshot failed after rotating) has
-	// nothing to retire, and opening walPath(last+1) would collide with
-	// the active segment itself.
-	retired := make([]*wal, len(b.wals))
-	for i, w := range b.wals {
-		last := w.seq()
-		if last <= w.base {
-			continue
-		}
-		next, err := openWAL(walPath(shardDir(b.opts.Dir, b.shards, i), last+1), last, b.opts.Fsync, b.onFsync)
+	// Rotate only when the active segment holds records. An empty one (a
+	// previous snapshot failed after rotating) has nothing to retire, and
+	// opening walPath(last+1) would collide with the active segment
+	// itself.
+	var retired *wal
+	if last > w.base {
+		next, err := openWAL(walPath(b.opts.Dir, last+1), last, b.opts.Fsync, b.onFsync)
 		if err != nil {
 			b.mu.Unlock()
 			return err
 		}
-		retired[i] = w
-		b.wals[i] = next
+		retired, b.w = w, next
 	}
 	b.mu.Unlock()
 
 	start := time.Now()
-	for _, w := range retired {
-		if w == nil {
-			continue
-		}
-		if err := w.close(); err != nil {
+	if retired != nil {
+		if err := retired.close(); err != nil {
 			return fmt.Errorf("persist: retire segment: %w", err)
 		}
 	}
@@ -528,14 +499,12 @@ func (b *FileBackend) Compact() error {
 	if seq > b.lastSnapSeq {
 		b.lastSnapSeq = seq
 	}
-	actives := append([]*wal(nil), b.wals...)
+	active := b.w
 	b.mu.Unlock()
-	for i, w := range actives {
-		// Every segment older than the stream's active one is covered by
-		// the snapshot: its records were appended before rotation, and
-		// the snapshot cut was taken after.
-		removeBelow(shardDir(b.opts.Dir, b.shards, i), walPrefix, walSuffix, w.base+1)
-	}
+	// Every segment older than the active one is covered by the snapshot:
+	// its records were appended before rotation, and the snapshot cut was
+	// taken after.
+	removeBelow(b.opts.Dir, walPrefix, walSuffix, active.base+1)
 	removeBelow(b.opts.Dir, snapPrefix, snapSuffix, seq)
 	if m := b.opts.Metrics; m != nil {
 		m.SnapshotSeconds.Observe(time.Since(start).Seconds())
@@ -547,7 +516,7 @@ func (b *FileBackend) Compact() error {
 
 // Close implements store.Backend: stop the snapshot loop, run a final
 // compaction so the next boot is snapshot-only, and flush and close the
-// active segments. The store calls it from Store.Close after detaching.
+// active segment. The store calls it from Store.Close after detaching.
 func (b *FileBackend) Close() error {
 	b.closeOnce.Do(func() {
 		if b.stop != nil {
@@ -561,10 +530,10 @@ func (b *FileBackend) Close() error {
 			}
 		}
 		b.mu.Lock()
-		ws := b.wals
-		b.wals = nil
+		w := b.w
+		b.w = nil
 		b.mu.Unlock()
-		for _, w := range ws {
+		if w != nil {
 			if err := w.close(); err != nil && b.closeErr == nil {
 				b.closeErr = err
 			}

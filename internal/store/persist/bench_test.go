@@ -92,40 +92,3 @@ func BenchmarkWALFsyncPutParallel(b *testing.B) {
 		}
 	})
 }
-
-// BenchmarkWALFsyncPutParallelSharded is the sharded write path:
-// parallel writers on distinct top-level segments commit through
-// per-shard WAL streams, each with its own group-commit leader, so the
-// fsync queue itself is partitioned. shards=1 is the single-stream
-// baseline above.
-func BenchmarkWALFsyncPutParallelSharded(b *testing.B) {
-	for _, n := range []int{1, 4, 8} {
-		b.Run(fmt.Sprintf("shards=%d", n), func(b *testing.B) {
-			st := store.NewSharded(n)
-			backend, err := Open(Options{Dir: b.TempDir(), Fsync: true, Shards: n})
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer backend.Close()
-			stats, err := backend.Recover(st)
-			if err != nil {
-				b.Fatal(err)
-			}
-			st.AttachBackend(backend, stats.LastSeq)
-			b.ReportAllocs()
-			var worker atomic.Int64
-			b.ResetTimer()
-			b.RunParallel(func(pb *testing.PB) {
-				w := worker.Add(1)
-				i := 0
-				for pb.Next() {
-					i++
-					id := odata.ID(fmt.Sprintf("/redfish/v1/B%d/%d", w, i))
-					if err := st.Put(id, map[string]any{"Name": "bench", "Value": i}); err != nil {
-						b.Fatal(err)
-					}
-				}
-			})
-		})
-	}
-}

@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"os"
 	"reflect"
+	"sync"
 	"testing"
 	"time"
 
@@ -16,14 +17,16 @@ import (
 
 // randomOps drives a seeded random mutation sequence against st: puts,
 // patches, deletes, subtree refreshes and subtree deletions over a small
-// id space, so records of every primitive land in the WAL, including
-// multi-record batches that a truncation can tear in half.
+// id space scattered across ten top-level segments (so a sharded store
+// commits from several shards), so records of every primitive land in
+// the WAL, including multi-record batches that a truncation can tear in
+// half.
 func randomOps(rng *rand.Rand, st *store.Store, n int) {
-	flatIDs := make([]odata.ID, 8)
+	flatIDs := make([]odata.ID, 16)
 	for i := range flatIDs {
-		flatIDs[i] = odata.ID(fmt.Sprintf("/redfish/v1/S/%d", i+1))
+		flatIDs[i] = odata.ID(fmt.Sprintf("/redfish/v1/S%d/%d", i%8, i/8+1))
 	}
-	const subtree = odata.ID("/redfish/v1/T")
+	subtrees := []odata.ID{"/redfish/v1/T0", "/redfish/v1/T1"}
 	payload := func() map[string]any {
 		return map[string]any{"V": rng.Intn(1000), "W": fmt.Sprintf("w%d", rng.Intn(50))}
 	}
@@ -38,15 +41,16 @@ func randomOps(rng *rand.Rand, st *store.Store, n int) {
 		case 6: // delete (may miss)
 			_ = st.Delete(flatIDs[rng.Intn(len(flatIDs))])
 		case 7, 8: // subtree refresh: a batch of deletes + puts
-			res := map[odata.ID]any{subtree: payload()}
+			sub := subtrees[rng.Intn(len(subtrees))]
+			res := map[odata.ID]any{sub: payload()}
 			for j, m := 0, rng.Intn(6); j < m; j++ {
-				res[subtree.Append(fmt.Sprintf("%d", rng.Intn(8)+1))] = payload()
+				res[sub.Append(fmt.Sprintf("%d", rng.Intn(8)+1))] = payload()
 			}
-			if err := st.PutSubtree(subtree, res); err != nil {
+			if err := st.PutSubtree(sub, res); err != nil {
 				panic(err)
 			}
 		case 9: // subtree teardown: a batch of deletes
-			_, _ = st.DeleteSubtree(subtree)
+			_, _ = st.DeleteSubtree(subtrees[rng.Intn(len(subtrees))])
 		}
 	}
 }
@@ -73,57 +77,169 @@ func oracleApply(base map[string]json.RawMessage, recs []store.Record) map[strin
 // a seeded random op sequence, truncate the WAL at a random byte offset
 // (simulating kill -9 mid-write), recover, and require the recovered
 // tree to equal exactly the longest committed prefix of the log, as
-// judged by an independent in-memory oracle.
+// judged by an independent in-memory oracle. It runs on an unsharded
+// and a 4-shard store: the shard count changes which locks the ops
+// take, never the one log they commit to.
 func TestCrashRecoveryProperty(t *testing.T) {
 	const trials = 30
-	for trial := 0; trial < trials; trial++ {
-		trial := trial
-		t.Run(fmt.Sprintf("seed=%d", trial), func(t *testing.T) {
-			rng := rand.New(rand.NewSource(0x0FBF ^ int64(trial)*2654435761))
+	for _, shards := range []int{1, 4} {
+		for trial := 0; trial < trials; trial++ {
+			t.Run(fmt.Sprintf("shards=%d/seed=%d", shards, trial), func(t *testing.T) {
+				rng := rand.New(rand.NewSource(0x0FBF ^ int64(trial)*2654435761))
+				dir := t.TempDir()
+				st, _, _ := openStoreSharded(t, dir, false, shards)
+				randomOps(rng, st, 40+rng.Intn(80))
+				// Simulate kill -9: no Close, no compaction. Records are in
+				// the file because every mutation waits for its flush.
+				active := activeSegment(t, dir)
+				full, err := os.ReadFile(active)
+				if err != nil {
+					t.Fatal(err)
+				}
+
+				cut := int64(rng.Intn(len(full) + 1))
+				if err := os.Truncate(active, cut); err != nil {
+					t.Fatal(err)
+				}
+
+				// Oracle: decode the surviving committed prefix independently.
+				intact, good, _ := decodeAll(bytes.NewReader(full[:cut]))
+				if good > cut {
+					t.Fatalf("decoder claimed %d good bytes from a %d-byte file", good, cut)
+				}
+				want := oracleApply(baseSnapshot(t, dir), intact)
+
+				st2, _, stats := openStoreSharded(t, dir, false, shards)
+				defer st2.Close()
+				if stats.Replayed != len(intact) {
+					t.Fatalf("replayed %d records, oracle sees %d intact", stats.Replayed, len(intact))
+				}
+				got := export(t, st2)
+				if len(got) != len(want) || !reflect.DeepEqual(normalize(got), normalize(want)) {
+					t.Fatalf("cut=%d/%d intact=%d:\n got  %v\n want %v",
+						cut, len(full), len(intact), normalize(got), normalize(want))
+				}
+			})
+		}
+	}
+}
+
+// activeSegment returns the path of the data dir's only WAL segment.
+func activeSegment(t *testing.T, dir string) string {
+	t.Helper()
+	segs, err := listSeqs(dir, walPrefix, walSuffix)
+	if err != nil || len(segs) != 1 {
+		t.Fatalf("expected one active segment, got %v (%v)", segs, err)
+	}
+	return walPath(dir, segs[0])
+}
+
+// baseSnapshot returns the resources of the newest snapshot in dir.
+func baseSnapshot(t *testing.T, dir string) map[string]json.RawMessage {
+	t.Helper()
+	snap, ok, _, err := loadNewestSnapshot(dir)
+	if err != nil || !ok {
+		t.Fatalf("missing base snapshot: %v", err)
+	}
+	var base map[string]json.RawMessage
+	if err := json.Unmarshal(snap.Resources, &base); err != nil {
+		t.Fatal(err)
+	}
+	return base
+}
+
+// TestAckedWritesSurviveTruncation is the durability contract seen from
+// a client: once Put has returned (fsync on), the record is in the log
+// file, so a crash that keeps at least the bytes the file held at that
+// moment keeps the write — on an 8-shard store with writers racing on
+// different shards, where the retired per-shard streams could drop an
+// acknowledged record behind another stream's in-flight one. Each
+// writer notes the WAL size after every acknowledged Put; the log is
+// then cut at a random offset and the recovered tree must (a) contain
+// every write acknowledged at or below the cut and (b) be exactly a
+// prefix of the global commit order.
+func TestAckedWritesSurviveTruncation(t *testing.T) {
+	const (
+		seeds   = 30
+		shards  = 8
+		writers = 8
+		puts    = 6
+	)
+	type ack struct {
+		id   odata.ID
+		size int64 // WAL file size observed after Put returned
+	}
+	for seed := 0; seed < seeds; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
 			dir := t.TempDir()
-			st, _, _ := openStore(t, dir, false)
-			randomOps(rng, st, 40+rng.Intn(80))
-			// Simulate kill -9: no Close, no compaction. Records are in
-			// the file because every mutation waits for its flush.
-			segs, err := listSeqs(dir, walPrefix, walSuffix)
-			if err != nil || len(segs) != 1 {
-				t.Fatalf("expected one active segment, got %v (%v)", segs, err)
+			st, _, _ := openStoreSharded(t, dir, true, shards)
+			active := activeSegment(t, dir)
+
+			acks := make([][]ack, writers)
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					for i := 0; i < puts; i++ {
+						id := odata.ID(fmt.Sprintf("/redfish/v1/W%d/%d", w, i))
+						if err := st.Put(id, map[string]any{"Writer": w, "N": i}); err != nil {
+							t.Errorf("put %s: %v", id, err)
+							return
+						}
+						fi, err := os.Stat(active)
+						if err != nil {
+							t.Errorf("stat wal: %v", err)
+							return
+						}
+						acks[w] = append(acks[w], ack{id: id, size: fi.Size()})
+					}
+				}(w)
 			}
-			active := walPath(dir, segs[0])
+			wg.Wait()
+			if t.Failed() {
+				return
+			}
+
+			// Crash: no Close. Cut the log at a seeded random offset.
 			full, err := os.ReadFile(active)
 			if err != nil {
 				t.Fatal(err)
 			}
-
+			rng := rand.New(rand.NewSource(0xACED ^ int64(seed)*2654435761))
 			cut := int64(rng.Intn(len(full) + 1))
 			if err := os.Truncate(active, cut); err != nil {
 				t.Fatal(err)
 			}
+			// The log is the global commit order; what survives the cut
+			// is a prefix of it.
+			all, _, torn := decodeAll(bytes.NewReader(full))
+			if torn || len(all) != writers*puts {
+				t.Fatalf("full log: %d records (torn=%v), want %d", len(all), torn, writers*puts)
+			}
+			for i, rec := range all {
+				if rec.Seq != uint64(i+1) {
+					t.Fatalf("log position %d holds seq %d: the log is not in commit order", i, rec.Seq)
+				}
+			}
+			prefix, _, _ := decodeAll(bytes.NewReader(full[:cut]))
+			want := oracleApply(baseSnapshot(t, dir), prefix)
 
-			// Oracle: decode the surviving committed prefix independently.
-			intact, good, _ := decodeAll(bytes.NewReader(full[:cut]))
-			if good > cut {
-				t.Fatalf("decoder claimed %d good bytes from a %d-byte file", good, cut)
-			}
-			snap, ok, _, err := loadNewestSnapshot(dir)
-			if err != nil || !ok {
-				t.Fatalf("missing base snapshot: %v", err)
-			}
-			var base map[string]json.RawMessage
-			if err := json.Unmarshal(snap.Resources, &base); err != nil {
-				t.Fatal(err)
-			}
-			want := oracleApply(base, intact)
-
-			st2, _, stats := openStore(t, dir, false)
+			st2, _, stats := openStoreSharded(t, dir, true, shards)
 			defer st2.Close()
-			if stats.Replayed != len(intact) {
-				t.Fatalf("replayed %d records, oracle sees %d intact", stats.Replayed, len(intact))
+			if stats.Dropped != 0 {
+				t.Fatalf("recovery dropped %d records from a one-stream log", stats.Dropped)
 			}
-			got := export(t, st2)
-			if len(got) != len(want) || !reflect.DeepEqual(normalize(got), normalize(want)) {
-				t.Fatalf("cut=%d/%d intact=%d:\n got  %v\n want %v",
-					cut, len(full), len(intact), normalize(got), normalize(want))
+			for w := range acks {
+				for _, a := range acks[w] {
+					if a.size <= cut && !st2.Exists(a.id) {
+						t.Fatalf("cut=%d: %s was acknowledged with the log at %d bytes and is gone", cut, a.id, a.size)
+					}
+				}
+			}
+			if got := export(t, st2); !reflect.DeepEqual(normalize(got), normalize(want)) {
+				t.Fatalf("cut=%d/%d: recovered tree is not the %d-record commit-order prefix:\n got  %v\n want %v",
+					cut, len(full), len(prefix), normalize(got), normalize(want))
 			}
 		})
 	}

@@ -7,11 +7,14 @@ import (
 	"path/filepath"
 )
 
-// layoutFile is the data-dir layout descriptor, stored as layout.json at
-// the top of the directory. Its absence means the original single-stream
-// layout (every WAL segment at the top level) — the file exists only for
-// sharded layouts, so a shards=1 data dir is byte-identical to one
-// written before sharding existed.
+// This file reads the retired per-shard-stream layout: a layout.json
+// descriptor at the top of the data dir declaring N > 1 streams, each
+// stream's WAL segments under shard-NN/. Nothing writes it any more;
+// Recover converts such a directory to the flat one-log layout and
+// removes the descriptor.
+
+// layoutFile is the legacy layout descriptor. Its absence means the
+// flat layout (every WAL segment at the top level).
 type layoutFile struct {
 	Version int `json:"Version"`
 	Shards  int `json:"Shards"`
@@ -20,81 +23,47 @@ type layoutFile struct {
 const (
 	layoutName    = "layout.json"
 	layoutVersion = 1
-	// shardDirFmt names the per-shard WAL directories of a sharded
-	// layout. Snapshots are always global and stay at the top level.
+	// shardDirFmt names the per-shard WAL directories of a legacy
+	// sharded layout. Snapshots were always global, at the top level.
 	shardDirFmt = "shard-%02d"
 )
 
-// shardDir returns the directory holding shard i's WAL segments: the
-// data dir itself for a single-stream layout, a shard subdirectory
-// otherwise.
-func shardDir(dir string, shards, i int) string {
-	if shards <= 1 {
-		return dir
-	}
-	return filepath.Join(dir, fmt.Sprintf(shardDirFmt, i))
-}
-
-// readLayout reports the number of WAL streams the directory holds on
-// disk: the layout descriptor's count when present, 1 (the flat legacy
-// layout) otherwise.
-func readLayout(dir string) (int, error) {
+// streamDirs returns the directories holding the data dir's WAL
+// segments: dir itself for the flat layout, the shard-NN subdirectories
+// when a legacy descriptor declares more than one stream.
+func streamDirs(dir string) ([]string, error) {
 	data, err := os.ReadFile(filepath.Join(dir, layoutName))
 	if os.IsNotExist(err) {
-		return 1, nil
+		return []string{dir}, nil
 	}
 	if err != nil {
-		return 0, fmt.Errorf("persist: read layout: %w", err)
+		return nil, fmt.Errorf("persist: read layout: %w", err)
 	}
 	var lf layoutFile
 	if err := json.Unmarshal(data, &lf); err != nil {
-		return 0, fmt.Errorf("persist: parse %s: %w", layoutName, err)
+		return nil, fmt.Errorf("persist: parse %s: %w", layoutName, err)
 	}
 	if lf.Version != layoutVersion {
-		return 0, fmt.Errorf("persist: unsupported layout version %d", lf.Version)
+		return nil, fmt.Errorf("persist: unsupported layout version %d", lf.Version)
 	}
 	if lf.Shards < 1 {
-		return 0, fmt.Errorf("persist: layout declares %d shards", lf.Shards)
+		return nil, fmt.Errorf("persist: layout declares %d shards", lf.Shards)
 	}
-	return lf.Shards, nil
+	if lf.Shards == 1 {
+		return []string{dir}, nil
+	}
+	dirs := make([]string, lf.Shards)
+	for i := range dirs {
+		dirs[i] = filepath.Join(dir, fmt.Sprintf(shardDirFmt, i))
+	}
+	return dirs, nil
 }
 
-// installLayout durably records the directory's layout: write (or
-// replace) the descriptor for a sharded layout, remove it for the flat
-// one. The descriptor is written via temp+rename and the directory is
-// fsynced, so a crash leaves either the old or the new layout fully
-// described — and recovery handles both (see Recover: every step of a
-// layout migration leaves a recoverable directory).
-func installLayout(dir string, shards int) error {
-	path := filepath.Join(dir, layoutName)
-	if shards <= 1 {
-		if err := os.Remove(path); err != nil && !os.IsNotExist(err) {
-			return fmt.Errorf("persist: remove layout: %w", err)
-		}
-		return syncDir(dir)
-	}
-	data, err := json.Marshal(layoutFile{Version: layoutVersion, Shards: shards})
-	if err != nil {
-		return fmt.Errorf("persist: encode layout: %w", err)
-	}
-	tmp, err := os.CreateTemp(dir, "layout-*.tmp")
-	if err != nil {
-		return fmt.Errorf("persist: layout temp: %w", err)
-	}
-	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("persist: layout write: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		return fmt.Errorf("persist: layout sync: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		return fmt.Errorf("persist: layout close: %w", err)
-	}
-	if err := os.Rename(tmp.Name(), path); err != nil {
-		return fmt.Errorf("persist: layout rename: %w", err)
+// removeLayout durably deletes the legacy descriptor: from the next
+// boot on the directory is a flat one.
+func removeLayout(dir string) error {
+	if err := os.Remove(filepath.Join(dir, layoutName)); err != nil && !os.IsNotExist(err) {
+		return fmt.Errorf("persist: remove layout: %w", err)
 	}
 	return syncDir(dir)
 }

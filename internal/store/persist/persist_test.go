@@ -20,10 +20,17 @@ func res(name string) map[string]any {
 	return map[string]any{"@odata.id": name, "Name": name}
 }
 
-// openStore builds a recovered, attached store on dir.
+// openStore builds a recovered, attached store on dir, at the suite's
+// default shard count (OFMF_STORE_SHARDS).
 func openStore(t *testing.T, dir string, fsync bool) (*store.Store, *FileBackend, RecoveryStats) {
 	t.Helper()
-	st := store.New()
+	return openStoreSharded(t, dir, fsync, 0)
+}
+
+// openStoreSharded is openStore with an explicit store shard count.
+func openStoreSharded(t *testing.T, dir string, fsync bool, shards int) (*store.Store, *FileBackend, RecoveryStats) {
+	t.Helper()
+	st := store.NewSharded(shards)
 	b, err := Open(Options{Dir: dir, Fsync: fsync})
 	if err != nil {
 		t.Fatalf("Open: %v", err)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"os"
-	"sort"
 	"time"
 
 	"ofmf/internal/store"
@@ -18,84 +17,69 @@ import (
 // disk.
 
 // ReadRecords returns the contiguous run of committed records with
-// Seq > fromSeq currently on disk, merged across every stream in global
-// sequence order. It stops (without error) at the first gap — a record
-// not yet flushed, or lost to a tear — so the caller always receives a
-// replayable prefix. Torn tails end their stream's contribution exactly
-// as recovery would, but nothing is truncated or quarantined: this is a
-// read-only tail, safe to call on a live backend.
+// Seq > fromSeq currently on disk, in sequence order. It stops (without
+// error) at the first gap — a segment compaction removed under the
+// listing, or records lost to a tear — so the caller always receives a
+// replayable prefix. A torn tail ends the read exactly as recovery
+// would, but nothing is truncated or quarantined: this is a read-only
+// tail, safe to call on a live backend.
 //
-// Records the active segments still hold in their write buffers are not
+// Records the active segment still holds in its write buffer are not
 // visible; call Flush first when the tail must include the newest
 // commits.
 func (b *FileBackend) ReadRecords(fromSeq uint64) ([]store.Record, error) {
 	b.mu.Lock()
-	closed := b.wals == nil
+	closed := b.w == nil
 	b.mu.Unlock()
 	if closed {
 		return nil, errors.New("persist: backend not recovered or already closed")
 	}
-	var merged []store.Record
-	for si := 0; si < b.shards; si++ {
-		sdir := shardDir(b.opts.Dir, b.shards, si)
-		segs, err := listSeqs(sdir, walPrefix, walSuffix)
+	dir := b.opts.Dir
+	segs, err := listSeqs(dir, walPrefix, walSuffix)
+	if err != nil {
+		return nil, err
+	}
+	var out []store.Record
+	next := fromSeq + 1
+	for _, seg := range segs {
+		f, err := os.Open(walPath(dir, seg))
 		if err != nil {
 			if os.IsNotExist(err) {
+				continue // compaction raced the listing
+			}
+			return nil, fmt.Errorf("persist: open segment: %w", err)
+		}
+		recs, _, torn := decodeAll(f)
+		f.Close()
+		for _, rec := range recs {
+			if rec.Seq < next {
 				continue
 			}
-			return nil, err
+			if rec.Seq != next {
+				return out, nil
+			}
+			out = append(out, rec)
+			next++
 		}
-		for _, seg := range segs {
-			f, err := os.Open(walPath(sdir, seg))
-			if err != nil {
-				if os.IsNotExist(err) {
-					continue // compaction raced the listing
-				}
-				return nil, fmt.Errorf("persist: open segment: %w", err)
-			}
-			recs, _, torn := decodeAll(f)
-			f.Close()
-			for _, rec := range recs {
-				if rec.Seq > fromSeq {
-					merged = append(merged, rec)
-				}
-			}
-			if torn {
-				break
-			}
+		if torn {
+			break
 		}
 	}
-	sort.SliceStable(merged, func(i, j int) bool { return merged[i].Seq < merged[j].Seq })
-	next := fromSeq + 1
-	for k, rec := range merged {
-		if rec.Seq != next {
-			// Duplicates (a record both in a retired and a rewritten
-			// segment) cannot happen — segments never overlap — so any
-			// mismatch is a gap: return the contiguous prefix.
-			return merged[:k], nil
-		}
-		next++
-	}
-	return merged, nil
+	return out, nil
 }
 
-// Flush forces every stream's buffered frames to the OS, so a
-// subsequent ReadRecords observes all records appended so far. It does
-// not fsync; durability still follows the backend's configured mode.
+// Flush pushes the active segment's buffered frames through the same
+// group-commit wait a mutation takes — to the OS, and in fsync mode to
+// stable storage — so a subsequent ReadRecords observes every record
+// appended so far.
 func (b *FileBackend) Flush() error {
 	b.mu.Lock()
-	ws := append([]*wal(nil), b.wals...)
+	w := b.w
 	b.mu.Unlock()
-	var first error
-	for _, w := range ws {
-		if w == nil {
-			continue
-		}
-		if err := w.waitFor(w.seq()); err != nil && first == nil {
-			first = err
-		}
+	if w == nil {
+		return nil
 	}
-	return first
+	return w.waitFor(w.seq())
 }
 
 // LatestSnapshot returns the newest parseable on-disk snapshot: the
@@ -113,10 +97,10 @@ func (b *FileBackend) LatestSnapshot() (resources []byte, seq uint64, ok bool, e
 
 // Bootstrap initializes a fresh data directory for a replica promoted
 // to leader mid-history: install a snapshot of st at seq (the replica's
-// applied sequence number), write the layout descriptor, and open empty
-// WAL streams starting after seq. The directory must not already hold
-// snapshots or WAL segments — a promoted replica's local history (if
-// any) predates the replicated one and silently merging the two could
+// applied sequence number) and open an empty log starting after seq.
+// The directory must not already hold snapshots, WAL segments or a
+// legacy sharded layout — a promoted replica's local history (if any)
+// predates the replicated one and silently merging the two could
 // resurrect divergent records; the caller decides what to do with a
 // non-empty directory. Call instead of Recover, then AttachBackend.
 func (b *FileBackend) Bootstrap(st *store.Store, seq uint64) error {
@@ -133,9 +117,9 @@ func (b *FileBackend) Bootstrap(st *store.Store, seq uint64) error {
 			return fmt.Errorf("persist: bootstrap: %s holds existing %s*%s files", dir, probe.prefix, probe.suffix)
 		}
 	}
-	if onDisk, err := readLayout(dir); err != nil {
+	if dirs, err := streamDirs(dir); err != nil {
 		return err
-	} else if onDisk > 1 {
+	} else if len(dirs) > 1 {
 		return fmt.Errorf("persist: bootstrap: %s holds a sharded layout", dir)
 	}
 	export, err := st.Export()
@@ -145,30 +129,16 @@ func (b *FileBackend) Bootstrap(st *store.Store, seq uint64) error {
 	if err := writeSnapshot(dir, seq, export); err != nil {
 		return err
 	}
-	if b.shards > 1 {
-		if err := installLayout(dir, b.shards); err != nil {
-			return err
-		}
-	}
-	ws := make([]*wal, b.shards)
-	for i := range ws {
-		sdir := shardDir(dir, b.shards, i)
-		if err := os.MkdirAll(sdir, 0o755); err != nil {
-			return fmt.Errorf("persist: shard dir: %w", err)
-		}
-		w, err := openWAL(walPath(sdir, seq+1), seq, b.opts.Fsync, b.onFsync)
-		if err != nil {
-			return err
-		}
-		ws[i] = w
+	w, err := openWAL(walPath(dir, seq+1), seq, b.opts.Fsync, b.onFsync)
+	if err != nil {
+		return err
 	}
 	b.mu.Lock()
-	b.wals = ws
+	b.w = w
 	b.lastSnapSeq = seq
 	b.mu.Unlock()
 	b.src = st
 	b.log.Info("persist: bootstrapped at replicated seq",
-		"seq", seq, "resources", st.Len(), "shards", b.shards,
-		"duration", time.Since(start))
+		"seq", seq, "resources", st.Len(), "duration", time.Since(start))
 	return nil
 }

@@ -1,37 +1,30 @@
-// Package persist is the store's file-based durability layer: per-shard
-// append-only write-ahead logs of canonical mutation records with
+// Package persist is the store's file-based durability layer: one
+// append-only write-ahead log of canonical mutation records with
 // group-commit flush/fsync coalescing, periodic compacted snapshots
 // built from consistent store cuts, and boot-time recovery that loads
-// the newest valid snapshot, merge-replays every stream's tail by
-// global sequence number, and truncates torn records left by a crash
-// mid-write.
+// the newest valid snapshot, replays the log tail in sequence order,
+// and truncates a torn record left by a crash mid-write.
 //
-// On-disk layout. The single-stream layout (Options.Shards <= 1) keeps
-// everything in one data directory, byte-compatible with dirs written
-// before sharding existed:
+// On-disk layout. Everything lives in one data directory, whatever the
+// store's shard count (shards split the store's locks, not its log):
 //
 //	snap-<seq>.json   compacted snapshot: {"Seq":N,"Resources":{uri:raw}}
 //	wal-<start>.log   log segment; holds records with Seq >= start
 //
 //	wal-<start>.log.quarantined
-//	                  segment found after a torn record, or holding
-//	                  records beyond a global sequence gap; recovery
+//	                  segment found after a torn record; recovery
 //	                  renames it aside rather than replaying or deleting
 //	                  it
 //
-// The sharded layout (Options.Shards > 1) adds a layout.json descriptor
-// and moves the WAL streams into per-shard subdirectories, while
-// snapshots stay global at the top level:
+// Records carry globally unique, gap-free, monotonically increasing
+// sequence numbers, and the store appends them in that order, so the
+// log is the total commit order.
 //
-//	layout.json            {"Version":1,"Shards":N}
-//	snap-<seq>.json        global snapshot, as above
-//	shard-00/wal-<start>.log ... shard-NN/wal-<start>.log
-//
-// Records carry globally unique, monotonically increasing sequence
-// numbers regardless of which stream they land in, so recovery sorts
-// the union of all streams by Seq to rebuild the total commit order.
-// Recover migrates a directory between layouts automatically when the
-// configured shard count differs from the one on disk.
+// An earlier version kept one WAL stream per store shard (a layout.json
+// descriptor plus shard-NN/ subdirectories). Recover still reads such a
+// directory — merging the streams by Seq and quarantining segments
+// beyond a sequence gap — and converts it, one-way, to the layout
+// above; see layout.go.
 //
 // Each WAL record is framed as
 //
@@ -162,7 +155,7 @@ func openWAL(path string, base uint64, fsync bool, onFsync func(time.Duration)) 
 
 // append frames the batch into the segment buffer and returns a wait
 // function that blocks until the batch is durable. The caller (the
-// store, under its write lock, via FileBackend.Append) guarantees batches
+// store, under its appendMu, via FileBackend.Append) guarantees batches
 // arrive in commit order.
 func (w *wal) append(recs []store.Record) func() error {
 	w.mu.Lock()

@@ -26,9 +26,9 @@ const (
 
 // Record is one canonical committed mutation. Seq is the store's
 // global monotonic commit sequence number, assigned while the mutated
-// shard's write lock is held, so the union of all log streams totally
-// orders the store's history even when shards log independently. Raw
-// carries the post-state for OpPut and is empty for OpDelete.
+// shard's write lock is held, so the log totally orders the store's
+// history across shards. Raw carries the post-state for OpPut and is
+// empty for OpDelete.
 //
 // Epoch is the replication leadership term the record was committed
 // under (see SetEpoch). It is 0 for an unreplicated store — the field
@@ -48,43 +48,25 @@ type Record struct {
 
 // Backend is the store's durability seam. The zero-config store has no
 // backend and stays purely in-memory; attaching one (see AttachBackend)
-// makes every committed mutation flow through it.
+// makes every committed mutation flow through it as one ordered log,
+// however many shards the store's locks are split into.
 //
-// Append is invoked while a lock serializing the whole store is held
-// (the store's appendMu, under the mutated shard's write lock),
-// immediately after the in-memory commit, so batches reach the backend
-// in exact commit order. Implementations must therefore be fast in
-// Append — buffer the records and complete durability (flush, fsync,
-// replication) in the returned wait function, which the store calls
-// after releasing its locks. A nil wait means the batch is already
-// durable. Errors surfaced by wait are returned to the mutating caller;
-// the in-memory commit is not rolled back (the tree stays ahead of a
-// failing log).
+// The single ordering rule: Append is called under the store's appendMu,
+// which is taken after the write locks of every shard the batch touches
+// and held across sequence stamping and the call, immediately after the
+// in-memory commit. Batches therefore reach the backend in strictly
+// ascending, gap-free Seq order, one call at a time. Implementations
+// must be fast in Append — buffer the records and complete durability
+// (flush, fsync, replication) in the returned wait function, which the
+// store calls after releasing its locks. A nil wait means the batch is
+// already durable. Errors surfaced by wait are returned to the mutating
+// caller; the in-memory commit is not rolled back (the tree stays ahead
+// of a failing log).
 type Backend interface {
 	Append(batch []Record) (wait func() error)
 	// Close flushes buffered records and releases the backend's
 	// resources. The store calls it from Store.Close after detaching.
 	Close() error
-}
-
-// ShardedBackend is a Backend that keeps one log stream per store
-// shard, so appends on different shards proceed without a shared
-// serialization point. AppendShard is invoked while the shard's write
-// lock is held; within one shard batches arrive in ascending sequence
-// order, and a multi-shard commit (all locks held) may deliver one
-// batch per shard. Recovery merges the streams by Record.Seq to rebuild
-// the global commit order.
-//
-// A backend whose Shards() differs from the store's shard count is used
-// through the plain Append path instead — correctness never depends on
-// which stream a record landed in, only on its sequence number.
-type ShardedBackend interface {
-	Backend
-	// Shards returns the number of log streams the backend maintains.
-	Shards() int
-	// AppendShard appends the batch to shard's stream; semantics match
-	// Backend.Append otherwise.
-	AppendShard(shard int, batch []Record) (wait func() error)
 }
 
 // Apply replays one log record through the store's normal mutation path:
@@ -110,18 +92,11 @@ func (s *Store) Apply(rec Record) error {
 // AttachBackend installs the durability backend and fast-forwards the
 // commit sequence to lastSeq (the highest sequence number the backend
 // has already logged), so new records continue the recovered history.
-// When the backend is sharded with a count matching the store's, each
-// shard logs to its own stream; otherwise every commit funnels through
-// the single Append stream. Attach after recovery has replayed the log
-// — replay itself must not be re-logged — and before the store starts
-// serving mutations.
+// Attach after recovery has replayed the log — replay itself must not
+// be re-logged — and before the store starts serving mutations.
 func (s *Store) AttachBackend(b Backend, lastSeq uint64) {
 	s.lockAll()
 	s.backend = b
-	s.sharded = nil
-	if sb, ok := b.(ShardedBackend); ok && sb != nil && sb.Shards() == len(s.shards) {
-		s.sharded = sb
-	}
 	s.seq.Store(lastSeq)
 	s.unlockAll()
 }
@@ -146,7 +121,6 @@ func (s *Store) Close() error {
 	s.lockAll()
 	b := s.backend
 	s.backend = nil
-	s.sharded = nil
 	s.unlockAll()
 	if b == nil {
 		return nil
@@ -154,87 +128,25 @@ func (s *Store) Close() error {
 	return b.Close()
 }
 
-// stampLocked assigns the batch its global commit sequence numbers and
-// the current replication epoch. Callers hold the write lock of every
-// shard the batch touches, so the numbers land in each shard's stream
-// in ascending order.
-func (s *Store) stampLocked(batch []Record) {
+// commitLocked stamps the batch with its global commit sequence numbers
+// and the current replication epoch and hands it to the backend. The
+// caller holds the write lock of every shard the batch touches and
+// calls the returned wait (via waitDurable) only after releasing them.
+// appendMu makes stamp-and-append one step, so writers racing on
+// different shards still produce one log in Seq order.
+func (s *Store) commitLocked(batch []Record) func() error {
+	if s.backend == nil || len(batch) == 0 {
+		return nil
+	}
+	s.appendMu.Lock()
+	defer s.appendMu.Unlock()
 	base := s.seq.Add(uint64(len(batch))) - uint64(len(batch))
 	epoch := s.epoch.Load()
 	for i := range batch {
 		batch[i].Seq = base + uint64(i) + 1
 		batch[i].Epoch = epoch
 	}
-}
-
-// commitShardLocked stamps the batch and hands it to the backend on
-// behalf of one shard. The caller holds that shard's write lock and
-// calls the returned wait (via waitDurable) only after releasing it.
-// With a sharded backend the append goes straight to the shard's
-// stream; a legacy single-stream backend is serialized under appendMu
-// so its one log stays in global sequence order across shards.
-func (s *Store) commitShardLocked(shard int, batch []Record) func() error {
-	if s.backend == nil || len(batch) == 0 {
-		return nil
-	}
-	if s.sharded != nil {
-		s.stampLocked(batch)
-		return s.sharded.AppendShard(shard, batch)
-	}
-	s.appendMu.Lock()
-	s.stampLocked(batch)
-	wait := s.backend.Append(batch)
-	s.appendMu.Unlock()
-	return wait
-}
-
-// commitMultiLocked stamps a cross-shard batch and fans it out to each
-// touched shard's stream, preserving the batch's global order within
-// every stream. The caller holds every shard's write lock (acquired in
-// index order). The returned wait completes when every stream's wait
-// does, so the mutation is acknowledged only once the whole batch is
-// durable.
-func (s *Store) commitMultiLocked(batch []Record) func() error {
-	if s.backend == nil || len(batch) == 0 {
-		return nil
-	}
-	if s.sharded == nil {
-		s.appendMu.Lock()
-		s.stampLocked(batch)
-		wait := s.backend.Append(batch)
-		s.appendMu.Unlock()
-		return wait
-	}
-	s.stampLocked(batch)
-	per := make([][]Record, len(s.shards))
-	for _, rec := range batch {
-		i := s.shardIndex(rec.ID)
-		per[i] = append(per[i], rec)
-	}
-	var waits []func() error
-	for i, sub := range per {
-		if len(sub) == 0 {
-			continue
-		}
-		if w := s.sharded.AppendShard(i, sub); w != nil {
-			waits = append(waits, w)
-		}
-	}
-	switch len(waits) {
-	case 0:
-		return nil
-	case 1:
-		return waits[0]
-	}
-	return func() error {
-		var first error
-		for _, w := range waits {
-			if err := w(); err != nil && first == nil {
-				first = err
-			}
-		}
-		return first
-	}
+	return s.backend.Append(batch)
 }
 
 // waitDurable runs a commit's wait function, wrapping its error.

@@ -142,7 +142,7 @@ func TestReplBootstrapAcrossCompaction(t *testing.T) {
 
 	dir := t.TempDir()
 	leader.svc = service.New(service.Config{Logger: quietLogger(), DirectWrites: true})
-	b, err := persist.Open(persist.Options{Dir: dir, Shards: leader.svc.Store().ShardCount(), Logger: quietLogger()})
+	b, err := persist.Open(persist.Options{Dir: dir, Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -230,7 +230,7 @@ func TestReplPromotedLeaderDurability(t *testing.T) {
 	replica.start(t, replicaMux, func(cfg *Config) {
 		cfg.Peers = []string{leader.srv.URL}
 		cfg.PromoteBackend = func(st *store.Store, seq uint64) (store.Backend, error) {
-			pb, err := persist.Open(persist.Options{Dir: dir, Shards: st.ShardCount(), Logger: quietLogger()})
+			pb, err := persist.Open(persist.Options{Dir: dir, Logger: quietLogger()})
 			if err != nil {
 				return nil, err
 			}
@@ -287,7 +287,7 @@ func TestReplPromotedLeaderDurability(t *testing.T) {
 		t.Fatal(err)
 	}
 	recovered := store.New()
-	rb, err := persist.Open(persist.Options{Dir: dir, Shards: recovered.ShardCount(), Logger: quietLogger()})
+	rb, err := persist.Open(persist.Options{Dir: dir, Logger: quietLogger()})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -411,5 +411,65 @@ func TestReplReplicaGetZeroAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("replica store read path allocates %v per op, want 0", allocs)
+	}
+}
+
+// TestReplLeaderRestartKeepsAckedWrites: a persisting leader that
+// crashes and reboots over its data dir must continue the log where
+// recovery left it. Wired as cmd/ofmf does — recover, attach the
+// backend at the recovered sequence, then Start — every write
+// acknowledged in any life is in the tree after the next crash.
+// (Skipping the attach restarts numbering at 1, and the next recovery
+// discards the new records as already covered by its snapshot.)
+func TestReplLeaderRestartKeepsAckedWrites(t *testing.T) {
+	dir := t.TempDir()
+	boot := func() (*store.Store, *Node, persist.RecoveryStats) {
+		t.Helper()
+		st := store.New()
+		b, err := persist.Open(persist.Options{Dir: dir, Logger: quietLogger()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := b.Recover(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st.AttachBackend(b, stats.LastSeq)
+		node, err := NewNode(Config{Store: st, Self: "http://leader.test", Leader: true,
+			BootEpoch: stats.LastEpoch, Inner: b, Logger: quietLogger()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		node.Start()
+		return st, node, stats
+	}
+	ids := []odata.ID{"/redfish/v1/Chassis/a1", "/redfish/v1/Chassis/a2", "/redfish/v1/Chassis/b1"}
+
+	st, node, _ := boot()
+	for _, id := range ids[:2] {
+		if err := st.Put(id, map[string]any{"Name": string(id)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	node.Stop() // crash: the backend is abandoned unclosed
+
+	st, node, stats := boot()
+	if stats.LastSeq != 2 {
+		t.Fatalf("second life recovered LastSeq %d, want 2", stats.LastSeq)
+	}
+	if err := st.Put(ids[2], map[string]any{"Name": string(ids[2])}); err != nil {
+		t.Fatal(err)
+	}
+	node.Stop()
+
+	st, node, stats = boot()
+	defer node.Stop()
+	if stats.LastSeq != 3 {
+		t.Fatalf("third life recovered LastSeq %d, want 3", stats.LastSeq)
+	}
+	for _, id := range ids {
+		if !st.Exists(id) {
+			t.Fatalf("%s was acknowledged and is gone after restart", id)
+		}
 	}
 }

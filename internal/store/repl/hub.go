@@ -65,13 +65,14 @@ const (
 	readFenced                  // hub deposed; stream must end
 )
 
-// Hub is the leader-side replication core: it reassembles the global
-// commit order from per-shard append batches, keeps a bounded in-memory
-// backlog for follower streams, tracks follower acknowledgements, and
-// parks semi-synchronous writes until enough followers confirm.
+// Hub is the leader-side replication core: it keeps a bounded in-memory
+// backlog of the commit log for follower streams, tracks follower
+// acknowledgements, and parks semi-synchronous writes until enough
+// followers confirm.
 //
-// Offer is called under store shard write locks and must stay cheap;
-// everything slow (waiting, streaming) happens on other goroutines.
+// Offer is called under the store's locks, in commit order, and must
+// stay cheap; everything slow (waiting, streaming) happens on other
+// goroutines.
 type Hub struct {
 	epoch       uint64
 	ringMax     int
@@ -81,11 +82,10 @@ type Hub struct {
 	m           *obsv.Metrics
 
 	mu        sync.Mutex
-	next      uint64           // next contiguous sequence number expected
-	pending   map[uint64]entry // stamped but not yet contiguous (cross-shard reorder)
-	ring      []entry          // contiguous backlog; ring[i].rec.Seq == ringFirst+i
-	ringFirst uint64           // seq of ring[0]; ringFirst+len(ring) == next
-	notify    chan struct{}    // closed and replaced when the backlog grows
+	next      uint64        // next sequence number expected
+	ring      []entry       // contiguous backlog; ring[i].rec.Seq == ringFirst+i
+	ringFirst uint64        // seq of ring[0]; ringFirst+len(ring) == next
+	notify    chan struct{} // closed and replaced when the backlog grows
 	fenced    bool
 	fencedBy  uint64
 	fencedCh  chan struct{}
@@ -114,7 +114,6 @@ func NewHub(cfg HubConfig) *Hub {
 		m:           cfg.Metrics,
 		next:        cfg.StartSeq + 1,
 		ringFirst:   cfg.StartSeq + 1,
-		pending:     make(map[uint64]entry),
 		notify:      make(chan struct{}),
 		fencedCh:    make(chan struct{}),
 		acks:        make(map[string]*followerState),
@@ -129,56 +128,58 @@ func NewHub(cfg HubConfig) *Hub {
 // Epoch returns the hub's leadership term.
 func (h *Hub) Epoch() uint64 { return h.epoch }
 
-// Offer hands the hub one stamped batch from one store shard. Batches
-// from different shards interleave, so records park in pending until
-// the global order is contiguous, then move to the backlog and wake
-// streams. Called under the shard's write lock: O(len(batch)) map and
-// slice work only.
+// Offer appends one stamped batch to the backlog and wakes streams.
+// The store appends in commit order (see store.Backend), so the batch
+// must continue the backlog exactly: first Seq == next, contiguous
+// within. Anything else means a record was lost or reordered between
+// the store and the hub; shipping on would hand followers a history
+// with a hole, so the hub logs both numbers and fences itself — writes
+// fail with ErrFenced and the node rejoins through a snapshot. Called
+// under the store's locks: O(len(batch)) slice work only.
 func (h *Hub) Offer(batch []store.Record) {
 	if len(batch) == 0 {
 		return
 	}
 	now := time.Now()
 	h.mu.Lock()
+	if h.fenced {
+		h.mu.Unlock()
+		return
+	}
+	for i, rec := range batch {
+		if want := h.next + uint64(i); rec.Seq != want {
+			h.mu.Unlock()
+			h.log.Error("repl: batch offered out of commit order; fencing",
+				"want_seq", want, "got_seq", rec.Seq, "epoch", h.epoch)
+			h.Fence(h.epoch)
+			return
+		}
+	}
 	for _, rec := range batch {
-		if rec.Seq >= h.next {
-			h.pending[rec.Seq] = entry{rec: rec, at: now}
-		}
+		h.ring = append(h.ring, entry{rec: rec, at: now})
 	}
-	grew := false
-	for {
-		e, ok := h.pending[h.next]
-		if !ok {
-			break
+	h.next += uint64(len(batch))
+	// Trim in chunks so eviction cost amortizes to O(1) per record.
+	if len(h.ring) > h.ringMax {
+		drop := len(h.ring) - h.ringMax*3/4
+		old := len(h.ring)
+		n := copy(h.ring, h.ring[drop:])
+		for i := n; i < old; i++ {
+			h.ring[i] = entry{}
 		}
-		delete(h.pending, h.next)
-		h.ring = append(h.ring, e)
-		h.next++
-		grew = true
+		h.ring = h.ring[:n]
+		h.ringFirst += uint64(drop)
 	}
-	if grew {
-		// Trim in chunks so eviction cost amortizes to O(1) per record.
-		if len(h.ring) > h.ringMax {
-			drop := len(h.ring) - h.ringMax*3/4
-			old := len(h.ring)
-			n := copy(h.ring, h.ring[drop:])
-			for i := n; i < old; i++ {
-				h.ring[i] = entry{}
-			}
-			h.ring = h.ring[:n]
-			h.ringFirst += uint64(drop)
-		}
-		close(h.notify)
-		h.notify = make(chan struct{})
-	}
+	close(h.notify)
+	h.notify = make(chan struct{})
 	last := h.next - 1
 	h.mu.Unlock()
-	if grew && h.m != nil {
+	if h.m != nil {
 		h.m.ReplAppliedSeq.Set(float64(last))
 	}
 }
 
-// LastSeq returns the last contiguously committed sequence number.
+// LastSeq returns the last committed sequence number.
 func (h *Hub) LastSeq() uint64 {
 	h.mu.Lock()
 	defer h.mu.Unlock()
@@ -312,9 +313,10 @@ func (h *Hub) dropWaiter(w *ackWaiter) {
 	h.mu.Unlock()
 }
 
-// Fence marks the hub deposed by a higher epoch: pending and future
+// Fence marks the hub deposed — by a higher epoch, or with its own
+// epoch by Stop and by Offer's ordering check: pending and future
 // writes fail with ErrFenced and every stream ends. Idempotent; the
-// first observation of the higher term wins.
+// first caller wins.
 func (h *Hub) Fence(byEpoch uint64) {
 	h.mu.Lock()
 	if h.fenced {

@@ -48,7 +48,9 @@ type Config struct {
 	// sends keepalives every LeaseTimeout/3. Default 3s.
 	LeaseTimeout time.Duration
 	// Inner is a booting leader's recovered durability backend; the Tee
-	// forwards every batch to it. Nil runs the leader in-memory.
+	// forwards every batch to it. Nil runs the leader in-memory. Start
+	// continues the log from Store.Seq, so attach Inner to the store at
+	// the recovered sequence number (Store.AttachBackend) first.
 	Inner store.Backend
 	// DiskTail, DiskFlush and DiskSnapshot expose the leader's on-disk
 	// WAL to followers that outran the in-memory backlog (normally
@@ -253,7 +255,7 @@ func (n *Node) becomeLeaderLocked(epoch, lastSeq uint64, inner store.Backend) {
 		Logger:      n.log,
 		Metrics:     n.m,
 	})
-	tee := NewTee(hub, inner, n.st.ShardCount())
+	tee := NewTee(hub, inner)
 	n.st.SetEpoch(epoch)
 	n.st.AttachBackend(tee, lastSeq)
 	n.hub = hub

@@ -1,8 +1,8 @@
 // Package repl replicates one OFMF resource tree across nodes by
 // shipping the store's write-ahead records. One node is the leader: its
 // store carries a replication-aware backend (Tee) that hands every
-// committed record batch to a Hub, which reassembles global sequence
-// order and streams records to followers over HTTP. Followers replay
+// committed record batch, in commit order, to a Hub, which backlogs the
+// log and streams records to followers over HTTP. Followers replay
 // records through Store.Apply — the same code path boot recovery uses —
 // so a replica's tree is rebuilt by exactly the mutations the leader
 // performed, in commit order.

@@ -3,65 +3,31 @@ package repl
 import "ofmf/internal/store"
 
 // Tee is the replication-aware store backend a leader runs: every
-// committed record batch is offered to the shipping Hub and, when the
-// leader also persists, forwarded to the inner durability backend. The
+// committed record batch is forwarded to the inner durability backend
+// (when the leader persists) and offered to the shipping Hub. The store
+// calls Append in commit order, so both see the same ordered log. The
 // wait it returns completes only when the inner backend's wait does AND
 // the batch's last record clears the hub's semi-sync bar — so a client
 // ack means "on disk here and applied by MinSync replicas", and a
 // fenced leader fails the wait instead of acknowledging a write its
 // successor will never see.
 type Tee struct {
-	hub          *Hub
-	inner        store.Backend
-	shardedInner store.ShardedBackend
-	shards       int
+	hub   *Hub
+	inner store.Backend
 }
 
-// NewTee wraps inner (which may be nil for a diskless leader) for a
-// store with storeShards shards. The hub itself is order-insensitive —
-// it reassembles the global sequence — so the tee advertises whatever
-// shard count lets the inner backend keep its own ordering contract:
-// storeShards when inner is nil or sharded to match (per-shard appends
-// proceed without a global serialization point), 1 otherwise so the
-// store serializes the single inner stream in commit order.
-func NewTee(hub *Hub, inner store.Backend, storeShards int) *Tee {
-	t := &Tee{hub: hub, inner: inner, shards: storeShards}
-	if sb, ok := inner.(store.ShardedBackend); ok && sb.Shards() == storeShards {
-		t.shardedInner = sb
-	} else if inner != nil {
-		t.shards = 1
-	}
-	if t.shards < 1 {
-		t.shards = 1
-	}
-	return t
+// NewTee wraps inner, which may be nil for a diskless leader.
+func NewTee(hub *Hub, inner store.Backend) *Tee {
+	return &Tee{hub: hub, inner: inner}
 }
 
-// Hub returns the shipping hub the tee feeds.
-func (t *Tee) Hub() *Hub { return t.hub }
-
-// Shards implements store.ShardedBackend.
-func (t *Tee) Shards() int { return t.shards }
-
-// Append implements store.Backend (the store uses it when the tee
-// advertises a single stream).
+// Append implements store.Backend.
 func (t *Tee) Append(batch []store.Record) func() error {
-	return t.append(-1, batch)
-}
-
-// AppendShard implements store.ShardedBackend.
-func (t *Tee) AppendShard(shard int, batch []store.Record) func() error {
-	return t.append(shard, batch)
-}
-
-func (t *Tee) append(shard int, batch []store.Record) func() error {
 	if len(batch) == 0 {
 		return nil
 	}
 	var innerWait func() error
-	if t.shardedInner != nil && shard >= 0 {
-		innerWait = t.shardedInner.AppendShard(shard, batch)
-	} else if t.inner != nil {
+	if t.inner != nil {
 		innerWait = t.inner.Append(batch)
 	}
 	t.hub.Offer(batch)

@@ -17,7 +17,7 @@ import (
 const redfishRoot = "/redfish/v1"
 
 // maxShards bounds the shard count; beyond this the per-shard fixed cost
-// (locks, maps, WAL segments) outweighs any contention win.
+// (locks, maps) outweighs any contention win.
 const maxShards = 64
 
 // shard is one independent partition of the tree: its own lock, entry
@@ -35,7 +35,7 @@ func (s *Store) ShardCount() int { return len(s.shards) }
 
 // ShardOf returns the index of the shard that owns id. Routing is
 // stable for a given shard count: tests and operators can use it to
-// predict which WAL stream a resource's mutations land in.
+// predict which lock a resource's mutations take.
 func (s *Store) ShardOf(id odata.ID) int { return s.shardIndex(id) }
 
 // ShardLen returns the number of resources stored in shard i. The

@@ -23,9 +23,9 @@
 // never contend. Operations whose prefix spans shards — PutSubtree at
 // the service root, admin restore, Export/Snapshot — use an ordered
 // multi-shard commit: every shard lock is acquired in ascending index
-// order, so readers observe the whole mutation or none of it, and the
-// global sequence numbers assigned under the locks let recovery merge
-// the per-shard logs back into one total order.
+// order, so readers observe the whole mutation or none of it. Whatever
+// the shard count, committed records leave through one ordered
+// Backend.Append (see record.go): shards split the locks, not the log.
 package store
 
 import (
@@ -108,10 +108,10 @@ type Store struct {
 	shards []*shard
 
 	// seq is the global commit sequence number of the last mutation
-	// record handed to the backend. It is assigned while the mutating
-	// shard's write lock is held, so each shard's log stream is
-	// sequence-ascending and merging all streams by Seq reconstructs the
-	// total commit order. It advances only while a backend is attached.
+	// record handed to the backend. It is assigned under appendMu while
+	// the mutating shard's write lock is held, so the backend's one log
+	// is gap-free and Seq-ascending. It advances only while a backend is
+	// attached.
 	seq atomic.Uint64
 
 	// mutSeq numbers every committed mutation for change notification
@@ -124,16 +124,13 @@ type Store struct {
 	// records (see SetEpoch); 0 when the store is not replicated.
 	epoch atomic.Uint64
 
-	// backend and sharded are written only while every shard lock is
-	// held (AttachBackend/Close) and read under at least one shard lock.
-	// sharded is backend when it routes per shard (see ShardedBackend)
-	// with a matching shard count, nil otherwise.
+	// backend is written only while every shard lock is held
+	// (AttachBackend/Close) and read under at least one shard lock.
 	backend Backend
-	sharded ShardedBackend
-	// appendMu serializes sequence stamping and Append for legacy
-	// single-stream backends, so their one log stays in global commit
-	// order even when writers on different shards race. Always acquired
-	// after shard locks, never before.
+	// appendMu makes sequence stamping and Backend.Append one step, so
+	// the log stays in global commit order even when writers on
+	// different shards race. Always acquired after shard locks, never
+	// before.
 	appendMu sync.Mutex
 
 	watchMu  sync.RWMutex
@@ -288,7 +285,7 @@ func (s *Store) PutCtx(ctx context.Context, id odata.ID, v any) error {
 	var cs uint64
 	if changed {
 		cs = s.mutSeq.Add(1)
-		wait = s.commitShardLocked(si, []Record{{Op: OpPut, ID: id, Raw: raw}})
+		wait = s.commitLocked([]Record{{Op: OpPut, ID: id, Raw: raw}})
 	}
 	sh.mu.Unlock()
 	if !changed {
@@ -326,7 +323,7 @@ func (s *Store) CreateCtx(ctx context.Context, id odata.ID, v any) error {
 	}
 	sh.eng.put(id, raw)
 	cs := s.mutSeq.Add(1)
-	wait := s.commitShardLocked(si, []Record{{Op: OpPut, ID: id, Raw: raw}})
+	wait := s.commitLocked([]Record{{Op: OpPut, ID: id, Raw: raw}})
 	sh.mu.Unlock()
 
 	werr := waitDurableTraced(sp, wait)
@@ -452,7 +449,7 @@ func (s *Store) PatchCtx(ctx context.Context, id odata.ID, patch map[string]any,
 	var cs uint64
 	if changed {
 		cs = s.mutSeq.Add(1)
-		wait = s.commitShardLocked(si, []Record{{Op: OpPut, ID: id, Raw: raw}})
+		wait = s.commitLocked([]Record{{Op: OpPut, ID: id, Raw: raw}})
 	}
 	sh.mu.Unlock()
 
@@ -503,7 +500,7 @@ func (s *Store) DeleteCtx(ctx context.Context, id odata.ID) error {
 		return err
 	}
 	cs := s.mutSeq.Add(1)
-	wait := s.commitShardLocked(si, []Record{{Op: OpDelete, ID: id}})
+	wait := s.commitLocked([]Record{{Op: OpDelete, ID: id}})
 	sh.mu.Unlock()
 
 	werr := waitDurableTraced(sp, wait)
@@ -764,12 +761,10 @@ func (s *Store) PutSubtreeCtx(ctx context.Context, prefix odata.ID, resources ma
 			batch = append(batch, Record{Op: OpPut, ID: id, Raw: raw})
 		}
 	}
-	var wait func() error
+	wait := s.commitLocked(batch)
 	if multi {
-		wait = s.commitMultiLocked(batch)
 		s.unlockAll()
 	} else {
-		wait = s.commitShardLocked(si, batch)
 		s.shards[si].mu.Unlock()
 	}
 
@@ -831,12 +826,10 @@ func (s *Store) DeleteSubtreeCtx(ctx context.Context, prefix odata.ID) (int, err
 			batch = append(batch, Record{Op: OpDelete, ID: id})
 		}
 	}
-	var wait func() error
+	wait := s.commitLocked(batch)
 	if multi {
-		wait = s.commitMultiLocked(batch)
 		s.unlockAll()
 	} else {
-		wait = s.commitShardLocked(si, batch)
 		s.shards[si].mu.Unlock()
 	}
 	werr := waitDurableTraced(sp, wait)
@@ -874,7 +867,7 @@ func (s *Store) Export() ([]byte, error) {
 // commit sequence number of the last mutation it contains. Because
 // mutations hold their shard's write lock while sequence numbers are
 // assigned and records are handed to the backend, holding every shard's
-// read lock makes the pair an exact cut of the merged log: every record
+// read lock makes the pair an exact cut of the log: every record
 // with Seq <= seq is reflected in the export, none with Seq > seq is.
 // The persistence layer builds its compacted snapshots from it.
 func (s *Store) Snapshot() (data []byte, seq uint64, err error) {
