@@ -5,22 +5,18 @@
 // converged to ground truth, WAL sequence integrity).
 //
 //	ofmfchaos -agents 10000 -seed 42 -scenario partition
-//	ofmfchaos -agents 100 -seed 42 -scenario all -smoke   # CI gate shape
+//	ofmfchaos -agents 100 -seed 42 -scenario all   # CI gate shape
 //
 // The exit status is the gate: 0 when every scenario converges clean,
-// 1 when any invariant is violated. With -out, results are written into
-// the file's fleet_churn section (BENCH_serving.json format; the rest
-// of the document passes through untouched).
+// 1 when any invariant is violated. The per-scenario table it prints is
+// the only output; nothing is written to disk.
 package main
 
 import (
-	"encoding/json"
 	"flag"
 	"fmt"
 	"log/slog"
 	"os"
-	"runtime"
-	"time"
 
 	"ofmf/internal/fleet"
 )
@@ -29,8 +25,6 @@ func main() {
 	agents := flag.Int("agents", 10000, "fleet size")
 	seed := flag.Int64("seed", 0, "deterministic seed (required, non-zero)")
 	scenario := flag.String("scenario", "all", "scenario to run: crash|partition|storm|killrecover|all")
-	smoke := flag.Bool("smoke", false, "mark the run as a CI smoke gate in the output")
-	out := flag.String("out", "", "write results into this file's fleet_churn section (BENCH_serving.json format)")
 	verbose := flag.Bool("v", false, "log harness progress")
 	flag.Parse()
 
@@ -55,7 +49,6 @@ func main() {
 	}
 
 	fmt.Printf("ofmfchaos: %d agents, seed %d, scenarios %v\n", *agents, *seed, names)
-	var results []fleet.Result
 	failed := false
 	for _, name := range names {
 		res, err := runOne(name, *agents, *seed, logger)
@@ -63,7 +56,6 @@ func main() {
 			fmt.Fprintf(os.Stderr, "ofmfchaos: %s: harness error: %v\n", name, err)
 			os.Exit(1)
 		}
-		results = append(results, res)
 		status := "ok"
 		if res.Failed() {
 			status = fmt.Sprintf("FAILED (%d violations)", len(res.Violations))
@@ -80,13 +72,6 @@ func main() {
 		}
 	}
 
-	if *out != "" {
-		if err := writeResults(*out, results, *smoke); err != nil {
-			fmt.Fprintf(os.Stderr, "ofmfchaos: write %s: %v\n", *out, err)
-			os.Exit(1)
-		}
-		fmt.Printf("ofmfchaos: results written to %s\n", *out)
-	}
 	if failed {
 		os.Exit(1)
 	}
@@ -113,45 +98,4 @@ func runOne(name string, agents int, seed int64, logger *slog.Logger) (fleet.Res
 		return fleet.Result{}, err
 	}
 	return f.Run(sc)
-}
-
-// churnSection is what lands under the output file's fleet_churn key.
-type churnSection struct {
-	Date       string         `json:"date"`
-	GOOS       string         `json:"goos"`
-	GOARCH     string         `json:"goarch"`
-	GOMAXPROCS int            `json:"gomaxprocs"`
-	Smoke      bool           `json:"smoke,omitempty"`
-	Runs       []fleet.Result `json:"runs"`
-}
-
-// writeResults replaces the fleet_churn section of the JSON document at
-// path, preserving every other key (comment, entries, ...) byte-for-byte
-// via RawMessage passthrough.
-func writeResults(path string, results []fleet.Result, smoke bool) error {
-	doc := map[string]json.RawMessage{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing document does not parse: %w", err)
-		}
-	} else if !os.IsNotExist(err) {
-		return err
-	}
-	section, err := json.Marshal(churnSection{
-		Date:       time.Now().Format("2006-01-02"),
-		GOOS:       runtime.GOOS,
-		GOARCH:     runtime.GOARCH,
-		GOMAXPROCS: runtime.GOMAXPROCS(0),
-		Smoke:      smoke,
-		Runs:       results,
-	})
-	if err != nil {
-		return err
-	}
-	doc["fleet_churn"] = section
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
 }

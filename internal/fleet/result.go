@@ -1,38 +1,37 @@
 package fleet
 
-// Result is one scenario run's outcome, shaped for the repo's
-// BENCH_serving.json `fleet_churn` section.
+// Result is one scenario run's outcome.
 type Result struct {
-	Scenario string `json:"scenario"`
-	Agents   int    `json:"agents"`
-	Seed     int64  `json:"seed"`
+	Scenario string
+	Agents   int
+	Seed     int64
 
 	// RegistrationPerSec is the initial cold-registration throughput;
 	// ReregistrationPerSec the mass re-registration (revive) throughput
 	// where the scenario exercises one (storm, killrecover).
-	RegistrationPerSec   float64 `json:"registration_per_s"`
-	ReregistrationPerSec float64 `json:"reregistration_per_s,omitempty"`
+	RegistrationPerSec   float64
+	ReregistrationPerSec float64
 
 	// SweepP99Ms is the 99th-percentile liveness sweep duration.
-	SweepP99Ms float64 `json:"sweep_p99_ms"`
+	SweepP99Ms float64
 
 	// Convergence measures the scenario's final heal: virtual seconds of
 	// simulated clock and wall milliseconds of real time until the
 	// sweeper's verdicts matched ground truth.
-	ConvergenceVirtualS float64 `json:"convergence_virtual_s"`
-	ConvergenceWallMs   float64 `json:"convergence_wall_ms"`
+	ConvergenceVirtualS float64
+	ConvergenceWallMs   float64
 
 	// EventsPublished counts bus publishes over the final incarnation.
-	EventsPublished int64 `json:"events_published"`
+	EventsPublished int64
 
 	// Recovery stats (killrecover only): WAL records replayed and the
 	// wall time of the recover-and-reattach boot.
-	RecoveryReplayed int     `json:"recovery_replayed,omitempty"`
-	RecoveryMs       float64 `json:"recovery_ms,omitempty"`
+	RecoveryReplayed int
+	RecoveryMs       float64
 
 	// Violations lists every end-state invariant breach; empty means the
 	// run converged clean.
-	Violations []string `json:"violations,omitempty"`
+	Violations []string
 }
 
 // Failed reports whether the run breached any invariant.

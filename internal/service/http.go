@@ -199,8 +199,13 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request, id odata.ID)
 			return
 		}
 		query := r.URL.Query()
+		// $expand inlines member payloads (the ?$expand=. / ?$expand=*
+		// subset of the Redfish query spec).
+		expand := query.Get("$expand")
+		expanded := expand == "." || expand == "*" || expand == "Members"
 		// $skip / $top paging per the Redfish query spec. Members@odata.count
-		// keeps the total size; nextLink carries the continuation.
+		// keeps the total size; nextLink carries the continuation, and the
+		// $expand the page was asked with, so following it stays expanded.
 		skip, top := parsePaging(query.Get("$skip")), parsePaging(query.Get("$top"))
 		nextLink := ""
 		if skip > 0 || top > 0 {
@@ -212,13 +217,14 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request, id odata.ID)
 			if top > 0 && skip+top < total {
 				end = skip + top
 				nextLink = fmt.Sprintf("%s?$skip=%d&$top=%d", id, end, top)
+				if expanded {
+					nextLink += "&$expand=" + expand
+				}
 			}
 			coll.Members = coll.Members[skip:end]
 		}
-		// $expand inlines member payloads (the ?$expand=. / ?$expand=*
-		// subset of the Redfish query spec).
-		if v := query.Get("$expand"); v == "." || v == "*" || v == "Members" {
-			s.expandedCollection(w, coll)
+		if expanded {
+			s.expandedCollection(w, coll, nextLink)
 			return
 		}
 		if nextLink != "" {
@@ -318,20 +324,21 @@ func parsePaging(v string) int {
 // expandedCollection renders a collection with member resources inlined.
 // Member payloads are gathered through the store's zero-copy view into a
 // single pooled arena buffer instead of N per-member heap copies.
-func (s *Service) expandedCollection(w http.ResponseWriter, coll odata.Collection) {
+func (s *Service) expandedCollection(w http.ResponseWriter, coll odata.Collection, nextLink string) {
 	type expanded struct {
 		ODataID   odata.ID          `json:"@odata.id"`
 		ODataType string            `json:"@odata.type"`
 		Name      string            `json:"Name"`
 		Count     int               `json:"Members@odata.count"`
 		Members   []json.RawMessage `json:"Members"`
+		NextLink  string            `json:"Members@odata.nextLink,omitempty"`
 	}
 	out := expanded{
 		ODataID:   coll.ODataID,
 		ODataType: coll.ODataType,
 		Name:      coll.Name,
-		Count:     coll.Count,
 		Members:   make([]json.RawMessage, 0, len(coll.Members)),
+		NextLink:  nextLink,
 	}
 	arena := getBuf()
 	defer putBuf(arena)
@@ -352,7 +359,9 @@ func (s *Service) expandedCollection(w http.ResponseWriter, coll odata.Collectio
 	for i := 0; i < len(offsets); i += 2 {
 		out.Members = append(out.Members, json.RawMessage(all[offsets[i]:offsets[i+1]]))
 	}
-	out.Count = len(out.Members)
+	// coll.Members is this page; Count stays the collection total, less
+	// the members that vanished between the listing and their view.
+	out.Count = coll.Count - (len(coll.Members) - len(out.Members))
 	s.json(w, http.StatusOK, out)
 }
 

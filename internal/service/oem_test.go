@@ -268,6 +268,61 @@ func TestExpandCollection(t *testing.T) {
 	}
 }
 
+// TestExpandCollectionPaged walks ?$expand=.&$top=2 to exhaustion by
+// following Members@odata.nextLink alone: every page must stay expanded,
+// report the collection total, and the walk must visit every member once.
+func TestExpandCollectionPaged(t *testing.T) {
+	svc, srv := newTestServer(t, Config{})
+	want := []string{"A", "B", "C", "D", "E"}
+	for _, n := range want {
+		id := SystemsURI.Append(n)
+		if err := svc.Store().Put(id, redfish.ComputerSystem{
+			Resource:   odata.NewResource(id, redfish.TypeComputerSystem, n),
+			SystemType: redfish.SystemTypePhysical,
+			Status:     odata.StatusOK(),
+		}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	var got []string
+	next := string(SystemsURI) + "?$expand=.&$top=2"
+	for pages := 0; next != ""; pages++ {
+		if pages == len(want) {
+			t.Fatalf("walk did not end after %d pages; next = %q", pages, next)
+		}
+		resp, body := doJSON(t, http.MethodGet, srv.URL+next, nil, nil)
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s = %d: %s", next, resp.StatusCode, body)
+		}
+		var page struct {
+			Count    int              `json:"Members@odata.count"`
+			Members  []map[string]any `json:"Members"`
+			NextLink string           `json:"Members@odata.nextLink"`
+		}
+		if err := json.Unmarshal(body, &page); err != nil {
+			t.Fatal(err)
+		}
+		if page.Count != len(want) {
+			t.Errorf("GET %s: count = %d, want the collection total %d", next, page.Count, len(want))
+		}
+		for _, m := range page.Members {
+			if m["SystemType"] != "Physical" {
+				t.Fatalf("GET %s: member not inlined: %v", next, m)
+			}
+			got = append(got, m["Name"].(string))
+		}
+		next = page.NextLink
+	}
+	if len(got) != len(want) {
+		t.Fatalf("walk visited %v, want %v", got, want)
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			t.Fatalf("walk visited %v, want %v", got, want)
+		}
+	}
+}
+
 func TestAdminTreeDumpRestore(t *testing.T) {
 	_, srvA := newTestServer(t, Config{})
 	check := func(resp *http.Response, body []byte, want int, what string) {

@@ -302,6 +302,78 @@ func TestReplReplicaForwardsWrites(t *testing.T) {
 	}
 }
 
+// TestReplReplicaProxiesWrites covers ofmf's -repl-proxy-writes: for
+// clients that cannot chase redirects, a replica relays the mutation to
+// the leader itself and hands back the leader's answer.
+func TestReplReplicaProxiesWrites(t *testing.T) {
+	c := startTestCluster(t, 2, nil)
+	leader, replica := c.nodes[0], c.nodes[1]
+	waitFor(t, 5*time.Second, "follower connected", func() bool {
+		return len(leader.node.Status().Followers) == 1
+	})
+	uri, err := postChassis(leader.srv.Client(), leader.URL(), "proxied")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.waitConverged(5 * time.Second)
+
+	// Re-arm the replica the way cmd/ofmf does with the flag set.
+	replica.svc.SetReplicaMode(func() string { return replica.node.LeaderURL() }, true)
+
+	noRedirect := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
+		return http.ErrUseLastResponse
+	}}
+	patch := func() *http.Response {
+		t.Helper()
+		req, err := http.NewRequest(http.MethodPatch, replica.URL()+string(uri),
+			bytes.NewReader([]byte(`{"Model":"via-proxy"}`)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		req.Header.Set("Content-Type", "application/json")
+		resp, err := noRedirect.Do(req)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, _ = io.Copy(io.Discard, resp.Body)
+		resp.Body.Close()
+		return resp
+	}
+	model := func(tn *testNode) string {
+		t.Helper()
+		resp, err := noRedirect.Get(tn.URL() + string(uri))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Fatalf("GET %s%s: %s", tn.URL(), uri, resp.Status)
+		}
+		var ch redfish.Chassis
+		if err := json.NewDecoder(resp.Body).Decode(&ch); err != nil {
+			t.Fatal(err)
+		}
+		return ch.Model
+	}
+
+	if resp := patch(); resp.StatusCode != http.StatusOK {
+		t.Fatalf("proxied PATCH at replica: want 200, got %s", resp.Status)
+	}
+	if got := model(leader); got != "via-proxy" {
+		t.Fatalf("leader Model = %q after proxied PATCH, want via-proxy", got)
+	}
+	c.waitConverged(5 * time.Second)
+	if got := model(replica); got != "via-proxy" {
+		t.Fatalf("replica Model = %q once replicated, want via-proxy", got)
+	}
+
+	// Between leaders there is nowhere to relay to: 503, not a hang.
+	replica.svc.SetReplicaMode(func() string { return "" }, true)
+	if resp := patch(); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("proxied PATCH with no leader: want 503, got %s", resp.Status)
+	}
+}
+
 // TestReplSmoke is the failover gate `make replsmoke` runs: a
 // 1-leader/2-replica cluster loses its leader under mixed load; a
 // replica must promote, clients must be carried to the new leader, no
