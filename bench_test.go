@@ -219,16 +219,21 @@ func BenchmarkOFMFScalePatch(b *testing.B) {
 }
 
 // BenchmarkOFMFScaleCompose measures full composition round-trips
-// (provision + connect + publish + teardown) through the live stack.
+// (provision + connect + publish + teardown) through the live stack, in
+// memory, at the shape the compose_cycle workload of bench/ drives over
+// a socket: 64 nodes, and per system 4 cores, 1 GiB of fabric memory, a
+// 1 GiB volume and one GPU slice. Its allocs/op show what the agents
+// publish per handler op.
 func BenchmarkOFMFScaleCompose(b *testing.B) {
-	f, err := core.New(core.Config{Nodes: 8, CXLDeviceMiB: 1 << 20})
+	f, err := core.New(core.Config{Nodes: 64})
 	if err != nil {
 		b.Fatal(err)
 	}
 	defer f.Close()
+	req := composer.Request{Cores: 4, FabricMemoryMiB: 1024, StorageBytes: 1 << 30, GPUSlices: 1}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		comp, err := f.Composer.Compose(composer.Request{Cores: 1, FabricMemoryMiB: 64})
+		comp, err := f.Composer.Compose(req)
 		if err != nil {
 			b.Fatal(err)
 		}

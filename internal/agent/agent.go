@@ -34,8 +34,10 @@ type Conn interface {
 	Register(src redfish.AggregationSource) (odata.ID, error)
 	// PublishSubtree replaces the agent's resource subtree in the OFMF
 	// tree. Resources absent from the map are removed, except those under
-	// a keep prefix (OFMF-owned zones and connections).
-	PublishSubtree(prefix odata.ID, resources map[odata.ID]any, keep ...odata.ID) error
+	// a keep prefix (OFMF-owned zones and connections). ctx is the request
+	// the publish serves (context.Background() for reconciliation): it
+	// carries the trace, and in-process the request's unit of work.
+	PublishSubtree(ctx context.Context, prefix odata.ID, resources map[odata.ID]any, keep ...odata.ID) error
 	// PublishEvent forwards a hardware event into the OFMF event service.
 	PublishEvent(rec redfish.EventRecord)
 	// AttachHandler wires the agent's fabric handler so the OFMF forwards
@@ -48,6 +50,25 @@ type Conn interface {
 	// RegisterCollections declares the agent's collection URIs so the
 	// OFMF serves them as browsable collections.
 	RegisterCollections(colls service.CollectionsPayload) error
+}
+
+// PublishTouched pushes what one handler op changed under root, one of
+// the agent's subtree roots: each removed URI's subtree is dropped and
+// the touched resources are upserted. Keeping root itself turns the
+// subtree refresh into a pure upsert, so nothing else under root is
+// read, rebuilt or compared. The agent's full Publish stays the
+// reconciliation path; the two must agree, which each agent's
+// equivalence test checks.
+func PublishTouched(ctx context.Context, c Conn, root odata.ID, touched map[odata.ID]any, removed ...odata.ID) error {
+	for _, id := range removed {
+		if err := c.PublishSubtree(ctx, id, nil); err != nil {
+			return err
+		}
+	}
+	if len(touched) == 0 {
+		return nil
+	}
+	return c.PublishSubtree(ctx, root, touched, root)
 }
 
 // Local connects an agent to an in-process OFMF service.
@@ -67,8 +88,8 @@ func (l *Local) Register(src redfish.AggregationSource) (odata.ID, error) {
 }
 
 // PublishSubtree installs the subtree into the service store.
-func (l *Local) PublishSubtree(prefix odata.ID, resources map[odata.ID]any, keep ...odata.ID) error {
-	return l.Service.Store().PutSubtree(prefix, resources, keep...)
+func (l *Local) PublishSubtree(ctx context.Context, prefix odata.ID, resources map[odata.ID]any, keep ...odata.ID) error {
+	return l.Service.Store().PutSubtreeCtx(ctx, prefix, resources, keep...)
 }
 
 // PublishEvent publishes on the service bus.
@@ -215,7 +236,7 @@ func (r *Remote) Register(src redfish.AggregationSource) (odata.ID, error) {
 
 // PublishSubtree pushes the subtree through the OFMF's OEM aggregation
 // endpoint.
-func (r *Remote) PublishSubtree(prefix odata.ID, resources map[odata.ID]any, keep ...odata.ID) error {
+func (r *Remote) PublishSubtree(ctx context.Context, prefix odata.ID, resources map[odata.ID]any, keep ...odata.ID) error {
 	payload := service.SubtreePayload{Prefix: prefix, Keep: keep, Resources: make(map[odata.ID]json.RawMessage, len(resources))}
 	for id, v := range resources {
 		b, err := json.Marshal(v)
@@ -224,7 +245,7 @@ func (r *Remote) PublishSubtree(prefix odata.ID, resources map[odata.ID]any, kee
 		}
 		payload.Resources[id] = b
 	}
-	return r.do(context.Background(), http.MethodPost, string(service.SubtreeOemURI), payload, nil)
+	return r.do(ctx, http.MethodPost, string(service.SubtreeOemURI), payload, nil)
 }
 
 // PublishEvent pushes the record through the OFMF's OEM event endpoint.
@@ -353,7 +374,7 @@ func (r *Remote) Handler() http.Handler {
 			opsError(w, http.StatusNotFound, "Base.1.0.ResourceMissingAtURI", "no handler for "+string(op.Target))
 			return
 		}
-		resp, err := dispatchOp(h, op)
+		resp, err := dispatchOp(req.Context(), h, op)
 		if err != nil {
 			opsError(w, http.StatusBadRequest, "OFMF.1.0.AgentOperationFailed", err.Error())
 			return
@@ -372,40 +393,40 @@ func opsError(w http.ResponseWriter, status int, code, message string) {
 	_ = json.NewEncoder(w).Encode(service.RedfishError(status, code, message))
 }
 
-func dispatchOp(h service.FabricHandler, op service.OpRequest) (service.OpResponse, error) {
+func dispatchOp(ctx context.Context, h service.FabricHandler, op service.OpRequest) (service.OpResponse, error) {
 	switch op.Op {
 	case "CreateZone":
 		var zone redfish.Zone
 		if err := json.Unmarshal(op.Resource, &zone); err != nil {
 			return service.OpResponse{}, err
 		}
-		if err := h.CreateZone(&zone); err != nil {
+		if err := h.CreateZone(ctx, &zone); err != nil {
 			return service.OpResponse{}, err
 		}
 		b, err := json.Marshal(zone)
 		return service.OpResponse{Resource: b}, err
 	case "DeleteZone":
-		return service.OpResponse{}, h.DeleteZone(op.Target)
+		return service.OpResponse{}, h.DeleteZone(ctx, op.Target)
 	case "CreateConnection":
 		var conn redfish.Connection
 		if err := json.Unmarshal(op.Resource, &conn); err != nil {
 			return service.OpResponse{}, err
 		}
-		if err := h.CreateConnection(&conn); err != nil {
+		if err := h.CreateConnection(ctx, &conn); err != nil {
 			return service.OpResponse{}, err
 		}
 		b, err := json.Marshal(conn)
 		return service.OpResponse{Resource: b}, err
 	case "DeleteConnection":
-		return service.OpResponse{}, h.DeleteConnection(op.Target)
+		return service.OpResponse{}, h.DeleteConnection(ctx, op.Target)
 	case "Patch":
-		return service.OpResponse{}, h.Patch(op.Target, op.Patch)
+		return service.OpResponse{}, h.Patch(ctx, op.Target, op.Patch)
 	case "CreateResource":
 		prov, ok := h.(service.ResourceProvisioner)
 		if !ok {
 			return service.OpResponse{}, fmt.Errorf("agent: handler cannot provision resources")
 		}
-		res, err := prov.CreateResource(op.Target, op.URI, op.Resource)
+		res, err := prov.CreateResource(ctx, op.Target, op.URI, op.Resource)
 		if err != nil {
 			return service.OpResponse{}, err
 		}
@@ -416,7 +437,7 @@ func dispatchOp(h service.FabricHandler, op service.OpRequest) (service.OpRespon
 		if !ok {
 			return service.OpResponse{}, fmt.Errorf("agent: handler cannot provision resources")
 		}
-		return service.OpResponse{}, prov.DeleteResource(op.Target)
+		return service.OpResponse{}, prov.DeleteResource(ctx, op.Target)
 	default:
 		return service.OpResponse{}, fmt.Errorf("agent: unknown op %q", op.Op)
 	}

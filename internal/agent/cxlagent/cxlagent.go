@@ -8,6 +8,7 @@
 package cxlagent
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,9 +38,11 @@ type Agent struct {
 	chassisID odata.ID
 	domainID  odata.ID
 
-	// pubMu serializes Publish so a stale hardware snapshot can never
-	// overwrite a newer one in the OFMF store (which would delete freshly
-	// provisioned resources and let their URIs be reused).
+	// pubMu serializes every publish — the full Publish and the handler
+	// ops' touched-resource publishes, each of which snapshots the hardware
+	// inside it — so a stale snapshot can never overwrite a newer one in
+	// the OFMF store (which would delete freshly provisioned resources and
+	// let their URIs be reused).
 	pubMu sync.Mutex
 
 	mu sync.Mutex
@@ -55,6 +58,7 @@ type Agent struct {
 }
 
 type binding struct {
+	uri   odata.ID // the chunk's MemoryChunks resource
 	chunk string
 	port  string
 }
@@ -133,19 +137,27 @@ type subHandler struct {
 }
 
 func (s *subHandler) FabricID() odata.ID { return s.prefix }
-func (s *subHandler) CreateConnection(c *redfish.Connection) error {
-	return s.agent.CreateConnection(c)
+func (s *subHandler) CreateConnection(ctx context.Context, c *redfish.Connection) error {
+	return s.agent.CreateConnection(ctx, c)
 }
-func (s *subHandler) DeleteConnection(id odata.ID) error { return s.agent.DeleteConnection(id) }
-func (s *subHandler) CreateZone(z *redfish.Zone) error   { return s.agent.CreateZone(z) }
-func (s *subHandler) DeleteZone(id odata.ID) error       { return s.agent.DeleteZone(id) }
-func (s *subHandler) Patch(id odata.ID, p map[string]any) error {
-	return s.agent.Patch(id, p)
+func (s *subHandler) DeleteConnection(ctx context.Context, id odata.ID) error {
+	return s.agent.DeleteConnection(ctx, id)
 }
-func (s *subHandler) CreateResource(coll, uri odata.ID, payload json.RawMessage) (any, error) {
-	return s.agent.CreateResource(coll, uri, payload)
+func (s *subHandler) CreateZone(ctx context.Context, z *redfish.Zone) error {
+	return s.agent.CreateZone(ctx, z)
 }
-func (s *subHandler) DeleteResource(id odata.ID) error { return s.agent.DeleteResource(id) }
+func (s *subHandler) DeleteZone(ctx context.Context, id odata.ID) error {
+	return s.agent.DeleteZone(ctx, id)
+}
+func (s *subHandler) Patch(ctx context.Context, id odata.ID, p map[string]any) error {
+	return s.agent.Patch(ctx, id, p)
+}
+func (s *subHandler) CreateResource(ctx context.Context, coll, uri odata.ID, payload json.RawMessage) (any, error) {
+	return s.agent.CreateResource(ctx, coll, uri, payload)
+}
+func (s *subHandler) DeleteResource(ctx context.Context, id odata.ID) error {
+	return s.agent.DeleteResource(ctx, id)
+}
 
 func (a *Agent) onHardwareEvent(ev cxlsim.Event) {
 	a.mu.Lock()
@@ -188,7 +200,7 @@ func (a *Agent) portFromEndpoint(ep odata.ID) (string, error) {
 
 // CreateConnection binds the referenced memory chunk to the initiator
 // endpoint's port.
-func (a *Agent) CreateConnection(conn *redfish.Connection) error {
+func (a *Agent) CreateConnection(ctx context.Context, conn *redfish.Connection) error {
 	if len(conn.Links.InitiatorEndpoints) == 0 || len(conn.MemoryChunkInfo) == 0 {
 		return ErrBadConnection
 	}
@@ -220,18 +232,18 @@ func (a *Agent) CreateConnection(conn *redfish.Connection) error {
 				undo()
 				return fmt.Errorf("cxlagent: bind %s to %s: %w", chunk, port, err)
 			}
-			binds = append(binds, binding{chunk: chunk, port: port})
+			binds = append(binds, binding{uri: info.MemoryChunk.ODataID, chunk: chunk, port: port})
 		}
 	}
 	conn.ConnectionType = "Memory"
 	a.mu.Lock()
 	a.bindings[conn.ODataID] = binds
 	a.mu.Unlock()
-	return a.Publish()
+	return a.publishBound(ctx, binds)
 }
 
 // DeleteConnection unbinds everything the connection bound.
-func (a *Agent) DeleteConnection(id odata.ID) error {
+func (a *Agent) DeleteConnection(ctx context.Context, id odata.ID) error {
 	a.mu.Lock()
 	binds, ok := a.bindings[id]
 	delete(a.bindings, id)
@@ -248,12 +260,40 @@ func (a *Agent) DeleteConnection(id odata.ID) error {
 	if firstErr != nil {
 		return firstErr
 	}
-	return a.Publish()
+	return a.publishBound(ctx, binds)
+}
+
+// publishBound publishes the chunks a connection bound or unbound, with
+// their current bindings.
+func (a *Agent) publishBound(ctx context.Context, binds []binding) error {
+	a.pubMu.Lock()
+	defer a.pubMu.Unlock()
+	touched := make(map[odata.ID]any, len(binds))
+	for _, b := range binds {
+		if _, done := touched[b.uri]; done {
+			continue
+		}
+		c, err := a.appliance.Chunk(b.chunk)
+		if err != nil {
+			continue // released since; its DeleteResource dropped it
+		}
+		touched[b.uri] = a.chunkResource(b.uri, c)
+	}
+	return a.publishChassis(ctx, touched)
+}
+
+// publishChassis upserts touched and drops removed in the chassis
+// subtree. Callers hold pubMu.
+func (a *Agent) publishChassis(ctx context.Context, touched map[odata.ID]any, removed ...odata.ID) error {
+	if err := agent.PublishTouched(ctx, a.conn, a.chassisID, touched, removed...); err != nil {
+		return fmt.Errorf("cxlagent: publish chassis: %w", err)
+	}
+	return nil
 }
 
 // CreateZone records the zone; CXL zoning is realized through bindings, so
 // no hardware action is required beyond bookkeeping.
-func (a *Agent) CreateZone(zone *redfish.Zone) error {
+func (a *Agent) CreateZone(_ context.Context, zone *redfish.Zone) error {
 	a.mu.Lock()
 	a.zones[zone.ODataID] = odata.IDsOf(zone.Links.Endpoints)
 	a.mu.Unlock()
@@ -261,7 +301,7 @@ func (a *Agent) CreateZone(zone *redfish.Zone) error {
 }
 
 // DeleteZone forgets the zone.
-func (a *Agent) DeleteZone(id odata.ID) error {
+func (a *Agent) DeleteZone(_ context.Context, id odata.ID) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	if _, ok := a.zones[id]; !ok {
@@ -272,7 +312,7 @@ func (a *Agent) DeleteZone(id odata.ID) error {
 }
 
 // Patch rejects hardware property changes the appliance cannot make.
-func (a *Agent) Patch(id odata.ID, patch map[string]any) error {
+func (a *Agent) Patch(_ context.Context, id odata.ID, patch map[string]any) error {
 	return fmt.Errorf("%w: PATCH %s", ErrUnsupported, id)
 }
 
@@ -289,7 +329,7 @@ type chunkRequest struct {
 
 // CreateResource provisions a memory chunk when the target collection is
 // the agent's MemoryChunks collection.
-func (a *Agent) CreateResource(coll, uri odata.ID, payload json.RawMessage) (any, error) {
+func (a *Agent) CreateResource(ctx context.Context, coll, uri odata.ID, payload json.RawMessage) (any, error) {
 	if coll != a.domainID.Append("MemoryChunks") {
 		return nil, fmt.Errorf("%w: POST %s", ErrUnsupported, coll)
 	}
@@ -313,20 +353,33 @@ func (a *Agent) CreateResource(coll, uri odata.ID, payload json.RawMessage) (any
 	a.mu.Lock()
 	a.chunkByURI[uri] = chunkID
 	a.mu.Unlock()
-	res := a.chunkResource(uri, chunkID, req.MemoryChunkSizeMiB)
-	if err := a.Publish(); err != nil {
+
+	a.pubMu.Lock()
+	defer a.pubMu.Unlock()
+	c, err := a.appliance.Chunk(chunkID)
+	if err != nil {
+		return nil, err
+	}
+	res := a.chunkResource(uri, c)
+	touched := map[odata.ID]any{uri: res}
+	a.touchDevice(touched, c.Device)
+	if err := a.publishChassis(ctx, touched); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // DeleteResource releases a carved memory chunk.
-func (a *Agent) DeleteResource(id odata.ID) error {
+func (a *Agent) DeleteResource(ctx context.Context, id odata.ID) error {
 	a.mu.Lock()
 	chunkID, ok := a.chunkByURI[id]
 	a.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownChunk, id)
+	}
+	c, err := a.appliance.Chunk(chunkID)
+	if err != nil {
+		return err
 	}
 	if err := a.appliance.Release(chunkID); err != nil {
 		return err
@@ -334,22 +387,65 @@ func (a *Agent) DeleteResource(id odata.ID) error {
 	a.mu.Lock()
 	delete(a.chunkByURI, id)
 	a.mu.Unlock()
-	return a.Publish()
+
+	a.pubMu.Lock()
+	defer a.pubMu.Unlock()
+	touched := make(map[odata.ID]any, 1)
+	a.touchDevice(touched, c.Device)
+	return a.publishChassis(ctx, touched, id)
 }
 
-func (a *Agent) chunkResource(uri odata.ID, chunkID string, sizeMiB int64) redfish.MemoryChunks {
-	return redfish.MemoryChunks{
-		Resource:           odata.NewResource(uri, redfish.TypeMemoryChunks, chunkID),
-		MemoryChunkSizeMiB: sizeMiB,
+// The builders below render one resource each from a hardware snapshot.
+// Publish and the handler ops both go through them, so a handler op's
+// touched-resource publish and the next full Publish agree byte for byte.
+
+// chunkResource renders a carved chunk with its current bindings.
+func (a *Agent) chunkResource(uri odata.ID, c cxlsim.Chunk) redfish.MemoryChunks {
+	res := redfish.MemoryChunks{
+		Resource:           odata.NewResource(uri, redfish.TypeMemoryChunks, c.ID),
+		MemoryChunkSizeMiB: c.SizeMiB,
 		AddressRangeType:   "Volatile",
 		Status:             odata.StatusOK(),
+	}
+	for _, p := range c.BoundPorts() {
+		res.Links.Endpoints = append(res.Links.Endpoints, odata.NewRef(a.hostEndpointURI(p)))
+	}
+	return res
+}
+
+func (a *Agent) memoryURI(dev string) odata.ID { return a.chassisID.Append("Memory", dev) }
+
+// memoryResource renders a memory device with its current allocation.
+func (a *Agent) memoryResource(d cxlsim.Device) redfish.Memory {
+	return redfish.Memory{
+		Resource:         odata.NewResource(a.memoryURI(d.ID), redfish.TypeMemory, "CXL memory "+d.ID),
+		MemoryType:       d.MediaType,
+		MemoryDeviceType: "CXL",
+		CapacityMiB:      d.CapacityMiB,
+		AllocatedMiB:     d.AllocatedMiB(),
+		Status:           odata.StatusOK(),
+		Links: redfish.MemLinks{
+			Endpoints: []odata.Ref{odata.NewRef(a.deviceEndpointURI(d.ID))},
+		},
+	}
+}
+
+// touchDevice adds the device's current state to touched: carving and
+// releasing move its AllocatedMiB.
+func (a *Agent) touchDevice(touched map[odata.ID]any, dev string) {
+	if d, err := a.appliance.Device(dev); err == nil {
+		touched[a.memoryURI(d.ID)] = a.memoryResource(d)
 	}
 }
 
 // Publish rebuilds and pushes the agent's complete resource subtrees from
-// current appliance state. Publishes are serialized: the snapshot is taken
-// inside the critical section, so store contents advance monotonically.
+// current appliance state: the reconciliation path, run at Start and
+// whenever the tree may have drifted from the hardware. Handler ops
+// publish only what they touched. Publishes are serialized: the snapshot
+// is taken inside the critical section, so store contents advance
+// monotonically.
 func (a *Agent) Publish() error {
+	ctx := context.Background()
 	a.pubMu.Lock()
 	defer a.pubMu.Unlock()
 	fab := make(map[odata.ID]any)
@@ -410,18 +506,8 @@ func (a *Agent) Publish() error {
 	}
 	var deviceRefs []odata.Ref
 	for _, d := range a.appliance.Devices() {
-		memURI := a.chassisID.Append("Memory", d.ID)
-		cha[memURI] = redfish.Memory{
-			Resource:         odata.NewResource(memURI, redfish.TypeMemory, "CXL memory "+d.ID),
-			MemoryType:       d.MediaType,
-			MemoryDeviceType: "CXL",
-			CapacityMiB:      d.CapacityMiB,
-			AllocatedMiB:     d.AllocatedMiB(),
-			Status:           odata.StatusOK(),
-			Links: redfish.MemLinks{
-				Endpoints: []odata.Ref{odata.NewRef(a.deviceEndpointURI(d.ID))},
-			},
-		}
+		memURI := a.memoryURI(d.ID)
+		cha[memURI] = a.memoryResource(d)
 		epURI := a.deviceEndpointURI(d.ID)
 		fab[epURI] = redfish.Endpoint{
 			Resource:         odata.NewResource(epURI, redfish.TypeEndpoint, "Memory endpoint "+d.ID),
@@ -455,18 +541,14 @@ func (a *Agent) Publish() error {
 		if !ok {
 			continue // carved outside the OFMF path
 		}
-		res := a.chunkResource(uri, c.ID, c.SizeMiB)
-		for _, p := range c.BoundPorts() {
-			res.Links.Endpoints = append(res.Links.Endpoints, odata.NewRef(a.hostEndpointURI(p)))
-		}
-		cha[uri] = res
+		cha[uri] = a.chunkResource(uri, c)
 	}
 
 	keep := []odata.ID{a.fabricID.Append("Zones"), a.fabricID.Append("Connections")}
-	if err := a.conn.PublishSubtree(a.fabricID, fab, keep...); err != nil {
+	if err := a.conn.PublishSubtree(ctx, a.fabricID, fab, keep...); err != nil {
 		return fmt.Errorf("cxlagent: publish fabric: %w", err)
 	}
-	if err := a.conn.PublishSubtree(a.chassisID, cha); err != nil {
+	if err := a.conn.PublishSubtree(ctx, a.chassisID, cha); err != nil {
 		return fmt.Errorf("cxlagent: publish chassis: %w", err)
 	}
 	return nil

@@ -90,11 +90,11 @@ func TestPublishReflectsAllocation(t *testing.T) {
 func TestCreateConnectionValidation(t *testing.T) {
 	svc, _, ag := newAgent(t)
 	// No initiators / no chunk info.
-	if err := ag.CreateConnection(&redfish.Connection{}); !errors.Is(err, ErrBadConnection) {
+	if err := ag.CreateConnection(context.Background(), &redfish.Connection{}); !errors.Is(err, ErrBadConnection) {
 		t.Errorf("err = %v", err)
 	}
 	// Unknown chunk reference.
-	err := ag.CreateConnection(&redfish.Connection{
+	err := ag.CreateConnection(context.Background(), &redfish.Connection{
 		MemoryChunkInfo: []redfish.MemoryChunkInfo{{MemoryChunk: redfish.Ref("/redfish/v1/ghost")}},
 		Links: redfish.ConnectionLinks{
 			InitiatorEndpoints: []odata.Ref{odata.NewRef(ag.FabricID().Append("Endpoints", "hostA"))},
@@ -105,7 +105,7 @@ func TestCreateConnectionValidation(t *testing.T) {
 	}
 	// Unknown endpoint.
 	chunk := carve(t, svc, ag, 256)
-	err = ag.CreateConnection(&redfish.Connection{
+	err = ag.CreateConnection(context.Background(), &redfish.Connection{
 		MemoryChunkInfo: []redfish.MemoryChunkInfo{{MemoryChunk: redfish.Ref(chunk)}},
 		Links: redfish.ConnectionLinks{
 			InitiatorEndpoints: []odata.Ref{odata.NewRef(ag.FabricID().Append("Endpoints", "ghost"))},
@@ -129,7 +129,7 @@ func TestCreateConnectionRollbackOnHeadLimit(t *testing.T) {
 			},
 		},
 	}
-	if err := ag.CreateConnection(&conn); err == nil {
+	if err := ag.CreateConnection(context.Background(), &conn); err == nil {
 		t.Fatal("two-headed bind on single-head chunk accepted")
 	}
 	// Rollback: nothing left bound.
@@ -142,7 +142,7 @@ func TestCreateConnectionRollbackOnHeadLimit(t *testing.T) {
 
 func TestDeleteConnectionUnknown(t *testing.T) {
 	_, _, ag := newAgent(t)
-	if err := ag.DeleteConnection("/redfish/v1/Fabrics/CXL/Connections/99"); err == nil {
+	if err := ag.DeleteConnection(context.Background(), "/redfish/v1/Fabrics/CXL/Connections/99"); err == nil {
 		t.Error("unknown connection accepted")
 	}
 }
@@ -150,24 +150,24 @@ func TestDeleteConnectionUnknown(t *testing.T) {
 func TestProvisionValidation(t *testing.T) {
 	_, _, ag := newAgent(t)
 	// Wrong collection.
-	if _, err := ag.CreateResource("/redfish/v1/Chassis/MemApp/Memory", "/x", []byte(`{}`)); !errors.Is(err, ErrUnsupported) {
+	if _, err := ag.CreateResource(context.Background(), "/redfish/v1/Chassis/MemApp/Memory", "/x", []byte(`{}`)); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("err = %v", err)
 	}
 	chunks := ag.ChassisID().Append("MemoryDomains", "Domain0", "MemoryChunks")
 	// Zero size.
-	if _, err := ag.CreateResource(chunks, chunks.Append("1"), []byte(`{"MemoryChunkSizeMiB":0}`)); err == nil {
+	if _, err := ag.CreateResource(context.Background(), chunks, chunks.Append("1"), []byte(`{"MemoryChunkSizeMiB":0}`)); err == nil {
 		t.Error("zero-size chunk accepted")
 	}
 	// Malformed payload.
-	if _, err := ag.CreateResource(chunks, chunks.Append("1"), []byte(`{`)); err == nil {
+	if _, err := ag.CreateResource(context.Background(), chunks, chunks.Append("1"), []byte(`{`)); err == nil {
 		t.Error("malformed payload accepted")
 	}
 	// Over capacity.
-	if _, err := ag.CreateResource(chunks, chunks.Append("1"), []byte(`{"MemoryChunkSizeMiB":999999}`)); err == nil {
+	if _, err := ag.CreateResource(context.Background(), chunks, chunks.Append("1"), []byte(`{"MemoryChunkSizeMiB":999999}`)); err == nil {
 		t.Error("oversized chunk accepted")
 	}
 	// Delete unknown.
-	if err := ag.DeleteResource(chunks.Append("77")); !errors.Is(err, ErrUnknownChunk) {
+	if err := ag.DeleteResource(context.Background(), chunks.Append("77")); !errors.Is(err, ErrUnknownChunk) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -203,20 +203,20 @@ func TestExplicitDeviceSelection(t *testing.T) {
 func TestZoneBookkeeping(t *testing.T) {
 	_, _, ag := newAgent(t)
 	zone := redfish.Zone{Resource: odata.NewResource(ag.FabricID().Append("Zones", "1"), redfish.TypeZone, "z")}
-	if err := ag.CreateZone(&zone); err != nil {
+	if err := ag.CreateZone(context.Background(), &zone); err != nil {
 		t.Fatal(err)
 	}
-	if err := ag.DeleteZone(zone.ODataID); err != nil {
+	if err := ag.DeleteZone(context.Background(), zone.ODataID); err != nil {
 		t.Fatal(err)
 	}
-	if err := ag.DeleteZone(zone.ODataID); err == nil {
+	if err := ag.DeleteZone(context.Background(), zone.ODataID); err == nil {
 		t.Error("double delete accepted")
 	}
 }
 
 func TestPatchUnsupported(t *testing.T) {
 	_, _, ag := newAgent(t)
-	if err := ag.Patch(ag.FabricID().Append("Endpoints", "hostA"), map[string]any{"Name": "x"}); !errors.Is(err, ErrUnsupported) {
+	if err := ag.Patch(context.Background(), ag.FabricID().Append("Endpoints", "hostA"), map[string]any{"Name": "x"}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("err = %v", err)
 	}
 }

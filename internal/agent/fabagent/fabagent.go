@@ -8,6 +8,7 @@
 package fabagent
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"strings"
@@ -163,7 +164,7 @@ func (a *Agent) endpointFromURI(uri odata.ID) (string, error) {
 }
 
 // CreateZone maps the OFMF zone onto a fabsim zone.
-func (a *Agent) CreateZone(zone *redfish.Zone) error {
+func (a *Agent) CreateZone(_ context.Context, zone *redfish.Zone) error {
 	var members []string
 	for _, ref := range zone.Links.Endpoints {
 		ep, err := a.endpointFromURI(ref.ODataID)
@@ -183,7 +184,7 @@ func (a *Agent) CreateZone(zone *redfish.Zone) error {
 }
 
 // DeleteZone removes the mapped fabsim zone.
-func (a *Agent) DeleteZone(id odata.ID) error {
+func (a *Agent) DeleteZone(_ context.Context, id odata.ID) error {
 	a.mu.Lock()
 	zid, ok := a.zoneByURI[id]
 	delete(a.zoneByURI, id)
@@ -205,7 +206,7 @@ type connOem struct {
 
 // CreateConnection reserves a bandwidth flow between the initiator and
 // target endpoints.
-func (a *Agent) CreateConnection(conn *redfish.Connection) error {
+func (a *Agent) CreateConnection(ctx context.Context, conn *redfish.Connection) error {
 	if len(conn.Links.InitiatorEndpoints) != 1 || len(conn.Links.TargetEndpoints) != 1 {
 		return ErrBadConnection
 	}
@@ -235,11 +236,11 @@ func (a *Agent) CreateConnection(conn *redfish.Connection) error {
 	if conn.ConnectionType == "" {
 		conn.ConnectionType = "Storage"
 	}
-	return a.Publish()
+	return a.publish(ctx)
 }
 
 // DeleteConnection releases the reserved flow.
-func (a *Agent) DeleteConnection(id odata.ID) error {
+func (a *Agent) DeleteConnection(ctx context.Context, id odata.ID) error {
 	a.mu.Lock()
 	flowID, ok := a.flowByURI[id]
 	delete(a.flowByURI, id)
@@ -250,12 +251,12 @@ func (a *Agent) DeleteConnection(id odata.ID) error {
 	if err := a.fabric.Release(flowID); err != nil {
 		return err
 	}
-	return a.Publish()
+	return a.publish(ctx)
 }
 
 // Patch applies LinkState changes to ports: Disabled fails the underlying
 // link, Enabled restores it.
-func (a *Agent) Patch(id odata.ID, patch map[string]any) error {
+func (a *Agent) Patch(ctx context.Context, id odata.ID, patch map[string]any) error {
 	// Expected shape: /Fabrics/F/Switches/{node}/Ports/{peer}
 	ports := id.Parent()
 	if ports.Leaf() != "Ports" {
@@ -279,12 +280,15 @@ func (a *Agent) Patch(id odata.ID, patch map[string]any) error {
 	if err != nil {
 		return err
 	}
-	return a.Publish()
+	return a.publish(ctx)
 }
 
 // Publish rebuilds and pushes the fabric subtree from emulator state.
 // Publishes are serialized so snapshots advance monotonically.
-func (a *Agent) Publish() error {
+func (a *Agent) Publish() error { return a.publish(context.Background()) }
+
+// publish is Publish on behalf of the request ctx belongs to.
+func (a *Agent) publish(ctx context.Context) error {
 	a.pubMu.Lock()
 	defer a.pubMu.Unlock()
 	res := make(map[odata.ID]any)
@@ -352,7 +356,7 @@ func (a *Agent) Publish() error {
 			Status: odata.StatusOK(),
 		}
 	}
-	return a.conn.PublishSubtree(a.fabricID, res,
+	return a.conn.PublishSubtree(ctx, a.fabricID, res,
 		a.fabricID.Append("Zones"), a.fabricID.Append("Connections"))
 }
 

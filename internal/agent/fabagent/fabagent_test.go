@@ -1,6 +1,7 @@
 package fabagent
 
 import (
+	"context"
 	"errors"
 	"testing"
 
@@ -64,7 +65,7 @@ func TestZoneMapping(t *testing.T) {
 		Resource: odata.NewResource(ag.FabricID().Append("Zones", "1"), redfish.TypeZone, "z"),
 		Links:    redfish.ZoneLinks{Endpoints: []odata.Ref{epRef(ag, "h0"), epRef(ag, "h1")}},
 	}
-	if err := ag.CreateZone(&zone); err != nil {
+	if err := ag.CreateZone(context.Background(), &zone); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(fab.Zones()); got != 1 {
@@ -75,16 +76,16 @@ func TestZoneMapping(t *testing.T) {
 		Resource: odata.NewResource(ag.FabricID().Append("Zones", "2"), redfish.TypeZone, "z"),
 		Links:    redfish.ZoneLinks{Endpoints: []odata.Ref{epRef(ag, "ghost")}},
 	}
-	if err := ag.CreateZone(&bad); !errors.Is(err, ErrUnknownEndpoint) {
+	if err := ag.CreateZone(context.Background(), &bad); !errors.Is(err, ErrUnknownEndpoint) {
 		t.Errorf("err = %v", err)
 	}
-	if err := ag.DeleteZone(zone.ODataID); err != nil {
+	if err := ag.DeleteZone(context.Background(), zone.ODataID); err != nil {
 		t.Fatal(err)
 	}
 	if got := len(fab.Zones()); got != 0 {
 		t.Errorf("zones = %d", got)
 	}
-	if err := ag.DeleteZone(zone.ODataID); err == nil {
+	if err := ag.DeleteZone(context.Background(), zone.ODataID); err == nil {
 		t.Error("double delete accepted")
 	}
 }
@@ -98,7 +99,7 @@ func TestConnectionFlows(t *testing.T) {
 			TargetEndpoints:    []odata.Ref{epRef(ag, "h1")},
 		},
 	}
-	if err := ag.CreateConnection(&conn); err != nil {
+	if err := ag.CreateConnection(context.Background(), &conn); err != nil {
 		t.Fatal(err)
 	}
 	flows := fab.Flows()
@@ -113,7 +114,7 @@ func TestConnectionFlows(t *testing.T) {
 	if port.CurrentSpeedGbps >= port.MaxSpeedGbps {
 		t.Errorf("reservation not reflected: %f of %f", port.CurrentSpeedGbps, port.MaxSpeedGbps)
 	}
-	if err := ag.DeleteConnection(conn.ODataID); err != nil {
+	if err := ag.DeleteConnection(context.Background(), conn.ODataID); err != nil {
 		t.Fatal(err)
 	}
 	if len(fab.Flows()) != 0 {
@@ -123,7 +124,7 @@ func TestConnectionFlows(t *testing.T) {
 
 func TestConnectionValidation(t *testing.T) {
 	_, _, ag := newAgent(t)
-	if err := ag.CreateConnection(&redfish.Connection{}); !errors.Is(err, ErrBadConnection) {
+	if err := ag.CreateConnection(context.Background(), &redfish.Connection{}); !errors.Is(err, ErrBadConnection) {
 		t.Errorf("err = %v", err)
 	}
 	conn := redfish.Connection{
@@ -132,7 +133,7 @@ func TestConnectionValidation(t *testing.T) {
 			TargetEndpoints:    []odata.Ref{epRef(ag, "h1")},
 		},
 	}
-	if err := ag.CreateConnection(&conn); !errors.Is(err, ErrUnknownEndpoint) {
+	if err := ag.CreateConnection(context.Background(), &conn); !errors.Is(err, ErrUnknownEndpoint) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -140,7 +141,7 @@ func TestConnectionValidation(t *testing.T) {
 func TestPatchLinkState(t *testing.T) {
 	svc, fab, ag := newAgent(t)
 	port := ag.FabricID().Append("Switches", "sw0", "Ports", "h0")
-	if err := ag.Patch(port, map[string]any{"LinkState": "Disabled"}); err != nil {
+	if err := ag.Patch(context.Background(), port, map[string]any{"LinkState": "Disabled"}); err != nil {
 		t.Fatal(err)
 	}
 	l, _ := fab.Link("sw0", "h0")
@@ -154,7 +155,7 @@ func TestPatchLinkState(t *testing.T) {
 	if res.LinkStatus != "LinkDown" || res.Status.Health != "Critical" {
 		t.Errorf("published port = %+v", res)
 	}
-	if err := ag.Patch(port, map[string]any{"LinkState": "Enabled"}); err != nil {
+	if err := ag.Patch(context.Background(), port, map[string]any{"LinkState": "Enabled"}); err != nil {
 		t.Fatal(err)
 	}
 	l, _ = fab.Link("sw0", "h0")
@@ -162,13 +163,13 @@ func TestPatchLinkState(t *testing.T) {
 		t.Error("link not restored")
 	}
 	// Invalid patches.
-	if err := ag.Patch(port, map[string]any{"LinkState": "Sideways"}); err == nil {
+	if err := ag.Patch(context.Background(), port, map[string]any{"LinkState": "Sideways"}); err == nil {
 		t.Error("bad state accepted")
 	}
-	if err := ag.Patch(port, map[string]any{"Name": "x"}); !errors.Is(err, ErrUnsupported) {
+	if err := ag.Patch(context.Background(), port, map[string]any{"Name": "x"}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("err = %v", err)
 	}
-	if err := ag.Patch(ag.FabricID().Append("Endpoints", "h0"), map[string]any{"LinkState": "Disabled"}); !errors.Is(err, ErrUnsupported) {
+	if err := ag.Patch(context.Background(), ag.FabricID().Append("Endpoints", "h0"), map[string]any{"LinkState": "Disabled"}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -206,7 +207,7 @@ func TestFailureTriggersReroute(t *testing.T) {
 			TargetEndpoints:    []odata.Ref{odata.NewRef(ag.FabricID().Append("Endpoints", spec.Endpoints[1]))},
 		},
 	}
-	if err := ag.CreateConnection(&conn); err != nil {
+	if err := ag.CreateConnection(context.Background(), &conn); err != nil {
 		t.Fatal(err)
 	}
 	route := fab.Flows()[0].Route

@@ -5,6 +5,7 @@
 package gpuagent
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -37,9 +38,15 @@ type Agent struct {
 
 	mu        sync.Mutex
 	partByURI map[odata.ID]string
-	conns     map[odata.ID]string // connection URI -> partition id
+	conns     map[odata.ID]attachment // by connection URI
 	eventSeq  int
 	sourceURI odata.ID
+}
+
+// attachment is the partition a connection attached.
+type attachment struct {
+	uri  odata.ID // the partition's Processors resource
+	part string
 }
 
 // New creates a GPU pool agent.
@@ -50,7 +57,7 @@ func New(conn agent.Conn, pool *gpusim.Pool, fabricName, chassisName string) *Ag
 		fabricID:  service.FabricsURI.Append(fabricName),
 		chassisID: service.ChassisURI.Append(chassisName),
 		partByURI: make(map[odata.ID]string),
-		conns:     make(map[odata.ID]string),
+		conns:     make(map[odata.ID]attachment),
 	}
 }
 
@@ -108,17 +115,27 @@ type subHandler struct {
 }
 
 func (s *subHandler) FabricID() odata.ID { return s.prefix }
-func (s *subHandler) CreateConnection(c *redfish.Connection) error {
-	return s.agent.CreateConnection(c)
+func (s *subHandler) CreateConnection(ctx context.Context, c *redfish.Connection) error {
+	return s.agent.CreateConnection(ctx, c)
 }
-func (s *subHandler) DeleteConnection(id odata.ID) error        { return s.agent.DeleteConnection(id) }
-func (s *subHandler) CreateZone(z *redfish.Zone) error          { return s.agent.CreateZone(z) }
-func (s *subHandler) DeleteZone(id odata.ID) error              { return s.agent.DeleteZone(id) }
-func (s *subHandler) Patch(id odata.ID, p map[string]any) error { return s.agent.Patch(id, p) }
-func (s *subHandler) CreateResource(coll, uri odata.ID, payload json.RawMessage) (any, error) {
-	return s.agent.CreateResource(coll, uri, payload)
+func (s *subHandler) DeleteConnection(ctx context.Context, id odata.ID) error {
+	return s.agent.DeleteConnection(ctx, id)
 }
-func (s *subHandler) DeleteResource(id odata.ID) error { return s.agent.DeleteResource(id) }
+func (s *subHandler) CreateZone(ctx context.Context, z *redfish.Zone) error {
+	return s.agent.CreateZone(ctx, z)
+}
+func (s *subHandler) DeleteZone(ctx context.Context, id odata.ID) error {
+	return s.agent.DeleteZone(ctx, id)
+}
+func (s *subHandler) Patch(ctx context.Context, id odata.ID, p map[string]any) error {
+	return s.agent.Patch(ctx, id, p)
+}
+func (s *subHandler) CreateResource(ctx context.Context, coll, uri odata.ID, payload json.RawMessage) (any, error) {
+	return s.agent.CreateResource(ctx, coll, uri, payload)
+}
+func (s *subHandler) DeleteResource(ctx context.Context, id odata.ID) error {
+	return s.agent.DeleteResource(ctx, id)
+}
 
 func (a *Agent) onHardwareEvent(ev gpusim.Event) {
 	a.mu.Lock()
@@ -146,7 +163,7 @@ type partitionRequest struct {
 
 // CreateResource provisions a GPU partition when the target collection is
 // the agent's Processors collection.
-func (a *Agent) CreateResource(coll, uri odata.ID, payload json.RawMessage) (any, error) {
+func (a *Agent) CreateResource(ctx context.Context, coll, uri odata.ID, payload json.RawMessage) (any, error) {
 	if coll != a.chassisID.Append("Processors") {
 		return nil, fmt.Errorf("%w: POST %s", ErrUnsupported, coll)
 	}
@@ -171,15 +188,27 @@ func (a *Agent) CreateResource(coll, uri odata.ID, payload json.RawMessage) (any
 	a.mu.Lock()
 	a.partByURI[uri] = partID
 	a.mu.Unlock()
-	res := a.partitionResource(uri, partID, slices, "")
-	if err := a.Publish(); err != nil {
+
+	a.pubMu.Lock()
+	defer a.pubMu.Unlock()
+	p, err := a.pool.Partition(partID)
+	if err != nil {
+		return nil, err
+	}
+	// The partition's target endpoint appears in the fabric subtree.
+	epURI, ep := a.partitionEndpoint(uri, p)
+	if err := a.publishTouched(ctx, a.fabricID, map[odata.ID]any{epURI: ep}); err != nil {
+		return nil, err
+	}
+	res := a.partitionResource(uri, p)
+	if err := a.publishTouched(ctx, a.chassisID, map[odata.ID]any{uri: res}); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // DeleteResource releases a GPU partition.
-func (a *Agent) DeleteResource(id odata.ID) error {
+func (a *Agent) DeleteResource(ctx context.Context, id odata.ID) error {
 	a.mu.Lock()
 	partID, ok := a.partByURI[id]
 	a.mu.Unlock()
@@ -192,13 +221,19 @@ func (a *Agent) DeleteResource(id odata.ID) error {
 	a.mu.Lock()
 	delete(a.partByURI, id)
 	a.mu.Unlock()
-	return a.Publish()
+
+	a.pubMu.Lock()
+	defer a.pubMu.Unlock()
+	if err := a.publishTouched(ctx, a.fabricID, nil, a.endpointURI(id)); err != nil {
+		return err
+	}
+	return a.publishTouched(ctx, a.chassisID, nil, id)
 }
 
 // CreateConnection attaches the referenced partition to the initiator.
 // The partition is referenced through the connection's target endpoint
 // whose leaf is the partition resource id.
-func (a *Agent) CreateConnection(conn *redfish.Connection) error {
+func (a *Agent) CreateConnection(ctx context.Context, conn *redfish.Connection) error {
 	if len(conn.Links.InitiatorEndpoints) != 1 || len(conn.Links.TargetEndpoints) != 1 {
 		return ErrBadConnection
 	}
@@ -215,54 +250,101 @@ func (a *Agent) CreateConnection(conn *redfish.Connection) error {
 	}
 	conn.ConnectionType = "Memory"
 	a.mu.Lock()
-	a.conns[conn.ODataID] = partID
+	a.conns[conn.ODataID] = attachment{uri: partURI, part: partID}
 	a.mu.Unlock()
-	return a.Publish()
+	return a.publishPartition(ctx, partURI, partID)
 }
 
 // DeleteConnection detaches the partition.
-func (a *Agent) DeleteConnection(id odata.ID) error {
+func (a *Agent) DeleteConnection(ctx context.Context, id odata.ID) error {
 	a.mu.Lock()
-	partID, ok := a.conns[id]
+	att, ok := a.conns[id]
 	delete(a.conns, id)
 	a.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("gpuagent: unknown connection %s", id)
 	}
-	if err := a.pool.Detach(partID); err != nil {
+	if err := a.pool.Detach(att.part); err != nil {
 		return err
 	}
-	return a.Publish()
+	return a.publishPartition(ctx, att.uri, att.part)
+}
+
+// publishPartition publishes the partition's current attachment: what a
+// connection changes.
+func (a *Agent) publishPartition(ctx context.Context, uri odata.ID, partID string) error {
+	a.pubMu.Lock()
+	defer a.pubMu.Unlock()
+	p, err := a.pool.Partition(partID)
+	if err != nil {
+		return nil // deleted since; its DeleteResource dropped it
+	}
+	return a.publishTouched(ctx, a.chassisID, map[odata.ID]any{uri: a.partitionResource(uri, p)})
+}
+
+// publishTouched upserts touched and drops removed under root, one of
+// the agent's two subtree roots. Callers hold pubMu.
+func (a *Agent) publishTouched(ctx context.Context, root odata.ID, touched map[odata.ID]any, removed ...odata.ID) error {
+	if err := agent.PublishTouched(ctx, a.conn, root, touched, removed...); err != nil {
+		return fmt.Errorf("gpuagent: publish %s: %w", root.Leaf(), err)
+	}
+	return nil
 }
 
 // CreateZone accepts zone bookkeeping.
-func (a *Agent) CreateZone(zone *redfish.Zone) error { return nil }
+func (a *Agent) CreateZone(context.Context, *redfish.Zone) error { return nil }
 
 // DeleteZone accepts zone removal.
-func (a *Agent) DeleteZone(id odata.ID) error { return nil }
+func (a *Agent) DeleteZone(context.Context, odata.ID) error { return nil }
 
 // Patch rejects hardware property changes.
-func (a *Agent) Patch(id odata.ID, patch map[string]any) error {
+func (a *Agent) Patch(_ context.Context, id odata.ID, patch map[string]any) error {
 	return fmt.Errorf("%w: PATCH %s", ErrUnsupported, id)
 }
 
-func (a *Agent) partitionResource(uri odata.ID, partID string, slices int, host string) redfish.Processor {
+// The builders below render one resource each from a pool snapshot.
+// Publish and the handler ops both go through them, so a handler op's
+// touched-resource publish and the next full Publish agree byte for byte.
+
+// partitionResource renders a partition with its current attachment.
+func (a *Agent) partitionResource(uri odata.ID, p gpusim.Partition) redfish.Processor {
 	res := redfish.Processor{
-		Resource:      odata.NewResource(uri, redfish.TypeProcessor, partID),
+		Resource:      odata.NewResource(uri, redfish.TypeProcessor, p.ID),
 		ProcessorType: "GPU",
 		Status:        odata.StatusOK(),
-		TotalCores:    slices,
+		TotalCores:    p.Slices,
 	}
-	if host != "" {
-		res.Desc = "attached to " + host
+	if p.Host != "" {
+		res.Desc = "attached to " + p.Host
 		res.Status.State = odata.StateComposed
 	}
 	return res
 }
 
-// Publish rebuilds and pushes the agent's subtrees from pool state.
+// endpointURI is the fabric endpoint of the partition stored at partURI.
+func (a *Agent) endpointURI(partURI odata.ID) odata.ID {
+	return a.fabricID.Append("Endpoints", partURI.Leaf())
+}
+
+// partitionEndpoint renders the target endpoint of a partition.
+func (a *Agent) partitionEndpoint(partURI odata.ID, p gpusim.Partition) (odata.ID, redfish.Endpoint) {
+	uri := a.endpointURI(partURI)
+	return uri, redfish.Endpoint{
+		Resource:         odata.NewResource(uri, redfish.TypeEndpoint, "Partition "+p.ID),
+		EndpointProtocol: redfish.ProtocolPCIe,
+		ConnectedEntities: []redfish.ConnectedEntity{{
+			EntityType: "Processor", EntityRole: "Target", EntityLink: redfish.Ref(partURI),
+		}},
+		Status: odata.StatusOK(),
+	}
+}
+
+// Publish rebuilds and pushes the agent's complete subtrees from pool
+// state: the reconciliation path, run at Start and whenever the tree may
+// have drifted from the pool. Handler ops publish only what they touched.
 // Publishes are serialized so snapshots advance monotonically.
 func (a *Agent) Publish() error {
+	ctx := context.Background()
 	a.pubMu.Lock()
 	defer a.pubMu.Unlock()
 	fab := make(map[odata.ID]any)
@@ -304,23 +386,16 @@ func (a *Agent) Publish() error {
 		if !ok {
 			continue
 		}
-		cha[uri] = a.partitionResource(uri, p.ID, p.Slices, p.Host)
-		epURI := a.fabricID.Append("Endpoints", uri.Leaf())
-		fab[epURI] = redfish.Endpoint{
-			Resource:         odata.NewResource(epURI, redfish.TypeEndpoint, "Partition "+p.ID),
-			EndpointProtocol: redfish.ProtocolPCIe,
-			ConnectedEntities: []redfish.ConnectedEntity{{
-				EntityType: "Processor", EntityRole: "Target", EntityLink: redfish.Ref(uri),
-			}},
-			Status: odata.StatusOK(),
-		}
+		cha[uri] = a.partitionResource(uri, p)
+		epURI, ep := a.partitionEndpoint(uri, p)
+		fab[epURI] = ep
 	}
 
 	keep := []odata.ID{a.fabricID.Append("Zones"), a.fabricID.Append("Connections")}
-	if err := a.conn.PublishSubtree(a.fabricID, fab, keep...); err != nil {
+	if err := a.conn.PublishSubtree(ctx, a.fabricID, fab, keep...); err != nil {
 		return fmt.Errorf("gpuagent: publish fabric: %w", err)
 	}
-	if err := a.conn.PublishSubtree(a.chassisID, cha); err != nil {
+	if err := a.conn.PublishSubtree(ctx, a.chassisID, cha); err != nil {
 		return fmt.Errorf("gpuagent: publish chassis: %w", err)
 	}
 	return nil

@@ -74,7 +74,7 @@ func TestPartitionLifecycle(t *testing.T) {
 			TargetEndpoints:    []odata.Ref{odata.NewRef(ep)},
 		},
 	}
-	if err := ag.CreateConnection(&conn); err != nil {
+	if err := ag.CreateConnection(context.Background(), &conn); err != nil {
 		t.Fatal(err)
 	}
 	parts := pool.Partitions()
@@ -90,13 +90,13 @@ func TestPartitionLifecycle(t *testing.T) {
 		t.Errorf("state = %s", proc.Status.State)
 	}
 	// Deleting an attached partition fails; detach first.
-	if err := ag.DeleteResource(uri); err == nil {
+	if err := ag.DeleteResource(context.Background(), uri); err == nil {
 		t.Error("attached partition deleted")
 	}
-	if err := ag.DeleteConnection(conn.ODataID); err != nil {
+	if err := ag.DeleteConnection(context.Background(), conn.ODataID); err != nil {
 		t.Fatal(err)
 	}
-	if err := ag.DeleteResource(uri); err != nil {
+	if err := ag.DeleteResource(context.Background(), uri); err != nil {
 		t.Fatal(err)
 	}
 	if pool.FreeSlices() != 7 {
@@ -106,7 +106,7 @@ func TestPartitionLifecycle(t *testing.T) {
 
 func TestConnectionValidation(t *testing.T) {
 	_, _, ag := newAgent(t)
-	if err := ag.CreateConnection(&redfish.Connection{}); !errors.Is(err, ErrBadConnection) {
+	if err := ag.CreateConnection(context.Background(), &redfish.Connection{}); !errors.Is(err, ErrBadConnection) {
 		t.Errorf("err = %v", err)
 	}
 	conn := redfish.Connection{
@@ -115,10 +115,10 @@ func TestConnectionValidation(t *testing.T) {
 			TargetEndpoints:    []odata.Ref{odata.NewRef(ag.FabricID().Append("Endpoints", "ghost"))},
 		},
 	}
-	if err := ag.CreateConnection(&conn); !errors.Is(err, ErrUnknownPartition) {
+	if err := ag.CreateConnection(context.Background(), &conn); !errors.Is(err, ErrUnknownPartition) {
 		t.Errorf("err = %v", err)
 	}
-	if err := ag.DeleteConnection("/redfish/v1/Fabrics/PCIe/Connections/9"); err == nil {
+	if err := ag.DeleteConnection(context.Background(), "/redfish/v1/Fabrics/PCIe/Connections/9"); err == nil {
 		t.Error("unknown delete accepted")
 	}
 }
@@ -126,11 +126,11 @@ func TestConnectionValidation(t *testing.T) {
 func TestProvisionValidation(t *testing.T) {
 	_, _, ag := newAgent(t)
 	procs := ag.ChassisID().Append("Processors")
-	if _, err := ag.CreateResource(ag.ChassisID().Append("GPUs"), "/x", []byte(`{}`)); !errors.Is(err, ErrUnsupported) {
+	if _, err := ag.CreateResource(context.Background(), ag.ChassisID().Append("GPUs"), "/x", []byte(`{}`)); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("err = %v", err)
 	}
 	// Default slice count is 1.
-	uri, err := ag.CreateResource(procs, procs.Append("d"), []byte(`{}`))
+	uri, err := ag.CreateResource(context.Background(), procs, procs.Append("d"), []byte(`{}`))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -139,21 +139,21 @@ func TestProvisionValidation(t *testing.T) {
 		t.Errorf("default slices = %d", proc.TotalCores)
 	}
 	// Over capacity.
-	if _, err := ag.CreateResource(procs, procs.Append("e"), []byte(`{"Oem":{"OFMF":{"Slices":100}}}`)); err == nil {
+	if _, err := ag.CreateResource(context.Background(), procs, procs.Append("e"), []byte(`{"Oem":{"OFMF":{"Slices":100}}}`)); err == nil {
 		t.Error("oversized partition accepted")
 	}
 	// Explicit GPU selection.
-	if _, err := ag.CreateResource(procs, procs.Append("f"), []byte(`{"Oem":{"OFMF":{"GPU":"ghost"}}}`)); err == nil {
+	if _, err := ag.CreateResource(context.Background(), procs, procs.Append("f"), []byte(`{"Oem":{"OFMF":{"GPU":"ghost"}}}`)); err == nil {
 		t.Error("unknown gpu accepted")
 	}
-	if err := ag.DeleteResource(procs.Append("nope")); !errors.Is(err, ErrUnknownPartition) {
+	if err := ag.DeleteResource(context.Background(), procs.Append("nope")); !errors.Is(err, ErrUnknownPartition) {
 		t.Errorf("err = %v", err)
 	}
 }
 
 func TestPatchUnsupported(t *testing.T) {
 	_, _, ag := newAgent(t)
-	if err := ag.Patch(ag.ChassisID().Append("GPUs", "gpu0"), map[string]any{"Model": "x"}); !errors.Is(err, ErrUnsupported) {
+	if err := ag.Patch(context.Background(), ag.ChassisID().Append("GPUs", "gpu0"), map[string]any{"Model": "x"}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("err = %v", err)
 	}
 }

@@ -7,6 +7,7 @@
 package nvmeagent
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -48,6 +49,7 @@ type Agent struct {
 }
 
 type attachment struct {
+	volURI  odata.ID
 	volume  string
 	hostNQN string
 	subsys  string
@@ -131,17 +133,27 @@ type subHandler struct {
 }
 
 func (s *subHandler) FabricID() odata.ID { return s.prefix }
-func (s *subHandler) CreateConnection(c *redfish.Connection) error {
-	return s.agent.CreateConnection(c)
+func (s *subHandler) CreateConnection(ctx context.Context, c *redfish.Connection) error {
+	return s.agent.CreateConnection(ctx, c)
 }
-func (s *subHandler) DeleteConnection(id odata.ID) error        { return s.agent.DeleteConnection(id) }
-func (s *subHandler) CreateZone(z *redfish.Zone) error          { return s.agent.CreateZone(z) }
-func (s *subHandler) DeleteZone(id odata.ID) error              { return s.agent.DeleteZone(id) }
-func (s *subHandler) Patch(id odata.ID, p map[string]any) error { return s.agent.Patch(id, p) }
-func (s *subHandler) CreateResource(coll, uri odata.ID, payload json.RawMessage) (any, error) {
-	return s.agent.CreateResource(coll, uri, payload)
+func (s *subHandler) DeleteConnection(ctx context.Context, id odata.ID) error {
+	return s.agent.DeleteConnection(ctx, id)
 }
-func (s *subHandler) DeleteResource(id odata.ID) error { return s.agent.DeleteResource(id) }
+func (s *subHandler) CreateZone(ctx context.Context, z *redfish.Zone) error {
+	return s.agent.CreateZone(ctx, z)
+}
+func (s *subHandler) DeleteZone(ctx context.Context, id odata.ID) error {
+	return s.agent.DeleteZone(ctx, id)
+}
+func (s *subHandler) Patch(ctx context.Context, id odata.ID, p map[string]any) error {
+	return s.agent.Patch(ctx, id, p)
+}
+func (s *subHandler) CreateResource(ctx context.Context, coll, uri odata.ID, payload json.RawMessage) (any, error) {
+	return s.agent.CreateResource(ctx, coll, uri, payload)
+}
+func (s *subHandler) DeleteResource(ctx context.Context, id odata.ID) error {
+	return s.agent.DeleteResource(ctx, id)
+}
 
 func (a *Agent) onHardwareEvent(ev nvmesim.Event) {
 	a.mu.Lock()
@@ -162,8 +174,9 @@ func (a *Agent) hostSubsysNQN(host string) string {
 }
 
 // ensureSubsystem lazily creates the per-host subsystem with an ACL
-// admitting only that host.
-func (a *Agent) ensureSubsystem(host, hostNQN string) (string, error) {
+// admitting only that host, and publishes the endpoint that appears
+// with it.
+func (a *Agent) ensureSubsystem(ctx context.Context, host, hostNQN string) (string, error) {
 	nqn := a.hostSubsysNQN(host)
 	for _, s := range a.target.Subsystems() {
 		if s == nqn {
@@ -173,28 +186,35 @@ func (a *Agent) ensureSubsystem(host, hostNQN string) (string, error) {
 	if err := a.target.AddSubsystem(nqn, []string{hostNQN}); err != nil {
 		return "", err
 	}
+	a.pubMu.Lock()
+	defer a.pubMu.Unlock()
+	epURI, ep := a.subsystemEndpoint(nqn)
+	if err := a.publishTouched(ctx, a.fabricID, map[odata.ID]any{epURI: ep}); err != nil {
+		return "", err
+	}
 	return nqn, nil
 }
 
 // CreateConnection attaches the referenced volume to the initiator host's
 // subsystem and connects the host.
-func (a *Agent) CreateConnection(conn *redfish.Connection) error {
+func (a *Agent) CreateConnection(ctx context.Context, conn *redfish.Connection) error {
 	if len(conn.Links.InitiatorEndpoints) != 1 || len(conn.VolumeInfo) != 1 || conn.VolumeInfo[0].Volume == nil {
 		return ErrBadConnection
 	}
 	epURI := conn.Links.InitiatorEndpoints[0].ODataID
+	volURI := conn.VolumeInfo[0].Volume.ODataID
 	host := epURI.Leaf()
 	a.mu.Lock()
 	hostNQN, ok := a.hosts[host]
-	volID, vok := a.volByURI[conn.VolumeInfo[0].Volume.ODataID]
+	volID, vok := a.volByURI[volURI]
 	a.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownEndpoint, epURI)
 	}
 	if !vok {
-		return fmt.Errorf("%w: %s", ErrUnknownVolume, conn.VolumeInfo[0].Volume.ODataID)
+		return fmt.Errorf("%w: %s", ErrUnknownVolume, volURI)
 	}
-	subsys, err := a.ensureSubsystem(host, hostNQN)
+	subsys, err := a.ensureSubsystem(ctx, host, hostNQN)
 	if err != nil {
 		return err
 	}
@@ -207,14 +227,14 @@ func (a *Agent) CreateConnection(conn *redfish.Connection) error {
 	}
 	conn.ConnectionType = "Storage"
 	a.mu.Lock()
-	a.conns[conn.ODataID] = attachment{volume: volID, hostNQN: hostNQN, subsys: subsys}
+	a.conns[conn.ODataID] = attachment{volURI: volURI, volume: volID, hostNQN: hostNQN, subsys: subsys}
 	a.mu.Unlock()
-	return a.Publish()
+	return a.publishVolume(ctx, volURI, volID)
 }
 
 // DeleteConnection detaches the volume and disconnects the host when no
 // other connection uses the same subsystem.
-func (a *Agent) DeleteConnection(id odata.ID) error {
+func (a *Agent) DeleteConnection(ctx context.Context, id odata.ID) error {
 	a.mu.Lock()
 	att, ok := a.conns[id]
 	delete(a.conns, id)
@@ -236,17 +256,38 @@ func (a *Agent) DeleteConnection(id odata.ID) error {
 			return err
 		}
 	}
-	return a.Publish()
+	return a.publishVolume(ctx, att.volURI, att.volume)
+}
+
+// publishVolume publishes the volume's current attachment: what a
+// connection changes.
+func (a *Agent) publishVolume(ctx context.Context, uri odata.ID, volID string) error {
+	a.pubMu.Lock()
+	defer a.pubMu.Unlock()
+	v, err := a.target.Volume(volID)
+	if err != nil {
+		return nil // deleted since; its DeleteResource dropped it
+	}
+	return a.publishTouched(ctx, a.storageID, map[odata.ID]any{uri: a.volumeResource(uri, v)})
+}
+
+// publishTouched upserts touched and drops removed under root, one of
+// the agent's two subtree roots. Callers hold pubMu.
+func (a *Agent) publishTouched(ctx context.Context, root odata.ID, touched map[odata.ID]any, removed ...odata.ID) error {
+	if err := agent.PublishTouched(ctx, a.conn, root, touched, removed...); err != nil {
+		return fmt.Errorf("nvmeagent: publish %s: %w", root.Leaf(), err)
+	}
+	return nil
 }
 
 // CreateZone records zone membership as subsystem ACL bookkeeping.
-func (a *Agent) CreateZone(zone *redfish.Zone) error { return nil }
+func (a *Agent) CreateZone(context.Context, *redfish.Zone) error { return nil }
 
 // DeleteZone accepts zone removal.
-func (a *Agent) DeleteZone(id odata.ID) error { return nil }
+func (a *Agent) DeleteZone(context.Context, odata.ID) error { return nil }
 
 // Patch rejects hardware property changes the target cannot make.
-func (a *Agent) Patch(id odata.ID, patch map[string]any) error {
+func (a *Agent) Patch(_ context.Context, id odata.ID, patch map[string]any) error {
 	return fmt.Errorf("%w: PATCH %s", ErrUnsupported, id)
 }
 
@@ -262,7 +303,7 @@ type volumeRequest struct {
 
 // CreateResource provisions a volume when the target collection is the
 // agent's Volumes collection.
-func (a *Agent) CreateResource(coll, uri odata.ID, payload json.RawMessage) (any, error) {
+func (a *Agent) CreateResource(ctx context.Context, coll, uri odata.ID, payload json.RawMessage) (any, error) {
 	if coll != a.storageID.Append("Volumes") {
 		return nil, fmt.Errorf("%w: POST %s", ErrUnsupported, coll)
 	}
@@ -294,20 +335,33 @@ func (a *Agent) CreateResource(coll, uri odata.ID, payload json.RawMessage) (any
 	a.mu.Lock()
 	a.volByURI[uri] = volID
 	a.mu.Unlock()
-	res := a.volumeResource(uri, volID, req.CapacityBytes)
-	if err := a.Publish(); err != nil {
+
+	a.pubMu.Lock()
+	defer a.pubMu.Unlock()
+	v, err := a.target.Volume(volID)
+	if err != nil {
+		return nil, err
+	}
+	res := a.volumeResource(uri, v)
+	touched := map[odata.ID]any{uri: res}
+	a.touchPool(touched, v.Pool)
+	if err := a.publishTouched(ctx, a.storageID, touched); err != nil {
 		return nil, err
 	}
 	return res, nil
 }
 
 // DeleteResource deletes a provisioned volume.
-func (a *Agent) DeleteResource(id odata.ID) error {
+func (a *Agent) DeleteResource(ctx context.Context, id odata.ID) error {
 	a.mu.Lock()
 	volID, ok := a.volByURI[id]
 	a.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownVolume, id)
+	}
+	v, err := a.target.Volume(volID)
+	if err != nil {
+		return err
 	}
 	if err := a.target.DeleteVolume(volID); err != nil {
 		return err
@@ -315,21 +369,75 @@ func (a *Agent) DeleteResource(id odata.ID) error {
 	a.mu.Lock()
 	delete(a.volByURI, id)
 	a.mu.Unlock()
-	return a.Publish()
+
+	a.pubMu.Lock()
+	defer a.pubMu.Unlock()
+	touched := make(map[odata.ID]any, 1)
+	a.touchPool(touched, v.Pool)
+	return a.publishTouched(ctx, a.storageID, touched, id)
 }
 
-func (a *Agent) volumeResource(uri odata.ID, volID string, bytes int64) redfish.Volume {
-	return redfish.Volume{
-		Resource:      odata.NewResource(uri, redfish.TypeVolume, volID),
+// The builders below render one resource each from a target snapshot.
+// Publish and the handler ops both go through them, so a handler op's
+// touched-resource publish and the next full Publish agree byte for byte.
+
+// volumeResource renders a volume with its current attachment.
+func (a *Agent) volumeResource(uri odata.ID, v nvmesim.Volume) redfish.Volume {
+	res := redfish.Volume{
+		Resource:      odata.NewResource(uri, redfish.TypeVolume, v.ID),
 		Status:        odata.StatusOK(),
-		CapacityBytes: bytes,
-		Identifiers:   []redfish.Identifier{{DurableName: "uuid:" + volID, DurableNameFormat: "UUID"}},
+		CapacityBytes: v.Bytes,
+		Identifiers:   []redfish.Identifier{{DurableName: "uuid:" + v.ID, DurableNameFormat: "UUID"}},
+	}
+	if v.Subsystem != "" {
+		epID, _ := a.subsystemEndpoint(v.Subsystem)
+		res.Links.ClientEndpoints = []odata.Ref{odata.NewRef(epID)}
+	}
+	return res
+}
+
+// poolResource renders a storage pool with its current consumption.
+func (a *Agent) poolResource(p nvmesim.Pool) (odata.ID, redfish.StoragePool) {
+	uri := a.storageID.Append("StoragePools", p.ID)
+	return uri, redfish.StoragePool{
+		Resource: odata.NewResource(uri, redfish.TypeStoragePool, p.ID),
+		Status:   odata.StatusOK(),
+		Capacity: redfish.Capacity{Data: redfish.CapacityInfo{
+			AllocatedBytes: p.CapacityBytes,
+			ConsumedBytes:  p.AllocatedBytes(),
+		}},
 	}
 }
 
-// Publish rebuilds and pushes the agent's subtrees from target state.
-// Publishes are serialized so snapshots advance monotonically.
+// touchPool adds the pool's current state to touched: creating and
+// deleting volumes move its ConsumedBytes.
+func (a *Agent) touchPool(touched map[odata.ID]any, pool string) {
+	if p, err := a.target.Pool(pool); err == nil {
+		uri, res := a.poolResource(p)
+		touched[uri] = res
+	}
+}
+
+// subsystemEndpoint renders the target endpoint of a subsystem.
+func (a *Agent) subsystemEndpoint(nqn string) (odata.ID, redfish.Endpoint) {
+	uri := a.fabricID.Append("Endpoints", sanitize(nqn))
+	return uri, redfish.Endpoint{
+		Resource:         odata.NewResource(uri, redfish.TypeEndpoint, nqn),
+		EndpointProtocol: redfish.ProtocolNVMeOF,
+		Identifiers:      []redfish.Identifier{{DurableName: nqn, DurableNameFormat: "NQN"}},
+		ConnectedEntities: []redfish.ConnectedEntity{{
+			EntityType: "Volume", EntityRole: "Target",
+		}},
+		Status: odata.StatusOK(),
+	}
+}
+
+// Publish rebuilds and pushes the agent's complete subtrees from target
+// state: the reconciliation path, run at Start and whenever the tree may
+// have drifted from the target. Handler ops publish only what they
+// touched. Publishes are serialized so snapshots advance monotonically.
 func (a *Agent) Publish() error {
+	ctx := context.Background()
 	a.pubMu.Lock()
 	defer a.pubMu.Unlock()
 	fab := make(map[odata.ID]any)
@@ -368,16 +476,8 @@ func (a *Agent) Publish() error {
 		}
 	}
 	for _, nqn := range a.target.Subsystems() {
-		epURI := a.fabricID.Append("Endpoints", sanitize(nqn))
-		fab[epURI] = redfish.Endpoint{
-			Resource:         odata.NewResource(epURI, redfish.TypeEndpoint, nqn),
-			EndpointProtocol: redfish.ProtocolNVMeOF,
-			Identifiers:      []redfish.Identifier{{DurableName: nqn, DurableNameFormat: "NQN"}},
-			ConnectedEntities: []redfish.ConnectedEntity{{
-				EntityType: "Volume", EntityRole: "Target",
-			}},
-			Status: odata.StatusOK(),
-		}
+		epURI, ep := a.subsystemEndpoint(nqn)
+		fab[epURI] = ep
 	}
 
 	sto[a.storageID] = redfish.Storage{
@@ -387,35 +487,22 @@ func (a *Agent) Publish() error {
 		Volumes:      redfish.Ref(a.storageID.Append("Volumes")),
 	}
 	for _, p := range a.target.Pools() {
-		poolURI := a.storageID.Append("StoragePools", p.ID)
-		sto[poolURI] = redfish.StoragePool{
-			Resource: odata.NewResource(poolURI, redfish.TypeStoragePool, p.ID),
-			Status:   odata.StatusOK(),
-			Capacity: redfish.Capacity{Data: redfish.CapacityInfo{
-				AllocatedBytes: p.CapacityBytes,
-				ConsumedBytes:  p.AllocatedBytes(),
-			}},
-		}
+		poolURI, pool := a.poolResource(p)
+		sto[poolURI] = pool
 	}
 	for _, v := range a.target.Volumes() {
 		uri, ok := volURIs[v.ID]
 		if !ok {
 			continue
 		}
-		res := a.volumeResource(uri, v.ID, v.Bytes)
-		if v.Subsystem != "" {
-			res.Links.ClientEndpoints = []odata.Ref{
-				odata.NewRef(a.fabricID.Append("Endpoints", sanitize(v.Subsystem))),
-			}
-		}
-		sto[uri] = res
+		sto[uri] = a.volumeResource(uri, v)
 	}
 
 	keep := []odata.ID{a.fabricID.Append("Zones"), a.fabricID.Append("Connections")}
-	if err := a.conn.PublishSubtree(a.fabricID, fab, keep...); err != nil {
+	if err := a.conn.PublishSubtree(ctx, a.fabricID, fab, keep...); err != nil {
 		return fmt.Errorf("nvmeagent: publish fabric: %w", err)
 	}
-	if err := a.conn.PublishSubtree(a.storageID, sto); err != nil {
+	if err := a.conn.PublishSubtree(ctx, a.storageID, sto); err != nil {
 		return fmt.Errorf("nvmeagent: publish storage: %w", err)
 	}
 	return nil

@@ -65,12 +65,12 @@ func TestPublishContents(t *testing.T) {
 
 func TestConnectionValidation(t *testing.T) {
 	svc, _, ag := newAgent(t)
-	if err := ag.CreateConnection(&redfish.Connection{}); !errors.Is(err, ErrBadConnection) {
+	if err := ag.CreateConnection(context.Background(), &redfish.Connection{}); !errors.Is(err, ErrBadConnection) {
 		t.Errorf("err = %v", err)
 	}
 	vol := provision(t, svc, ag, 1<<20)
 	// Unknown host endpoint.
-	err := ag.CreateConnection(&redfish.Connection{
+	err := ag.CreateConnection(context.Background(), &redfish.Connection{
 		VolumeInfo: []redfish.VolumeInfo{{Volume: redfish.Ref(vol)}},
 		Links: redfish.ConnectionLinks{
 			InitiatorEndpoints: []odata.Ref{odata.NewRef(ag.FabricID().Append("Endpoints", "ghost"))},
@@ -80,7 +80,7 @@ func TestConnectionValidation(t *testing.T) {
 		t.Errorf("err = %v", err)
 	}
 	// Unknown volume.
-	err = ag.CreateConnection(&redfish.Connection{
+	err = ag.CreateConnection(context.Background(), &redfish.Connection{
 		VolumeInfo: []redfish.VolumeInfo{{Volume: redfish.Ref("/redfish/v1/ghost")}},
 		Links: redfish.ConnectionLinks{
 			InitiatorEndpoints: []odata.Ref{odata.NewRef(ag.FabricID().Append("Endpoints", "hostA"))},
@@ -101,7 +101,7 @@ func TestConnectionLifecycleCreatesSubsystem(t *testing.T) {
 			InitiatorEndpoints: []odata.Ref{odata.NewRef(ag.FabricID().Append("Endpoints", "hostA"))},
 		},
 	}
-	if err := ag.CreateConnection(&conn); err != nil {
+	if err := ag.CreateConnection(context.Background(), &conn); err != nil {
 		t.Fatal(err)
 	}
 	subs := target.Subsystems()
@@ -121,14 +121,14 @@ func TestConnectionLifecycleCreatesSubsystem(t *testing.T) {
 		t.Errorf("endpoints = %v", members)
 	}
 	// Teardown disconnects the host when it was the last user.
-	if err := ag.DeleteConnection(conn.ODataID); err != nil {
+	if err := ag.DeleteConnection(context.Background(), conn.ODataID); err != nil {
 		t.Fatal(err)
 	}
 	info, _ = target.SubsystemInfo(subs[0])
 	if len(info.Hosts()) != 0 {
 		t.Errorf("host still connected: %v", info.Hosts())
 	}
-	if err := ag.DeleteConnection(conn.ODataID); err == nil {
+	if err := ag.DeleteConnection(context.Background(), conn.ODataID); err == nil {
 		t.Error("double delete accepted")
 	}
 }
@@ -147,21 +147,21 @@ func TestSharedSubsystemRefcounting(t *testing.T) {
 		}
 	}
 	c1, c2 := mk("1", v1), mk("2", v2)
-	if err := ag.CreateConnection(&c1); err != nil {
+	if err := ag.CreateConnection(context.Background(), &c1); err != nil {
 		t.Fatal(err)
 	}
-	if err := ag.CreateConnection(&c2); err != nil {
+	if err := ag.CreateConnection(context.Background(), &c2); err != nil {
 		t.Fatal(err)
 	}
 	// Deleting one connection keeps the host connected for the other.
-	if err := ag.DeleteConnection(c1.ODataID); err != nil {
+	if err := ag.DeleteConnection(context.Background(), c1.ODataID); err != nil {
 		t.Fatal(err)
 	}
 	info, _ := target.SubsystemInfo(ag.hostSubsysNQN("hostA"))
 	if len(info.Hosts()) != 1 {
 		t.Errorf("host disconnected while still using a namespace: %v", info.Hosts())
 	}
-	if err := ag.DeleteConnection(c2.ODataID); err != nil {
+	if err := ag.DeleteConnection(context.Background(), c2.ODataID); err != nil {
 		t.Fatal(err)
 	}
 	info, _ = target.SubsystemInfo(ag.hostSubsysNQN("hostA"))
@@ -173,16 +173,16 @@ func TestSharedSubsystemRefcounting(t *testing.T) {
 func TestProvisionValidation(t *testing.T) {
 	_, _, ag := newAgent(t)
 	vols := ag.StorageID().Append("Volumes")
-	if _, err := ag.CreateResource(ag.FabricID().Append("Endpoints"), "/x", []byte(`{}`)); !errors.Is(err, ErrUnsupported) {
+	if _, err := ag.CreateResource(context.Background(), ag.FabricID().Append("Endpoints"), "/x", []byte(`{}`)); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := ag.CreateResource(vols, vols.Append("1"), []byte(`{"CapacityBytes":0}`)); err == nil {
+	if _, err := ag.CreateResource(context.Background(), vols, vols.Append("1"), []byte(`{"CapacityBytes":0}`)); err == nil {
 		t.Error("zero capacity accepted")
 	}
-	if _, err := ag.CreateResource(vols, vols.Append("1"), []byte(`{"CapacityBytes": 99999999999999}`)); err == nil {
+	if _, err := ag.CreateResource(context.Background(), vols, vols.Append("1"), []byte(`{"CapacityBytes": 99999999999999}`)); err == nil {
 		t.Error("over-capacity accepted")
 	}
-	if err := ag.DeleteResource(vols.Append("42")); !errors.Is(err, ErrUnknownVolume) {
+	if err := ag.DeleteResource(context.Background(), vols.Append("42")); !errors.Is(err, ErrUnknownVolume) {
 		t.Errorf("err = %v", err)
 	}
 }

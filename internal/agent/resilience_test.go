@@ -71,7 +71,7 @@ func TestAgentConvergesUnderInjectedFaults(t *testing.T) {
 	}
 
 	fab := redfish.Fabric{Resource: odata.NewResource(fabricURI, redfish.TypeFabric, "Flaky")}
-	if err := remote.PublishSubtree(fabricURI, map[odata.ID]any{fabricURI: fab}); err != nil {
+	if err := remote.PublishSubtree(context.Background(), fabricURI, map[odata.ID]any{fabricURI: fab}); err != nil {
 		t.Fatalf("publish subtree never converged: %v", err)
 	}
 	var gotFab redfish.Fabric

@@ -233,15 +233,19 @@ func (c *Composer) Get(id string) (Composition, error) {
 	return snapshot(comp), nil
 }
 
-// observeCompose times one composer operation, feeding the
-// ofmf_compose_* metrics, recording a compose.<op> span when the request
-// is traced, and emitting a log line correlated with the request id
-// carried in ctx. fn receives the (possibly span-carrying) context so the
-// store and agent operations underneath parent onto the compose span.
+// observeCompose runs one composer operation as one unit of work
+// (store.Deferred): every store mutation made under the context fn
+// receives — the composer's own, the service's and the in-process
+// agents' — is applied and logged as it happens, and the operation
+// returns after one durability wait that covers them all. It also times
+// the operation, feeding the ofmf_compose_* metrics, records a
+// compose.<op> span when the request is traced (the store and agent
+// operations underneath, and the one wal.commit, parent onto it), and
+// emits a log line correlated with the request id carried in ctx.
 func (c *Composer) observeCompose(ctx context.Context, op string, fn func(ctx context.Context) error) error {
 	ctx, span := c.svc.Tracer().StartIfTraced(ctx, "compose."+op)
 	start := time.Now()
-	err := fn(ctx)
+	err := c.svc.Store().Deferred(ctx, fn)
 	elapsed := time.Since(start)
 	span.EndErr(err)
 	outcome := obsv.Outcome(err)

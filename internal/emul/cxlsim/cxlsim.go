@@ -176,6 +176,17 @@ func (a *Appliance) Devices() []Device {
 	return out
 }
 
+// Device returns a snapshot of the device with the given id.
+func (a *Appliance) Device(id string) (Device, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	d, ok := a.devices[id]
+	if !ok {
+		return Device{}, fmt.Errorf("%w: %s", ErrUnknownDevice, id)
+	}
+	return *d, nil
+}
+
 // Ports returns all port ids, sorted.
 func (a *Appliance) Ports() []string {
 	a.mu.Lock()

@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"context"
 	"fmt"
 	"net/http"
 	"sync"
@@ -120,7 +121,7 @@ func (a *simAgent) publishSubtree() error {
 		ep := root.Append(fmt.Sprintf("Endpoints/%d", i))
 		res[ep] = odata.NewResource(ep, redfish.TypeEndpoint, fmt.Sprintf("EP %d", i))
 	}
-	return a.conn.PublishSubtree(root, res)
+	return a.conn.PublishSubtree(context.Background(), root, res)
 }
 
 // beat sends one heartbeat stamped with virtual now, updating ground

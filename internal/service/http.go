@@ -536,20 +536,26 @@ func (s *Service) postSubscription(w http.ResponseWriter, r *http.Request) {
 // createInCollection atomically allocates the next id in coll, invokes
 // build with the resulting URI (build may forward to an agent and mutate
 // the payload), and stores the built resource. Allocation is serialized so
-// concurrent POSTs never collide.
-func (s *Service) createInCollection(ctx context.Context, coll odata.ID, build func(uri odata.ID) (any, error)) (odata.ID, error) {
-	s.allocMu.Lock()
-	defer s.allocMu.Unlock()
-	id := s.store.NextID(coll)
-	uri := coll.Append(id)
-	v, err := build(uri)
+// concurrent POSTs never collide. The whole creation is one unit of work
+// (store.Deferred): whatever the agent publishes under the context build
+// receives and the final put share one durability wait, taken after
+// allocMu is released.
+func (s *Service) createInCollection(ctx context.Context, coll odata.ID, build func(ctx context.Context, uri odata.ID) (any, error)) (odata.ID, error) {
+	var uri odata.ID
+	err := s.store.Deferred(ctx, func(ctx context.Context) error {
+		s.allocMu.Lock()
+		defer s.allocMu.Unlock()
+		uri = coll.Append(s.store.NextID(coll))
+		v, err := build(ctx, uri)
+		if err != nil {
+			return err
+		}
+		// Put rather than Create: a provisioning agent has usually published
+		// the new resource before build returned; allocation collisions are
+		// excluded by allocMu.
+		return s.store.PutCtx(ctx, uri, v)
+	})
 	if err != nil {
-		return "", err
-	}
-	// Put rather than Create: a provisioning agent may have already
-	// republished its subtree (including the new resource) before build
-	// returned; allocation collisions are excluded by allocMu.
-	if err := s.store.PutCtx(ctx, uri, v); err != nil {
 		return "", err
 	}
 	return uri, nil
@@ -621,7 +627,7 @@ func (s *Service) postGeneric(w http.ResponseWriter, r *http.Request, coll odata
 	if !s.decode(w, r, &payload) {
 		return
 	}
-	uri, err := s.createInCollection(r.Context(), coll, func(uri odata.ID) (any, error) {
+	uri, err := s.createInCollection(r.Context(), coll, func(_ context.Context, uri odata.ID) (any, error) {
 		payload["@odata.id"] = string(uri)
 		if _, ok := payload["Id"]; !ok {
 			payload["Id"] = uri.Leaf()

@@ -251,14 +251,12 @@ var defaultAgentClient = sync.OnceValue(func() *http.Client {
 })
 
 // remoteHandler forwards fabric operations to a remote agent's ops server.
+// Each forwarded call runs under the request context it is given, so the
+// OFMF->agent POST carries the request's trace context and cancellation.
 type remoteHandler struct {
 	fabric odata.ID
 	url    string // agent callback base URL
 	client *http.Client
-	// ctx, when non-nil, is the request context the next forwarded call
-	// runs under (see WithOpContext); it carries the caller's trace
-	// identity onto the wire.
-	ctx context.Context
 }
 
 // NewRemoteFabricHandler builds a FabricHandler that forwards operations
@@ -269,16 +267,7 @@ func NewRemoteFabricHandler(fabricID odata.ID, callbackURL string) FabricHandler
 
 func (h *remoteHandler) FabricID() odata.ID { return h.fabric }
 
-// WithOpContext implements ctxBinder: it returns a copy of the handler
-// whose forwarded calls run under ctx, so the OFMF->agent POST carries
-// the request's trace context and cancellation.
-func (h *remoteHandler) WithOpContext(ctx context.Context) FabricHandler {
-	c := *h
-	c.ctx = ctx
-	return &c
-}
-
-func (h *remoteHandler) post(op OpRequest, out any) error {
+func (h *remoteHandler) post(ctx context.Context, op OpRequest, out any) error {
 	body, err := json.Marshal(op)
 	if err != nil {
 		return err
@@ -286,10 +275,6 @@ func (h *remoteHandler) post(op OpRequest, out any) error {
 	client := h.client
 	if client == nil {
 		client = defaultAgentClient()
-	}
-	ctx := h.ctx
-	if ctx == nil {
-		ctx = context.Background()
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.url+"/agent/ops", bytes.NewReader(body))
 	if err != nil {
@@ -324,39 +309,39 @@ func (h *remoteHandler) post(op OpRequest, out any) error {
 	return nil
 }
 
-func (h *remoteHandler) CreateZone(zone *redfish.Zone) error {
+func (h *remoteHandler) CreateZone(ctx context.Context, zone *redfish.Zone) error {
 	raw, err := json.Marshal(zone)
 	if err != nil {
 		return err
 	}
-	return h.post(OpRequest{Op: "CreateZone", Target: zone.ODataID, Resource: raw}, zone)
+	return h.post(ctx, OpRequest{Op: "CreateZone", Target: zone.ODataID, Resource: raw}, zone)
 }
 
-func (h *remoteHandler) DeleteZone(id odata.ID) error {
-	return h.post(OpRequest{Op: "DeleteZone", Target: id}, nil)
+func (h *remoteHandler) DeleteZone(ctx context.Context, id odata.ID) error {
+	return h.post(ctx, OpRequest{Op: "DeleteZone", Target: id}, nil)
 }
 
-func (h *remoteHandler) CreateConnection(conn *redfish.Connection) error {
+func (h *remoteHandler) CreateConnection(ctx context.Context, conn *redfish.Connection) error {
 	raw, err := json.Marshal(conn)
 	if err != nil {
 		return err
 	}
-	return h.post(OpRequest{Op: "CreateConnection", Target: conn.ODataID, Resource: raw}, conn)
+	return h.post(ctx, OpRequest{Op: "CreateConnection", Target: conn.ODataID, Resource: raw}, conn)
 }
 
-func (h *remoteHandler) DeleteConnection(id odata.ID) error {
-	return h.post(OpRequest{Op: "DeleteConnection", Target: id}, nil)
+func (h *remoteHandler) DeleteConnection(ctx context.Context, id odata.ID) error {
+	return h.post(ctx, OpRequest{Op: "DeleteConnection", Target: id}, nil)
 }
 
-func (h *remoteHandler) Patch(id odata.ID, patch map[string]any) error {
-	return h.post(OpRequest{Op: "Patch", Target: id, Patch: patch}, nil)
+func (h *remoteHandler) Patch(ctx context.Context, id odata.ID, patch map[string]any) error {
+	return h.post(ctx, OpRequest{Op: "Patch", Target: id, Patch: patch}, nil)
 }
 
 // CreateResource forwards a provisioning request; the remote agent carves
 // capacity and returns the resource to store.
-func (h *remoteHandler) CreateResource(coll, uri odata.ID, payload json.RawMessage) (any, error) {
+func (h *remoteHandler) CreateResource(ctx context.Context, coll, uri odata.ID, payload json.RawMessage) (any, error) {
 	var out json.RawMessage
-	err := h.post(OpRequest{Op: "CreateResource", Target: coll, URI: uri, Resource: payload}, &out)
+	err := h.post(ctx, OpRequest{Op: "CreateResource", Target: coll, URI: uri, Resource: payload}, &out)
 	if err != nil {
 		return nil, err
 	}
@@ -364,6 +349,6 @@ func (h *remoteHandler) CreateResource(coll, uri odata.ID, payload json.RawMessa
 }
 
 // DeleteResource forwards a deprovisioning request.
-func (h *remoteHandler) DeleteResource(id odata.ID) error {
-	return h.post(OpRequest{Op: "DeleteResource", Target: id}, nil)
+func (h *remoteHandler) DeleteResource(ctx context.Context, id odata.ID) error {
+	return h.post(ctx, OpRequest{Op: "DeleteResource", Target: id}, nil)
 }

@@ -30,37 +30,11 @@ func IsAgentError(err error) bool {
 	return errors.As(err, &ae)
 }
 
-// ctxBinder is an optional FabricHandler extension implemented by
-// handlers that forward over HTTP: WithOpContext returns a handler
-// bound to the request context, so the forwarded call carries the
-// request's deadline and trace identity (see remoteHandler).
-type ctxBinder interface {
-	WithOpContext(ctx context.Context) FabricHandler
-}
-
-// bindCtx binds h to ctx when h supports it.
-func bindCtx(ctx context.Context, h FabricHandler) FabricHandler {
-	if b, ok := h.(ctxBinder); ok {
-		return b.WithOpContext(ctx)
-	}
-	return h
-}
-
-// bindProvisionerCtx is bindCtx for the provisioning extension.
-func bindProvisionerCtx(ctx context.Context, p ResourceProvisioner) ResourceProvisioner {
-	if b, ok := p.(ctxBinder); ok {
-		if bp, ok := b.WithOpContext(ctx).(ResourceProvisioner); ok {
-			return bp
-		}
-	}
-	return p
-}
-
 // observeAgentOp times one forwarded agent operation, feeding the
 // ofmf_agent_* metrics, recording an agent.<op> span when the request
 // is traced, and emitting a debug log line correlated with the request
-// id in ctx. fn receives the (possibly span-carrying) context so it can
-// bind it into the forwarded call.
+// id in ctx. fn receives the (possibly span-carrying) context to pass to
+// the forwarded call.
 func (s *Service) observeAgentOp(ctx context.Context, fabric odata.ID, op string, fn func(ctx context.Context) error) error {
 	ctx, span := s.tracer.StartIfTraced(ctx, "agent."+op)
 	span.SetAttr("fabric", string(fabric))
@@ -171,15 +145,15 @@ func (s *Service) registerSourceLocked(ctx context.Context, src *redfish.Aggrega
 // partitions) implement it so POSTs to their collections carve real
 // capacity. The returned value is stored at the allocated URI.
 type ResourceProvisioner interface {
-	CreateResource(coll odata.ID, uri odata.ID, payload json.RawMessage) (any, error)
-	DeleteResource(id odata.ID) error
+	CreateResource(ctx context.Context, coll, uri odata.ID, payload json.RawMessage) (any, error)
+	DeleteResource(ctx context.Context, id odata.ID) error
 }
 
 // CreateZone creates a zone in the given zone collection, forwarding to
 // the owning agent when one is registered.
 func (s *Service) CreateZone(ctx context.Context, coll odata.ID, zone redfish.Zone) (redfish.Zone, error) {
 	var agentErr error
-	_, err := s.createInCollection(ctx, coll, func(uri odata.ID) (any, error) {
+	_, err := s.createInCollection(ctx, coll, func(ctx context.Context, uri odata.ID) (any, error) {
 		name := zone.Name
 		if name == "" {
 			name = "Zone " + uri.Leaf()
@@ -191,7 +165,7 @@ func (s *Service) CreateZone(ctx context.Context, coll odata.ID, zone redfish.Zo
 		zone.Status = odata.StatusOK()
 		if h, ok := s.handlerFor(uri); ok {
 			if err := s.observeAgentOp(ctx, h.FabricID(), "CreateZone", func(ctx context.Context) error {
-				return bindCtx(ctx, h).CreateZone(&zone)
+				return h.CreateZone(ctx, &zone)
 			}); err != nil {
 				agentErr = err
 				return nil, err
@@ -207,18 +181,22 @@ func (s *Service) CreateZone(ctx context.Context, coll odata.ID, zone redfish.Zo
 
 // DeleteZone removes a zone, forwarding to the owning agent. Deletion is
 // serialized with id allocation so a freed URI cannot be reused until the
-// old resource is fully gone.
+// old resource is fully gone. Like every delete below it is one unit of
+// work (store.Deferred): the agent's publishes and the store delete share
+// one durability wait, taken after allocMu is released.
 func (s *Service) DeleteZone(ctx context.Context, id odata.ID) error {
-	s.allocMu.Lock()
-	defer s.allocMu.Unlock()
-	if h, ok := s.handlerFor(id); ok {
-		if err := s.observeAgentOp(ctx, h.FabricID(), "DeleteZone", func(ctx context.Context) error {
-			return bindCtx(ctx, h).DeleteZone(id)
-		}); err != nil {
-			return &AgentError{Err: err}
+	return s.store.Deferred(ctx, func(ctx context.Context) error {
+		s.allocMu.Lock()
+		defer s.allocMu.Unlock()
+		if h, ok := s.handlerFor(id); ok {
+			if err := s.observeAgentOp(ctx, h.FabricID(), "DeleteZone", func(ctx context.Context) error {
+				return h.DeleteZone(ctx, id)
+			}); err != nil {
+				return &AgentError{Err: err}
+			}
 		}
-	}
-	return s.store.DeleteCtx(ctx, id)
+		return s.store.DeleteCtx(ctx, id)
+	})
 }
 
 // CreateConnection creates a connection in the given collection,
@@ -226,7 +204,7 @@ func (s *Service) DeleteZone(ctx context.Context, id odata.ID) error {
 // before the resource becomes visible.
 func (s *Service) CreateConnection(ctx context.Context, coll odata.ID, conn redfish.Connection) (redfish.Connection, error) {
 	var agentErr error
-	_, err := s.createInCollection(ctx, coll, func(uri odata.ID) (any, error) {
+	_, err := s.createInCollection(ctx, coll, func(ctx context.Context, uri odata.ID) (any, error) {
 		name := conn.Name
 		if name == "" {
 			name = "Connection " + uri.Leaf()
@@ -235,7 +213,7 @@ func (s *Service) CreateConnection(ctx context.Context, coll odata.ID, conn redf
 		conn.Status = odata.StatusOK()
 		if h, ok := s.handlerFor(uri); ok {
 			if err := s.observeAgentOp(ctx, h.FabricID(), "CreateConnection", func(ctx context.Context) error {
-				return bindCtx(ctx, h).CreateConnection(&conn)
+				return h.CreateConnection(ctx, &conn)
 			}); err != nil {
 				agentErr = err
 				return nil, err
@@ -253,30 +231,35 @@ func (s *Service) CreateConnection(ctx context.Context, coll odata.ID, conn redf
 // agent so the hardware detachment happens first. Serialized with id
 // allocation (see DeleteZone).
 func (s *Service) DeleteConnection(ctx context.Context, id odata.ID) error {
-	s.allocMu.Lock()
-	defer s.allocMu.Unlock()
-	if h, ok := s.handlerFor(id); ok {
-		if err := s.observeAgentOp(ctx, h.FabricID(), "DeleteConnection", func(ctx context.Context) error {
-			return bindCtx(ctx, h).DeleteConnection(id)
-		}); err != nil {
-			return &AgentError{Err: err}
+	return s.store.Deferred(ctx, func(ctx context.Context) error {
+		s.allocMu.Lock()
+		defer s.allocMu.Unlock()
+		if h, ok := s.handlerFor(id); ok {
+			if err := s.observeAgentOp(ctx, h.FabricID(), "DeleteConnection", func(ctx context.Context) error {
+				return h.DeleteConnection(ctx, id)
+			}); err != nil {
+				return &AgentError{Err: err}
+			}
 		}
-	}
-	return s.store.DeleteCtx(ctx, id)
+		return s.store.DeleteCtx(ctx, id)
+	})
 }
 
 // PatchResource applies a patch, forwarding to the owning agent for
-// agent-owned resources. For store-resident resources the patch is applied
-// directly with optional If-Match semantics.
+// agent-owned resources (one unit of work around whatever the agent
+// publishes). For store-resident resources the patch is applied directly
+// with optional If-Match semantics: one mutation, its own wait.
 func (s *Service) PatchResource(ctx context.Context, id odata.ID, patch map[string]any, ifMatch string) error {
 	s.recordHeartbeat(id, patch)
 	if h, ok := s.handlerFor(id); ok {
-		if err := s.observeAgentOp(ctx, h.FabricID(), "Patch", func(ctx context.Context) error {
-			return bindCtx(ctx, h).Patch(id, patch)
-		}); err != nil {
-			return &AgentError{Err: err}
-		}
-		return nil
+		return s.store.Deferred(ctx, func(ctx context.Context) error {
+			if err := s.observeAgentOp(ctx, h.FabricID(), "Patch", func(ctx context.Context) error {
+				return h.Patch(ctx, id, patch)
+			}); err != nil {
+				return &AgentError{Err: err}
+			}
+			return nil
+		})
 	}
 	return s.store.PatchCtx(ctx, id, patch, ifMatch)
 }
@@ -295,11 +278,11 @@ func (s *Service) ProvisionResource(ctx context.Context, coll odata.ID, payload 
 		return "", fmt.Errorf("service: agent for %s cannot provision resources", coll)
 	}
 	var agentErr error
-	uri, err := s.createInCollection(ctx, coll, func(uri odata.ID) (any, error) {
+	uri, err := s.createInCollection(ctx, coll, func(ctx context.Context, uri odata.ID) (any, error) {
 		var res any
 		err := s.observeAgentOp(ctx, h.FabricID(), "CreateResource", func(ctx context.Context) error {
 			var err error
-			res, err = bindProvisionerCtx(ctx, prov).CreateResource(coll, uri, payload)
+			res, err = prov.CreateResource(ctx, coll, uri, payload)
 			return err
 		})
 		if err != nil {
@@ -318,24 +301,26 @@ func (s *Service) ProvisionResource(ctx context.Context, coll odata.ID, payload 
 // the hardware capacity first. Serialized with id allocation so the
 // trailing store delete can never clobber a reused URI's new resource.
 func (s *Service) DeprovisionResource(ctx context.Context, id odata.ID) error {
-	s.allocMu.Lock()
-	defer s.allocMu.Unlock()
-	h, ok := s.handlerFor(id)
-	if !ok {
-		return fmt.Errorf("service: no agent owns %s", id)
-	}
-	prov, ok := h.(ResourceProvisioner)
-	if !ok {
-		return fmt.Errorf("service: agent for %s cannot provision resources", id)
-	}
-	if err := s.observeAgentOp(ctx, h.FabricID(), "DeleteResource", func(ctx context.Context) error {
-		return bindProvisionerCtx(ctx, prov).DeleteResource(id)
-	}); err != nil {
-		return &AgentError{Err: err}
-	}
-	// The agent's republish may already have dropped the resource.
-	if err := s.store.DeleteCtx(ctx, id); err != nil && !errors.Is(err, store.ErrNotFound) {
-		return err
-	}
-	return nil
+	return s.store.Deferred(ctx, func(ctx context.Context) error {
+		s.allocMu.Lock()
+		defer s.allocMu.Unlock()
+		h, ok := s.handlerFor(id)
+		if !ok {
+			return fmt.Errorf("service: no agent owns %s", id)
+		}
+		prov, ok := h.(ResourceProvisioner)
+		if !ok {
+			return fmt.Errorf("service: agent for %s cannot provision resources", id)
+		}
+		if err := s.observeAgentOp(ctx, h.FabricID(), "DeleteResource", func(ctx context.Context) error {
+			return prov.DeleteResource(ctx, id)
+		}); err != nil {
+			return &AgentError{Err: err}
+		}
+		// The agent's publish has usually dropped the resource already.
+		if err := s.store.DeleteCtx(ctx, id); err != nil && !errors.Is(err, store.ErrNotFound) {
+			return err
+		}
+		return nil
+	})
 }

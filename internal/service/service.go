@@ -70,8 +70,12 @@ type SystemComposer interface {
 
 // FabricHandler is implemented by Agents. The service forwards mutations of
 // agent-owned fabric resources to the owning handler; the handler applies
-// the change to its hardware (emulated or real) and republishes its
-// subtree before returning, so the store reflects hardware truth.
+// the change to its hardware (emulated or real) and publishes what the
+// change touched before returning, so the store reflects hardware truth.
+// Every operation takes the request context first: it carries the
+// request's deadline and trace identity to a remote agent, and the
+// request's unit of work (store.Deferred) to an in-process agent's
+// publishes.
 type FabricHandler interface {
 	// FabricID is the fabric subtree root this handler owns, e.g.
 	// /redfish/v1/Fabrics/CXL.
@@ -79,16 +83,16 @@ type FabricHandler interface {
 	// CreateConnection establishes the requested connection in hardware.
 	// The handler may mutate conn (fill identifiers, status) before it is
 	// stored.
-	CreateConnection(conn *redfish.Connection) error
+	CreateConnection(ctx context.Context, conn *redfish.Connection) error
 	// DeleteConnection tears the connection down in hardware.
-	DeleteConnection(id odata.ID) error
+	DeleteConnection(ctx context.Context, id odata.ID) error
 	// CreateZone establishes the zone in hardware.
-	CreateZone(zone *redfish.Zone) error
+	CreateZone(ctx context.Context, zone *redfish.Zone) error
 	// DeleteZone removes the zone from hardware.
-	DeleteZone(id odata.ID) error
+	DeleteZone(ctx context.Context, id odata.ID) error
 	// Patch applies an arbitrary property patch to an agent-owned resource
 	// (e.g. disabling a Port).
-	Patch(id odata.ID, patch map[string]any) error
+	Patch(ctx context.Context, id odata.ID, patch map[string]any) error
 }
 
 // Config parameterizes the service.

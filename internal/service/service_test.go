@@ -2,6 +2,7 @@ package service
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -334,7 +335,7 @@ type fakeHandler struct {
 
 func (f *fakeHandler) FabricID() odata.ID { return f.fabric }
 
-func (f *fakeHandler) CreateConnection(c *redfish.Connection) error {
+func (f *fakeHandler) CreateConnection(_ context.Context, c *redfish.Connection) error {
 	if f.fail {
 		return errors.New("no path between endpoints")
 	}
@@ -345,7 +346,7 @@ func (f *fakeHandler) CreateConnection(c *redfish.Connection) error {
 	return nil
 }
 
-func (f *fakeHandler) DeleteConnection(id odata.ID) error {
+func (f *fakeHandler) DeleteConnection(_ context.Context, id odata.ID) error {
 	if f.fail {
 		return errors.New("busy")
 	}
@@ -355,7 +356,7 @@ func (f *fakeHandler) DeleteConnection(id odata.ID) error {
 	return nil
 }
 
-func (f *fakeHandler) CreateZone(z *redfish.Zone) error {
+func (f *fakeHandler) CreateZone(_ context.Context, z *redfish.Zone) error {
 	if f.fail {
 		return errors.New("zone limit reached")
 	}
@@ -365,14 +366,14 @@ func (f *fakeHandler) CreateZone(z *redfish.Zone) error {
 	return nil
 }
 
-func (f *fakeHandler) DeleteZone(id odata.ID) error {
+func (f *fakeHandler) DeleteZone(_ context.Context, id odata.ID) error {
 	f.mu.Lock()
 	f.deleted = append(f.deleted, "zone:"+string(id))
 	f.mu.Unlock()
 	return nil
 }
 
-func (f *fakeHandler) Patch(id odata.ID, patch map[string]any) error {
+func (f *fakeHandler) Patch(_ context.Context, id odata.ID, patch map[string]any) error {
 	if f.fail {
 		return errors.New("unsupported property")
 	}

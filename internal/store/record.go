@@ -58,10 +58,12 @@ type Record struct {
 // ascending, gap-free Seq order, one call at a time. Implementations
 // must be fast in Append — buffer the records and complete durability
 // (flush, fsync, replication) in the returned wait function, which the
-// store calls after releasing its locks. A nil wait means the batch is
-// already durable. Errors surfaced by wait are returned to the mutating
-// caller; the in-memory commit is not rolled back (the tree stays ahead
-// of a failing log).
+// store calls exactly once after releasing its locks — before the
+// mutation returns, or, for a mutation made under Deferred, when its
+// unit of work ends. A nil wait means the batch is already durable.
+// Errors surfaced by wait are returned to the mutating caller (or the
+// Deferred caller); the in-memory commit is not rolled back (the tree
+// stays ahead of a failing log).
 type Backend interface {
 	Append(batch []Record) (wait func() error)
 	// Close flushes buffered records and releases the backend's
@@ -131,7 +133,7 @@ func (s *Store) Close() error {
 // commitLocked stamps the batch with its global commit sequence numbers
 // and the current replication epoch and hands it to the backend. The
 // caller holds the write lock of every shard the batch touches and
-// calls the returned wait (via waitDurable) only after releasing them.
+// hands the returned wait to settle only after releasing them.
 // appendMu makes stamp-and-append one step, so writers racing on
 // different shards still produce one log in Seq order.
 func (s *Store) commitLocked(batch []Record) func() error {

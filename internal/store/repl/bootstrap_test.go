@@ -361,8 +361,11 @@ func TestReplFencingDeposesStaleLeader(t *testing.T) {
 	if resp.StatusCode != http.StatusConflict {
 		t.Fatalf("higher-epoch ack: want 409, got %s", resp.Status)
 	}
+	// Demotion adopts the fencing epoch and the node's epoch never goes
+	// back, so this holds from the demotion on — polling !Leading() can
+	// miss a demote→re-elect that completes between two polls.
 	waitFor(t, 5*time.Second, "stale leader demoted", func() bool {
-		return !leader.node.Leading()
+		return leader.node.Status().Epoch >= 99
 	})
 
 	// The group recovers into a term above the fencing epoch and writes

@@ -186,19 +186,6 @@ func (s *Store) traceStart(ctx context.Context, name string) *obsv.Span {
 	return sp
 }
 
-// waitDurableTraced is waitDurable with the group-commit wait recorded
-// as a wal.commit child span, separating time spent waiting on
-// durability from the in-memory mutation around it.
-func waitDurableTraced(sp *obsv.Span, wait func() error) error {
-	if wait == nil {
-		return nil
-	}
-	c := sp.StartChild("wal.commit")
-	err := waitDurable(wait)
-	c.EndErr(err)
-	return err
-}
-
 func (s *Store) countOp(op string, shard int) {
 	if h, ok := s.opHook.Load().(OpHook); ok && h != nil {
 		h(op, shard)
@@ -270,6 +257,8 @@ func (s *Store) Put(id odata.ID, v any) error {
 // belongs to a trace the mutation is recorded as a store.put span (with
 // a wal.commit child for the durability wait), and the emitted Change
 // carries ctx so downstream event delivery stays in the same trace.
+// When ctx belongs to a unit of work (see Deferred) the mutation is
+// applied and logged on return but its durability wait is the unit's.
 func (s *Store) PutCtx(ctx context.Context, id odata.ID, v any) error {
 	si := s.shardIndex(id)
 	s.countOp("put", si)
@@ -292,7 +281,7 @@ func (s *Store) PutCtx(ctx context.Context, id odata.ID, v any) error {
 		sp.End()
 		return nil
 	}
-	werr := waitDurableTraced(sp, wait)
+	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
 	s.notify(Change{Kind: kind, ID: id, Seq: cs, Ctx: ctx})
 	return werr
@@ -326,7 +315,7 @@ func (s *Store) CreateCtx(ctx context.Context, id odata.ID, v any) error {
 	wait := s.commitLocked([]Record{{Op: OpPut, ID: id, Raw: raw}})
 	sh.mu.Unlock()
 
-	werr := waitDurableTraced(sp, wait)
+	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
 	s.notify(Change{Kind: Added, ID: id, Seq: cs, Ctx: ctx})
 	return werr
@@ -457,7 +446,7 @@ func (s *Store) PatchCtx(ctx context.Context, id odata.ID, patch map[string]any,
 		sp.End()
 		return nil
 	}
-	werr := waitDurableTraced(sp, wait)
+	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
 	s.notify(Change{Kind: Updated, ID: id, Seq: cs, Ctx: ctx})
 	return werr
@@ -503,7 +492,7 @@ func (s *Store) DeleteCtx(ctx context.Context, id odata.ID) error {
 	wait := s.commitLocked([]Record{{Op: OpDelete, ID: id}})
 	sh.mu.Unlock()
 
-	werr := waitDurableTraced(sp, wait)
+	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
 	s.notify(Change{Kind: Removed, ID: id, Seq: cs, Ctx: ctx})
 	return werr
@@ -731,12 +720,16 @@ func (s *Store) PutSubtreeCtx(ctx context.Context, prefix odata.ID, resources ma
 	// Remove stale descendants, walking only the prefix's subtree via the
 	// children index — the rest of the store is never touched. When the
 	// prefix spans shards the walk is the union of every shard's subtree.
+	// A kept prefix keeps its whole subtree: the refresh is a pure upsert
+	// (an agent publishing only what an op touched) and walks nothing.
 	var stale []odata.ID
-	if multi {
+	switch {
+	case kept(prefix):
+	case multi:
 		for _, sh := range s.shards {
 			stale = sh.eng.descendants(prefix, stale)
 		}
-	} else {
+	default:
 		stale = s.shards[si].eng.descendants(prefix, nil)
 	}
 	for _, id := range stale {
@@ -768,7 +761,7 @@ func (s *Store) PutSubtreeCtx(ctx context.Context, prefix odata.ID, resources ma
 		s.shards[si].mu.Unlock()
 	}
 
-	werr := waitDurableTraced(sp, wait)
+	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
 	sort.Slice(changes, func(i, j int) bool { return changes[i].ID < changes[j].ID })
 	s.notify(changes...)
@@ -832,7 +825,7 @@ func (s *Store) DeleteSubtreeCtx(ctx context.Context, prefix odata.ID) (int, err
 	} else {
 		s.shards[si].mu.Unlock()
 	}
-	werr := waitDurableTraced(sp, wait)
+	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
 	sort.Slice(changes, func(i, j int) bool { return changes[i].ID < changes[j].ID })
 	s.notify(changes...)

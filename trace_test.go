@@ -3,7 +3,8 @@ package ofmf_test
 // End-to-end tracing acceptance: one compose request on the demo
 // topology must yield a single trace spanning the HTTP middleware, the
 // composer, the agents, the store and the WAL, with correct
-// parent/child links — and the admin Traces endpoint must serve it.
+// parent/child links (agent publishes under their agent op, one WAL
+// commit under the compose) — and the admin Traces endpoint must serve it.
 
 import (
 	"bytes"
@@ -11,6 +12,7 @@ import (
 	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
 	"testing"
 	"time"
 
@@ -87,7 +89,7 @@ func TestComposeTraceEndToEnd(t *testing.T) {
 	}
 
 	// Every layer contributed spans to the one trace.
-	for _, name := range []string{"compose.compose", "agent.CreateResource", "agent.CreateConnection", "store.create", "wal.commit"} {
+	for _, name := range []string{"compose.compose", "agent.CreateResource", "agent.CreateConnection", "store.put_subtree", "store.create", "wal.commit"} {
 		if len(byName[name]) == 0 {
 			names := make([]string, 0, len(byID))
 			for _, r := range byID {
@@ -121,10 +123,20 @@ func TestComposeTraceEndToEnd(t *testing.T) {
 			t.Errorf("span %s does not chain to the http span (stopped at %s)", r.Name, cur.Name)
 		}
 	}
-	// The WAL commit span parents onto a store mutation span.
-	wal := byName["wal.commit"][0]
-	if parent, ok := byID[wal.ParentID]; !ok || len(parent.Name) < 6 || parent.Name[:6] != "store." {
-		t.Errorf("wal.commit parent = %+v, want a store.* span", byID[wal.ParentID])
+	// The in-process agents publish under the request context: every
+	// store.put_subtree of the compose hangs off the agent op that made it.
+	for _, r := range byName["store.put_subtree"] {
+		if parent, ok := byID[r.ParentID]; !ok || !strings.HasPrefix(parent.Name, "agent.") {
+			t.Errorf("store.put_subtree parent = %+v, want an agent.* span", byID[r.ParentID])
+		}
+	}
+	// One compose, one durability wait: a single wal.commit, directly
+	// under the compose span, not one per store mutation.
+	if n := len(byName["wal.commit"]); n != 1 {
+		t.Errorf("trace has %d wal.commit spans, want exactly 1", n)
+	}
+	if wal := byName["wal.commit"][0]; wal.ParentID != compose.SpanID {
+		t.Errorf("wal.commit parent = %+v, want the compose.compose span", byID[wal.ParentID])
 	}
 
 	// The admin Traces endpoint serves the same trace, and the
