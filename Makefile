@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench microbench benchcheck chaossmoke replsmoke cover reproduce examples clean
+.PHONY: all build vet test race bench benchab microbench benchcheck chaossmoke replsmoke cover reproduce examples clean
 
 all: build vet test
 
@@ -27,6 +27,12 @@ bench:
 	bash bench/run.sh --workload write_events --seed 1 --seconds 15
 	bash bench/run.sh --workload compose_cycle --seed 1 --seconds 15
 	bash bench/run.sh --workload repl_semisync --seed 1 --seconds 15
+
+# A perf PR's evidence: N alternating base/head pairs of one workload
+# with medians, quartiles and wins per end-to-end metric, e.g.
+# `make benchab BASE=HEAD~1 W=read_tree`. Prints; records nothing.
+benchab:
+	bash scripts/benchab.sh $(BASE) $(W)
 
 # Every Go micro-benchmark in the module. Prints; records nothing.
 microbench:

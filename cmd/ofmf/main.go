@@ -4,10 +4,12 @@
 // -testbed) a fully emulated composable testbed with the Composability
 // Layer mounted at /composer/v1.
 //
-// Observability: every request is traced with an X-Request-Id and logged
-// through a structured slog logger (-log-level), Prometheus-format
-// metrics are exposed at /metrics (-metrics), and Go profiling at
-// /debug/pprof when enabled (-pprof).
+// Observability: every request gets a trace span and one correlation id
+// (X-Request-Id); the structured slog logger (-log-level) carries the
+// per-request access line at debug and logs a request that fails with a
+// 5xx, panics or exceeds -trace-slow at warn; Prometheus-format metrics
+// are exposed at /metrics (-metrics), and Go profiling at /debug/pprof
+// when enabled (-pprof).
 //
 // Durability: with -data-dir the resource tree survives restarts — every
 // mutation is appended to a write-ahead log (group-committed; -fsync
@@ -73,7 +75,7 @@ func main() {
 			"with -data-dir: cadence of compacted snapshots and WAL rotation (0 disables the periodic loop)")
 		shards = flag.Int("shards", 1,
 			"store shard count: independent locks per top-level URI partition; 0 sizes to the CPU count")
-		logLevel    = flag.String("log-level", "info", "log level: debug, info, warn, error")
+		logLevel    = flag.String("log-level", "info", "log level: debug (adds a per-request access line), info, warn, error")
 		withMetrics = flag.Bool("metrics", true, "expose Prometheus-format metrics at /metrics")
 		withPprof   = flag.Bool("pprof", false, "expose Go profiling at /debug/pprof")
 		traceSlow   = flag.Duration("trace-slow", 0,
@@ -154,7 +156,9 @@ func main() {
 	svcCfg := service.Config{Credentials: creds, Logger: logger, Metrics: metrics, Tracer: tracer, StoreShards: nShards}
 	svcCfg.Events.Workers = *eventWorkers
 
-	mux := http.NewServeMux()
+	// app serves the Redfish tree (and, on the testbed, the composer
+	// facade); replHandler the replication protocol, when -role is set.
+	var app, replHandler http.Handler
 	var tree *store.Store
 	var ofmfSvc *service.Service
 	if *testbed {
@@ -167,7 +171,7 @@ func main() {
 			fatal("ofmf: testbed assembly failed", err)
 		}
 		defer f.Close()
-		mux.Handle("/", f.Handler())
+		app = f.Handler()
 		tree = f.Service.Store()
 		ofmfSvc = f.Service
 		logger.Info("ofmf: testbed assembled",
@@ -175,7 +179,7 @@ func main() {
 	} else {
 		svc := service.New(svcCfg)
 		defer svc.Close()
-		mux.Handle("/", svc.Handler())
+		app = svc.Handler()
 		tree = svc.Store()
 		ofmfSvc = svc
 
@@ -355,7 +359,7 @@ func main() {
 		if err != nil {
 			fatal("ofmf: replication", err)
 		}
-		mux.Handle(repl.PathPrefix, node.Handler())
+		replHandler = node.Handler()
 		node.Start()
 		defer node.Stop()
 		logger.Info("ofmf: replication enabled",
@@ -363,20 +367,23 @@ func main() {
 			"min_sync", *minSync, "lease", *leaseTimeout)
 	}
 
+	var metricsHandler, pprofHandler http.Handler
 	if *withMetrics {
-		mux.Handle("/metrics", metrics.Registry().Handler())
+		metricsHandler = metrics.Registry().Handler()
 	}
 	if *withPprof {
-		mux.HandleFunc("/debug/pprof/", pprof.Index)
-		mux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
-		mux.HandleFunc("/debug/pprof/profile", pprof.Profile)
-		mux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
-		mux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		pprofMux := http.NewServeMux()
+		pprofMux.HandleFunc("/debug/pprof/", pprof.Index)
+		pprofMux.HandleFunc("/debug/pprof/cmdline", pprof.Cmdline)
+		pprofMux.HandleFunc("/debug/pprof/profile", pprof.Profile)
+		pprofMux.HandleFunc("/debug/pprof/symbol", pprof.Symbol)
+		pprofMux.HandleFunc("/debug/pprof/trace", pprof.Trace)
+		pprofHandler = pprofMux
 	}
 
 	// Graceful shutdown: stop accepting requests, then let the deferred
 	// closes flush and close the durable backend.
-	srv := &http.Server{Addr: *addr, Handler: mux}
+	srv := &http.Server{Addr: *addr, Handler: rootHandler(app, metricsHandler, replHandler, pprofHandler)}
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {
@@ -396,6 +403,30 @@ func main() {
 		fatal("ofmf: server failed", err)
 	}
 	logger.Info("ofmf: stopped")
+}
+
+// rootHandler is the process's one routing step in front of the
+// service: /metrics, the replication protocol and pprof are served
+// beside the app, outside its observability middleware (a scrape or a
+// WAL stream must not count as a Redfish request); everything else is
+// the app's, which routes and instruments it. A nil handler means the
+// endpoint is off and its path falls through to the app's 404. A prefix
+// switch rather than a ServeMux: the app's paths are not a mux's to
+// clean, redirect or match.
+func rootHandler(app, metrics, replication, profiling http.Handler) http.Handler {
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		path := r.URL.Path
+		switch {
+		case metrics != nil && path == "/metrics":
+			metrics.ServeHTTP(w, r)
+		case replication != nil && strings.HasPrefix(path, repl.PathPrefix):
+			replication.ServeHTTP(w, r)
+		case profiling != nil && strings.HasPrefix(path, "/debug/pprof/"):
+			profiling.ServeHTTP(w, r)
+		default:
+			app.ServeHTTP(w, r)
+		}
+	})
 }
 
 // peerFlag accumulates -peer values: the flag may be repeated, and each

@@ -1,0 +1,130 @@
+package main
+
+import (
+	"bufio"
+	"context"
+	"io"
+	"net/http"
+	"net/http/httptest"
+	"strings"
+	"testing"
+	"time"
+
+	"ofmf/internal/core"
+	"ofmf/internal/obsv"
+	"ofmf/internal/store/repl"
+)
+
+// TestCollapsedStackReachesEveryHandler drives the request path the
+// daemon serves — rootHandler in front of the testbed's one route lookup
+// and one middleware, no mux anywhere — and checks every kind of
+// endpoint still reaches its handler: the version document, the service
+// root (with its trailing slash), the composer facade, /metrics, the
+// replication protocol on a leader, and an SSE stream (which needs
+// http.Flusher through the middleware). Composer requests are counted
+// once, under class Composer; the uninstrumented endpoints not at all.
+func TestCollapsedStackReachesEveryHandler(t *testing.T) {
+	f, err := core.New(core.Config{Nodes: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	srv := httptest.NewUnstartedServer(nil)
+	node, err := repl.NewNode(repl.Config{
+		Store:  f.Service.Store(),
+		Self:   "http://" + srv.Listener.Addr().String(),
+		Leader: true,
+		Logger: obsv.NopLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	reg := f.Service.Metrics().Registry()
+	srv.Config.Handler = rootHandler(f.Handler(), reg.Handler(), node.Handler(), nil)
+	srv.Start()
+	defer srv.Close()
+	node.Start()
+	defer node.Stop()
+
+	get := func(path string) (int, string, http.Header) {
+		t.Helper()
+		resp, err := http.Get(srv.URL + path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		body, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(body), resp.Header
+	}
+	for _, tc := range []struct{ path, want string }{
+		{"/redfish", `"v1":"/redfish/v1/"`},
+		{"/redfish/v1/", `"RedfishVersion"`},
+		{"/redfish/v1/Systems?$expand=.", `"Members":[{`},
+		{"/composer/v1/Stats", `"FreeMemoryMiB"`},
+		{"/metrics", "ofmf_http_requests_total"},
+		{repl.PathPrefix + "status", `"Role":"leader"`},
+	} {
+		status, body, hdr := get(tc.path)
+		if status != http.StatusOK || !strings.Contains(body, tc.want) {
+			t.Errorf("GET %s = %d, body lacks %s: %.300s", tc.path, status, tc.want, body)
+		}
+		instrumented := hdr.Get(obsv.RequestIDHeader) != ""
+		if want := strings.HasPrefix(tc.path, "/redfish") || strings.HasPrefix(tc.path, "/composer"); instrumented != want {
+			t.Errorf("GET %s: passed the middleware = %v, want %v", tc.path, instrumented, want)
+		}
+	}
+	// Endpoints that are off, and paths nobody owns, are the app's 404.
+	for _, path := range []string{"/debug/pprof/", "/nowhere"} {
+		if status, body, _ := get(path); status != http.StatusNotFound || !strings.Contains(body, "@Message.ExtendedInfo") {
+			t.Errorf("GET %s = %d %.200s, want the Redfish 404", path, status, body)
+		}
+	}
+
+	// SSE: the stream's first frame arrives while the request is open.
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+	defer cancel()
+	req, _ := http.NewRequestWithContext(ctx, http.MethodGet, srv.URL+"/redfish/v1/EventService/SSE", nil)
+	stream, err := http.DefaultClient.Do(req)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ct := stream.Header.Get("Content-Type"); stream.StatusCode != http.StatusOK || !strings.HasPrefix(ct, "text/event-stream") {
+		t.Fatalf("SSE = %d %q", stream.StatusCode, ct)
+	}
+	// A compose through the facade publishes the events the stream carries.
+	resp, err := http.Post(srv.URL+"/composer/v1/Compose", "application/json",
+		strings.NewReader(`{"Name":"stack","Cores":1,"FabricMemoryMiB":256}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode >= 300 {
+		t.Errorf("POST /composer/v1/Compose = %d", resp.StatusCode)
+	}
+	line, err := bufio.NewReader(stream.Body).ReadString('\n')
+	if err != nil || strings.TrimSpace(line) == "" {
+		t.Fatalf("no SSE frame through the middleware: %q, %v", line, err)
+	}
+	cancel()
+	stream.Body.Close()
+
+	m := f.Service.Metrics()
+	if got := m.HTTPRequests.With("POST", "Composer", "201").Value() + m.HTTPRequests.With("POST", "Composer", "200").Value(); got != 1 {
+		t.Errorf("composer POST counted %v times, want once", got)
+	}
+	if got := m.HTTPRequests.With("GET", "Composer", "200").Value(); got != 1 {
+		t.Errorf("composer GET counted %v times, want once", got)
+	}
+	for _, fam := range reg.Gather() {
+		if fam.Name != "ofmf_http_requests_total" {
+			continue
+		}
+		for _, s := range fam.Samples {
+			// "Other" holds exactly the two 404 probes above: /metrics and
+			// the replication protocol never reached the middleware.
+			if class := s.LabelValues[1]; class == "Root" || (class == "Other" && (s.LabelValues[2] != "404" || s.Value != 2)) {
+				t.Errorf("uninstrumented endpoint was counted: %v = %v", s.LabelValues, s.Value)
+			}
+		}
+	}
+}

@@ -275,16 +275,11 @@ func mustTelem(err error) {
 	}
 }
 
-// Handler serves the Redfish tree and the Composability Layer facade from
-// one mux. The composer facade shares the service's observability
-// middleware so its requests are traced and counted too.
+// Handler serves the Redfish tree and the Composability Layer facade
+// through the service's one route lookup and one observability
+// middleware, so composer requests are traced and counted too.
 func (f *Framework) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.Handle("/redfish", f.Service.Handler())
-	mux.Handle("/redfish/", f.Service.Handler())
-	mux.Handle("/composer/", obsv.Middleware(f.Composer.Handler(),
-		f.Service.Metrics(), f.Service.Logger(), service.RouteClass, f.Service.Tracer()))
-	return mux
+	return f.Service.HandlerWithComposer(f.Composer.Handler())
 }
 
 // Close stops the agents, the telemetry loop, and releases service

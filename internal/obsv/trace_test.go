@@ -19,9 +19,15 @@ func TestRequestIDContextRoundtrip(t *testing.T) {
 	if got := RequestIDFrom(ctx); got != "abc123" {
 		t.Errorf("id = %q, want abc123", got)
 	}
-	a, b := NewRequestID(), NewRequestID()
-	if a == b || len(a) != 16 {
-		t.Errorf("ids not unique 16-hex: %q, %q", a, b)
+	// A span's context carries the id its entry span was given; an id
+	// attached explicitly wins over it.
+	ctx, sp := NewTracer(nil, TracerOptions{}).Start(context.Background(), "op")
+	sp.ref.reqID = "fromspan"
+	if got := RequestIDFrom(ctx); got != "fromspan" {
+		t.Errorf("span ctx id = %q, want fromspan", got)
+	}
+	if got := RequestIDFrom(ContextWithRequestID(ctx, "explicit")); got != "explicit" {
+		t.Errorf("explicit id = %q, want explicit", got)
 	}
 }
 
@@ -46,7 +52,7 @@ func TestLoggerInjectsRequestID(t *testing.T) {
 func TestMiddlewareGeneratesAndAdoptsRequestID(t *testing.T) {
 	m := NewMetrics(NewRegistry())
 	var buf bytes.Buffer
-	log := NewLogger(&buf, slog.LevelInfo)
+	log := NewLogger(&buf, slog.LevelDebug) // the access line is a debug line
 	var seenCtx string
 	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		seenCtx = RequestIDFrom(r.Context())

@@ -12,12 +12,13 @@ package obsv
 
 import (
 	"context"
-	"crypto/rand"
+	"encoding/binary"
 	"encoding/hex"
-	"fmt"
 	"log/slog"
+	"math/rand/v2"
 	"net/http"
 	"sort"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -25,7 +26,10 @@ import (
 
 // TraceparentHeader is the W3C trace-context header carried on every
 // HTTP edge: OFMF -> fabric agent, OFMF -> event sink, client -> OFMF.
-const TraceparentHeader = "traceparent"
+// Spelled in net/http's canonical form (header names are
+// case-insensitive on the wire) so Header.Get need not canonicalize a
+// copy of it on every request.
+const TraceparentHeader = "Traceparent"
 
 // SpanContext is the wire identity of a position in a trace: which
 // trace the caller belongs to and which span is the caller.
@@ -80,30 +84,64 @@ func isHexID(s string, n int) bool {
 	return false // all-zero ids are invalid per W3C trace context
 }
 
-// idSeq backs the fallback id source when crypto/rand fails.
-var idSeq atomic.Uint64
+// Ids live as bytes from the moment they are minted (or parsed off a
+// traceparent header) and are hex-encoded only where a string is asked
+// for: an outgoing header, a log line, Dump. The generator is
+// math/rand/v2's process-wide ChaCha8 source — seeded from the OS once
+// at start-up, lock-free and non-blocking — so a span costs no
+// crypto/rand read.
+type (
+	traceID [16]byte
+	spanID  [8]byte
+)
 
-func randomHex(n int) string {
-	b := make([]byte, n)
-	if _, err := rand.Read(b); err != nil {
-		return fmt.Sprintf("%0*x", 2*n, idSeq.Add(1))
+func newTraceID() (id traceID) {
+	for id == (traceID{}) { // all-zero ids are invalid per W3C trace context
+		binary.BigEndian.PutUint64(id[:8], rand.Uint64())
+		binary.BigEndian.PutUint64(id[8:], rand.Uint64())
 	}
-	return hex.EncodeToString(b)
+	return id
 }
 
-func newTraceID() string { return randomHex(16) }
-func newSpanID() string  { return randomHex(8) }
+func newSpanID() (id spanID) {
+	for id == (spanID{}) {
+		binary.BigEndian.PutUint64(id[:], rand.Uint64())
+	}
+	return id
+}
 
-// spanCtxKey carries a ctxSpan through request contexts.
+// spanCtxKey carries a *spanRef through request contexts.
 type spanCtxKey struct{}
 
-// ctxSpan records the active span context and whether it was started in
-// this process. A remote (adopted) parent still parents new spans, but
-// only a span with no local ancestor is an entry span — the unit the
-// slow-trace log reports on.
-type ctxSpan struct {
-	sc    SpanContext
+// spanRef is what a context carries about the active span: the identity
+// new spans parent to, whether it was started in this process, and the
+// request id every log line and outgoing edge of the request repeats. A
+// remote (adopted) parent still parents new spans, but only a span with
+// no local ancestor is an entry span — the unit the slow-trace log
+// reports on. Read-only once the context holding it is handed out.
+type spanRef struct {
+	trace traceID
+	span  spanID
 	local bool
+	reqID string
+}
+
+func spanRefFrom(ctx context.Context) *spanRef {
+	if ctx == nil {
+		return nil
+	}
+	ref, _ := ctx.Value(spanCtxKey{}).(*spanRef)
+	return ref
+}
+
+func (ref *spanRef) context() SpanContext {
+	return SpanContext{TraceID: hexString(ref.trace[:]), SpanID: hexString(ref.span[:])}
+}
+
+// hexString hex-encodes an id (at most 16 bytes) with one allocation.
+func hexString(id []byte) string {
+	var buf [32]byte
+	return string(buf[:hex.Encode(buf[:], id)])
 }
 
 // ContextWithRemoteSpanContext attaches a span context adopted from an
@@ -113,16 +151,20 @@ func ContextWithRemoteSpanContext(ctx context.Context, sc SpanContext) context.C
 	if !sc.Valid() {
 		return ctx
 	}
-	return context.WithValue(ctx, spanCtxKey{}, ctxSpan{sc: sc})
+	ref := &spanRef{}
+	// Valid checked length and alphabet, so neither decode can fail.
+	_, _ = hex.Decode(ref.trace[:], []byte(sc.TraceID))
+	_, _ = hex.Decode(ref.span[:], []byte(sc.SpanID))
+	return context.WithValue(ctx, spanCtxKey{}, ref)
 }
 
 // SpanContextFrom returns the active span context carried by ctx.
 func SpanContextFrom(ctx context.Context) (SpanContext, bool) {
-	if ctx == nil {
+	ref := spanRefFrom(ctx)
+	if ref == nil {
 		return SpanContext{}, false
 	}
-	cs, ok := ctx.Value(spanCtxKey{}).(ctxSpan)
-	return cs.sc, ok
+	return ref.context(), true
 }
 
 // InjectHeaders stamps the outgoing request headers with the trace
@@ -137,8 +179,9 @@ func InjectHeaders(ctx context.Context, h http.Header) {
 	}
 }
 
-// SpanRecord is one finished span as stored in the ring buffer and
-// served by the admin Traces endpoint.
+// SpanRecord is one finished span as served by the admin Traces
+// endpoint. Attrs holds the span's attributes; an http.* entry span
+// reports its request line there as "method", "path" and "status".
 type SpanRecord struct {
 	TraceID  string            `json:"TraceId"`
 	SpanID   string            `json:"SpanId"`
@@ -150,15 +193,27 @@ type SpanRecord struct {
 	Attrs    map[string]string `json:"Attrs,omitempty"`
 }
 
-// Span is an in-flight operation. End (or EndErr) is idempotent;
-// methods on a nil Span are no-ops so untraced paths need no guards.
+// Span is an in-flight operation, and after End the ring buffer's
+// record of it. End (or EndErr) is idempotent; methods on a nil Span are
+// no-ops so untraced paths need no guards.
 type Span struct {
 	tracer *Tracer
-	entry  bool // no local ancestor: slow-log candidate
+	ref    spanRef // what the span's context carries; fixed at start
+	parent spanID  // zero for a root
+	entry  bool    // no local ancestor: slow-log candidate
+	name   string
+	start  time.Time
+	// The request line of an http.* entry span, set by Middleware before
+	// the span is shared; status arrives with the end. Typed fields keep
+	// the per-request path off the attrs map.
+	method, path string
 
-	mu    sync.Mutex
-	ended bool
-	rec   SpanRecord
+	mu     sync.Mutex
+	ended  bool
+	dur    time.Duration
+	err    string
+	status int
+	attrs  map[string]string
 }
 
 // Context returns the span's wire identity.
@@ -166,7 +221,7 @@ func (s *Span) Context() SpanContext {
 	if s == nil {
 		return SpanContext{}
 	}
-	return SpanContext{TraceID: s.rec.TraceID, SpanID: s.rec.SpanID}
+	return s.ref.context()
 }
 
 // SetAttr attaches a key/value attribute to the span.
@@ -176,10 +231,10 @@ func (s *Span) SetAttr(k, v string) {
 	}
 	s.mu.Lock()
 	if !s.ended {
-		if s.rec.Attrs == nil {
-			s.rec.Attrs = make(map[string]string, 4)
+		if s.attrs == nil {
+			s.attrs = make(map[string]string, 4)
 		}
-		s.rec.Attrs[k] = v
+		s.attrs[k] = v
 	}
 	s.mu.Unlock()
 }
@@ -193,19 +248,55 @@ func (s *Span) EndErr(err error) {
 	if s == nil {
 		return
 	}
+	s.end(time.Since(s.start), 0, err)
+}
+
+// end retires the span with a duration the caller measured; status is
+// the HTTP status of an http.* entry span, zero otherwise.
+func (s *Span) end(d time.Duration, status int, err error) {
 	s.mu.Lock()
 	if s.ended {
 		s.mu.Unlock()
 		return
 	}
 	s.ended = true
-	s.rec.Duration = time.Since(s.rec.Start)
+	s.dur = d
+	s.status = status
 	if err != nil {
-		s.rec.Err = err.Error()
+		s.err = err.Error()
 	}
-	rec := s.rec
 	s.mu.Unlock()
-	s.tracer.finish(&rec, s.entry)
+	s.tracer.finish(s)
+}
+
+// record renders the span in its served form: ids hex-encoded, the
+// typed request line folded into Attrs.
+func (s *Span) record() SpanRecord {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec := SpanRecord{
+		TraceID:  hexString(s.ref.trace[:]),
+		SpanID:   hexString(s.ref.span[:]),
+		Name:     s.name,
+		Start:    s.start,
+		Duration: s.dur,
+		Err:      s.err,
+	}
+	if s.parent != (spanID{}) {
+		rec.ParentID = hexString(s.parent[:])
+	}
+	if len(s.attrs) > 0 || s.method != "" {
+		rec.Attrs = make(map[string]string, len(s.attrs)+3)
+		for k, v := range s.attrs {
+			rec.Attrs[k] = v
+		}
+		if s.method != "" {
+			rec.Attrs["method"] = s.method
+			rec.Attrs["path"] = s.path
+			rec.Attrs["status"] = strconv.Itoa(s.status)
+		}
+	}
+	return rec
 }
 
 // StartChild starts a span parented to s without threading a context,
@@ -214,7 +305,7 @@ func (s *Span) StartChild(name string) *Span {
 	if s == nil {
 		return nil
 	}
-	return s.tracer.newSpan(name, SpanContext{TraceID: s.rec.TraceID, SpanID: s.rec.SpanID}, false)
+	return s.tracer.newSpan(name, &s.ref, time.Now())
 }
 
 // TracerOptions configures a Tracer; the zero value is usable.
@@ -232,7 +323,7 @@ type TracerOptions struct {
 // buffer, and feeds their durations into ofmf_span_seconds. All methods
 // are safe on a nil receiver, so tracing is strictly opt-in.
 type Tracer struct {
-	ring   []atomic.Pointer[SpanRecord]
+	ring   []atomic.Pointer[Span]
 	cursor atomic.Uint64
 
 	spanSeconds *HistogramVec
@@ -248,7 +339,7 @@ func NewTracer(reg *Registry, opts TracerOptions) *Tracer {
 		capacity = 4096
 	}
 	t := &Tracer{
-		ring: make([]atomic.Pointer[SpanRecord], capacity),
+		ring: make([]atomic.Pointer[Span], capacity),
 		slow: opts.SlowThreshold,
 		log:  opts.Logger,
 	}
@@ -268,48 +359,42 @@ func NewTracer(reg *Registry, opts TracerOptions) *Tracer {
 // trace when ctx carries none. The returned context carries the new
 // span so children link to it and InjectHeaders propagates it.
 func (t *Tracer) Start(ctx context.Context, name string) (context.Context, *Span) {
+	return t.startAt(ctx, name, time.Now())
+}
+
+// startAt is Start on a clock reading the caller already took.
+func (t *Tracer) startAt(ctx context.Context, name string, now time.Time) (context.Context, *Span) {
 	if t == nil {
 		return ctx, nil
 	}
-	var parent SpanContext
-	localParent := false
-	if cs, ok := ctx.Value(spanCtxKey{}).(ctxSpan); ok {
-		parent = cs.sc
-		localParent = cs.local
-	}
-	sp := t.newSpan(name, parent, !localParent)
-	ctx = context.WithValue(ctx, spanCtxKey{}, ctxSpan{sc: sp.Context(), local: true})
-	return ctx, sp
+	sp := t.newSpan(name, spanRefFrom(ctx), now)
+	return context.WithValue(ctx, spanCtxKey{}, &sp.ref), sp
 }
 
 // StartIfTraced begins a span only when ctx already carries a span
 // context. Seams reachable from untraced paths (recovery replay,
 // background sweeps) use it so they never mint orphan traces.
 func (t *Tracer) StartIfTraced(ctx context.Context, name string) (context.Context, *Span) {
-	if t == nil {
-		return ctx, nil
-	}
-	if _, ok := ctx.Value(spanCtxKey{}).(ctxSpan); !ok {
+	if t == nil || spanRefFrom(ctx) == nil {
 		return ctx, nil
 	}
 	return t.Start(ctx, name)
 }
 
-func (t *Tracer) newSpan(name string, parent SpanContext, entry bool) *Span {
-	sp := &Span{
-		tracer: t,
-		entry:  entry,
-		rec: SpanRecord{
-			SpanID: newSpanID(),
-			Name:   name,
-			Start:  time.Now(),
-		},
-	}
-	if parent.Valid() {
-		sp.rec.TraceID = parent.TraceID
-		sp.rec.ParentID = parent.SpanID
+// newSpan mints a span under parent (nil: a fresh trace). It inherits
+// the parent's trace and request id; it is an entry span unless an
+// ancestor was started in this process.
+func (t *Tracer) newSpan(name string, parent *spanRef, now time.Time) *Span {
+	sp := &Span{tracer: t, name: name, start: now, entry: true}
+	sp.ref.span = newSpanID()
+	sp.ref.local = true
+	if parent != nil {
+		sp.ref.trace = parent.trace
+		sp.ref.reqID = parent.reqID
+		sp.parent = parent.span
+		sp.entry = !parent.local
 	} else {
-		sp.rec.TraceID = newTraceID()
+		sp.ref.trace = newTraceID()
 	}
 	return sp
 }
@@ -320,32 +405,24 @@ func (t *Tracer) Observe(name string, d time.Duration) {
 	if t == nil {
 		return
 	}
-	rec := &SpanRecord{
-		TraceID:  newTraceID(),
-		SpanID:   newSpanID(),
-		Name:     name,
-		Start:    time.Now().Add(-d),
-		Duration: d,
-	}
-	t.finish(rec, false)
+	sp := t.newSpan(name, nil, time.Now().Add(-d))
+	sp.entry = false
+	sp.end(d, 0, nil)
 }
 
-// finish retires a completed span: histogram, ring push, slow-trace log.
-func (t *Tracer) finish(rec *SpanRecord, entry bool) {
-	if t == nil {
-		return
-	}
+// finish retires an ended span: histogram, ring push, slow-trace log.
+func (t *Tracer) finish(sp *Span) {
 	if t.spanSeconds != nil {
-		t.spanSeconds.With(rec.Name).Observe(rec.Duration.Seconds())
+		t.spanSeconds.With(sp.name).Observe(sp.dur.Seconds())
 	}
 	i := t.cursor.Add(1) - 1
-	t.ring[i%uint64(len(t.ring))].Store(rec)
-	if entry && t.slow > 0 && rec.Duration >= t.slow {
+	t.ring[i%uint64(len(t.ring))].Store(sp)
+	if sp.entry && t.slow > 0 && sp.dur >= t.slow {
 		t.log.LogAttrs(context.Background(), slog.LevelWarn, "slow trace",
-			slog.String("trace_id", rec.TraceID),
-			slog.String("span", rec.Name),
-			slog.Duration("duration", rec.Duration),
-			slog.String("err", rec.Err),
+			slog.String("trace_id", hexString(sp.ref.trace[:])),
+			slog.String("span", sp.name),
+			slog.Duration("duration", sp.dur),
+			slog.String("err", sp.err),
 		)
 	}
 }
@@ -358,8 +435,8 @@ func (t *Tracer) Dump() []SpanRecord {
 	}
 	out := make([]SpanRecord, 0, len(t.ring))
 	for i := range t.ring {
-		if p := t.ring[i].Load(); p != nil {
-			out = append(out, *p)
+		if sp := t.ring[i].Load(); sp != nil {
+			out = append(out, sp.record())
 		}
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Start.Before(out[j].Start) })

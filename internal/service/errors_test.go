@@ -131,6 +131,14 @@ func TestRouteClass(t *testing.T) {
 		"/redfish/v1/TelemetryService/MetricReports/ManagementPlane": "TelemetryService",
 		"/composer/v1/Compose": "Composer",
 		"/elsewhere":           "Other",
+		// The set is closed: a segment the service does not know never
+		// becomes a class of its own.
+		"/redfish/v1/Anything":                         "Other",
+		"/redfish/v1/Anything/deeper":                  "Other",
+		"/redfish/v1/Fabrics/CXL/Anything":             "Other",
+		"/redfish/v1/Fabrics/CXL/Switches/S1/Ports/P1": "Fabrics.Switches",
+		"/redfish/v1/EventService/SSE":                 "EventService",
+		"/redfish/v1x":                                 "Other",
 	} {
 		if got := RouteClass(path); got != want {
 			t.Errorf("RouteClass(%q) = %q, want %q", path, got, want)

@@ -43,56 +43,133 @@ func putBuf(b *bytes.Buffer) {
 }
 
 // Handler returns the service's HTTP handler. Every request passes
-// through the observability middleware: it is assigned (or keeps) an
-// X-Request-Id, is logged with that id, and lands in the ofmf_http_*
+// through the observability middleware: it gets an entry span and one
+// correlation id (echoed as X-Request-Id), and lands in the ofmf_http_*
 // metrics under its bounded route class.
-func (s *Service) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/redfish", s.handleVersions)
-	mux.HandleFunc("/redfish/", s.dispatch)
-	return obsv.Middleware(mux, s.metrics, s.log, RouteClass, s.tracer)
+func (s *Service) Handler() http.Handler { return s.HandlerWithComposer(nil) }
+
+// HandlerWithComposer is Handler that also serves the Composability
+// Layer facade under /composer/, inside the same middleware instance, so
+// a composer request is traced and counted exactly like a Redfish one.
+// There is no mux: one route lookup per request decides where it goes.
+func (s *Service) HandlerWithComposer(facade http.Handler) http.Handler {
+	dispatch := func(w http.ResponseWriter, r *http.Request) { s.dispatch(w, r, facade) }
+	return obsv.Middleware(http.HandlerFunc(dispatch), s.metrics, s.log, RouteClass, s.tracer)
 }
 
-// RouteClass maps a request path to a bounded route class used as the
-// "class" metric label, collapsing per-resource ids so cardinality stays
-// fixed: /redfish/v1/Systems/node001 -> Systems,
-// /redfish/v1/Fabrics/CXL/Connections/7 -> Fabrics.Connections.
-func RouteClass(path string) string {
-	path = strings.TrimSuffix(path, "/")
-	switch path {
-	case "", "/":
-		return "Root"
-	case "/redfish":
-		return "Versions"
-	}
-	if strings.HasPrefix(path, "/composer") {
-		return "Composer"
-	}
-	rel := strings.TrimPrefix(path, string(RootURI))
-	if rel == path {
-		return "Other"
-	}
-	rel = strings.TrimPrefix(rel, "/")
-	if rel == "" {
-		return "ServiceRoot"
-	}
-	seg := strings.SplitN(rel, "/", 4)
-	switch seg[0] {
-	case "$metadata", "odata":
-		return "Metadata"
-	case "Oem":
-		return "Oem"
-	case "Fabrics":
-		// Fabric sub-collections (Zones, Connections, Endpoints,
-		// Switches, Ports, ...) are the forwarding hot paths; keep them
-		// distinguishable per collection, not per fabric.
-		if len(seg) >= 3 {
-			return "Fabrics." + seg[2]
-		}
-		return "Fabrics"
-	}
-	return seg[0]
+// route is what one lookup of a request path yields: the bounded class
+// the metrics label by, the resource id the path names, and where the
+// request goes.
+type route struct {
+	class string
+	id    odata.ID // the path less its trailing slash
+	kind  routeKind
+	// serve handles a fixed endpoint (Oem, SSE); nil on a resource route.
+	serve func(*Service, http.ResponseWriter, *http.Request)
 }
+
+type routeKind int
+
+const (
+	routeResource routeKind = iota // the Redfish tree: authorize, then serve or dispatch by method
+	routeVersions                  // GET /redfish
+	routeMetadata                  // $metadata and odata, open like the service root
+	routeComposer                  // the Composability Layer facade, when mounted
+	routeOutside                   // not under /redfish or /composer: 404
+)
+
+// topClasses is the closed set of top-level tree segments (besides
+// Fabrics) that keep their name as the route class; the values are the
+// interned names, so a label never pins a request's path. fabricClasses
+// is the same for the fabric sub-collections (the forwarding hot paths,
+// distinguishable per collection, not per fabric). Everything a client
+// can invent beyond them is "Other", so the class label's cardinality
+// is fixed.
+var (
+	topClasses = map[string]string{
+		"Systems": "Systems", "Chassis": "Chassis", "Storage": "Storage",
+		"EventService": "EventService", "TaskService": "TaskService", "SessionService": "SessionService",
+		"TelemetryService": "TelemetryService", "AggregationService": "AggregationService",
+		"CompositionService": "CompositionService", "Registries": "Registries", "Oem": "Oem",
+	}
+	fabricClasses = map[string]string{
+		"AddressPools":   "Fabrics.AddressPools",
+		"Connections":    "Fabrics.Connections",
+		"EndpointGroups": "Fabrics.EndpointGroups",
+		"Endpoints":      "Fabrics.Endpoints",
+		"Switches":       "Fabrics.Switches",
+		"Zones":          "Fabrics.Zones",
+	}
+	// fixedRoutes are the endpoints below the tree that are not store
+	// resources, by full path.
+	fixedRoutes = map[odata.ID]func(*Service, http.ResponseWriter, *http.Request){
+		SubtreeOemURI:     (*Service).handleSubtreePush,
+		EventsOemURI:      (*Service).handleEventPush,
+		CollectionsOemURI: (*Service).handleCollectionsPush,
+		AdminTreeOemURI:   (*Service).handleAdminTree,
+		TracesOemURI:      (*Service).handleTraces,
+		SSEURI:            (*Service).handleSSE,
+	}
+)
+
+// lookupRoute resolves a request path once; both the metric label
+// (RouteClass) and dispatch read its result. It allocates nothing.
+func lookupRoute(path string) route {
+	path = strings.TrimSuffix(path, "/")
+	rt := route{class: "Other", id: odata.ID(path), kind: routeOutside}
+	switch {
+	case path == "":
+		rt.class = "Root"
+		return rt
+	case path == "/redfish":
+		rt.class, rt.kind = "Versions", routeVersions
+		return rt
+	case strings.HasPrefix(path, "/composer"):
+		rt.class, rt.kind = "Composer", routeComposer
+		return rt
+	}
+	rel, ok := strings.CutPrefix(path, string(RootURI))
+	if !ok || (rel != "" && rel[0] != '/') {
+		return rt
+	}
+	rt.kind = routeResource
+	if rel == "" {
+		rt.class = "ServiceRoot"
+		return rt
+	}
+	top, rest, _ := strings.Cut(rel[1:], "/")
+	switch top {
+	case "$metadata", "odata":
+		rt.class = "Metadata"
+		if rest == "" {
+			rt.kind = routeMetadata
+		}
+	case "Fabrics":
+		rt.class = "Fabrics"
+		// rest is {fabric}/{sub-collection}/...
+		if _, below, ok := strings.Cut(rest, "/"); ok {
+			sub, _, _ := strings.Cut(below, "/")
+			if rt.class, ok = fabricClasses[sub]; !ok {
+				rt.class = "Other"
+			}
+		}
+	default:
+		if class, ok := topClasses[top]; ok {
+			rt.class = class
+			rt.serve = fixedRoutes[rt.id]
+		}
+	}
+	return rt
+}
+
+// RouteClass maps a request path to the bounded route class used as the
+// "class" metric label, collapsing per-resource ids:
+// /redfish/v1/Systems/node001 -> Systems,
+// /redfish/v1/Fabrics/CXL/Connections/7 -> Fabrics.Connections. The set
+// of classes is closed — a path segment the service does not know is
+// "Other" — because the label is assigned before authorization, where
+// any client can choose the path.
+func RouteClass(path string) string { return lookupRoute(path).class }
 
 func (s *Service) handleVersions(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet && r.Method != http.MethodHead {
@@ -102,16 +179,26 @@ func (s *Service) handleVersions(w http.ResponseWriter, r *http.Request) {
 	s.json(w, http.StatusOK, map[string]string{"v1": "/redfish/v1/"})
 }
 
-func (s *Service) dispatch(w http.ResponseWriter, r *http.Request) {
-	id := odata.ID(strings.TrimSuffix(r.URL.Path, "/"))
-	if id == "/redfish" {
+func (s *Service) dispatch(w http.ResponseWriter, r *http.Request, composer http.Handler) {
+	rt := lookupRoute(r.URL.Path)
+	switch rt.kind {
+	case routeVersions:
 		s.handleVersions(w, r)
 		return
-	}
-	if id == RootURI+"/$metadata" || id == RootURI+"/odata" {
+	case routeMetadata:
 		s.json(w, http.StatusOK, map[string]string{"@odata.context": string(RootURI) + "/$metadata"})
 		return
+	case routeComposer:
+		if composer != nil {
+			composer.ServeHTTP(w, r)
+			return
+		}
+		fallthrough
+	case routeOutside:
+		s.error(w, r, http.StatusNotFound, "Base.1.0.ResourceMissingAtURI", "no such resource: "+r.URL.Path)
+		return
 	}
+	id := rt.id
 	if !s.authorize(w, r, id) {
 		return
 	}
@@ -125,24 +212,8 @@ func (s *Service) dispatch(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	switch id {
-	case SubtreeOemURI:
-		s.handleSubtreePush(w, r)
-		return
-	case EventsOemURI:
-		s.handleEventPush(w, r)
-		return
-	case CollectionsOemURI:
-		s.handleCollectionsPush(w, r)
-		return
-	case AdminTreeOemURI:
-		s.handleAdminTree(w, r)
-		return
-	case TracesOemURI:
-		s.handleTraces(w, r)
-		return
-	case SSEURI:
-		s.handleSSE(w, r)
+	if rt.serve != nil {
+		rt.serve(s, w, r)
 		return
 	}
 	switch r.Method {
@@ -321,48 +392,64 @@ func parsePaging(v string) int {
 	return n
 }
 
+// expandedHead is the part of an expanded collection that is encoded per
+// request; the members are spliced in after it.
+type expandedHead struct {
+	ODataID   odata.ID `json:"@odata.id"`
+	ODataType string   `json:"@odata.type"`
+	Name      string   `json:"Name"`
+	Count     int      `json:"Members@odata.count"`
+}
+
 // expandedCollection renders a collection with member resources inlined.
-// Member payloads are gathered through the store's zero-copy view into a
-// single pooled arena buffer instead of N per-member heap copies.
+// Only the four head fields (and the continuation link) go through the
+// encoder: each member is the bytes the store already holds, copied out
+// of its zero-copy view and joined with commas. Every stored payload is
+// json.Marshal output (see store.canonicalize), which the encoder would
+// reproduce byte for byte, so the reply is exactly what encoding the
+// members as json.RawMessage produced — without re-validating and
+// re-compacting ~22 KB per request. Nothing is memoized: there is no
+// second copy to invalidate, and paged and unpaged requests share the
+// path.
 func (s *Service) expandedCollection(w http.ResponseWriter, coll odata.Collection, nextLink string) {
-	type expanded struct {
-		ODataID   odata.ID          `json:"@odata.id"`
-		ODataType string            `json:"@odata.type"`
-		Name      string            `json:"Name"`
-		Count     int               `json:"Members@odata.count"`
-		Members   []json.RawMessage `json:"Members"`
-		NextLink  string            `json:"Members@odata.nextLink,omitempty"`
+	members := getBuf()
+	defer putBuf(members)
+	found := 0
+	for _, ref := range coll.Members {
+		// A member that raced a delete is omitted: View fails and the
+		// callback, which alone writes, never runs.
+		_ = s.store.View(ref.ODataID, func(raw json.RawMessage, _ string) {
+			if found > 0 {
+				members.WriteByte(',')
+			}
+			members.Write(raw)
+			found++
+		})
 	}
-	out := expanded{
+	out := getBuf()
+	defer putBuf(out)
+	enc := json.NewEncoder(out)
+	// coll.Members is this page; Count stays the collection total, less
+	// the members that vanished between the listing and their view.
+	_ = enc.Encode(expandedHead{
 		ODataID:   coll.ODataID,
 		ODataType: coll.ODataType,
 		Name:      coll.Name,
-		Members:   make([]json.RawMessage, 0, len(coll.Members)),
-		NextLink:  nextLink,
+		Count:     coll.Count - (len(coll.Members) - found),
+	})
+	out.Truncate(out.Len() - len("}\n")) // reopen the object for Members
+	out.WriteString(`,"Members":[`)
+	out.Write(members.Bytes())
+	out.WriteByte(']')
+	if nextLink != "" {
+		out.WriteString(`,"Members@odata.nextLink":`)
+		_ = enc.Encode(nextLink)
+		out.Truncate(out.Len() - len("\n"))
 	}
-	arena := getBuf()
-	defer putBuf(arena)
-	var offsets []int
-	for _, ref := range coll.Members {
-		start := arena.Len()
-		err := s.store.View(ref.ODataID, func(raw json.RawMessage, _ string) {
-			arena.Write(raw)
-		})
-		if err != nil {
-			continue // member raced a delete; omit it
-		}
-		offsets = append(offsets, start, arena.Len())
-	}
-	// Slice the arena only after all writes: growth may have reallocated
-	// the backing array, so offsets are resolved against the final bytes.
-	all := arena.Bytes()
-	for i := 0; i < len(offsets); i += 2 {
-		out.Members = append(out.Members, json.RawMessage(all[offsets[i]:offsets[i+1]]))
-	}
-	// coll.Members is this page; Count stays the collection total, less
-	// the members that vanished between the listing and their view.
-	out.Count = coll.Count - (len(coll.Members) - len(out.Members))
-	s.json(w, http.StatusOK, out)
+	out.WriteString("}\n")
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(out.Bytes())
 }
 
 func (s *Service) handlePost(w http.ResponseWriter, r *http.Request, id odata.ID) {

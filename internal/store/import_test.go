@@ -255,3 +255,46 @@ func TestImportedTreeServesCollections(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestStoredPayloadsAreCanonical pins the invariant canonicalize's
+// comment states: whatever route a payload takes into the tree and
+// however the caller formatted it, the stored bytes are json.Marshal
+// output — so marshalling them again as a json.RawMessage (what an
+// encoder does with an inlined member) reproduces them exactly. The
+// service's $expand splices stored bytes unencoded on this ground.
+func TestStoredPayloadsAreCanonical(t *testing.T) {
+	sloppy := json.RawMessage("{\n\t\"Name\" : \"<a&b>\\u2028\",\n\t\"Oem\" : { \"k\" : [ 1 , 2.50 , \"x>y\" ] }\n}")
+	src := New()
+	must := func(err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	must(src.Put("/redfish/v1/A/struct", testRes{ODataID: "/redfish/v1/A/struct", Name: "<b>&"}))
+	must(src.Put("/redfish/v1/A/raw", sloppy))
+	must(src.Create("/redfish/v1/A/created", sloppy))
+	must(src.PutSubtree("/redfish/v1/B", map[odata.ID]any{"/redfish/v1/B/raw": sloppy, "/redfish/v1/B/map": map[string]any{"Name": "<&>"}}))
+	must(src.Patch("/redfish/v1/A/raw", map[string]any{"Extra": "</script>"}, ""))
+	must(src.Apply(Record{Op: OpPut, ID: "/redfish/v1/C/applied", Raw: sloppy}))
+	dump, err := src.Export()
+	must(err)
+	imported := New()
+	must(imported.Import(dump))
+
+	for name, st := range map[string]*Store{"source": src, "imported": imported} {
+		ids := st.IDs()
+		if len(ids) != 6 {
+			t.Fatalf("%s: %d resources, want 6", name, len(ids))
+		}
+		for _, id := range ids {
+			raw, _, err := st.Get(id)
+			must(err)
+			again, err := json.Marshal(raw)
+			must(err)
+			if !bytes.Equal(raw, again) {
+				t.Errorf("%s: %s is not a fixed point of json.Marshal:\nstored %s\nagain  %s", name, id, raw, again)
+			}
+		}
+	}
+}

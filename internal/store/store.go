@@ -235,6 +235,14 @@ func (s *Store) notify(changes ...Change) {
 	}
 }
 
+// canonicalize is the one way payload bytes enter the tree: Put,
+// PutSubtree and Patch call it, and WAL replay, Import, admin restore
+// and replication apply re-enter through Put. The invariant readers rely
+// on follows: every stored payload is the output of json.Marshal —
+// compact, HTML-escaped, valid — and therefore a fixed point of it
+// (marshalling a stored payload as a json.RawMessage yields the same
+// bytes). The service's $expand splices stored payloads into its reply
+// unencoded on that ground; TestStoredPayloadsAreCanonical pins it.
 func canonicalize(v any) (json.RawMessage, error) {
 	b, err := json.Marshal(v)
 	if err != nil {

@@ -1,0 +1,51 @@
+#!/usr/bin/env bash
+# Paired A/B of one ofmfbench workload: <base-ref> against this checkout,
+# the table choosing-metrics §8 asks for. The base ref is exported (git
+# archive: nothing is registered in .git) to .bench_build/base-<sha>/ and
+# bench/run.sh is run alternately in both trees, the side that goes first
+# flipping every pair, so host drift lands on both sides alike. Prints,
+# per end-to-end metric (all are lower-is-better, see BENCHMARK.json),
+# both medians, both quartile pairs and in how many pairs the head read
+# better. Writes nothing outside .bench_build/ and records nothing.
+set -euo pipefail
+[ $# -ge 2 ] || { echo "usage: $0 <base-ref> <workload> [pairs=10] [seed=1]" >&2; exit 2; }
+ref=$1 workload=$2 pairs=${3:-10} seed=${4:-1}
+root="$(cd "$(dirname "${BASH_SOURCE[0]}")/.." && pwd)"
+sha="$(git -C "$root" rev-parse --verify "$ref^{commit}")"
+base="$root/.bench_build/base-$sha"
+if [ ! -d "$base" ]; then
+	rm -rf "$base.tmp" && mkdir -p "$base.tmp"
+	git -C "$root" archive "$sha" | tar -x -C "$base.tmp"
+	mv "$base.tmp" "$base"
+fi
+# run <side> <tree> <pair>: one run; its metric lines as "pair side name value".
+run() {
+	bash "$2/bench/run.sh" --workload "$workload" --seed "$seed" --seconds 15 --trace 0 |
+		awk -v side="$1" -v pair="$3" 'NF == 3 && $2 ~ /^[0-9.e+-]+$/ { print pair, side, $1, $2 }
+			/^\{"correct"/ { match($0, /"failed":[0-9]+/); print pair, side, "failed_checks", substr($0, RSTART + 9, RLENGTH - 9) }'
+}
+rows=""
+for ((i = 1; i <= pairs; i++)); do
+	if ((i % 2)); then order="base head"; else order="head base"; fi
+	for side in $order; do
+		tree="$root"; [ "$side" = base ] && tree="$base"
+		echo "pair $i/$pairs: $side" >&2
+		out="$(run "$side" "$tree" "$i")"
+		echo "$out" >&2 # every run made, as it is made
+		rows+="$out"$'\n'
+	done
+done
+echo "$workload seed $seed: base $ref (${sha:0:7}) vs head, $pairs alternating pairs, lower is better"
+printf '%-22s %11s %23s %11s %23s %9s\n' metric base_median base_quartiles head_median head_quartiles head_wins
+printf '%s' "$rows" | awk '
+	function quantile(m, s, p,    pos, lo) { pos = (n[m, s] - 1) * p; lo = int(pos)
+		return v[m, s, lo] + (pos - lo) * (v[m, s, (lo + 1 < n[m, s]) ? lo + 1 : lo] - v[m, s, lo]) }
+	NF == 4 { m = $3; s = $2; if (!(m in seen)) { seen[m] = 1; names[++k] = m }
+		at[m, s, $1] = $4
+		for (j = n[m, s]++; j > 0 && v[m, s, j - 1] > $4; j--) v[m, s, j] = v[m, s, j - 1]   # insertion sort
+		v[m, s, j] = $4; if ($1 > pairs) pairs = $1 }
+	END { for (i = 1; i <= k; i++) { m = names[i]; wins = 0
+		for (p = 1; p <= pairs; p++) if (at[m, "head", p] + 0 < at[m, "base", p] + 0) wins++
+		printf "%-22s %11.5g %11.5g-%-11.5g %11.5g %11.5g-%-11.5g %6d/%d\n", m,
+			quantile(m, "base", .5), quantile(m, "base", .25), quantile(m, "base", .75),
+			quantile(m, "head", .5), quantile(m, "head", .25), quantile(m, "head", .75), wins, pairs } }'
