@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench benchab microbench benchcheck chaossmoke replsmoke cover reproduce examples clean
+.PHONY: all build vet test race bench benchab loc microbench benchcheck chaossmoke replsmoke cover reproduce examples clean
 
 all: build vet test
 
@@ -33,6 +33,12 @@ bench:
 # `make benchab BASE=HEAD~1 W=read_tree`. Prints; records nothing.
 benchab:
 	bash scripts/benchab.sh $(BASE) $(W)
+
+# A simplicity PR's tally: Go lines added/removed since BASE, split into
+# non-test internal/+cmd/, tests and bench/, and the flag count at both
+# refs, e.g. `make loc BASE=HEAD~1`. Prints; records nothing.
+loc:
+	bash scripts/loc.sh $(BASE)
 
 # Every Go micro-benchmark in the module. Prints; records nothing.
 microbench:

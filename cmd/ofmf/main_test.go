@@ -73,8 +73,9 @@ func TestCollapsedStackReachesEveryHandler(t *testing.T) {
 			t.Errorf("GET %s: passed the middleware = %v, want %v", tc.path, instrumented, want)
 		}
 	}
-	// Endpoints that are off, and paths nobody owns, are the app's 404.
-	for _, path := range []string{"/debug/pprof/", "/nowhere"} {
+	// Endpoints that are off, and paths nobody owns (the facade's
+	// included), are the app's 404.
+	for _, path := range []string{"/debug/pprof/", "/nowhere", "/composer/v1/nowhere"} {
 		if status, body, _ := get(path); status != http.StatusNotFound || !strings.Contains(body, "@Message.ExtendedInfo") {
 			t.Errorf("GET %s = %d %.200s, want the Redfish 404", path, status, body)
 		}

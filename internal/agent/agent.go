@@ -40,11 +40,11 @@ type Conn interface {
 	PublishSubtree(ctx context.Context, prefix odata.ID, resources map[odata.ID]any, keep ...odata.ID) error
 	// PublishEvent forwards a hardware event into the OFMF event service.
 	PublishEvent(rec redfish.EventRecord)
-	// AttachHandler wires the agent's fabric handler so the OFMF forwards
-	// fabric mutations to it.
-	AttachHandler(h service.FabricHandler) error
-	// DetachHandler removes the handler for the fabric.
-	DetachHandler(fabricID odata.ID)
+	// AttachHandler wires the agent's handler for the subtree rooted at
+	// prefix, so the OFMF forwards mutations under it to h.
+	AttachHandler(prefix odata.ID, h service.FabricHandler) error
+	// DetachHandler removes the handler attached for prefix.
+	DetachHandler(prefix odata.ID)
 	// TouchSource refreshes the aggregation source's heartbeat timestamp.
 	TouchSource(sourceURI odata.ID, timestamp string) error
 	// RegisterCollections declares the agent's collection URIs so the
@@ -62,13 +62,50 @@ type Conn interface {
 func PublishTouched(ctx context.Context, c Conn, root odata.ID, touched map[odata.ID]any, removed ...odata.ID) error {
 	for _, id := range removed {
 		if err := c.PublishSubtree(ctx, id, nil); err != nil {
-			return err
+			return fmt.Errorf("agent: drop %s: %w", id, err)
 		}
 	}
 	if len(touched) == 0 {
 		return nil
 	}
-	return c.PublishSubtree(ctx, root, touched, root)
+	if err := c.PublishSubtree(ctx, root, touched, root); err != nil {
+		return fmt.Errorf("agent: publish under %s: %w", root, err)
+	}
+	return nil
+}
+
+// Start is every agent's start-up, in the one order that is safe:
+// register an aggregation source claiming the owned subtrees, declare
+// colls, attach h for each owned subtree — from here on the OFMF
+// forwards operations, so h must be ready — and only then run publish,
+// the agent's first full Publish, so the tree never shows resources
+// nothing answers for. It returns the source's URI (for heartbeats) once
+// registration succeeded, whatever fails later.
+func Start(c Conn, name, technology string, owned []odata.ID, colls service.CollectionsPayload, h service.FabricHandler, publish func() error) (odata.ID, error) {
+	uri, err := c.Register(redfish.AggregationSource{
+		Resource: odata.Resource{Name: name},
+		Oem:      redfish.AggSourceOem{OFMF: &redfish.AgentDescriptor{Technology: technology, Version: "1.0"}},
+		Links:    redfish.AggSourceLinks{ResourcesAccessed: odata.RefSlice(owned)},
+	})
+	if err != nil {
+		return "", fmt.Errorf("agent: register %s: %w", name, err)
+	}
+	if err := c.RegisterCollections(colls); err != nil {
+		return uri, fmt.Errorf("agent: register collections of %s: %w", name, err)
+	}
+	for _, prefix := range owned {
+		if err := c.AttachHandler(prefix, h); err != nil {
+			return uri, fmt.Errorf("agent: attach handler for %s: %w", prefix, err)
+		}
+	}
+	return uri, publish()
+}
+
+// Stop detaches the handlers Start attached for the agent's subtrees.
+func Stop(c Conn, owned ...odata.ID) {
+	for _, prefix := range owned {
+		c.DetachHandler(prefix)
+	}
 }
 
 // Local connects an agent to an in-process OFMF service.
@@ -98,14 +135,13 @@ func (l *Local) PublishEvent(rec redfish.EventRecord) {
 }
 
 // AttachHandler registers the handler with the service.
-func (l *Local) AttachHandler(h service.FabricHandler) error {
-	l.Service.RegisterFabricHandler(h)
-	return nil
+func (l *Local) AttachHandler(prefix odata.ID, h service.FabricHandler) error {
+	return l.Service.RegisterFabricHandler(prefix, h)
 }
 
 // DetachHandler unregisters the handler.
-func (l *Local) DetachHandler(fabricID odata.ID) {
-	l.Service.UnregisterFabricHandler(fabricID)
+func (l *Local) DetachHandler(prefix odata.ID) {
+	l.Service.UnregisterFabricHandler(prefix)
 }
 
 // TouchSource patches the aggregation source's heartbeat through the
@@ -330,28 +366,46 @@ func (r *Remote) RegisterCollections(colls service.CollectionsPayload) error {
 
 // AttachHandler records the handler locally; the OFMF forwards operations
 // to the callback server which dispatches to it.
-func (r *Remote) AttachHandler(h service.FabricHandler) error {
+func (r *Remote) AttachHandler(prefix odata.ID, h service.FabricHandler) error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.handlers == nil {
 		r.handlers = make(map[odata.ID]service.FabricHandler)
 	}
-	r.handlers[h.FabricID()] = h
+	r.handlers[prefix] = h
 	return nil
 }
 
 // DetachHandler removes a handler from the callback dispatch table.
-func (r *Remote) DetachHandler(fabricID odata.ID) {
+func (r *Remote) DetachHandler(prefix odata.ID) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	delete(r.handlers, fabricID)
+	delete(r.handlers, prefix)
 }
 
-// Handler returns the HTTP handler of the agent's ops server, dispatching
-// forwarded operations to attached fabric handlers.
+// handlerFor returns the attached handler whose subtree holds target,
+// the longest prefix winning.
+func (r *Remote) handlerFor(target odata.ID) service.FabricHandler {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	var best odata.ID
+	for prefix := range r.handlers {
+		if len(prefix) > len(best) && target.Under(prefix) {
+			best = prefix
+		}
+	}
+	return r.handlers[best]
+}
+
+// Handler returns the HTTP handler of the agent's ops server: its one
+// route, POST /agent/ops, dispatches a forwarded operation to the
+// attached handler that owns the operation's target.
 func (r *Remote) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/agent/ops", func(w http.ResponseWriter, req *http.Request) {
+	return http.HandlerFunc(func(w http.ResponseWriter, req *http.Request) {
+		if req.URL.Path != "/agent/ops" {
+			opsError(w, http.StatusNotFound, "Base.1.0.ResourceMissingAtURI", "no such resource: "+req.URL.Path)
+			return
+		}
 		if req.Method != http.MethodPost {
 			opsError(w, http.StatusMethodNotAllowed, "Base.1.0.OperationNotAllowed", "POST only")
 			return
@@ -361,15 +415,7 @@ func (r *Remote) Handler() http.Handler {
 			opsError(w, http.StatusBadRequest, "Base.1.0.MalformedJSON", err.Error())
 			return
 		}
-		r.mu.Lock()
-		var h service.FabricHandler
-		for fid, cand := range r.handlers {
-			if op.Target.Under(fid) {
-				h = cand
-				break
-			}
-		}
-		r.mu.Unlock()
+		h := r.handlerFor(op.Target)
 		if h == nil {
 			opsError(w, http.StatusNotFound, "Base.1.0.ResourceMissingAtURI", "no handler for "+string(op.Target))
 			return
@@ -382,7 +428,6 @@ func (r *Remote) Handler() http.Handler {
 		w.Header().Set("Content-Type", "application/json")
 		_ = json.NewEncoder(w).Encode(resp)
 	})
-	return mux
 }
 
 // opsError writes the same Redfish extended-error envelope the OFMF

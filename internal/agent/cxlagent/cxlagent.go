@@ -94,70 +94,22 @@ func (a *Agent) SourceURI() odata.ID {
 // ChassisID returns the chassis subtree root the agent owns.
 func (a *Agent) ChassisID() odata.ID { return a.chassisID }
 
-// Start registers the agent with the OFMF, attaches its fabric handler
-// for both subtrees, and publishes the initial resource state.
+// Start registers the agent with the OFMF, attaches it as the handler of
+// both subtrees, and publishes the initial resource state (agent.Start).
 func (a *Agent) Start() error {
-	uri, err := a.conn.Register(redfish.AggregationSource{
-		Resource: odata.Resource{Name: "CXL Agent (" + a.fabricID.Leaf() + ")"},
-		Oem:      redfish.AggSourceOem{OFMF: &redfish.AgentDescriptor{Technology: redfish.ProtocolCXL, Version: "1.0"}},
-		Links: redfish.AggSourceLinks{ResourcesAccessed: []odata.Ref{
-			odata.NewRef(a.fabricID), odata.NewRef(a.chassisID),
-		}},
-	})
-	if err != nil {
-		return fmt.Errorf("cxlagent: register: %w", err)
-	}
+	uri, err := agent.Start(a.conn, "CXL Agent ("+a.fabricID.Leaf()+")", redfish.ProtocolCXL,
+		[]odata.ID{a.fabricID, a.chassisID}, a.Collections(), a, func() error {
+			a.appliance.Subscribe(a.onHardwareEvent)
+			return a.Publish()
+		})
 	a.mu.Lock()
 	a.sourceURI = uri
 	a.mu.Unlock()
-	if err := a.conn.RegisterCollections(a.Collections()); err != nil {
-		return fmt.Errorf("cxlagent: register collections: %w", err)
-	}
-	if err := a.conn.AttachHandler(a); err != nil {
-		return fmt.Errorf("cxlagent: attach fabric handler: %w", err)
-	}
-	if err := a.conn.AttachHandler(&subHandler{agent: a, prefix: a.chassisID}); err != nil {
-		return fmt.Errorf("cxlagent: attach chassis handler: %w", err)
-	}
-	a.appliance.Subscribe(a.onHardwareEvent)
-	return a.Publish()
+	return err
 }
 
 // Stop detaches the agent's handlers.
-func (a *Agent) Stop() {
-	a.conn.DetachHandler(a.fabricID)
-	a.conn.DetachHandler(a.chassisID)
-}
-
-// subHandler exposes the chassis subtree under a second prefix while
-// delegating every operation to the owning agent.
-type subHandler struct {
-	agent  *Agent
-	prefix odata.ID
-}
-
-func (s *subHandler) FabricID() odata.ID { return s.prefix }
-func (s *subHandler) CreateConnection(ctx context.Context, c *redfish.Connection) error {
-	return s.agent.CreateConnection(ctx, c)
-}
-func (s *subHandler) DeleteConnection(ctx context.Context, id odata.ID) error {
-	return s.agent.DeleteConnection(ctx, id)
-}
-func (s *subHandler) CreateZone(ctx context.Context, z *redfish.Zone) error {
-	return s.agent.CreateZone(ctx, z)
-}
-func (s *subHandler) DeleteZone(ctx context.Context, id odata.ID) error {
-	return s.agent.DeleteZone(ctx, id)
-}
-func (s *subHandler) Patch(ctx context.Context, id odata.ID, p map[string]any) error {
-	return s.agent.Patch(ctx, id, p)
-}
-func (s *subHandler) CreateResource(ctx context.Context, coll, uri odata.ID, payload json.RawMessage) (any, error) {
-	return s.agent.CreateResource(ctx, coll, uri, payload)
-}
-func (s *subHandler) DeleteResource(ctx context.Context, id odata.ID) error {
-	return s.agent.DeleteResource(ctx, id)
-}
+func (a *Agent) Stop() { agent.Stop(a.conn, a.fabricID, a.chassisID) }
 
 func (a *Agent) onHardwareEvent(ev cxlsim.Event) {
 	a.mu.Lock()
@@ -279,16 +231,7 @@ func (a *Agent) publishBound(ctx context.Context, binds []binding) error {
 		}
 		touched[b.uri] = a.chunkResource(b.uri, c)
 	}
-	return a.publishChassis(ctx, touched)
-}
-
-// publishChassis upserts touched and drops removed in the chassis
-// subtree. Callers hold pubMu.
-func (a *Agent) publishChassis(ctx context.Context, touched map[odata.ID]any, removed ...odata.ID) error {
-	if err := agent.PublishTouched(ctx, a.conn, a.chassisID, touched, removed...); err != nil {
-		return fmt.Errorf("cxlagent: publish chassis: %w", err)
-	}
-	return nil
+	return agent.PublishTouched(ctx, a.conn, a.chassisID, touched)
 }
 
 // CreateZone records the zone; CXL zoning is realized through bindings, so
@@ -363,7 +306,7 @@ func (a *Agent) CreateResource(ctx context.Context, coll, uri odata.ID, payload 
 	res := a.chunkResource(uri, c)
 	touched := map[odata.ID]any{uri: res}
 	a.touchDevice(touched, c.Device)
-	if err := a.publishChassis(ctx, touched); err != nil {
+	if err := agent.PublishTouched(ctx, a.conn, a.chassisID, touched); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -392,7 +335,7 @@ func (a *Agent) DeleteResource(ctx context.Context, id odata.ID) error {
 	defer a.pubMu.Unlock()
 	touched := make(map[odata.ID]any, 1)
 	a.touchDevice(touched, c.Device)
-	return a.publishChassis(ctx, touched, id)
+	return agent.PublishTouched(ctx, a.conn, a.chassisID, touched, id)
 }
 
 // The builders below render one resource each from a hardware snapshot.

@@ -71,31 +71,22 @@ func (a *Agent) SourceURI() odata.ID {
 	return a.sourceURI
 }
 
-// Start registers with the OFMF, attaches the handler and publishes.
+// Start registers with the OFMF, attaches the agent as its fabric's
+// handler and publishes (agent.Start).
 func (a *Agent) Start() error {
-	uri, err := a.conn.Register(redfish.AggregationSource{
-		Resource: odata.Resource{Name: "Fabric Agent (" + a.fabricID.Leaf() + ")"},
-		Oem:      redfish.AggSourceOem{OFMF: &redfish.AgentDescriptor{Technology: a.protocol, Version: "1.0"}},
-		Links:    redfish.AggSourceLinks{ResourcesAccessed: []odata.Ref{odata.NewRef(a.fabricID)}},
-	})
-	if err != nil {
-		return fmt.Errorf("fabagent: register: %w", err)
-	}
+	uri, err := agent.Start(a.conn, "Fabric Agent ("+a.fabricID.Leaf()+")", a.protocol,
+		[]odata.ID{a.fabricID}, a.Collections(), a, func() error {
+			a.fabric.Subscribe(a.onHardwareEvent)
+			return a.Publish()
+		})
 	a.mu.Lock()
 	a.sourceURI = uri
 	a.mu.Unlock()
-	if err := a.conn.RegisterCollections(a.Collections()); err != nil {
-		return fmt.Errorf("fabagent: register collections: %w", err)
-	}
-	if err := a.conn.AttachHandler(a); err != nil {
-		return err
-	}
-	a.fabric.Subscribe(a.onHardwareEvent)
-	return a.Publish()
+	return err
 }
 
 // Stop detaches the agent's handler.
-func (a *Agent) Stop() { a.conn.DetachHandler(a.fabricID) }
+func (a *Agent) Stop() { agent.Stop(a.conn, a.fabricID) }
 
 func (a *Agent) onHardwareEvent(ev fabsim.Event) {
 	a.mu.Lock()

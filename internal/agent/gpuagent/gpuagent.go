@@ -75,67 +75,22 @@ func (a *Agent) SourceURI() odata.ID {
 // ChassisID returns the chassis subtree root the agent owns.
 func (a *Agent) ChassisID() odata.ID { return a.chassisID }
 
-// Start registers with the OFMF, attaches handlers and publishes.
+// Start registers with the OFMF, attaches the agent as the handler of
+// both subtrees and publishes (agent.Start).
 func (a *Agent) Start() error {
-	uri, err := a.conn.Register(redfish.AggregationSource{
-		Resource: odata.Resource{Name: "GPU Agent (" + a.chassisID.Leaf() + ")"},
-		Oem:      redfish.AggSourceOem{OFMF: &redfish.AgentDescriptor{Technology: "GPU", Version: "1.0"}},
-		Links: redfish.AggSourceLinks{ResourcesAccessed: []odata.Ref{
-			odata.NewRef(a.fabricID), odata.NewRef(a.chassisID),
-		}},
-	})
-	if err != nil {
-		return fmt.Errorf("gpuagent: register: %w", err)
-	}
+	uri, err := agent.Start(a.conn, "GPU Agent ("+a.chassisID.Leaf()+")", "GPU",
+		[]odata.ID{a.fabricID, a.chassisID}, a.Collections(), a, func() error {
+			a.pool.Subscribe(a.onHardwareEvent)
+			return a.Publish()
+		})
 	a.mu.Lock()
 	a.sourceURI = uri
 	a.mu.Unlock()
-	if err := a.conn.RegisterCollections(a.Collections()); err != nil {
-		return fmt.Errorf("gpuagent: register collections: %w", err)
-	}
-	if err := a.conn.AttachHandler(a); err != nil {
-		return err
-	}
-	if err := a.conn.AttachHandler(&subHandler{agent: a, prefix: a.chassisID}); err != nil {
-		return err
-	}
-	a.pool.Subscribe(a.onHardwareEvent)
-	return a.Publish()
+	return err
 }
 
 // Stop detaches the agent's handlers.
-func (a *Agent) Stop() {
-	a.conn.DetachHandler(a.fabricID)
-	a.conn.DetachHandler(a.chassisID)
-}
-
-type subHandler struct {
-	agent  *Agent
-	prefix odata.ID
-}
-
-func (s *subHandler) FabricID() odata.ID { return s.prefix }
-func (s *subHandler) CreateConnection(ctx context.Context, c *redfish.Connection) error {
-	return s.agent.CreateConnection(ctx, c)
-}
-func (s *subHandler) DeleteConnection(ctx context.Context, id odata.ID) error {
-	return s.agent.DeleteConnection(ctx, id)
-}
-func (s *subHandler) CreateZone(ctx context.Context, z *redfish.Zone) error {
-	return s.agent.CreateZone(ctx, z)
-}
-func (s *subHandler) DeleteZone(ctx context.Context, id odata.ID) error {
-	return s.agent.DeleteZone(ctx, id)
-}
-func (s *subHandler) Patch(ctx context.Context, id odata.ID, p map[string]any) error {
-	return s.agent.Patch(ctx, id, p)
-}
-func (s *subHandler) CreateResource(ctx context.Context, coll, uri odata.ID, payload json.RawMessage) (any, error) {
-	return s.agent.CreateResource(ctx, coll, uri, payload)
-}
-func (s *subHandler) DeleteResource(ctx context.Context, id odata.ID) error {
-	return s.agent.DeleteResource(ctx, id)
-}
+func (a *Agent) Stop() { agent.Stop(a.conn, a.fabricID, a.chassisID) }
 
 func (a *Agent) onHardwareEvent(ev gpusim.Event) {
 	a.mu.Lock()
@@ -197,11 +152,11 @@ func (a *Agent) CreateResource(ctx context.Context, coll, uri odata.ID, payload 
 	}
 	// The partition's target endpoint appears in the fabric subtree.
 	epURI, ep := a.partitionEndpoint(uri, p)
-	if err := a.publishTouched(ctx, a.fabricID, map[odata.ID]any{epURI: ep}); err != nil {
+	if err := agent.PublishTouched(ctx, a.conn, a.fabricID, map[odata.ID]any{epURI: ep}); err != nil {
 		return nil, err
 	}
 	res := a.partitionResource(uri, p)
-	if err := a.publishTouched(ctx, a.chassisID, map[odata.ID]any{uri: res}); err != nil {
+	if err := agent.PublishTouched(ctx, a.conn, a.chassisID, map[odata.ID]any{uri: res}); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -224,10 +179,10 @@ func (a *Agent) DeleteResource(ctx context.Context, id odata.ID) error {
 
 	a.pubMu.Lock()
 	defer a.pubMu.Unlock()
-	if err := a.publishTouched(ctx, a.fabricID, nil, a.endpointURI(id)); err != nil {
+	if err := agent.PublishTouched(ctx, a.conn, a.fabricID, nil, a.endpointURI(id)); err != nil {
 		return err
 	}
-	return a.publishTouched(ctx, a.chassisID, nil, id)
+	return agent.PublishTouched(ctx, a.conn, a.chassisID, nil, id)
 }
 
 // CreateConnection attaches the referenced partition to the initiator.
@@ -279,16 +234,7 @@ func (a *Agent) publishPartition(ctx context.Context, uri odata.ID, partID strin
 	if err != nil {
 		return nil // deleted since; its DeleteResource dropped it
 	}
-	return a.publishTouched(ctx, a.chassisID, map[odata.ID]any{uri: a.partitionResource(uri, p)})
-}
-
-// publishTouched upserts touched and drops removed under root, one of
-// the agent's two subtree roots. Callers hold pubMu.
-func (a *Agent) publishTouched(ctx context.Context, root odata.ID, touched map[odata.ID]any, removed ...odata.ID) error {
-	if err := agent.PublishTouched(ctx, a.conn, root, touched, removed...); err != nil {
-		return fmt.Errorf("gpuagent: publish %s: %w", root.Leaf(), err)
-	}
-	return nil
+	return agent.PublishTouched(ctx, a.conn, a.chassisID, map[odata.ID]any{uri: a.partitionResource(uri, p)})
 }
 
 // CreateZone accepts zone bookkeeping.

@@ -92,68 +92,22 @@ func (a *Agent) RegisterHost(name string) odata.ID {
 	return a.fabricID.Append("Endpoints", name)
 }
 
-// Start registers the agent with the OFMF, attaches handlers for both
-// subtrees and publishes initial state.
+// Start registers the agent with the OFMF, attaches it as the handler of
+// both subtrees and publishes initial state (agent.Start).
 func (a *Agent) Start() error {
-	uri, err := a.conn.Register(redfish.AggregationSource{
-		Resource: odata.Resource{Name: "NVMe-oF Agent (" + a.fabricID.Leaf() + ")"},
-		Oem:      redfish.AggSourceOem{OFMF: &redfish.AgentDescriptor{Technology: redfish.ProtocolNVMeOF, Version: "1.0"}},
-		Links: redfish.AggSourceLinks{ResourcesAccessed: []odata.Ref{
-			odata.NewRef(a.fabricID), odata.NewRef(a.storageID),
-		}},
-	})
-	if err != nil {
-		return fmt.Errorf("nvmeagent: register: %w", err)
-	}
+	uri, err := agent.Start(a.conn, "NVMe-oF Agent ("+a.fabricID.Leaf()+")", redfish.ProtocolNVMeOF,
+		[]odata.ID{a.fabricID, a.storageID}, a.Collections(), a, func() error {
+			a.target.Subscribe(a.onHardwareEvent)
+			return a.Publish()
+		})
 	a.mu.Lock()
 	a.sourceURI = uri
 	a.mu.Unlock()
-	if err := a.conn.RegisterCollections(a.Collections()); err != nil {
-		return fmt.Errorf("nvmeagent: register collections: %w", err)
-	}
-	if err := a.conn.AttachHandler(a); err != nil {
-		return err
-	}
-	if err := a.conn.AttachHandler(&subHandler{agent: a, prefix: a.storageID}); err != nil {
-		return err
-	}
-	a.target.Subscribe(a.onHardwareEvent)
-	return a.Publish()
+	return err
 }
 
 // Stop detaches the agent's handlers.
-func (a *Agent) Stop() {
-	a.conn.DetachHandler(a.fabricID)
-	a.conn.DetachHandler(a.storageID)
-}
-
-type subHandler struct {
-	agent  *Agent
-	prefix odata.ID
-}
-
-func (s *subHandler) FabricID() odata.ID { return s.prefix }
-func (s *subHandler) CreateConnection(ctx context.Context, c *redfish.Connection) error {
-	return s.agent.CreateConnection(ctx, c)
-}
-func (s *subHandler) DeleteConnection(ctx context.Context, id odata.ID) error {
-	return s.agent.DeleteConnection(ctx, id)
-}
-func (s *subHandler) CreateZone(ctx context.Context, z *redfish.Zone) error {
-	return s.agent.CreateZone(ctx, z)
-}
-func (s *subHandler) DeleteZone(ctx context.Context, id odata.ID) error {
-	return s.agent.DeleteZone(ctx, id)
-}
-func (s *subHandler) Patch(ctx context.Context, id odata.ID, p map[string]any) error {
-	return s.agent.Patch(ctx, id, p)
-}
-func (s *subHandler) CreateResource(ctx context.Context, coll, uri odata.ID, payload json.RawMessage) (any, error) {
-	return s.agent.CreateResource(ctx, coll, uri, payload)
-}
-func (s *subHandler) DeleteResource(ctx context.Context, id odata.ID) error {
-	return s.agent.DeleteResource(ctx, id)
-}
+func (a *Agent) Stop() { agent.Stop(a.conn, a.fabricID, a.storageID) }
 
 func (a *Agent) onHardwareEvent(ev nvmesim.Event) {
 	a.mu.Lock()
@@ -189,7 +143,7 @@ func (a *Agent) ensureSubsystem(ctx context.Context, host, hostNQN string) (stri
 	a.pubMu.Lock()
 	defer a.pubMu.Unlock()
 	epURI, ep := a.subsystemEndpoint(nqn)
-	if err := a.publishTouched(ctx, a.fabricID, map[odata.ID]any{epURI: ep}); err != nil {
+	if err := agent.PublishTouched(ctx, a.conn, a.fabricID, map[odata.ID]any{epURI: ep}); err != nil {
 		return "", err
 	}
 	return nqn, nil
@@ -268,16 +222,7 @@ func (a *Agent) publishVolume(ctx context.Context, uri odata.ID, volID string) e
 	if err != nil {
 		return nil // deleted since; its DeleteResource dropped it
 	}
-	return a.publishTouched(ctx, a.storageID, map[odata.ID]any{uri: a.volumeResource(uri, v)})
-}
-
-// publishTouched upserts touched and drops removed under root, one of
-// the agent's two subtree roots. Callers hold pubMu.
-func (a *Agent) publishTouched(ctx context.Context, root odata.ID, touched map[odata.ID]any, removed ...odata.ID) error {
-	if err := agent.PublishTouched(ctx, a.conn, root, touched, removed...); err != nil {
-		return fmt.Errorf("nvmeagent: publish %s: %w", root.Leaf(), err)
-	}
-	return nil
+	return agent.PublishTouched(ctx, a.conn, a.storageID, map[odata.ID]any{uri: a.volumeResource(uri, v)})
 }
 
 // CreateZone records zone membership as subsystem ACL bookkeeping.
@@ -345,7 +290,7 @@ func (a *Agent) CreateResource(ctx context.Context, coll, uri odata.ID, payload 
 	res := a.volumeResource(uri, v)
 	touched := map[odata.ID]any{uri: res}
 	a.touchPool(touched, v.Pool)
-	if err := a.publishTouched(ctx, a.storageID, touched); err != nil {
+	if err := agent.PublishTouched(ctx, a.conn, a.storageID, touched); err != nil {
 		return nil, err
 	}
 	return res, nil
@@ -374,7 +319,7 @@ func (a *Agent) DeleteResource(ctx context.Context, id odata.ID) error {
 	defer a.pubMu.Unlock()
 	touched := make(map[odata.ID]any, 1)
 	a.touchPool(touched, v.Pool)
-	return a.publishTouched(ctx, a.storageID, touched, id)
+	return agent.PublishTouched(ctx, a.conn, a.storageID, touched, id)
 }
 
 // The builders below render one resource each from a target snapshot.

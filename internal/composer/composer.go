@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -26,12 +27,14 @@ import (
 
 // Sentinel errors.
 var (
-	ErrNoCapacity     = errors.New("composer: no node satisfies the request")
-	ErrNoPool         = errors.New("composer: no pool can satisfy the request")
-	ErrUnknownComp    = errors.New("composer: unknown composition")
-	ErrUnknownNode    = errors.New("composer: unknown node")
-	ErrDuplicateNode  = errors.New("composer: duplicate node")
-	ErrInvalidRequest = errors.New("composer: invalid request")
+	ErrNoCapacity    = errors.New("composer: no node satisfies the request")
+	ErrNoPool        = errors.New("composer: no pool can satisfy the request")
+	ErrUnknownComp   = errors.New("composer: unknown composition")
+	ErrUnknownNode   = errors.New("composer: unknown node")
+	ErrDuplicateNode = errors.New("composer: duplicate node")
+	// ErrInvalidRequest wraps the service's sentinel so the Redfish
+	// surface (POST /redfish/v1/Systems) answers 400 as the facade does.
+	ErrInvalidRequest = fmt.Errorf("composer: %w", service.ErrInvalidRequest)
 )
 
 // Request asks for a composed system.
@@ -52,39 +55,40 @@ type Request struct {
 	Node string `json:"Node,omitempty"`
 }
 
-// MemoryPool describes one fabric-attached memory domain the composer may
-// carve from. The closures decouple the composer from agent internals.
-type MemoryPool struct {
-	Name        string
-	Chunks      odata.ID // MemoryChunks collection (provisioning target)
-	Connections odata.ID // fabric Connections collection
-	// Endpoint maps a compute node name to its initiator endpoint URI on
-	// this pool's fabric.
-	Endpoint func(node string) odata.ID
-	// FreeMiB reports remaining capacity.
-	FreeMiB func() int64
-}
+// Kind names what a pool hands out; it also words the errors about it.
+type Kind string
 
-// StoragePool describes one disaggregated storage service.
-type StoragePool struct {
-	Name        string
-	Volumes     odata.ID
-	Connections odata.ID
-	Endpoint    func(node string) odata.ID
-	FreeBytes   func() int64
-}
+// The kinds a Request can ask for, and the unit each is counted in.
+const (
+	KindMemory  Kind = "memory"  // MiB
+	KindStorage Kind = "storage" // bytes
+	KindGPU     Kind = "gpu"     // slices
+)
 
-// GPUPool describes one pooled GPU appliance.
-type GPUPool struct {
-	Name        string
-	Partitions  odata.ID // Processors collection (provisioning target)
+// Pool describes one source of disaggregated capacity the composer may
+// attach to a node: a CXL memory domain, a storage service, a GPU
+// appliance. The collections say where the OFMF is asked; the closures
+// say what it is asked for, which is all that differs between
+// technologies, and decouple the composer from agent internals.
+type Pool struct {
+	Kind Kind
+	Name string
+	// Resources is the collection capacity is provisioned in
+	// (MemoryChunks, Volumes, Processors).
+	Resources odata.ID
+	// Connections is the pool's fabric Connections collection.
 	Connections odata.ID
-	// HostEndpoint maps a node to the initiator reference used in
-	// connections; TargetEndpoint maps a partition leaf id to its fabric
-	// endpoint.
-	HostEndpoint   func(node string) odata.ID
-	TargetEndpoint func(partitionLeaf string) odata.ID
-	FreeSlices     func() int
+	// Free reports remaining capacity in the kind's unit.
+	Free func() int64
+	// Provision renders the payload POSTed to Resources for amount units;
+	// heads bounds simultaneous sharing and only memory reads it.
+	Provision func(amount int64, heads int) []byte
+	// Connection renders the connection that attaches the provisioned
+	// resource to the node.
+	Connection func(node string, resource odata.ID) redfish.Connection
+	// Zoned pools put the connection's initiator endpoints in a zone of
+	// their own on the pool's fabric before connecting.
+	Zoned bool
 }
 
 // NodeState is a snapshot of one compute node's allocation state.
@@ -100,23 +104,37 @@ func (n NodeState) FreeCores() int { return n.Cores - n.UsedCores }
 
 // step records one reversible action taken during composition.
 type step struct {
-	kind string   // "connection", "resource", "system"
+	kind string   // "connection", "zone", "resource", "system"
 	id   odata.ID // what to delete on teardown
+	pool Kind     // for a "resource" step, the kind of pool it came from
 }
 
 // Composition is one realized request.
 type Composition struct {
-	ID        string     `json:"Id"`
-	SystemURI odata.ID   `json:"System"`
-	BlockURI  odata.ID   `json:"ResourceBlock,omitempty"`
-	Node      string     `json:"Node"`
-	Request   Request    `json:"Request"`
+	ID        string   `json:"Id"`
+	SystemURI odata.ID `json:"System"`
+	BlockURI  odata.ID `json:"ResourceBlock,omitempty"`
+	Node      string   `json:"Node"`
+	Request   Request  `json:"Request"`
+	// Resources lists the provisioned resources in attach order. It is
+	// filled in snapshots only; steps is the record it is read from.
 	Resources []odata.ID `json:"Resources"`
 
-	steps   []step
-	memory  []odata.ID
-	storage []odata.ID
-	gpus    []odata.ID
+	// steps is the one ordered record of what the composition holds;
+	// undoing it back to front is decomposition and rollback alike.
+	steps []step
+}
+
+// resources lists the provisioned resources that came from pools of the
+// given kind (of any kind when it is ""), in attach order.
+func (comp *Composition) resources(kind Kind) []odata.ID {
+	var out []odata.ID
+	for _, st := range comp.steps {
+		if st.kind == "resource" && (kind == "" || st.pool == kind) {
+			out = append(out, st.id)
+		}
+	}
+	return out
 }
 
 // Composer is the Composability Manager.
@@ -126,9 +144,7 @@ type Composer struct {
 
 	mu       sync.Mutex
 	nodes    map[string]*NodeState
-	memPools []*MemoryPool
-	stoPools []*StoragePool
-	gpuPools []*GPUPool
+	pools    []*Pool
 	comps    map[string]*Composition
 	nextComp int
 }
@@ -177,24 +193,11 @@ func (c *Composer) AddNode(name string, cores int, memoryMiB int64) error {
 	})
 }
 
-// AddMemoryPool registers a memory pool.
-func (c *Composer) AddMemoryPool(p *MemoryPool) {
+// AddPool registers a pool; attach tries pools of a kind in the order
+// they were added.
+func (c *Composer) AddPool(p *Pool) {
 	c.mu.Lock()
-	c.memPools = append(c.memPools, p)
-	c.mu.Unlock()
-}
-
-// AddStoragePool registers a storage pool.
-func (c *Composer) AddStoragePool(p *StoragePool) {
-	c.mu.Lock()
-	c.stoPools = append(c.stoPools, p)
-	c.mu.Unlock()
-}
-
-// AddGPUPool registers a GPU pool.
-func (c *Composer) AddGPUPool(p *GPUPool) {
-	c.mu.Lock()
-	c.gpuPools = append(c.gpuPools, p)
+	c.pools = append(c.pools, p)
 	c.mu.Unlock()
 }
 
@@ -202,6 +205,10 @@ func (c *Composer) AddGPUPool(p *GPUPool) {
 func (c *Composer) Nodes() []NodeState {
 	c.mu.Lock()
 	defer c.mu.Unlock()
+	return c.nodesLocked()
+}
+
+func (c *Composer) nodesLocked() []NodeState {
 	out := make([]NodeState, 0, len(c.nodes))
 	for _, n := range c.nodes {
 		out = append(out, *n)
@@ -285,6 +292,12 @@ func (c *Composer) compose(ctx context.Context, req Request) (Composition, error
 	if req.Cores <= 0 {
 		return Composition{}, fmt.Errorf("%w: Cores must be positive", ErrInvalidRequest)
 	}
+	// Name becomes the last segment of the system's URI, and Append is
+	// path.Join: anything but one plain segment would land the system
+	// outside the Systems collection.
+	if n := strings.TrimSpace(req.Name); req.Name != "" && (n == "" || n == "." || n == ".." || strings.Contains(n, "/")) {
+		return Composition{}, fmt.Errorf("%w: Name %q is not a single path segment", ErrInvalidRequest, req.Name)
+	}
 	if req.MemoryHeads < 1 {
 		req.MemoryHeads = 1
 	}
@@ -306,62 +319,13 @@ func (c *Composer) compose(ctx context.Context, req Request) (Composition, error
 		name = compID
 	}
 	comp := &Composition{ID: compID, Node: nodeName, Request: req}
-
-	rollback := func() {
-		c.teardown(ctx, comp)
+	if err := c.realize(ctx, comp, name); err != nil {
+		c.undoSteps(ctx, comp, 0)
 		c.mu.Lock()
 		c.nodes[nodeName].UsedCores -= req.Cores
 		c.mu.Unlock()
+		return Composition{}, err
 	}
-
-	if req.FabricMemoryMiB > 0 {
-		if err := c.attachMemory(ctx, comp, nodeName, req.FabricMemoryMiB, req.MemoryHeads); err != nil {
-			rollback()
-			return Composition{}, err
-		}
-	}
-	if req.StorageBytes > 0 {
-		if err := c.attachStorage(ctx, comp, nodeName, req.StorageBytes); err != nil {
-			rollback()
-			return Composition{}, err
-		}
-	}
-	if req.GPUSlices > 0 {
-		if err := c.attachGPU(ctx, comp, nodeName, req.GPUSlices); err != nil {
-			rollback()
-			return Composition{}, err
-		}
-	}
-
-	// Publish the composed system.
-	sysURI := service.SystemsURI.Append(name)
-	sys := redfish.ComputerSystem{
-		Resource:         odata.NewResource(sysURI, redfish.TypeComputerSystem, name),
-		SystemType:       redfish.SystemTypeComposed,
-		PowerState:       "On",
-		Status:           odata.Status{State: odata.StateComposed, Health: odata.HealthOK},
-		HostName:         nodeName,
-		ProcessorSummary: &redfish.ProcessorSummary{Count: 1, TotalCores: req.Cores},
-	}
-	for _, res := range comp.Resources {
-		sys.Links.ResourceBlocks = append(sys.Links.ResourceBlocks, odata.NewRef(res))
-	}
-	if err := c.svc.Store().CreateCtx(ctx, sysURI, sys); err != nil {
-		rollback()
-		return Composition{}, fmt.Errorf("composer: publish system: %w", err)
-	}
-	comp.SystemURI = sysURI
-	comp.steps = append(comp.steps, step{kind: "system", id: sysURI})
-
-	// Publish the Redfish-native composition view: a ResourceBlock in the
-	// CompositionService bundling the composed resources.
-	blockURI := service.ResourceBlocksURI.Append(compID)
-	if err := c.svc.Store().PutCtx(ctx, blockURI, c.resourceBlock(blockURI, comp)); err != nil {
-		rollback()
-		return Composition{}, fmt.Errorf("composer: publish resource block: %w", err)
-	}
-	comp.BlockURI = blockURI
-	comp.steps = append(comp.steps, step{kind: "system", id: blockURI})
 
 	c.mu.Lock()
 	c.comps[compID] = comp
@@ -373,11 +337,59 @@ func (c *Composer) compose(ctx context.Context, req Request) (Composition, error
 		Severity:          "OK",
 		Message:           fmt.Sprintf("composed system %s on node %s", name, nodeName),
 		MessageID:         "OFMF.1.0.SystemComposed",
-		OriginOfCondition: refTo(sysURI),
+		OriginOfCondition: refTo(comp.SystemURI),
 	})
 
 	snap, _ := c.Get(compID)
 	return snap, nil
+}
+
+// realize attaches what the request asks for to the reserved node and
+// publishes the composed system and its ResourceBlock. On error the
+// caller undoes whatever steps it recorded.
+func (c *Composer) realize(ctx context.Context, comp *Composition, name string) error {
+	req := comp.Request
+	for _, ask := range []struct {
+		kind   Kind
+		amount int64
+	}{
+		{KindMemory, req.FabricMemoryMiB},
+		{KindStorage, req.StorageBytes},
+		{KindGPU, int64(req.GPUSlices)},
+	} {
+		if ask.amount > 0 {
+			if err := c.attach(ctx, comp, ask.kind, ask.amount, req.MemoryHeads); err != nil {
+				return err
+			}
+		}
+	}
+
+	// Publish the composed system.
+	sysURI := service.SystemsURI.Append(name)
+	sys := redfish.ComputerSystem{
+		Resource:         odata.NewResource(sysURI, redfish.TypeComputerSystem, name),
+		SystemType:       redfish.SystemTypeComposed,
+		PowerState:       "On",
+		Status:           odata.Status{State: odata.StateComposed, Health: odata.HealthOK},
+		HostName:         comp.Node,
+		ProcessorSummary: &redfish.ProcessorSummary{Count: 1, TotalCores: req.Cores},
+	}
+	sys.Links.ResourceBlocks = odata.RefSlice(comp.resources(""))
+	if err := c.svc.Store().CreateCtx(ctx, sysURI, sys); err != nil {
+		return fmt.Errorf("composer: publish system: %w", err)
+	}
+	comp.SystemURI = sysURI
+	comp.steps = append(comp.steps, step{kind: "system", id: sysURI})
+
+	// Publish the Redfish-native composition view: a ResourceBlock in the
+	// CompositionService bundling the composed resources.
+	blockURI := service.ResourceBlocksURI.Append(comp.ID)
+	if err := c.svc.Store().PutCtx(ctx, blockURI, c.resourceBlock(blockURI, comp)); err != nil {
+		return fmt.Errorf("composer: publish resource block: %w", err)
+	}
+	comp.BlockURI = blockURI
+	comp.steps = append(comp.steps, step{kind: "system", id: blockURI})
+	return nil
 }
 
 func refTo(id odata.ID) *odata.Ref {
@@ -385,13 +397,12 @@ func refTo(id odata.ID) *odata.Ref {
 	return &r
 }
 
-// snapshot copies a composition for external callers, dropping internal
-// bookkeeping.
+// snapshot copies a composition for external callers: the resource list
+// is read out of the step record, which itself stays inside.
 func snapshot(comp *Composition) Composition {
 	cp := *comp
-	cp.Resources = append([]odata.ID(nil), comp.Resources...)
+	cp.Resources = comp.resources("")
 	cp.steps = nil
-	cp.memory, cp.storage, cp.gpus = nil, nil, nil
 	return cp
 }
 
@@ -402,17 +413,17 @@ func (c *Composer) resourceBlock(uri odata.ID, comp *Composition) redfish.Resour
 		ResourceBlockType: []string{redfish.BlockCompute},
 		CompositionStatus: redfish.CompositionStatus{CompositionState: redfish.CompositionComposed},
 		Status:            odata.StatusOK(),
-		Memory:            odata.RefSlice(comp.memory),
-		Storage:           odata.RefSlice(comp.storage),
-		Processors:        odata.RefSlice(comp.gpus),
+		Memory:            odata.RefSlice(comp.resources(KindMemory)),
+		Storage:           odata.RefSlice(comp.resources(KindStorage)),
+		Processors:        odata.RefSlice(comp.resources(KindGPU)),
 	}
-	if len(comp.memory) > 0 {
+	if len(block.Memory) > 0 {
 		block.ResourceBlockType = append(block.ResourceBlockType, redfish.BlockMemory)
 	}
-	if len(comp.storage) > 0 {
+	if len(block.Storage) > 0 {
 		block.ResourceBlockType = append(block.ResourceBlockType, redfish.BlockStorage)
 	}
-	if len(comp.gpus) > 0 {
+	if len(block.Processors) > 0 {
 		block.ResourceBlockType = append(block.ResourceBlockType, redfish.BlockProcessor)
 	}
 	if !comp.SystemURI.IsZero() {
@@ -433,67 +444,69 @@ func (c *Composer) selectNodeLocked(req Request) (string, error) {
 		}
 		return req.Node, nil
 	}
-	states := make([]NodeState, 0, len(c.nodes))
-	for _, n := range c.nodes {
-		states = append(states, *n)
-	}
-	sort.Slice(states, func(i, j int) bool { return states[i].Name < states[j].Name })
-	return c.policy.SelectNode(states, req)
+	return c.policy.SelectNode(c.nodesLocked(), req)
 }
 
-// attachMemory carves a chunk from the first pool with capacity, zones
-// the initiator endpoint, and connects the chunk to the node.
-func (c *Composer) attachMemory(ctx context.Context, comp *Composition, node string, sizeMiB int64, heads int) error {
+// units words an amount of each kind in errors.
+var units = map[Kind]string{
+	KindMemory:  "MiB of fabric memory",
+	KindStorage: "bytes of storage",
+	KindGPU:     "GPU slices",
+}
+
+// attach provisions amount units from the first pool of the kind that
+// has them and accepts the request, and connects the resource to the
+// composition's node (zoning the node's initiator first where the pool
+// asks for it). A pool that rejects the provisioning is passed over; a
+// connection that fails ends the attempt, and everything attach did is
+// undone back to the mark taken at entry.
+func (c *Composer) attach(ctx context.Context, comp *Composition, kind Kind, amount int64, heads int) error {
 	c.mu.Lock()
-	pools := append([]*MemoryPool(nil), c.memPools...)
+	pools := append([]*Pool(nil), c.pools...)
 	c.mu.Unlock()
+	mark := len(comp.steps)
+	var rejected error
 	for _, p := range pools {
-		if p.FreeMiB() < sizeMiB {
+		if p.Kind != kind || p.Free() < amount {
 			continue
 		}
-		mark := len(comp.steps)
-		payload := fmt.Sprintf(`{"MemoryChunkSizeMiB": %d, "Oem": {"OFMF": {"MaxHeads": %d}}}`, sizeMiB, heads)
-		chunkURI, err := c.svc.ProvisionResource(ctx, p.Chunks, []byte(payload))
+		res, err := c.svc.ProvisionResource(ctx, p.Resources, p.Provision(amount, heads))
 		if err != nil {
+			rejected = fmt.Errorf("pool %s: %w", p.Name, err)
 			continue
 		}
-		comp.steps = append(comp.steps, step{kind: "resource", id: chunkURI})
-		// Zone the composition's initiator on this fabric (zone-of-
-		// endpoints granting the node access to the pooled device).
-		zone, err := c.svc.CreateZone(ctx, p.Connections.Parent().Append("Zones"), redfish.Zone{
-			Resource: odata.Resource{Name: "Zone for " + comp.ID},
-			ZoneType: redfish.ZoneTypeZoneOfEndpoints,
-			Links:    redfish.ZoneLinks{Endpoints: []odata.Ref{odata.NewRef(p.Endpoint(node))}},
-		})
-		if err == nil {
-			comp.steps = append(comp.steps, step{kind: "zone", id: zone.ODataID})
-		}
-		conn := redfish.Connection{
-			ConnectionType: "Memory",
-			MemoryChunkInfo: []redfish.MemoryChunkInfo{{
-				AccessCapabilities: []string{"Read", "Write"},
-				MemoryChunk:        redfish.Ref(chunkURI),
-			}},
-			Links: redfish.ConnectionLinks{
-				InitiatorEndpoints: []odata.Ref{odata.NewRef(p.Endpoint(node))},
-			},
+		comp.steps = append(comp.steps, step{kind: "resource", id: res, pool: kind})
+		conn := p.Connection(comp.Node, res)
+		if p.Zoned {
+			// A zone-of-endpoints granting the node access to the pooled
+			// device. A fabric that refuses the zone may still connect.
+			zone, err := c.svc.CreateZone(ctx, p.Connections.Parent().Append("Zones"), redfish.Zone{
+				Resource: odata.Resource{Name: "Zone for " + comp.ID},
+				ZoneType: redfish.ZoneTypeZoneOfEndpoints,
+				Links:    redfish.ZoneLinks{Endpoints: conn.Links.InitiatorEndpoints},
+			})
+			if err == nil {
+				comp.steps = append(comp.steps, step{kind: "zone", id: zone.ODataID})
+			}
 		}
 		created, err := c.svc.CreateConnection(ctx, p.Connections, conn)
 		if err != nil {
-			c.undoSteps(ctx, comp, len(comp.steps)-mark)
-			return fmt.Errorf("composer: memory connection: %w", err)
+			c.undoSteps(ctx, comp, mark)
+			return fmt.Errorf("composer: %s connection: %w", kind, err)
 		}
 		comp.steps = append(comp.steps, step{kind: "connection", id: created.ODataID})
-		comp.Resources = append(comp.Resources, chunkURI)
-		comp.memory = append(comp.memory, chunkURI)
 		return nil
 	}
-	return fmt.Errorf("%w: %d MiB of fabric memory", ErrNoPool, sizeMiB)
+	if rejected != nil {
+		return fmt.Errorf("%w: %d %s: last rejection: %v", ErrNoPool, amount, units[kind], rejected)
+	}
+	return fmt.Errorf("%w: %d %s", ErrNoPool, amount, units[kind])
 }
 
-// undoSteps reverses up to n of the composition's most recent steps.
-func (c *Composer) undoSteps(ctx context.Context, comp *Composition, n int) {
-	for i := 0; i < n && len(comp.steps) > 0; i++ {
+// undoSteps is the one rollback: it reverses the composition's steps,
+// newest first, until mark of them are left (0 tears everything down).
+func (c *Composer) undoSteps(ctx context.Context, comp *Composition, mark int) {
+	for len(comp.steps) > mark {
 		st := comp.steps[len(comp.steps)-1]
 		comp.steps = comp.steps[:len(comp.steps)-1]
 		switch st.kind {
@@ -507,82 +520,6 @@ func (c *Composer) undoSteps(ctx context.Context, comp *Composition, n int) {
 			_ = c.svc.Store().DeleteCtx(ctx, st.id)
 		}
 	}
-}
-
-// attachStorage provisions a volume and connects it to the node.
-func (c *Composer) attachStorage(ctx context.Context, comp *Composition, node string, bytes int64) error {
-	c.mu.Lock()
-	pools := append([]*StoragePool(nil), c.stoPools...)
-	c.mu.Unlock()
-	for _, p := range pools {
-		if p.FreeBytes() < bytes {
-			continue
-		}
-		payload := fmt.Sprintf(`{"CapacityBytes": %d}`, bytes)
-		volURI, err := c.svc.ProvisionResource(ctx, p.Volumes, []byte(payload))
-		if err != nil {
-			continue
-		}
-		comp.steps = append(comp.steps, step{kind: "resource", id: volURI})
-		conn := redfish.Connection{
-			ConnectionType: "Storage",
-			VolumeInfo:     []redfish.VolumeInfo{{AccessCapabilities: []string{"Read", "Write"}, Volume: redfish.Ref(volURI)}},
-			Links: redfish.ConnectionLinks{
-				InitiatorEndpoints: []odata.Ref{odata.NewRef(p.Endpoint(node))},
-			},
-		}
-		created, err := c.svc.CreateConnection(ctx, p.Connections, conn)
-		if err != nil {
-			_ = c.svc.DeprovisionResource(ctx, volURI)
-			comp.steps = comp.steps[:len(comp.steps)-1]
-			return fmt.Errorf("composer: storage connection: %w", err)
-		}
-		comp.steps = append(comp.steps, step{kind: "connection", id: created.ODataID})
-		comp.Resources = append(comp.Resources, volURI)
-		comp.storage = append(comp.storage, volURI)
-		return nil
-	}
-	return fmt.Errorf("%w: %d bytes of storage", ErrNoPool, bytes)
-}
-
-// attachGPU carves a partition and connects it to the node.
-func (c *Composer) attachGPU(ctx context.Context, comp *Composition, node string, slices int) error {
-	c.mu.Lock()
-	pools := append([]*GPUPool(nil), c.gpuPools...)
-	c.mu.Unlock()
-	for _, p := range pools {
-		if p.FreeSlices() < slices {
-			continue
-		}
-		payload := fmt.Sprintf(`{"Oem": {"OFMF": {"Slices": %d}}}`, slices)
-		partURI, err := c.svc.ProvisionResource(ctx, p.Partitions, []byte(payload))
-		if err != nil {
-			continue
-		}
-		comp.steps = append(comp.steps, step{kind: "resource", id: partURI})
-		conn := redfish.Connection{
-			Links: redfish.ConnectionLinks{
-				InitiatorEndpoints: []odata.Ref{odata.NewRef(p.HostEndpoint(node))},
-				TargetEndpoints:    []odata.Ref{odata.NewRef(p.TargetEndpoint(partURI.Leaf()))},
-			},
-		}
-		created, err := c.svc.CreateConnection(ctx, p.Connections, conn)
-		if err != nil {
-			_ = c.svc.DeprovisionResource(ctx, partURI)
-			comp.steps = comp.steps[:len(comp.steps)-1]
-			return fmt.Errorf("composer: gpu connection: %w", err)
-		}
-		comp.steps = append(comp.steps, step{kind: "connection", id: created.ODataID})
-		comp.Resources = append(comp.Resources, partURI)
-		comp.gpus = append(comp.gpus, partURI)
-		return nil
-	}
-	return fmt.Errorf("%w: %d GPU slices", ErrNoPool, slices)
-}
-
-// teardown reverses a composition's steps in LIFO order.
-func (c *Composer) teardown(ctx context.Context, comp *Composition) {
-	c.undoSteps(ctx, comp, len(comp.steps))
 }
 
 // Decompose tears down a composition with a background context; see
@@ -609,7 +546,7 @@ func (c *Composer) decompose(ctx context.Context, id string) error {
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownComp, id)
 	}
-	c.teardown(ctx, comp)
+	c.undoSteps(ctx, comp, 0)
 	c.mu.Lock()
 	if n, ok := c.nodes[comp.Node]; ok {
 		n.UsedCores -= comp.Request.Cores
@@ -650,11 +587,11 @@ func (c *Composer) hotAddMemory(ctx context.Context, compID string, sizeMiB int6
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrUnknownComp, compID)
 	}
-	if err := c.attachMemory(ctx, comp, comp.Node, sizeMiB, 1); err != nil {
+	if err := c.attach(ctx, comp, KindMemory, sizeMiB, 1); err != nil {
 		return err
 	}
 	// Refresh the composed system's resource links and the block view.
-	patch := map[string]any{"Links": map[string]any{"ResourceBlocks": refList(comp.Resources)}}
+	patch := map[string]any{"Links": map[string]any{"ResourceBlocks": odata.RefSlice(comp.resources(""))}}
 	if err := c.svc.Store().PatchCtx(ctx, comp.SystemURI, patch, ""); err != nil {
 		return err
 	}
@@ -672,14 +609,6 @@ func (c *Composer) hotAddMemory(ctx context.Context, compID string, sizeMiB int6
 		OriginOfCondition: refTo(comp.SystemURI),
 	})
 	return nil
-}
-
-func refList(ids []odata.ID) []map[string]string {
-	out := make([]map[string]string, len(ids))
-	for i, id := range ids {
-		out[i] = map[string]string{"@odata.id": string(id)}
-	}
-	return out
 }
 
 // ComposeAsync realizes the request on a background goroutine tracked by
@@ -713,36 +642,19 @@ func (c *Composer) ComposeAsync(req Request) *tasks.Task {
 // under Oem.OFMF, per the DMTF specific-composition pattern.
 func (c *Composer) ComposeSystem(ctx context.Context, payload []byte) (odata.ID, error) {
 	var envelope struct {
-		Name string `json:"Name"`
-		Oem  struct {
+		Request // the bare-request fields, and the system's Name, at top level
+		Oem     struct {
 			OFMF *Request `json:"OFMF"`
 		} `json:"Oem"`
-		// Bare-request fields accepted at top level too.
-		Cores           int    `json:"Cores"`
-		FabricMemoryMiB int64  `json:"FabricMemoryMiB"`
-		MemoryHeads     int    `json:"MemoryHeads"`
-		StorageBytes    int64  `json:"StorageBytes"`
-		GPUSlices       int    `json:"GPUSlices"`
-		Node            string `json:"Node"`
 	}
 	if err := json.Unmarshal(payload, &envelope); err != nil {
 		return "", fmt.Errorf("%w: %v", ErrInvalidRequest, err)
 	}
-	var req Request
+	req := envelope.Request
 	if envelope.Oem.OFMF != nil {
 		req = *envelope.Oem.OFMF
 		if req.Name == "" {
 			req.Name = envelope.Name
-		}
-	} else {
-		req = Request{
-			Name:            envelope.Name,
-			Cores:           envelope.Cores,
-			FabricMemoryMiB: envelope.FabricMemoryMiB,
-			MemoryHeads:     envelope.MemoryHeads,
-			StorageBytes:    envelope.StorageBytes,
-			GPUSlices:       envelope.GPUSlices,
-			Node:            envelope.Node,
 		}
 	}
 	comp, err := c.ComposeCtx(ctx, req)
@@ -790,14 +702,15 @@ func (c *Composer) Stats() Stats {
 		s.UsedCores += n.UsedCores
 	}
 	s.Compositions = len(c.comps)
-	for _, p := range c.memPools {
-		s.FreeMemoryMiB += p.FreeMiB()
-	}
-	for _, p := range c.stoPools {
-		s.FreeStorageB += p.FreeBytes()
-	}
-	for _, p := range c.gpuPools {
-		s.FreeGPUSlices += p.FreeSlices()
+	for _, p := range c.pools {
+		switch p.Kind {
+		case KindMemory:
+			s.FreeMemoryMiB += p.Free()
+		case KindStorage:
+			s.FreeStorageB += p.Free()
+		case KindGPU:
+			s.FreeGPUSlices += int(p.Free())
+		}
 	}
 	return s
 }

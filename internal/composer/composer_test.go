@@ -2,10 +2,14 @@ package composer_test
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"reflect"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -185,6 +189,45 @@ func TestComposeValidation(t *testing.T) {
 	if _, err := f.Composer.Compose(composer.Request{Cores: 1, Node: "ghost"}); !errors.Is(err, composer.ErrUnknownNode) {
 		t.Errorf("err = %v", err)
 	}
+
+	// Name becomes the last segment of the system's URI: anything but
+	// one path segment would store the system outside the Systems
+	// collection ("../Chassis/evil" used to land in /redfish/v1/Chassis).
+	// Refused on the API and on both HTTP surfaces, before a node is
+	// reserved or anything is stored.
+	srv := httptest.NewServer(f.Handler())
+	defer srv.Close()
+	before, err := f.Service.Store().Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"../Chassis/evil", "a/b", "/", ".", "..", "  "} {
+		if _, err := f.Composer.Compose(composer.Request{Name: name, Cores: 1}); !errors.Is(err, composer.ErrInvalidRequest) {
+			t.Errorf("Name %q: err = %v", name, err)
+		}
+		body, _ := json.Marshal(composer.Request{Name: name, Cores: 1})
+		for _, path := range []string{"/composer/v1/Compose", string(service.SystemsURI)} {
+			resp, err := http.Post(srv.URL+path, "application/json", bytes.NewReader(body))
+			if err != nil {
+				t.Fatal(err)
+			}
+			reply, _ := io.ReadAll(resp.Body)
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusBadRequest || !bytes.Contains(reply, []byte("@Message.ExtendedInfo")) {
+				t.Errorf("POST %s Name %q = %d %s, want 400 with the Redfish envelope", path, name, resp.StatusCode, reply)
+			}
+		}
+	}
+	if got := f.Composer.Stats(); got.UsedCores != 0 || got.Compositions != 0 {
+		t.Errorf("refused requests reserved something: %+v", got)
+	}
+	after, err := f.Service.Store().Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Error("refused requests changed the tree")
+	}
 }
 
 func TestComposeNoCores(t *testing.T) {
@@ -227,6 +270,93 @@ func TestComposeRollbackOnPoolExhaustion(t *testing.T) {
 	}
 	if len(members) != 0 {
 		t.Errorf("leftover connections: %v", members)
+	}
+}
+
+// refuseConnections is a fabric's handler except that it refuses every
+// connection.
+type refuseConnections struct{ service.FabricHandler }
+
+func (refuseConnections) CreateConnection(context.Context, *redfish.Connection) error {
+	return errors.New("fabric refuses the connection")
+}
+
+// TestAttachRollback drives the composer's one rollback through every
+// kind of pool and both ways an attach can fail after the node is
+// reserved. The agent rejects the provisioning: each request fits the
+// pool's total free capacity (so the composer asks) but no single device,
+// so every pool is passed over and the error says why. Or the connection
+// is rejected after the resource (and, for memory, the zone) exists: the
+// composer node "stray" has no endpoint on the CXL and NVMe fabrics; the
+// GPU agent attaches to any host, so its row swaps the fabric's handler
+// for one that refuses. Either way nothing may be left behind — in the
+// composer, the hardware, or the tree.
+func TestAttachRollback(t *testing.T) {
+	for _, tc := range []struct {
+		name           string
+		req            composer.Request
+		refuseOnFabric bool
+		wantNoPool     bool
+	}{
+		{"memory/provision rejected", composer.Request{Cores: 2, FabricMemoryMiB: 300 * 1024}, false, true}, // 4 devices of 256 GiB
+		{"memory/connection rejected", composer.Request{Cores: 2, FabricMemoryMiB: 1024, Node: "stray"}, false, false},
+		{"storage/provision rejected", composer.Request{Cores: 2, StorageBytes: 3 << 29}, false, true}, // 2 pools of 1 GiB
+		{"storage/connection rejected", composer.Request{Cores: 2, StorageBytes: 1 << 20, Node: "stray"}, false, false},
+		{"gpu/provision rejected", composer.Request{Cores: 2, GPUSlices: 8}, false, true}, // 8 GPUs of 7 slices
+		{"gpu/connection rejected", composer.Request{Cores: 2, GPUSlices: 1, Node: "stray"}, true, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			f := newFramework(t, core.Config{Nodes: 1, NVMePoolBytes: 1 << 30})
+			if err := f.NVMe.AddPool("pool1", 1<<30); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.NVMeAgent.Publish(); err != nil {
+				t.Fatal(err)
+			}
+			if err := f.Composer.AddNode("stray", 8, 1024); err != nil {
+				t.Fatal(err)
+			}
+			if tc.refuseOnFabric {
+				if err := f.Service.RegisterFabricHandler(f.GPUAgent.FabricID(), refuseConnections{f.GPUAgent}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			stats, nodes := f.Composer.Stats(), f.Composer.Nodes()
+			before, err := f.Service.Store().Export()
+			if err != nil {
+				t.Fatal(err)
+			}
+
+			_, err = f.Composer.Compose(tc.req)
+			if tc.wantNoPool {
+				// Still ErrNoPool (409), now naming the pool and its reason.
+				if !errors.Is(err, composer.ErrNoPool) || !strings.Contains(err.Error(), "last rejection: pool ") {
+					t.Fatalf("err = %v, want ErrNoPool carrying the last rejection", err)
+				}
+			} else if !service.IsAgentError(err) || !strings.Contains(err.Error(), " connection: ") {
+				t.Fatalf("err = %v, want the agent's refusal of the connection", err)
+			}
+
+			if got := f.Composer.Stats(); got != stats {
+				t.Errorf("stats = %+v, want %+v", got, stats)
+			}
+			if got := f.Composer.Nodes(); !reflect.DeepEqual(got, nodes) {
+				t.Errorf("nodes = %+v, want %+v", got, nodes)
+			}
+			if got := f.Composer.Compositions(); len(got) != 0 {
+				t.Errorf("compositions = %+v", got)
+			}
+			if c, v, p := len(f.CXL.Chunks()), len(f.NVMe.Volumes()), len(f.GPUs.Partitions()); c+v+p != 0 {
+				t.Errorf("hardware keeps %d chunks, %d volumes, %d partitions", c, v, p)
+			}
+			after, err := f.Service.Store().Export()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(before, after) {
+				t.Errorf("tree differs after the failed compose:\nbefore %s\nafter  %s", before, after)
+			}
+		})
 	}
 }
 

@@ -20,13 +20,22 @@ import (
 //	POST   /composer/v1/Compositions/{id}/Actions/HotAddMemory — grow memory
 //	GET    /composer/v1/Stats             — utilization counters
 func (c *Composer) Handler() http.Handler {
-	mux := http.NewServeMux()
-	mux.HandleFunc("/composer/v1/Compose", c.handleCompose)
-	mux.HandleFunc("/composer/v1/ComposeAsync", c.handleComposeAsync)
-	mux.HandleFunc("/composer/v1/Compositions", c.handleList)
-	mux.HandleFunc("/composer/v1/Compositions/", c.handleComposition)
-	mux.HandleFunc("/composer/v1/Stats", c.handleStats)
-	return mux
+	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		switch rest, _ := strings.CutPrefix(r.URL.Path, "/composer/v1/"); {
+		case rest == "Compose":
+			c.handleCompose(w, r)
+		case rest == "ComposeAsync":
+			c.handleComposeAsync(w, r)
+		case rest == "Compositions":
+			c.handleList(w, r)
+		case strings.HasPrefix(rest, "Compositions/"):
+			c.handleComposition(w, r, strings.Split(rest[len("Compositions/"):], "/"))
+		case rest == "Stats":
+			c.handleStats(w, r)
+		default:
+			httpError(w, http.StatusNotFound, "Base.1.0.ResourceMissingAtURI", "no such resource: "+r.URL.Path)
+		}
+	})
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {
@@ -55,14 +64,23 @@ func writeErr(w http.ResponseWriter, err error) {
 	httpError(w, status, code, err.Error())
 }
 
-func (c *Composer) handleCompose(w http.ResponseWriter, r *http.Request) {
+// postedRequest decodes the Request a compose route was POSTed, or
+// answers the refusal itself.
+func postedRequest(w http.ResponseWriter, r *http.Request) (req Request, ok bool) {
 	if r.Method != http.MethodPost {
 		httpError(w, http.StatusMethodNotAllowed, "Base.1.0.OperationNotAllowed", "POST only")
-		return
+		return req, false
 	}
-	var req Request
 	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
 		httpError(w, http.StatusBadRequest, "Base.1.0.MalformedJSON", err.Error())
+		return req, false
+	}
+	return req, true
+}
+
+func (c *Composer) handleCompose(w http.ResponseWriter, r *http.Request) {
+	req, ok := postedRequest(w, r)
+	if !ok {
 		return
 	}
 	comp, err := c.ComposeCtx(r.Context(), req)
@@ -78,13 +96,8 @@ func (c *Composer) handleCompose(w http.ResponseWriter, r *http.Request) {
 // task monitor in Location, per the Redfish asynchronous-operation
 // pattern.
 func (c *Composer) handleComposeAsync(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		httpError(w, http.StatusMethodNotAllowed, "Base.1.0.OperationNotAllowed", "POST only")
-		return
-	}
-	var req Request
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		httpError(w, http.StatusBadRequest, "Base.1.0.MalformedJSON", err.Error())
+	req, ok := postedRequest(w, r)
+	if !ok {
 		return
 	}
 	task := c.ComposeAsync(req)
@@ -100,9 +113,8 @@ func (c *Composer) handleList(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, c.Compositions())
 }
 
-func (c *Composer) handleComposition(w http.ResponseWriter, r *http.Request) {
-	rest := strings.TrimPrefix(r.URL.Path, "/composer/v1/Compositions/")
-	parts := strings.Split(rest, "/")
+// handleComposition serves /composer/v1/Compositions/{parts...}.
+func (c *Composer) handleComposition(w http.ResponseWriter, r *http.Request, parts []string) {
 	id := parts[0]
 	switch {
 	case len(parts) == 1 && r.Method == http.MethodGet:

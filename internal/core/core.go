@@ -190,38 +190,77 @@ func New(cfg Config) (*Framework, error) {
 			return nil, err
 		}
 	}
+	// Pools: where each technology is provisioned and connected, and the
+	// payloads its agent expects (the agents' chunkRequest, volumeRequest
+	// and partitionRequest shapes).
 	cxlFabric := f.CXLAgent.FabricID()
-	f.Composer.AddMemoryPool(&composer.MemoryPool{
+	f.Composer.AddPool(&composer.Pool{
+		Kind:        composer.KindMemory,
 		Name:        "cxl-pool",
-		Chunks:      f.CXLAgent.ChassisID().Append("MemoryDomains", "Domain0", "MemoryChunks"),
+		Resources:   f.CXLAgent.ChassisID().Append("MemoryDomains", "Domain0", "MemoryChunks"),
 		Connections: cxlFabric.Append("Connections"),
-		Endpoint:    func(node string) odata.ID { return cxlFabric.Append("Endpoints", node) },
-		FreeMiB:     f.CXL.FreeMiB,
+		Free:        f.CXL.FreeMiB,
+		Provision: func(mib int64, heads int) []byte {
+			return fmt.Appendf(nil, `{"MemoryChunkSizeMiB": %d, "Oem": {"OFMF": {"MaxHeads": %d}}}`, mib, heads)
+		},
+		Zoned: true,
+		Connection: func(node string, chunk odata.ID) redfish.Connection {
+			return redfish.Connection{
+				ConnectionType: "Memory",
+				MemoryChunkInfo: []redfish.MemoryChunkInfo{{
+					AccessCapabilities: []string{"Read", "Write"},
+					MemoryChunk:        redfish.Ref(chunk),
+				}},
+				Links: redfish.ConnectionLinks{
+					InitiatorEndpoints: []odata.Ref{odata.NewRef(cxlFabric.Append("Endpoints", node))},
+				},
+			}
+		},
 	})
 	nvmeFabric := f.NVMeAgent.FabricID()
-	f.Composer.AddStoragePool(&composer.StoragePool{
+	f.Composer.AddPool(&composer.Pool{
+		Kind:        composer.KindStorage,
 		Name:        "nvme-pool",
-		Volumes:     f.NVMeAgent.StorageID().Append("Volumes"),
+		Resources:   f.NVMeAgent.StorageID().Append("Volumes"),
 		Connections: nvmeFabric.Append("Connections"),
-		Endpoint:    func(node string) odata.ID { return nvmeFabric.Append("Endpoints", node) },
-		FreeBytes: func() int64 {
+		Free: func() int64 {
 			var free int64
 			for _, p := range f.NVMe.Pools() {
 				free += p.CapacityBytes - p.AllocatedBytes()
 			}
 			return free
 		},
+		Provision: func(bytes int64, _ int) []byte {
+			return fmt.Appendf(nil, `{"CapacityBytes": %d}`, bytes)
+		},
+		Connection: func(node string, volume odata.ID) redfish.Connection {
+			return redfish.Connection{
+				ConnectionType: "Storage",
+				VolumeInfo:     []redfish.VolumeInfo{{AccessCapabilities: []string{"Read", "Write"}, Volume: redfish.Ref(volume)}},
+				Links: redfish.ConnectionLinks{
+					InitiatorEndpoints: []odata.Ref{odata.NewRef(nvmeFabric.Append("Endpoints", node))},
+				},
+			}
+		},
 	})
 	gpuFabric := f.GPUAgent.FabricID()
-	f.Composer.AddGPUPool(&composer.GPUPool{
-		Name:         "gpu-pool",
-		Partitions:   f.GPUAgent.ChassisID().Append("Processors"),
-		Connections:  gpuFabric.Append("Connections"),
-		HostEndpoint: func(node string) odata.ID { return service.SystemsURI.Append(node) },
-		TargetEndpoint: func(leaf string) odata.ID {
-			return gpuFabric.Append("Endpoints", leaf)
+	f.Composer.AddPool(&composer.Pool{
+		Kind:        composer.KindGPU,
+		Name:        "gpu-pool",
+		Resources:   f.GPUAgent.ChassisID().Append("Processors"),
+		Connections: gpuFabric.Append("Connections"),
+		Free:        func() int64 { return int64(f.GPUs.FreeSlices()) },
+		Provision: func(slices int64, _ int) []byte {
+			return fmt.Appendf(nil, `{"Oem": {"OFMF": {"Slices": %d}}}`, slices)
 		},
-		FreeSlices: f.GPUs.FreeSlices,
+		// The host is named by its system, the partition by the fabric
+		// endpoint that carries the partition's leaf id.
+		Connection: func(node string, partition odata.ID) redfish.Connection {
+			return redfish.Connection{Links: redfish.ConnectionLinks{
+				InitiatorEndpoints: []odata.Ref{odata.NewRef(service.SystemsURI.Append(node))},
+				TargetEndpoints:    []odata.Ref{odata.NewRef(gpuFabric.Append("Endpoints", partition.Leaf()))},
+			}}
+		},
 	})
 
 	// Redfish-native composition: POST /redfish/v1/Systems composes,

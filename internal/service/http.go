@@ -266,7 +266,7 @@ func (s *Service) handleGet(w http.ResponseWriter, r *http.Request, id odata.ID)
 		}
 		coll, err := s.store.Collection(id)
 		if err != nil {
-			s.storeError(w, r, err)
+			s.fail(w, r, err)
 			return
 		}
 		query := r.URL.Query()
@@ -326,7 +326,7 @@ func (s *Service) serveCollection(w http.ResponseWriter, r *http.Request, id oda
 		}
 	})
 	if err != nil {
-		s.storeError(w, r, err)
+		s.fail(w, r, err)
 	}
 }
 
@@ -352,7 +352,7 @@ func (s *Service) serveResource(w http.ResponseWriter, r *http.Request, id odata
 		}
 	})
 	if err != nil {
-		s.storeError(w, r, err)
+		s.fail(w, r, err)
 		return
 	}
 	if notModified {
@@ -480,32 +480,29 @@ func (s *Service) handlePost(w http.ResponseWriter, r *http.Request, id odata.ID
 // ownedByProvisioner reports whether id lies in a subtree whose agent can
 // provision resources.
 func (s *Service) ownedByProvisioner(id odata.ID) bool {
-	h, ok := s.handlerFor(id)
-	if !ok {
-		return false
-	}
-	_, ok = h.(ResourceProvisioner)
-	return ok
+	_, _, err := s.provisionerFor(id)
+	return err == nil
 }
 
 func (s *Service) postProvision(w http.ResponseWriter, r *http.Request, coll odata.ID) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		s.error(w, r, http.StatusBadRequest, "Base.1.0.MalformedJSON", "unreadable body")
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	uri, err := s.ProvisionResource(r.Context(), coll, body)
 	if err != nil {
-		if IsAgentError(err) {
-			s.agentError(w, r, err)
-			return
-		}
-		s.storeError(w, r, err)
+		s.fail(w, r, err)
 		return
 	}
+	s.created(w, r, uri)
+}
+
+// created answers 201 with the stored resource at uri, which an agent or
+// the composer has just published, and its Location.
+func (s *Service) created(w http.ResponseWriter, r *http.Request, uri odata.ID) {
 	raw, _, err := s.store.Get(uri)
 	if err != nil {
-		s.storeError(w, r, err)
+		s.fail(w, r, err)
 		return
 	}
 	w.Header().Set("Location", string(uri))
@@ -523,10 +520,18 @@ func (s *Service) isFabricCollection(id odata.ID, leaf string) bool {
 	return fab.Parent() == FabricsURI
 }
 
-func (s *Service) decode(w http.ResponseWriter, r *http.Request, out any) bool {
+// readBody reads the request payload, bounded by maxBodyBytes.
+func (s *Service) readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
 	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
 	if err != nil {
 		s.error(w, r, http.StatusBadRequest, "Base.1.0.MalformedJSON", "unreadable body")
+	}
+	return body, err == nil
+}
+
+func (s *Service) decode(w http.ResponseWriter, r *http.Request, out any) bool {
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return false
 	}
 	if err := json.Unmarshal(body, out); err != nil {
@@ -540,25 +545,19 @@ func (s *Service) decode(w http.ResponseWriter, r *http.Request, out any) bool {
 // POSTed payload describes the wanted system; the Composability Manager
 // assembles it and the created system is returned.
 func (s *Service) postComposeSystem(w http.ResponseWriter, r *http.Request) {
-	body, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		s.error(w, r, http.StatusBadRequest, "Base.1.0.MalformedJSON", "unreadable body")
+	body, ok := s.readBody(w, r)
+	if !ok {
 		return
 	}
 	sysURI, err := s.systemComposer().ComposeSystem(r.Context(), body)
-	if err != nil {
+	switch {
+	case errors.Is(err, ErrInvalidRequest):
+		s.fail(w, r, err)
+	case err != nil:
 		s.error(w, r, http.StatusConflict, "OFMF.1.0.CompositionFailed", err.Error())
-		return
+	default:
+		s.created(w, r, sysURI)
 	}
-	raw, _, err := s.store.Get(sysURI)
-	if err != nil {
-		s.storeError(w, r, err)
-		return
-	}
-	w.Header().Set("Location", string(sysURI))
-	w.Header().Set("Content-Type", "application/json")
-	w.WriteHeader(http.StatusCreated)
-	_, _ = w.Write(raw)
 }
 
 func (s *Service) postSession(w http.ResponseWriter, r *http.Request) {
@@ -581,7 +580,7 @@ func (s *Service) postSession(w http.ResponseWriter, r *http.Request) {
 		CreatedTime: redfish.Timestamp(sess.Created),
 	}
 	if err := s.store.PutCtx(r.Context(), uri, res); err != nil {
-		s.storeError(w, r, err)
+		s.fail(w, r, err)
 		return
 	}
 	w.Header().Set("X-Auth-Token", sess.Token)
@@ -613,7 +612,7 @@ func (s *Service) postSubscription(w http.ResponseWriter, r *http.Request) {
 	dest.Protocol = "Redfish"
 	dest.Status = odata.StatusOK()
 	if err := s.store.PutCtx(r.Context(), uri, dest); err != nil {
-		s.storeError(w, r, err)
+		s.fail(w, r, err)
 		return
 	}
 	w.Header().Set("Location", string(uri))
@@ -655,14 +654,18 @@ func (s *Service) postAggregationSource(w http.ResponseWriter, r *http.Request) 
 	}
 	src, created, err := s.RegisterAggregationSource(r.Context(), src)
 	if err != nil {
-		s.storeError(w, r, err)
+		s.fail(w, r, err)
 		return
 	}
 	// A remote agent advertising a callback URL gets fabric mutations for
 	// its claimed subtrees forwarded over HTTP.
 	if src.HostName != "" {
+		h := NewRemoteFabricHandler(src.HostName)
 		for _, res := range src.Links.ResourcesAccessed {
-			s.RegisterFabricHandler(NewRemoteFabricHandler(res.ODataID, src.HostName))
+			if err := s.RegisterFabricHandler(res.ODataID, h); err != nil {
+				s.fail(w, r, err)
+				return
+			}
 		}
 	}
 	w.Header().Set("Location", string(src.ODataID))
@@ -680,11 +683,7 @@ func (s *Service) postZone(w http.ResponseWriter, r *http.Request, coll odata.ID
 	}
 	zone, err := s.CreateZone(r.Context(), coll, zone)
 	if err != nil {
-		if IsAgentError(err) {
-			s.agentError(w, r, err)
-			return
-		}
-		s.storeError(w, r, err)
+		s.fail(w, r, err)
 		return
 	}
 	w.Header().Set("Location", string(zone.ODataID))
@@ -698,11 +697,7 @@ func (s *Service) postConnection(w http.ResponseWriter, r *http.Request, coll od
 	}
 	conn, err := s.CreateConnection(r.Context(), coll, conn)
 	if err != nil {
-		if IsAgentError(err) {
-			s.agentError(w, r, err)
-			return
-		}
-		s.storeError(w, r, err)
+		s.fail(w, r, err)
 		return
 	}
 	w.Header().Set("Location", string(conn.ODataID))
@@ -722,7 +717,7 @@ func (s *Service) postGeneric(w http.ResponseWriter, r *http.Request, coll odata
 		return payload, nil
 	})
 	if err != nil {
-		s.storeError(w, r, err)
+		s.fail(w, r, err)
 		return
 	}
 	w.Header().Set("Location", string(uri))
@@ -738,16 +733,12 @@ func (s *Service) handlePatch(w http.ResponseWriter, r *http.Request, id odata.I
 	if !s.decode(w, r, &patch) {
 		return
 	}
-	if _, owned := s.handlerFor(id); !owned && !s.cfg.DirectWrites && !s.patchableAlways(id) {
+	if _, _, owned := s.handlerFor(id); !owned && !s.cfg.DirectWrites && !s.patchableAlways(id) {
 		s.error(w, r, http.StatusMethodNotAllowed, "Base.1.0.OperationNotAllowed", "resource is read-only")
 		return
 	}
 	if err := s.PatchResource(r.Context(), id, patch, r.Header.Get("If-Match")); err != nil {
-		if IsAgentError(err) {
-			s.agentError(w, r, err)
-			return
-		}
-		s.storeError(w, r, err)
+		s.fail(w, r, err)
 		return
 	}
 	s.handleGet(w, r, id)
@@ -782,8 +773,13 @@ func (s *Service) handleDelete(w http.ResponseWriter, r *http.Request, id odata.
 		var src redfish.AggregationSource
 		if err := s.store.GetAs(id, &src); err == nil {
 			for _, res := range src.Links.ResourcesAccessed {
+				// The stored claim list is patchable; honour only what
+				// registration would have accepted.
+				if !s.claimable(res.ODataID) {
+					continue
+				}
 				if _, err := s.store.DeleteSubtreeCtx(r.Context(), res.ODataID); err != nil {
-					s.storeError(w, r, err)
+					s.fail(w, r, err)
 					return
 				}
 				s.UnregisterFabricHandler(res.ODataID)
@@ -799,13 +795,13 @@ func (s *Service) handleDelete(w http.ResponseWriter, r *http.Request, id odata.
 			}
 			// The composer removed the resource itself.
 			if err := s.store.DeleteCtx(r.Context(), id); err != nil && !errors.Is(err, store.ErrNotFound) {
-				s.storeError(w, r, err)
+				s.fail(w, r, err)
 				return
 			}
 			w.WriteHeader(http.StatusNoContent)
 			return
 		}
-		if h, ok := s.handlerFor(id); ok {
+		if _, h, ok := s.handlerFor(id); ok {
 			var err error
 			switch {
 			case parent.Leaf() == "Connections":
@@ -821,11 +817,7 @@ func (s *Service) handleDelete(w http.ResponseWriter, r *http.Request, id odata.
 				}
 			}
 			if err != nil {
-				if IsAgentError(err) {
-					s.agentError(w, r, err)
-					return
-				}
-				s.storeError(w, r, err)
+				s.fail(w, r, err)
 				return
 			}
 			w.WriteHeader(http.StatusNoContent)
@@ -836,7 +828,7 @@ func (s *Service) handleDelete(w http.ResponseWriter, r *http.Request, id odata.
 		}
 	}
 	if err := s.store.DeleteCtx(r.Context(), id); err != nil {
-		s.storeError(w, r, err)
+		s.fail(w, r, err)
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
@@ -905,8 +897,17 @@ func severityFor(status int) string {
 	return "OK"
 }
 
-func (s *Service) storeError(w http.ResponseWriter, r *http.Request, err error) {
+// fail maps an operation's error to its HTTP reply: the one place that
+// decides status and message registry code for store errors, agent
+// refusals and requests refused as invalid or conflicting.
+func (s *Service) fail(w http.ResponseWriter, r *http.Request, err error) {
 	switch {
+	case IsAgentError(err):
+		s.error(w, r, http.StatusBadRequest, "OFMF.1.0.AgentRejectedRequest", fmt.Sprintf("fabric agent rejected request: %v", err))
+	case errors.Is(err, ErrInvalidRequest):
+		s.error(w, r, http.StatusBadRequest, "Base.1.0.PropertyValueError", err.Error())
+	case errors.Is(err, ErrPrefixConflict):
+		s.error(w, r, http.StatusConflict, "Base.1.0.ResourceInUse", err.Error())
 	case errors.Is(err, store.ErrNotFound), errors.Is(err, store.ErrNotCollection):
 		s.error(w, r, http.StatusNotFound, "Base.1.0.ResourceMissingAtURI", err.Error())
 	case errors.Is(err, store.ErrEtagMismatch):
@@ -918,8 +919,4 @@ func (s *Service) storeError(w http.ResponseWriter, r *http.Request, err error) 
 	default:
 		s.error(w, r, http.StatusInternalServerError, "Base.1.0.InternalError", err.Error())
 	}
-}
-
-func (s *Service) agentError(w http.ResponseWriter, r *http.Request, err error) {
-	s.error(w, r, http.StatusBadRequest, "OFMF.1.0.AgentRejectedRequest", fmt.Sprintf("fabric agent rejected request: %v", err))
 }

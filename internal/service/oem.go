@@ -254,27 +254,19 @@ var defaultAgentClient = sync.OnceValue(func() *http.Client {
 // Each forwarded call runs under the request context it is given, so the
 // OFMF->agent POST carries the request's trace context and cancellation.
 type remoteHandler struct {
-	fabric odata.ID
-	url    string // agent callback base URL
-	client *http.Client
+	url string // agent callback base URL
 }
 
 // NewRemoteFabricHandler builds a FabricHandler that forwards operations
 // to the agent ops server at callbackURL.
-func NewRemoteFabricHandler(fabricID odata.ID, callbackURL string) FabricHandler {
-	return &remoteHandler{fabric: fabricID, url: callbackURL}
+func NewRemoteFabricHandler(callbackURL string) FabricHandler {
+	return &remoteHandler{url: callbackURL}
 }
-
-func (h *remoteHandler) FabricID() odata.ID { return h.fabric }
 
 func (h *remoteHandler) post(ctx context.Context, op OpRequest, out any) error {
 	body, err := json.Marshal(op)
 	if err != nil {
 		return err
-	}
-	client := h.client
-	if client == nil {
-		client = defaultAgentClient()
 	}
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.url+"/agent/ops", bytes.NewReader(body))
 	if err != nil {
@@ -282,7 +274,7 @@ func (h *remoteHandler) post(ctx context.Context, op OpRequest, out any) error {
 	}
 	req.Header.Set("Content-Type", "application/json")
 	obsv.InjectHeaders(ctx, req.Header)
-	resp, err := client.Do(req)
+	resp, err := defaultAgentClient().Do(req)
 	if err != nil {
 		return err
 	}

@@ -6,12 +6,25 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"path"
+	"strings"
 	"time"
 
 	"ofmf/internal/obsv"
 	"ofmf/internal/odata"
 	"ofmf/internal/redfish"
 	"ofmf/internal/store"
+)
+
+// Sentinel errors for requests refused before any resource is touched.
+var (
+	// ErrInvalidRequest marks content the service cannot use: a composed
+	// system's name that is not one path segment, a claim on a subtree no
+	// agent may own. It maps to 400.
+	ErrInvalidRequest = errors.New("invalid request")
+	// ErrPrefixConflict marks a handler whose subtree nests with one
+	// already registered. It maps to 409.
+	ErrPrefixConflict = errors.New("service: subtree already has a handler")
 )
 
 // AgentError wraps a rejection from a fabric agent so callers can
@@ -30,28 +43,32 @@ func IsAgentError(err error) bool {
 	return errors.As(err, &ae)
 }
 
-// observeAgentOp times one forwarded agent operation, feeding the
-// ofmf_agent_* metrics, recording an agent.<op> span when the request
-// is traced, and emitting a debug log line correlated with the request
-// id in ctx. fn receives the (possibly span-carrying) context to pass to
-// the forwarded call.
-func (s *Service) observeAgentOp(ctx context.Context, fabric odata.ID, op string, fn func(ctx context.Context) error) error {
+// forward runs one operation on the agent registered under prefix (see
+// handlerFor): timed into the ofmf_agent_* metrics under the prefix's
+// leaf, traced as agent.<op>, logged at debug with the request id. call
+// gets the (possibly span-carrying) context to pass on. A refusal comes
+// back as *AgentError, which createInCollection and store.Deferred hand
+// on untouched (fn's error wins).
+func (s *Service) forward(ctx context.Context, prefix odata.ID, op string, call func(ctx context.Context) error) error {
 	ctx, span := s.tracer.StartIfTraced(ctx, "agent."+op)
-	span.SetAttr("fabric", string(fabric))
+	span.SetAttr("fabric", string(prefix))
 	start := time.Now()
-	err := fn(ctx)
+	err := call(ctx)
 	elapsed := time.Since(start)
 	span.EndErr(err)
 	outcome := obsv.Outcome(err)
-	s.metrics.AgentOps.With(fabric.Leaf(), op, outcome).Inc()
-	s.metrics.AgentOpDuration.With(fabric.Leaf(), op).Observe(elapsed.Seconds())
+	s.metrics.AgentOps.With(prefix.Leaf(), op, outcome).Inc()
+	s.metrics.AgentOpDuration.With(prefix.Leaf(), op).Observe(elapsed.Seconds())
 	s.log.LogAttrs(ctx, slog.LevelDebug, "agent op",
-		slog.String("fabric", string(fabric)),
+		slog.String("fabric", string(prefix)),
 		slog.String("op", op),
 		slog.String("outcome", outcome),
 		slog.Duration("duration", elapsed),
 	)
-	return err
+	if err != nil {
+		return &AgentError{Err: err}
+	}
+	return nil
 }
 
 // recordHeartbeat updates agent liveness metrics when a patch carries the
@@ -93,7 +110,11 @@ func (s *Service) recordHeartbeat(id odata.ID, patch map[string]any) {
 // reflects this registration and the next holder cannot race past it.
 func (s *Service) RegisterAggregationSource(ctx context.Context, src redfish.AggregationSource) (redfish.AggregationSource, bool, error) {
 	start := time.Now()
-	created, err := s.registerSourceLocked(ctx, &src)
+	err := s.checkClaims(src.Links.ResourcesAccessed)
+	created := false
+	if err == nil {
+		created, err = s.registerSourceLocked(ctx, &src)
+	}
 	outcome := "created"
 	switch {
 	case err != nil:
@@ -104,6 +125,40 @@ func (s *Service) RegisterAggregationSource(ctx context.Context, src redfish.Agg
 	s.metrics.Registrations.With(outcome).Inc()
 	s.metrics.RegistrationSeconds.Observe(time.Since(start).Seconds())
 	return src, created, err
+}
+
+// claimable reports whether an aggregation source may claim the subtree
+// rooted at id: a clean path strictly below a top-level collection
+// (/redfish/v1/Fabrics/CXL, never /redfish/v1/Systems itself or a
+// service's own resources). Claims route forwarded operations and are
+// what deleting the source removes, and they arrive from outside.
+func (s *Service) claimable(id odata.ID) bool {
+	rel, ok := strings.CutPrefix(string(id), string(RootURI)+"/")
+	if !ok || path.Clean(string(id)) != string(id) {
+		return false
+	}
+	top, _, below := strings.Cut(rel, "/")
+	return below && s.store.IsCollection(RootURI.Append(top))
+}
+
+// checkClaims refuses a registration before anything is stored: a claim
+// that is not claimable is ErrInvalidRequest, one that nests with a
+// served subtree is ErrPrefixConflict (RegisterFabricHandler's rule;
+// equal prefixes pass, so re-registration works).
+func (s *Service) checkClaims(claims []odata.Ref) error {
+	for _, c := range claims {
+		if !s.claimable(c.ODataID) {
+			return fmt.Errorf("%w: ResourcesAccessed %q is not a subtree below a top-level collection", ErrInvalidRequest, c.ODataID)
+		}
+		// s.mu is never held across a store call: store watchers take it.
+		s.mu.RLock()
+		err := s.prefixConflictLocked(c.ODataID)
+		s.mu.RUnlock()
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // registerSourceLocked is RegisterAggregationSource's critical section:
@@ -152,7 +207,6 @@ type ResourceProvisioner interface {
 // CreateZone creates a zone in the given zone collection, forwarding to
 // the owning agent when one is registered.
 func (s *Service) CreateZone(ctx context.Context, coll odata.ID, zone redfish.Zone) (redfish.Zone, error) {
-	var agentErr error
 	_, err := s.createInCollection(ctx, coll, func(ctx context.Context, uri odata.ID) (any, error) {
 		name := zone.Name
 		if name == "" {
@@ -163,47 +217,22 @@ func (s *Service) CreateZone(ctx context.Context, coll odata.ID, zone redfish.Zo
 			zone.ZoneType = redfish.ZoneTypeZoneOfEndpoints
 		}
 		zone.Status = odata.StatusOK()
-		if h, ok := s.handlerFor(uri); ok {
-			if err := s.observeAgentOp(ctx, h.FabricID(), "CreateZone", func(ctx context.Context) error {
+		if prefix, h, ok := s.handlerFor(uri); ok {
+			if err := s.forward(ctx, prefix, "CreateZone", func(ctx context.Context) error {
 				return h.CreateZone(ctx, &zone)
 			}); err != nil {
-				agentErr = err
 				return nil, err
 			}
 		}
 		return zone, nil
 	})
-	if agentErr != nil {
-		return zone, &AgentError{Err: agentErr}
-	}
 	return zone, err
-}
-
-// DeleteZone removes a zone, forwarding to the owning agent. Deletion is
-// serialized with id allocation so a freed URI cannot be reused until the
-// old resource is fully gone. Like every delete below it is one unit of
-// work (store.Deferred): the agent's publishes and the store delete share
-// one durability wait, taken after allocMu is released.
-func (s *Service) DeleteZone(ctx context.Context, id odata.ID) error {
-	return s.store.Deferred(ctx, func(ctx context.Context) error {
-		s.allocMu.Lock()
-		defer s.allocMu.Unlock()
-		if h, ok := s.handlerFor(id); ok {
-			if err := s.observeAgentOp(ctx, h.FabricID(), "DeleteZone", func(ctx context.Context) error {
-				return h.DeleteZone(ctx, id)
-			}); err != nil {
-				return &AgentError{Err: err}
-			}
-		}
-		return s.store.DeleteCtx(ctx, id)
-	})
 }
 
 // CreateConnection creates a connection in the given collection,
 // forwarding to the owning agent so the hardware attachment is made
 // before the resource becomes visible.
 func (s *Service) CreateConnection(ctx context.Context, coll odata.ID, conn redfish.Connection) (redfish.Connection, error) {
-	var agentErr error
 	_, err := s.createInCollection(ctx, coll, func(ctx context.Context, uri odata.ID) (any, error) {
 		name := conn.Name
 		if name == "" {
@@ -211,37 +240,48 @@ func (s *Service) CreateConnection(ctx context.Context, coll odata.ID, conn redf
 		}
 		conn.Resource = odata.NewResource(uri, redfish.TypeConnection, name)
 		conn.Status = odata.StatusOK()
-		if h, ok := s.handlerFor(uri); ok {
-			if err := s.observeAgentOp(ctx, h.FabricID(), "CreateConnection", func(ctx context.Context) error {
+		if prefix, h, ok := s.handlerFor(uri); ok {
+			if err := s.forward(ctx, prefix, "CreateConnection", func(ctx context.Context) error {
 				return h.CreateConnection(ctx, &conn)
 			}); err != nil {
-				agentErr = err
 				return nil, err
 			}
 		}
 		return conn, nil
 	})
-	if agentErr != nil {
-		return conn, &AgentError{Err: agentErr}
-	}
 	return conn, err
 }
 
-// DeleteConnection tears down a connection, forwarding to the owning
-// agent so the hardware detachment happens first. Serialized with id
-// allocation (see DeleteZone).
-func (s *Service) DeleteConnection(ctx context.Context, id odata.ID) error {
+// deleteForwarded removes id once the agent owning it, if any, has done
+// its part (call). Deletion is serialized with id allocation so a freed
+// URI cannot be reused until the old resource is fully gone, and it is
+// one unit of work (store.Deferred): the agent's publishes and the store
+// delete share one durability wait, taken after allocMu is released.
+func (s *Service) deleteForwarded(ctx context.Context, id odata.ID, op string, call func(ctx context.Context, h FabricHandler) error) error {
 	return s.store.Deferred(ctx, func(ctx context.Context) error {
 		s.allocMu.Lock()
 		defer s.allocMu.Unlock()
-		if h, ok := s.handlerFor(id); ok {
-			if err := s.observeAgentOp(ctx, h.FabricID(), "DeleteConnection", func(ctx context.Context) error {
-				return h.DeleteConnection(ctx, id)
-			}); err != nil {
-				return &AgentError{Err: err}
+		if prefix, h, ok := s.handlerFor(id); ok {
+			if err := s.forward(ctx, prefix, op, func(ctx context.Context) error { return call(ctx, h) }); err != nil {
+				return err
 			}
 		}
 		return s.store.DeleteCtx(ctx, id)
+	})
+}
+
+// DeleteZone removes a zone, the owning agent first.
+func (s *Service) DeleteZone(ctx context.Context, id odata.ID) error {
+	return s.deleteForwarded(ctx, id, "DeleteZone", func(ctx context.Context, h FabricHandler) error {
+		return h.DeleteZone(ctx, id)
+	})
+}
+
+// DeleteConnection tears down a connection, the owning agent first so
+// the hardware detachment precedes the resource's disappearance.
+func (s *Service) DeleteConnection(ctx context.Context, id odata.ID) error {
+	return s.deleteForwarded(ctx, id, "DeleteConnection", func(ctx context.Context, h FabricHandler) error {
+		return h.DeleteConnection(ctx, id)
 	})
 }
 
@@ -251,17 +291,28 @@ func (s *Service) DeleteConnection(ctx context.Context, id odata.ID) error {
 // with optional If-Match semantics: one mutation, its own wait.
 func (s *Service) PatchResource(ctx context.Context, id odata.ID, patch map[string]any, ifMatch string) error {
 	s.recordHeartbeat(id, patch)
-	if h, ok := s.handlerFor(id); ok {
+	if prefix, h, ok := s.handlerFor(id); ok {
 		return s.store.Deferred(ctx, func(ctx context.Context) error {
-			if err := s.observeAgentOp(ctx, h.FabricID(), "Patch", func(ctx context.Context) error {
+			return s.forward(ctx, prefix, "Patch", func(ctx context.Context) error {
 				return h.Patch(ctx, id, patch)
-			}); err != nil {
-				return &AgentError{Err: err}
-			}
-			return nil
+			})
 		})
 	}
 	return s.store.PatchCtx(ctx, id, patch, ifMatch)
+}
+
+// provisionerFor returns the provisioning agent whose subtree holds id
+// and the prefix it serves.
+func (s *Service) provisionerFor(id odata.ID) (odata.ID, ResourceProvisioner, error) {
+	prefix, h, ok := s.handlerFor(id)
+	if !ok {
+		return "", nil, fmt.Errorf("service: no agent owns %s", id)
+	}
+	prov, ok := h.(ResourceProvisioner)
+	if !ok {
+		return "", nil, fmt.Errorf("service: agent for %s cannot provision resources", id)
+	}
+	return prefix, prov, nil
 }
 
 // ProvisionResource creates a resource in an agent-owned collection by
@@ -269,32 +320,19 @@ func (s *Service) PatchResource(ctx context.Context, id odata.ID, patch map[stri
 // and returns the resource to store. It fails when the owning agent does
 // not support provisioning.
 func (s *Service) ProvisionResource(ctx context.Context, coll odata.ID, payload json.RawMessage) (odata.ID, error) {
-	h, ok := s.handlerFor(coll)
-	if !ok {
-		return "", fmt.Errorf("service: no agent owns %s", coll)
+	prefix, prov, err := s.provisionerFor(coll)
+	if err != nil {
+		return "", err
 	}
-	prov, ok := h.(ResourceProvisioner)
-	if !ok {
-		return "", fmt.Errorf("service: agent for %s cannot provision resources", coll)
-	}
-	var agentErr error
-	uri, err := s.createInCollection(ctx, coll, func(ctx context.Context, uri odata.ID) (any, error) {
+	return s.createInCollection(ctx, coll, func(ctx context.Context, uri odata.ID) (any, error) {
 		var res any
-		err := s.observeAgentOp(ctx, h.FabricID(), "CreateResource", func(ctx context.Context) error {
+		err := s.forward(ctx, prefix, "CreateResource", func(ctx context.Context) error {
 			var err error
 			res, err = prov.CreateResource(ctx, coll, uri, payload)
 			return err
 		})
-		if err != nil {
-			agentErr = err
-			return nil, err
-		}
-		return res, nil
+		return res, err
 	})
-	if agentErr != nil {
-		return "", &AgentError{Err: agentErr}
-	}
-	return uri, err
 }
 
 // DeprovisionResource deletes an agent-provisioned resource, releasing
@@ -304,18 +342,14 @@ func (s *Service) DeprovisionResource(ctx context.Context, id odata.ID) error {
 	return s.store.Deferred(ctx, func(ctx context.Context) error {
 		s.allocMu.Lock()
 		defer s.allocMu.Unlock()
-		h, ok := s.handlerFor(id)
-		if !ok {
-			return fmt.Errorf("service: no agent owns %s", id)
+		prefix, prov, err := s.provisionerFor(id)
+		if err != nil {
+			return err
 		}
-		prov, ok := h.(ResourceProvisioner)
-		if !ok {
-			return fmt.Errorf("service: agent for %s cannot provision resources", id)
-		}
-		if err := s.observeAgentOp(ctx, h.FabricID(), "DeleteResource", func(ctx context.Context) error {
+		if err := s.forward(ctx, prefix, "DeleteResource", func(ctx context.Context) error {
 			return prov.DeleteResource(ctx, id)
 		}); err != nil {
-			return &AgentError{Err: err}
+			return err
 		}
 		// The agent's publish has usually dropped the resource already.
 		if err := s.store.DeleteCtx(ctx, id); err != nil && !errors.Is(err, store.ErrNotFound) {

@@ -1,11 +1,15 @@
 package service
 
 import (
+	"bytes"
 	"context"
+	"errors"
 	"fmt"
+	"net/http"
 	"sync"
 	"testing"
 
+	"ofmf/internal/odata"
 	"ofmf/internal/redfish"
 	"ofmf/internal/store"
 )
@@ -134,5 +138,100 @@ func TestHostIndexDeleteRecreate(t *testing.T) {
 	svc.hosts.onChange(store.Change{Kind: store.Updated, ID: first.ODataID, Seq: 1})
 	if uri, ok := svc.hosts.lookup(host); !ok || uri != second.ODataID {
 		t.Fatalf("stale notification clobbered index: %q → %q, want %q", host, uri, second.ODataID)
+	}
+}
+
+// TestAggregationSourceClaims: an AggregationSource's claims
+// (Links.ResourcesAccessed) decide which requests are forwarded to the
+// source's host and what deleting the source removes, so a POST may only
+// claim a subtree strictly below a top-level collection, and never one
+// that nests with a subtree another handler serves. Before the check,
+// claiming /redfish/v1/Systems returned 201, captured every Systems
+// PATCH, and DELETE of the source removed every system.
+func TestAggregationSourceClaims(t *testing.T) {
+	svc, srv := newTestServer(t, Config{DirectWrites: true})
+	node := SystemsURI.Append("node001")
+	if err := svc.Store().Put(node, redfish.ComputerSystem{
+		Resource: odata.NewResource(node, redfish.TypeComputerSystem, "node001"),
+	}); err != nil {
+		t.Fatal(err)
+	}
+	owned := FabricsURI.Append("CXL")
+	if err := svc.RegisterFabricHandler(owned, &fakeHandler{}); err != nil {
+		t.Fatal(err)
+	}
+	post := func(host string, claims ...odata.ID) (*http.Response, []byte) {
+		t.Helper()
+		return doJSON(t, http.MethodPost, srv.URL+string(AggregationSourcesURI), redfish.AggregationSource{
+			HostName: host,
+			Links:    redfish.AggSourceLinks{ResourcesAccessed: odata.RefSlice(claims)},
+		}, nil)
+	}
+	before, err := svc.Store().Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		claim odata.ID
+		want  int
+	}{
+		{SystemsURI, http.StatusBadRequest}, // a whole top-level collection
+		{RootURI, http.StatusBadRequest},
+		{"/redfish/v1/Systems/../Chassis", http.StatusBadRequest},
+		{"/redfish/v1/Systems/", http.StatusBadRequest},
+		{AggregationSourcesURI, http.StatusBadRequest}, // a service's own resources
+		{SessionsURI.Append("1"), http.StatusBadRequest},
+		{"/elsewhere/x/y", http.StatusBadRequest},
+		{owned.Append("Endpoints"), http.StatusConflict}, // inside a served subtree
+	} {
+		resp, body := post("http://rogue.example:9000", tc.claim)
+		if resp.StatusCode != tc.want || !bytes.Contains(body, []byte("@Message.ExtendedInfo")) {
+			t.Errorf("claim %q = %d %s, want %d with the Redfish envelope", tc.claim, resp.StatusCode, body, tc.want)
+		}
+	}
+	if err := svc.RegisterFabricHandler(FabricsURI, &fakeHandler{}); !errors.Is(err, ErrPrefixConflict) {
+		t.Errorf("handler for a prefix containing a served subtree: err = %v", err)
+	}
+	after, err := svc.Store().Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(before, after) {
+		t.Errorf("refused registrations changed the tree:\nbefore %s\nafter  %s", before, after)
+	}
+	if _, h, ok := svc.handlerFor(node); ok {
+		t.Errorf("a handler serves %s: %T", node, h)
+	}
+
+	// A legitimate agent registers, and a restart-style re-registration
+	// (same HostName, same claims) revives the one source.
+	const host = "http://nvme.example:9001"
+	fab := FabricsURI.Append("NVMe")
+	resp, body := post(host, fab, StorageURI.Append("JBOF1"))
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("register = %d %s", resp.StatusCode, body)
+	}
+	loc := resp.Header.Get("Location")
+	resp, body = post(host, fab, StorageURI.Append("JBOF1"))
+	if resp.StatusCode != http.StatusOK || resp.Header.Get("Location") != loc {
+		t.Fatalf("re-register = %d at %q, want 200 at %q: %s", resp.StatusCode, resp.Header.Get("Location"), loc, body)
+	}
+	if prefix, _, ok := svc.handlerFor(fab.Append("Connections", "1")); !ok || prefix != fab {
+		t.Errorf("handlerFor under %s = %q, %v", fab, prefix, ok)
+	}
+
+	// The stored claim list is patchable: a claim registration would have
+	// refused is not honoured when the source is deleted.
+	resp, body = doJSON(t, http.MethodPatch, srv.URL+loc, map[string]any{
+		"Links": map[string]any{"ResourcesAccessed": odata.RefSlice([]odata.ID{SystemsURI})},
+	}, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("patch = %d %s", resp.StatusCode, body)
+	}
+	if resp, _ := doJSON(t, http.MethodDelete, srv.URL+loc, nil, nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("delete = %d", resp.StatusCode)
+	}
+	if !svc.Store().Exists(node) {
+		t.Errorf("deleting the source removed %s", node)
 	}
 }

@@ -77,9 +77,6 @@ type SystemComposer interface {
 // request's unit of work (store.Deferred) to an in-process agent's
 // publishes.
 type FabricHandler interface {
-	// FabricID is the fabric subtree root this handler owns, e.g.
-	// /redfish/v1/Fabrics/CXL.
-	FabricID() odata.ID
 	// CreateConnection establishes the requested connection in hardware.
 	// The handler may mutate conn (fill identifiers, status) before it is
 	// stored.
@@ -482,30 +479,52 @@ func (s *Service) publishChange(c store.Change) {
 	s.bus.PublishCtx(ctx, events.Record(c.Kind.String(), fmt.Sprintf("%d", id), fmt.Sprintf("%s: %s", c.Kind, c.ID), c.ID))
 }
 
-// RegisterFabricHandler attaches an Agent's handler for its fabric
-// subtree. Subsequent zone/connection/patch requests under that fabric are
-// forwarded to it.
-func (s *Service) RegisterFabricHandler(h FabricHandler) {
+// RegisterFabricHandler attaches an Agent's handler for the subtree
+// rooted at prefix (a fabric, a chassis, a storage service): requests
+// that mutate resources under it are forwarded to h. Registering a
+// prefix again replaces its handler, so a restarted agent re-attaches;
+// a prefix that strictly contains another registered one, or lies
+// strictly inside it, is refused with ErrPrefixConflict — no agent may
+// take over another's subtree, or part of it.
+func (s *Service) RegisterFabricHandler(prefix odata.ID, h FabricHandler) error {
 	s.mu.Lock()
-	s.handlers[h.FabricID()] = h
-	s.mu.Unlock()
+	defer s.mu.Unlock()
+	if err := s.prefixConflictLocked(prefix); err != nil {
+		return err
+	}
+	s.handlers[prefix] = h
+	return nil
 }
 
-// UnregisterFabricHandler detaches the handler for the given fabric.
-func (s *Service) UnregisterFabricHandler(fabricID odata.ID) {
-	s.mu.Lock()
-	delete(s.handlers, fabricID)
-	s.mu.Unlock()
-}
-
-// handlerFor returns the fabric handler owning id, if any.
-func (s *Service) handlerFor(id odata.ID) (FabricHandler, bool) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	for fid, h := range s.handlers {
-		if id.Under(fid) {
-			return h, true
+// prefixConflictLocked reports the registered prefix, if any, that
+// nests with prefix without equalling it. Callers hold s.mu.
+func (s *Service) prefixConflictLocked(prefix odata.ID) error {
+	for other := range s.handlers {
+		if other != prefix && (prefix.Under(other) || other.Under(prefix)) {
+			return fmt.Errorf("%w: %s overlaps %s", ErrPrefixConflict, prefix, other)
 		}
 	}
-	return nil, false
+	return nil
+}
+
+// UnregisterFabricHandler detaches the handler registered for prefix.
+func (s *Service) UnregisterFabricHandler(prefix odata.ID) {
+	s.mu.Lock()
+	delete(s.handlers, prefix)
+	s.mu.Unlock()
+}
+
+// handlerFor returns the handler whose subtree holds id, and the prefix
+// it is registered under: the longest one that matches, whatever order
+// the map yields.
+func (s *Service) handlerFor(id odata.ID) (odata.ID, FabricHandler, bool) {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	var best odata.ID
+	for prefix := range s.handlers {
+		if len(prefix) > len(best) && id.Under(prefix) {
+			best = prefix
+		}
+	}
+	return best, s.handlers[best], best != ""
 }

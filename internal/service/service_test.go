@@ -325,15 +325,12 @@ func TestSubscriptionRequiresDestination(t *testing.T) {
 
 // fakeHandler records forwarded fabric operations.
 type fakeHandler struct {
-	fabric  odata.ID
 	mu      sync.Mutex
 	created []string
 	deleted []string
 	patched []odata.ID
 	fail    bool
 }
-
-func (f *fakeHandler) FabricID() odata.ID { return f.fabric }
 
 func (f *fakeHandler) CreateConnection(_ context.Context, c *redfish.Connection) error {
 	if f.fail {
@@ -403,8 +400,10 @@ func setupFabric(t *testing.T, svc *Service, name string) odata.ID {
 func TestZoneForwardedToAgent(t *testing.T) {
 	svc, srv := newTestServer(t, Config{})
 	fab := setupFabric(t, svc, "CXL")
-	h := &fakeHandler{fabric: fab}
-	svc.RegisterFabricHandler(h)
+	h := &fakeHandler{}
+	if err := svc.RegisterFabricHandler(fab, h); err != nil {
+		t.Fatal(err)
+	}
 
 	resp, body := doJSON(t, http.MethodPost, srv.URL+string(fab.Append("Zones")), redfish.Zone{}, nil)
 	if resp.StatusCode != http.StatusCreated {
@@ -440,7 +439,9 @@ func TestZoneForwardedToAgent(t *testing.T) {
 func TestConnectionAgentRejection(t *testing.T) {
 	svc, srv := newTestServer(t, Config{})
 	fab := setupFabric(t, svc, "CXL")
-	svc.RegisterFabricHandler(&fakeHandler{fabric: fab, fail: true})
+	if err := svc.RegisterFabricHandler(fab, &fakeHandler{fail: true}); err != nil {
+		t.Fatal(err)
+	}
 
 	resp, body := doJSON(t, http.MethodPost, srv.URL+string(fab.Append("Connections")), redfish.Connection{}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
@@ -459,7 +460,9 @@ func TestConnectionAgentRejection(t *testing.T) {
 func TestConnectionAgentMutatesPayload(t *testing.T) {
 	svc, srv := newTestServer(t, Config{})
 	fab := setupFabric(t, svc, "CXL")
-	svc.RegisterFabricHandler(&fakeHandler{fabric: fab})
+	if err := svc.RegisterFabricHandler(fab, &fakeHandler{}); err != nil {
+		t.Fatal(err)
+	}
 
 	resp, body := doJSON(t, http.MethodPost, srv.URL+string(fab.Append("Connections")), redfish.Connection{ConnectionType: "Memory"}, nil)
 	if resp.StatusCode != http.StatusCreated {
@@ -477,8 +480,10 @@ func TestConnectionAgentMutatesPayload(t *testing.T) {
 func TestPatchForwardedToAgent(t *testing.T) {
 	svc, srv := newTestServer(t, Config{})
 	fab := setupFabric(t, svc, "CXL")
-	h := &fakeHandler{fabric: fab}
-	svc.RegisterFabricHandler(h)
+	h := &fakeHandler{}
+	if err := svc.RegisterFabricHandler(fab, h); err != nil {
+		t.Fatal(err)
+	}
 	port := fab.Append("Switches/SW1/Ports/P1")
 	if err := svc.Store().Put(port, redfish.Port{
 		Resource: odata.NewResource(port, redfish.TypePort, "P1"),
