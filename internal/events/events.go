@@ -17,7 +17,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
+	"net/url"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -52,10 +54,41 @@ type BytesSink interface {
 }
 
 // HTTPSink posts events to a subscriber's destination URL using the
-// Redfish event payload format.
+// Redfish event payload format. NewHTTPSink validates the destination
+// up front; a literal's URL is resolved at its first delivery. Either
+// way it is parsed once, not once per POST.
 type HTTPSink struct {
 	URL    string
 	Client *http.Client
+
+	once sync.Once
+	dest *url.URL
+	err  error
+}
+
+// NewHTTPSink builds a sink for destination, which must be an absolute
+// http or https URL.
+func NewHTTPSink(destination string) (*HTTPSink, error) {
+	h := &HTTPSink{URL: destination}
+	if err := h.resolve(); err != nil {
+		return nil, err
+	}
+	return h, nil
+}
+
+func (h *HTTPSink) resolve() error {
+	h.once.Do(func() {
+		u, err := url.Parse(h.URL)
+		switch {
+		case err != nil:
+			h.err = fmt.Errorf("events: destination: %w", err)
+		case (u.Scheme != "http" && u.Scheme != "https") || u.Host == "":
+			h.err = fmt.Errorf("events: destination %q is not an absolute http(s) URL", h.URL)
+		default:
+			h.dest = u
+		}
+	})
+	return h.err
 }
 
 // Deliver encodes the event once and posts it. The bus prefers
@@ -69,18 +102,37 @@ func (h *HTTPSink) Deliver(ctx context.Context, ev redfish.Event) error {
 	return h.DeliverBytes(ctx, ev.ID, body)
 }
 
+// maxReplyDrain bounds how much of a receiver's reply is read before
+// the body is closed.
+const maxReplyDrain = 4 << 10
+
 // DeliverBytes posts the pre-encoded payload as JSON and treats any 2xx
 // status as success. Each call wraps the shared bytes in a fresh
-// bytes.Reader — net/http derives GetBody from it, so redirects and
-// every bus-level retry rewind over the same buffer instead of
-// re-marshaling the event.
+// bytes.Reader, and GetBody hands out another, so redirects and every
+// bus-level retry rewind over the same buffer instead of re-marshaling
+// the event. The request is assembled around the sink's parsed URL —
+// what http.NewRequest would build, less the parse.
 func (h *HTTPSink) DeliverBytes(ctx context.Context, _ string, payload []byte) error {
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, h.URL, bytes.NewReader(payload))
-	if err != nil {
+	if err := h.resolve(); err != nil {
 		return err
 	}
-	req.Header.Set("Content-Type", "application/json")
-	obsv.InjectHeaders(ctx, req.Header)
+	header := make(http.Header, 3) // Content-Type, traceparent, X-Request-Id
+	header["Content-Type"] = jsonContentType
+	obsv.InjectHeaders(ctx, header)
+	req := (&http.Request{
+		Method:        http.MethodPost,
+		URL:           h.dest,
+		Host:          h.dest.Host,
+		Proto:         "HTTP/1.1",
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Header:        header,
+		Body:          io.NopCloser(bytes.NewReader(payload)),
+		ContentLength: int64(len(payload)),
+		GetBody: func() (io.ReadCloser, error) {
+			return io.NopCloser(bytes.NewReader(payload)), nil
+		},
+	}).WithContext(ctx)
 	client := h.Client
 	if client == nil {
 		client = defaultSinkClient()
@@ -89,12 +141,23 @@ func (h *HTTPSink) DeliverBytes(ctx context.Context, _ string, payload []byte) e
 	if err != nil {
 		return err
 	}
-	defer resp.Body.Close()
+	// A body closed unread costs the connection: the transport cannot
+	// reuse it and the next delivery dials. Read a small reply to its
+	// end; a large one is not worth more than a dial, and an empty one
+	// (the usual 204) has no end to read.
+	if resp.ContentLength != 0 {
+		_, _ = io.CopyN(io.Discard, resp.Body, maxReplyDrain)
+	}
+	resp.Body.Close()
 	if resp.StatusCode < 200 || resp.StatusCode > 299 {
 		return fmt.Errorf("events: destination returned %s", resp.Status)
 	}
 	return nil
 }
+
+// jsonContentType is shared by every delivery's header map; net/http
+// only reads it.
+var jsonContentType = []string{"application/json"}
 
 // defaultSinkClient lazily builds the shared client used by sinks that
 // do not bring their own: per-attempt timeouts and a per-destination
@@ -311,8 +374,8 @@ type Bus struct {
 	dropped       int64
 	droppedClosed int64
 	encodes       int64
-	queued    int64 // events across all subscription queues
-	busy      int64 // workers currently delivering
+	queued        int64 // events across all subscription queues
+	busy          int64 // workers currently delivering
 }
 
 // NewBus creates a bus with the given configuration. Zero-valued fields

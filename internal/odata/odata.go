@@ -48,8 +48,8 @@ func (id ID) Under(prefix ID) bool {
 	if id == prefix {
 		return true
 	}
-	p := strings.TrimRight(string(prefix), "/") + "/"
-	return strings.HasPrefix(string(id), p)
+	rest, ok := strings.CutPrefix(string(id), strings.TrimRight(string(prefix), "/"))
+	return ok && strings.HasPrefix(rest, "/")
 }
 
 // Ref is the JSON shape of a reference to another resource: an object with
@@ -143,7 +143,10 @@ func Etag(v any) (string, error) {
 // variant the resource store uses.
 func EtagRaw(raw []byte) string {
 	sum := sha256.Sum256(raw)
-	return `"` + hex.EncodeToString(sum[:8]) + `"`
+	var tag [18]byte // a quote, 16 hex digits, a quote
+	tag[0], tag[17] = '"', '"'
+	hex.Encode(tag[1:17], sum[:8])
+	return string(tag[:])
 }
 
 // Status is the Redfish Status object reported by most resources.

@@ -22,8 +22,8 @@ var ErrInjected = errors.New("resilience: injected fault")
 // black-holed) blocks until its context is cancelled, then fails with
 // probability ErrorRate, and only then reaches Base.
 type FaultTransport struct {
-	// Base performs the surviving round trips (default
-	// http.DefaultTransport).
+	// Base performs the surviving round trips (default: the package's
+	// shared base transport).
 	Base http.RoundTripper
 	// ErrorRate in [0,1] is the probability a request fails with
 	// ErrInjected before reaching the wire.
@@ -124,9 +124,8 @@ func (f *FaultTransport) RoundTrip(req *http.Request) (*http.Response, error) {
 		f.injected.Add(1)
 		return nil, fmt.Errorf("%w: connection reset (rate %.2f)", ErrInjected, errorRate)
 	}
-	base := f.Base
-	if base == nil {
-		base = http.DefaultTransport
+	if f.Base != nil {
+		return f.Base.RoundTrip(req)
 	}
-	return base.RoundTrip(req)
+	return baseTransport.RoundTrip(req)
 }

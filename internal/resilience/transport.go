@@ -14,8 +14,8 @@ import (
 // exponential backoff, and a per-peer circuit breaker fails calls fast
 // while a peer is down, probing it again after a cool-down.
 type Transport struct {
-	// Base performs the actual round trips (default
-	// http.DefaultTransport).
+	// Base performs the actual round trips (default: the package's
+	// shared base transport, see baseTransport).
 	Base http.RoundTripper
 	// Policy is the fault-handling configuration; zero-valued fields
 	// take DefaultPolicy values.
@@ -27,9 +27,38 @@ type Transport struct {
 	// collection registration) override this.
 	Retryable func(*http.Request) bool
 
-	mu       sync.Mutex
-	breakers *BreakerSet
+	// The exported fields are read once, at the first round trip or
+	// Breaker call; the resolved forms below serve every call after.
+	once      sync.Once
+	policy    Policy
+	base      http.RoundTripper
+	retryable func(*http.Request) bool
+	breakers  *BreakerSet
 }
+
+// baseTransport is the one owner of outbound connections: every
+// Transport and FaultTransport without a Base of its own dials through
+// it, so webhook deliveries, forwarded writes, Oem remote-handler calls
+// and agent publishes all ride its kept-alive pool. It is
+// http.DefaultTransport's configuration but for the idle pool per host,
+// which there is 2: the event bus drains up to 64 subscriptions (its
+// worker clamp) to one destination at once, and every delivery that
+// finished while 2 connections already sat idle closed its own and
+// dialled again for the next event. The pool must be no smaller than
+// the largest number of callers this process runs against one host,
+// which is that clamp — a property of the code, not of a deployment,
+// hence a constant and not a setting.
+var baseTransport = func() *http.Transport {
+	t := http.DefaultTransport.(*http.Transport).Clone()
+	t.MaxIdleConnsPerHost = 64
+	return t
+}()
+
+// BaseTransport returns the shared base transport, for an edge that
+// wants its connection pool and nothing of a Policy — the replica's
+// reverse proxy, which must not put a deadline or a breaker on a
+// forwarded write.
+func BaseTransport() http.RoundTripper { return baseTransport }
 
 // NewHTTPClient wraps a Transport with the given policy in an
 // http.Client. The client's own Timeout is left at zero: attempt
@@ -62,18 +91,24 @@ func idempotent(req *http.Request) bool {
 // Breaker returns the circuit breaker guarding peer, creating it if
 // needed — callers can inspect breaker state for logs and metrics.
 func (t *Transport) Breaker(peer string) *Breaker {
-	return t.breakerSet().For(peer)
+	t.once.Do(t.resolve)
+	return t.breakers.For(peer)
 }
 
-// breakerSet lazily builds the per-peer breaker map so a zero-valued
-// &Transport{Policy: p} literal works without a constructor.
-func (t *Transport) breakerSet() *BreakerSet {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.breakers == nil {
-		t.breakers = NewBreakerSet(t.Policy.withDefaults().Breaker)
+// resolve fills the defaults in once, so a &Transport{Policy: p}
+// literal works without a constructor and a round trip recomputes none
+// of them.
+func (t *Transport) resolve() {
+	t.policy = t.Policy.withDefaults()
+	t.breakers = NewBreakerSet(t.policy.Breaker)
+	t.base = t.Base
+	if t.base == nil {
+		t.base = baseTransport
 	}
-	return t.breakers
+	t.retryable = t.Retryable
+	if t.retryable == nil {
+		t.retryable = idempotent
+	}
 }
 
 // retryableStatus reports whether a response status indicates a
@@ -91,20 +126,11 @@ func retryableStatus(code int) bool {
 
 // RoundTrip implements http.RoundTripper.
 func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
-	p := t.Policy.withDefaults()
-	base := t.Base
-	if base == nil {
-		base = http.DefaultTransport
-	}
 	br := t.Breaker(req.URL.Host)
-
-	retryable := t.Retryable
-	if retryable == nil {
-		retryable = idempotent
-	}
+	p := &t.policy
 	attempts := p.MaxAttempts
 	// A consumed body that cannot be rewound forces a single attempt.
-	if !retryable(req) || (req.Body != nil && req.GetBody == nil) {
+	if attempts > 1 && (!t.retryable(req) || (req.Body != nil && req.GetBody == nil)) {
 		attempts = 1
 	}
 
@@ -136,9 +162,12 @@ func (t *Transport) RoundTrip(req *http.Request) (*http.Response, error) {
 		if p.AttemptTimeout > 0 {
 			var ctx context.Context
 			ctx, cancel = context.WithTimeout(req.Context(), p.AttemptTimeout)
-			attemptReq = req.Clone(ctx)
+			// A shallow copy: the base transport may not modify the
+			// request (the RoundTripper contract), so the header map
+			// and the body are safe to share with it.
+			attemptReq = req.WithContext(ctx)
 		}
-		resp, err := base.RoundTrip(attemptReq)
+		resp, err := t.base.RoundTrip(attemptReq)
 		switch {
 		case err != nil:
 			cancel()

@@ -43,6 +43,20 @@ func TestErrorEnvelopeShape(t *testing.T) {
 			wantCode:   "Base.1.0.MalformedJSON", wantSeverity: "Warning",
 		},
 		{
+			name:   "subscription destination not a url",
+			method: http.MethodPost, path: "/redfish/v1/EventService/Subscriptions",
+			body:       `{"Destination":"not a url"}`,
+			wantStatus: http.StatusBadRequest,
+			wantCode:   "Base.1.0.PropertyValueFormatError", wantSeverity: "Warning",
+		},
+		{
+			name:   "subscription destination not http",
+			method: http.MethodPost, path: "/redfish/v1/EventService/Subscriptions",
+			body:       `{"Destination":"ftp://receiver.example/events"}`,
+			wantStatus: http.StatusBadRequest,
+			wantCode:   "Base.1.0.PropertyValueFormatError", wantSeverity: "Warning",
+		},
+		{
 			name:   "etag mismatch",
 			cfg:    Config{DirectWrites: true},
 			method: http.MethodPatch, path: "/redfish/v1",

@@ -597,12 +597,20 @@ func (s *Service) postSubscription(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusBadRequest, "Base.1.0.PropertyMissing", "Destination is required")
 		return
 	}
+	// The destination is parsed here, once: the sink keeps the URL, and
+	// a string no delivery could ever reach is refused now instead of
+	// failing every event later.
+	sink, err := events.NewHTTPSink(dest.Destination)
+	if err != nil {
+		s.error(w, r, http.StatusBadRequest, "Base.1.0.PropertyValueFormatError", err.Error())
+		return
+	}
 	filter := events.Filter{
 		EventTypes:  dest.EventTypes,
 		Origins:     odata.IDsOf(dest.OriginResources),
 		Subordinate: dest.SubordinateResources,
 	}
-	sub, err := s.bus.Subscribe(&events.HTTPSink{URL: dest.Destination}, filter, dest.Context)
+	sub, err := s.bus.Subscribe(sink, filter, dest.Context)
 	if err != nil {
 		s.error(w, r, http.StatusServiceUnavailable, "Base.1.0.ServiceShuttingDown", err.Error())
 		return
@@ -612,6 +620,9 @@ func (s *Service) postSubscription(w http.ResponseWriter, r *http.Request) {
 	dest.Protocol = "Redfish"
 	dest.Status = odata.StatusOK()
 	if err := s.store.PutCtx(r.Context(), uri, dest); err != nil {
+		// No resource, no subscription: the bus must not keep delivering
+		// to a destination no client can see or delete.
+		_ = s.bus.Unsubscribe(sub.ID)
 		s.fail(w, r, err)
 		return
 	}
@@ -737,11 +748,17 @@ func (s *Service) handlePatch(w http.ResponseWriter, r *http.Request, id odata.I
 		s.error(w, r, http.StatusMethodNotAllowed, "Base.1.0.OperationNotAllowed", "resource is read-only")
 		return
 	}
-	if err := s.PatchResource(r.Context(), id, patch, r.Header.Get("If-Match")); err != nil {
+	// The reply is the bytes and entity tag the patch just wrote, not a
+	// second lookup that a concurrent writer could get in front of.
+	raw, etag, err := s.patchResource(r.Context(), id, patch, r.Header.Get("If-Match"))
+	if err != nil {
 		s.fail(w, r, err)
 		return
 	}
-	s.handleGet(w, r, id)
+	w.Header().Set("ETag", etag)
+	w.Header().Set("Content-Type", "application/json")
+	w.WriteHeader(http.StatusOK)
+	_, _ = w.Write(raw)
 }
 
 // patchableAlways lists resources clients may patch even without

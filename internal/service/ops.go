@@ -290,15 +290,29 @@ func (s *Service) DeleteConnection(ctx context.Context, id odata.ID) error {
 // publishes). For store-resident resources the patch is applied directly
 // with optional If-Match semantics: one mutation, its own wait.
 func (s *Service) PatchResource(ctx context.Context, id odata.ID, patch map[string]any, ifMatch string) error {
+	_, _, err := s.patchResource(ctx, id, patch, ifMatch)
+	return err
+}
+
+// patchResource is PatchResource returning what a reply needs: the
+// resource as the patch left it (the store's own bytes, read-only) and
+// its entity tag. A store-resident resource's come from the mutation
+// itself; an agent's publish is read back.
+func (s *Service) patchResource(ctx context.Context, id odata.ID, patch map[string]any, ifMatch string) (json.RawMessage, string, error) {
 	s.recordHeartbeat(id, patch)
-	if prefix, h, ok := s.handlerFor(id); ok {
-		return s.store.Deferred(ctx, func(ctx context.Context) error {
-			return s.forward(ctx, prefix, "Patch", func(ctx context.Context) error {
-				return h.Patch(ctx, id, patch)
-			})
-		})
+	prefix, h, ok := s.handlerFor(id)
+	if !ok {
+		return s.store.PatchReturning(ctx, id, patch, ifMatch)
 	}
-	return s.store.PatchCtx(ctx, id, patch, ifMatch)
+	err := s.store.Deferred(ctx, func(ctx context.Context) error {
+		return s.forward(ctx, prefix, "Patch", func(ctx context.Context) error {
+			return h.Patch(ctx, id, patch)
+		})
+	})
+	if err != nil {
+		return nil, "", err
+	}
+	return s.store.Get(id)
 }
 
 // provisionerFor returns the provisioning agent whose subtree holds id

@@ -5,6 +5,8 @@ import (
 	"net/http/httputil"
 	"net/url"
 	"sync"
+
+	"ofmf/internal/resilience"
 )
 
 // replicaMode is the service's read-replica serving state. GET and HEAD
@@ -76,6 +78,7 @@ func (s *Service) forwardToLeader(w http.ResponseWriter, r *http.Request, rm *re
 	proxy := rm.proxies[leaderURL]
 	if proxy == nil {
 		proxy = httputil.NewSingleHostReverseProxy(target)
+		proxy.Transport = resilience.BaseTransport()
 		rm.proxies[leaderURL] = proxy
 	}
 	rm.mu.Unlock()

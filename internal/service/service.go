@@ -476,7 +476,8 @@ func (s *Service) publishChange(c store.Change) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
-	s.bus.PublishCtx(ctx, events.Record(c.Kind.String(), fmt.Sprintf("%d", id), fmt.Sprintf("%s: %s", c.Kind, c.ID), c.ID))
+	kind := c.Kind.String()
+	s.bus.PublishCtx(ctx, events.Record(kind, strconv.FormatInt(id, 10), kind+": "+string(c.ID), c.ID))
 }
 
 // RegisterFabricHandler attaches an Agent's handler for the subtree

@@ -15,6 +15,7 @@ import (
 	"ofmf/internal/odata"
 	"ofmf/internal/redfish"
 	"ofmf/internal/sessions"
+	"ofmf/internal/store"
 )
 
 func newTestServer(t *testing.T, cfg Config) (*Service, *httptest.Server) {
@@ -320,6 +321,37 @@ func TestSubscriptionRequiresDestination(t *testing.T) {
 	resp, _ := doJSON(t, http.MethodPost, srv.URL+string(SubscriptionsURI), map[string]string{}, nil)
 	if resp.StatusCode != http.StatusBadRequest {
 		t.Errorf("status = %d", resp.StatusCode)
+	}
+}
+
+// brokenLog is a durability backend whose every append fails its wait.
+type brokenLog struct{}
+
+func (brokenLog) Append([]store.Record) func() error {
+	return func() error { return errors.New("disk full") }
+}
+func (brokenLog) Close() error { return nil }
+
+// TestSubscriptionNotLeakedOnStoreFailure: a subscription whose resource
+// could not be stored is answered with an error, so it must not stay on
+// the bus — nobody could see it or delete it, and it would be delivered
+// to for as long as the service runs. A refused destination never
+// reaches the bus at all.
+func TestSubscriptionNotLeakedOnStoreFailure(t *testing.T) {
+	svc, srv := newTestServer(t, Config{})
+	svc.Store().AttachBackend(brokenLog{}, 0)
+	resp, body := doJSON(t, http.MethodPost, srv.URL+string(SubscriptionsURI),
+		redfish.EventDestination{Destination: "http://receiver.example/events"}, nil)
+	if resp.StatusCode != http.StatusInternalServerError {
+		t.Fatalf("subscribe over a failing store = %d, want 500: %s", resp.StatusCode, body)
+	}
+	if ids := svc.Bus().Subscriptions(); len(ids) != 0 {
+		t.Errorf("bus still holds subscriptions %v after the POST failed", ids)
+	}
+	resp, _ = doJSON(t, http.MethodPost, srv.URL+string(SubscriptionsURI),
+		redfish.EventDestination{Destination: "receiver.example:8080"}, nil)
+	if resp.StatusCode != http.StatusBadRequest || len(svc.Bus().Subscriptions()) != 0 {
+		t.Errorf("bad destination = %d with %d subscriptions, want 400 and none", resp.StatusCode, len(svc.Bus().Subscriptions()))
 	}
 }
 

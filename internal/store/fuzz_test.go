@@ -52,3 +52,45 @@ func FuzzPatch(f *testing.F) {
 		}
 	})
 }
+
+// FuzzPatchMergeEquivalence holds the byte merge to the map path it
+// replaced: for any payload Put accepts and any patch that decodes,
+// whatever the walk produces itself is byte-equal to decode, merge,
+// marshal. (Where the walk declines, Patch takes the map path and there
+// is nothing to compare.) The seeds are the shapes the walk has a
+// special case for: member order, number spellings, escapes in strings
+// and keys, duplicates, deletes at depth, objects over scalars and
+// scalars over objects.
+func FuzzPatchMergeEquivalence(f *testing.F) {
+	f.Add(`{"Name":"n","Id":"1","Status":{"State":"Enabled","Health":"OK"}}`, `{"Status":{"Health":"Critical"},"Oem":{"Bench":{"Seq":1}}}`)
+	f.Add(`{"b":2.50,"a":1e2,"c":-0,"d":12345678901234567890,"e":0.1}`, `{"a":null,"f":1.5,"g":-0.0,"h":1e21}`)
+	f.Add(`{"s":"\u0041\/<>&\u2028","t":"é日本\ud800","k\u0041":1}`, `{"s":"x<y","u":"\u2029"}`)
+	f.Add(`{"A":1,"A":{"B":2}}`, `{"A":{"B":null}}`)
+	f.Add(`{"A":{"B":{"C":[1,{"z":1,"a":[]}],"D":null}}}`, `{"A":{"B":{"C":null,"E":{"F":null}}}}`)
+	f.Add(`{"A":"scalar","B":{"x":1}}`, `{"A":{"n":null},"B":"scalar"}`)
+	f.Add(`{"A":1e999}`, `{"A":null}`)
+	f.Add(`{"":{"":{"":0}}}`, `{"":{"":{"":null}}}`)
+	f.Fuzz(func(t *testing.T, docJSON, patchJSON string) {
+		var patch map[string]any
+		if err := json.Unmarshal([]byte(patchJSON), &patch); err != nil {
+			return
+		}
+		s := New()
+		id := odata.ID("/fuzz/doc")
+		if err := s.Put(id, json.RawMessage(docJSON)); err != nil {
+			return // not a JSON object
+		}
+		stored, _, _ := s.Get(id)
+		got, ok := appendMerged(nil, stored, patch)
+		if !ok {
+			return
+		}
+		want, err := mergeViaMap(id, stored, patch)
+		if err != nil {
+			t.Fatalf("the walk merged %s into %s, the map path fails: %v", patchJSON, stored, err)
+		}
+		if string(got) != string(want) {
+			t.Fatalf("patch %s of %s:\n got %s\nwant %s", patchJSON, stored, got, want)
+		}
+	})
+}

@@ -54,6 +54,9 @@ func (n *Node) bootstrap(ctx context.Context, leader string) error {
 	if err := json.NewDecoder(resp.Body).Decode(&doc); err != nil {
 		return fmt.Errorf("repl: snapshot decode: %w", err)
 	}
+	// The encoder's trailing newline: read it, or the connection the
+	// snapshot came over is closed instead of reused for the stream.
+	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
 	var flat map[odata.ID]json.RawMessage
 	if err := json.Unmarshal(doc.Resources, &flat); err != nil {
 		return fmt.Errorf("repl: snapshot resources: %w", err)

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
+	"io"
 	"log/slog"
 	"net/http"
 	"sync"
@@ -362,7 +363,13 @@ func (n *Node) pollPeers(ctx context.Context) []peerView {
 			if err != nil {
 				return
 			}
-			defer resp.Body.Close()
+			// Read to the end before closing — a refusal's body, the
+			// newline after the document — or the connection is not
+			// reused and every poll of every peer dials.
+			defer func() {
+				io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
+				resp.Body.Close()
+			}()
 			if resp.StatusCode != http.StatusOK {
 				return
 			}

@@ -29,6 +29,7 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -410,6 +411,16 @@ func (s *Store) Patch(id odata.ID, patch map[string]any, ifMatch string) error {
 // PatchCtx is Patch carrying the originating request context; see
 // PutCtx for the tracing and change-attribution semantics.
 func (s *Store) PatchCtx(ctx context.Context, id odata.ID, patch map[string]any, ifMatch string) error {
+	_, _, err := s.PatchReturning(ctx, id, patch, ifMatch)
+	return err
+}
+
+// PatchReturning is PatchCtx that also returns the resource as the patch
+// left it — the stored bytes themselves, which the caller must not
+// modify, and their entity tag — so a PATCH reply needs no second
+// lookup. On a durability error the tree already holds the returned
+// state (see Backend).
+func (s *Store) PatchReturning(ctx context.Context, id odata.ID, patch map[string]any, ifMatch string) (json.RawMessage, string, error) {
 	si := s.shardIndex(id)
 	s.countOp("patch", si)
 	sp := s.traceStart(ctx, "store.patch")
@@ -419,63 +430,48 @@ func (s *Store) PatchCtx(ctx context.Context, id odata.ID, patch map[string]any,
 		sh.mu.Unlock()
 		err := fmt.Errorf("%w: %s", ErrNotFound, id)
 		sp.EndErr(err)
-		return err
+		return nil, "", err
 	}
 	if ifMatch != "" && ifMatch != e.etag {
 		sh.mu.Unlock()
 		err := fmt.Errorf("%w: %s", ErrEtagMismatch, id)
 		sp.EndErr(err)
-		return err
+		return nil, "", err
 	}
-	var current map[string]any
-	if err := json.Unmarshal(e.raw, &current); err != nil {
+	// Merge on the stored bytes into a pooled buffer; a patch that
+	// changes nothing ends here without having allocated.
+	buf := mergeBufs.Get().(*[]byte)
+	defer mergeBufs.Put(buf)
+	merged, spliced := appendMerged((*buf)[:0], e.raw, patch)
+	if spliced {
+		*buf = merged
+	} else {
+		var err error
+		if merged, err = mergeViaMap(id, e.raw, patch); err != nil {
+			sh.mu.Unlock()
+			sp.EndErr(err)
+			return nil, "", err
+		}
+	}
+	if bytes.Equal(merged, e.raw) {
 		sh.mu.Unlock()
-		err = fmt.Errorf("store: corrupt entry %s: %w", id, err)
-		sp.EndErr(err)
-		return err
+		sp.End()
+		return e.raw, e.etag, nil
 	}
-	merge(current, patch)
-	raw, err := canonicalize(current)
-	if err != nil {
-		sh.mu.Unlock()
-		sp.EndErr(err)
-		return err
+	raw := json.RawMessage(merged)
+	if spliced {
+		raw = bytes.Clone(merged) // out of the pooled buffer, at its exact size
 	}
-	_, changed := sh.eng.put(id, raw)
-	var wait func() error
-	var cs uint64
-	if changed {
-		cs = s.mutSeq.Add(1)
-		wait = s.commitLocked([]Record{{Op: OpPut, ID: id, Raw: raw}})
-	}
+	sh.eng.put(id, raw)
+	etag := sh.eng.entries[id].etag
+	cs := s.mutSeq.Add(1)
+	wait := s.commitLocked([]Record{{Op: OpPut, ID: id, Raw: raw}})
 	sh.mu.Unlock()
 
-	if !changed {
-		sp.End()
-		return nil
-	}
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
 	s.notify(Change{Kind: Updated, ID: id, Seq: cs, Ctx: ctx})
-	return werr
-}
-
-// merge applies Redfish PATCH semantics: objects merge recursively, null
-// deletes, everything else replaces.
-func merge(dst, patch map[string]any) {
-	for k, v := range patch {
-		if v == nil {
-			delete(dst, k)
-			continue
-		}
-		pv, pok := v.(map[string]any)
-		dv, dok := dst[k].(map[string]any)
-		if pok && dok {
-			merge(dv, pv)
-			continue
-		}
-		dst[k] = v
-	}
+	return raw, etag, werr
 }
 
 // Delete removes the resource at id.
