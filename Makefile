@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: all build vet test race bench benchab loc microbench benchcheck chaossmoke replsmoke cover reproduce examples clean
+.PHONY: all build vet fmtcheck test race fuzzsmoke bench benchab loc microbench benchcheck chaossmoke replsmoke cover reproduce examples clean
 
 all: build vet test
 
@@ -12,11 +12,28 @@ build:
 vet:
 	$(GO) vet ./...
 
+# Every tracked Go file is gofmt's output (untracked build trees such as
+# .bench_build/ are not the repo's to format).
+fmtcheck:
+	@out="$$(gofmt -l $$(git ls-files '*.go'))"; [ -z "$$out" ] || { echo "gofmt -l:"; echo "$$out"; exit 1; }
+
 test:
 	$(GO) test ./...
 
 race:
 	$(GO) test -race ./...
+
+# Each fuzz target under internal/store for FUZZTIME (go test -fuzz takes
+# one target of one package at a time). Their seed corpora already run as
+# plain tests; this is the few seconds of mutation on top.
+FUZZTIME ?= 10s
+fuzzsmoke:
+	@for pkg in $$($(GO) list ./internal/store/...); do \
+		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
+			echo "=== $$pkg $$target"; \
+			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \
+		done; \
+	done
 
 # Recorded numbers have one route: the four BENCHMARK.json workloads,
 # each through bench/run.sh (ofmfbench drives a real `ofmf` over a

@@ -246,7 +246,7 @@ func main() {
 		logger.Info("ofmf: store recovered",
 			"data_dir", *dataDir, "resources", stats.Resources,
 			"replayed", stats.Replayed, "snapshot_seq", stats.SnapshotSeq,
-			"truncated", stats.Truncated, "dropped", stats.Dropped,
+			"truncated", stats.Truncated,
 			"fsync", *fsync,
 			"duration", stats.Duration)
 		ofmfSvc.Bus().Publish(events.Record(redfish.EventStatusChange, "recovery",

@@ -89,8 +89,8 @@ func (a *simAgent) register(vnow time.Time) error {
 	src := redfish.AggregationSource{
 		HostName: a.host,
 		Oem: redfish.AggSourceOem{OFMF: &redfish.AgentDescriptor{
-			Technology: "sim",
-			Version:    "1.0",
+			Technology:    "sim",
+			Version:       "1.0",
 			LastHeartbeat: redfish.Timestamp(vnow),
 		}},
 	}

@@ -69,9 +69,9 @@ func TestCheckLiveness(t *testing.T) {
 	if v := checkLiveness(got, want); len(v) != 0 {
 		t.Fatalf("converged state reported violations: %v", v)
 	}
-	got["/s/2"] = 2                          // wrong level
-	got["/s/3"] = 0                          // ghost track
-	want["/s/4"] = 1                         // lost source
+	got["/s/2"] = 2  // wrong level
+	got["/s/3"] = 0  // ghost track
+	want["/s/4"] = 1 // lost source
 	if v := checkLiveness(got, want); len(v) != 3 {
 		t.Fatalf("want 3 violations, got %d: %v", len(v), v)
 	}

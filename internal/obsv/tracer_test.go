@@ -27,12 +27,12 @@ func TestParseTraceparentRejects(t *testing.T) {
 	valid := SpanContext{TraceID: strings.Repeat("ab", 16), SpanID: strings.Repeat("cd", 8)}.Traceparent()
 	bad := []string{
 		"",
-		valid[:54],                               // truncated
-		"01" + valid[2:],                         // unknown version
-		strings.ToUpper(valid),                   // uppercase hex
-		"00-" + strings.Repeat("0", 32) + valid[35:], // all-zero trace id
+		valid[:54],             // truncated
+		"01" + valid[2:],       // unknown version
+		strings.ToUpper(valid), // uppercase hex
+		"00-" + strings.Repeat("0", 32) + valid[35:],      // all-zero trace id
 		valid[:36] + strings.Repeat("0", 16) + valid[52:], // all-zero span id
-		strings.Replace(valid, "-01", "-0x", 1),  // non-hex flags
+		strings.Replace(valid, "-01", "-0x", 1),           // non-hex flags
 	}
 	for _, s := range bad {
 		if _, ok := ParseTraceparent(s); ok {

@@ -463,9 +463,11 @@ func must(err error) {
 }
 
 func (s *Service) publishChange(c store.Change) {
+	// A replayed change re-states history (recovery, a replica applying
+	// its leader's stream): whoever made it has already announced it.
 	// Task resources already produce dedicated task events; subscription
 	// and session churn is excluded to avoid event-about-event feedback.
-	if c.ID.Under(TasksURI) || c.ID.Under(SubscriptionsURI) || c.ID.Under(SessionsURI) {
+	if c.Replayed || c.ID.Under(TasksURI) || c.ID.Under(SubscriptionsURI) || c.ID.Under(SessionsURI) {
 		return
 	}
 	s.mu.Lock()

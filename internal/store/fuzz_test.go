@@ -1,7 +1,9 @@
 package store
 
 import (
+	"bytes"
 	"encoding/json"
+	"strings"
 	"testing"
 
 	"ofmf/internal/odata"
@@ -91,6 +93,56 @@ func FuzzPatchMergeEquivalence(f *testing.F) {
 		}
 		if string(got) != string(want) {
 			t.Fatalf("patch %s of %s:\n got %s\nwant %s", patchJSON, stored, got, want)
+		}
+	})
+}
+
+// FuzzIsCanonical holds the byte check to what it stands in for: whatever
+// IsCanonical accepts, json.Marshal of it as a json.RawMessage returns
+// unchanged (so canonicalize may copy it), and so does every document
+// scanExport accepts, payload by payload. The reverse is spot-checked
+// where it matters for speed: what json.Marshal itself produced from a
+// value is accepted. The seeds are one per rule of the scanner:
+// whitespace, the escaped bytes, U+2028, number spellings, bad escapes,
+// trailing bytes, nesting past the limit.
+func FuzzIsCanonical(f *testing.F) {
+	for _, seed := range []string{
+		`{}`, `{"a":1}`, `{"a":{"b":[1,2.5,-0,1e9,1E-2,"x",true,false,null,{},[]]}}`,
+		`{"a": 1}`, "{\"a\":1}\n", " {}", "{\"a\":\"tab\there\"}",
+		`{"a":"<"}`, `{"a":">"}`, `{"a":"&"}`, `{"<":1}`, "{\"a\":\"\u2028\"}", "{\"a\":\"\u2029\"}", "{\"a\":\"\u2027\xe2\x80\"}",
+		`{"a":"< \/\b\f\n\r\t\"\\"}`, `{"a":"\x"}`, `{"a":"\u12g4"}`, `{"a":"\u123"}`, `{"a":"\`,
+		`{"a":01}`, `{"a":-}`, `{"a":1.}`, `{"a":.5}`, `{"a":1e}`, `{"a":1e+}`, `{"a":-0.0e-0}`, `{"a":+1}`,
+		`{"a":1}x`, `{"a":1}}`, `{"a":1,}`, `{"a":[1,]}`, `{,}`, `{"a"}`, `{"a":}`, `{a:1}`, `[]`, `"s"`, `1`, `null`, ``, `{`, `{"a":[}`, `{"a":tru}`, `{"a":nulll}`,
+		`{"a":1,"a":2}`, "{\"a\":\"\xff\xfe\"}", "{\"a\":\"\x7f\"}",
+		`{"a":` + strings.Repeat("[", maxCanonicalDepth-1) + strings.Repeat("]", maxCanonicalDepth-1) + `}`,
+		`{"a":` + strings.Repeat("[", maxCanonicalDepth) + strings.Repeat("]", maxCanonicalDepth) + `}`,
+		`{"/redfish/v1/A":{"Name":"a"},"/redfish/v1/B":{"Name":"b"}}`, `{"/b":{},"/a":{}}`, `{"/a":{},"/a":{}}`, `{"\/a":{}}`, `{"/a":1}`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		again, err := json.Marshal(json.RawMessage(b))
+		if IsCanonical(b) {
+			if err != nil || !bytes.Equal(again, b) {
+				t.Fatalf("IsCanonical accepted %q, which json.Marshal turns into %q (%v)", b, again, err)
+			}
+		} else if err == nil && len(again) > 0 && again[0] == '{' && len(again) < 1<<10 && !IsCanonical(again) {
+			// json.Marshal's own output is a fixed point; nesting deeper than
+			// the scanner follows is the one thing it may decline there.
+			if depth := bytes.Count(again, []byte("[")) + bytes.Count(again, []byte("{")); depth <= maxCanonicalDepth {
+				t.Fatalf("IsCanonical declines %q, which json.Marshal produced from %q", again, b)
+			}
+		}
+		if entries, ok := scanExport(b); ok {
+			var doc map[string]json.RawMessage
+			if err := json.Unmarshal(b, &doc); err != nil || len(doc) != len(entries) {
+				t.Fatalf("scanExport read %d entries from %q, encoding/json %d (%v)", len(entries), b, len(doc), err)
+			}
+			for _, e := range entries {
+				if want, err := canonicalize(doc[string(e.id)]); err != nil || !bytes.Equal(e.raw, want) {
+					t.Fatalf("scanExport read %s as %q, the decode path as %q (%v)", e.id, e.raw, want, err)
+				}
+			}
 		}
 	})
 }

@@ -264,6 +264,9 @@ func TestImportedTreeServesCollections(t *testing.T) {
 // service's $expand splices stored bytes unencoded on this ground.
 func TestStoredPayloadsAreCanonical(t *testing.T) {
 	sloppy := json.RawMessage("{\n\t\"Name\" : \"<a&b>\\u2028\",\n\t\"Oem\" : { \"k\" : [ 1 , 2.50 , \"x>y\" ] }\n}")
+	// Compact and valid, but with bytes the encoder escapes: the byte
+	// check must decline it, not copy it.
+	unescaped := json.RawMessage("{\"Name\":\"<a&b>\u2028\",\"Oem\":{\"k\":[1,2.50,\"x>y\"]}}")
 	src := New()
 	must := func(err error) {
 		t.Helper()
@@ -273,19 +276,37 @@ func TestStoredPayloadsAreCanonical(t *testing.T) {
 	}
 	must(src.Put("/redfish/v1/A/struct", testRes{ODataID: "/redfish/v1/A/struct", Name: "<b>&"}))
 	must(src.Put("/redfish/v1/A/raw", sloppy))
+	must(src.Put("/redfish/v1/A/unescaped", unescaped))
 	must(src.Create("/redfish/v1/A/created", sloppy))
-	must(src.PutSubtree("/redfish/v1/B", map[odata.ID]any{"/redfish/v1/B/raw": sloppy, "/redfish/v1/B/map": map[string]any{"Name": "<&>"}}))
+	must(src.PutSubtree("/redfish/v1/B", map[odata.ID]any{"/redfish/v1/B/raw": sloppy, "/redfish/v1/B/unescaped": unescaped, "/redfish/v1/B/map": map[string]any{"Name": "<&>"}}))
 	must(src.Patch("/redfish/v1/A/raw", map[string]any{"Extra": "</script>"}, ""))
 	must(src.Apply(Record{Op: OpPut, ID: "/redfish/v1/C/applied", Raw: sloppy}))
+	must(src.Apply(Record{Op: OpPut, ID: "/redfish/v1/C/unescaped", Raw: unescaped}))
+	const resources = 9
 	dump, err := src.Export()
 	must(err)
 	imported := New()
 	must(imported.Import(dump))
+	// The document the snapshot reader walks, with payloads spliced in that
+	// are not canonical: the walk must hand the whole document to
+	// encoding/json rather than store them as they are.
+	cut, _, err := src.Snapshot()
+	must(err)
+	if _, ok := scanExport(cut); !ok {
+		t.Fatal("scanExport declines the document Snapshot wrote")
+	}
+	spliced := bytes.Replace(cut, []byte(`{"/redfish/v1/A/created":`), []byte(`{"/redfish/v1/A/0":`+string(unescaped)+`,"/redfish/v1/A/created":`), 1)
+	if _, ok := scanExport(spliced); ok {
+		t.Fatal("scanExport accepted a document holding a payload with unescaped <, >, &")
+	}
+	walked := New()
+	must(walked.Import(spliced))
+	must(walked.Delete("/redfish/v1/A/0"))
 
-	for name, st := range map[string]*Store{"source": src, "imported": imported} {
+	for name, st := range map[string]*Store{"source": src, "imported": imported, "walked": walked} {
 		ids := st.IDs()
-		if len(ids) != 6 {
-			t.Fatalf("%s: %d resources, want 6", name, len(ids))
+		if len(ids) != resources {
+			t.Fatalf("%s: %d resources, want %d", name, len(ids), resources)
 		}
 		for _, id := range ids {
 			raw, _, err := st.Get(id)
@@ -295,6 +316,111 @@ func TestStoredPayloadsAreCanonical(t *testing.T) {
 			if !bytes.Equal(raw, again) {
 				t.Errorf("%s: %s is not a fixed point of json.Marshal:\nstored %s\nagain  %s", name, id, raw, again)
 			}
+			if !IsCanonical(raw) {
+				t.Errorf("%s: IsCanonical declines the stored %s: %s", name, id, raw)
+			}
 		}
+		if got, err := st.Export(); err != nil || !bytes.Equal(got, dump) {
+			t.Errorf("%s: Export differs from the source's (%v)", name, err)
+		}
+	}
+}
+
+// TestPutDoesNotAliasCallerBytes: canonical raw bytes are copied into the
+// tree, not referenced — a caller (a request body buffer, a WAL read
+// buffer, a snapshot file) may reuse its slice the moment Put, Apply or
+// Import returns.
+func TestPutDoesNotAliasCallerBytes(t *testing.T) {
+	const want = `{"Name":"kept","N":1}`
+	scribble := func(b []byte) {
+		for i := range b {
+			b[i] = 'x'
+		}
+	}
+	st := New()
+	put := json.RawMessage(want)
+	if err := st.Put("/a/put", put); err != nil {
+		t.Fatal(err)
+	}
+	scribble(put)
+	applied := json.RawMessage(want)
+	if err := st.Apply(Record{Op: OpPut, ID: "/a/applied", Raw: applied}); err != nil {
+		t.Fatal(err)
+	}
+	scribble(applied)
+	subtree := json.RawMessage(want)
+	if err := st.PutSubtree("/b", map[odata.ID]any{"/b/subtree": subtree}); err != nil {
+		t.Fatal(err)
+	}
+	scribble(subtree)
+	doc := []byte(`{"/c/imported":` + want + `}`)
+	if err := st.Import(doc); err != nil {
+		t.Fatal(err)
+	}
+	scribble(doc)
+	for _, id := range st.IDs() {
+		if raw, _, _ := st.Get(id); string(raw) != want {
+			t.Errorf("%s holds %s after its caller reused the slice, want %s", id, raw, want)
+		}
+	}
+	if st.Len() != 4 {
+		t.Fatalf("%d resources, want 4", st.Len())
+	}
+}
+
+// TestImportIsAllOrNothing: a document that does not parse — the walk's
+// way or encoding/json's — or names a relative URI changes nothing, so
+// recovery can fall back to an older snapshot.
+func TestImportIsAllOrNothing(t *testing.T) {
+	for _, doc := range []string{
+		`{"/a/1":{"N":1},"/a/2":{"N":2`,       // cut short
+		`{"/a/1":{"N":1},"/a/2":[1]}`,         // a payload that is not an object
+		`{"/a/1":{"N":1},"relative":{"N":2}}`, // a relative URI, after a good entry
+		`{ "/a/1": {"N":1}, "/a/2": nope }`,   // invalid, in the layout only encoding/json reads
+	} {
+		st := New()
+		if err := st.Import([]byte(doc)); err == nil {
+			t.Errorf("Import(%s) succeeded", doc)
+		}
+		if st.Len() != 0 {
+			t.Errorf("Import(%s) failed and left %d resources behind", doc, st.Len())
+		}
+	}
+}
+
+// TestBenchmarkShapeNeedsNoFallback counts how often encoding/json would
+// have to step in for a tree of the benchmark's read_tree resources (the
+// shape bench/benchkit pushes, and persist's BenchmarkRecover replays):
+// never — every payload passes the byte check canonicalize tries first,
+// and the snapshot of the tree is a document the one-pass reader takes.
+func TestBenchmarkShapeNeedsNoFallback(t *testing.T) {
+	st := New()
+	fallbacks := 0
+	for f := 0; f < 10; f++ {
+		for j := 0; j < 200; j++ {
+			id := odata.ID(fmt.Sprintf("/redfish/v1/Fabrics/Bench%03d/Endpoints/E%03d", f, j))
+			raw := json.RawMessage(fmt.Sprintf(
+				`{"@odata.id":%q,"@odata.type":"#Endpoint.v1_8_0.Endpoint","Id":"r%d","Name":"bench fabric %d resource %d",`+
+					`"EndpointProtocol":"CXL","ConnectedEntities":[{"EntityType":"Processor","EntityRole":"Initiator"}],`+
+					`"Status":{"Health":"OK","State":"Enabled"},"Oem":{"Bench":{"Seq":0,"Fabric":%d,"Slot":%d}}}`,
+				id, j, f, j, f, j))
+			if !IsCanonical(raw) {
+				fallbacks++
+			}
+			if err := st.Apply(Record{Op: OpPut, ID: id, Raw: raw}); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	doc, _, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	entries, ok := scanExport(doc)
+	if !ok {
+		fallbacks++
+	}
+	if fallbacks != 0 || len(entries) != st.Len() {
+		t.Fatalf("%d fallbacks to encoding/json, %d of %d entries read by the walk; want 0 and all", fallbacks, len(entries), st.Len())
 	}
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"os"
-	"sort"
 	"sync"
 	"time"
 
@@ -62,12 +61,6 @@ type RecoveryStats struct {
 	// Truncated reports that a torn tail (crash mid-write) was cut from
 	// the log.
 	Truncated bool
-	// Dropped is the number of decoded records NOT replayed because an
-	// earlier record in the global order was lost (a sequence gap after
-	// merging the streams of a legacy sharded directory — impossible in
-	// the one-stream layout this package writes). Their segments are
-	// quarantined, not deleted.
-	Dropped int
 	// Resources is the store's resource count after recovery.
 	Resources int
 	// LastSeq is the highest committed sequence number recovered; pass
@@ -114,10 +107,11 @@ type FileBackend struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// afterStep, when non-nil, is told each time Recover finishes one of
-	// its numbered compaction steps; an error aborts Recover there,
-	// leaving the directory as a crash at that point would. Tests only.
-	afterStep func(step int) error
+	// afterRetire, when non-nil, runs once Recover has retired the
+	// segments it replayed and before it creates the fresh one; an error
+	// aborts Recover there, leaving the directory as a crash at that point
+	// would. Tests only.
+	afterRetire func() error
 }
 
 // Open prepares a file backend on dir. No file is touched beyond
@@ -145,203 +139,126 @@ func (b *FileBackend) Shards() int { return 1 }
 func (b *FileBackend) AppendShard(_ int, batch []store.Record) func() error { return b.Append(batch) }
 
 // Recover rebuilds st from the data directory: load the newest valid
-// snapshot through Store.Import, replay the log's longest contiguous
-// prefix through Store.Apply (truncating a torn tail, quarantining
-// untrusted segments), then compact — write a fresh snapshot of the
-// recovered tree, delete the superseded files and start a new log
-// segment — so the next boot loads one snapshot and an empty tail.
-//
-// A directory written by the retired per-shard-stream layout
-// (layout.json declaring Shards > 1, segments under shard-NN/) is read
-// here one last time: its streams are merged by Seq, records beyond a
-// sequence gap are dropped and their segments quarantined, and the
-// compaction below leaves the flat layout and removes the descriptor.
-// The conversion is one-way and every intermediate crash leaves a
-// directory this function handles. Call it exactly once, before
-// AttachBackend.
+// snapshot through Store.Import, replay the log through Store.Apply,
+// record by record as it is decoded (truncating a torn tail,
+// quarantining the segments after it), then compact — write a fresh
+// snapshot of the recovered tree, delete the superseded files and start
+// a new log segment — so the next boot loads one snapshot and an empty
+// tail. A boot that already is that (a snapshot at the log's last
+// sequence number, nothing replayed, nothing truncated) keeps the
+// snapshot it loaded instead of writing the same bytes again. A
+// directory of the retired sharded layout is refused untouched. Call it
+// exactly once, before AttachBackend.
 func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 	start := time.Now()
 	var stats RecoveryStats
 	dir := b.opts.Dir
-
-	dirs, err := streamDirs(dir)
-	if err != nil {
+	if err := refuseLegacyLayout(dir); err != nil {
 		return stats, err
 	}
-	legacy := len(dirs) > 1
 
-	snap, ok, skipped, err := loadNewestSnapshot(dir)
+	// Import changes nothing unless the whole document parses, so a
+	// snapshot it refuses can be passed over for an older one.
+	snap, loaded, skipped, err := newestSnapshot(dir, func(s snapshotFile) bool { return st.Import(s.Resources) == nil })
 	if err != nil {
 		return stats, err
 	}
 	if skipped > 0 {
 		b.log.Warn("persist: skipped unreadable snapshots", "count", skipped)
 	}
-	if ok {
-		if err := st.Import(snap.Resources); err != nil {
-			return stats, fmt.Errorf("persist: snapshot import: %w", err)
-		}
-		stats.SnapshotSeq = snap.Seq
-	}
-	lastSeq := stats.SnapshotSeq
+	stats.SnapshotSeq = snap.Seq
+	lastSeq := snap.Seq
 
-	// Decode every stream (one, unless the directory is a legacy sharded
-	// one), handling tears per stream: a tear marks the end of that
-	// stream's trustworthy prefix, so its later segments are quarantined
-	// and the torn tail truncated.
-	type sourced struct {
-		rec  store.Record
-		path string // segment the record was read from
-	}
-	var merged []sourced
-	var segPaths []string // every segment left in place, replayed or not
-	for _, sdir := range dirs {
-		segs, err := listSeqs(sdir, walPrefix, walSuffix)
-		if err != nil {
-			if os.IsNotExist(err) {
-				continue // a legacy shard dir already retired, or never written
-			}
-			return stats, err
+	apply := func(rec store.Record) error {
+		if rec.Seq <= lastSeq {
+			return nil // already in the snapshot (or a duplicate)
 		}
-		for i, seg := range segs {
-			path := walPath(sdir, seg)
-			f, err := os.Open(path)
-			if err != nil {
-				return stats, fmt.Errorf("persist: open segment: %w", err)
-			}
-			recs, good, torn := decodeAll(f)
-			f.Close()
-			if torn {
-				stats.Truncated = true
-				// A tear can only happen at the end of the stream that was
-				// active at the crash; segments after it are not trustworthy
-				// and must never be replayed. Quarantine them BEFORE
-				// truncating the torn tail — the tear is the only durable
-				// evidence they are untrusted, and truncation destroys it. If
-				// we crash between the rename and the truncate, the next boot
-				// sees the same torn segment and reaches the same verdict.
-				// (In fsync mode a later segment can hold commits that were
-				// acknowledged as durable after a rotation; the rename keeps
-				// those bytes on disk for an operator instead of silently
-				// deleting them.)
-				for _, later := range segs[i+1:] {
-					lp := walPath(sdir, later)
-					b.log.Warn("persist: quarantining segment after torn record",
-						"segment", lp, "quarantined", lp+quarantineSuffix)
-					if err := os.Rename(lp, lp+quarantineSuffix); err != nil {
-						return stats, fmt.Errorf("persist: quarantine %s: %w", lp, err)
-					}
-					b.countQuarantine()
-				}
-				if i < len(segs)-1 {
-					if err := syncDir(sdir); err != nil {
-						return stats, fmt.Errorf("persist: sync quarantine: %w", err)
-					}
-				}
-				b.log.Warn("persist: truncating torn log tail", "segment", path, "offset", good)
-				if err := os.Truncate(path, good); err != nil {
-					return stats, fmt.Errorf("persist: truncate torn tail: %w", err)
-				}
-			}
-			segPaths = append(segPaths, path)
-			for _, rec := range recs {
-				merged = append(merged, sourced{rec: rec, path: path})
-			}
-			if torn {
-				break
-			}
-		}
-	}
-
-	// One stream is already in commit order. Legacy streams are each
-	// sequence-ascending, so a stable sort by Seq merges them back into
-	// the global commit order; a tail lost on one stream can then leave
-	// later-sequence records on the others — records whose commit order
-	// depends on a mutation that is gone. Replay stops at the first such
-	// gap and the dropped records' segments are quarantined below rather
-	// than deleted.
-	if legacy {
-		sort.SliceStable(merged, func(i, j int) bool { return merged[i].rec.Seq < merged[j].rec.Seq })
-	}
-	dropFrom := len(merged)
-	for k, sr := range merged {
-		if sr.rec.Seq <= lastSeq {
-			continue // already in the snapshot (or a duplicate)
-		}
-		if legacy && sr.rec.Seq != lastSeq+1 {
-			dropFrom = k
-			break
-		}
-		if err := st.Apply(sr.rec); err != nil {
-			return stats, fmt.Errorf("persist: replay seq %d: %w", sr.rec.Seq, err)
+		if err := st.Apply(rec); err != nil {
+			return fmt.Errorf("persist: replay seq %d: %w", rec.Seq, err)
 		}
 		stats.Replayed++
-		lastSeq = sr.rec.Seq
-		if sr.rec.Epoch > stats.LastEpoch {
-			stats.LastEpoch = sr.rec.Epoch
+		lastSeq = rec.Seq
+		stats.LastEpoch = max(stats.LastEpoch, rec.Epoch)
+		return nil
+	}
+	segs, err := listSeqs(dir, walPrefix, walSuffix)
+	if err != nil {
+		return stats, err
+	}
+	var segPaths []string // every segment left in place
+	for i, seg := range segs {
+		path := walPath(dir, seg)
+		f, err := os.Open(path)
+		if err != nil {
+			return stats, fmt.Errorf("persist: open segment: %w", err)
 		}
+		good, torn, err := scanFrames(f, apply)
+		f.Close()
+		if err != nil {
+			return stats, err
+		}
+		segPaths = append(segPaths, path)
+		if !torn {
+			continue
+		}
+		stats.Truncated = true
+		// A tear can only happen at the end of the segment that was active
+		// at the crash; segments after it are not trustworthy and must
+		// never be replayed. Quarantine them BEFORE truncating the torn
+		// tail — the tear is the only durable evidence they are untrusted,
+		// and truncation destroys it. If we crash between the rename and
+		// the truncate, the next boot sees the same torn segment and
+		// reaches the same verdict. (In fsync mode a later segment can hold
+		// commits that were acknowledged as durable after a rotation; the
+		// rename keeps those bytes on disk for an operator instead of
+		// silently deleting them.)
+		for _, later := range segs[i+1:] {
+			lp := walPath(dir, later)
+			b.log.Warn("persist: quarantining segment after torn record",
+				"segment", lp, "quarantined", lp+quarantineSuffix)
+			if err := os.Rename(lp, lp+quarantineSuffix); err != nil {
+				return stats, fmt.Errorf("persist: quarantine %s: %w", lp, err)
+			}
+			if m := b.opts.Metrics; m != nil {
+				m.WALQuarantined.Inc()
+			}
+		}
+		if i < len(segs)-1 {
+			if err := syncDir(dir); err != nil {
+				return stats, fmt.Errorf("persist: sync quarantine: %w", err)
+			}
+		}
+		b.log.Warn("persist: truncating torn log tail", "segment", path, "offset", good)
+		if err := os.Truncate(path, good); err != nil {
+			return stats, fmt.Errorf("persist: truncate torn tail: %w", err)
+		}
+		break
 	}
-	stats.Dropped = len(merged) - dropFrom
-	quarantine := make(map[string]bool)
-	for _, sr := range merged[dropFrom:] {
-		quarantine[sr.path] = true
-	}
-	if stats.Dropped > 0 {
-		b.log.Warn("persist: dropping records after global sequence gap",
-			"dropped", stats.Dropped, "last_seq", lastSeq,
-			"next_seq", merged[dropFrom].rec.Seq, "segments", len(quarantine))
-	}
-
 	stats.LastSeq = lastSeq
 	stats.Resources = st.Len()
 
-	// Compact: the recovered tree becomes the new baseline. Step order is
-	// what makes a crash here (and a crashed legacy conversion) safe —
-	// (1) snapshot at lastSeq: from here replay is optional; (2) retire
-	// the old segments (quarantining any that held dropped records) and
-	// the emptied legacy shard dirs; (3) remove the legacy descriptor;
-	// (4) create the fresh segment. A crash after (1) replays nothing new
-	// from the old segments; after (2) a legacy dir is empty but still
-	// described; after (3) the directory is flat and holds no log; after
-	// (4) we are here.
-	export, err := st.Export()
-	if err != nil {
-		return stats, fmt.Errorf("persist: recovery export: %w", err)
-	}
-	if err := writeSnapshot(dir, lastSeq, export); err != nil {
-		return stats, err
-	}
-	if err := b.stepDone(1); err != nil {
-		return stats, err
-	}
-	for _, p := range segPaths {
-		if !quarantine[p] {
-			os.Remove(p)
-			continue
+	// Compact: the recovered tree becomes the new baseline, in an order a
+	// crash cannot hurt — snapshot at lastSeq (from here replay is
+	// optional), retire the old segments, create the fresh one. A crash
+	// after the first step replays nothing new from the old segments;
+	// after the second the directory holds a snapshot and no log, which is
+	// where a boot that had nothing to compact starts from.
+	if !loaded || stats.Replayed > 0 || stats.Truncated {
+		resources, _, err := st.Snapshot()
+		if err != nil {
+			return stats, fmt.Errorf("persist: recovery export: %w", err)
 		}
-		b.log.Warn("persist: quarantining segment beyond sequence gap",
-			"segment", p, "quarantined", p+quarantineSuffix)
-		if err := os.Rename(p, p+quarantineSuffix); err != nil {
-			return stats, fmt.Errorf("persist: quarantine %s: %w", p, err)
-		}
-		b.countQuarantine()
-	}
-	if legacy {
-		for _, sdir := range dirs {
-			os.Remove(sdir) // gone unless quarantined files remain for an operator
-		}
-	}
-	if err := b.stepDone(2); err != nil {
-		return stats, err
-	}
-	if legacy {
-		if err := removeLayout(dir); err != nil {
+		if err := writeSnapshot(dir, lastSeq, resources); err != nil {
 			return stats, err
 		}
-		b.log.Info("persist: legacy sharded data dir converted to one log", "from_shards", len(dirs))
 	}
-	if err := b.stepDone(3); err != nil {
-		return stats, err
+	for _, p := range segPaths {
+		os.Remove(p)
+	}
+	if b.afterRetire != nil {
+		if err := b.afterRetire(); err != nil {
+			return stats, err
+		}
 	}
 	w, err := openWAL(walPath(dir, lastSeq+1), lastSeq, b.opts.Fsync, b.onFsync)
 	if err != nil {
@@ -363,26 +280,8 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 	b.log.Info("persist: recovery complete",
 		"resources", stats.Resources, "replayed", stats.Replayed,
 		"snapshot_seq", stats.SnapshotSeq, "truncated", stats.Truncated,
-		"dropped", stats.Dropped, "duration", stats.Duration)
+		"duration", stats.Duration)
 	return stats, nil
-}
-
-// stepDone reports a finished compaction step to the test hook.
-func (b *FileBackend) stepDone(step int) error {
-	if b.afterStep == nil {
-		return nil
-	}
-	return b.afterStep(step)
-}
-
-// countQuarantine records one quarantined WAL segment in the metrics
-// bundle. The rename itself is always accompanied by a warning log
-// carrying the quarantined path; this makes the event visible to
-// monitoring that only scrapes /metrics.
-func (b *FileBackend) countQuarantine() {
-	if m := b.opts.Metrics; m != nil {
-		m.WALQuarantined.Inc()
-	}
 }
 
 func (b *FileBackend) onFsync(d time.Duration) {

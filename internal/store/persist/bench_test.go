@@ -1,7 +1,10 @@
 package persist
 
 import (
+	"encoding/json"
 	"fmt"
+	"os"
+	"path/filepath"
 	"sync/atomic"
 	"testing"
 
@@ -91,4 +94,142 @@ func BenchmarkWALFsyncPutParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// readTreePayload is one resource of the benchmark's read_tree workload:
+// the ~340-byte endpoint bench/benchkit pushes 200 of per fabric.
+func readTreePayload(uri odata.ID, fabric, slot, seq int) json.RawMessage {
+	return json.RawMessage(fmt.Sprintf(
+		`{"@odata.id":%q,"@odata.type":"#Endpoint.v1_8_0.Endpoint","Id":"r%d","Name":"bench fabric %d resource %d",`+
+			`"EndpointProtocol":"CXL","ConnectedEntities":[{"EntityType":"Processor","EntityRole":"Initiator"}],`+
+			`"Status":{"Health":"OK","State":"Enabled"},"Oem":{"Bench":{"Seq":%d,"Fabric":%d,"Slot":%d}}}`,
+		uri, slot, fabric, slot, seq, fabric, slot))
+}
+
+// readTreeDirs builds the two directories a read_tree server can die
+// with: crashed (an empty snapshot and one WAL segment of fabrics ×
+// perFabric subtree puts plus a third as many rewrites — 26 800 records
+// over 20 000 resources at the benchmark's 100 × 200) and clean (the
+// same tree after a graceful Close: one snapshot, an empty tail).
+func readTreeDirs(tb testing.TB, fabrics, perFabric int) (crashed, clean string) {
+	tb.Helper()
+	crashed, clean = tb.TempDir(), tb.TempDir()
+	for _, dir := range []string{crashed, clean} {
+		st := store.New()
+		backend, err := Open(Options{Dir: dir})
+		if err != nil {
+			tb.Fatal(err)
+		}
+		stats, err := backend.Recover(st)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		st.AttachBackend(backend, stats.LastSeq)
+		var ids []odata.ID
+		for f := 0; f < fabrics; f++ {
+			prefix := odata.ID(fmt.Sprintf("/redfish/v1/Fabrics/Bench%03d", f))
+			resources := make(map[odata.ID]any, perFabric)
+			for j := 0; j < perFabric; j++ {
+				id := prefix
+				if j > 0 {
+					id = prefix.Append("Endpoints", fmt.Sprintf("E%03d", j))
+				}
+				resources[id] = readTreePayload(id, f, j, 0)
+				ids = append(ids, id)
+			}
+			if err := st.PutSubtree(prefix, resources); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		for n := 0; n < len(ids)/3; n++ {
+			id := ids[(n*7919)%len(ids)]
+			if err := st.Put(id, readTreePayload(id, 0, n, n+1)); err != nil {
+				tb.Fatal(err)
+			}
+		}
+		if dir == clean {
+			if err := st.Close(); err != nil {
+				tb.Fatal(err)
+			}
+			continue
+		}
+		// SIGKILL: the segment reaches the file, nothing is compacted.
+		if err := backend.w.close(); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return crashed, clean
+}
+
+// copyDir copies the regular files of src into a fresh temp dir.
+func copyDir(tb testing.TB, src string) string {
+	tb.Helper()
+	dst := tb.TempDir()
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			tb.Fatal(err)
+		}
+	}
+	return dst
+}
+
+// BenchmarkRecover times FileBackend.Recover over the 20 k-resource
+// read_tree tree: wal replays a crashed directory (every iteration gets
+// its own copy, because recovery compacts what it replayed), snapshot
+// boots from a graceful shutdown's.
+func BenchmarkRecover(b *testing.B) {
+	crashed, clean := readTreeDirs(b, 100, 200)
+	for _, c := range []struct{ name, dir string }{{"wal", crashed}, {"snapshot", clean}} {
+		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				dir := copyDir(b, c.dir)
+				st := store.New()
+				backend, err := Open(Options{Dir: dir})
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				stats, err := backend.Recover(st)
+				b.StopTimer()
+				if err != nil || stats.Resources != 20000 {
+					b.Fatalf("recovered %d resources: %v", stats.Resources, err)
+				}
+				backend.w.close()
+				os.RemoveAll(dir)
+			}
+		})
+	}
+}
+
+// BenchmarkSnapshot times Store.Snapshot over the same tree: the cut the
+// periodic compaction takes, and an upper bound on how long it holds
+// every shard's read lock (writers wait that long).
+func BenchmarkSnapshot(b *testing.B) {
+	_, clean := readTreeDirs(b, 100, 200)
+	st := store.New()
+	backend, err := Open(Options{Dir: clean})
+	if err != nil {
+		b.Fatal(err)
+	}
+	if _, err := backend.Recover(st); err != nil {
+		b.Fatal(err)
+	}
+	defer backend.w.close()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := st.Snapshot(); err != nil {
+			b.Fatal(err)
+		}
+	}
 }

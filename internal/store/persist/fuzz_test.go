@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"testing"
 
 	"ofmf/internal/store"
@@ -57,6 +58,55 @@ func FuzzWALDecode(f *testing.F) {
 		if goodAgain != good || len(again) != len(recs) {
 			t.Fatalf("re-scan diverged: %d/%d bytes, %d/%d records",
 				goodAgain, good, len(again), len(recs))
+		}
+	})
+}
+
+// FuzzRecordDecode holds the by-hand envelope reader to the decoder it
+// stands in for: a payload decodeRecord accepts is one json.Unmarshal
+// accepts, into the same Record — so a frame's torn/not-torn verdict is
+// still encoding/json's, whichever of the two reads it — and a stream
+// holding that payload as a frame scans to the same records, good offset
+// and tear as commit 347f903's decoder found (parentDecodeAll). Seeds:
+// what the writer produces, and near misses of it one rule at a time.
+func FuzzRecordDecode(f *testing.F) {
+	for _, rec := range compatHistory() {
+		payload, err := json.Marshal(rec)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(payload)
+	}
+	for _, seed := range []string{
+		`{"s":1,"o":"p","i":"/a","r":{"N":1}}`, `{"s":1,"e":0,"o":"d","i":"/a"}`,
+		`{"s":01,"o":"d","i":"/a"}`, `{"s":-1,"o":"d","i":"/a"}`, `{"s":1.0,"o":"d","i":"/a"}`, `{"s":1e2,"o":"d","i":"/a"}`,
+		`{"s":18446744073709551615,"o":"d","i":"/a"}`, `{"s":18446744073709551616,"o":"d","i":"/a"}`, `{"s":9999999999999999999,"o":"d","i":"/a"}`,
+		`{"S":1,"O":"d","I":"/a"}`, `{"s":1,"o":"d","i":"/a","s":2}`, `{"o":"d","s":1,"i":"/a"}`, `{"s":1,"o":"x","i":"/a"}`, `{"s":1,"o":"d","i":"/a","x":1}`,
+		`{"s":1,"o":"d","i":"/a"}`, `{"s":1,"o":"d","i":"/a\"}`, "{\"s\":1,\"o\":\"d\",\"i\":\"/\xff\"}", "{\"s\":1,\"o\":\"d\",\"i\":\"/é\"}", "{\"s\":1,\"o\":\"d\",\"i\":\"/\t\"}",
+		`{"s":1,"o":"p","i":"/a","r":null}`, `{"s":1,"o":"p","i":"/a","r":[1]}`, `{"s":1,"o":"p","i":"/a","r":{"N": 1}}`, `{"s":1,"o":"p","i":"/a","r":{"N":"<"}}`,
+		`{"s":1,"o":"p","i":"/a","r":{"N":1}}}`, `{"s":1,"o":"p","i":"/a","r":{"N":1}} `, `{"s":1,"o":"p","i":"/a","r":{"N":1},"r":{"N":2}}`, `{"s":1,"o":"p","i":"/a","r":{"N":1}`,
+		`{"s":1,"o":"d","i":"/a"`, `{"s":`, `{}`, ``, `null`, `[]`,
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, payload []byte) {
+		var want store.Record
+		err := json.Unmarshal(payload, &want)
+		if got, ok := decodeRecord(payload); ok {
+			got.Raw = bytes.Clone(got.Raw)
+			if err != nil || !reflect.DeepEqual(got, want) {
+				t.Fatalf("decodeRecord read %q as %+v; json.Unmarshal: %+v, %v", payload, got, want, err)
+			}
+		}
+		if len(payload) == 0 {
+			return
+		}
+		stream := append(frame(payload), frames(t, store.Record{Seq: 7, Op: store.OpDelete, ID: "/after"})...)
+		recs, good, torn := decodeAll(bytes.NewReader(stream))
+		wantRecs, wantGood, wantTorn := parentDecodeAll(bytes.NewReader(stream))
+		if !reflect.DeepEqual(recs, wantRecs) || good != wantGood || torn != wantTorn {
+			t.Fatalf("payload %q: scanned %d records, %d good bytes, torn=%v; commit 347f903: %d, %d, %v",
+				payload, len(recs), good, torn, len(wantRecs), wantGood, wantTorn)
 		}
 	})
 }

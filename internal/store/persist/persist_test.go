@@ -4,9 +4,12 @@ import (
 	"bufio"
 	"encoding/json"
 	"errors"
+	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"sort"
 	"strings"
 	"sync"
 	"testing"
@@ -418,5 +421,121 @@ func TestDataDirFilesAreScoped(t *testing.T) {
 			continue
 		}
 		t.Fatalf("unexpected file in data dir: %s", name)
+	}
+}
+
+// writeLegacyDir lays recs out the way the retired per-shard-stream
+// writer did: a layout.json descriptor declaring n streams and one
+// shard-NN/wal-<start>.log per stream, record k in stream k mod n.
+func writeLegacyDir(t *testing.T, dir string, n int, recs []store.Record) {
+	t.Helper()
+	desc := fmt.Sprintf(`{"Version":1,"Shards":%d}`, n)
+	if err := os.WriteFile(filepath.Join(dir, layoutName), []byte(desc), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < n; i++ {
+		var mine []store.Record
+		for k, rec := range recs {
+			if k%n == i {
+				mine = append(mine, rec)
+			}
+		}
+		sdir := filepath.Join(dir, fmt.Sprintf("shard-%02d", i))
+		if err := os.MkdirAll(sdir, 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(walPath(sdir, 1), frames(t, mine...), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+}
+
+// dirContents reads every file under dir, keyed by relative path.
+func dirContents(t *testing.T, dir string) map[string]string {
+	t.Helper()
+	files := make(map[string]string)
+	err := filepath.WalkDir(dir, func(path string, d os.DirEntry, err error) error {
+		if err != nil || d.IsDir() {
+			return err
+		}
+		data, err := os.ReadFile(path)
+		rel, _ := filepath.Rel(dir, path)
+		files[rel] = string(data)
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return files
+}
+
+// TestLegacyShardedTornStream: the reader of the retired sharded layout
+// is gone, so such a directory — here with one of its four streams cut
+// at a random offset, the state that reader used to truncate and
+// quarantine its way through — is refused with the commit that can still
+// convert it, before anything in it is touched: an operator must be able
+// to take the directory, as it is, to that build.
+func TestLegacyShardedTornStream(t *testing.T) {
+	const n = 4
+	for seed := int64(0); seed < 30; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			rng := rand.New(rand.NewSource(seed))
+			var recs []store.Record
+			for k := 0; k < 40; k++ {
+				id := odata.ID(fmt.Sprintf("/redfish/v1/S%d/%d", rng.Intn(8), rng.Intn(5)))
+				recs = append(recs, store.Record{Seq: uint64(k + 1), Op: store.OpPut, ID: id, Raw: json.RawMessage(`{"V":1}`)})
+			}
+			dir := t.TempDir()
+			writeLegacyDir(t, dir, n, recs)
+			vpath := walPath(filepath.Join(dir, fmt.Sprintf("shard-%02d", rng.Intn(n))), 1)
+			fi, err := os.Stat(vpath)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := os.Truncate(vpath, rng.Int63n(fi.Size()+1)); err != nil {
+				t.Fatal(err)
+			}
+			before := dirContents(t, dir)
+
+			b, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := store.New()
+			_, err = b.Recover(st)
+			if err == nil || !strings.Contains(err.Error(), layoutName) || !strings.Contains(err.Error(), "347f903") {
+				t.Fatalf("Recover on a legacy sharded dir = %v, want a refusal naming %s and commit 347f903", err, layoutName)
+			}
+			if st.Len() != 0 {
+				t.Fatalf("refused recovery left %d resources in the store", st.Len())
+			}
+			if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+				t.Fatalf("refused directory was modified:\nbefore %v\nafter  %v", keys(before), keys(after))
+			}
+		})
+	}
+}
+
+func keys(m map[string]string) []string {
+	out := make([]string, 0, len(m))
+	for k := range m {
+		out = append(out, k)
+	}
+	sort.Strings(out)
+	return out
+}
+
+// TestBootstrapRefusesLegacyDir: a promoted replica must not lay a
+// replicated history over a directory that still describes a sharded
+// one.
+func TestBootstrapRefusesLegacyDir(t *testing.T) {
+	dir := t.TempDir()
+	writeLegacyDir(t, dir, 2, nil)
+	b, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := b.Bootstrap(store.New(), 7); err == nil || !strings.Contains(err.Error(), "347f903") {
+		t.Fatalf("Bootstrap on a legacy dir = %v, want a refusal naming commit 347f903", err)
 	}
 }

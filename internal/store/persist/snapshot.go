@@ -1,6 +1,7 @@
 package persist
 
 import (
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
@@ -24,12 +25,35 @@ const (
 	quarantineSuffix = ".quarantined"
 )
 
-// snapshotFile is the on-disk snapshot format: a consistent export of
-// the tree plus the commit sequence number of the last mutation it
-// reflects. Recovery skips WAL records with Seq <= Seq.
+// snapshotFile is the on-disk snapshot format, one JSON document
+//
+//	{"Seq":N,"Resources":{"uri":payload,…}}
+//
+// a consistent export of the tree (store.Snapshot's document, verbatim)
+// plus the commit sequence number of the last mutation it reflects.
+// Recovery skips WAL records with Seq <= Seq.
 type snapshotFile struct {
 	Seq       uint64          `json:"Seq"`
 	Resources json.RawMessage `json:"Resources"`
+}
+
+const (
+	snapSeqKey       = `{"Seq":`
+	snapResourcesKey = `,"Resources":`
+
+	// layoutName is the descriptor of the per-shard-stream layout this
+	// repo wrote between its PR 7 and PR 15. Nothing reads it any more.
+	layoutName = "layout.json"
+)
+
+// refuseLegacyLayout fails on a data dir of the retired sharded layout
+// before anything in it is touched.
+func refuseLegacyLayout(dir string) error {
+	if _, err := os.Stat(filepath.Join(dir, layoutName)); err == nil {
+		return fmt.Errorf("persist: %s holds %s, the retired per-shard WAL layout, which this version no longer reads; "+
+			"boot it once with a build of commit 347f903 (the last that converts it to one log), then upgrade", dir, layoutName)
+	}
+	return nil
 }
 
 func snapPath(dir string, seq uint64) string {
@@ -68,23 +92,23 @@ func listSeqs(dir, prefix, suffix string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// writeSnapshot durably installs a snapshot: write to a temp file, fsync
-// it, rename into place, fsync the directory. A crash at any point
+// writeSnapshot durably installs a snapshot of resources, the document
+// store.Snapshot returns, written around as it is: write to a temp file,
+// fsync it, rename into place, fsync the directory. A crash at any point
 // leaves either the old snapshot set or the complete new file — never a
 // partially visible one.
-func writeSnapshot(dir string, seq uint64, export []byte) error {
-	data, err := json.Marshal(snapshotFile{Seq: seq, Resources: export})
-	if err != nil {
-		return fmt.Errorf("persist: snapshot encode: %w", err)
-	}
+func writeSnapshot(dir string, seq uint64, resources []byte) error {
 	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
 	if err != nil {
 		return fmt.Errorf("persist: snapshot temp: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		return fmt.Errorf("persist: snapshot write: %w", err)
+	head := strconv.AppendUint([]byte(snapSeqKey), seq, 10)
+	for _, part := range [][]byte{append(head, snapResourcesKey...), resources, []byte("}")} {
+		if _, err := tmp.Write(part); err != nil {
+			tmp.Close()
+			return fmt.Errorf("persist: snapshot write: %w", err)
+		}
 	}
 	if err := tmp.Sync(); err != nil {
 		tmp.Close()
@@ -99,22 +123,45 @@ func writeSnapshot(dir string, seq uint64, export []byte) error {
 	return syncDir(dir)
 }
 
-// loadNewestSnapshot reads the newest parseable snapshot in dir. ok is
-// false when none exists. Unparseable snapshots are skipped in favour of
-// older ones rather than failing the boot.
-func loadNewestSnapshot(dir string) (snap snapshotFile, ok bool, skipped int, err error) {
+// readSnapshot splits a snapshot file into its sequence number and its
+// resources document without decoding either: the envelope writeSnapshot
+// (and json.Marshal of a snapshotFile before it) writes is recognised by
+// its first and last bytes, anything else is encoding/json's to read.
+// What Resources holds is for the caller to check.
+func readSnapshot(data []byte) (snap snapshotFile, ok bool) {
+	if p, found := bytes.CutPrefix(data, []byte(snapSeqKey)); found {
+		seq, p, _ := cutUint(p) // no number: p is nil and the next cut fails
+		if p, found = bytes.CutPrefix(p, []byte(snapResourcesKey)); found && len(p) > 1 && p[len(p)-1] == '}' {
+			return snapshotFile{Seq: seq, Resources: p[:len(p)-1]}, true
+		}
+	}
+	return snap, json.Unmarshal(data, &snap) == nil && len(snap.Resources) > 0
+}
+
+// newestSnapshot reads the newest snapshot in dir that accept takes. ok
+// is false when there is none. Snapshots that cannot be read or that
+// accept refuses are skipped in favour of older ones rather than failing
+// the boot.
+func newestSnapshot(dir string, accept func(snapshotFile) bool) (snap snapshotFile, ok bool, skipped int, err error) {
 	seqs, err := listSeqs(dir, snapPrefix, snapSuffix)
 	if err != nil {
 		return snapshotFile{}, false, 0, err
 	}
 	for i := len(seqs) - 1; i >= 0; i-- {
-		data, rerr := os.ReadFile(snapPath(dir, seqs[i]))
-		if rerr == nil && json.Unmarshal(data, &snap) == nil && len(snap.Resources) > 0 {
-			return snap, true, skipped, nil
+		if data, rerr := os.ReadFile(snapPath(dir, seqs[i])); rerr == nil {
+			if snap, ok = readSnapshot(data); ok && accept(snap) {
+				return snap, true, skipped, nil
+			}
 		}
 		skipped++
 	}
 	return snapshotFile{}, false, skipped, nil
+}
+
+// loadNewestSnapshot reads the newest snapshot in dir that is a valid
+// JSON document.
+func loadNewestSnapshot(dir string) (snap snapshotFile, ok bool, skipped int, err error) {
+	return newestSnapshot(dir, func(s snapshotFile) bool { return json.Valid(s.Resources) })
 }
 
 // removeBelow deletes files of the given naming family whose sequence

@@ -98,8 +98,8 @@ func (b *FileBackend) LatestSnapshot() (resources []byte, seq uint64, ok bool, e
 // Bootstrap initializes a fresh data directory for a replica promoted
 // to leader mid-history: install a snapshot of st at seq (the replica's
 // applied sequence number) and open an empty log starting after seq.
-// The directory must not already hold snapshots, WAL segments or a
-// legacy sharded layout — a promoted replica's local history (if any)
+// The directory must not already hold snapshots, WAL segments or the
+// retired sharded layout — a promoted replica's local history (if any)
 // predates the replicated one and silently merging the two could
 // resurrect divergent records; the caller decides what to do with a
 // non-empty directory. Call instead of Recover, then AttachBackend.
@@ -117,16 +117,14 @@ func (b *FileBackend) Bootstrap(st *store.Store, seq uint64) error {
 			return fmt.Errorf("persist: bootstrap: %s holds existing %s*%s files", dir, probe.prefix, probe.suffix)
 		}
 	}
-	if dirs, err := streamDirs(dir); err != nil {
+	if err := refuseLegacyLayout(dir); err != nil {
 		return err
-	} else if len(dirs) > 1 {
-		return fmt.Errorf("persist: bootstrap: %s holds a sharded layout", dir)
 	}
-	export, err := st.Export()
+	resources, _, err := st.Snapshot()
 	if err != nil {
 		return fmt.Errorf("persist: bootstrap export: %w", err)
 	}
-	if err := writeSnapshot(dir, seq, export); err != nil {
+	if err := writeSnapshot(dir, seq, resources); err != nil {
 		return err
 	}
 	w, err := openWAL(walPath(dir, seq+1), seq, b.opts.Fsync, b.onFsync)

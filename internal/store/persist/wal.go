@@ -20,12 +20,6 @@
 // sequence numbers, and the store appends them in that order, so the
 // log is the total commit order.
 //
-// An earlier version kept one WAL stream per store shard (a layout.json
-// descriptor plus shard-NN/ subdirectories). Recover still reads such a
-// directory — merging the streams by Seq and quarantining segments
-// beyond a sequence gap — and converts it, one-way, to the layout
-// above; see layout.go.
-//
 // Each WAL record is framed as
 //
 //	| uint32 payload length | uint32 CRC-32C of payload | payload |
@@ -35,10 +29,19 @@
 // header, short payload, checksum mismatch, or undecodable payload all
 // mark the end of the committed prefix, and recovery truncates the file
 // there.
+//
+// Bytes cross the disk boundary verified, not re-encoded; encoding/json
+// is the fallback, never the path. A record's payload is read by
+// decodeRecord, which recognises the one envelope this package writes and
+// checks the resource inside it with store.IsCanonical; a snapshot is
+// written by concatenating stored payloads and read back by
+// store.Import's one walk. Whatever those do not recognise goes to
+// encoding/json, which decides as it always did.
 package persist
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/binary"
 	"encoding/json"
 	"fmt"
@@ -46,9 +49,11 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"sync"
 	"time"
 
+	"ofmf/internal/odata"
 	"ofmf/internal/store"
 )
 
@@ -73,35 +78,121 @@ func writeFrame(bw *bufio.Writer, payload []byte) error {
 	return err
 }
 
-// decodeAll reads framed records from r until EOF or the first torn or
-// corrupt frame. It returns the decoded records, the byte offset of the
-// end of the last intact frame, and whether the stream was torn (false
-// means it ended cleanly at EOF).
-func decodeAll(r io.Reader) (recs []store.Record, good int64, torn bool) {
+// scanFrames reads framed records from r until EOF or the first torn or
+// corrupt frame, handing each to fn as it is decoded. It returns the byte
+// offset of the end of the last intact frame and whether the stream was
+// torn (false means it ended cleanly at EOF); an error from fn stops the
+// scan and is returned. The record's Raw is only valid during the call:
+// the next frame is read into the same buffer.
+func scanFrames(r io.Reader, fn func(store.Record) error) (good int64, torn bool, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
+	var payload []byte
 	for {
 		var hdr [8]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return recs, good, err != io.EOF
+			return good, err != io.EOF, nil
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
 		if n == 0 || n > maxRecordBytes {
-			return recs, good, true
+			return good, true, nil
 		}
-		payload := make([]byte, n)
+		payload = slices.Grow(payload[:0], int(n))[:n]
 		if _, err := io.ReadFull(br, payload); err != nil {
-			return recs, good, true
+			return good, true, nil
 		}
 		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
-			return recs, good, true
+			return good, true, nil
 		}
-		var rec store.Record
-		if err := json.Unmarshal(payload, &rec); err != nil {
-			return recs, good, true
+		rec, ok := decodeRecord(payload)
+		if !ok {
+			// Not the envelope append writes, or not one this package can
+			// vouch for: encoding/json's verdict is the verdict.
+			rec = store.Record{}
+			if json.Unmarshal(payload, &rec) != nil {
+				return good, true, nil
+			}
 		}
-		recs = append(recs, rec)
+		if err := fn(rec); err != nil {
+			return good, false, err
+		}
 		good += int64(8 + n)
 	}
+}
+
+// decodeAll collects every record scanFrames yields.
+func decodeAll(r io.Reader) (recs []store.Record, good int64, torn bool) {
+	good, torn, _ = scanFrames(r, func(rec store.Record) error {
+		rec.Raw = bytes.Clone(rec.Raw)
+		recs = append(recs, rec)
+		return nil
+	})
+	return recs, good, torn
+}
+
+// decodeRecord reads the envelope json.Marshal(store.Record) produces —
+//
+//	{"s":<seq>[,"e":<epoch>],"o":"p"|"d","i":"<id>"[,"r":<resource>]}
+//
+// fields in struct order, the id free of escapes, the resource last and
+// canonical (so valid) — into the Record json.Unmarshal would build from
+// it, Raw aliasing payload. It reports false for anything else.
+func decodeRecord(payload []byte) (rec store.Record, ok bool) {
+	p, ok := bytes.CutPrefix(payload, []byte(`{"s":`))
+	if !ok {
+		return rec, false
+	}
+	if rec.Seq, p, ok = cutUint(p); !ok {
+		return rec, false
+	}
+	if rest, found := bytes.CutPrefix(p, []byte(`,"e":`)); found {
+		if rec.Epoch, p, ok = cutUint(rest); !ok {
+			return rec, false
+		}
+	}
+	switch {
+	case bytes.HasPrefix(p, []byte(`,"o":"p","i":"`)):
+		rec.Op = store.OpPut
+	case bytes.HasPrefix(p, []byte(`,"o":"d","i":"`)):
+		rec.Op = store.OpDelete
+	default:
+		return rec, false
+	}
+	p = p[len(`,"o":"p","i":"`):]
+	n := 0
+	for ; n < len(p) && p[n] != '"'; n++ {
+		if p[n] < 0x20 || p[n] > 0x7e || p[n] == '\\' {
+			return rec, false // an escape, or bytes Unmarshal might rewrite
+		}
+	}
+	if n == len(p) {
+		return rec, false
+	}
+	rec.ID = odata.ID(p[:n])
+	p = p[n+1:]
+	if string(p) == "}" {
+		return rec, true
+	}
+	if p, ok = bytes.CutPrefix(p, []byte(`,"r":`)); !ok || len(p) < 3 {
+		return rec, false
+	}
+	if p[len(p)-1] != '}' || !store.IsCanonical(p[:len(p)-1]) {
+		return rec, false
+	}
+	rec.Raw = p[: len(p)-1 : len(p)-1]
+	return rec, true
+}
+
+// cutUint reads the decimal uint64 p starts with, as JSON writes one: no
+// sign, no leading zero, and at most 19 digits so it cannot overflow.
+func cutUint(p []byte) (v uint64, rest []byte, ok bool) {
+	n := 0
+	for ; n < len(p) && p[n] >= '0' && p[n] <= '9'; n++ {
+		v = v*10 + uint64(p[n]-'0')
+	}
+	if n == 0 || n > 19 || (p[0] == '0' && n > 1) {
+		return 0, nil, false
+	}
+	return v, p[n:], true
 }
 
 // wal is one append-only log segment with group-commit semantics.

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -76,13 +77,19 @@ type Backend interface {
 // replayed state is rebuilt by exactly the code live mutations exercise
 // (children index, collection invalidation, high-water marks). A delete
 // of an id that is already absent is not an error — the record merely
-// re-asserts an absence the snapshot already reflects.
+// re-asserts an absence the snapshot already reflects. The changes it
+// emits are marked Replayed.
 func (s *Store) Apply(rec Record) error {
+	ctx := context.Background()
 	switch rec.Op {
 	case OpPut:
-		return s.Put(rec.ID, rec.Raw)
+		raw, err := canonicalize(rec.Raw)
+		if err != nil {
+			return err
+		}
+		return s.putRaw(ctx, rec.ID, raw, true)
 	case OpDelete:
-		if err := s.Delete(rec.ID); err != nil && !errors.Is(err, ErrNotFound) {
+		if err := s.remove(ctx, rec.ID, true); err != nil && !errors.Is(err, ErrNotFound) {
 			return err
 		}
 		return nil

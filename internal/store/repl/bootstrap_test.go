@@ -341,6 +341,33 @@ func TestReplColdReplicaDoesNotSelfPromote(t *testing.T) {
 	})
 }
 
+// TestReplColdReplicaFindsLateLeaderSoon: a cold replica is in no
+// election — it cannot promote, it only waits for its leader to come up
+// — so it must not sleep the election's lease/3 (a second, at the default
+// lease used here) between looks. Started 100 ms before its leader, it is
+// streaming within half a second of the leader's start.
+func TestReplColdReplicaFindsLateLeaderSoon(t *testing.T) {
+	leader, leaderMux := newLateNode()
+	replica, replicaMux := newLateNode()
+	defer leader.stop()
+	defer replica.stop()
+
+	replica.start(t, replicaMux, func(cfg *Config) {
+		cfg.Peers = []string{leader.srv.URL}
+		cfg.LeaseTimeout = 0 // the default, 3 s
+	})
+	time.Sleep(100 * time.Millisecond)
+	leader.start(t, leaderMux, func(cfg *Config) {
+		cfg.Leader = true
+		cfg.Peers = []string{replica.srv.URL}
+		cfg.LeaseTimeout = 0
+	})
+	waitFor(t, 500*time.Millisecond, "cold replica streaming from its late leader", func() bool {
+		st := replica.node.Status()
+		return st.LeaderURL == leader.srv.URL && st.Epoch == 1
+	})
+}
+
 // TestReplFencingDeposesStaleLeader: an acknowledgement carrying a
 // higher epoch proves a newer leader exists; the stale leader must
 // refuse it, fail pending writes, demote itself, and the group must

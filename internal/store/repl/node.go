@@ -441,6 +441,7 @@ func (n *Node) followerLoop() {
 	if retry < 50*time.Millisecond {
 		retry = 50 * time.Millisecond
 	}
+	var cold time.Duration
 	for n.ctx.Err() == nil {
 		leader, promote := n.electOrFind(n.ctx)
 		if promote {
@@ -449,8 +450,16 @@ func (n *Node) followerLoop() {
 		}
 		if leader == "" {
 			// Another candidate won (or nobody is reachable); give the
-			// winner a beat to assume leadership, then look again.
-			if !sleepCtx(n.ctx, retry) {
+			// winner a beat to assume leadership, then look again. A cold
+			// replica (see electOrFind) is in no election: it can only wait
+			// for its leader to come up, so it looks again soon and backs
+			// off to the election's pace.
+			wait := retry
+			if n.epochNow() == 0 && n.applied.Load() == 0 {
+				cold = min(max(2*cold, 50*time.Millisecond), retry)
+				wait = cold
+			}
+			if !sleepCtx(n.ctx, wait) {
 				return
 			}
 			continue

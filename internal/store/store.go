@@ -35,7 +35,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -90,11 +89,19 @@ func (k ChangeKind) String() string {
 // either order — but their Seq values always reflect commit order, so a
 // watcher keeping derived per-URI state can discard the stale one (the
 // liveness sweeper's delete/recreate handling depends on this).
+//
+// Replayed marks a change that re-states history rather than making it:
+// a WAL record or snapshot entry applied at recovery, a leader's record
+// applied on a replica. Watchers that keep derived state need these like
+// any other change; watchers that announce changes to the outside (the
+// service's event publisher) skip them — a restart is not 27 000
+// resource events.
 type Change struct {
-	Kind ChangeKind
-	ID   odata.ID
-	Seq  uint64
-	Ctx  context.Context
+	Kind     ChangeKind
+	ID       odata.ID
+	Seq      uint64
+	Ctx      context.Context
+	Replayed bool
 }
 
 // Watcher receives change notifications. Watchers are invoked synchronously
@@ -237,14 +244,22 @@ func (s *Store) notify(changes ...Change) {
 }
 
 // canonicalize is the one way payload bytes enter the tree: Put,
-// PutSubtree and Patch call it, and WAL replay, Import, admin restore
-// and replication apply re-enter through Put. The invariant readers rely
-// on follows: every stored payload is the output of json.Marshal —
-// compact, HTML-escaped, valid — and therefore a fixed point of it
-// (marshalling a stored payload as a json.RawMessage yields the same
-// bytes). The service's $expand splices stored payloads into its reply
-// unencoded on that ground; TestStoredPayloadsAreCanonical pins it.
+// PutSubtree and Patch call it, and WAL replay, admin restore and
+// replication apply re-enter through Put (Import checks the same thing
+// as it scans, see scanExport). The invariant readers rely on follows:
+// every stored payload is the output of json.Marshal — compact,
+// HTML-escaped, valid — and therefore a fixed point of it (marshalling a
+// stored payload as a json.RawMessage yields the same bytes). The
+// service's $expand splices stored payloads into its reply unencoded on
+// that ground; TestStoredPayloadsAreCanonical pins it.
+//
+// Raw bytes that already are that fixed point (see IsCanonical) — what a
+// WAL record, a snapshot, a leader's stream or an agent's push normally
+// carries — are copied, never aliased; anything else is marshalled.
 func canonicalize(v any) (json.RawMessage, error) {
+	if raw, ok := v.(json.RawMessage); ok && IsCanonical(raw) {
+		return bytes.Clone(raw), nil
+	}
 	b, err := json.Marshal(v)
 	if err != nil {
 		return nil, fmt.Errorf("store: marshal: %w", err)
@@ -269,14 +284,18 @@ func (s *Store) Put(id odata.ID, v any) error {
 // When ctx belongs to a unit of work (see Deferred) the mutation is
 // applied and logged on return but its durability wait is the unit's.
 func (s *Store) PutCtx(ctx context.Context, id odata.ID, v any) error {
+	raw, err := canonicalize(v)
+	if err != nil {
+		return err
+	}
+	return s.putRaw(ctx, id, raw, false)
+}
+
+// putRaw installs raw, which is canonical and the tree's to keep, at id.
+func (s *Store) putRaw(ctx context.Context, id odata.ID, raw json.RawMessage, replayed bool) error {
 	si := s.shardIndex(id)
 	s.countOp("put", si)
 	sp := s.traceStart(ctx, "store.put")
-	raw, err := canonicalize(v)
-	if err != nil {
-		sp.EndErr(err)
-		return err
-	}
 	sh := s.lockShard(si)
 	kind, changed := sh.eng.put(id, raw)
 	var wait func() error
@@ -292,7 +311,7 @@ func (s *Store) PutCtx(ctx context.Context, id odata.ID, v any) error {
 	}
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
-	s.notify(Change{Kind: kind, ID: id, Seq: cs, Ctx: ctx})
+	s.notify(Change{Kind: kind, ID: id, Seq: cs, Ctx: ctx, Replayed: replayed})
 	return werr
 }
 
@@ -482,6 +501,10 @@ func (s *Store) Delete(id odata.ID) error {
 // DeleteCtx is Delete carrying the originating request context; see
 // PutCtx for the tracing and change-attribution semantics.
 func (s *Store) DeleteCtx(ctx context.Context, id odata.ID) error {
+	return s.remove(ctx, id, false)
+}
+
+func (s *Store) remove(ctx context.Context, id odata.ID, replayed bool) error {
 	si := s.shardIndex(id)
 	s.countOp("delete", si)
 	sp := s.traceStart(ctx, "store.delete")
@@ -498,7 +521,7 @@ func (s *Store) DeleteCtx(ctx context.Context, id odata.ID) error {
 
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
-	s.notify(Change{Kind: Removed, ID: id, Seq: cs, Ctx: ctx})
+	s.notify(Change{Kind: Removed, ID: id, Seq: cs, Ctx: ctx, Replayed: replayed})
 	return werr
 }
 
@@ -834,69 +857,4 @@ func (s *Store) DeleteSubtreeCtx(ctx context.Context, prefix odata.ID) (int, err
 	sort.Slice(changes, func(i, j int) bool { return changes[i].ID < changes[j].ID })
 	s.notify(changes...)
 	return len(changes), werr
-}
-
-// exportAllLocked serializes the whole tree keyed by URI. Callers hold
-// at least the read lock on every shard.
-func (s *Store) exportAllLocked() ([]byte, error) {
-	n := 0
-	for _, sh := range s.shards {
-		n += len(sh.eng.entries)
-	}
-	snapshot := make(map[string]json.RawMessage, n)
-	for _, sh := range s.shards {
-		for id, e := range sh.eng.entries {
-			snapshot[string(id)] = e.raw
-		}
-	}
-	return json.MarshalIndent(snapshot, "", "  ")
-}
-
-// Export serializes the whole tree (resources only; collections are
-// declared by the service) to indented JSON keyed by URI.
-func (s *Store) Export() ([]byte, error) {
-	s.rlockAll()
-	defer s.runlockAll()
-	return s.exportAllLocked()
-}
-
-// Snapshot returns a consistent export of the tree together with the
-// commit sequence number of the last mutation it contains. Because
-// mutations hold their shard's write lock while sequence numbers are
-// assigned and records are handed to the backend, holding every shard's
-// read lock makes the pair an exact cut of the log: every record
-// with Seq <= seq is reflected in the export, none with Seq > seq is.
-// The persistence layer builds its compacted snapshots from it.
-func (s *Store) Snapshot() (data []byte, seq uint64, err error) {
-	s.rlockAll()
-	defer s.runlockAll()
-	data, err = s.exportAllLocked()
-	return data, s.seq.Load(), err
-}
-
-// Import loads resources previously produced by Export, replacing any
-// entries at the same ids. Each resource flows through Put, so the
-// children index, collection caches, and NextID high-water marks are
-// rebuilt exactly as live mutations would have built them (recovery
-// depends on this; see TestImportRebuildsDerivedState).
-func (s *Store) Import(data []byte) error {
-	var snapshot map[string]json.RawMessage
-	if err := json.Unmarshal(data, &snapshot); err != nil {
-		return fmt.Errorf("store: import: %w", err)
-	}
-	// Deterministic order keeps replayed logs byte-stable across boots.
-	uris := make([]string, 0, len(snapshot))
-	for uri := range snapshot {
-		uris = append(uris, uri)
-	}
-	sort.Strings(uris)
-	for _, uri := range uris {
-		if !strings.HasPrefix(uri, "/") {
-			return fmt.Errorf("store: import: non-absolute uri %q", uri)
-		}
-		if err := s.Put(odata.ID(uri), snapshot[uri]); err != nil {
-			return fmt.Errorf("store: import %s: %w", uri, err)
-		}
-	}
-	return nil
 }
