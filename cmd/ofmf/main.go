@@ -18,12 +18,6 @@
 // snapshot plus the log tail, truncating records torn by a crash.
 // Without -data-dir the store is purely in-memory, as before.
 //
-// Scaling: -shards partitions the resource tree by top-level URI
-// segment into independently locked store shards, so writers to
-// different subtrees (Fabrics vs Systems) never contend on a lock.
-// -shards 0 sizes the partition to the CPU count. The shard count never
-// touches the data directory: every shard commits to the one WAL.
-//
 // Usage:
 //
 //	ofmf -addr :8080                      # bare service, wait for agents
@@ -42,7 +36,6 @@ import (
 	"net/http/pprof"
 	"os"
 	"os/signal"
-	"runtime"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -73,8 +66,6 @@ func main() {
 		fsync        = flag.Bool("fsync", true, "with -data-dir: mutations wait for the WAL fsync (group-committed); false flushes to the OS only")
 		snapInterval = flag.Duration("snapshot-interval", 5*time.Minute,
 			"with -data-dir: cadence of compacted snapshots and WAL rotation (0 disables the periodic loop)")
-		shards = flag.Int("shards", 1,
-			"store shard count: independent locks per top-level URI partition; 0 sizes to the CPU count")
 		logLevel    = flag.String("log-level", "info", "log level: debug (adds a per-request access line), info, warn, error")
 		withMetrics = flag.Bool("metrics", true, "expose Prometheus-format metrics at /metrics")
 		withPprof   = flag.Bool("pprof", false, "expose Go profiling at /debug/pprof")
@@ -137,14 +128,6 @@ func main() {
 		creds = sessions.StaticCredentials(map[string]string{user: pass})
 	}
 
-	nShards := *shards
-	if nShards <= 0 {
-		nShards = runtime.GOMAXPROCS(0)
-		if nShards > 16 {
-			nShards = 16
-		}
-	}
-
 	metrics := obsv.NewMetrics(obsv.NewRegistry())
 	// One tracer for the whole process: the HTTP middleware, composer,
 	// store, WAL and agent edges all record into the same span ring,
@@ -153,7 +136,7 @@ func main() {
 		SlowThreshold: *traceSlow,
 		Logger:        logger,
 	})
-	svcCfg := service.Config{Credentials: creds, Logger: logger, Metrics: metrics, Tracer: tracer, StoreShards: nShards}
+	svcCfg := service.Config{Credentials: creds, Logger: logger, Metrics: metrics, Tracer: tracer}
 	svcCfg.Events.Workers = *eventWorkers
 
 	// app serves the Redfish tree (and, on the testbed, the composer

@@ -23,14 +23,14 @@ import (
 	"ofmf/internal/service"
 )
 
-// TestMixedLoadSharded is the correctness gate for concurrent mixed
-// traffic on a sharded store: eight closed-loop clients run a fixed,
-// seeded sequence of GETs, PATCHes and compose/decompose cycles over
-// HTTP while webhook subscriptions and SSE streams consume the change
-// events, and every count the run produces is checked exactly — no
-// failed request, no lost acknowledged write, no leaked composition,
-// no event unaccounted for.
-func TestMixedLoadSharded(t *testing.T) {
+// TestMixedLoad is the correctness gate for concurrent mixed traffic:
+// eight closed-loop clients run a fixed, seeded sequence of GETs,
+// PATCHes and compose/decompose cycles over HTTP while webhook
+// subscriptions and SSE streams consume the change events, and every
+// count the run produces is checked exactly — no failed request, no
+// lost acknowledged write, no leaked composition, no event unaccounted
+// for.
+func TestMixedLoad(t *testing.T) {
 	const (
 		workers      = 8
 		opsPerWorker = 60
@@ -40,7 +40,6 @@ func TestMixedLoadSharded(t *testing.T) {
 	f, err := core.New(core.Config{
 		Nodes: 8,
 		Service: service.Config{
-			StoreShards: 8,
 			// The exact-count assertions need every publish to reach every
 			// matching subscriber, so no queue may overflow: the run
 			// publishes a few thousand events at most.
@@ -163,8 +162,7 @@ func TestMixedLoadSharded(t *testing.T) {
 		}(i, resp.Body)
 	}
 
-	// Every computer system is a PATCH target, so writes spread over all
-	// the store's shards.
+	// Every computer system is a PATCH target.
 	_, data := do(http.MethodGet, string(service.SystemsURI), "")
 	var systems odata.Collection
 	if err := json.Unmarshal(data, &systems); err != nil || len(systems.Members) == 0 {

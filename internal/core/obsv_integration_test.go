@@ -126,12 +126,18 @@ func TestObservabilityEndToEnd(t *testing.T) {
 		`ofmf_compose_duration_seconds_count{op="decompose",outcome="ok"} 1`,
 		`ofmf_agent_ops_total{fabric="CXLMemoryAppliance",op="CreateResource",outcome="ok"} 1`,
 		`ofmf_agent_ops_total{fabric="CXL",op="CreateConnection",outcome="ok"} 1`,
-		`ofmf_store_ops_total{op="get",shard=`,
-		`ofmf_store_shards`,
-		`ofmf_store_shard_entries{shard="0"}`,
+		`ofmf_store_ops_total{op="get"} `,
+		`ofmf_store_lock_wait_seconds_count `,
+		`ofmf_store_entries `,
 	} {
 		if !strings.Contains(metricsText, want) {
 			t.Errorf("/metrics missing %q", want)
+		}
+	}
+	// The store is one lock domain: nothing is broken down by shard.
+	for _, line := range strings.Split(metricsText, "\n") {
+		if strings.Contains(line, "shard") {
+			t.Errorf("/metrics still speaks of shards: %s", line)
 		}
 	}
 
@@ -158,7 +164,7 @@ func TestObservabilityEndToEnd(t *testing.T) {
 	for _, mv := range report.MetricValues {
 		if mv.MetricID == "ofmf_store_ops_total" {
 			hasSelf = true
-			if !strings.HasPrefix(mv.MetricProperty, "ofmf_store_ops_total{op=") {
+			if !strings.HasPrefix(mv.MetricProperty, "ofmf_store_ops_total{op=") || strings.Contains(mv.MetricProperty, "shard") {
 				t.Errorf("MetricProperty = %q", mv.MetricProperty)
 			}
 		}

@@ -31,8 +31,6 @@ type Options struct {
 	// would otherwise use is rejected here (see
 	// resilience.FaultTransport.EffectiveSeed).
 	Seed int64
-	// StoreShards partitions the OFMF's store (default 8).
-	StoreShards int
 	// Workers bounds driver concurrency for fleet-wide operations
 	// (default 64).
 	Workers int
@@ -57,9 +55,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Seed == 0 {
 		return o, fmt.Errorf("fleet: explicit non-zero Seed required for reproducibility")
-	}
-	if o.StoreShards <= 0 {
-		o.StoreShards = 8
 	}
 	if o.Workers <= 0 {
 		o.Workers = 64
@@ -159,9 +154,8 @@ func (f *Fleet) violate(format string, args ...any) {
 func (f *Fleet) boot() (persist.RecoveryStats, error) {
 	off := false
 	f.svc = service.New(service.Config{
-		Name:        "OFMF chaos sim",
-		StoreShards: f.opts.StoreShards,
-		Logger:      f.opts.Logger,
+		Name:   "OFMF chaos sim",
+		Logger: f.opts.Logger,
 		// Change events off: the conservation ledger tracks exactly the
 		// records the fleet itself emits (agent events + liveness), and
 		// 10k registrations' worth of ResourceAdded noise would drown

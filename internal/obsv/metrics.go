@@ -54,19 +54,15 @@ type Metrics struct {
 	// dedup-or-create path: ofmf_registration_seconds.
 	RegistrationSeconds *Histogram
 
-	// StoreOps counts resource-store operations by kind and shard ("all"
-	// for operations spanning every shard): ofmf_store_ops_total.
+	// StoreOps counts resource-store operations by kind:
+	// ofmf_store_ops_total. The resource count is published beside it as
+	// the ofmf_store_entries gather-time gauge (registered by the
+	// service).
 	StoreOps *CounterVec
-	// StoreLockWait times how long mutations waited to acquire their
-	// shard's write lock, by shard — the store's headline contention
-	// number before and after sharding: ofmf_store_lock_wait_seconds.
-	StoreLockWait *HistogramVec
-	// StoreShards gauges the configured store shard count:
-	// ofmf_store_shards. Per-shard entry counts are published alongside
-	// it as the ofmf_store_shard_entries gather-time gauge family (see
-	// Registry.LabeledGaugeFunc; the service registers one series per
-	// shard).
-	StoreShards *Gauge
+	// StoreLockWait times every acquisition of the store's write lock —
+	// the store's contention number, and the one that would justify
+	// splitting the lock again (DESIGN §8): ofmf_store_lock_wait_seconds.
+	StoreLockWait *Histogram
 
 	// WALAppends counts mutation records appended to the store's
 	// write-ahead log: ofmf_wal_appends_total.
@@ -163,12 +159,9 @@ func NewMetrics(reg *Registry) *Metrics {
 		RegistrationSeconds: reg.Histogram("ofmf_registration_seconds",
 			"Aggregation-source registration latency in seconds.", nil),
 		StoreOps: reg.CounterVec("ofmf_store_ops_total",
-			"Resource store operations, by kind and shard.", "op", "shard"),
-		StoreLockWait: reg.HistogramVec("ofmf_store_lock_wait_seconds",
-			"Time mutations spent waiting for their shard's write lock, by shard.",
-			nil, "shard"),
-		StoreShards: reg.Gauge("ofmf_store_shards",
-			"Configured store shard count."),
+			"Resource store operations, by kind.", "op"),
+		StoreLockWait: reg.Histogram("ofmf_store_lock_wait_seconds",
+			"Time spent waiting for the store's write lock.", nil),
 		WALAppends: reg.Counter("ofmf_wal_appends_total",
 			"Mutation records appended to the store write-ahead log."),
 		WALFsync: reg.Histogram("ofmf_wal_fsync_seconds",

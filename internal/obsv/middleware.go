@@ -58,7 +58,7 @@ const maxStatus = 600
 
 // routeHandles are the instruments of one (class, method) pair, resolved
 // once instead of joined from label strings on every request — the way
-// the service pre-resolves store.OpNames × shard.
+// the service pre-resolves a counter per store.OpNames entry.
 type routeHandles struct {
 	duration *Histogram
 	codes    [maxStatus]atomic.Pointer[Counter] // by status code, filled on first use

@@ -169,23 +169,16 @@ type HistogramVec struct{ fam *family }
 // With returns the histogram for the given label values.
 func (v *HistogramVec) With(labelValues ...string) *Histogram { return v.fam.get(labelValues).hist }
 
-// funcMetric is a counter or gauge family whose values are computed at
-// gather time from closures — used to surface counters maintained
+// funcMetric is an unlabelled counter or gauge whose value is computed
+// at gather time from a closure — used to surface numbers maintained
 // elsewhere (e.g. the event bus's delivery statistics, the store's
-// per-shard entry counts) without double bookkeeping. An unlabelled
-// func metric is a family with one series under the empty label key.
+// resource count) without double bookkeeping. Immutable once registered:
+// re-registration replaces the map entry.
 type funcMetric struct {
-	name       string
-	help       string
-	typ        string
-	labelNames []string
-	series     map[string]*funcSeries // keyed by joined label values
-}
-
-// funcSeries is one labelled gather-time sample inside a funcMetric.
-type funcSeries struct {
-	labelValues []string
-	fn          func() float64
+	name string
+	help string
+	typ  string
+	fn   func() float64
 }
 
 // Registry is a concurrency-safe collection of metric families.
@@ -258,48 +251,25 @@ func (r *Registry) HistogramVec(name, help string, buckets []float64, labels ...
 	return &HistogramVec{fam: r.register(name, help, TypeHistogram, labels, buckets)}
 }
 
-func (r *Registry) registerFunc(name, help, typ string, labelNames, labelValues []string, fn func() float64) {
+func (r *Registry) registerFunc(name, help, typ string, fn func() float64) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	fm, ok := r.funcs[name]
-	if !ok {
-		fm = &funcMetric{
-			name: name, help: help, typ: typ,
-			labelNames: append([]string(nil), labelNames...),
-			series:     make(map[string]*funcSeries),
-		}
-		r.funcs[name] = fm
+	if fm, ok := r.funcs[name]; ok && fm.typ != typ {
+		panic(fmt.Sprintf("obsv: func metric %s re-registered with different type", name))
 	}
-	if fm.typ != typ || len(fm.labelNames) != len(labelNames) {
-		panic(fmt.Sprintf("obsv: func metric %s re-registered with different type or labels", name))
-	}
-	if len(labelValues) != len(labelNames) {
-		panic(fmt.Sprintf("obsv: func metric %s expects %d label values, got %d",
-			name, len(labelNames), len(labelValues)))
-	}
-	fm.series[strings.Join(labelValues, labelSep)] = &funcSeries{
-		labelValues: append([]string(nil), labelValues...), fn: fn,
-	}
+	r.funcs[name] = &funcMetric{name: name, help: help, typ: typ, fn: fn}
 }
 
 // CounterFunc registers a counter whose value is read from fn at gather
 // time. Re-registering the same name replaces the function, so wiring a
 // fresh service onto a shared registry stays safe.
 func (r *Registry) CounterFunc(name, help string, fn func() float64) {
-	r.registerFunc(name, help, TypeCounter, nil, nil, fn)
+	r.registerFunc(name, help, TypeCounter, fn)
 }
 
 // GaugeFunc registers a gauge whose value is read from fn at gather time.
 func (r *Registry) GaugeFunc(name, help string, fn func() float64) {
-	r.registerFunc(name, help, TypeGauge, nil, nil, fn)
-}
-
-// LabeledGaugeFunc registers one series of a labelled gauge family whose
-// value is read from fn at gather time. Every registration for a name
-// must agree on labelNames; re-registering the same label values
-// replaces that series' function.
-func (r *Registry) LabeledGaugeFunc(name, help string, labelNames, labelValues []string, fn func() float64) {
-	r.registerFunc(name, help, TypeGauge, labelNames, labelValues, fn)
+	r.registerFunc(name, help, TypeGauge, fn)
 }
 
 // Bucket is one cumulative histogram bucket in a snapshot.
@@ -335,21 +305,10 @@ func (r *Registry) Gather() []Family {
 	for _, f := range r.fams {
 		fams = append(fams, f)
 	}
-	// Snapshot func-metric series under the lock (LabeledGaugeFunc may
-	// add series concurrently); the closures run after it is released.
-	type funcSnap struct {
-		name, help, typ string
-		labelNames      []string
-		series          []*funcSeries
-	}
-	funcs := make([]funcSnap, 0, len(r.funcs))
+	// The closures run after the lock is released.
+	funcs := make([]*funcMetric, 0, len(r.funcs))
 	for _, fm := range r.funcs {
-		fs := funcSnap{name: fm.name, help: fm.help, typ: fm.typ, labelNames: fm.labelNames}
-		fs.series = make([]*funcSeries, 0, len(fm.series))
-		for _, sr := range fm.series {
-			fs.series = append(fs.series, sr)
-		}
-		funcs = append(funcs, fs)
+		funcs = append(funcs, fm)
 	}
 	r.mu.RUnlock()
 
@@ -393,21 +352,12 @@ func (r *Registry) Gather() []Family {
 		out = append(out, fam)
 	}
 	for _, fm := range funcs {
-		fam := Family{
-			Name:       fm.name,
-			Help:       fm.help,
-			Type:       fm.typ,
-			LabelNames: fm.labelNames,
-			Samples:    make([]Sample, 0, len(fm.series)),
-		}
-		for _, sr := range fm.series {
-			fam.Samples = append(fam.Samples, Sample{LabelValues: sr.labelValues, Value: sr.fn()})
-		}
-		sort.Slice(fam.Samples, func(i, j int) bool {
-			return strings.Join(fam.Samples[i].LabelValues, labelSep) <
-				strings.Join(fam.Samples[j].LabelValues, labelSep)
+		out = append(out, Family{
+			Name:    fm.name,
+			Help:    fm.help,
+			Type:    fm.typ,
+			Samples: []Sample{{Value: fm.fn()}},
 		})
-		out = append(out, fam)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out

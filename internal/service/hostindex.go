@@ -18,7 +18,7 @@ import (
 //
 // The index is fed by the store's change stream. Notifications for one
 // URI can arrive out of order across goroutines (the store releases its
-// shard lock before notifying), so every application is gated on
+// lock before notifying), so every application is gated on
 // Change.Seq: a change older than what the index already reflects for
 // that URI is discarded, and deletions leave a tombstone so a late
 // pre-delete upsert cannot resurrect the mapping.

@@ -90,7 +90,7 @@ type LivenessSweeper struct {
 	// skipped.
 	deadlines deadlineHeap
 	// tombs records the Change.Seq of each evicted source URI. The store
-	// notifies watchers after releasing its shard lock, so notifications
+	// notifies watchers after releasing its lock, so notifications
 	// for one URI can interleave across goroutines; without the
 	// tombstone, a delete-then-recreate at the same URI whose stale
 	// pre-delete notification replayed last would resurrect the old

@@ -8,6 +8,7 @@ import (
 
 	"ofmf/internal/odata"
 	"ofmf/internal/redfish"
+	"ofmf/internal/store"
 )
 
 // putSource writes an aggregation source straight into the store,
@@ -45,12 +46,12 @@ func TestSweepSteadyStateNoStoreReads(t *testing.T) {
 	sweeper.Sweep() // seeds the index: store reads expected here
 
 	var reads int64
-	svc.store.SetOpHook(func(op string, _ int) {
+	svc.store.SetObserver(&store.Observer{Op: func(op string) {
 		switch op {
 		case "get", "members", "view", "collection", "collection_cached":
 			atomic.AddInt64(&reads, 1)
 		}
-	})
+	}})
 	for i := 0; i < 5; i++ {
 		now = now.Add(time.Second)
 		sweeper.Sweep()

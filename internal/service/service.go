@@ -130,10 +130,10 @@ type Config struct {
 	// logging). It is shared with the store, the event bus and the
 	// composer so one request yields one linked trace.
 	Tracer *obsv.Tracer
-	// StoreShards partitions the resource store into this many
-	// independently locked shards (see store.NewSharded). Zero or
-	// negative selects the store's default (1, or the OFMF_STORE_SHARDS
-	// environment override).
+	// Deprecated: StoreShards is ignored — the store has one lock domain
+	// (DESIGN §8). It exists only so the frozen bench/ module keeps
+	// compiling; remove it with the persist shims at the next benchmark
+	// PR.
 	StoreShards int
 }
 
@@ -205,7 +205,7 @@ func New(cfg Config) *Service {
 	}
 	s := &Service{
 		cfg:      cfg,
-		store:    store.NewSharded(cfg.StoreShards),
+		store:    store.New(),
 		log:      cfg.Logger,
 		metrics:  cfg.Metrics,
 		tracer:   cfg.Tracer,
@@ -216,43 +216,29 @@ func New(cfg Config) *Service {
 	// replay and never needs to scan the collection.
 	s.hosts = newHostIndex(s.store)
 	s.store.Watch(s.hosts.onChange)
-	// Shard labels are precomputed so the hooks on the store's hot paths
-	// never format strings; index -1 is the cross-shard ("all") label.
-	shardLabels := make([]string, s.store.ShardCount()+1)
-	shardLabels[0] = "all"
-	for i := 1; i < len(shardLabels); i++ {
-		shardLabels[i] = strconv.Itoa(i - 1)
+	// One counter per store.OpNames entry, resolved up front: With builds
+	// a key string on every call, which would put an allocation on the
+	// zero-alloc read path. Finding the op is a scan of a dozen short
+	// names, most of which differ in length.
+	opCounters := make([]*obsv.Counter, len(store.OpNames))
+	for i, op := range store.OpNames {
+		opCounters[i] = s.metrics.StoreOps.With(op)
 	}
-	// Counters are resolved per (op, shard) up front: With joins its two
-	// label values into a fresh key string on every call, which would put
-	// an allocation on the zero-alloc read path.
-	opCounters := make(map[string][]*obsv.Counter, len(store.OpNames))
-	for _, op := range store.OpNames {
-		cs := make([]*obsv.Counter, len(shardLabels))
-		for i, lbl := range shardLabels {
-			cs[i] = s.metrics.StoreOps.With(op, lbl)
-		}
-		opCounters[op] = cs
-	}
-	s.store.SetOpHook(func(op string, shard int) {
-		if cs, ok := opCounters[op]; ok {
-			cs[shard+1].Inc()
-			return
-		}
-		s.metrics.StoreOps.With(op, shardLabels[shard+1]).Inc()
+	s.store.SetObserver(&store.Observer{
+		Op: func(op string) {
+			for i, name := range store.OpNames {
+				if name == op {
+					opCounters[i].Inc()
+					return
+				}
+			}
+		},
+		LockWait: func(wait time.Duration) { s.metrics.StoreLockWait.Observe(wait.Seconds()) },
+		Tracer:   s.tracer,
 	})
-	s.store.SetLockWaitHook(func(shard int, wait time.Duration) {
-		s.metrics.StoreLockWait.With(shardLabels[shard+1]).Observe(wait.Seconds())
-	})
-	s.store.SetTracer(s.tracer)
-	s.metrics.StoreShards.Set(float64(s.store.ShardCount()))
-	for i := 0; i < s.store.ShardCount(); i++ {
-		i := i
-		s.metrics.Registry().LabeledGaugeFunc("ofmf_store_shard_entries",
-			"Resources held by each store shard.",
-			[]string{"shard"}, []string{shardLabels[i+1]},
-			func() float64 { return float64(s.store.ShardLen(i)) })
-	}
+	s.metrics.Registry().GaugeFunc("ofmf_store_entries",
+		"Resources held by the store.",
+		func() float64 { return float64(s.store.Len()) })
 	// Degrade a subscription's advertised health as deliveries fail, so
 	// monitoring clients can see dead destinations in the tree.
 	evCfg := cfg.Events

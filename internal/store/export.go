@@ -28,30 +28,24 @@ func byID(a, b exportEntry) int { return strings.Compare(string(a.id), string(b.
 
 // Snapshot returns a consistent export of the tree — compact, keyed by
 // URI in ascending order — together with the commit sequence number of
-// the last mutation it contains. Because mutations hold their shard's
-// write lock while sequence numbers are assigned and records are handed
-// to the backend, holding every shard's read lock makes the pair an
-// exact cut of the log: every record with Seq <= seq is reflected in the
-// export, none with Seq > seq is. The locks are held only while the
-// entries are listed — a stored payload is never modified, only
-// replaced, so the document is put together after writers are let back
-// in. The persistence layer builds its compacted snapshots from it.
+// the last mutation it contains. Because mutations hold the write lock
+// while sequence numbers are assigned and records are handed to the
+// backend, holding the read lock makes the pair an exact cut of the log:
+// every record with Seq <= seq is reflected in the export, none with
+// Seq > seq is. The lock is held only while the entries are listed — a
+// stored payload is never modified, only replaced, so the document is
+// put together after writers are let back in. The persistence layer
+// builds its compacted snapshots from it.
 func (s *Store) Snapshot() (data []byte, seq uint64, err error) {
-	s.rlockAll()
-	n := 0
-	for _, sh := range s.shards {
-		n += len(sh.eng.entries)
-	}
-	entries := make([]exportEntry, 0, n)
+	s.mu.RLock()
+	entries := make([]exportEntry, 0, len(s.eng.entries))
 	size := 2
-	for _, sh := range s.shards {
-		for id, e := range sh.eng.entries {
-			entries = append(entries, exportEntry{id, e.raw})
-			size += len(id) + len(e.raw) + len(`"":,`)
-		}
+	for id, e := range s.eng.entries {
+		entries = append(entries, exportEntry{id, e.raw})
+		size += len(id) + len(e.raw) + len(`"":,`)
 	}
 	seq = s.seq.Load()
-	s.runlockAll()
+	s.mu.RUnlock()
 
 	slices.SortFunc(entries, byID)
 	data = append(make([]byte, 0, size), '{')

@@ -30,9 +30,9 @@ type Options struct {
 	// OS before the mutation returns — surviving a process kill but not
 	// a power failure.
 	Fsync bool
-	// Deprecated: Shards is ignored — the backend keeps one WAL stream
-	// whatever the store's shard count. It exists only so the frozen
-	// bench/ module still compiles; the next benchmark PR deletes it.
+	// Deprecated: Shards is ignored — the backend keeps one WAL stream.
+	// It exists only so the frozen bench/ module still compiles; the
+	// next benchmark PR deletes it.
 	Shards int
 	// SnapshotInterval is the cadence of compacted snapshots and WAL
 	// rotation. Zero or negative disables the periodic loop; a final
@@ -78,7 +78,7 @@ type RecoveryStats struct {
 // FileBackend is the store.Backend persisting mutations to one WAL
 // stream plus compacted snapshots in a data directory. The store hands
 // it batches in commit order (see store.Backend), so the log on disk is
-// the global history and one group-commit leader serves every shard.
+// the global history and one group-commit leader serves every writer.
 // Lifecycle:
 //
 //	b, _ := persist.Open(opts)

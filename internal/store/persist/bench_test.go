@@ -213,7 +213,7 @@ func BenchmarkRecover(b *testing.B) {
 
 // BenchmarkSnapshot times Store.Snapshot over the same tree: the cut the
 // periodic compaction takes, and an upper bound on how long it holds
-// every shard's read lock (writers wait that long).
+// the store's read lock (writers wait that long).
 func BenchmarkSnapshot(b *testing.B) {
 	_, clean := readTreeDirs(b, 100, 200)
 	st := store.New()

@@ -23,17 +23,10 @@ func res(name string) map[string]any {
 	return map[string]any{"@odata.id": name, "Name": name}
 }
 
-// openStore builds a recovered, attached store on dir, at the suite's
-// default shard count (OFMF_STORE_SHARDS).
+// openStore builds a recovered, attached store on dir.
 func openStore(t *testing.T, dir string, fsync bool) (*store.Store, *FileBackend, RecoveryStats) {
 	t.Helper()
-	return openStoreSharded(t, dir, fsync, 0)
-}
-
-// openStoreSharded is openStore with an explicit store shard count.
-func openStoreSharded(t *testing.T, dir string, fsync bool, shards int) (*store.Store, *FileBackend, RecoveryStats) {
-	t.Helper()
-	st := store.NewSharded(shards)
+	st := store.New()
 	b, err := Open(Options{Dir: dir, Fsync: fsync})
 	if err != nil {
 		t.Fatalf("Open: %v", err)

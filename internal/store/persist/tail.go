@@ -86,7 +86,7 @@ func (b *FileBackend) Flush() error {
 // exported resource map and the commit sequence number it reflects.
 // ok is false when the directory holds none. Replication serves this to
 // bootstrapping replicas when it is recent enough, saving a fresh
-// all-shard export under the store's read locks.
+// whole-tree export under the store's read lock.
 func (b *FileBackend) LatestSnapshot() (resources []byte, seq uint64, ok bool, err error) {
 	snap, ok, _, err := loadNewestSnapshot(b.opts.Dir)
 	if err != nil || !ok {

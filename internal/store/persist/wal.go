@@ -5,8 +5,7 @@
 // the newest valid snapshot, replays the log tail in sequence order,
 // and truncates a torn record left by a crash mid-write.
 //
-// On-disk layout. Everything lives in one data directory, whatever the
-// store's shard count (shards split the store's locks, not its log):
+// On-disk layout. Everything lives in one data directory:
 //
 //	snap-<seq>.json   compacted snapshot: {"Seq":N,"Resources":{uri:raw}}
 //	wal-<start>.log   log segment; holds records with Seq >= start
@@ -246,7 +245,7 @@ func openWAL(path string, base uint64, fsync bool, onFsync func(time.Duration)) 
 
 // append frames the batch into the segment buffer and returns a wait
 // function that blocks until the batch is durable. The caller (the
-// store, under its appendMu, via FileBackend.Append) guarantees batches
+// store, under its write lock, via FileBackend.Append) guarantees batches
 // arrive in commit order.
 func (w *wal) append(recs []store.Record) func() error {
 	w.mu.Lock()

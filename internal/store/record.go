@@ -26,10 +26,9 @@ const (
 )
 
 // Record is one canonical committed mutation. Seq is the store's
-// global monotonic commit sequence number, assigned while the mutated
-// shard's write lock is held, so the log totally orders the store's
-// history across shards. Raw carries the post-state for OpPut and is
-// empty for OpDelete.
+// global monotonic commit sequence number, assigned while the store's
+// write lock is held, so the log totally orders the store's history.
+// Raw carries the post-state for OpPut and is empty for OpDelete.
 //
 // Epoch is the replication leadership term the record was committed
 // under (see SetEpoch). It is 0 for an unreplicated store — the field
@@ -49,14 +48,12 @@ type Record struct {
 
 // Backend is the store's durability seam. The zero-config store has no
 // backend and stays purely in-memory; attaching one (see AttachBackend)
-// makes every committed mutation flow through it as one ordered log,
-// however many shards the store's locks are split into.
+// makes every committed mutation flow through it as one ordered log.
 //
-// The single ordering rule: Append is called under the store's appendMu,
-// which is taken after the write locks of every shard the batch touches
-// and held across sequence stamping and the call, immediately after the
-// in-memory commit. Batches therefore reach the backend in strictly
-// ascending, gap-free Seq order, one call at a time. Implementations
+// The single ordering rule: Append is called under the store's write
+// lock, held across the in-memory commit, sequence stamping and the
+// call. Batches therefore reach the backend in strictly ascending,
+// gap-free Seq order, one call at a time. Implementations
 // must be fast in Append — buffer the records and complete durability
 // (flush, fsync, replication) in the returned wait function, which the
 // store calls exactly once after releasing its locks — before the
@@ -104,10 +101,10 @@ func (s *Store) Apply(rec Record) error {
 // Attach after recovery has replayed the log — replay itself must not
 // be re-logged — and before the store starts serving mutations.
 func (s *Store) AttachBackend(b Backend, lastSeq uint64) {
-	s.lockAll()
+	s.lock()
 	s.backend = b
 	s.seq.Store(lastSeq)
-	s.unlockAll()
+	s.mu.Unlock()
 }
 
 // Seq returns the global commit sequence number of the last mutation
@@ -127,10 +124,10 @@ func (s *Store) Epoch() uint64 { return s.epoch.Load() }
 // Close detaches and closes the attached backend, if any, flushing its
 // buffered records. The store remains usable (in-memory only) afterwards.
 func (s *Store) Close() error {
-	s.lockAll()
+	s.lock()
 	b := s.backend
 	s.backend = nil
-	s.unlockAll()
+	s.mu.Unlock()
 	if b == nil {
 		return nil
 	}
@@ -139,16 +136,15 @@ func (s *Store) Close() error {
 
 // commitLocked stamps the batch with its global commit sequence numbers
 // and the current replication epoch and hands it to the backend. The
-// caller holds the write lock of every shard the batch touches and
-// hands the returned wait to settle only after releasing them.
-// appendMu makes stamp-and-append one step, so writers racing on
-// different shards still produce one log in Seq order.
+// caller holds the store's write lock and hands the returned wait to
+// settle only after releasing it. That lock orders all writers, so
+// stamp-and-append is one step under it and racing writers produce one
+// log in Seq order; the separate append mutex that guaranteed this while
+// writers could hold different locks is gone, the guarantee is not.
 func (s *Store) commitLocked(batch []Record) func() error {
 	if s.backend == nil || len(batch) == 0 {
 		return nil
 	}
-	s.appendMu.Lock()
-	defer s.appendMu.Unlock()
 	base := s.seq.Add(uint64(len(batch))) - uint64(len(batch))
 	epoch := s.epoch.Load()
 	for i := range batch {

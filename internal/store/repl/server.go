@@ -57,8 +57,8 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 // handleSnapshot serves the bootstrap snapshot. The newest on-disk
 // snapshot is preferred when the follower could stream onward from its
 // sequence number (always true with a disk tail; otherwise it must
-// still be inside the backlog) — that skips an all-shard export under
-// the store's read locks. A diskless or compaction-lagged leader
+// still be inside the backlog) — that skips a whole-tree export under
+// the store's read lock. A diskless or compaction-lagged leader
 // exports live instead.
 func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {

@@ -8,24 +8,20 @@
 // are marshaled at the boundary.
 //
 // The package is layered: engine.go holds the pure in-memory engine
-// (entry map, children index, collection cache, ETags); shard.go routes
-// ids to one of N independent engine+lock shards by top-level URI
-// segment; this file owns locking, change notification, and the public
-// API; record.go defines the mutation-log seam — every committed
-// mutation reduces to canonical put/delete Records stamped with a global
-// commit sequence and handed to an optional Backend. With no backend
-// attached (the zero-config default) the seam costs one nil check per
-// mutation and nothing on reads. The file-based write-ahead-log backend
-// lives in the store/persist subpackage.
+// (entry map, children index, collection cache, ETags); this file owns
+// locking, change notification, and the public API; record.go defines
+// the mutation-log seam — every committed mutation reduces to canonical
+// put/delete Records stamped with a global commit sequence and handed to
+// an optional Backend. With no backend attached (the zero-config
+// default) the seam costs one nil check per mutation and nothing on
+// reads. The file-based write-ahead-log backend lives in the
+// store/persist subpackage.
 //
-// Sharding: single-resource operations touch only the owning shard's
-// lock, so writers to different top-level subtrees (Fabrics vs Systems)
-// never contend. Operations whose prefix spans shards — PutSubtree at
-// the service root, admin restore, Export/Snapshot — use an ordered
-// multi-shard commit: every shard lock is acquired in ascending index
-// order, so readers observe the whole mutation or none of it. Whatever
-// the shard count, committed records leave through one ordered
-// Backend.Append (see record.go): shards split the locks, not the log.
+// One lock domain: the tree sits behind one read-write lock. A mutation
+// — one resource or a whole restore at the service root — applies, is
+// stamped and is handed to the backend under the write lock, so readers
+// observe all of it or none of it and the log is the commit order
+// (DESIGN §8 records why the lock is not split).
 package store
 
 import (
@@ -37,6 +33,7 @@ import (
 	"sort"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"ofmf/internal/obsv"
 	"ofmf/internal/odata"
@@ -83,7 +80,7 @@ func (k ChangeKind) String() string {
 // may already be done by the time an asynchronous consumer runs.
 //
 // Seq is the store's mutation sequence number, assigned while the
-// mutated shard's write lock is held. Unlike the WAL commit sequence it
+// store's write lock is held. Unlike the WAL commit sequence it
 // always advances, backend or not. Because notification runs after the
 // lock is released, two watchers can observe changes to the same URI in
 // either order — but their Seq values always reflect commit order, so a
@@ -109,120 +106,106 @@ type Change struct {
 // must enqueue internally.
 type Watcher func(Change)
 
-// Store is a concurrent Redfish resource tree: N independent engine
-// shards each behind their own read-write lock, plus the optional
-// durability backend every committed mutation is logged to.
+// Store is a concurrent Redfish resource tree: one engine behind one
+// read-write lock, plus the optional durability backend every committed
+// mutation is logged to.
 type Store struct {
-	shards []*shard
+	// mu guards eng and backend. Write-lock it through lock(), which
+	// reports the wait to the observer.
+	mu  sync.RWMutex
+	eng engine
 
 	// seq is the global commit sequence number of the last mutation
-	// record handed to the backend. It is assigned under appendMu while
-	// the mutating shard's write lock is held, so the backend's one log
-	// is gap-free and Seq-ascending. It advances only while a backend is
-	// attached.
+	// record handed to the backend. It is assigned under mu's write
+	// lock, so the backend's log is gap-free and Seq-ascending. It
+	// advances only while a backend is attached.
 	seq atomic.Uint64
 
 	// mutSeq numbers every committed mutation for change notification
-	// (see Change.Seq). Assigned under the mutated shard's write lock
-	// like seq, but independent of it: mutSeq advances with no backend
-	// attached and is not persisted.
+	// (see Change.Seq). Assigned under the write lock like seq, but
+	// independent of it: mutSeq advances with no backend attached and is
+	// not persisted.
 	mutSeq atomic.Uint64
 
 	// epoch is the replication leadership term stamped into committed
 	// records (see SetEpoch); 0 when the store is not replicated.
 	epoch atomic.Uint64
 
-	// backend is written only while every shard lock is held
-	// (AttachBackend/Close) and read under at least one shard lock.
+	// backend is written under the write lock (AttachBackend/Close) and
+	// read under it by every mutation.
 	backend Backend
-	// appendMu makes sequence stamping and Backend.Append one step, so
-	// the log stays in global commit order even when writers on
-	// different shards race. Always acquired after shard locks, never
-	// before.
-	appendMu sync.Mutex
 
 	watchMu  sync.RWMutex
 	watchers []Watcher
 
-	// opHook holds an OpHook observing operation counts (atomic.Value so
-	// hot read paths never contend on a lock for it).
-	opHook atomic.Value
-
-	// lockWait holds a LockWaitHook observing write-lock acquisition
-	// waits (atomic for the same reason as opHook).
-	lockWait atomic.Value
-
-	// tracer, when set, records mutation spans for requests that already
-	// belong to a trace (atomic for the same reason as opHook).
-	tracer atomic.Pointer[obsv.Tracer]
+	// observer is atomic so hot read paths never contend on a lock for
+	// it.
+	observer atomic.Pointer[Observer]
 }
 
-// OpHook observes one store operation by kind: "get", "view", "etag",
-// "put", "put_subtree", "create", "patch", "delete", "delete_subtree",
+// Observer is what the store reports about itself; any field may be
+// nil. Op receives one operation by kind: "get", "view", "etag", "put",
+// "put_subtree", "create", "patch", "delete", "delete_subtree",
 // "members", "collection" (cache miss, payload built) or
-// "collection_cached" (served from the memoized payload). shard is the
-// index of the shard the operation touched, or -1 for operations that
-// touch every shard (spanning subtree ops, export, snapshot). Hooks
-// must be fast and must not call back into the store.
-type OpHook func(op string, shard int)
+// "collection_cached" (served from the memoized payload). LockWait
+// receives the time one write-lock acquisition spent waiting — the
+// store's contention number; the read path is not timed, which would put
+// a clock read on the zero-alloc GET path. Both must be fast and must
+// not call back into the store. Tracer records mutation spans, which
+// only start when the mutation's context already carries a trace (see
+// Tracer.StartIfTraced), so recovery replay and background writes never
+// mint orphan traces.
+type Observer struct {
+	Op       func(op string)
+	LockWait func(wait time.Duration)
+	Tracer   *obsv.Tracer
+}
 
-// OpNames lists every op string the hook can receive, so observers can
-// pre-resolve per-op state (label sets, counters) instead of allocating
-// on the hot path.
+// OpNames lists every op string Observer.Op can receive, so observers
+// can pre-resolve per-op state (label sets, counters) instead of
+// allocating on the hot path.
 var OpNames = []string{
 	"get", "view", "etag", "put", "put_subtree", "create", "patch",
 	"delete", "delete_subtree", "members", "collection", "collection_cached",
 }
 
-// SetOpHook installs the operation observer, replacing any previous one.
-func (s *Store) SetOpHook(h OpHook) { s.opHook.Store(h) }
-
-// SetTracer installs the tracer mutation spans are recorded on.
-// Mutations only start spans when their context already carries a trace
-// (see Tracer.StartIfTraced), so recovery replay and background writes
-// never mint orphan traces.
-func (s *Store) SetTracer(t *obsv.Tracer) { s.tracer.Store(t) }
+// SetObserver installs the observer, replacing any previous one; nil
+// removes it.
+func (s *Store) SetObserver(o *Observer) { s.observer.Store(o) }
 
 // traceStart opens a mutation span when ctx belongs to a trace and a
 // tracer is installed; it returns nil (a no-op span) otherwise.
 func (s *Store) traceStart(ctx context.Context, name string) *obsv.Span {
-	t := s.tracer.Load()
-	if t == nil {
+	o := s.observer.Load()
+	if o == nil || o.Tracer == nil {
 		return nil
 	}
-	_, sp := t.StartIfTraced(ctx, name)
+	_, sp := o.Tracer.StartIfTraced(ctx, name)
 	return sp
 }
 
-func (s *Store) countOp(op string, shard int) {
-	if h, ok := s.opHook.Load().(OpHook); ok && h != nil {
-		h(op, shard)
+func (s *Store) countOp(op string) {
+	if o := s.observer.Load(); o != nil && o.Op != nil {
+		o.Op(op)
 	}
 }
 
-// New creates an empty store with no backend: purely in-memory. The
-// shard count defaults to 1 unless the OFMF_STORE_SHARDS environment
-// variable overrides it (the CI race matrix uses this to drive the
-// whole suite at shards>1).
+// lock takes the write lock, reporting the wait to the observer. Every
+// write-lock acquisition goes through it, so Observer.LockWait sees all
+// of the store's writer contention.
+func (s *Store) lock() {
+	if o := s.observer.Load(); o != nil && o.LockWait != nil {
+		start := time.Now()
+		s.mu.Lock()
+		o.LockWait(time.Since(start))
+		return
+	}
+	s.mu.Lock()
+}
+
+// New creates an empty store with no backend: purely in-memory.
 func New() *Store {
-	return NewSharded(0)
-}
-
-// NewSharded creates an empty store partitioned into n shards. n <= 0
-// selects the environment default (see New); the count is capped at
-// maxShards.
-func NewSharded(n int) *Store {
-	if n <= 0 {
-		n = envShards()
-	}
-	if n > maxShards {
-		n = maxShards
-	}
-	s := &Store{shards: make([]*shard, n)}
-	for i := range s.shards {
-		s.shards[i] = &shard{eng: newEngine()}
-	}
-	return s
+	return &Store{eng: newEngine()}
 }
 
 // Watch registers a change watcher. All subsequent mutations are reported.
@@ -293,18 +276,17 @@ func (s *Store) PutCtx(ctx context.Context, id odata.ID, v any) error {
 
 // putRaw installs raw, which is canonical and the tree's to keep, at id.
 func (s *Store) putRaw(ctx context.Context, id odata.ID, raw json.RawMessage, replayed bool) error {
-	si := s.shardIndex(id)
-	s.countOp("put", si)
+	s.countOp("put")
 	sp := s.traceStart(ctx, "store.put")
-	sh := s.lockShard(si)
-	kind, changed := sh.eng.put(id, raw)
+	s.lock()
+	kind, changed := s.eng.put(id, raw)
 	var wait func() error
 	var cs uint64
 	if changed {
 		cs = s.mutSeq.Add(1)
 		wait = s.commitLocked([]Record{{Op: OpPut, ID: id, Raw: raw}})
 	}
-	sh.mu.Unlock()
+	s.mu.Unlock()
 	if !changed {
 		sp.End()
 		return nil
@@ -323,25 +305,24 @@ func (s *Store) Create(id odata.ID, v any) error {
 // CreateCtx is Create carrying the originating request context; see
 // PutCtx for the tracing and change-attribution semantics.
 func (s *Store) CreateCtx(ctx context.Context, id odata.ID, v any) error {
-	si := s.shardIndex(id)
-	s.countOp("create", si)
+	s.countOp("create")
 	sp := s.traceStart(ctx, "store.create")
 	raw, err := canonicalize(v)
 	if err != nil {
 		sp.EndErr(err)
 		return err
 	}
-	sh := s.lockShard(si)
-	if _, ok := sh.eng.entries[id]; ok {
-		sh.mu.Unlock()
+	s.lock()
+	if _, ok := s.eng.entries[id]; ok {
+		s.mu.Unlock()
 		err := fmt.Errorf("%w: %s", ErrExists, id)
 		sp.EndErr(err)
 		return err
 	}
-	sh.eng.put(id, raw)
+	s.eng.put(id, raw)
 	cs := s.mutSeq.Add(1)
 	wait := s.commitLocked([]Record{{Op: OpPut, ID: id, Raw: raw}})
-	sh.mu.Unlock()
+	s.mu.Unlock()
 
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
@@ -352,12 +333,10 @@ func (s *Store) CreateCtx(ctx context.Context, id odata.ID, v any) error {
 // Get returns a copy of the raw JSON and the entity tag of the resource at
 // id. The returned slice is never aliased to store internals.
 func (s *Store) Get(id odata.ID) (json.RawMessage, string, error) {
-	si := s.shardIndex(id)
-	s.countOp("get", si)
-	sh := s.shards[si]
-	sh.mu.RLock()
-	e, ok := sh.eng.entries[id]
-	sh.mu.RUnlock()
+	s.countOp("get")
+	s.mu.RLock()
+	e, ok := s.eng.entries[id]
+	s.mu.RUnlock()
 	if !ok {
 		return nil, "", fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -367,16 +346,14 @@ func (s *Store) Get(id odata.ID) (json.RawMessage, string, error) {
 }
 
 // View invokes fn with the raw JSON of the resource at id without
-// copying. fn runs under the owning shard's read lock and must not
+// copying. fn runs under the store's read lock and must not
 // retain or mutate the slice. It is the zero-copy alternative to Get
 // for hot read paths (see BenchmarkAblationStoreRead).
 func (s *Store) View(id odata.ID, fn func(raw json.RawMessage, etag string)) error {
-	si := s.shardIndex(id)
-	s.countOp("view", si)
-	sh := s.shards[si]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	e, ok := sh.eng.entries[id]
+	s.countOp("view")
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, ok := s.eng.entries[id]
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -395,12 +372,10 @@ func (s *Store) GetAs(id odata.ID, out any) error {
 
 // Etag returns the entity tag of the resource at id.
 func (s *Store) Etag(id odata.ID) (string, error) {
-	si := s.shardIndex(id)
-	s.countOp("etag", si)
-	sh := s.shards[si]
-	sh.mu.RLock()
-	e, ok := sh.eng.entries[id]
-	sh.mu.RUnlock()
+	s.countOp("etag")
+	s.mu.RLock()
+	e, ok := s.eng.entries[id]
+	s.mu.RUnlock()
 	if !ok {
 		return "", fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
@@ -409,10 +384,9 @@ func (s *Store) Etag(id odata.ID) (string, error) {
 
 // Exists reports whether a resource (not a collection) is stored at id.
 func (s *Store) Exists(id odata.ID) bool {
-	sh := s.shards[s.shardIndex(id)]
-	sh.mu.RLock()
-	_, ok := sh.eng.entries[id]
-	sh.mu.RUnlock()
+	s.mu.RLock()
+	_, ok := s.eng.entries[id]
+	s.mu.RUnlock()
 	return ok
 }
 
@@ -440,19 +414,18 @@ func (s *Store) PatchCtx(ctx context.Context, id odata.ID, patch map[string]any,
 // lookup. On a durability error the tree already holds the returned
 // state (see Backend).
 func (s *Store) PatchReturning(ctx context.Context, id odata.ID, patch map[string]any, ifMatch string) (json.RawMessage, string, error) {
-	si := s.shardIndex(id)
-	s.countOp("patch", si)
+	s.countOp("patch")
 	sp := s.traceStart(ctx, "store.patch")
-	sh := s.lockShard(si)
-	e, ok := sh.eng.entries[id]
+	s.lock()
+	e, ok := s.eng.entries[id]
 	if !ok {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		err := fmt.Errorf("%w: %s", ErrNotFound, id)
 		sp.EndErr(err)
 		return nil, "", err
 	}
 	if ifMatch != "" && ifMatch != e.etag {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		err := fmt.Errorf("%w: %s", ErrEtagMismatch, id)
 		sp.EndErr(err)
 		return nil, "", err
@@ -467,13 +440,13 @@ func (s *Store) PatchReturning(ctx context.Context, id odata.ID, patch map[strin
 	} else {
 		var err error
 		if merged, err = mergeViaMap(id, e.raw, patch); err != nil {
-			sh.mu.Unlock()
+			s.mu.Unlock()
 			sp.EndErr(err)
 			return nil, "", err
 		}
 	}
 	if bytes.Equal(merged, e.raw) {
-		sh.mu.Unlock()
+		s.mu.Unlock()
 		sp.End()
 		return e.raw, e.etag, nil
 	}
@@ -481,11 +454,11 @@ func (s *Store) PatchReturning(ctx context.Context, id odata.ID, patch map[strin
 	if spliced {
 		raw = bytes.Clone(merged) // out of the pooled buffer, at its exact size
 	}
-	sh.eng.put(id, raw)
-	etag := sh.eng.entries[id].etag
+	s.eng.put(id, raw)
+	etag := s.eng.entries[id].etag
 	cs := s.mutSeq.Add(1)
 	wait := s.commitLocked([]Record{{Op: OpPut, ID: id, Raw: raw}})
-	sh.mu.Unlock()
+	s.mu.Unlock()
 
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
@@ -505,19 +478,18 @@ func (s *Store) DeleteCtx(ctx context.Context, id odata.ID) error {
 }
 
 func (s *Store) remove(ctx context.Context, id odata.ID, replayed bool) error {
-	si := s.shardIndex(id)
-	s.countOp("delete", si)
+	s.countOp("delete")
 	sp := s.traceStart(ctx, "store.delete")
-	sh := s.lockShard(si)
-	if !sh.eng.remove(id) {
-		sh.mu.Unlock()
+	s.lock()
+	if !s.eng.remove(id) {
+		s.mu.Unlock()
 		err := fmt.Errorf("%w: %s", ErrNotFound, id)
 		sp.EndErr(err)
 		return err
 	}
 	cs := s.mutSeq.Add(1)
 	wait := s.commitLocked([]Record{{Op: OpDelete, ID: id}})
-	sh.mu.Unlock()
+	s.mu.Unlock()
 
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
@@ -530,22 +502,19 @@ func (s *Store) remove(ctx context.Context, id odata.ID, replayed bool) error {
 // the direct children present in the store and memoized until the
 // membership changes. Registrations are service configuration, not tree
 // state: they are not logged or exported, and the service re-declares
-// them at every boot before recovery runs. A collection and its members
-// always share a shard (both route on the collection's URI segment).
+// them at every boot before recovery runs.
 func (s *Store) RegisterCollection(id odata.ID, odataType, name string) {
-	sh := s.shards[s.shardIndex(id)]
-	sh.mu.Lock()
-	sh.eng.collections[id] = collectionMeta{odataType: odataType, name: name}
-	sh.eng.invalidateCollection(id)
-	sh.mu.Unlock()
+	s.lock()
+	s.eng.collections[id] = collectionMeta{odataType: odataType, name: name}
+	s.eng.invalidateCollection(id)
+	s.mu.Unlock()
 }
 
 // IsCollection reports whether id names a registered collection.
 func (s *Store) IsCollection(id odata.ID) bool {
-	sh := s.shards[s.shardIndex(id)]
-	sh.mu.RLock()
-	_, ok := sh.eng.collections[id]
-	sh.mu.RUnlock()
+	s.mu.RLock()
+	_, ok := s.eng.collections[id]
+	s.mu.RUnlock()
 	return ok
 }
 
@@ -553,26 +522,23 @@ func (s *Store) IsCollection(id odata.ID) bool {
 // building and publishing the cache on a miss. hit reports whether the
 // rendering was served from the cache. The returned collCache is
 // immutable; callers may use it after the lock is released.
-func (s *Store) collectionFor(id odata.ID) (collectionMeta, *collCache, int, bool, error) {
-	si := s.shardIndex(id)
-	sh := s.shards[si]
-	sh.mu.RLock()
-	meta, ok := sh.eng.collections[id]
+func (s *Store) collectionFor(id odata.ID) (collectionMeta, *collCache, bool, error) {
+	s.mu.RLock()
+	meta, ok := s.eng.collections[id]
+	c := s.eng.collCache[id]
+	s.mu.RUnlock()
 	if !ok {
-		sh.mu.RUnlock()
-		return collectionMeta{}, nil, si, false, fmt.Errorf("%w: %s", ErrNotCollection, id)
+		return collectionMeta{}, nil, false, fmt.Errorf("%w: %s", ErrNotCollection, id)
 	}
-	c := sh.eng.collCache[id]
-	sh.mu.RUnlock()
 	if c != nil {
-		return meta, c, si, true, nil
+		return meta, c, true, nil
 	}
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	if c = sh.eng.collCache[id]; c != nil {
-		return meta, c, si, true, nil
+	s.lock()
+	defer s.mu.Unlock()
+	if c = s.eng.collCache[id]; c != nil {
+		return meta, c, true, nil
 	}
-	members := sh.eng.members(id)
+	members := s.eng.members(id)
 	payload, err := json.Marshal(odata.Collection{
 		ODataID:   id,
 		ODataType: meta.odataType,
@@ -581,29 +547,29 @@ func (s *Store) collectionFor(id odata.ID) (collectionMeta, *collCache, int, boo
 		Members:   odata.RefSlice(members),
 	})
 	if err != nil {
-		return meta, nil, si, false, fmt.Errorf("store: collection %s: %w", id, err)
+		return meta, nil, false, fmt.Errorf("store: collection %s: %w", id, err)
 	}
 	c = &collCache{members: members, payload: payload, etag: odata.EtagRaw(payload)}
-	sh.eng.collCache[id] = c
-	return meta, c, si, false, nil
+	s.eng.collCache[id] = c
+	return meta, c, false, nil
 }
 
-func (s *Store) countCollection(shard int, hit bool) {
+func (s *Store) countCollection(hit bool) {
 	if hit {
-		s.countOp("collection_cached", shard)
+		s.countOp("collection_cached")
 	} else {
-		s.countOp("collection", shard)
+		s.countOp("collection")
 	}
 }
 
 // Collection synthesizes the collection payload at id from its current
 // members, serving the memoized member list when it is still valid.
 func (s *Store) Collection(id odata.ID) (odata.Collection, error) {
-	meta, c, si, hit, err := s.collectionFor(id)
+	meta, c, hit, err := s.collectionFor(id)
 	if err != nil {
 		return odata.Collection{}, err
 	}
-	s.countCollection(si, hit)
+	s.countCollection(hit)
 	return odata.Collection{
 		ODataID:   id,
 		ODataType: meta.odataType,
@@ -620,22 +586,22 @@ func (s *Store) Collection(id odata.ID) (odata.Collection, error) {
 // mutating). This is the zero-copy fast path collection GETs are served
 // from.
 func (s *Store) CollectionView(id odata.ID, fn func(payload []byte, etag string)) error {
-	_, c, si, hit, err := s.collectionFor(id)
+	_, c, hit, err := s.collectionFor(id)
 	if err != nil {
 		return err
 	}
-	s.countCollection(si, hit)
+	s.countCollection(hit)
 	fn(c.payload, c.etag)
 	return nil
 }
 
 // Members returns the sorted direct members of the collection at id.
 func (s *Store) Members(id odata.ID) ([]odata.ID, error) {
-	_, c, si, _, err := s.collectionFor(id)
+	_, c, _, err := s.collectionFor(id)
 	if err != nil {
 		return nil, err
 	}
-	s.countOp("members", si)
+	s.countOp("members")
 	out := make([]odata.ID, len(c.members))
 	copy(out, c.members)
 	return out, nil
@@ -647,35 +613,28 @@ func (s *Store) Members(id odata.ID) ([]odata.ID, error) {
 // reused after deletion, so a released URI can never alias a later
 // resource.
 func (s *Store) NextID(collection odata.ID) string {
-	sh := s.shards[s.shardIndex(collection)]
-	sh.mu.RLock()
-	defer sh.mu.RUnlock()
-	return sh.eng.nextID(collection)
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.eng.nextID(collection)
 }
 
 // IDs returns every stored resource identifier, sorted.
 func (s *Store) IDs() []odata.ID {
-	s.rlockAll()
-	var ids []odata.ID
-	for _, sh := range s.shards {
-		for id := range sh.eng.entries {
-			ids = append(ids, id)
-		}
+	s.mu.RLock()
+	ids := make([]odata.ID, 0, len(s.eng.entries))
+	for id := range s.eng.entries {
+		ids = append(ids, id)
 	}
-	s.runlockAll()
+	s.mu.RUnlock()
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	return ids
 }
 
 // Len returns the number of stored resources.
 func (s *Store) Len() int {
-	s.rlockAll()
-	n := 0
-	for _, sh := range s.shards {
-		n += len(sh.eng.entries)
-	}
-	s.runlockAll()
-	return n
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return len(s.eng.entries)
 }
 
 // PutSubtree atomically installs a set of resources, all of which must lie
@@ -690,10 +649,9 @@ func (s *Store) Len() int {
 // actually performed, in that order — so a replayed log reproduces the
 // refresh exactly without knowing the keep semantics.
 //
-// A prefix below the service root pins the refresh to one shard; a
-// prefix at or above it (the admin restore path) commits across every
-// shard at once, holding all locks in order so concurrent readers see
-// the whole replacement or none of it.
+// Whatever the prefix — an agent's subtree or the service root (the
+// admin restore path) — the refresh happens under one hold of the write
+// lock, so concurrent readers see the whole replacement or none of it.
 func (s *Store) PutSubtree(prefix odata.ID, resources map[odata.ID]any, keep ...odata.ID) error {
 	return s.PutSubtreeCtx(context.Background(), prefix, resources, keep...)
 }
@@ -701,12 +659,7 @@ func (s *Store) PutSubtree(prefix odata.ID, resources map[odata.ID]any, keep ...
 // PutSubtreeCtx is PutSubtree carrying the originating request context;
 // see PutCtx for the tracing and change-attribution semantics.
 func (s *Store) PutSubtreeCtx(ctx context.Context, prefix odata.ID, resources map[odata.ID]any, keep ...odata.ID) error {
-	multi := len(s.shards) > 1 && spansShards(prefix)
-	si := -1
-	if !multi {
-		si = s.shardIndex(prefix)
-	}
-	s.countOp("put_subtree", si)
+	s.countOp("put_subtree")
 	sp := s.traceStart(ctx, "store.put_subtree")
 	// Serialize outside the lock; entity tags are computed lazily below,
 	// only for payloads that actually changed — an agent heartbeat that
@@ -738,33 +691,22 @@ func (s *Store) PutSubtreeCtx(ctx context.Context, prefix odata.ID, resources ma
 	}
 	var changes []Change
 	var batch []Record
-	if multi {
-		s.lockAll()
-	} else {
-		s.lockShard(si)
-	}
+	s.lock()
 	logging := s.backend != nil
 	// Remove stale descendants, walking only the prefix's subtree via the
-	// children index — the rest of the store is never touched. When the
-	// prefix spans shards the walk is the union of every shard's subtree.
-	// A kept prefix keeps its whole subtree: the refresh is a pure upsert
-	// (an agent publishing only what an op touched) and walks nothing.
+	// children index — the rest of the store is never touched. A kept
+	// prefix keeps its whole subtree: the refresh is a pure upsert (an
+	// agent publishing only what an op touched) and walks nothing.
 	var stale []odata.ID
-	switch {
-	case kept(prefix):
-	case multi:
-		for _, sh := range s.shards {
-			stale = sh.eng.descendants(prefix, stale)
-		}
-	default:
-		stale = s.shards[si].eng.descendants(prefix, nil)
+	if !kept(prefix) {
+		stale = s.eng.descendants(prefix, nil)
 	}
 	for _, id := range stale {
 		if kept(id) {
 			continue
 		}
 		if _, present := prepared[id]; !present {
-			s.engFor(multi, si, id).remove(id)
+			s.eng.remove(id)
 			changes = append(changes, Change{Kind: Removed, ID: id, Seq: s.mutSeq.Add(1), Ctx: ctx})
 			if logging {
 				batch = append(batch, Record{Op: OpDelete, ID: id})
@@ -772,7 +714,7 @@ func (s *Store) PutSubtreeCtx(ctx context.Context, prefix odata.ID, resources ma
 		}
 	}
 	for id, raw := range prepared {
-		kind, changed := s.engFor(multi, si, id).put(id, raw)
+		kind, changed := s.eng.put(id, raw)
 		if !changed {
 			continue
 		}
@@ -782,26 +724,13 @@ func (s *Store) PutSubtreeCtx(ctx context.Context, prefix odata.ID, resources ma
 		}
 	}
 	wait := s.commitLocked(batch)
-	if multi {
-		s.unlockAll()
-	} else {
-		s.shards[si].mu.Unlock()
-	}
+	s.mu.Unlock()
 
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
 	sort.Slice(changes, func(i, j int) bool { return changes[i].ID < changes[j].ID })
 	s.notify(changes...)
 	return werr
-}
-
-// engFor returns the engine owning id: the routed shard for a spanning
-// operation (all locks held), the pinned shard otherwise.
-func (s *Store) engFor(multi bool, si int, id odata.ID) *engine {
-	if multi {
-		return &s.shards[s.shardIndex(id)].eng
-	}
-	return &s.shards[si].eng
 }
 
 // DeleteSubtree removes every resource under prefix (inclusive) and
@@ -816,42 +745,22 @@ func (s *Store) DeleteSubtree(prefix odata.ID) (int, error) {
 // DeleteSubtreeCtx is DeleteSubtree carrying the originating request
 // context; see PutCtx for the tracing and change-attribution semantics.
 func (s *Store) DeleteSubtreeCtx(ctx context.Context, prefix odata.ID) (int, error) {
-	multi := len(s.shards) > 1 && spansShards(prefix)
-	si := -1
-	if !multi {
-		si = s.shardIndex(prefix)
-	}
-	s.countOp("delete_subtree", si)
+	s.countOp("delete_subtree")
 	sp := s.traceStart(ctx, "store.delete_subtree")
-	if multi {
-		s.lockAll()
-	} else {
-		s.lockShard(si)
-	}
-	var ids []odata.ID
-	if multi {
-		for _, sh := range s.shards {
-			ids = sh.eng.descendants(prefix, ids)
-		}
-	} else {
-		ids = s.shards[si].eng.descendants(prefix, nil)
-	}
+	s.lock()
+	ids := s.eng.descendants(prefix, nil)
 	changes := make([]Change, 0, len(ids))
 	var batch []Record
 	logging := s.backend != nil
 	for _, id := range ids {
-		s.engFor(multi, si, id).remove(id)
+		s.eng.remove(id)
 		changes = append(changes, Change{Kind: Removed, ID: id, Seq: s.mutSeq.Add(1), Ctx: ctx})
 		if logging {
 			batch = append(batch, Record{Op: OpDelete, ID: id})
 		}
 	}
 	wait := s.commitLocked(batch)
-	if multi {
-		s.unlockAll()
-	} else {
-		s.shards[si].mu.Unlock()
-	}
+	s.mu.Unlock()
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
 	sort.Slice(changes, func(i, j int) bool { return changes[i].ID < changes[j].ID })

@@ -4,7 +4,9 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"testing/quick"
 
@@ -391,6 +393,93 @@ func TestPutSubtreeDoesNotTouchOutside(t *testing.T) {
 	}
 }
 
+// TestRestoreAtRootAtomicUnderReaders flips the whole tree between two
+// versions with PutSubtree at the service root (the admin restore path)
+// while concurrent Snapshot readers check they never observe a mix: the
+// restore is one hold of the write lock, so a reader sees all of a
+// replacement or none of it.
+func TestRestoreAtRootAtomicUnderReaders(t *testing.T) {
+	s := New()
+	tree := func(version int) map[odata.ID]any {
+		m := make(map[odata.ID]any)
+		for _, seg := range []odata.ID{"/redfish/v1/Systems", "/redfish/v1/Fabrics"} {
+			for i := 0; i < 4; i++ {
+				id := seg.Append(fmt.Sprintf("r%d", i))
+				m[id] = map[string]any{"@odata.id": string(id), "V": version}
+			}
+		}
+		return m
+	}
+	if err := s.PutSubtree("/redfish/v1", tree(0)); err != nil {
+		t.Fatal(err)
+	}
+
+	var stop atomic.Bool
+	var wg sync.WaitGroup
+	for r := 0; r < 4; r++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for !stop.Load() {
+				data, _, err := s.Snapshot()
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				var m map[string]struct{ V int }
+				if err := json.Unmarshal(data, &m); err != nil {
+					t.Error(err)
+					return
+				}
+				seen := -1
+				for id, v := range m {
+					if seen == -1 {
+						seen = v.V
+					} else if v.V != seen {
+						t.Errorf("snapshot mixes versions: %s has V=%d, another resource V=%d", id, v.V, seen)
+						return
+					}
+				}
+			}
+		}()
+	}
+	for i := 1; i <= 50; i++ {
+		if err := s.PutSubtree("/redfish/v1", tree(i)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	stop.Store(true)
+	wg.Wait()
+}
+
+// TestRestoreAtRootReplacesWholeTree checks admin-restore semantics: a
+// PutSubtree at the service root replaces the whole tree, deleting stale
+// resources under every top-level segment, not just the ones the new set
+// touches.
+func TestRestoreAtRootReplacesWholeTree(t *testing.T) {
+	s := New()
+	a, b := odata.ID("/redfish/v1/Systems"), odata.ID("/redfish/v1/Fabrics")
+	old := map[odata.ID]any{
+		a.Append("stale1"): map[string]any{"Name": "stale1"},
+		b.Append("stale2"): map[string]any{"Name": "stale2"},
+		b.Append("kept"):   map[string]any{"Name": "kept"},
+	}
+	if err := s.PutSubtree("/redfish/v1", old); err != nil {
+		t.Fatal(err)
+	}
+	replacement := map[odata.ID]any{
+		a.Append("new1"): map[string]any{"Name": "new1"},
+		b.Append("kept"): map[string]any{"Name": "kept"},
+	}
+	if err := s.PutSubtree("/redfish/v1", replacement); err != nil {
+		t.Fatal(err)
+	}
+	wantIDs := []odata.ID{b.Append("kept"), a.Append("new1")}
+	if got := s.IDs(); !reflect.DeepEqual(got, wantIDs) {
+		t.Fatalf("after replace: ids %v, want %v", got, wantIDs)
+	}
+}
+
 func TestDeleteSubtree(t *testing.T) {
 	s := New()
 	prefix := odata.ID("/redfish/v1/Fabrics/NVMe")
@@ -560,7 +649,7 @@ func TestCollectionViewCachedPayload(t *testing.T) {
 		t.Fatal(err)
 	}
 	var ops []string
-	s.SetOpHook(func(op string, shard int) { ops = append(ops, op) })
+	s.SetObserver(&Observer{Op: func(op string) { ops = append(ops, op) }})
 
 	var p1, p2 []byte
 	var e1, e2 string
