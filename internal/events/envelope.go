@@ -68,21 +68,18 @@ func (e *envelope) encode(onEncode func()) {
 	})
 }
 
-// body returns the wire payload for a subscription with the given
-// Context. An empty Context returns the shared base bytes (zero copy);
-// otherwise the Context member is spliced between the shared head and
-// tail. Callers must treat the result as read-only.
-func (e *envelope) body(subContext string, onEncode func()) ([]byte, error) {
+// body returns the wire payload for a subscription whose Context
+// encodes as ctxJSON (a JSON string, marshaled once at Subscribe). An
+// empty Context returns the shared base bytes (zero copy); otherwise the
+// Context member is spliced between the shared head and tail. Callers
+// must treat the result as read-only.
+func (e *envelope) body(ctxJSON []byte, onEncode func()) ([]byte, error) {
 	e.encode(onEncode)
 	if e.err != nil {
 		return nil, e.err
 	}
-	if subContext == "" {
+	if ctxJSON == nil {
 		return e.base, nil
-	}
-	ctxJSON, err := json.Marshal(subContext)
-	if err != nil {
-		return nil, fmt.Errorf("events: marshal context: %w", err)
 	}
 	out := make([]byte, 0, len(e.base)+len(ctxJSON)+len(`,"Context":`))
 	out = append(out, e.head...)

@@ -283,6 +283,8 @@ type Subscription struct {
 	Context string
 	Filter  Filter
 
+	contextJSON []byte // Context as a JSON string, marshaled once; nil when Context is empty
+
 	sink   Sink
 	ctx    context.Context // cancelled on Unsubscribe/Close: aborts in-flight backoff waits
 	cancel context.CancelFunc
@@ -440,6 +442,9 @@ func (b *Bus) Subscribe(sink Sink, filter Filter, contextStr string) (*Subscript
 		cancel:  cancel,
 	}
 	sub.cond = sync.NewCond(&sub.mu)
+	if contextStr != "" {
+		sub.contextJSON, _ = json.Marshal(contextStr) // a string always marshals
+	}
 	b.subs[sub.ID] = sub
 	b.snap.Store(buildSnapshot(b.subs))
 	return sub, nil
@@ -613,7 +618,7 @@ func (b *Bus) attempt(sub *Subscription, env *envelope) {
 	span.SetAttr("event_type", env.rec.EventType)
 	var deliver func(context.Context) error
 	if bs, ok := sub.sink.(BytesSink); ok {
-		body, err := env.body(sub.Context, func() { atomic.AddInt64(&b.encodes, 1) })
+		body, err := env.body(sub.contextJSON, func() { atomic.AddInt64(&b.encodes, 1) })
 		if err != nil {
 			span.EndErr(err)
 			b.countFailure(sub)

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"ofmf/internal/obsv"
 	"ofmf/internal/odata"
 	"ofmf/internal/redfish"
 )
@@ -121,6 +122,36 @@ func TestContextSplicedWithoutReencode(t *testing.T) {
 	}
 	if base.Context != "" {
 		t.Fatalf("plain payload Context = %q, want empty", base.Context)
+	}
+}
+
+// TestContextSpliceAllocs: a subscription's Context is marshaled once,
+// at Subscribe, so a delivery's body with a Context costs exactly one
+// allocation — the spliced copy.
+func TestContextSpliceAllocs(t *testing.T) {
+	b := NewBus(Config{})
+	defer b.Close()
+	const want = `dash"board <42>`
+	sub, err := b.Subscribe(&byteCollector{}, Filter{}, want)
+	if err != nil {
+		t.Fatal(err)
+	}
+	env := newEnvelope(Record(redfish.EventResourceUpdated, "ctx-2", "updated", "/redfish/v1/Systems/S1"), obsv.SpanContext{})
+	body, err := env.body(sub.contextJSON, nil) // the one encode, outside the count
+	if err != nil {
+		t.Fatal(err)
+	}
+	var ev redfish.Event
+	if err := json.Unmarshal(body, &ev); err != nil || ev.Context != want {
+		t.Fatalf("spliced body Context = %q (err %v), want %q", ev.Context, err, want)
+	}
+	got := testing.AllocsPerRun(200, func() {
+		if _, err := env.body(sub.contextJSON, nil); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if got != 1 {
+		t.Fatalf("envelope.body with a Context = %v allocations, want 1 (the spliced copy)", got)
 	}
 }
 

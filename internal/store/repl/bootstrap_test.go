@@ -370,8 +370,8 @@ func TestReplColdReplicaFindsLateLeaderSoon(t *testing.T) {
 
 // TestReplFencingDeposesStaleLeader: an acknowledgement carrying a
 // higher epoch proves a newer leader exists; the stale leader must
-// refuse it, fail pending writes, demote itself, and the group must
-// settle on a term above the fencing one.
+// refuse it, end the stream it came on with a fenced frame, demote
+// itself, and the group must settle on a term above the fencing one.
 func TestReplFencingDeposesStaleLeader(t *testing.T) {
 	c := startTestCluster(t, 2, nil)
 	leader, replica := c.nodes[0], c.nodes[1]
@@ -379,14 +379,10 @@ func TestReplFencingDeposesStaleLeader(t *testing.T) {
 		return len(leader.node.Status().Followers) == 1
 	})
 
-	resp, err := http.Post(leader.URL()+"/repl/v1/ack", "application/json",
-		bytes.NewReader([]byte(fmt.Sprintf(`{"Peer":%q,"Epoch":99,"Seq":0}`, replica.URL()))))
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict {
-		t.Fatalf("higher-epoch ack: want 409, got %s", resp.Status)
+	s := openRawStream(t, leader.URL(), replica.URL())
+	s.ack(t, `{"Epoch":99,"Seq":0}`)
+	if f := s.until(t, frameEnd); f.Reason != endFenced {
+		t.Fatalf("higher-epoch ack: stream ended %q, want %q", f.Reason, endFenced)
 	}
 	// Demotion adopts the fencing epoch and the node's epoch never goes
 	// back, so this holds from the demotion on — polling !Leading() can

@@ -32,6 +32,7 @@ type testNode struct {
 	mux  *http.ServeMux
 	srv  *httptest.Server
 	dead atomic.Bool
+	repl reqCounter // requests the node's /repl/v1 handler served
 }
 
 func (tn *testNode) URL() string { return tn.srv.URL }
@@ -104,7 +105,7 @@ func startTestCluster(t *testing.T, n int, mut func(i int, cfg *Config)) *testCl
 		}
 		tn.node = node
 		tn.mux.Handle("/", tn.svc.Handler())
-		tn.mux.Handle(PathPrefix, node.Handler())
+		tn.mux.Handle(PathPrefix, tn.repl.wrap(node.Handler()))
 	}
 	for _, tn := range c.nodes {
 		tn.node.Start()

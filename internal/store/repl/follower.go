@@ -1,14 +1,12 @@
 package repl
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
 	"net/http"
-	"sync/atomic"
 	"time"
 
 	"ofmf/internal/odata"
@@ -95,20 +93,29 @@ func (n *Node) followOnce(ctx context.Context, leader string) error {
 		}
 	}
 
-	streamCtx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	streamCtx, cancel := context.WithCancelCause(ctx)
+	defer cancel(nil)
 	// The lease: any frame resets the watchdog; silence for the full
 	// lease kills the stream, sending the loop into election.
-	watchdog := time.AfterFunc(n.lease, cancel)
+	watchdog := time.AfterFunc(n.lease, func() {
+		cancel(fmt.Errorf("repl: lease expired after %s of silence from %s", n.lease, leader))
+	})
 	defer watchdog.Stop()
 
 	from := n.applied.Load()
 	url := fmt.Sprintf("%s/repl/v1/stream?from=%d&peer=%s&epoch=%d",
 		leader, from, n.cfg.Self, n.epochNow())
-	req, err := http.NewRequestWithContext(streamCtx, http.MethodGet, url, nil)
+	// The acks go on the request body, which ends with the stream: the
+	// transport's writer waits in it, and a failing Do waits for that.
+	body, acks := io.Pipe()
+	context.AfterFunc(streamCtx, func() { acks.Close() })
+	req, err := http.NewRequestWithContext(streamCtx, http.MethodPost, url, body)
 	if err != nil {
 		return err
 	}
+	// A server refusing the stream unread would hold its answer until the
+	// body ends; expecting 100-continue, it answers at once.
+	req.Header.Set("Expect", "100-continue")
 	resp, err := n.streamClient.Do(req)
 	if err != nil {
 		return fmt.Errorf("repl: stream connect: %w", err)
@@ -117,21 +124,24 @@ func (n *Node) followOnce(ctx context.Context, leader string) error {
 	if resp.StatusCode != http.StatusOK {
 		var ed errorDoc
 		json.NewDecoder(io.LimitReader(resp.Body, 4096)).Decode(&ed)
+		if resp.StatusCode == http.StatusMethodNotAllowed {
+			return fmt.Errorf("%w (%s answered %s)", errProtocolMismatch, leader, resp.Status)
+		}
 		if ed.Code == "not-leader" && ed.Leader != "" {
 			n.setLeader(ed.Leader)
 		}
 		return fmt.Errorf("repl: stream refused: %s (%s)", resp.Status, ed.Code)
 	}
 
-	// The ack pump coalesces acknowledgements: each applied batch pokes
-	// it, and while one POST is in flight further applies accumulate,
-	// so the next ack carries the newest position. Separate goroutine
-	// so a slow ack round-trip never stalls record application.
+	// The ack pump coalesces acks: each applied batch pokes it, and while
+	// one line is being written further applies accumulate, so the next
+	// line carries the newest position. Its own goroutine, so a stalled
+	// write to the leader never stalls record application.
 	ackPoke := make(chan struct{}, 1)
 	ackDone := make(chan struct{})
-	var ackFailed atomic.Bool
 	go func() {
 		defer close(ackDone)
+		enc := json.NewEncoder(acks)
 		// The first ack always goes out, even at seq 0: it is what
 		// registers this follower in the leader's progress table (and
 		// unblocks MinSync writes on a fresh cluster).
@@ -147,20 +157,15 @@ func (n *Node) followOnce(ctx context.Context, leader string) error {
 			if sent && seq <= lastAcked {
 				continue
 			}
-			if err := n.postAck(streamCtx, leader, seq); err != nil {
-				if errors.Is(err, errStaleEpoch) {
-					// The group moved to a newer term mid-stream;
-					// reconnect to adopt it.
-					ackFailed.Store(true)
-					cancel()
-					return
-				}
-				continue // transient; next poke retries with a newer seq
+			if err := enc.Encode(ackLine{Epoch: n.epochNow(), Seq: seq}); err != nil {
+				// The body is gone, and every later ack with it: reconnect.
+				cancel(fmt.Errorf("repl: ack write: %w", err))
+				return
 			}
 			lastAcked, sent = seq, true
 		}
 	}()
-	defer func() { cancel(); <-ackDone }()
+	defer func() { cancel(nil); <-ackDone }()
 	poke := func() {
 		select {
 		case ackPoke <- struct{}{}:
@@ -172,11 +177,8 @@ func (n *Node) followOnce(ctx context.Context, leader string) error {
 	for {
 		var f frame
 		if err := dec.Decode(&f); err != nil {
-			if ackFailed.Load() {
-				return errResync
-			}
 			if streamCtx.Err() != nil && ctx.Err() == nil {
-				return fmt.Errorf("repl: lease expired after %s of silence from %s", n.lease, leader)
+				return context.Cause(streamCtx)
 			}
 			return fmt.Errorf("repl: stream read: %w", err)
 		}
@@ -222,6 +224,8 @@ func (n *Node) followOnce(ctx context.Context, leader string) error {
 				n.needSnapshot = true
 				n.mu.Unlock()
 				return errResync
+			case endStale:
+				return errResync // the next hello carries the current term
 			case endFenced, endBehind:
 				return fmt.Errorf("repl: leader ended stream: %s", f.Reason)
 			default:
@@ -235,28 +239,4 @@ func (n *Node) epochNow() uint64 {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	return n.epoch
-}
-
-// postAck reports the replica's applied high-water mark to the leader.
-func (n *Node) postAck(ctx context.Context, leader string, seq uint64) error {
-	body, _ := json.Marshal(ackReq{Peer: n.cfg.Self, Epoch: n.epochNow(), Seq: seq})
-	req, err := http.NewRequestWithContext(ctx, http.MethodPost, leader+"/repl/v1/ack", bytes.NewReader(body))
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Content-Type", "application/json")
-	resp, err := n.client.Do(req)
-	if err != nil {
-		return err
-	}
-	defer resp.Body.Close()
-	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	switch resp.StatusCode {
-	case http.StatusNoContent, http.StatusOK:
-		return nil
-	case http.StatusConflict:
-		return errStaleEpoch
-	default:
-		return fmt.Errorf("repl: ack: %s", resp.Status)
-	}
 }

@@ -3,6 +3,7 @@ package repl
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"log/slog"
@@ -72,11 +73,11 @@ type Config struct {
 	// toggle replica read-only mode and the liveness sweeper.
 	OnLeader   func(epoch uint64)
 	OnFollower func(leaderURL string)
-	// Client is used for status polls, snapshots and acks; default a
+	// Client is used for status polls and snapshots; default a
 	// resilience client with a lease-scaled attempt timeout.
-	// StreamClient is used for the long-lived record stream; default
-	// resilience.NewStreamingHTTPClient. Tests inject FaultTransports
-	// here.
+	// StreamClient is used for the long-lived record stream and the acks
+	// on its request body; default resilience.NewStreamingHTTPClient.
+	// Tests inject FaultTransports here.
 	Client       *http.Client
 	StreamClient *http.Client
 	Logger       *slog.Logger
@@ -442,6 +443,7 @@ func (n *Node) followerLoop() {
 		retry = 50 * time.Millisecond
 	}
 	var cold time.Duration
+	mismatched := false // a protocol mismatch is logged once, not once per retry
 	for n.ctx.Err() == nil {
 		leader, promote := n.electOrFind(n.ctx)
 		if promote {
@@ -469,9 +471,11 @@ func (n *Node) followerLoop() {
 		if n.ctx.Err() != nil {
 			return
 		}
-		if err != nil {
+		mismatch := errors.Is(err, errProtocolMismatch)
+		if err != nil && !(mismatch && mismatched) {
 			n.log.Warn("repl: stream ended", "leader", leader, "err", err)
 		}
+		mismatched = mismatch
 		if !sleepCtx(n.ctx, retry/4) {
 			return
 		}

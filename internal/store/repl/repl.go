@@ -9,16 +9,18 @@
 //
 // # Protocol
 //
-// Four endpoints under /repl/v1, all served by Node.Handler:
+// Three endpoints under /repl/v1, all served by Node.Handler:
 //
 //	GET  /repl/v1/status    role, epoch, last sequence, follower progress
 //	GET  /repl/v1/snapshot  full-tree export + the seq/epoch it reflects
-//	GET  /repl/v1/stream    NDJSON record stream from ?from=<seq>
-//	POST /repl/v1/ack       follower progress acknowledgement
+//	POST /repl/v1/stream    full duplex: NDJSON records down from
+//	                        ?from=<seq>, acknowledgements up
 //
 // The stream opens with a hello frame carrying the leader's epoch, then
 // ships rec frames in contiguous sequence order, interleaved with ka
-// keepalives that double as the leadership lease. A follower whose
+// keepalives that double as the leadership lease. Its request body
+// carries the acks, one {"Epoch":E,"Seq":S} line per drained burst of
+// applied records, from the peer the stream names. A follower whose
 // requested position has fallen out of the leader's in-memory backlog is
 // first served from the on-disk WAL (when the leader persists one); if
 // the position predates disk history too, the stream ends with an end
@@ -34,7 +36,8 @@
 // a stream request, or a status probe — after which every in-flight and
 // subsequent write on it fails with ErrFenced and the node demotes
 // itself to a replica, discarding its divergent suffix via a fresh
-// snapshot bootstrap.
+// snapshot bootstrap. An ack below the leader's epoch ends the stream
+// with a stale frame, and the follower reconnects into the current term.
 //
 // # Acknowledged-write durability
 //
@@ -91,10 +94,13 @@ var ErrFenced = errors.New("repl: fenced by a higher epoch")
 // acknowledged write is on at least MinSync replicas.
 var ErrSyncTimeout = errors.New("repl: follower acknowledgement timeout")
 
-// errStaleEpoch rejects an ack or stream carrying an epoch below the
-// hub's: the follower is talking to a newer term than it knows and must
-// reconnect to adopt it.
+// errStaleEpoch rejects an ack carrying an epoch below the hub's: the
+// follower is talking to a newer term than it knows and must reconnect
+// to adopt it.
 var errStaleEpoch = errors.New("repl: stale epoch")
+
+// errProtocolMismatch reports a leader that refused the stream's method.
+var errProtocolMismatch = errors.New("repl: leader speaks another replication protocol; upgrade every node of the group together")
 
 // Status is the /repl/v1/status document, served by every node.
 type Status struct {
@@ -152,6 +158,7 @@ const (
 	endSnapshot = "snapshot-required" // position unservable; bootstrap from snapshot
 	endBehind   = "leader-behind"     // follower is ahead of this leader; elect
 	endFenced   = "fenced"            // this leader was deposed mid-stream
+	endStale    = "stale"             // an ack named an older term; reconnect
 )
 
 // frame is one NDJSON stream frame.
@@ -167,10 +174,8 @@ type frame struct {
 	Rec *store.Record `json:"r,omitempty"`
 }
 
-// ackReq is the /repl/v1/ack request body.
-type ackReq struct {
-	// Peer names the acknowledging follower (its Self URL).
-	Peer string `json:"Peer"`
+// ackLine is one line of the stream's request body.
+type ackLine struct {
 	// Epoch is the term the follower is applying under.
 	Epoch uint64 `json:"Epoch"`
 	// Seq is the highest sequence number the follower has applied.

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"encoding/json"
+	"errors"
 	"net/http"
 	"strconv"
 	"time"
@@ -21,7 +22,6 @@ func (n *Node) Handler() http.Handler {
 	mux.HandleFunc(PathPrefix+"status", n.handleStatus)
 	mux.HandleFunc(PathPrefix+"snapshot", n.handleSnapshot)
 	mux.HandleFunc(PathPrefix+"stream", n.handleStream)
-	mux.HandleFunc(PathPrefix+"ack", n.handleAck)
 	return mux
 }
 
@@ -93,10 +93,13 @@ const streamBatch = 2048
 // rec frames from ?from=<seq>, with ka keepalives whenever the backlog
 // is idle. Positions below the in-memory backlog fall through to the
 // on-disk WAL tail; positions below disk history end the stream with a
-// snapshot-required frame.
+// snapshot-required frame. Meanwhile the request body is read for the
+// follower's acks; when that reading stops, busy or idle, so does the stream.
 func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodGet {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
+	if r.Method != http.MethodPost {
+		// A GET is a follower from before acks moved onto the stream.
+		w.Header().Set("Allow", http.MethodPost)
+		writeJSON(w, http.StatusMethodNotAllowed, errorDoc{Code: "acks-on-stream"})
 		return
 	}
 	if n.ctx.Err() != nil {
@@ -124,31 +127,64 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	peer := q.Get("peer")
-	flusher, ok := w.(http.Flusher)
-	if !ok {
-		http.Error(w, "streaming unsupported", http.StatusInternalServerError)
+	rc := http.NewResponseController(w)
+	if err := rc.EnableFullDuplex(); err != nil {
+		http.Error(w, "full-duplex streaming unsupported", http.StatusInternalServerError)
 		return
 	}
+	// The follower expects 100-continue and sends no acks until granted;
+	// a 200 alone would cancel its body.
+	w.WriteHeader(http.StatusContinue)
 	w.Header().Set("Content-Type", "application/x-ndjson")
 	w.Header().Set("Cache-Control", "no-store")
+	// The ack reader is stopped with a read deadline, which can leave the
+	// request body mid-line: the connection carries this stream only.
+	w.Header().Set("Connection", "close")
 	w.WriteHeader(http.StatusOK)
 	enc := json.NewEncoder(w)
 	send := func(f frame) bool {
-		if err := enc.Encode(f); err != nil {
-			return false
-		}
-		flusher.Flush()
-		return true
+		return enc.Encode(f) == nil && rc.Flush() == nil
 	}
 	if !send(frame{T: frameHello, E: hub.Epoch(), S: hub.LastSeq()}) {
 		return
 	}
 	n.log.Info("repl: follower stream opened", "peer", peer, "from", from)
 
+	var ackErr error
+	acksDone := make(chan struct{})
+	go func() {
+		defer close(acksDone)
+		dec := json.NewDecoder(r.Body)
+		for ackErr == nil {
+			var a ackLine
+			if ackErr = dec.Decode(&a); ackErr == nil {
+				ackErr = hub.Ack(peer, a.Epoch, a.Seq)
+			}
+		}
+	}()
+	defer func() {
+		// The body is the server's again once the handler returns, so the
+		// reader must be out of it first; the deadline ends a Read parked
+		// on a follower with nothing to ack.
+		rc.SetReadDeadline(time.Now())
+		<-acksDone
+	}()
+
 	ka := time.NewTicker(n.keepalive)
 	defer ka.Stop()
 	ctx := r.Context()
 	for {
+		select {
+		case <-acksDone:
+			switch {
+			case errors.Is(ackErr, ErrFenced):
+				send(frame{T: frameEnd, Reason: endFenced, E: hub.Epoch()})
+			case errors.Is(ackErr, errStaleEpoch):
+				send(frame{T: frameEnd, Reason: endStale, E: hub.Epoch()})
+			}
+			return
+		default:
+		}
 		recs, state, wait := hub.ReadFrom(from, streamBatch)
 		switch state {
 		case readFenced:
@@ -181,6 +217,7 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 			return
 		case <-n.ctx.Done():
 			return
+		case <-acksDone: // handled at the top of the loop
 		case <-hub.FencedCh():
 			send(frame{T: frameEnd, Reason: endFenced, E: hub.Epoch()})
 			return
@@ -212,31 +249,4 @@ func (n *Node) diskTail(fromSeq uint64) []store.Record {
 		return nil
 	}
 	return recs
-}
-
-func (n *Node) handleAck(w http.ResponseWriter, r *http.Request) {
-	if r.Method != http.MethodPost {
-		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
-		return
-	}
-	hub := n.currentHub()
-	if hub == nil {
-		n.notLeader(w)
-		return
-	}
-	var req ackReq
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		http.Error(w, "bad ack", http.StatusBadRequest)
-		return
-	}
-	switch err := hub.Ack(req.Peer, req.Epoch, req.Seq); err {
-	case nil:
-		w.WriteHeader(http.StatusNoContent)
-	case ErrFenced:
-		writeJSON(w, http.StatusConflict, errorDoc{Code: "deposed", Epoch: hub.FencedBy()})
-	case errStaleEpoch:
-		writeJSON(w, http.StatusConflict, errorDoc{Code: "stale", Epoch: hub.Epoch()})
-	default:
-		http.Error(w, err.Error(), http.StatusInternalServerError)
-	}
 }
