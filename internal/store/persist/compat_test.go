@@ -65,15 +65,13 @@ func parentSnapshot(t *testing.T, seq uint64, tree map[string]json.RawMessage) [
 	return data
 }
 
-// frame wraps one payload the way writeFrame does.
+// frame wraps one payload the way appendFrame does.
 func frame(payload []byte) []byte {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
-	if err := writeFrame(bw, payload); err != nil {
+	f := append(make([]byte, frameHeader), payload...)
+	if err := sealFrame(f); err != nil {
 		panic(err)
 	}
-	bw.Flush()
-	return buf.Bytes()
+	return f
 }
 
 // compatHistory is a log that takes every branch of the record reader:
@@ -330,7 +328,7 @@ func TestBenchmarkDirNeedsNoFallback(t *testing.T) {
 	records, fallbacks := 0, 0
 	for len(data) > 0 {
 		n := binary.LittleEndian.Uint32(data[0:4])
-		if _, ok := decodeRecord(data[8 : 8+n]); !ok {
+		if _, ok := store.DecodeRecord(data[8 : 8+n]); !ok {
 			fallbacks++
 		}
 		records++

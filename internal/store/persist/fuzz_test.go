@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bufio"
 	"bytes"
 	"encoding/json"
 	"reflect"
@@ -12,21 +11,14 @@ import (
 
 // frames encodes records through the production writer, for seeding.
 func frames(t interface{ Fatal(...any) }, recs ...store.Record) []byte {
-	var buf bytes.Buffer
-	bw := bufio.NewWriter(&buf)
+	var buf []byte
 	for _, rec := range recs {
-		payload, err := json.Marshal(rec)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := writeFrame(bw, payload); err != nil {
+		var err error
+		if buf, err = appendFrame(buf, rec); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if err := bw.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	return buf.Bytes()
+	return buf
 }
 
 // FuzzWALDecode hammers the record decoder with arbitrary bytes. The
@@ -63,7 +55,7 @@ func FuzzWALDecode(f *testing.F) {
 }
 
 // FuzzRecordDecode holds the by-hand envelope reader to the decoder it
-// stands in for: a payload decodeRecord accepts is one json.Unmarshal
+// stands in for: a payload store.DecodeRecord accepts is one json.Unmarshal
 // accepts, into the same Record — so a frame's torn/not-torn verdict is
 // still encoding/json's, whichever of the two reads it — and a stream
 // holding that payload as a frame scans to the same records, good offset
@@ -92,10 +84,10 @@ func FuzzRecordDecode(f *testing.F) {
 	f.Fuzz(func(t *testing.T, payload []byte) {
 		var want store.Record
 		err := json.Unmarshal(payload, &want)
-		if got, ok := decodeRecord(payload); ok {
+		if got, ok := store.DecodeRecord(payload); ok {
 			got.Raw = bytes.Clone(got.Raw)
 			if err != nil || !reflect.DeepEqual(got, want) {
-				t.Fatalf("decodeRecord read %q as %+v; json.Unmarshal: %+v, %v", payload, got, want, err)
+				t.Fatalf("DecodeRecord read %q as %+v; json.Unmarshal: %+v, %v", payload, got, want, err)
 			}
 		}
 		if len(payload) == 0 {

@@ -1,7 +1,6 @@
 package persist
 
 import (
-	"bufio"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -167,17 +166,7 @@ func TestTornSegmentQuarantinesSuccessors(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		bw := bufio.NewWriter(f)
-		for _, r := range recs {
-			payload, err := json.Marshal(r)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if err := writeFrame(bw, payload); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if err := bw.Flush(); err != nil {
+		if _, err := f.Write(frames(t, recs...)); err != nil {
 			t.Fatal(err)
 		}
 		if torn {
@@ -334,6 +323,38 @@ func TestConcurrentWritersGroupCommit(t *testing.T) {
 	defer st2.Close()
 	if got := export(t, st2); !reflect.DeepEqual(got, want) {
 		t.Fatal("concurrent-writer recovery mismatch")
+	}
+}
+
+// TestWALAppendAllocs is the exact-count gate on the WAL's append: a put
+// of a stored (canonical) payload is framed into the segment's reused
+// buffer with no allocation, so a batch costs exactly one — the wait it
+// returns — whatever its length. Commit 7ec3f91 paid 3 more per record:
+// json.Marshal's result, the record boxed for it, and the frame header.
+// Nothing here is pooled, so the count holds under -race as well.
+func TestWALAppendAllocs(t *testing.T) {
+	w, err := openWAL(filepath.Join(t.TempDir(), "wal.log"), 0, false, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer w.close()
+	var seq uint64
+	for _, n := range []int{1, 64} {
+		batch := make([]store.Record, n)
+		for i := range batch {
+			id := odata.ID(fmt.Sprintf("/redfish/v1/Fabrics/Bench/Endpoints/E%03d", i))
+			batch[i] = store.Record{Op: store.OpPut, ID: id, Raw: readTreePayload(id, 1, i, 0)}
+		}
+		allocs := testing.AllocsPerRun(200, func() {
+			for i := range batch {
+				seq++
+				batch[i].Seq = seq
+			}
+			w.append(batch)
+		})
+		if allocs != 1 {
+			t.Errorf("a batch of %d puts costs %v allocations, want 1 (its wait)", n, allocs)
+		}
 	}
 }
 

@@ -9,6 +9,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+
+	"ofmf/internal/store"
 )
 
 const (
@@ -130,7 +132,7 @@ func writeSnapshot(dir string, seq uint64, resources []byte) error {
 // What Resources holds is for the caller to check.
 func readSnapshot(data []byte) (snap snapshotFile, ok bool) {
 	if p, found := bytes.CutPrefix(data, []byte(snapSeqKey)); found {
-		seq, p, _ := cutUint(p) // no number: p is nil and the next cut fails
+		seq, p, _ := store.CutUint(p) // no number: p is nil and the next cut fails
 		if p, found = bytes.CutPrefix(p, []byte(snapResourcesKey)); found && len(p) > 1 && p[len(p)-1] == '}' {
 			return snapshotFile{Seq: seq, Resources: p[:len(p)-1]}, true
 		}

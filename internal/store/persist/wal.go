@@ -30,12 +30,14 @@
 // there.
 //
 // Bytes cross the disk boundary verified, not re-encoded; encoding/json
-// is the fallback, never the path. A record's payload is read by
-// decodeRecord, which recognises the one envelope this package writes and
-// checks the resource inside it with store.IsCanonical; a snapshot is
-// written by concatenating stored payloads and read back by
+// is the fallback, never the path. A record is written by
+// store.AppendRecord, which checks the stored resource with
+// store.IsCanonical and copies it behind the envelope, straight into the
+// segment's one reused frame buffer, and read back by store.DecodeRecord;
+// a snapshot is written by concatenating stored payloads and read back by
 // store.Import's one walk. Whatever those do not recognise goes to
-// encoding/json, which decides as it always did.
+// encoding/json, which decides as it always did, so the bytes on disk are
+// json.Marshal's either way.
 package persist
 
 import (
@@ -52,7 +54,6 @@ import (
 	"sync"
 	"time"
 
-	"ofmf/internal/odata"
 	"ofmf/internal/store"
 )
 
@@ -62,19 +63,33 @@ const maxRecordBytes = 64 << 20
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
 
-// writeFrame appends one length+CRC framed payload to bw.
-func writeFrame(bw *bufio.Writer, payload []byte) error {
+// frameHeader is the length and checksum in front of every payload.
+const frameHeader = 8
+
+// appendFrame appends rec to dst as one frame, encoding the record in
+// place behind the header space so its bytes are never copied. On error
+// dst comes back as it was.
+func appendFrame(dst []byte, rec store.Record) ([]byte, error) {
+	start := len(dst)
+	dst, err := store.AppendRecord(append(dst, make([]byte, frameHeader)...), rec)
+	if err == nil {
+		err = sealFrame(dst[start:])
+	}
+	if err != nil {
+		return dst[:start], err
+	}
+	return dst, nil
+}
+
+// sealFrame writes the header of frame, the payload following it.
+func sealFrame(frame []byte) error {
+	payload := frame[frameHeader:]
 	if len(payload) == 0 || len(payload) > maxRecordBytes {
 		return fmt.Errorf("persist: record size %d out of range", len(payload))
 	}
-	var hdr [8]byte
-	binary.LittleEndian.PutUint32(hdr[0:4], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(hdr[4:8], crc32.Checksum(payload, castagnoli))
-	if _, err := bw.Write(hdr[:]); err != nil {
-		return err
-	}
-	_, err := bw.Write(payload)
-	return err
+	binary.LittleEndian.PutUint32(frame[0:4], uint32(len(payload)))
+	binary.LittleEndian.PutUint32(frame[4:8], crc32.Checksum(payload, castagnoli))
+	return nil
 }
 
 // scanFrames reads framed records from r until EOF or the first torn or
@@ -87,7 +102,7 @@ func scanFrames(r io.Reader, fn func(store.Record) error) (good int64, torn bool
 	br := bufio.NewReaderSize(r, 1<<16)
 	var payload []byte
 	for {
-		var hdr [8]byte
+		var hdr [frameHeader]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return good, err != io.EOF, nil
 		}
@@ -102,7 +117,7 @@ func scanFrames(r io.Reader, fn func(store.Record) error) (good int64, torn bool
 		if crc32.Checksum(payload, castagnoli) != binary.LittleEndian.Uint32(hdr[4:8]) {
 			return good, true, nil
 		}
-		rec, ok := decodeRecord(payload)
+		rec, ok := store.DecodeRecord(payload)
 		if !ok {
 			// Not the envelope append writes, or not one this package can
 			// vouch for: encoding/json's verdict is the verdict.
@@ -114,7 +129,7 @@ func scanFrames(r io.Reader, fn func(store.Record) error) (good int64, torn bool
 		if err := fn(rec); err != nil {
 			return good, false, err
 		}
-		good += int64(8 + n)
+		good += int64(frameHeader + n)
 	}
 }
 
@@ -128,72 +143,6 @@ func decodeAll(r io.Reader) (recs []store.Record, good int64, torn bool) {
 	return recs, good, torn
 }
 
-// decodeRecord reads the envelope json.Marshal(store.Record) produces —
-//
-//	{"s":<seq>[,"e":<epoch>],"o":"p"|"d","i":"<id>"[,"r":<resource>]}
-//
-// fields in struct order, the id free of escapes, the resource last and
-// canonical (so valid) — into the Record json.Unmarshal would build from
-// it, Raw aliasing payload. It reports false for anything else.
-func decodeRecord(payload []byte) (rec store.Record, ok bool) {
-	p, ok := bytes.CutPrefix(payload, []byte(`{"s":`))
-	if !ok {
-		return rec, false
-	}
-	if rec.Seq, p, ok = cutUint(p); !ok {
-		return rec, false
-	}
-	if rest, found := bytes.CutPrefix(p, []byte(`,"e":`)); found {
-		if rec.Epoch, p, ok = cutUint(rest); !ok {
-			return rec, false
-		}
-	}
-	switch {
-	case bytes.HasPrefix(p, []byte(`,"o":"p","i":"`)):
-		rec.Op = store.OpPut
-	case bytes.HasPrefix(p, []byte(`,"o":"d","i":"`)):
-		rec.Op = store.OpDelete
-	default:
-		return rec, false
-	}
-	p = p[len(`,"o":"p","i":"`):]
-	n := 0
-	for ; n < len(p) && p[n] != '"'; n++ {
-		if p[n] < 0x20 || p[n] > 0x7e || p[n] == '\\' {
-			return rec, false // an escape, or bytes Unmarshal might rewrite
-		}
-	}
-	if n == len(p) {
-		return rec, false
-	}
-	rec.ID = odata.ID(p[:n])
-	p = p[n+1:]
-	if string(p) == "}" {
-		return rec, true
-	}
-	if p, ok = bytes.CutPrefix(p, []byte(`,"r":`)); !ok || len(p) < 3 {
-		return rec, false
-	}
-	if p[len(p)-1] != '}' || !store.IsCanonical(p[:len(p)-1]) {
-		return rec, false
-	}
-	rec.Raw = p[: len(p)-1 : len(p)-1]
-	return rec, true
-}
-
-// cutUint reads the decimal uint64 p starts with, as JSON writes one: no
-// sign, no leading zero, and at most 19 digits so it cannot overflow.
-func cutUint(p []byte) (v uint64, rest []byte, ok bool) {
-	n := 0
-	for ; n < len(p) && p[n] >= '0' && p[n] <= '9'; n++ {
-		v = v*10 + uint64(p[n]-'0')
-	}
-	if n == 0 || n > 19 || (p[0] == '0' && n > 1) {
-		return 0, nil, false
-	}
-	return v, p[n:], true
-}
-
 // wal is one append-only log segment with group-commit semantics.
 // Appends serialize frames into a buffered writer under mu; durability
 // happens in waitFor, where the first waiter becomes the flush leader
@@ -204,8 +153,9 @@ type wal struct {
 	f    *os.File
 	base uint64 // sequence number the segment starts after; immutable
 
-	mu      sync.Mutex // guards bw, lastSeq
+	mu      sync.Mutex // guards bw, frame, lastSeq
 	bw      *bufio.Writer
+	frame   []byte // the frame being encoded, reused from one to the next
 	lastSeq uint64
 
 	syncMu     sync.Mutex
@@ -251,12 +201,10 @@ func (w *wal) append(recs []store.Record) func() error {
 	w.mu.Lock()
 	var werr error
 	for _, rec := range recs {
-		payload, err := json.Marshal(rec)
-		if err == nil {
-			err = writeFrame(w.bw, payload)
+		if w.frame, werr = appendFrame(w.frame[:0], rec); werr == nil {
+			_, werr = w.bw.Write(w.frame)
 		}
-		if err != nil {
-			werr = err
+		if werr != nil {
 			break
 		}
 	}

@@ -1,10 +1,12 @@
 package store
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
+	"strconv"
 
 	"ofmf/internal/odata"
 )
@@ -44,6 +46,106 @@ type Record struct {
 	Op    RecordOp        `json:"o"`
 	ID    odata.ID        `json:"i"`
 	Raw   json.RawMessage `json:"r,omitempty"`
+}
+
+// The record's encoding is json.Marshal(rec), which the tags above spell
+// out as
+//
+//	{"s":<seq>[,"e":<epoch>],"o":"<op>","i":"<id>"[,"r":<resource>]}
+//
+// The WAL frames it and the replication stream ships it, so both write it
+// with AppendRecord and read it with DecodeRecord: the same bytes
+// encoding/json would produce and accept, without the reflection.
+
+// AppendRecord appends json.Marshal(rec) to dst. It writes the envelope
+// by hand when the encoder would copy the op and id verbatim (plainString)
+// and the resource is canonical (IsCanonical), which every record the
+// store commits is; anything else goes to json.Marshal, whose error is
+// returned with dst unchanged.
+func AppendRecord(dst []byte, rec Record) ([]byte, error) {
+	if !plainString(string(rec.Op)) || !plainString(string(rec.ID)) || (len(rec.Raw) > 0 && !IsCanonical(rec.Raw)) {
+		b, err := json.Marshal(rec)
+		if err != nil {
+			return dst, err
+		}
+		return append(dst, b...), nil
+	}
+	dst = strconv.AppendUint(append(dst, `{"s":`...), rec.Seq, 10)
+	if rec.Epoch != 0 {
+		dst = strconv.AppendUint(append(dst, `,"e":`...), rec.Epoch, 10)
+	}
+	dst = append(append(dst, `,"o":"`...), rec.Op...)
+	dst = append(append(dst, `","i":"`...), rec.ID...)
+	dst = append(dst, '"')
+	if len(rec.Raw) > 0 {
+		dst = append(append(dst, `,"r":`...), rec.Raw...)
+	}
+	return append(dst, '}'), nil
+}
+
+// DecodeRecord reads the envelope AppendRecord writes — fields in struct
+// order, the op "p" or "d", an id free of escapes, the resource last and
+// canonical (so valid) — into the Record json.Unmarshal would build from
+// it, Raw aliasing payload. It reports false for anything else, which is
+// json.Unmarshal's to read.
+func DecodeRecord(payload []byte) (rec Record, ok bool) {
+	p, ok := bytes.CutPrefix(payload, []byte(`{"s":`))
+	if !ok {
+		return rec, false
+	}
+	if rec.Seq, p, ok = CutUint(p); !ok {
+		return rec, false
+	}
+	if rest, found := bytes.CutPrefix(p, []byte(`,"e":`)); found {
+		if rec.Epoch, p, ok = CutUint(rest); !ok {
+			return rec, false
+		}
+	}
+	switch {
+	case bytes.HasPrefix(p, []byte(`,"o":"p","i":"`)):
+		rec.Op = OpPut
+	case bytes.HasPrefix(p, []byte(`,"o":"d","i":"`)):
+		rec.Op = OpDelete
+	default:
+		return rec, false
+	}
+	p = p[len(`,"o":"p","i":"`):]
+	n := 0
+	for ; n < len(p) && p[n] != '"'; n++ {
+		if p[n] < 0x20 || p[n] > 0x7e || p[n] == '\\' {
+			return rec, false // an escape, or bytes Unmarshal might rewrite
+		}
+	}
+	if n == len(p) {
+		return rec, false
+	}
+	rec.ID = odata.ID(p[:n])
+	p = p[n+1:]
+	if string(p) == "}" {
+		return rec, true
+	}
+	if p, ok = bytes.CutPrefix(p, []byte(`,"r":`)); !ok || len(p) < 3 {
+		return rec, false
+	}
+	if p[len(p)-1] != '}' || !IsCanonical(p[:len(p)-1]) {
+		return rec, false
+	}
+	rec.Raw = p[: len(p)-1 : len(p)-1]
+	return rec, true
+}
+
+// CutUint reads the decimal uint64 p starts with, as JSON writes one: no
+// sign, no leading zero, and at most 19 digits so it cannot overflow. It
+// returns the rest of p after the digits.
+func CutUint(p []byte) (v uint64, rest []byte, ok bool) {
+	n := 0
+	for ; n < len(p) && p[n] >= '0' && p[n] <= '9'; n++ {
+		v = v*10 + uint64(p[n]-'0')
+	}
+	if n == 0 || n > 19 || (p[0] == '0' && n > 1) {
+		return 0, nil, false
+	}
+	return v, p[n:], true
 }
 
 // Backend is the store's durability seam. The zero-config store has no

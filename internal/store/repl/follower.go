@@ -10,11 +10,16 @@ import (
 	"time"
 
 	"ofmf/internal/odata"
+	"ofmf/internal/store"
 )
 
 // errResync asks the follower loop to restart followOnce; the snapshot
 // flag has already been set when a bootstrap is required.
 var errResync = errors.New("repl: resync required")
+
+// streamReadBuffer is the follower's read buffer on the stream: a rec
+// line that fits is decoded where it lies, a longer one is gathered.
+const streamReadBuffer = 64 << 10
 
 // needsSnapshot reports (and clears are done by bootstrap) whether the
 // replica must replace its tree before streaming. The flag is set at
@@ -141,12 +146,12 @@ func (n *Node) followOnce(ctx context.Context, leader string) error {
 	ackDone := make(chan struct{})
 	go func() {
 		defer close(ackDone)
-		enc := json.NewEncoder(acks)
 		// The first ack always goes out, even at seq 0: it is what
 		// registers this follower in the leader's progress table (and
 		// unblocks MinSync writes on a fresh cluster).
 		var lastAcked uint64
 		sent := false
+		var line []byte
 		for {
 			select {
 			case <-streamCtx.Done():
@@ -157,7 +162,8 @@ func (n *Node) followOnce(ctx context.Context, leader string) error {
 			if sent && seq <= lastAcked {
 				continue
 			}
-			if err := enc.Encode(ackLine{Epoch: n.epochNow(), Seq: seq}); err != nil {
+			line = appendAck(line[:0], ackLine{Epoch: n.epochNow(), Seq: seq})
+			if _, err := acks.Write(line); err != nil {
 				// The body is gone, and every later ack with it: reconnect.
 				cancel(fmt.Errorf("repl: ack write: %w", err))
 				return
@@ -173,10 +179,15 @@ func (n *Node) followOnce(ctx context.Context, leader string) error {
 		}
 	}
 
-	dec := json.NewDecoder(resp.Body)
+	lines := newLineReader(resp.Body, streamReadBuffer)
+	var rec store.Record // the rec frame being applied; its Raw aliases the line
 	for {
+		line, err := lines.next()
 		var f frame
-		if err := dec.Decode(&f); err != nil {
+		if err == nil {
+			f, err = decodeFrame(line, &rec)
+		}
+		if err != nil {
 			if streamCtx.Err() != nil && ctx.Err() == nil {
 				return context.Cause(streamCtx)
 			}

@@ -27,6 +27,14 @@
 // frame telling the follower to bootstrap from /repl/v1/snapshot and
 // catch up from the snapshot's sequence number.
 //
+// Every line on the stream is the one json.Encoder writes. A rec frame
+// carries the record in the WAL's encoding (store.AppendRecord) and an
+// ack is two numbers, so those two lines are written by hand and read by
+// hand (store.DecodeRecord) with a buffered line reader, and the leader
+// flushes once per backlog batch. Any line not in those shapes is
+// json.Unmarshal's, so a group that mixes builds which encode with
+// builds which write by hand streams unchanged.
+//
 // # Epochs and fencing
 //
 // Leadership terms are numbered by a monotonically increasing epoch,
@@ -65,8 +73,12 @@
 package repl
 
 import (
+	"bufio"
+	"bytes"
 	"encoding/json"
 	"errors"
+	"io"
+	"strconv"
 
 	"ofmf/internal/store"
 )
@@ -180,6 +192,97 @@ type ackLine struct {
 	Epoch uint64 `json:"Epoch"`
 	// Seq is the highest sequence number the follower has applied.
 	Seq uint64 `json:"Seq"`
+}
+
+// The two lines on every replicated write's path, a rec frame down and an
+// ack up, are written by hand as the bytes json.Encoder writes for them
+// and read by hand in that one shape; every other line, and any line not
+// in that shape, is json.Unmarshal's. The wire is json.Encoder's either
+// way, so builds that encode and builds that write by hand interoperate.
+var (
+	recFramePrefix = []byte(`{"t":"rec","r":`)
+	ackEpochKey    = []byte(`{"Epoch":`)
+	ackSeqKey      = []byte(`,"Seq":`)
+)
+
+// appendRecFrame appends json.Encoder's line for frame{T: frameRec, Rec:
+// &rec}: the record as store.AppendRecord writes it, inside the frame.
+func appendRecFrame(dst []byte, rec store.Record) ([]byte, error) {
+	dst, err := store.AppendRecord(append(dst, recFramePrefix...), rec)
+	return append(dst, "}\n"...), err
+}
+
+// decodeFrame reads one stream line into the frame json.Unmarshal makes
+// of it. A rec line of the shape appendRecFrame writes is read by
+// store.DecodeRecord into *rec, which the frame then points at; its Raw
+// aliases line.
+func decodeFrame(line []byte, rec *store.Record) (f frame, err error) {
+	if env, ok := bytes.CutPrefix(line, recFramePrefix); ok {
+		env = bytes.TrimSuffix(env, []byte("\n"))
+		if n := len(env) - 1; n >= 0 && env[n] == '}' {
+			if *rec, ok = store.DecodeRecord(env[:n]); ok {
+				return frame{T: frameRec, Rec: rec}, nil
+			}
+		}
+	}
+	return f, json.Unmarshal(line, &f)
+}
+
+// appendAck appends json.Encoder's line for a.
+func appendAck(dst []byte, a ackLine) []byte {
+	dst = strconv.AppendUint(append(dst, ackEpochKey...), a.Epoch, 10)
+	dst = strconv.AppendUint(append(dst, ackSeqKey...), a.Seq, 10)
+	return append(dst, "}\n"...)
+}
+
+// decodeAck reads one ack line into the ackLine json.Unmarshal makes of
+// it.
+func decodeAck(line []byte) (a ackLine, err error) {
+	p, ok := bytes.CutPrefix(line, ackEpochKey)
+	if ok {
+		a.Epoch, p, ok = store.CutUint(p)
+	}
+	if ok {
+		p, ok = bytes.CutPrefix(p, ackSeqKey)
+	}
+	if ok {
+		a.Seq, p, ok = store.CutUint(p)
+	}
+	if ok && (string(p) == "}\n" || string(p) == "}") {
+		return a, nil
+	}
+	a = ackLine{}
+	return a, json.Unmarshal(line, &a)
+}
+
+// lineReader splits NDJSON into lines, one JSON value each as
+// json.Encoder writes them, handing out a line that fits the buffer
+// without copying it.
+type lineReader struct {
+	br    *bufio.Reader
+	spill []byte // a line longer than br's buffer, gathered
+}
+
+func newLineReader(r io.Reader, size int) *lineReader {
+	return &lineReader{br: bufio.NewReaderSize(r, size)}
+}
+
+// next returns the next line, its newline included, valid until the next
+// call. A last line without a newline comes before the reader's io.EOF.
+func (r *lineReader) next() ([]byte, error) {
+	line, err := r.br.ReadSlice('\n')
+	if err == bufio.ErrBufferFull {
+		r.spill = append(r.spill[:0], line...)
+		for err == bufio.ErrBufferFull {
+			line, err = r.br.ReadSlice('\n')
+			r.spill = append(r.spill, line...)
+		}
+		line = r.spill
+	}
+	if err == io.EOF && len(line) > 0 {
+		err = nil
+	}
+	return line, err
 }
 
 // errorDoc is the JSON body of a non-200 replication response.

@@ -90,11 +90,12 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 const streamBatch = 2048
 
 // handleStream serves the NDJSON record stream: hello, then contiguous
-// rec frames from ?from=<seq>, with ka keepalives whenever the backlog
-// is idle. Positions below the in-memory backlog fall through to the
-// on-disk WAL tail; positions below disk history end the stream with a
-// snapshot-required frame. Meanwhile the request body is read for the
-// follower's acks; when that reading stops, busy or idle, so does the stream.
+// rec frames from ?from=<seq>, flushed once per backlog batch, with ka
+// keepalives whenever the backlog is idle. Positions below the in-memory
+// backlog fall through to the on-disk WAL tail; positions below disk
+// history end the stream with a snapshot-required frame. Meanwhile the
+// request body is read for the follower's acks; when that reading stops,
+// busy or idle, so does the stream.
 func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		// A GET is a follower from before acks moved onto the stream.
@@ -154,11 +155,14 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	acksDone := make(chan struct{})
 	go func() {
 		defer close(acksDone)
-		dec := json.NewDecoder(r.Body)
+		lines := newLineReader(r.Body, 4096)
 		for ackErr == nil {
-			var a ackLine
-			if ackErr = dec.Decode(&a); ackErr == nil {
-				ackErr = hub.Ack(peer, a.Epoch, a.Seq)
+			var line []byte
+			if line, ackErr = lines.next(); ackErr == nil {
+				var a ackLine
+				if a, ackErr = decodeAck(line); ackErr == nil {
+					ackErr = hub.Ack(peer, a.Epoch, a.Seq)
+				}
 			}
 		}
 	}()
@@ -173,6 +177,7 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 	ka := time.NewTicker(n.keepalive)
 	defer ka.Stop()
 	ctx := r.Context()
+	var line []byte // one rec line, reused
 	for {
 		select {
 		case <-acksDone:
@@ -201,10 +206,19 @@ func (n *Node) handleStream(w http.ResponseWriter, r *http.Request) {
 			}
 		}
 		if len(recs) > 0 {
-			for i := range recs {
-				if !send(frame{T: frameRec, Rec: &recs[i]}) {
+			// One flush per batch, not per record: each flush is a chunk
+			// header and a write call.
+			for _, rec := range recs {
+				var err error
+				if line, err = appendRecFrame(line[:0], rec); err != nil {
 					return
 				}
+				if _, err = w.Write(line); err != nil {
+					return
+				}
+			}
+			if rc.Flush() != nil {
+				return
 			}
 			from = recs[len(recs)-1].Seq
 			if n.m != nil {

@@ -369,11 +369,14 @@ func TestReplDeadAckReaderEndsBusyStream(t *testing.T) {
 	srv.Listener = smallBuffers{srv.Listener}
 	srv.Start()
 	defer srv.Close()
+	// The client's buffer is small too, but holds several of the 4 KiB
+	// writes a batch goes out in: at 4 KiB, Linux loopback moved one batch
+	// in over 4 s, at 32 KiB in under 0.1 s.
 	client := &http.Client{Transport: &http.Transport{
 		DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
 			c, err := (&net.Dialer{}).DialContext(ctx, network, addr)
 			if tc, ok := c.(*net.TCPConn); ok {
-				tc.SetReadBuffer(4096)
+				tc.SetReadBuffer(32 << 10)
 			}
 			return c, err
 		},
