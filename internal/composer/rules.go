@@ -2,6 +2,7 @@ package composer
 
 import (
 	"context"
+	"slices"
 	"strings"
 	"sync"
 
@@ -14,29 +15,30 @@ import (
 type Rule struct {
 	// Name labels the rule in Fired() accounting.
 	Name string
+	// EventTypes lists the Redfish event types Matches can accept; the
+	// engine subscribes to the bus for these types only, so an event of
+	// any other type never reaches it. Empty means every type.
+	EventTypes []string
 	// Matches selects the events the rule reacts to.
 	Matches func(rec redfish.EventRecord) bool
 	// Action runs for each matching event.
 	Action func(rec redfish.EventRecord)
 }
 
-// RuleEngine subscribes to the OFMF event bus and dispatches rules.
+// RuleEngine dispatches OFMF events to a rule set fixed when the engine
+// is built. Bound to the bus, it receives only the event types its
+// rules declare, and an engine with no rules does not subscribe at all:
+// an event no rule can match costs the bus no delivery.
 type RuleEngine struct {
-	mu    sync.Mutex
 	rules []Rule
+
+	mu    sync.Mutex
 	fired map[string]int
 }
 
-// NewRuleEngine creates an empty engine.
-func NewRuleEngine() *RuleEngine {
-	return &RuleEngine{fired: make(map[string]int)}
-}
-
-// Add registers a rule.
-func (e *RuleEngine) Add(r Rule) {
-	e.mu.Lock()
-	e.rules = append(e.rules, r)
-	e.mu.Unlock()
+// NewRuleEngine creates an engine running rules.
+func NewRuleEngine(rules ...Rule) *RuleEngine {
+	return &RuleEngine{rules: rules, fired: make(map[string]int)}
 }
 
 // Fired reports how many times the named rule has triggered.
@@ -46,15 +48,31 @@ func (e *RuleEngine) Fired(name string) int {
 	return e.fired[name]
 }
 
-// Bind subscribes the engine to the bus; every published event is matched
-// against every rule.
+// Bind subscribes the engine to the bus for the union of its rules'
+// event types (every type if any rule declares none). An engine with no
+// rules leaves the bus untouched.
 func (e *RuleEngine) Bind(bus *events.Bus) error {
+	if len(e.rules) == 0 {
+		return nil
+	}
+	var types []string
+	for _, r := range e.rules {
+		if len(r.EventTypes) == 0 {
+			types = nil
+			break
+		}
+		for _, t := range r.EventTypes {
+			if !slices.Contains(types, t) {
+				types = append(types, t)
+			}
+		}
+	}
 	_, err := bus.Subscribe(events.SinkFunc(func(_ context.Context, ev redfish.Event) error {
 		for _, rec := range ev.Events {
 			e.dispatch(rec)
 		}
 		return nil
-	}), events.Filter{}, "composability-rules")
+	}), events.Filter{EventTypes: types}, "composability-rules")
 	return err
 }
 
@@ -62,11 +80,10 @@ func (e *RuleEngine) Bind(bus *events.Bus) error {
 // publishers and tests).
 func (e *RuleEngine) Dispatch(rec redfish.EventRecord) { e.dispatch(rec) }
 
+// dispatch reads the rule set without a lock: it never changes after
+// NewRuleEngine.
 func (e *RuleEngine) dispatch(rec redfish.EventRecord) {
-	e.mu.Lock()
-	rules := append([]Rule(nil), e.rules...)
-	e.mu.Unlock()
-	for _, r := range rules {
+	for _, r := range e.rules {
 		if r.Matches(rec) {
 			e.mu.Lock()
 			e.fired[r.Name]++
@@ -85,7 +102,8 @@ const MessageOutOfMemory = "OFMF.1.0.OutOfMemory"
 // the event's MessageArgs[0] whenever an out-of-memory alert arrives.
 func OOMRule(c *Composer, stepMiB int64) Rule {
 	return Rule{
-		Name: "oom-hot-add",
+		Name:       "oom-hot-add",
+		EventTypes: []string{redfish.EventAlert},
 		Matches: func(rec redfish.EventRecord) bool {
 			return rec.MessageID == MessageOutOfMemory && len(rec.MessageArgs) > 0
 		},
@@ -100,7 +118,8 @@ func OOMRule(c *Composer, stepMiB int64) Rule {
 // re-route themselves.
 func LinkFailoverRule(onFailure func(rec redfish.EventRecord)) Rule {
 	return Rule{
-		Name: "link-failover",
+		Name:       "link-failover",
+		EventTypes: []string{redfish.EventAlert},
 		Matches: func(rec redfish.EventRecord) bool {
 			return strings.HasSuffix(rec.MessageID, "FabricLinkDown")
 		},

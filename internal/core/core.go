@@ -267,11 +267,13 @@ func New(cfg Config) (*Framework, error) {
 	// DELETE of a composed system decomposes.
 	f.Service.SetSystemComposer(f.Composer)
 
-	// Rule engine.
-	f.Rules = composer.NewRuleEngine()
+	// Rule engine: subscribed only if a rule is configured, and then only
+	// to the event types its rules match.
+	var rules []composer.Rule
 	if cfg.OOMHotAddMiB > 0 {
-		f.Rules.Add(composer.OOMRule(f.Composer, cfg.OOMHotAddMiB))
+		rules = append(rules, composer.OOMRule(f.Composer, cfg.OOMHotAddMiB))
 	}
+	f.Rules = composer.NewRuleEngine(rules...)
 	if err := f.Rules.Bind(f.Service.Bus()); err != nil {
 		return nil, err
 	}

@@ -254,7 +254,9 @@ func DefaultConfig() Config {
 // matched enqueues = Delivered + Failed + Dropped + DroppedClosed. The
 // chaos harness asserts this ledger after every churn scenario.
 type Stats struct {
-	Published int64 // events published
+	// Published counts every publish, including one that matched no
+	// subscription and so was delivered nowhere.
+	Published int64
 	Delivered int64 // successful deliveries (per subscription)
 	Failed    int64 // deliveries abandoned after retries
 	Dropped   int64 // events dropped on full queues
@@ -511,19 +513,31 @@ func (b *Bus) Publish(rec redfish.EventRecord) {
 //
 // The subscription index is read through one atomic snapshot load, so
 // publishing never contends with Subscribe/Unsubscribe; cost scales
-// with the matching subscribers, not the total subscription count.
+// with the matching subscribers, not the total subscription count. A
+// record no subscription admits is counted and observed, and costs no
+// allocation: it is matched before anything is built for delivery.
 func (b *Bus) PublishCtx(ctx context.Context, rec redfish.EventRecord) {
+	b.PublishLazy(ctx, rec.EventType, originOf(rec), func() redfish.EventRecord { return rec })
+}
+
+// PublishLazy is PublishCtx for a publisher whose record costs more to
+// build than to match: build runs only when a subscription admits a
+// record of eventType about origin (zero for none), and must return a
+// record of that type and origin. A publish nobody receives still
+// counts in Stats.Published and reaches the PublishObserver.
+func (b *Bus) PublishLazy(ctx context.Context, eventType string, origin odata.ID, build func() redfish.EventRecord) {
 	start := time.Now()
 	atomic.AddInt64(&b.published, 1)
-	sc, _ := obsv.SpanContextFrom(ctx)
-	env := newEnvelope(rec, sc)
-	targets := b.snap.Load().match(rec, nil)
-	for _, sub := range targets {
-		if b.cfg.Synchronous {
-			b.attempt(sub, env)
-			continue
+	if targets := b.snap.Load().match(eventType, origin, nil); len(targets) > 0 {
+		sc, _ := obsv.SpanContextFrom(ctx)
+		env := newEnvelope(build(), sc)
+		for _, sub := range targets {
+			if b.cfg.Synchronous {
+				b.attempt(sub, env)
+				continue
+			}
+			b.enqueue(sub, env)
 		}
-		b.enqueue(sub, env)
 	}
 	if b.cfg.PublishObserver != nil {
 		b.cfg.PublishObserver(time.Since(start))

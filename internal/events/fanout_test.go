@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"ofmf/internal/obsv"
 	"ofmf/internal/odata"
@@ -152,6 +153,71 @@ func TestContextSpliceAllocs(t *testing.T) {
 	})
 	if got != 1 {
 		t.Fatalf("envelope.body with a Context = %v allocations, want 1 (the spliced copy)", got)
+	}
+}
+
+// TestPublishNoMatchAllocs: a publish no subscription admits is matched
+// before anything is built for delivery, so on a bus whose index holds
+// type, origin and prefix subscriptions that all miss it costs no
+// allocation — no envelope, no span context, no records slice — even
+// from a traced request. It is still counted and observed.
+func TestPublishNoMatchAllocs(t *testing.T) {
+	var observed atomic.Int64
+	b := NewBus(Config{PublishObserver: func(time.Duration) { observed.Add(1) }})
+	defer b.Close()
+	for _, f := range []Filter{
+		{EventTypes: []string{redfish.EventAlert}},
+		{Origins: []odata.ID{"/redfish/v1/Chassis/C1"}},
+		{Origins: []odata.ID{"/redfish/v1/Fabrics"}, Subordinate: true},
+	} {
+		if _, err := b.Subscribe(&byteCollector{}, f, "ctx"); err != nil {
+			t.Fatal(err)
+		}
+	}
+	ctx := obsv.ContextWithRemoteSpanContext(context.Background(), obsv.SpanContext{
+		TraceID: "4bf92f3577b34da6a3ce929d0e0e4736", SpanID: "00f067aa0ba902b7",
+	})
+	rec := Record(redfish.EventResourceUpdated, "1", "updated", "/redfish/v1/Systems/S1")
+	got := testing.AllocsPerRun(200, func() { b.PublishCtx(ctx, rec) })
+	if got != 0 {
+		t.Errorf("unmatched PublishCtx = %v allocations, want 0", got)
+	}
+	st := b.Stats()
+	if runs := int64(201); st.Published != runs || observed.Load() != runs {
+		t.Errorf("published %d, observed %d, want %d each", st.Published, observed.Load(), runs)
+	}
+	if st.Encodes != 0 || st.Delivered+st.Failed+st.Dropped+st.DroppedClosed != 0 {
+		t.Errorf("an unmatched publish reached delivery: %+v", st)
+	}
+}
+
+// TestPublishLazyBuildsOnlyOnMatch: PublishLazy's record is built only
+// when a subscription admits its type and origin.
+func TestPublishLazyBuildsOnlyOnMatch(t *testing.T) {
+	b := NewBus(Config{Synchronous: true})
+	defer b.Close()
+	c := &byteCollector{}
+	if _, err := b.Subscribe(c, Filter{Origins: []odata.ID{"/redfish/v1/Systems"}, Subordinate: true}, ""); err != nil {
+		t.Fatal(err)
+	}
+	builds := 0
+	publish := func(origin odata.ID) {
+		b.PublishLazy(context.Background(), redfish.EventResourceUpdated, origin, func() redfish.EventRecord {
+			builds++
+			return Record(redfish.EventResourceUpdated, "1", "updated", origin)
+		})
+	}
+	publish("/redfish/v1/Chassis/C1")
+	publish("")
+	if builds != 0 || c.count() != 0 {
+		t.Fatalf("unmatched publishes built %d records and delivered %d", builds, c.count())
+	}
+	publish("/redfish/v1/Systems/S1")
+	if builds != 1 || c.count() != 1 {
+		t.Fatalf("matched publish built %d records and delivered %d, want 1 and 1", builds, c.count())
+	}
+	if st := b.Stats(); st.Published != 3 {
+		t.Errorf("published = %d, want 3", st.Published)
 	}
 }
 

@@ -72,18 +72,19 @@ func buildSnapshot(subs map[string]*Subscription) *snapshot {
 	return sn
 }
 
-// match appends every subscription admitting rec to out and returns it.
-func (sn *snapshot) match(rec redfish.EventRecord, out []*Subscription) []*Subscription {
+// match appends every subscription admitting a record of eventType
+// about origin (zero when the record has no OriginOfCondition) to out
+// and returns it. With no match and a nil out it allocates nothing.
+func (sn *snapshot) match(eventType string, origin odata.ID, out []*Subscription) []*Subscription {
 	out = append(out, sn.all...)
 	if len(sn.byType) > 0 {
-		out = append(out, sn.byType[rec.EventType]...)
+		out = append(out, sn.byType[eventType]...)
 	}
-	if rec.OriginOfCondition == nil || (len(sn.byOrigin) == 0 && len(sn.byPrefix) == 0) {
+	if origin.IsZero() || (len(sn.byOrigin) == 0 && len(sn.byPrefix) == 0) {
 		return out
 	}
-	origin := rec.OriginOfCondition.ODataID
 	for _, sub := range sn.byOrigin[origin] {
-		if typeMatches(sub.Filter.EventTypes, rec.EventType) {
+		if typeMatches(sub.Filter.EventTypes, eventType) {
 			out = append(out, sub)
 		}
 	}
@@ -95,7 +96,7 @@ func (sn *snapshot) match(rec redfish.EventRecord, out []*Subscription) []*Subsc
 	firstPrefix := len(out)
 	for p := origin; ; {
 		for _, sub := range sn.byPrefix[p] {
-			if !typeMatches(sub.Filter.EventTypes, rec.EventType) {
+			if !typeMatches(sub.Filter.EventTypes, eventType) {
 				continue
 			}
 			dup := false
@@ -116,6 +117,14 @@ func (sn *snapshot) match(rec redfish.EventRecord, out []*Subscription) []*Subsc
 		p = parent
 	}
 	return out
+}
+
+// originOf returns the record's OriginOfCondition, or the zero ID.
+func originOf(rec redfish.EventRecord) odata.ID {
+	if rec.OriginOfCondition == nil {
+		return ""
+	}
+	return rec.OriginOfCondition.ODataID
 }
 
 // typeMatches reports whether the (possibly empty, meaning any) type

@@ -464,8 +464,13 @@ func (s *Service) publishChange(c store.Change) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
+	// The record is built only if a subscription admits it: a change
+	// nobody can receive still takes its event id, but costs no
+	// timestamp, reference or strings.
 	kind := c.Kind.String()
-	s.bus.PublishCtx(ctx, events.Record(kind, strconv.FormatInt(id, 10), kind+": "+string(c.ID), c.ID))
+	s.bus.PublishLazy(ctx, kind, c.ID, func() redfish.EventRecord {
+		return events.Record(kind, strconv.FormatInt(id, 10), kind+": "+string(c.ID), c.ID)
+	})
 }
 
 // RegisterFabricHandler attaches an Agent's handler for the subtree
