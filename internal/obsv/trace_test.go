@@ -109,7 +109,11 @@ func TestMiddlewareGeneratesAndAdoptsRequestID(t *testing.T) {
 // wrapper must still expose http.Flusher or streams stall.
 func TestMiddlewarePreservesFlusher(t *testing.T) {
 	flushed := false
+	// The client's Get can return as soon as the flush reaches it, before
+	// the handler has returned; done orders the check after the handler.
+	done := make(chan struct{})
 	h := Middleware(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		defer close(done)
 		f, ok := w.(http.Flusher)
 		if !ok {
 			t.Error("middleware hid http.Flusher")
@@ -126,6 +130,7 @@ func TestMiddlewarePreservesFlusher(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
+	<-done
 	if !flushed {
 		t.Error("handler never flushed")
 	}

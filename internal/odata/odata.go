@@ -26,8 +26,20 @@ func (id ID) IsZero() bool { return id == "" }
 
 // Parent returns the identifier of the containing collection or resource.
 // The parent of a top-level identifier is "/".
+//
+// An id that is already clean — no "//", no segment starting with ".",
+// no trailing "/", which is every id the service mints — has its parent
+// cut at its last slash; path.Clean would return that prefix unchanged.
+// Anything else goes through path.Dir.
 func (id ID) Parent() ID {
-	p := path.Dir(strings.TrimRight(string(id), "/"))
+	s := string(id)
+	if s != "" && s[0] != '.' && s[len(s)-1] != '/' && !strings.Contains(s, "//") && !strings.Contains(s, "/.") {
+		if i := strings.LastIndexByte(s, '/'); i > 0 {
+			return ID(s[:i])
+		}
+		return ID("/")
+	}
+	p := path.Dir(strings.TrimRight(s, "/"))
 	if p == "." {
 		return ID("/")
 	}

@@ -2,6 +2,7 @@ package odata
 
 import (
 	"encoding/json"
+	"path"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -21,6 +22,26 @@ func TestIDParent(t *testing.T) {
 			t.Errorf("Parent(%q) = %q, want %q", c.in, got, c.want)
 		}
 	}
+}
+
+// FuzzParent holds Parent to the path.Dir expression it shortcuts for
+// clean ids, on any string.
+func FuzzParent(f *testing.F) {
+	for _, seed := range []string{
+		"/redfish/v1/Fabrics/CXL/Switches/1", "/redfish", "/", "", "a", "a/b", "/a/", "//a", "/a//b",
+		"./a", "../a", ".", "..", "/a/./b", "/a/../b", "/a/.hidden", "/a/b.", "a./b", "/a/b/", "///",
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		want := path.Dir(strings.TrimRight(s, "/"))
+		if want == "." {
+			want = "/"
+		}
+		if got := ID(s).Parent(); got != ID(want) {
+			t.Fatalf("Parent(%q) = %q, path.Dir gives %q", s, got, want)
+		}
+	})
 }
 
 func TestIDLeafAppend(t *testing.T) {

@@ -348,6 +348,15 @@ func TestPutDoesNotAliasCallerBytes(t *testing.T) {
 		t.Fatal(err)
 	}
 	scribble(applied)
+	frame := []byte(`{"s":1,"o":"p","i":"/a/decoded","r":` + want + `}`)
+	decoded, ok := DecodeRecord(frame)
+	if !ok {
+		t.Fatal("DecodeRecord declined its own envelope")
+	}
+	if err := st.Apply(decoded); err != nil {
+		t.Fatal(err)
+	}
+	scribble(frame)
 	subtree := json.RawMessage(want)
 	if err := st.PutSubtree("/b", map[odata.ID]any{"/b/subtree": subtree}); err != nil {
 		t.Fatal(err)
@@ -363,8 +372,42 @@ func TestPutDoesNotAliasCallerBytes(t *testing.T) {
 			t.Errorf("%s holds %s after its caller reused the slice, want %s", id, raw, want)
 		}
 	}
-	if st.Len() != 4 {
-		t.Fatalf("%d resources, want 4", st.Len())
+	if st.Len() != 5 {
+		t.Fatalf("%d resources, want 5", st.Len())
+	}
+}
+
+// TestApplyScansOnlyUnverifiedRecords: a record DecodeRecord read carries
+// its mark and Apply copies its resource without the second IsCanonical
+// walk; a record built any other way — by hand, by json.Unmarshal — is
+// canonicalized as Put would. Marks set by hand on bytes nothing checked
+// show which of the two Apply did.
+func TestApplyScansOnlyUnverifiedRecords(t *testing.T) {
+	const sloppy = `{ "N" : 1 }`
+	st := New()
+	payload := []byte(`{"s":1,"o":"p","i":"/a/decoded","r":{"N":1}}`)
+	decoded, ok := DecodeRecord(payload)
+	if !ok || !decoded.verified {
+		t.Fatalf("DecodeRecord(%s) = %+v, %v; want a verified record", payload, decoded, ok)
+	}
+	var unmarshaled Record
+	if err := json.Unmarshal(payload, &unmarshaled); err != nil || unmarshaled.verified {
+		t.Fatalf("json.Unmarshal built %+v, %v; want an unverified record", unmarshaled, err)
+	}
+	for _, c := range []struct {
+		rec  Record
+		want string
+	}{
+		{decoded, `{"N":1}`},
+		{Record{Op: OpPut, ID: "/a/unmarked", Raw: json.RawMessage(sloppy)}, `{"N":1}`},
+		{Record{Op: OpPut, ID: "/a/marked", Raw: json.RawMessage(sloppy), verified: true}, sloppy},
+	} {
+		if err := st.Apply(c.rec); err != nil {
+			t.Fatal(err)
+		}
+		if raw, _, err := st.Get(c.rec.ID); err != nil || string(raw) != c.want {
+			t.Errorf("Apply(%+v) stored %s (%v), want %s", c.rec, raw, err, c.want)
+		}
 	}
 }
 

@@ -71,7 +71,9 @@ type RecoveryStats struct {
 	// leader seeds its term from it so epochs never move backwards
 	// across a restart.
 	LastEpoch uint64
-	// Duration is the wall time recovery took, compaction included.
+	// Duration is the wall time recovery took: loading the snapshot,
+	// replaying the log and opening the fresh segment. Compacting what
+	// was replayed is the first Compact's work and is not in it.
 	Duration time.Duration
 }
 
@@ -91,9 +93,15 @@ type FileBackend struct {
 	opts Options
 	log  *slog.Logger
 
-	mu          sync.Mutex // guards w swaps and lastSnapSeq
+	mu          sync.Mutex // guards w swaps, lastSnapSeq and recoveredSeq
 	w           *wal       // the active segment; nil until Recover and after Close
 	lastSnapSeq uint64
+
+	// recoveredSeq is the log position Recover reached. A snapshot below
+	// it is a previous life's, which may lack what this boot put into the
+	// tree before attaching, so LatestSnapshot does not serve it; the
+	// first Compact writes one at or above it.
+	recoveredSeq uint64
 
 	// compactMu serializes whole compaction passes (periodic loop,
 	// explicit Compact, final Close compaction) against each other; mu
@@ -107,11 +115,12 @@ type FileBackend struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// afterRetire, when non-nil, runs once Recover has retired the
-	// segments it replayed and before it creates the fresh one; an error
-	// aborts Recover there, leaving the directory as a crash at that point
-	// would. Tests only.
-	afterRetire func() error
+	// killPoint, when non-nil, is called at the two steps of a snapshot
+	// install after which a kill leaves a directory of its own: the temp
+	// file written but not renamed ("written"), and the snapshot renamed
+	// into place with nothing pruned yet ("installed"). Tests copy the
+	// directory there.
+	killPoint func(step string)
 }
 
 // Open prepares a file backend on dir. No file is touched beyond
@@ -141,14 +150,17 @@ func (b *FileBackend) AppendShard(_ int, batch []store.Record) func() error { re
 // Recover rebuilds st from the data directory: load the newest valid
 // snapshot through Store.Import, replay the log through Store.Apply,
 // record by record as it is decoded (truncating a torn tail,
-// quarantining the segments after it), then compact — write a fresh
-// snapshot of the recovered tree, delete the superseded files and start
-// a new log segment — so the next boot loads one snapshot and an empty
-// tail. A boot that already is that (a snapshot at the log's last
-// sequence number, nothing replayed, nothing truncated) keeps the
-// snapshot it loaded instead of writing the same bytes again. A
-// directory of the retired sharded layout is refused untouched. Call it
-// exactly once, before AttachBackend.
+// quarantining the segments after it), then rotate — open a fresh log
+// segment after the last recovered record — and return. It writes no
+// snapshot: the segments it replayed stay on disk until the first
+// Compact (periodic, or Close's) has installed one that covers them, the
+// same rotate-first order Compact keeps, so a kill before then boots the
+// same way again. A boot that replayed nothing removes the segments
+// right away, since the snapshot it loaded (or, with none, the empty
+// tree) already holds everything they do. Temp files of snapshots that
+// were never renamed into place are deleted. A directory of the retired
+// sharded layout is refused untouched. Call it exactly once, before
+// AttachBackend.
 func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 	start := time.Now()
 	var stats RecoveryStats
@@ -156,6 +168,7 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 	if err := refuseLegacyLayout(dir); err != nil {
 		return stats, err
 	}
+	removeSnapshotTemps(dir)
 
 	// Import changes nothing unless the whole document parses, so a
 	// snapshot it refuses can be passed over for an older one.
@@ -237,41 +250,32 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 	stats.LastSeq = lastSeq
 	stats.Resources = st.Len()
 
-	// Compact: the recovered tree becomes the new baseline, in an order a
-	// crash cannot hurt — snapshot at lastSeq (from here replay is
-	// optional), retire the old segments, create the fresh one. A crash
-	// after the first step replays nothing new from the old segments;
-	// after the second the directory holds a snapshot and no log, which is
-	// where a boot that had nothing to compact starts from.
-	if !loaded || stats.Replayed > 0 || stats.Truncated {
-		resources, _, err := st.Snapshot()
-		if err != nil {
-			return stats, fmt.Errorf("persist: recovery export: %w", err)
-		}
-		if err := writeSnapshot(dir, lastSeq, resources); err != nil {
-			return stats, err
-		}
-	}
+	// Rotate. Replayed segments stay for the first Compact to cover; with
+	// nothing replayed they hold nothing the snapshot lacks and go now. A
+	// segment at the fresh one's path holds no record (its records would
+	// start after lastSeq): an empty tail that openWAL's O_EXCL would
+	// refuse, so it goes either way.
+	fresh := walPath(dir, lastSeq+1)
 	for _, p := range segPaths {
-		os.Remove(p)
-	}
-	if b.afterRetire != nil {
-		if err := b.afterRetire(); err != nil {
-			return stats, err
+		if stats.Replayed == 0 || p == fresh {
+			os.Remove(p)
 		}
 	}
-	w, err := openWAL(walPath(dir, lastSeq+1), lastSeq, b.opts.Fsync, b.onFsync)
+	w, err := openWAL(fresh, lastSeq, b.opts.Fsync, b.onFsync)
 	if err != nil {
 		return stats, err
 	}
 	b.mu.Lock()
 	b.w = w
-	b.lastSnapSeq = lastSeq
+	b.lastSnapSeq = snap.Seq
+	b.recoveredSeq = lastSeq
 	b.mu.Unlock()
 	// The recovered store is the natural snapshot source for the final
 	// compaction on Close; StartSnapshots may override it.
 	b.src = st
-	removeBelow(dir, snapPrefix, snapSuffix, lastSeq)
+	if loaded {
+		removeBelow(dir, snapPrefix, snapSuffix, snap.Seq)
+	}
 
 	stats.Duration = time.Since(start)
 	if m := b.opts.Metrics; m != nil {
@@ -338,8 +342,10 @@ func (b *FileBackend) StartSnapshots(src SnapshotSource) {
 }
 
 // Compact rotates the log and installs a fresh snapshot, then deletes
-// the files the snapshot supersedes. It is a no-op when nothing was
-// appended since the last compaction.
+// the files the snapshot supersedes. It is the one code path that
+// writes a snapshot of a recovered directory: the first Compact after
+// Recover covers the segments that boot replayed and prunes them. It is
+// a no-op when the log holds nothing past the newest snapshot.
 //
 // The order matters for crash safety: rotate first, snapshot second.
 // The snapshot is captured after rotation, so its sequence number
@@ -347,7 +353,9 @@ func (b *FileBackend) StartSnapshots(src SnapshotSource) {
 // between land in the new segment with Seq <= the snapshot's and are
 // skipped on replay (puts are idempotent post-state anyway). A crash
 // between the steps leaves old snapshot + all segments: fully
-// recoverable.
+// recoverable. A source whose cut is behind the log (a store that was
+// recovered but never attached) is refused before anything is written,
+// since its snapshot would not cover the segments pruned after it.
 func (b *FileBackend) Compact() error {
 	if b.src == nil {
 		return errors.New("persist: no snapshot source; call StartSnapshots")
@@ -391,8 +399,14 @@ func (b *FileBackend) Compact() error {
 	if err != nil {
 		return fmt.Errorf("persist: snapshot export: %w", err)
 	}
-	if err := writeSnapshot(b.opts.Dir, seq, export); err != nil {
+	if seq < last {
+		return fmt.Errorf("persist: snapshot source at seq %d is behind the log at %d; attach the store first", seq, last)
+	}
+	if err := b.writeSnapshot(seq, export); err != nil {
 		return err
+	}
+	if b.killPoint != nil {
+		b.killPoint("installed")
 	}
 	b.mu.Lock()
 	if seq > b.lastSnapSeq {

@@ -107,10 +107,10 @@ func readTreePayload(uri odata.ID, fabric, slot, seq int) json.RawMessage {
 }
 
 // readTreeDirs builds the two directories a read_tree server can die
-// with: crashed (an empty snapshot and one WAL segment of fabrics ×
-// perFabric subtree puts plus a third as many rewrites — 26 800 records
-// over 20 000 resources at the benchmark's 100 × 200) and clean (the
-// same tree after a graceful Close: one snapshot, an empty tail).
+// with: crashed (no snapshot and one WAL segment of fabrics × perFabric
+// subtree puts plus a third as many rewrites — 26 800 records over
+// 20 000 resources at the benchmark's 100 × 200) and clean (the same
+// tree after a graceful Close: one snapshot, an empty tail).
 func readTreeDirs(tb testing.TB, fabrics, perFabric int) (crashed, clean string) {
 	tb.Helper()
 	crashed, clean = tb.TempDir(), tb.TempDir()
@@ -182,9 +182,10 @@ func copyDir(tb testing.TB, src string) string {
 }
 
 // BenchmarkRecover times FileBackend.Recover over the 20 k-resource
-// read_tree tree: wal replays a crashed directory (every iteration gets
-// its own copy, because recovery compacts what it replayed), snapshot
-// boots from a graceful shutdown's.
+// read_tree tree: wal replays a crashed directory, snapshot boots from a
+// graceful shutdown's. Every iteration gets its own copy, because
+// recovery rotates the log (and removes the empty tail a clean boot
+// finds).
 func BenchmarkRecover(b *testing.B) {
 	crashed, clean := readTreeDirs(b, 100, 200)
 	for _, c := range []struct{ name, dir string }{{"wal", crashed}, {"snapshot", clean}} {

@@ -5,7 +5,6 @@ import (
 	"bytes"
 	"encoding/binary"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"hash/crc32"
 	"io"
@@ -16,6 +15,7 @@ import (
 
 	"ofmf/internal/odata"
 	"ofmf/internal/store"
+	"ofmf/internal/store/storetest"
 )
 
 // This file holds recovery to what it was before bytes crossed the disk
@@ -99,8 +99,8 @@ func compatHistory() []store.Record {
 // WAL only, snapshot only, snapshot and tail, torn tail with a successor
 // segment — recovers to the byte-identical Export, the same LastSeq,
 // LastEpoch and Truncated, and the same quarantine decisions that
-// commit's reader reached; and what this version then leaves on disk is a
-// snapshot the old reader still loads.
+// commit's reader reached; and the snapshot this version's first
+// compaction leaves on disk is one the old reader still loads.
 func TestParentWrittenDirRecovers(t *testing.T) {
 	hist := compatHistory()
 	cases := []struct {
@@ -166,7 +166,7 @@ func TestParentWrittenDirRecovers(t *testing.T) {
 				}
 				recs, _, torn := parentDecodeAll(bytes.NewReader(data))
 				got, _, gotTorn := decodeAll(bytes.NewReader(data))
-				if !reflect.DeepEqual(got, recs) || gotTorn != torn {
+				if !storetest.SameRecords(got, recs) || gotTorn != torn {
 					t.Fatalf("segment %d: decoded %d records (torn=%v), commit 347f903 decoded %d (torn=%v)",
 						seg, len(got), gotTorn, len(recs), torn)
 				}
@@ -215,7 +215,11 @@ func TestParentWrittenDirRecovers(t *testing.T) {
 				t.Fatalf("quarantined %v, want %v", quarantined, c.quarantined)
 			}
 
-			// Downgrade: the snapshot now on disk, read the old way.
+			// Downgrade: the snapshot on disk after this version's first
+			// compaction (Close's), read the old way.
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
 			snaps, err := listSeqs(dir, snapPrefix, snapSuffix)
 			if err != nil || len(snaps) != 1 || snaps[0] != wantSeq {
 				t.Fatalf("snapshots after recovery: %v (%v), want one at %d", snaps, err, wantSeq)
@@ -246,9 +250,8 @@ func mustWrite(t *testing.T, path string, data []byte) {
 // TestCleanBootKeepsItsSnapshot: a boot that loads a snapshot at the
 // log's last sequence number and replays nothing has nothing to compact —
 // it must not write the same multi-megabyte file again and fsync it. It
-// retires the empty tail segment and creates the fresh one, and a crash
-// between those two steps leaves a directory the next boot takes to the
-// same tree, LastSeq and file set.
+// replaces the empty tail segment with the fresh one, so every such boot
+// reaches the same tree, LastSeq and file set.
 func TestCleanBootKeepsItsSnapshot(t *testing.T) {
 	dir := t.TempDir()
 	st, _, _ := openStore(t, dir, false)
@@ -276,23 +279,9 @@ func TestCleanBootKeepsItsSnapshot(t *testing.T) {
 	}
 	wantFiles := keys(dirContents(t, dir))
 
-	// Boot 1 dies between retiring the tail and creating the fresh segment.
-	crash := errors.New("killed between retire and create")
-	b, err := Open(Options{Dir: dir})
-	if err != nil {
-		t.Fatal(err)
-	}
-	b.afterRetire = func() error { return crash }
-	if _, err := b.Recover(store.New()); !errors.Is(err, crash) {
-		t.Fatalf("Recover = %v, want the injected crash", err)
-	}
-	if segs, _ := listSeqs(dir, walPrefix, walSuffix); len(segs) != 0 {
-		t.Fatalf("segments after the crash: %v, want none (retired, not yet recreated)", segs)
-	}
-
-	// Boots 2 and 3 are clean ones: same tree, same position, same files,
-	// and the snapshot is the very file the shutdown wrote.
-	for boot := 2; boot <= 3; boot++ {
+	// Both boots are clean ones: same tree, same position, same files, and
+	// the snapshot is the very file the shutdown wrote.
+	for boot := 1; boot <= 2; boot++ {
 		st, b, stats := openStore(t, dir, false)
 		if stats.Replayed != 0 || stats.Truncated || stats.LastSeq != 20 || stats.SnapshotSeq != 20 || stats.Resources != 20 {
 			t.Fatalf("boot %d: stats %+v, want a clean boot at 20", boot, stats)
@@ -318,7 +307,8 @@ func TestCleanBootKeepsItsSnapshot(t *testing.T) {
 // TestBenchmarkDirNeedsNoFallback counts how often the by-hand readers
 // hand the benchmark's read_tree directories (see readTreeDirs) to
 // encoding/json: for no record of the crashed log and for no snapshot
-// envelope.
+// envelope. The crashed directory holds no snapshot at all — its one
+// boot wrote none and it never compacted — and the clean one holds one.
 func TestBenchmarkDirNeedsNoFallback(t *testing.T) {
 	crashed, clean := readTreeDirs(t, 10, 200)
 	data, err := os.ReadFile(activeSegment(t, crashed))
@@ -337,22 +327,23 @@ func TestBenchmarkDirNeedsNoFallback(t *testing.T) {
 	if records < 2000 || fallbacks != 0 {
 		t.Fatalf("%d of %d records fell back to encoding/json, want none", fallbacks, records)
 	}
-	for _, dir := range []string{crashed, clean} {
-		snaps, err := listSeqs(dir, snapPrefix, snapSuffix)
-		if err != nil || len(snaps) != 1 {
-			t.Fatalf("snapshots in %s: %v (%v)", dir, snaps, err)
-		}
-		file, err := os.ReadFile(snapPath(dir, snaps[0]))
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !bytes.HasPrefix(file, []byte(snapSeqKey)) {
-			t.Fatalf("snapshot starts %q, not with the envelope readSnapshot recognises", file[:min(len(file), 20)])
-		}
-		snap, ok := readSnapshot(file)
-		if !ok || snap.Seq != snaps[0] || len(snap.Resources)+len(snapSeqKey)+len(snapResourcesKey) > len(file) {
-			t.Fatalf("readSnapshot: ok=%v seq=%d", ok, snap.Seq)
-		}
+	if snaps, err := listSeqs(crashed, snapPrefix, snapSuffix); err != nil || len(snaps) != 0 {
+		t.Fatalf("snapshots in the crashed dir: %v (%v), want none", snaps, err)
+	}
+	snaps, err := listSeqs(clean, snapPrefix, snapSuffix)
+	if err != nil || len(snaps) != 1 {
+		t.Fatalf("snapshots in the clean dir: %v (%v)", snaps, err)
+	}
+	file, err := os.ReadFile(snapPath(clean, snaps[0]))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.HasPrefix(file, []byte(snapSeqKey)) {
+		t.Fatalf("snapshot starts %q, not with the envelope readSnapshot recognises", file[:min(len(file), 20)])
+	}
+	snap, ok := readSnapshot(file)
+	if !ok || snap.Seq != snaps[0] || len(snap.Resources)+len(snapSeqKey)+len(snapResourcesKey) > len(file) {
+		t.Fatalf("readSnapshot: ok=%v seq=%d", ok, snap.Seq)
 	}
 }
 

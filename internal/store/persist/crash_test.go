@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"os"
+	"path/filepath"
 	"reflect"
 	"sync"
 	"testing"
@@ -128,6 +129,110 @@ func TestCrashRecoveryProperty(t *testing.T) {
 	}
 }
 
+// TestBootKillPoints kills the boot of a crashed directory — recover,
+// serve, first compaction — after each step that leaves the directory
+// different: Recover rotated; a few records appended to the fresh
+// segment; the compaction's snapshot written to its temp file but not
+// renamed; renamed but nothing pruned. Each directory a kill leaves boots
+// (twice, the first boot killed again right after Recover) to the tree
+// and LastSeq the killed process held, with the same replay verdict, and
+// after that boot's own Compact holds exactly one snapshot and one
+// segment and nothing else.
+func TestBootKillPoints(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	dir := t.TempDir()
+	st, b, _ := openStore(t, dir, false)
+	b.StartSnapshots(st)
+	randomOps(rng, st, 60)
+	if err := b.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	randomOps(rng, st, 60)
+	if err := b.w.close(); err != nil { // SIGKILL
+		t.Fatal(err)
+	}
+
+	type kill struct {
+		step string
+		dir  string
+		want map[string]json.RawMessage
+		seq  uint64
+	}
+	var kills []kill
+	capture := func(step string, st *store.Store) {
+		kills = append(kills, kill{step, copyDir(t, dir), export(t, st), st.Seq()})
+	}
+
+	st, b, stats := openStore(t, dir, false)
+	if stats.SnapshotSeq == 0 || stats.Replayed == 0 {
+		t.Fatalf("stats %+v: the crashed dir must need a snapshot and a replay", stats)
+	}
+	// Recover wrote no snapshot and kept what it replayed.
+	snaps, _ := listSeqs(dir, snapPrefix, snapSuffix)
+	segs, _ := listSeqs(dir, walPrefix, walSuffix)
+	if !reflect.DeepEqual(snaps, []uint64{stats.SnapshotSeq}) || !reflect.DeepEqual(segs, []uint64{stats.SnapshotSeq + 1, stats.LastSeq + 1}) {
+		t.Fatalf("after Recover: snapshots %v, segments %v; want [%d] and [%d %d]",
+			snaps, segs, stats.SnapshotSeq, stats.SnapshotSeq+1, stats.LastSeq+1)
+	}
+	capture("rotated", st)
+	randomOps(rng, st, 20)
+	capture("appended", st)
+	b.killPoint = func(step string) { capture(step, st) }
+	if err := b.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	b.killPoint = nil
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	var steps []string
+	for _, k := range kills {
+		steps = append(steps, k.step)
+	}
+	if want := []string{"rotated", "appended", "written", "installed"}; !reflect.DeepEqual(steps, want) {
+		t.Fatalf("kill points %v, want %v", steps, want)
+	}
+	if temps, _ := filepath.Glob(filepath.Join(kills[2].dir, "snap-*.tmp")); len(temps) != 1 {
+		t.Fatalf("the kill before the rename left temp files %v, want one", temps)
+	}
+
+	for _, k := range kills {
+		t.Run(k.step, func(t *testing.T) {
+			var first RecoveryStats
+			for boot := 1; boot <= 2; boot++ {
+				st, b, stats := openStore(t, k.dir, false)
+				if got := export(t, st); !reflect.DeepEqual(got, k.want) {
+					t.Fatalf("boot %d: tree differs from the one killed:\n got %v\nwant %v", boot, got, k.want)
+				}
+				if stats.LastSeq != k.seq || stats.Truncated {
+					t.Fatalf("boot %d: stats %+v, want LastSeq %d and no tear", boot, stats, k.seq)
+				}
+				if boot == 1 {
+					first = stats
+					if err := b.w.close(); err != nil { // killed again
+						t.Fatal(err)
+					}
+					continue
+				}
+				if stats.SnapshotSeq != first.SnapshotSeq || stats.Replayed != first.Replayed {
+					t.Fatalf("second boot %+v, first %+v: a boot killed after Recover changed the verdict", stats, first)
+				}
+				if err := b.Compact(); err != nil {
+					t.Fatal(err)
+				}
+				if err := st.Close(); err != nil {
+					t.Fatal(err)
+				}
+				snaps, _ := listSeqs(k.dir, snapPrefix, snapSuffix)
+				segs, _ := listSeqs(k.dir, walPrefix, walSuffix)
+				if files := keys(dirContents(t, k.dir)); len(snaps) != 1 || len(segs) != 1 || len(files) != 2 {
+					t.Fatalf("after the first Compact: %v, want one snapshot and one segment", files)
+				}
+			}
+		})
+	}
+}
+
 // activeSegment returns the path of the data dir's only WAL segment.
 func activeSegment(t *testing.T, dir string) string {
 	t.Helper()
@@ -138,12 +243,17 @@ func activeSegment(t *testing.T, dir string) string {
 	return walPath(dir, segs[0])
 }
 
-// baseSnapshot returns the resources of the newest snapshot in dir.
+// baseSnapshot returns the resources of the newest snapshot in dir, and
+// the empty tree when there is none: a boot writes no snapshot of its
+// own, so a directory that never compacted holds only its log.
 func baseSnapshot(t *testing.T, dir string) map[string]json.RawMessage {
 	t.Helper()
-	snap, ok, _, err := loadNewestSnapshot(dir)
-	if err != nil || !ok {
-		t.Fatalf("missing base snapshot: %v", err)
+	snap, ok, skipped, err := loadNewestSnapshot(dir)
+	if err != nil || skipped > 0 {
+		t.Fatalf("base snapshot: %d unreadable, %v", skipped, err)
+	}
+	if !ok {
+		return nil
 	}
 	var base map[string]json.RawMessage
 	if err := json.Unmarshal(snap.Resources, &base); err != nil {

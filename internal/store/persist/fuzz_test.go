@@ -3,10 +3,10 @@ package persist
 import (
 	"bytes"
 	"encoding/json"
-	"reflect"
 	"testing"
 
 	"ofmf/internal/store"
+	"ofmf/internal/store/storetest"
 )
 
 // frames encodes records through the production writer, for seeding.
@@ -86,7 +86,7 @@ func FuzzRecordDecode(f *testing.F) {
 		err := json.Unmarshal(payload, &want)
 		if got, ok := store.DecodeRecord(payload); ok {
 			got.Raw = bytes.Clone(got.Raw)
-			if err != nil || !reflect.DeepEqual(got, want) {
+			if err != nil || !storetest.SameRecord(got, want) {
 				t.Fatalf("DecodeRecord read %q as %+v; json.Unmarshal: %+v, %v", payload, got, want, err)
 			}
 		}
@@ -96,7 +96,7 @@ func FuzzRecordDecode(f *testing.F) {
 		stream := append(frame(payload), frames(t, store.Record{Seq: 7, Op: store.OpDelete, ID: "/after"})...)
 		recs, good, torn := decodeAll(bytes.NewReader(stream))
 		wantRecs, wantGood, wantTorn := parentDecodeAll(bytes.NewReader(stream))
-		if !reflect.DeepEqual(recs, wantRecs) || good != wantGood || torn != wantTorn {
+		if !storetest.SameRecords(recs, wantRecs) || good != wantGood || torn != wantTorn {
 			t.Fatalf("payload %q: scanned %d records, %d good bytes, torn=%v; commit 347f903: %d, %d, %v",
 				payload, len(recs), good, torn, len(wantRecs), wantGood, wantTorn)
 		}

@@ -265,6 +265,47 @@ func TestCompactRetriesAfterSnapshotFailure(t *testing.T) {
 	}
 }
 
+// TestCompactRefusesUnattachedSource: a store recovered but never
+// attached cuts its snapshot at seq 0, below the log it replayed. Since
+// a boot keeps its replayed segments for the first Compact to prune,
+// that compaction (here Close's) must write and prune nothing: the
+// snapshot would claim seq 0, below any older snapshot the next boot
+// prefers, and the records of the pruned segments would be gone.
+func TestCompactRefusesUnattachedSource(t *testing.T) {
+	dir := t.TempDir()
+	st, b, _ := openStore(t, dir, false)
+	for _, id := range []odata.ID{"/a/1", "/a/2", "/a/3"} {
+		if err := st.Put(id, res(string(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	want := export(t, st)
+	if err := b.w.close(); err != nil { // SIGKILL
+		t.Fatal(err)
+	}
+
+	unattached := store.New()
+	b, err := Open(Options{Dir: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := b.Recover(unattached); err != nil {
+		t.Fatal(err)
+	}
+	before := dirContents(t, dir)
+	if err := b.Close(); err == nil {
+		t.Fatal("Close compacted from a store that was never attached")
+	}
+	if after := dirContents(t, dir); !reflect.DeepEqual(after, before) {
+		t.Fatalf("refused compaction changed the directory: %v → %v", keys(before), keys(after))
+	}
+	st2, _, stats := openStore(t, dir, false)
+	defer st2.Close()
+	if got := export(t, st2); !reflect.DeepEqual(got, want) || stats.LastSeq != 3 {
+		t.Fatalf("after the refused compaction: LastSeq %d, tree %v; want 3 and %v", stats.LastSeq, got, want)
+	}
+}
+
 func TestCompactRotatesAndPrunes(t *testing.T) {
 	dir := t.TempDir()
 	st, b, _ := openStore(t, dir, false)
@@ -410,11 +451,18 @@ func TestPeriodicSnapshotTicker(t *testing.T) {
 	}
 }
 
+// TestDataDirFilesAreScoped: unrelated files survive recovery and
+// compaction untouched, and what the backend leaves is snapshots and
+// segments by their exact names — not the temp file of a snapshot whose
+// compaction was killed before its rename.
 func TestDataDirFilesAreScoped(t *testing.T) {
 	dir := t.TempDir()
 	// Unrelated files must survive compaction untouched.
 	keep := filepath.Join(dir, "README.txt")
 	if err := os.WriteFile(keep, []byte("operator notes"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "snap-123456.tmp"), []byte(`{"Seq":9,"Resou`), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	st, b, _ := openStore(t, dir, false)
@@ -428,13 +476,66 @@ func TestDataDirFilesAreScoped(t *testing.T) {
 	if _, err := os.Stat(keep); err != nil {
 		t.Fatalf("unrelated file removed: %v", err)
 	}
+	snaps, _ := listSeqs(dir, snapPrefix, snapSuffix)
+	segs, _ := listSeqs(dir, walPrefix, walSuffix)
+	want := map[string]bool{"README.txt": true}
+	for _, seq := range snaps {
+		want[filepath.Base(snapPath(dir, seq))] = true
+	}
+	for _, seq := range segs {
+		want[filepath.Base(walPath(dir, seq))] = true
+	}
 	entries, _ := os.ReadDir(dir)
 	for _, e := range entries {
-		name := e.Name()
-		if name == "README.txt" || strings.HasPrefix(name, snapPrefix) || strings.HasPrefix(name, walPrefix) {
-			continue
+		if !want[e.Name()] {
+			t.Fatalf("unexpected file in data dir: %s", e.Name())
 		}
-		t.Fatalf("unexpected file in data dir: %s", name)
+	}
+}
+
+// TestRecoverRemovesSnapshotTemps: a compaction killed before its
+// rename leaves a temp file the size of the tree. The next boot deletes
+// it, and recovers the same tree it would have without it.
+func TestRecoverRemovesSnapshotTemps(t *testing.T) {
+	dir := t.TempDir()
+	st, b, _ := openStore(t, dir, false)
+	b.StartSnapshots(st)
+	for _, id := range []odata.ID{"/a/1", "/a/2"} {
+		if err := st.Put(id, res(string(id))); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := b.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Put("/a/3", res("/a/3")); err != nil {
+		t.Fatal(err)
+	}
+	want := export(t, st)
+	// The kill: the temp file of the next snapshot, written in full but
+	// never renamed, and the backend abandoned.
+	data, _, err := st.Snapshot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, "snap-2718281828.tmp")
+	if err := os.WriteFile(tmp, append([]byte(`{"Seq":3,"Resources":`), append(data, '}')...), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := b.w.close(); err != nil {
+		t.Fatal(err)
+	}
+
+	st2, _, stats := openStore(t, dir, false)
+	defer st2.Close()
+	if got := export(t, st2); !reflect.DeepEqual(got, want) {
+		t.Fatalf("tree after recovery:\n got %v\nwant %v", got, want)
+	}
+	if stats.SnapshotSeq != 2 || stats.Replayed != 1 || stats.LastSeq != 3 {
+		t.Fatalf("stats %+v, want the snapshot at 2 and one record replayed", stats)
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("snapshot temp file still there after recovery (%v)", err)
 	}
 }
 

@@ -18,6 +18,9 @@ const (
 	snapSuffix = ".json"
 	walPrefix  = "wal-"
 	walSuffix  = ".log"
+	// snapTempSuffix ends the name of a snapshot being written
+	// (snap-<random>.tmp) until its rename.
+	snapTempSuffix = ".tmp"
 	// quarantineSuffix marks WAL segments found after a torn record:
 	// recovery refuses to replay them (the tear means they may postdate
 	// lost mutations) but preserves their bytes for an operator instead of
@@ -98,9 +101,11 @@ func listSeqs(dir, prefix, suffix string) ([]uint64, error) {
 // store.Snapshot returns, written around as it is: write to a temp file,
 // fsync it, rename into place, fsync the directory. A crash at any point
 // leaves either the old snapshot set or the complete new file — never a
-// partially visible one.
-func writeSnapshot(dir string, seq uint64, resources []byte) error {
-	tmp, err := os.CreateTemp(dir, "snap-*.tmp")
+// partially visible one — plus, before the rename, the temp file, which
+// the next Recover deletes.
+func (b *FileBackend) writeSnapshot(seq uint64, resources []byte) error {
+	dir := b.opts.Dir
+	tmp, err := os.CreateTemp(dir, snapPrefix+"*"+snapTempSuffix)
 	if err != nil {
 		return fmt.Errorf("persist: snapshot temp: %w", err)
 	}
@@ -118,6 +123,9 @@ func writeSnapshot(dir string, seq uint64, resources []byte) error {
 	}
 	if err := tmp.Close(); err != nil {
 		return fmt.Errorf("persist: snapshot close: %w", err)
+	}
+	if b.killPoint != nil {
+		b.killPoint("written")
 	}
 	if err := os.Rename(tmp.Name(), snapPath(dir, seq)); err != nil {
 		return fmt.Errorf("persist: snapshot rename: %w", err)
@@ -164,6 +172,19 @@ func newestSnapshot(dir string, accept func(snapshotFile) bool) (snap snapshotFi
 // JSON document.
 func loadNewestSnapshot(dir string) (snap snapshotFile, ok bool, skipped int, err error) {
 	return newestSnapshot(dir, func(s snapshotFile) bool { return json.Valid(s.Resources) })
+}
+
+// removeSnapshotTemps deletes the temp files writeSnapshot leaves when a
+// kill stops it before its rename. The rename is a snapshot's commit
+// point, so a temp file is never a snapshot; each one is the size of the
+// whole tree. Failures are ignored, as removeBelow's are.
+func removeSnapshotTemps(dir string) {
+	entries, _ := os.ReadDir(dir)
+	for _, e := range entries {
+		if name := e.Name(); strings.HasPrefix(name, snapPrefix) && strings.HasSuffix(name, snapTempSuffix) {
+			os.Remove(filepath.Join(dir, name))
+		}
+	}
 }
 
 // removeBelow deletes files of the given naming family whose sequence

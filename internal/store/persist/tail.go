@@ -84,13 +84,23 @@ func (b *FileBackend) Flush() error {
 
 // LatestSnapshot returns the newest parseable on-disk snapshot: the
 // exported resource map and the commit sequence number it reflects.
-// ok is false when the directory holds none. Replication serves this to
+// ok is false when the directory holds none, and when the newest is
+// older than the position Recover reached: that one is a previous life's
+// and may lack what this boot put into the tree before attaching, until
+// this backend's first Compact replaces it. Replication serves this to
 // bootstrapping replicas when it is recent enough, saving a fresh
-// whole-tree export under the store's read lock.
+// whole-tree export under the store's read lock, and exports live
+// otherwise.
 func (b *FileBackend) LatestSnapshot() (resources []byte, seq uint64, ok bool, err error) {
 	snap, ok, _, err := loadNewestSnapshot(b.opts.Dir)
 	if err != nil || !ok {
 		return nil, 0, false, err
+	}
+	b.mu.Lock()
+	stale := snap.Seq < b.recoveredSeq
+	b.mu.Unlock()
+	if stale {
+		return nil, 0, false, nil
 	}
 	return snap.Resources, snap.Seq, true, nil
 }
@@ -124,7 +134,7 @@ func (b *FileBackend) Bootstrap(st *store.Store, seq uint64) error {
 	if err != nil {
 		return fmt.Errorf("persist: bootstrap export: %w", err)
 	}
-	if err := writeSnapshot(dir, seq, resources); err != nil {
+	if err := b.writeSnapshot(seq, resources); err != nil {
 		return err
 	}
 	w, err := openWAL(walPath(dir, seq+1), seq, b.opts.Fsync, b.onFsync)

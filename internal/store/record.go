@@ -40,12 +40,18 @@ const (
 // logs themselves fence a deposed leader: two records with the same
 // Seq but different Epochs identify the divergent suffix an old
 // leader committed after losing leadership.
+//
+// verified is DecodeRecord's mark: it proved Raw canonical while reading
+// it, so Apply copies Raw instead of scanning it a second time. Only this
+// package can set it, and it vouches for the bytes DecodeRecord returned;
+// code that puts other bytes in Raw builds a fresh Record.
 type Record struct {
-	Seq   uint64          `json:"s"`
-	Epoch uint64          `json:"e,omitempty"`
-	Op    RecordOp        `json:"o"`
-	ID    odata.ID        `json:"i"`
-	Raw   json.RawMessage `json:"r,omitempty"`
+	Seq      uint64          `json:"s"`
+	Epoch    uint64          `json:"e,omitempty"`
+	Op       RecordOp        `json:"o"`
+	ID       odata.ID        `json:"i"`
+	Raw      json.RawMessage `json:"r,omitempty"`
+	verified bool
 }
 
 // The record's encoding is json.Marshal(rec), which the tags above spell
@@ -86,7 +92,8 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 // DecodeRecord reads the envelope AppendRecord writes — fields in struct
 // order, the op "p" or "d", an id free of escapes, the resource last and
 // canonical (so valid) — into the Record json.Unmarshal would build from
-// it, Raw aliasing payload. It reports false for anything else, which is
+// it, Raw aliasing payload and marked verified, so that Apply does not
+// scan it again. It reports false for anything else, which is
 // json.Unmarshal's to read.
 func DecodeRecord(payload []byte) (rec Record, ok bool) {
 	p, ok := bytes.CutPrefix(payload, []byte(`{"s":`))
@@ -131,6 +138,7 @@ func DecodeRecord(payload []byte) (rec Record, ok bool) {
 		return rec, false
 	}
 	rec.Raw = p[: len(p)-1 : len(p)-1]
+	rec.verified = true
 	return rec, true
 }
 
@@ -177,11 +185,15 @@ type Backend interface {
 // (children index, collection invalidation, high-water marks). A delete
 // of an id that is already absent is not an error — the record merely
 // re-asserts an absence the snapshot already reflects. The changes it
-// emits are marked Replayed.
+// emits are marked Replayed. A put DecodeRecord verified is copied into
+// the tree as it is; any other is canonicalized, as Put would.
 func (s *Store) Apply(rec Record) error {
 	ctx := context.Background()
 	switch rec.Op {
 	case OpPut:
+		if rec.verified {
+			return s.putRaw(ctx, rec.ID, bytes.Clone(rec.Raw), true)
+		}
 		raw, err := canonicalize(rec.Raw)
 		if err != nil {
 			return err

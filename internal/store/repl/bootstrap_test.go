@@ -209,6 +209,116 @@ func TestReplBootstrapAcrossCompaction(t *testing.T) {
 	}
 }
 
+// TestReplBootstrapFromRestartedLeader: a leader restarted on a crashed
+// data dir writes no snapshot at boot, so until its first compaction the
+// newest snapshot on disk is the previous life's. That file lacks what
+// this boot put into the tree before attaching the backend (here one
+// resource, as the testbed puts its own), so a replica that bootstraps in
+// that window must be served a live export instead, and ends with the
+// leader's tree byte for byte.
+func TestReplBootstrapFromRestartedLeader(t *testing.T) {
+	dir := t.TempDir()
+	open := func(st *store.Store) (*persist.FileBackend, persist.RecoveryStats) {
+		t.Helper()
+		b, err := persist.Open(persist.Options{Dir: dir, Logger: quietLogger()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		stats, err := b.Recover(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b, stats
+	}
+	put := func(st *store.Store, name string) {
+		t.Helper()
+		id := odata.ID("/redfish/v1/Chassis/" + name)
+		if err := st.Put(id, map[string]any{"@odata.id": id, "Name": name}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	// First life: a compaction, more writes, then a crash: the backend is
+	// dropped unclosed, so its Close never compacts the directory.
+	first := service.New(service.Config{Logger: quietLogger(), DirectWrites: true})
+	defer first.Close()
+	b, stats := open(first.Store())
+	first.Store().AttachBackend(b, stats.LastSeq)
+	b.StartSnapshots(first.Store())
+	for i := 0; i < 20; i++ {
+		put(first.Store(), fmt.Sprintf("old-%d", i))
+	}
+	if err := b.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	for i := 20; i < 40; i++ {
+		put(first.Store(), fmt.Sprintf("old-%d", i))
+	}
+	first.Store().AttachBackend(nil, 0)
+
+	// Second life, wired as cmd/ofmf wires a leader.
+	leader, leaderMux := newLateNode()
+	replica, replicaMux := newLateNode()
+	defer leader.stop()
+	defer replica.stop()
+	leader.svc = service.New(service.Config{Logger: quietLogger(), DirectWrites: true})
+	st := leader.svc.Store()
+	b, stats = open(st)
+	if stats.SnapshotSeq == 0 || stats.Replayed == 0 {
+		t.Fatalf("stats %+v: the restart must load a snapshot and replay a tail", stats)
+	}
+	put(st, "this-boot") // before AttachBackend: in the tree, not in the log
+	st.AttachBackend(b, stats.LastSeq)
+	node, err := NewNode(Config{
+		Store:        st,
+		Self:         leader.srv.URL,
+		Peers:        []string{replica.srv.URL},
+		Leader:       true,
+		BootEpoch:    stats.LastEpoch,
+		Inner:        b,
+		DiskTail:     b.ReadRecords,
+		DiskFlush:    b.Flush,
+		DiskSnapshot: b.LatestSnapshot,
+		LeaseTimeout: 300 * time.Millisecond,
+		Logger:       quietLogger(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	leader.node = node
+	leaderMux.Handle("/", leader.svc.Handler())
+	leaderMux.Handle(PathPrefix, node.Handler())
+	node.Start()
+
+	replica.start(t, replicaMux, func(cfg *Config) {
+		cfg.Peers = []string{leader.srv.URL}
+	})
+	hub := leader.node.currentHub()
+	waitFor(t, 5*time.Second, "replica bootstrapped from the restarted leader", func() bool {
+		return replica.node.Status().LastSeq == hub.LastSeq()
+	})
+	want, err := st.Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := replica.svc.Store().Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(want, got) {
+		t.Fatalf("replica export differs from the restarted leader's (%d vs %d bytes)", len(got), len(want))
+	}
+	if _, seq, ok, err := b.LatestSnapshot(); err != nil || ok {
+		t.Fatalf("LatestSnapshot before the first Compact = seq %d, ok %v, %v; want no snapshot to serve", seq, ok, err)
+	}
+	if err := b.Compact(); err != nil {
+		t.Fatal(err)
+	}
+	if _, seq, ok, err := b.LatestSnapshot(); err != nil || !ok || seq < stats.LastSeq {
+		t.Fatalf("LatestSnapshot after the first Compact = seq %d, ok %v, %v; want one at or past %d", seq, ok, err, stats.LastSeq)
+	}
+}
+
 // TestReplPromotedLeaderDurability: a replica promoted with
 // PromoteBackend gets a data directory positioned at its applied
 // sequence; writes accepted after the failover must be recoverable from

@@ -228,8 +228,10 @@ func (s *Store) notify(changes ...Change) {
 
 // canonicalize is the one way payload bytes enter the tree: Put,
 // PutSubtree and Patch call it, and WAL replay, admin restore and
-// replication apply re-enter through Put (Import checks the same thing
-// as it scans, see scanExport). The invariant readers rely on follows:
+// replication apply re-enter through Put. Two readers check the same
+// thing as they parse and then skip it: Import (see scanExport) and Apply
+// of a record DecodeRecord verified (see Record). The invariant readers
+// rely on follows:
 // every stored payload is the output of json.Marshal — compact,
 // HTML-escaped, valid — and therefore a fixed point of it (marshalling a
 // stored payload as a json.RawMessage yields the same bytes). The

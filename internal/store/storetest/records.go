@@ -5,11 +5,34 @@
 package storetest
 
 import (
+	"bytes"
 	"encoding/json"
 
 	"ofmf/internal/odata"
 	"ofmf/internal/store"
 )
+
+// SameRecord reports whether a and b are the record reflect.DeepEqual
+// would call equal — every exported field, Raw's nil-ness included —
+// leaving out only the mark store.DecodeRecord puts on what it verified,
+// which a record json.Unmarshal builds never carries.
+func SameRecord(a, b store.Record) bool {
+	return a.Seq == b.Seq && a.Epoch == b.Epoch && a.Op == b.Op && a.ID == b.ID &&
+		(a.Raw == nil) == (b.Raw == nil) && bytes.Equal(a.Raw, b.Raw)
+}
+
+// SameRecords is SameRecord over two slices, position by position.
+func SameRecords(a, b []store.Record) bool {
+	if len(a) != len(b) || (a == nil) != (b == nil) {
+		return false
+	}
+	for i := range a {
+		if !SameRecord(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
 
 // Records takes every branch of the record writer: the by-hand envelope
 // (puts and deletes, with and without an epoch) and each reason it hands
