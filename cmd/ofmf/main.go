@@ -171,7 +171,7 @@ func main() {
 		// become a periodic MetricReport under the Redfish tree.
 		telem := telemetry.NewService(service.TelemetryServiceURI,
 			func(id odata.ID, res any) { _ = svc.Store().Put(id, res) },
-			func(rec redfish.EventRecord) { svc.Bus().Publish(rec) },
+			svc.Publish,
 		)
 		if err := telem.DefineReport("ManagementPlane", 10*time.Second,
 			obsv.SelfCollector{Registry: metrics.Registry()}); err != nil {

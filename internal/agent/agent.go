@@ -129,9 +129,9 @@ func (l *Local) PublishSubtree(ctx context.Context, prefix odata.ID, resources m
 	return l.Service.Store().PutSubtreeCtx(ctx, prefix, resources, keep...)
 }
 
-// PublishEvent publishes on the service bus.
+// PublishEvent publishes through Service.Publish (silent on a replica).
 func (l *Local) PublishEvent(rec redfish.EventRecord) {
-	l.Service.Bus().Publish(rec)
+	l.Service.Publish(rec)
 }
 
 // AttachHandler registers the handler with the service.

@@ -154,12 +154,6 @@ func (c *Client) Get(path odata.ID, out any) error {
 	return err
 }
 
-// GetCtx is Get with cancellation and trace propagation via ctx.
-func (c *Client) GetCtx(ctx context.Context, path odata.ID, out any) error {
-	_, err := c.doCtx(ctx, http.MethodGet, string(path), nil, out)
-	return err
-}
-
 // Root fetches the service root.
 func (c *Client) Root() (redfish.Root, error) {
 	var root redfish.Root

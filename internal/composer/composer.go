@@ -163,13 +163,6 @@ func New(svc *service.Service, policy Policy) *Composer {
 	}
 }
 
-// SetPolicy replaces the placement policy.
-func (c *Composer) SetPolicy(p Policy) {
-	c.mu.Lock()
-	c.policy = p
-	c.mu.Unlock()
-}
-
 // AddNode registers a compute node and publishes it as a physical
 // ComputerSystem.
 func (c *Composer) AddNode(name string, cores int, memoryMiB int64) error {

@@ -281,7 +281,7 @@ func New(cfg Config) (*Framework, error) {
 	// Telemetry: free-capacity gauges for every pool.
 	f.Telem = telemetry.NewService(service.TelemetryServiceURI,
 		func(id odata.ID, res any) { _ = f.Service.Store().Put(id, res) },
-		func(rec redfish.EventRecord) { f.Service.Bus().Publish(rec) },
+		f.Service.Publish,
 	)
 	mustTelem(f.Telem.DefineMetric("FreeMemoryMiB", "Gauge", "MiB"))
 	mustTelem(f.Telem.DefineMetric("FreeStorageBytes", "Gauge", "By"))

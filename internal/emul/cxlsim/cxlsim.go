@@ -99,9 +99,6 @@ type Appliance struct {
 // Option configures the appliance.
 type Option func(*Appliance)
 
-// WithLatency overrides the management latency model.
-func WithLatency(m LatencyModel) Option { return func(a *Appliance) { a.latency = m } }
-
 // WithoutSleep disables real sleeping for management latency; operations
 // still account their nominal durations but return immediately (used by
 // fast tests and the discrete-event harness).

@@ -21,6 +21,8 @@ import (
 	"net/http"
 	"net/url"
 	"runtime"
+	"slices"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -301,6 +303,15 @@ type Subscription struct {
 	consecutive int64 // consecutive delivery failures (atomic)
 }
 
+// holds reports whether the subscription already delivers to sink, an
+// HTTP destination, with f and contextStr.
+func (s *Subscription) holds(sink Sink, f Filter, contextStr string) bool {
+	cur, ok1 := s.sink.(*HTTPSink)
+	next, ok2 := sink.(*HTTPSink)
+	return ok1 && ok2 && cur.URL == next.URL && cur.Client == next.Client && s.Context == contextStr &&
+		s.Filter.Subordinate == f.Subordinate && slices.Equal(s.Filter.EventTypes, f.EventTypes) && slices.Equal(s.Filter.Origins, f.Origins)
+}
+
 // queueLen returns the pending count. Callers hold s.mu.
 func (s *Subscription) queueLen() int { return len(s.pending) - s.headIdx }
 
@@ -361,7 +372,9 @@ type Bus struct {
 	backoff resilience.Backoff
 
 	// snap is the publish path's copy-on-write subscription index;
-	// PublishCtx takes no lock.
+	// PublishCtx takes no lock while it is built. Subscription churn
+	// only clears it, and the next publish rebuilds it (see index), so
+	// replaying n stored subscriptions at boot costs no n rebuilds.
 	snap atomic.Pointer[snapshot]
 
 	mu     sync.Mutex // guards subs, nextID, closed, snapshot swaps
@@ -413,7 +426,6 @@ func NewBus(cfg Config) *Bus {
 		subs:    make(map[string]*Subscription),
 		ready:   newReadyQueue(),
 	}
-	b.snap.Store(emptySnapshot)
 	if !cfg.Synchronous {
 		b.wg.Add(cfg.Workers)
 		for i := 0; i < cfg.Workers; i++ {
@@ -426,29 +438,51 @@ func NewBus(cfg Config) *Bus {
 // ErrClosed is returned when operating on a closed bus.
 var ErrClosed = errors.New("events: bus closed")
 
-// Subscribe registers a sink with a filter and returns the subscription.
+// Subscribe registers an in-process sink with a filter and returns the
+// subscription. Its id is "local-N", which never equals the numeric
+// leaf of a stored EventDestination (those are registered with Set).
 func (b *Bus) Subscribe(sink Sink, filter Filter, contextStr string) (*Subscription, error) {
 	b.mu.Lock()
-	defer b.mu.Unlock()
+	b.nextID++
+	id := "local-" + strconv.FormatInt(b.nextID, 10)
+	b.mu.Unlock()
+	return b.Set(id, sink, filter, contextStr)
+}
+
+// Set registers sink under id, replacing whatever subscription id held;
+// a nil sink only removes it. A replaced or removed subscription is
+// retired — its queue discarded, its in-flight delivery cancelled — but
+// Set does not wait for a worker to leave it, so it may be called under
+// a lock that a delivery's OnDeliveryFailure callback takes. Setting
+// what id already holds — the same HTTP destination, filter and context
+// — keeps the subscription, its queue and its failure count.
+func (b *Bus) Set(id string, sink Sink, filter Filter, contextStr string) (*Subscription, error) {
+	b.mu.Lock()
 	if b.closed {
+		b.mu.Unlock()
 		return nil, ErrClosed
 	}
-	b.nextID++
-	ctx, cancel := context.WithCancel(context.Background())
-	sub := &Subscription{
-		ID:      fmt.Sprintf("%d", b.nextID),
-		Context: contextStr,
-		Filter:  filter,
-		sink:    sink,
-		ctx:     ctx,
-		cancel:  cancel,
+	old := b.subs[id]
+	if old == nil && sink == nil || old != nil && old.holds(sink, filter, contextStr) {
+		b.mu.Unlock()
+		return old, nil
 	}
-	sub.cond = sync.NewCond(&sub.mu)
-	if contextStr != "" {
-		sub.contextJSON, _ = json.Marshal(contextStr) // a string always marshals
+	delete(b.subs, id)
+	var sub *Subscription
+	if sink != nil {
+		ctx, cancel := context.WithCancel(context.Background())
+		sub = &Subscription{ID: id, Context: contextStr, Filter: filter, sink: sink, ctx: ctx, cancel: cancel}
+		sub.cond = sync.NewCond(&sub.mu)
+		if contextStr != "" {
+			sub.contextJSON, _ = json.Marshal(contextStr) // a string always marshals
+		}
+		b.subs[id] = sub
 	}
-	b.subs[sub.ID] = sub
-	b.snap.Store(buildSnapshot(b.subs))
+	b.snap.Store(nil)
+	b.mu.Unlock()
+	if old != nil {
+		b.retire(old)
+	}
 	return sub, nil
 }
 
@@ -457,15 +491,11 @@ func (b *Bus) Subscribe(sink Sink, filter Filter, contextStr string) (*Subscript
 func (b *Bus) Unsubscribe(id string) error {
 	b.mu.Lock()
 	sub, ok := b.subs[id]
-	if ok {
-		delete(b.subs, id)
-		b.snap.Store(buildSnapshot(b.subs))
-	}
 	b.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("events: no subscription %q", id)
 	}
-	b.retire(sub)
+	_, _ = b.Set(id, nil, Filter{}, "")
 	sub.mu.Lock()
 	for sub.active {
 		sub.cond.Wait()
@@ -511,9 +541,10 @@ func (b *Bus) Publish(rec redfish.EventRecord) {
 // happen inside the publishing request's trace. Only the trace identity
 // is captured: queued deliveries are not cancelled when ctx is.
 //
-// The subscription index is read through one atomic snapshot load, so
-// publishing never contends with Subscribe/Unsubscribe; cost scales
-// with the matching subscribers, not the total subscription count. A
+// The subscription index is read through one atomic snapshot load; only
+// the first publish after subscription churn takes the bus lock, to
+// rebuild it. Cost scales with the matching subscribers, not the total
+// subscription count. A
 // record no subscription admits is counted and observed, and costs no
 // allocation: it is matched before anything is built for delivery.
 func (b *Bus) PublishCtx(ctx context.Context, rec redfish.EventRecord) {
@@ -528,7 +559,7 @@ func (b *Bus) PublishCtx(ctx context.Context, rec redfish.EventRecord) {
 func (b *Bus) PublishLazy(ctx context.Context, eventType string, origin odata.ID, build func() redfish.EventRecord) {
 	start := time.Now()
 	atomic.AddInt64(&b.published, 1)
-	if targets := b.snap.Load().match(eventType, origin, nil); len(targets) > 0 {
+	if targets := b.index().match(eventType, origin, nil); len(targets) > 0 {
 		sc, _ := obsv.SpanContextFrom(ctx)
 		env := newEnvelope(build(), sc)
 		for _, sub := range targets {
@@ -542,6 +573,22 @@ func (b *Bus) PublishLazy(ctx context.Context, eventType string, origin odata.ID
 	if b.cfg.PublishObserver != nil {
 		b.cfg.PublishObserver(time.Since(start))
 	}
+}
+
+// index returns the subscription index, building it if churn cleared
+// it since the last publish.
+func (b *Bus) index() *snapshot {
+	if sn := b.snap.Load(); sn != nil {
+		return sn
+	}
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	sn := b.snap.Load()
+	if sn == nil {
+		sn = buildSnapshot(b.subs)
+		b.snap.Store(sn)
+	}
+	return sn
 }
 
 // enqueue appends the envelope to the subscription's FIFO queue and
@@ -668,6 +715,12 @@ func (b *Bus) attempt(sub *Subscription, env *envelope) {
 		}
 	}
 	span.EndErr(err)
+	if sub.ctx.Err() != nil {
+		// Retirement cut the last attempt short: the event goes with its
+		// subscription, and the destination is not to blame.
+		atomic.AddInt64(&b.droppedClosed, 1)
+		return
+	}
 	b.countFailure(sub)
 }
 
@@ -714,12 +767,9 @@ func (b *Bus) Close() {
 		return
 	}
 	b.closed = true
-	subs := make([]*Subscription, 0, len(b.subs))
-	for _, s := range b.subs {
-		subs = append(subs, s)
-	}
+	subs := b.subs
 	b.subs = make(map[string]*Subscription)
-	b.snap.Store(emptySnapshot)
+	b.snap.Store(nil)
 	b.mu.Unlock()
 	for _, s := range subs {
 		b.retire(s)

@@ -262,3 +262,69 @@ func TestConcurrentPublish(t *testing.T) {
 	wg.Wait()
 	waitFor(t, func() bool { return c.count() == 4*n })
 }
+
+// TestRetireDuringLastAttemptIsNoFailure: re-filtering a subscription
+// (Set) cancels its in-flight delivery. An attempt cut short that way
+// discards the event with the subscription; it is no failure of the
+// destination, so OnDeliveryFailure does not mark it degraded.
+func TestRetireDuringLastAttemptIsNoFailure(t *testing.T) {
+	var failures atomic.Int32
+	b := NewBus(Config{RetryAttempts: 1, OnDeliveryFailure: func(string, int) { failures.Add(1) }})
+	defer b.Close()
+	entered := make(chan struct{}, 1)
+	sink := SinkFunc(func(ctx context.Context, _ redfish.Event) error {
+		entered <- struct{}{}
+		<-ctx.Done()
+		return ctx.Err()
+	})
+	if _, err := b.Set("1", sink, Filter{}, ""); err != nil {
+		t.Fatal(err)
+	}
+	b.Publish(Record(redfish.EventAlert, "1", "m", ""))
+	<-entered
+	if _, err := b.Set("1", sink, Filter{EventTypes: []string{redfish.EventStatusChange}}, ""); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, func() bool { return b.Stats().DroppedClosed == 1 })
+	if st := b.Stats(); st.Failed != 0 || failures.Load() != 0 {
+		t.Errorf("Failed = %d, OnDeliveryFailure calls = %d; want 0 and 0", st.Failed, failures.Load())
+	}
+}
+
+// TestSetKeepsAnUnchangedSubscription: setting what an id already holds
+// keeps the subscription, so a re-applied stored subscription keeps its
+// queue and failure count; any change of destination, filter or
+// context replaces it.
+func TestSetKeepsAnUnchangedSubscription(t *testing.T) {
+	b := NewBus(Config{})
+	defer b.Close()
+	set := func(dest string, f Filter, contextStr string) *Subscription {
+		t.Helper()
+		sink, err := NewHTTPSink(dest)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sub, err := b.Set("1", sink, f, contextStr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return sub
+	}
+	alerts := func() Filter { return Filter{EventTypes: []string{redfish.EventAlert}} }
+	prev := set("http://a.example/", alerts(), "c")
+	if set("http://a.example/", alerts(), "c") != prev {
+		t.Error("an unchanged Set replaced the subscription")
+	}
+	for _, next := range []func() *Subscription{
+		func() *Subscription { return set("http://b.example/", alerts(), "c") },
+		func() *Subscription { return set("http://b.example/", Filter{}, "c") },
+		func() *Subscription { return set("http://b.example/", Filter{Origins: []odata.ID{"/x"}}, "c") },
+		func() *Subscription { return set("http://b.example/", Filter{Origins: []odata.ID{"/x"}}, "d") },
+	} {
+		sub := next()
+		if sub == prev {
+			t.Errorf("a changed Set kept the subscription (%+v)", sub.Filter)
+		}
+		prev = sub
+	}
+}

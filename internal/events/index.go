@@ -37,12 +37,10 @@ type snapshot struct {
 	count    int
 }
 
-var emptySnapshot = &snapshot{}
-
 // buildSnapshot indexes the current subscription set. It is a full
-// rebuild — O(n) per subscribe/unsubscribe — which keeps the structure
-// trivially immutable; subscription churn is orders of magnitude rarer
-// than publishes, which pay nothing for it.
+// rebuild — O(n) on the first publish after subscription churn — which
+// keeps the structure trivially immutable; subscription churn is orders
+// of magnitude rarer than publishes, which pay nothing for it.
 func buildSnapshot(subs map[string]*Subscription) *snapshot {
 	sn := &snapshot{
 		byType:   make(map[string][]*Subscription),

@@ -19,12 +19,6 @@ type memTransport struct {
 	handler atomic.Pointer[http.Handler]
 }
 
-func newMemTransport(h http.Handler) *memTransport {
-	m := &memTransport{}
-	m.set(h)
-	return m
-}
-
 func (m *memTransport) set(h http.Handler) { m.handler.Store(&h) }
 
 // kill makes every subsequent request fail until set is called again.

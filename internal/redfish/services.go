@@ -105,8 +105,17 @@ type SessionService struct {
 // Session is one authenticated session.
 type Session struct {
 	odata.Resource
-	UserName    string `json:"UserName"`
-	CreatedTime string `json:"CreatedTime,omitempty"`
+	UserName    string      `json:"UserName"`
+	CreatedTime string      `json:"CreatedTime,omitempty"`
+	Oem         *SessionOem `json:"Oem,omitempty"`
+}
+
+// SessionOem carries the hash the OFMF validates a session's token
+// against; the token itself is never stored.
+type SessionOem struct {
+	OFMF struct {
+		TokenSHA256 string `json:"TokenSHA256"`
+	} `json:"OFMF"`
 }
 
 // TelemetryService holds metric definitions and reports.

@@ -568,24 +568,26 @@ func (s *Service) postSession(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &creds) {
 		return
 	}
-	sess, err := s.sessions.Login(creds.UserName, creds.Password)
-	if err != nil {
+	sess, err := s.sessions.Login(r.Context(), creds.UserName, creds.Password)
+	switch {
+	case errors.Is(err, sessions.ErrInvalidCredentials):
 		s.error(w, r, http.StatusUnauthorized, "Base.1.0.NoValidSession", "invalid credentials")
 		return
+	case err != nil:
+		s.fail(w, r, err)
+		return
 	}
+	// The reply is the stored Session, which holds the token's hash;
+	// the token itself travels only in the X-Auth-Token header.
 	uri := SessionsURI.Append(sess.ID)
-	res := redfish.Session{
-		Resource:    odata.NewResource(uri, redfish.TypeSession, "Session "+sess.ID),
-		UserName:    sess.User,
-		CreatedTime: redfish.Timestamp(sess.Created),
-	}
-	if err := s.store.PutCtx(r.Context(), uri, res); err != nil {
+	raw, _, err := s.store.Get(uri)
+	if err != nil {
 		s.fail(w, r, err)
 		return
 	}
 	w.Header().Set("X-Auth-Token", sess.Token)
 	w.Header().Set("Location", string(uri))
-	s.json(w, http.StatusCreated, res)
+	s.json(w, http.StatusCreated, raw)
 }
 
 func (s *Service) postSubscription(w http.ResponseWriter, r *http.Request) {
@@ -597,37 +599,64 @@ func (s *Service) postSubscription(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusBadRequest, "Base.1.0.PropertyMissing", "Destination is required")
 		return
 	}
-	// The destination is parsed here, once: the sink keeps the URL, and
-	// a string no delivery could ever reach is refused now instead of
+	// A string no delivery could ever reach is refused now instead of
 	// failing every event later.
-	sink, err := events.NewHTTPSink(dest.Destination)
-	if err != nil {
+	if _, err := events.NewHTTPSink(dest.Destination); err != nil {
 		s.error(w, r, http.StatusBadRequest, "Base.1.0.PropertyValueFormatError", err.Error())
 		return
 	}
-	filter := events.Filter{
-		EventTypes:  dest.EventTypes,
-		Origins:     odata.IDsOf(dest.OriginResources),
-		Subordinate: dest.SubordinateResources,
-	}
-	sub, err := s.bus.Subscribe(sink, filter, dest.Context)
+	var uri odata.ID
+	_, err := s.createInCollection(r.Context(), SubscriptionsURI, func(_ context.Context, u odata.ID) (any, error) {
+		uri = u
+		dest.Resource = odata.NewResource(u, redfish.TypeEventDestination, "Subscription "+u.Leaf())
+		dest.Protocol = "Redfish"
+		dest.Status = odata.StatusOK()
+		return dest, nil
+	})
 	if err != nil {
-		s.error(w, r, http.StatusServiceUnavailable, "Base.1.0.ServiceShuttingDown", err.Error())
-		return
-	}
-	uri := SubscriptionsURI.Append(sub.ID)
-	dest.Resource = odata.NewResource(uri, redfish.TypeEventDestination, "Subscription "+sub.ID)
-	dest.Protocol = "Redfish"
-	dest.Status = odata.StatusOK()
-	if err := s.store.PutCtx(r.Context(), uri, dest); err != nil {
-		// No resource, no subscription: the bus must not keep delivering
-		// to a destination no client can see or delete.
-		_ = s.bus.Unsubscribe(sub.ID)
+		// No resource, no subscription: a create the log refused leaves
+		// the tree, and with it the bus, so nothing keeps delivering to a
+		// destination no client was told about.
+		_ = s.store.Delete(uri)
 		s.fail(w, r, err)
 		return
 	}
 	w.Header().Set("Location", string(uri))
 	s.json(w, http.StatusCreated, dest)
+}
+
+// subscription is what of a stored EventDestination shapes its bus
+// subscription.
+type subscription struct {
+	Destination          string
+	Context              string
+	EventTypes           []string
+	OriginResources      []odata.Ref
+	SubordinateResources bool
+}
+
+// applySubscription brings the bus to the stored EventDestination at id
+// (raw nil: deleted); its store.Projection calls it with s.subsMu held. A
+// changed destination, filter or context replaces the bus subscription.
+// Bus.Set keeps an unchanged one, so any other change — the
+// Status.Health PATCHes OnDeliveryFailure writes — leaves it, its queue
+// and its failure count alone. Bus.Set never waits for a delivery
+// worker, so a failure callback re-entering here from a worker cannot
+// deadlock against it.
+func (s *Service) applySubscription(id odata.ID, raw json.RawMessage) {
+	var dest subscription
+	if raw != nil && json.Unmarshal(raw, &dest) == nil {
+		if sink, err := events.NewHTTPSink(dest.Destination); err == nil {
+			filter := events.Filter{
+				EventTypes:  dest.EventTypes,
+				Origins:     odata.IDsOf(dest.OriginResources),
+				Subordinate: dest.SubordinateResources,
+			}
+			_, _ = s.bus.Set(id.Leaf(), sink, filter, dest.Context)
+			return
+		}
+	}
+	_, _ = s.bus.Set(id.Leaf(), nil, events.Filter{}, "")
 }
 
 // createInCollection atomically allocates the next id in coll, invokes
@@ -744,9 +773,17 @@ func (s *Service) handlePatch(w http.ResponseWriter, r *http.Request, id odata.I
 	if !s.decode(w, r, &patch) {
 		return
 	}
-	if _, _, owned := s.handlerFor(id); !owned && !s.cfg.DirectWrites && !s.patchableAlways(id) {
+	if _, _, owned := s.handlerFor(id); id.Under(SessionsURI) || !owned && !s.cfg.DirectWrites && !s.patchableAlways(id) {
+		// A Session is what authentication trusts, so only login and
+		// logout write one.
 		s.error(w, r, http.StatusMethodNotAllowed, "Base.1.0.OperationNotAllowed", "resource is read-only")
 		return
+	}
+	if id.Parent() == SubscriptionsURI {
+		if err := checkSubscriptionPatch(patch); err != nil {
+			s.error(w, r, http.StatusBadRequest, "Base.1.0.PropertyValueFormatError", err.Error())
+			return
+		}
 	}
 	// The reply is the bytes and entity tag the patch just wrote, not a
 	// second lookup that a concurrent writer could get in front of.
@@ -759,6 +796,19 @@ func (s *Service) handlePatch(w http.ResponseWriter, r *http.Request, id odata.I
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(http.StatusOK)
 	_, _ = w.Write(raw)
+}
+
+// checkSubscriptionPatch refuses what a POST would refuse: a property of
+// the wrong type or a Destination no delivery could reach. Stored, either
+// would silently drop the bus subscription.
+func checkSubscriptionPatch(patch map[string]any) error {
+	raw, _ := json.Marshal(patch) // decoded JSON always encodes
+	var dest subscription
+	err := json.Unmarshal(raw, &dest)
+	if _, ok := patch["Destination"]; ok && err == nil {
+		_, err = events.NewHTTPSink(dest.Destination)
+	}
+	return err
 }
 
 // patchableAlways lists resources clients may patch even without
@@ -775,16 +825,9 @@ func (s *Service) handleDelete(w http.ResponseWriter, r *http.Request, id odata.
 	}
 	parent := id.Parent()
 	switch {
-	case parent == SessionsURI:
-		if err := s.sessions.Logout(id.Leaf()); err != nil && !errors.Is(err, sessions.ErrNotFound) {
-			s.error(w, r, http.StatusInternalServerError, "Base.1.0.InternalError", err.Error())
-			return
-		}
-	case parent == SubscriptionsURI:
-		if err := s.bus.Unsubscribe(id.Leaf()); err != nil {
-			s.error(w, r, http.StatusNotFound, "Base.1.0.ResourceMissingAtURI", err.Error())
-			return
-		}
+	case parent == SessionsURI || parent == SubscriptionsURI:
+		// Deleting the resource is the whole logout or unsubscribe: the
+		// session table and the bus are projections of the tree.
 	case parent == AggregationSourcesURI:
 		// Deleting an aggregation source also drops its aggregated subtree.
 		var src redfish.AggregationSource

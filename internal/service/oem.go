@@ -193,6 +193,12 @@ func (s *Service) handleSubtreePush(w http.ResponseWriter, r *http.Request) {
 		s.error(w, r, http.StatusBadRequest, "Base.1.0.PropertyValueError", "Prefix must lie under the service root")
 		return
 	}
+	if payload.Prefix.Under(SessionsURI) || SessionsURI.Under(payload.Prefix) {
+		// A Session is what authentication trusts, so only login and
+		// logout write one.
+		s.error(w, r, http.StatusBadRequest, "Base.1.0.PropertyValueError", "Prefix must not cover the sessions")
+		return
+	}
 	resources := make(map[odata.ID]any, len(payload.Resources))
 	for id, raw := range payload.Resources {
 		resources[id] = raw

@@ -15,11 +15,6 @@ import (
 // and SSE (whose event sequence is leader-owned) go to the leader,
 // either as a 307 redirect the client follows itself or through a
 // reverse proxy when clients cannot chase redirects.
-//
-// Sessions are node-local: a token minted by the leader does not
-// validate on a replica. Replicated read scale-out therefore pairs with
-// either tokenless deployments (trusted management network) or clients
-// that pin reads to one node per session.
 type replicaMode struct {
 	// leader returns the current leader's base URL ("" while the
 	// replication layer is between leaders).

@@ -152,7 +152,8 @@ type Service struct {
 	mu       sync.RWMutex
 	handlers map[odata.ID]FabricHandler
 	composer SystemComposer
-	eventSeq int64
+
+	subsMu sync.Mutex // serializes applySubscription
 
 	// hosts indexes AggregationSource.HostName → source URI for O(1)
 	// registration dedup (see hostIndex).
@@ -211,11 +212,7 @@ func New(cfg Config) *Service {
 		tracer:   cfg.Tracer,
 		handlers: make(map[odata.ID]FabricHandler),
 	}
-	// The host index watches from the very first mutation (before
-	// bootstrap), so it also covers sources re-created by WAL recovery
-	// replay and never needs to scan the collection.
 	s.hosts = newHostIndex(s.store)
-	s.store.Watch(s.hosts.onChange)
 	// One counter per store.OpNames entry, resolved up front: With builds
 	// a key string on every call, which would put an allocation on the
 	// zero-alloc read path. Finding the op is a scan of a dozen short
@@ -262,6 +259,10 @@ func New(cfg Config) *Service {
 		}
 	}
 	s.bus = events.NewBus(evCfg)
+	// Stored subscriptions reach the bus only through this projection:
+	// live POSTs, PATCHes and DELETEs, WAL replay and a leader's stream
+	// alike, so a restart or a promotion needs no rebuild step.
+	s.store.Watch(s.store.Projection(SubscriptionsURI, &s.subsMu, s.applySubscription))
 	// Event-bus statistics surface as function metrics read at scrape
 	// time, so the bus keeps sole ownership of its counters.
 	reg := s.metrics.Registry()
@@ -295,15 +296,12 @@ func New(cfg Config) *Service {
 	reg.GaugeFunc("ofmf_event_queue_depth",
 		"Events waiting across all subscription queues.",
 		func() float64 { return float64(s.bus.Pool().Queued) })
-	s.tasks = tasks.NewService(TasksURI,
-		tasks.WithMirror(func(id odata.ID, task redfish.Task) { _ = s.store.Put(id, task) }),
-		tasks.WithNotifier(func(rec redfish.EventRecord) { s.bus.Publish(rec) }),
-	)
+	s.tasks = tasks.NewService(s.store, TasksURI, tasks.WithNotifier(s.Publish))
 	check := cfg.Credentials
 	if check == nil {
 		check = func(string, string) bool { return true }
 	}
-	s.sessions = sessions.NewService(check, cfg.SessionTimeout)
+	s.sessions = sessions.NewService(s.store, SessionsURI, check, cfg.SessionTimeout)
 	s.bootstrap()
 	if cfg.ChangeEvents == nil || *cfg.ChangeEvents {
 		s.store.Watch(s.publishChange)
@@ -320,9 +318,6 @@ func (s *Service) Bus() *events.Bus { return s.bus }
 
 // Tasks exposes the task service.
 func (s *Service) Tasks() *tasks.Service { return s.tasks }
-
-// Sessions exposes the session service.
-func (s *Service) Sessions() *sessions.Service { return s.sessions }
 
 // Logger exposes the service's structured logger so in-process
 // components (composer, agents) log into the same correlated stream.
@@ -453,25 +448,41 @@ func (s *Service) publishChange(c store.Change) {
 	// its leader's stream): whoever made it has already announced it.
 	// Task resources already produce dedicated task events; subscription
 	// and session churn is excluded to avoid event-about-event feedback.
-	if c.Replayed || c.ID.Under(TasksURI) || c.ID.Under(SubscriptionsURI) || c.ID.Under(SessionsURI) {
+	if c.Replayed || s.following() || c.ID.Under(TasksURI) || c.ID.Under(SubscriptionsURI) || c.ID.Under(SessionsURI) {
 		return
 	}
-	s.mu.Lock()
-	s.eventSeq++
-	id := s.eventSeq
-	s.mu.Unlock()
+	// The EventId is the change's commit sequence, which a restart
+	// continues and a replica shares with its leader; an unlogged tree
+	// numbers its changes instead.
+	id := c.Commit
+	if id == 0 {
+		id = c.Seq
+	}
 	ctx := c.Ctx
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	// The record is built only if a subscription admits it: a change
-	// nobody can receive still takes its event id, but costs no
-	// timestamp, reference or strings.
+	// nobody can receive costs no timestamp, reference or strings.
 	kind := c.Kind.String()
 	s.bus.PublishLazy(ctx, kind, c.ID, func() redfish.EventRecord {
-		return events.Record(kind, strconv.FormatInt(id, 10), kind+": "+string(c.ID), c.ID)
+		return events.Record(kind, strconv.FormatUint(id, 10), kind+": "+string(c.ID), c.ID)
 	})
 }
+
+// Publish announces rec on the event bus, as publishChange announces
+// tree changes; in-process producers (tasks, telemetry) publish here.
+func (s *Service) Publish(rec redfish.EventRecord) {
+	if !s.following() {
+		s.bus.Publish(rec)
+	}
+}
+
+// following is the one gate between the service and the bus: a replica
+// announces nothing. Its tree, and so every event about it, is its
+// leader's; it holds subscriptions only so they are live the moment it
+// is promoted.
+func (s *Service) following() bool { return s.replica.Load() != nil }
 
 // RegisterFabricHandler attaches an Agent's handler for the subtree
 // rooted at prefix (a fabric, a chassis, a storage service): requests

@@ -1,24 +1,35 @@
 // Package sessions implements the Redfish SessionService: token-based
 // authentication for OFMF clients. A session is created by POSTing
 // credentials to the session collection; the returned X-Auth-Token
-// authenticates subsequent requests until the session expires or is
-// deleted.
+// authenticates subsequent requests until the session expires or its
+// resource is deleted.
+//
+// The stored Session resource is the session: it carries the SHA-256
+// of the token, never the token, and the service validates tokens
+// against a store.Projection of the collection. A token
+// therefore survives a restart and validates on a caught-up replica.
 package sessions
 
 import (
+	"context"
 	"crypto/rand"
+	"crypto/sha256"
 	"encoding/hex"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
 	"time"
+
+	"ofmf/internal/odata"
+	"ofmf/internal/redfish"
+	"ofmf/internal/store"
 )
 
 // Sentinel errors.
 var (
 	ErrInvalidCredentials = errors.New("sessions: invalid credentials")
 	ErrInvalidToken       = errors.New("sessions: invalid or expired token")
-	ErrNotFound           = errors.New("sessions: session not found")
 )
 
 // Credentials validates a username/password pair. The OFMF testbed uses a
@@ -33,25 +44,26 @@ func StaticCredentials(table map[string]string) Credentials {
 	}
 }
 
-// Session is one live authenticated session.
+// Session is one authenticated session. Token is set only on the
+// session Login returns and Validate was given.
 type Session struct {
 	ID      string
 	User    string
 	Token   string
-	Created time.Time
 	Expires time.Time
 }
 
 // Service manages sessions.
 type Service struct {
+	st      *store.Store
+	coll    odata.ID
 	check   Credentials
 	timeout time.Duration
 	now     func() time.Time
 
-	mu      sync.Mutex
-	nextID  int
-	byID    map[string]*Session
-	byToken map[string]*Session
+	mu     sync.Mutex
+	byHash map[[sha256.Size]byte]Session // the projection: token hash → session
+	hashOf map[odata.ID][sha256.Size]byte
 }
 
 // Option configures the service.
@@ -60,26 +72,28 @@ type Option func(*Service)
 // WithClock overrides the time source (tests).
 func WithClock(now func() time.Time) Option { return func(s *Service) { s.now = now } }
 
-// NewService creates a session service. timeout bounds session lifetime.
-func NewService(check Credentials, timeout time.Duration, opts ...Option) *Service {
+// NewService creates a session service over the session collection coll
+// of st. timeout bounds session lifetime.
+func NewService(st *store.Store, coll odata.ID, check Credentials, timeout time.Duration, opts ...Option) *Service {
 	s := &Service{
+		st:      st,
+		coll:    coll,
 		check:   check,
 		timeout: timeout,
 		now:     time.Now,
-		byID:    make(map[string]*Session),
-		byToken: make(map[string]*Session),
+		byHash:  make(map[[sha256.Size]byte]Session),
+		hashOf:  make(map[odata.ID][sha256.Size]byte),
 	}
 	for _, o := range opts {
 		o(s)
 	}
+	st.Watch(st.Projection(coll, &s.mu, s.apply))
 	return s
 }
 
-// Timeout returns the configured session lifetime.
-func (s *Service) Timeout() time.Duration { return s.timeout }
-
-// Login validates credentials and creates a session.
-func (s *Service) Login(user, password string) (*Session, error) {
+// Login validates credentials and stores a new Session resource under
+// the collection's next free id.
+func (s *Service) Login(ctx context.Context, user, password string) (*Session, error) {
 	if !s.check(user, password) {
 		return nil, ErrInvalidCredentials
 	}
@@ -87,84 +101,51 @@ func (s *Service) Login(user, password string) (*Session, error) {
 	if _, err := rand.Read(tok); err != nil {
 		return nil, fmt.Errorf("sessions: token generation: %w", err)
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nextID++
-	now := s.now()
-	sess := &Session{
-		ID:      fmt.Sprintf("%d", s.nextID),
-		User:    user,
-		Token:   hex.EncodeToString(tok),
-		Created: now,
-		Expires: now.Add(s.timeout),
-	}
-	s.byID[sess.ID] = sess
-	s.byToken[sess.Token] = sess
-	return copySession(sess), nil
-}
-
-// Validate checks a token and returns the owning session. Expired sessions
-// are reaped lazily.
-func (s *Service) Validate(token string) (*Session, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess, ok := s.byToken[token]
-	if !ok {
-		return nil, ErrInvalidToken
-	}
-	if s.now().After(sess.Expires) {
-		delete(s.byID, sess.ID)
-		delete(s.byToken, sess.Token)
-		return nil, ErrInvalidToken
-	}
-	return copySession(sess), nil
-}
-
-// Logout deletes the session with the given id.
-func (s *Service) Logout(id string) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess, ok := s.byID[id]
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	delete(s.byID, id)
-	delete(s.byToken, sess.Token)
-	return nil
-}
-
-// Get returns the session with the given id if it is still valid.
-func (s *Service) Get(id string) (*Session, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	sess, ok := s.byID[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	if s.now().After(sess.Expires) {
-		delete(s.byID, sess.ID)
-		delete(s.byToken, sess.Token)
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return copySession(sess), nil
-}
-
-// List returns the ids of live sessions.
-func (s *Service) List() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	now := s.now()
-	ids := make([]string, 0, len(s.byID))
-	for id, sess := range s.byID {
-		if now.After(sess.Expires) {
-			continue
+	created := s.now().UTC().Truncate(time.Second)
+	sess := &Session{User: user, Token: hex.EncodeToString(tok), Expires: created.Add(s.timeout)}
+	sum := sha256.Sum256([]byte(sess.Token))
+	res := redfish.Session{UserName: user, CreatedTime: redfish.Timestamp(created), Oem: &redfish.SessionOem{}}
+	res.Oem.OFMF.TokenSHA256 = hex.EncodeToString(sum[:])
+	for {
+		sess.ID = s.st.NextID(s.coll)
+		uri := s.coll.Append(sess.ID)
+		res.Resource = odata.NewResource(uri, redfish.TypeSession, "Session "+sess.ID)
+		if err := s.st.CreateCtx(ctx, uri, res); !errors.Is(err, store.ErrExists) {
+			return sess, err
 		}
-		ids = append(ids, id)
 	}
-	return ids
 }
 
-func copySession(s *Session) *Session {
-	c := *s
-	return &c
+// Validate checks a token and returns the owning session.
+func (s *Service) Validate(token string) (*Session, error) {
+	sum := sha256.Sum256([]byte(token))
+	s.mu.Lock()
+	sess, ok := s.byHash[sum]
+	s.mu.Unlock()
+	if !ok || s.now().After(sess.Expires) {
+		return nil, ErrInvalidToken
+	}
+	sess.Token = token
+	return &sess, nil
+}
+
+// apply brings the projection to the stored session at id (raw nil:
+// deleted). The projection calls it with s.mu held.
+func (s *Service) apply(id odata.ID, raw json.RawMessage) {
+	if h, ok := s.hashOf[id]; ok {
+		delete(s.byHash, h)
+		delete(s.hashOf, id)
+	}
+	var res redfish.Session
+	if raw == nil || json.Unmarshal(raw, &res) != nil || res.Oem == nil {
+		return
+	}
+	sum, herr := hex.DecodeString(res.Oem.OFMF.TokenSHA256)
+	created, err := time.Parse(time.RFC3339, res.CreatedTime)
+	if herr != nil || err != nil || len(sum) != sha256.Size {
+		return
+	}
+	h := [sha256.Size]byte(sum)
+	s.hashOf[id] = h
+	s.byHash[h] = Session{ID: id.Leaf(), User: res.UserName, Expires: created.Add(s.timeout)}
 }

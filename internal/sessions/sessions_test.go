@@ -1,21 +1,34 @@
 package sessions
 
 import (
+	"context"
 	"errors"
 	"sync"
 	"testing"
 	"time"
+
+	"ofmf/internal/odata"
+	"ofmf/internal/store"
 )
+
+const coll = odata.ID("/redfish/v1/SessionService/Sessions")
 
 func newTestService(now *time.Time) *Service {
 	check := StaticCredentials(map[string]string{"admin": "secret"})
-	return NewService(check, time.Hour, WithClock(func() time.Time { return *now }))
+	st := store.New()
+	st.RegisterCollection(coll, "#SessionCollection.SessionCollection", "Sessions")
+	return NewService(st, coll, check, time.Hour, WithClock(func() time.Time { return *now }))
+}
+
+// logout deletes the session's resource, which is all a logout is.
+func logout(svc *Service, id string) error {
+	return svc.st.Delete(coll.Append(id))
 }
 
 func TestLoginValidate(t *testing.T) {
 	now := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
 	svc := newTestService(&now)
-	sess, err := svc.Login("admin", "secret")
+	sess, err := svc.Login(context.Background(), "admin", "secret")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,10 +47,10 @@ func TestLoginValidate(t *testing.T) {
 func TestLoginRejectsBadCredentials(t *testing.T) {
 	now := time.Now()
 	svc := newTestService(&now)
-	if _, err := svc.Login("admin", "wrong"); !errors.Is(err, ErrInvalidCredentials) {
+	if _, err := svc.Login(context.Background(), "admin", "wrong"); !errors.Is(err, ErrInvalidCredentials) {
 		t.Errorf("err = %v", err)
 	}
-	if _, err := svc.Login("ghost", "secret"); !errors.Is(err, ErrInvalidCredentials) {
+	if _, err := svc.Login(context.Background(), "ghost", "secret"); !errors.Is(err, ErrInvalidCredentials) {
 		t.Errorf("err = %v", err)
 	}
 }
@@ -53,7 +66,7 @@ func TestValidateRejectsUnknownToken(t *testing.T) {
 func TestExpiry(t *testing.T) {
 	now := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
 	svc := newTestService(&now)
-	sess, err := svc.Login("admin", "secret")
+	sess, err := svc.Login(context.Background(), "admin", "secret")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -61,42 +74,46 @@ func TestExpiry(t *testing.T) {
 	if _, err := svc.Validate(sess.Token); !errors.Is(err, ErrInvalidToken) {
 		t.Errorf("expired token accepted: %v", err)
 	}
-	if _, err := svc.Get(sess.ID); !errors.Is(err, ErrNotFound) {
-		t.Errorf("expired session retrievable: %v", err)
-	}
 }
 
 func TestLogout(t *testing.T) {
 	now := time.Now()
 	svc := newTestService(&now)
-	sess, err := svc.Login("admin", "secret")
+	sess, err := svc.Login(context.Background(), "admin", "secret")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := svc.Logout(sess.ID); err != nil {
+	if err := logout(svc, sess.ID); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := svc.Validate(sess.Token); !errors.Is(err, ErrInvalidToken) {
 		t.Errorf("token valid after logout: %v", err)
 	}
-	if err := svc.Logout(sess.ID); !errors.Is(err, ErrNotFound) {
+	if err := logout(svc, sess.ID); !errors.Is(err, store.ErrNotFound) {
 		t.Errorf("double logout err = %v", err)
 	}
 }
 
-func TestListExcludesExpired(t *testing.T) {
+// TestExpiryIsPerSession: each session expires CreatedTime +
+// SessionTimeout after its own login, not with the others.
+func TestExpiryIsPerSession(t *testing.T) {
 	now := time.Date(2023, 1, 1, 0, 0, 0, 0, time.UTC)
 	svc := newTestService(&now)
-	if _, err := svc.Login("admin", "secret"); err != nil {
+	first, err := svc.Login(context.Background(), "admin", "secret")
+	if err != nil {
 		t.Fatal(err)
 	}
 	now = now.Add(30 * time.Minute)
-	if _, err := svc.Login("admin", "secret"); err != nil {
+	second, err := svc.Login(context.Background(), "admin", "secret")
+	if err != nil {
 		t.Fatal(err)
 	}
 	now = now.Add(45 * time.Minute) // first has expired, second has not
-	if got := len(svc.List()); got != 1 {
-		t.Errorf("List = %d sessions, want 1", got)
+	if _, err := svc.Validate(first.Token); !errors.Is(err, ErrInvalidToken) {
+		t.Errorf("expired first session validates: %v", err)
+	}
+	if _, err := svc.Validate(second.Token); err != nil {
+		t.Errorf("live second session rejected: %v", err)
 	}
 }
 
@@ -105,7 +122,7 @@ func TestTokensUnique(t *testing.T) {
 	svc := newTestService(&now)
 	seen := make(map[string]bool)
 	for i := 0; i < 50; i++ {
-		sess, err := svc.Login("admin", "secret")
+		sess, err := svc.Login(context.Background(), "admin", "secret")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -119,7 +136,7 @@ func TestTokensUnique(t *testing.T) {
 func TestReturnedSessionIsCopy(t *testing.T) {
 	now := time.Now()
 	svc := newTestService(&now)
-	sess, err := svc.Login("admin", "secret")
+	sess, err := svc.Login(context.Background(), "admin", "secret")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,7 +155,7 @@ func TestConcurrentLoginValidate(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			sess, err := svc.Login("admin", "secret")
+			sess, err := svc.Login(context.Background(), "admin", "secret")
 			if err != nil {
 				t.Error(err)
 				return
@@ -146,13 +163,16 @@ func TestConcurrentLoginValidate(t *testing.T) {
 			if _, err := svc.Validate(sess.Token); err != nil {
 				t.Error(err)
 			}
-			if err := svc.Logout(sess.ID); err != nil {
+			if err := logout(svc, sess.ID); err != nil {
 				t.Error(err)
+			}
+			if _, err := svc.Validate(sess.Token); !errors.Is(err, ErrInvalidToken) {
+				t.Errorf("token valid after logout: %v", err)
 			}
 		}()
 	}
 	wg.Wait()
-	if got := len(svc.List()); got != 0 {
-		t.Errorf("sessions remaining = %d", got)
+	if left, err := svc.st.Members(coll); err != nil || len(left) != 0 {
+		t.Errorf("sessions remaining = %v (%v)", left, err)
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"log/slog"
 	"net/http"
 	"net/http/httptest"
+	"strconv"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -491,5 +492,100 @@ func TestReplSmoke(t *testing.T) {
 		if !bytes.Equal(want, got) {
 			t.Fatalf("survivor exports diverge (%d vs %d bytes)", len(got), len(want))
 		}
+	}
+}
+
+// TestReplFailoverDeliversOnce: subscriptions are a projection of the
+// replicated tree, so every node holds them, but only the leader
+// announces. A write at the leader is delivered once — no replica
+// echoes it — and after the leader dies, a write at the promoted node
+// is delivered once, under an EventId above every earlier one: the
+// promoted node continues the commit sequence the EventIds are.
+func TestReplFailoverDeliversOnce(t *testing.T) {
+	var mu sync.Mutex
+	var got []redfish.EventRecord
+	hook := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		var ev redfish.Event
+		_ = json.NewDecoder(r.Body).Decode(&ev)
+		mu.Lock()
+		got = append(got, ev.Events...)
+		mu.Unlock()
+		w.WriteHeader(http.StatusNoContent)
+	}))
+	defer hook.Close()
+	// settled waits for n deliveries, then long enough for a duplicate.
+	settled := func(n int) []redfish.EventRecord {
+		waitFor(t, 5*time.Second, fmt.Sprintf("%d deliveries", n), func() bool {
+			mu.Lock()
+			defer mu.Unlock()
+			return len(got) >= n
+		})
+		time.Sleep(100 * time.Millisecond)
+		mu.Lock()
+		defer mu.Unlock()
+		return append([]redfish.EventRecord(nil), got...)
+	}
+
+	c := startTestCluster(t, 3, nil)
+	first := c.nodes[0]
+	waitFor(t, 5*time.Second, "followers connected", func() bool {
+		return len(first.node.Status().Followers) == 2
+	})
+	body, _ := json.Marshal(redfish.EventDestination{Destination: hook.URL, EventTypes: []string{redfish.EventResourceAdded}})
+	resp, err := http.Post(first.URL()+string(service.SubscriptionsURI), "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("subscribe at the leader = %s", resp.Status)
+	}
+	c.waitConverged(5 * time.Second)
+	for i, tn := range c.nodes {
+		if ids := tn.svc.Bus().Subscriptions(); len(ids) != 1 {
+			t.Fatalf("node %d bus subscriptions = %v, want the stored one", i, ids)
+		}
+	}
+
+	client := &http.Client{Timeout: 2 * time.Second}
+	before, err := postChassis(client, first.URL(), "before")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if recs := settled(1); len(recs) != 1 || recs[0].OriginOfCondition.ODataID != before {
+		t.Fatalf("a leader write was delivered as %+v, want once about %s", recs, before)
+	}
+
+	first.kill()
+	var promoted *testNode
+	waitFor(t, 10*time.Second, "replica promotion", func() bool {
+		for _, tn := range c.nodes[1:] {
+			if tn.node.Leading() {
+				promoted = tn
+				return true
+			}
+		}
+		return false
+	})
+	after, err := postChassis(client, promoted.URL(), "after")
+	if err != nil {
+		t.Fatal(err)
+	}
+	recs := settled(2)
+	if len(recs) != 2 || recs[1].OriginOfCondition.ODataID != after {
+		t.Fatalf("deliveries %+v, want one more, about %s", recs, after)
+	}
+	seq := func(rec redfish.EventRecord) uint64 {
+		n, err := strconv.ParseUint(rec.EventID, 10, 64)
+		if err != nil {
+			t.Fatalf("EventId %q is not a sequence number", rec.EventID)
+		}
+		return n
+	}
+	if got, want := seq(recs[1]), promoted.svc.Store().Seq(); got != want {
+		t.Errorf("promoted node's EventId %d, want the write's commit sequence %d", got, want)
+	}
+	if seq(recs[1]) <= seq(recs[0]) {
+		t.Errorf("promoted node's EventId %s is not above the old leader's %s", recs[1].EventID, recs[0].EventID)
 	}
 }

@@ -31,6 +31,7 @@ import (
 	"errors"
 	"fmt"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -87,6 +88,12 @@ func (k ChangeKind) String() string {
 // watcher keeping derived per-URI state can discard the stale one (the
 // liveness sweeper's delete/recreate handling depends on this).
 //
+// Commit is the WAL commit sequence of the record that logged the
+// change. It is 0 when no backend logged the change, and on a Replayed
+// change.
+// Unlike Seq it survives a restart and is the same on a leader and its
+// replicas; the service uses it as the EventId.
+//
 // Replayed marks a change that re-states history rather than making it:
 // a WAL record or snapshot entry applied at recovery, a leader's record
 // applied on a replica. Watchers that keep derived state need these like
@@ -97,6 +104,7 @@ type Change struct {
 	Kind     ChangeKind
 	ID       odata.ID
 	Seq      uint64
+	Commit   uint64
 	Ctx      context.Context
 	Replayed bool
 }
@@ -215,6 +223,29 @@ func (s *Store) Watch(w Watcher) {
 	s.watchMu.Unlock()
 }
 
+// Projection returns the watcher that keeps a projection of coll's
+// members current: it is the one way derived state follows the tree.
+// For every change to a direct member of coll — live, replayed at
+// recovery or applied from a leader — it takes mu, reads the member's
+// current bytes (nil once it is gone) and hands them to apply. It
+// neither gates on Change.Seq nor keeps tombstones: notifications for
+// one member may arrive out of order, but each reads, under mu, a state
+// at least as new as its own change, so whichever takes mu last applies
+// the final state.
+func (s *Store) Projection(coll odata.ID, mu sync.Locker, apply func(id odata.ID, raw json.RawMessage)) Watcher {
+	prefix := string(coll) + "/"
+	return func(c Change) {
+		leaf, ok := strings.CutPrefix(string(c.ID), prefix)
+		if !ok || leaf == "" || strings.Contains(leaf, "/") {
+			return
+		}
+		mu.Lock()
+		defer mu.Unlock()
+		raw, _, _ := s.Get(c.ID)
+		apply(c.ID, raw)
+	}
+}
+
 func (s *Store) notify(changes ...Change) {
 	s.watchMu.RLock()
 	ws := s.watchers
@@ -283,10 +314,12 @@ func (s *Store) putRaw(ctx context.Context, id odata.ID, raw json.RawMessage, re
 	s.lock()
 	kind, changed := s.eng.put(id, raw)
 	var wait func() error
-	var cs uint64
+	var cs, commit uint64
 	if changed {
 		cs = s.mutSeq.Add(1)
-		wait = s.commitLocked([]Record{{Op: OpPut, ID: id, Raw: raw}})
+		batch := []Record{{Op: OpPut, ID: id, Raw: raw}}
+		wait = s.commitLocked(batch)
+		commit = batch[0].Seq
 	}
 	s.mu.Unlock()
 	if !changed {
@@ -295,7 +328,7 @@ func (s *Store) putRaw(ctx context.Context, id odata.ID, raw json.RawMessage, re
 	}
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
-	s.notify(Change{Kind: kind, ID: id, Seq: cs, Ctx: ctx, Replayed: replayed})
+	s.notify(Change{Kind: kind, ID: id, Seq: cs, Commit: commit, Ctx: ctx, Replayed: replayed})
 	return werr
 }
 
@@ -323,12 +356,13 @@ func (s *Store) CreateCtx(ctx context.Context, id odata.ID, v any) error {
 	}
 	s.eng.put(id, raw)
 	cs := s.mutSeq.Add(1)
-	wait := s.commitLocked([]Record{{Op: OpPut, ID: id, Raw: raw}})
+	batch := []Record{{Op: OpPut, ID: id, Raw: raw}}
+	wait := s.commitLocked(batch)
 	s.mu.Unlock()
 
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
-	s.notify(Change{Kind: Added, ID: id, Seq: cs, Ctx: ctx})
+	s.notify(Change{Kind: Added, ID: id, Seq: cs, Commit: batch[0].Seq, Ctx: ctx})
 	return werr
 }
 
@@ -459,12 +493,13 @@ func (s *Store) PatchReturning(ctx context.Context, id odata.ID, patch map[strin
 	s.eng.put(id, raw)
 	etag := s.eng.entries[id].etag
 	cs := s.mutSeq.Add(1)
-	wait := s.commitLocked([]Record{{Op: OpPut, ID: id, Raw: raw}})
+	batch := []Record{{Op: OpPut, ID: id, Raw: raw}}
+	wait := s.commitLocked(batch)
 	s.mu.Unlock()
 
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
-	s.notify(Change{Kind: Updated, ID: id, Seq: cs, Ctx: ctx})
+	s.notify(Change{Kind: Updated, ID: id, Seq: cs, Commit: batch[0].Seq, Ctx: ctx})
 	return raw, etag, werr
 }
 
@@ -490,12 +525,13 @@ func (s *Store) remove(ctx context.Context, id odata.ID, replayed bool) error {
 		return err
 	}
 	cs := s.mutSeq.Add(1)
-	wait := s.commitLocked([]Record{{Op: OpDelete, ID: id}})
+	batch := []Record{{Op: OpDelete, ID: id}}
+	wait := s.commitLocked(batch)
 	s.mu.Unlock()
 
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
-	s.notify(Change{Kind: Removed, ID: id, Seq: cs, Ctx: ctx, Replayed: replayed})
+	s.notify(Change{Kind: Removed, ID: id, Seq: cs, Commit: batch[0].Seq, Ctx: ctx, Replayed: replayed})
 	return werr
 }
 
@@ -727,6 +763,9 @@ func (s *Store) PutSubtreeCtx(ctx context.Context, prefix odata.ID, resources ma
 	}
 	wait := s.commitLocked(batch)
 	s.mu.Unlock()
+	for i := range batch { // logged in step with changes
+		changes[i].Commit = batch[i].Seq
+	}
 
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
@@ -763,6 +802,9 @@ func (s *Store) DeleteSubtreeCtx(ctx context.Context, prefix odata.ID) (int, err
 	}
 	wait := s.commitLocked(batch)
 	s.mu.Unlock()
+	for i := range batch { // logged in step with changes
+		changes[i].Commit = batch[i].Seq
+	}
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
 	sort.Slice(changes, func(i, j int) bool { return changes[i].ID < changes[j].ID })

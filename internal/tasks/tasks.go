@@ -1,9 +1,11 @@
 // Package tasks implements the Redfish TaskService used by the OFMF for
 // long-running operations such as composition requests and fabric
 // reconfiguration. A task transitions New → Running → Completed/Exception/
-// Cancelled; every transition is mirrored into the resource store so
+// Cancelled; every transition is written to its resource in the store so
 // clients can poll the task monitor URI, and optionally published on the
-// event bus.
+// event bus. The store is the task table: a task's id is the collection's
+// next free one, and the in-memory *Task is only the handle its worker
+// drives.
 package tasks
 
 import (
@@ -14,32 +16,23 @@ import (
 
 	"ofmf/internal/odata"
 	"ofmf/internal/redfish"
+	"ofmf/internal/store"
 )
 
-// Sentinel errors.
-var (
-	ErrNotFound  = errors.New("tasks: task not found")
-	ErrFinished  = errors.New("tasks: task already finished")
-	ErrCancelled = errors.New("tasks: task cancelled")
-)
+// ErrFinished is returned by a transition of a task already terminal.
+var ErrFinished = errors.New("tasks: task already finished")
 
 // Notifier receives task state-change records; the service wires this to
 // the event bus.
 type Notifier func(rec redfish.EventRecord)
 
-// Mirror persists task resources; the service wires this to the store.
-type Mirror func(id odata.ID, task redfish.Task)
-
 // Service manages asynchronous tasks.
 type Service struct {
+	st   *store.Store
 	base odata.ID // the task collection URI
 
-	mu     sync.Mutex
-	nextID int
-	tasks  map[string]*Task
-
+	mu     sync.Mutex // guards every task's mutable fields
 	notify Notifier
-	mirror Mirror
 	now    func() time.Time
 }
 
@@ -65,73 +58,50 @@ type Option func(*Service)
 // WithNotifier wires task state changes to a notifier.
 func WithNotifier(n Notifier) Option { return func(s *Service) { s.notify = n } }
 
-// WithMirror wires task resources to a persistence function.
-func WithMirror(m Mirror) Option { return func(s *Service) { s.mirror = m } }
-
 // WithClock overrides the time source (tests).
 func WithClock(now func() time.Time) Option { return func(s *Service) { s.now = now } }
 
-// NewService creates a task service whose tasks live under base (e.g.
-// /redfish/v1/TaskService/Tasks).
-func NewService(base odata.ID, opts ...Option) *Service {
-	s := &Service{base: base, tasks: make(map[string]*Task), now: time.Now}
+// NewService creates a task service whose tasks live in st under base
+// (e.g. /redfish/v1/TaskService/Tasks).
+func NewService(st *store.Store, base odata.ID, opts ...Option) *Service {
+	s := &Service{st: st, base: base, now: time.Now}
 	for _, o := range opts {
 		o(s)
 	}
 	return s
 }
 
-// Start creates a task in the Running state and returns it.
+// Start creates a task in the Running state and returns it. Its first
+// state is created at the collection's next free id, so a task never
+// overwrites a stored one — one a previous run left, say.
 func (s *Service) Start(name string) *Task {
-	s.mu.Lock()
-	s.nextID++
-	id := fmt.Sprintf("%d", s.nextID)
 	t := &Task{
 		svc:       s,
-		id:        id,
-		uri:       s.base.Append(id),
 		name:      name,
 		state:     redfish.TaskRunning,
 		start:     s.now(),
 		cancelled: make(chan struct{}),
 		done:      make(chan struct{}),
 	}
-	s.tasks[id] = t
-	s.mu.Unlock()
-	s.publish(t, "TaskStarted")
+	for {
+		t.id = s.st.NextID(s.base)
+		t.uri = s.base.Append(t.id)
+		if err := s.st.Create(t.uri, t.Snapshot()); !errors.Is(err, store.ErrExists) {
+			break
+		}
+	}
+	s.announce(t, redfish.TaskRunning, "TaskStarted")
 	return t
 }
 
-// Get returns the task with the given id.
-func (s *Service) Get(id string) (*Task, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	t, ok := s.tasks[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: %s", ErrNotFound, id)
-	}
-	return t, nil
-}
-
-// List returns all task ids in creation order.
-func (s *Service) List() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	ids := make([]string, 0, len(s.tasks))
-	for i := 1; i <= s.nextID; i++ {
-		id := fmt.Sprintf("%d", i)
-		if _, ok := s.tasks[id]; ok {
-			ids = append(ids, id)
-		}
-	}
-	return ids
-}
-
+// publish writes the task's current state and announces it.
 func (s *Service) publish(t *Task, msgID string) {
 	snap := t.Snapshot()
-	if s.mirror != nil {
-		s.mirror(t.uri, snap)
-	}
+	_ = s.st.Put(t.uri, snap)
+	s.announce(t, snap.TaskState, msgID)
+}
+
+func (s *Service) announce(t *Task, state, msgID string) {
 	if s.notify != nil {
 		ref := odata.NewRef(t.uri)
 		s.notify(redfish.EventRecord{
@@ -139,7 +109,7 @@ func (s *Service) publish(t *Task, msgID string) {
 			EventID:           t.id,
 			EventTimestamp:    redfish.Timestamp(s.now()),
 			MessageID:         "TaskEvent.1.0." + msgID,
-			Message:           fmt.Sprintf("task %s: %s", t.id, snap.TaskState),
+			Message:           fmt.Sprintf("task %s: %s", t.id, state),
 			OriginOfCondition: &ref,
 		})
 	}

@@ -8,12 +8,13 @@ import (
 
 	"ofmf/internal/odata"
 	"ofmf/internal/redfish"
+	"ofmf/internal/store"
 )
 
 const base = odata.ID("/redfish/v1/TaskService/Tasks")
 
 func TestLifecycleComplete(t *testing.T) {
-	svc := NewService(base)
+	svc := NewService(store.New(), base)
 	task := svc.Start("compose")
 	if task.State() != redfish.TaskRunning {
 		t.Fatalf("state = %s", task.State())
@@ -40,7 +41,7 @@ func TestLifecycleComplete(t *testing.T) {
 }
 
 func TestLifecycleFail(t *testing.T) {
-	svc := NewService(base)
+	svc := NewService(store.New(), base)
 	task := svc.Start("compose")
 	if err := task.Fail("no capacity"); err != nil {
 		t.Fatal(err)
@@ -52,7 +53,7 @@ func TestLifecycleFail(t *testing.T) {
 }
 
 func TestTerminalTransitionsRejected(t *testing.T) {
-	svc := NewService(base)
+	svc := NewService(store.New(), base)
 	task := svc.Start("x")
 	if err := task.Complete(""); err != nil {
 		t.Fatal(err)
@@ -72,7 +73,7 @@ func TestTerminalTransitionsRejected(t *testing.T) {
 }
 
 func TestCancelSignalsWorker(t *testing.T) {
-	svc := NewService(base)
+	svc := NewService(store.New(), base)
 	task := svc.Start("long")
 	done := make(chan string, 1)
 	go func() {
@@ -95,7 +96,7 @@ func TestCancelSignalsWorker(t *testing.T) {
 }
 
 func TestProgressClamped(t *testing.T) {
-	svc := NewService(base)
+	svc := NewService(store.New(), base)
 	task := svc.Start("x")
 	if err := task.Progress(150, ""); err != nil {
 		t.Fatal(err)
@@ -112,7 +113,7 @@ func TestProgressClamped(t *testing.T) {
 }
 
 func TestWait(t *testing.T) {
-	svc := NewService(base)
+	svc := NewService(store.New(), base)
 	task := svc.Start("x")
 	go func() {
 		time.Sleep(5 * time.Millisecond)
@@ -128,7 +129,7 @@ func TestWait(t *testing.T) {
 }
 
 func TestWaitTimeout(t *testing.T) {
-	svc := NewService(base)
+	svc := NewService(store.New(), base)
 	task := svc.Start("x")
 	if _, err := task.Wait(5 * time.Millisecond); err == nil {
 		t.Error("expected timeout error")
@@ -139,12 +140,17 @@ func TestMirrorAndNotifier(t *testing.T) {
 	var mu sync.Mutex
 	var mirrored []redfish.Task
 	var notified []redfish.EventRecord
-	svc := NewService(base,
-		WithMirror(func(_ odata.ID, task redfish.Task) {
-			mu.Lock()
-			mirrored = append(mirrored, task)
-			mu.Unlock()
-		}),
+	st := store.New()
+	st.Watch(func(c store.Change) {
+		var task redfish.Task
+		if err := st.GetAs(c.ID, &task); err != nil {
+			t.Errorf("%s %s: %v", c.Kind, c.ID, err)
+		}
+		mu.Lock()
+		mirrored = append(mirrored, task)
+		mu.Unlock()
+	})
+	svc := NewService(st, base,
 		WithNotifier(func(rec redfish.EventRecord) {
 			mu.Lock()
 			notified = append(notified, rec)
@@ -171,26 +177,29 @@ func TestMirrorAndNotifier(t *testing.T) {
 	}
 }
 
-func TestGetAndList(t *testing.T) {
-	svc := NewService(base)
-	t1 := svc.Start("a")
-	t2 := svc.Start("b")
-	got, err := svc.Get(t1.ID())
-	if err != nil || got != t1 {
-		t.Errorf("Get = %v, %v", got, err)
+// TestStartNeverOverwrites: ids come from the collection, so a task
+// started over a tree that already holds Tasks/1 (a previous run's, say)
+// takes the next free id and leaves the stored one as it was.
+func TestStartNeverOverwrites(t *testing.T) {
+	st := store.New()
+	old := base.Append("1")
+	if err := st.Put(old, map[string]any{"@odata.id": string(old), "TaskState": redfish.TaskCompleted}); err != nil {
+		t.Fatal(err)
 	}
-	if _, err := svc.Get("999"); !errors.Is(err, ErrNotFound) {
-		t.Errorf("missing get err = %v", err)
+	before, _, _ := st.Get(old)
+	svc := NewService(st, base)
+	t1, t2 := svc.Start("a"), svc.Start("b")
+	if t1.ID() == "1" || t2.ID() == "1" || t1.ID() == t2.ID() {
+		t.Fatalf("task ids %s and %s, want two fresh ids", t1.ID(), t2.ID())
 	}
-	ids := svc.List()
-	if len(ids) != 2 || ids[0] != t1.ID() || ids[1] != t2.ID() {
-		t.Errorf("List = %v", ids)
+	if after, _, _ := st.Get(old); string(after) != string(before) {
+		t.Errorf("stored Tasks/1 changed: %s -> %s", before, after)
 	}
 }
 
 func TestDeterministicClock(t *testing.T) {
 	fixed := time.Date(2023, 5, 15, 10, 0, 0, 0, time.UTC)
-	svc := NewService(base, WithClock(func() time.Time { return fixed }))
+	svc := NewService(store.New(), base, WithClock(func() time.Time { return fixed }))
 	task := svc.Start("x")
 	_ = task.Complete("")
 	snap := task.Snapshot()
@@ -200,7 +209,7 @@ func TestDeterministicClock(t *testing.T) {
 }
 
 func TestConcurrentTasks(t *testing.T) {
-	svc := NewService(base)
+	svc := NewService(store.New(), base)
 	var wg sync.WaitGroup
 	for i := 0; i < 32; i++ {
 		wg.Add(1)
@@ -212,7 +221,16 @@ func TestConcurrentTasks(t *testing.T) {
 		}()
 	}
 	wg.Wait()
-	if got := len(svc.List()); got != 32 {
-		t.Errorf("tasks = %d", got)
+	st := svc.st
+	st.RegisterCollection(base, "#TaskCollection.TaskCollection", "Tasks")
+	ids, err := st.Members(base)
+	if err != nil || len(ids) != 32 {
+		t.Fatalf("tasks = %d (%v)", len(ids), err)
+	}
+	for _, id := range ids {
+		var task redfish.Task
+		if err := st.GetAs(id, &task); err != nil || task.TaskState != redfish.TaskCompleted {
+			t.Errorf("%s: state %q (%v)", id, task.TaskState, err)
+		}
 	}
 }
