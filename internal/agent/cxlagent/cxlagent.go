@@ -50,8 +50,6 @@ type Agent struct {
 	chunkByURI map[odata.ID]string
 	// bindings maps Connection URIs to the (chunk, port) pairs they bound.
 	bindings map[odata.ID][]binding
-	// zones records zones created through the OFMF.
-	zones map[odata.ID][]odata.ID
 	// eventSeq numbers forwarded hardware events.
 	eventSeq  int
 	sourceURI odata.ID
@@ -74,7 +72,6 @@ func New(conn agent.Conn, appliance *cxlsim.Appliance, fabricName, chassisName s
 		chassisID:  service.ChassisURI.Append(chassisName),
 		chunkByURI: make(map[odata.ID]string),
 		bindings:   make(map[odata.ID][]binding),
-		zones:      make(map[odata.ID][]odata.ID),
 	}
 	a.domainID = a.chassisID.Append("MemoryDomains", "Domain0")
 	return a
@@ -196,13 +193,11 @@ func (a *Agent) CreateConnection(ctx context.Context, conn *redfish.Connection) 
 
 // DeleteConnection unbinds everything the connection bound.
 func (a *Agent) DeleteConnection(ctx context.Context, id odata.ID) error {
+	// A connection made before the agent restarted has no bindings to undo.
 	a.mu.Lock()
-	binds, ok := a.bindings[id]
+	binds := a.bindings[id]
 	delete(a.bindings, id)
 	a.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("cxlagent: unknown connection %s", id)
-	}
 	var firstErr error
 	for _, b := range binds {
 		if err := a.appliance.Unbind(b.chunk, b.port); err != nil && firstErr == nil {
@@ -234,25 +229,11 @@ func (a *Agent) publishBound(ctx context.Context, binds []binding) error {
 	return agent.PublishTouched(ctx, a.conn, a.chassisID, touched)
 }
 
-// CreateZone records the zone; CXL zoning is realized through bindings, so
-// no hardware action is required beyond bookkeeping.
-func (a *Agent) CreateZone(_ context.Context, zone *redfish.Zone) error {
-	a.mu.Lock()
-	a.zones[zone.ODataID] = odata.IDsOf(zone.Links.Endpoints)
-	a.mu.Unlock()
-	return nil
-}
+// CreateZone accepts the zone: CXL zoning is realized through bindings.
+func (a *Agent) CreateZone(context.Context, *redfish.Zone) error { return nil }
 
-// DeleteZone forgets the zone.
-func (a *Agent) DeleteZone(_ context.Context, id odata.ID) error {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if _, ok := a.zones[id]; !ok {
-		return fmt.Errorf("cxlagent: unknown zone %s", id)
-	}
-	delete(a.zones, id)
-	return nil
-}
+// DeleteZone has nothing to undo.
+func (a *Agent) DeleteZone(context.Context, odata.ID) error { return nil }
 
 // Patch rejects hardware property changes the appliance cannot make.
 func (a *Agent) Patch(_ context.Context, id odata.ID, patch map[string]any) error {
@@ -318,7 +299,7 @@ func (a *Agent) DeleteResource(ctx context.Context, id odata.ID) error {
 	chunkID, ok := a.chunkByURI[id]
 	a.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownChunk, id)
+		return nil // carved before the agent restarted: nothing to release
 	}
 	c, err := a.appliance.Chunk(chunkID)
 	if err != nil {

@@ -181,7 +181,7 @@ func (a *Agent) DeleteZone(_ context.Context, id odata.ID) error {
 	delete(a.zoneByURI, id)
 	a.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("fabagent: unknown zone %s", id)
+		return nil // made before the agent restarted: nothing to undo
 	}
 	return a.fabric.DeleteZone(zid)
 }
@@ -237,7 +237,7 @@ func (a *Agent) DeleteConnection(ctx context.Context, id odata.ID) error {
 	delete(a.flowByURI, id)
 	a.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("fabagent: unknown connection %s", id)
+		return nil // made before the agent restarted: nothing to undo
 	}
 	if err := a.fabric.Release(flowID); err != nil {
 		return err

@@ -1,6 +1,7 @@
 package fabagent
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -60,7 +61,7 @@ func TestPublishContents(t *testing.T) {
 }
 
 func TestZoneMapping(t *testing.T) {
-	_, fab, ag := newAgent(t)
+	svc, fab, ag := newAgent(t)
 	zone := redfish.Zone{
 		Resource: odata.NewResource(ag.FabricID().Append("Zones", "1"), redfish.TypeZone, "z"),
 		Links:    redfish.ZoneLinks{Endpoints: []odata.Ref{epRef(ag, "h0"), epRef(ag, "h1")}},
@@ -85,9 +86,7 @@ func TestZoneMapping(t *testing.T) {
 	if got := len(fab.Zones()); got != 0 {
 		t.Errorf("zones = %d", got)
 	}
-	if err := ag.DeleteZone(context.Background(), zone.ODataID); err == nil {
-		t.Error("double delete accepted")
-	}
+	deleteLeavesTree(t, svc, func() error { return ag.DeleteZone(context.Background(), zone.ODataID) })
 }
 
 func TestConnectionFlows(t *testing.T) {
@@ -219,5 +218,22 @@ func TestFailureTriggersReroute(t *testing.T) {
 	newRoute := fab.Flows()[0].Route
 	if newRoute[2] == spine {
 		t.Errorf("flow not rerouted: %v", newRoute)
+	}
+}
+
+// deleteLeavesTree runs a delete of an id the agent does not hold (one
+// made before it restarted, say): there is nothing to undo, so it
+// succeeds and leaves the tree as it was.
+func deleteLeavesTree(t *testing.T, svc *service.Service, del func() error) {
+	t.Helper()
+	before, err := svc.Store().Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := del(); err != nil {
+		t.Errorf("delete of an id the agent does not hold: %v", err)
+	}
+	if after, _ := svc.Store().Export(); !bytes.Equal(before, after) {
+		t.Error("delete of an id the agent does not hold changed the tree")
 	}
 }

@@ -167,15 +167,15 @@ func (a *Agent) DeleteResource(ctx context.Context, id odata.ID) error {
 	a.mu.Lock()
 	partID, ok := a.partByURI[id]
 	a.mu.Unlock()
-	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownPartition, id)
+	// An unknown partition has nothing to delete; its endpoint still goes.
+	if ok {
+		if err := a.pool.Delete(partID); err != nil {
+			return err
+		}
+		a.mu.Lock()
+		delete(a.partByURI, id)
+		a.mu.Unlock()
 	}
-	if err := a.pool.Delete(partID); err != nil {
-		return err
-	}
-	a.mu.Lock()
-	delete(a.partByURI, id)
-	a.mu.Unlock()
 
 	a.pubMu.Lock()
 	defer a.pubMu.Unlock()
@@ -217,7 +217,7 @@ func (a *Agent) DeleteConnection(ctx context.Context, id odata.ID) error {
 	delete(a.conns, id)
 	a.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("gpuagent: unknown connection %s", id)
+		return nil // made before the agent restarted: nothing to undo
 	}
 	if err := a.pool.Detach(att.part); err != nil {
 		return err

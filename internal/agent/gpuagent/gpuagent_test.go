@@ -1,6 +1,7 @@
 package gpuagent
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"testing"
@@ -105,7 +106,7 @@ func TestPartitionLifecycle(t *testing.T) {
 }
 
 func TestConnectionValidation(t *testing.T) {
-	_, _, ag := newAgent(t)
+	svc, _, ag := newAgent(t)
 	if err := ag.CreateConnection(context.Background(), &redfish.Connection{}); !errors.Is(err, ErrBadConnection) {
 		t.Errorf("err = %v", err)
 	}
@@ -118,13 +119,13 @@ func TestConnectionValidation(t *testing.T) {
 	if err := ag.CreateConnection(context.Background(), &conn); !errors.Is(err, ErrUnknownPartition) {
 		t.Errorf("err = %v", err)
 	}
-	if err := ag.DeleteConnection(context.Background(), "/redfish/v1/Fabrics/PCIe/Connections/9"); err == nil {
-		t.Error("unknown delete accepted")
-	}
+	deleteLeavesTree(t, svc, func() error {
+		return ag.DeleteConnection(context.Background(), "/redfish/v1/Fabrics/PCIe/Connections/9")
+	})
 }
 
 func TestProvisionValidation(t *testing.T) {
-	_, _, ag := newAgent(t)
+	svc, _, ag := newAgent(t)
 	procs := ag.ChassisID().Append("Processors")
 	if _, err := ag.CreateResource(context.Background(), ag.ChassisID().Append("GPUs"), "/x", []byte(`{}`)); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("err = %v", err)
@@ -146,14 +147,29 @@ func TestProvisionValidation(t *testing.T) {
 	if _, err := ag.CreateResource(context.Background(), procs, procs.Append("f"), []byte(`{"Oem":{"OFMF":{"GPU":"ghost"}}}`)); err == nil {
 		t.Error("unknown gpu accepted")
 	}
-	if err := ag.DeleteResource(context.Background(), procs.Append("nope")); !errors.Is(err, ErrUnknownPartition) {
-		t.Errorf("err = %v", err)
-	}
+	deleteLeavesTree(t, svc, func() error { return ag.DeleteResource(context.Background(), procs.Append("nope")) })
 }
 
 func TestPatchUnsupported(t *testing.T) {
 	_, _, ag := newAgent(t)
 	if err := ag.Patch(context.Background(), ag.ChassisID().Append("GPUs", "gpu0"), map[string]any{"Model": "x"}); !errors.Is(err, ErrUnsupported) {
 		t.Errorf("err = %v", err)
+	}
+}
+
+// deleteLeavesTree runs a delete of an id the agent does not hold (one
+// made before it restarted, say): there is nothing to undo, so it
+// succeeds and leaves the tree as it was.
+func deleteLeavesTree(t *testing.T, svc *service.Service, del func() error) {
+	t.Helper()
+	before, err := svc.Store().Export()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := del(); err != nil {
+		t.Errorf("delete of an id the agent does not hold: %v", err)
+	}
+	if after, _ := svc.Store().Export(); !bytes.Equal(before, after) {
+		t.Error("delete of an id the agent does not hold changed the tree")
 	}
 }

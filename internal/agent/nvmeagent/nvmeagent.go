@@ -200,7 +200,7 @@ func (a *Agent) DeleteConnection(ctx context.Context, id odata.ID) error {
 	}
 	a.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("nvmeagent: unknown connection %s", id)
+		return nil // made before the agent restarted: nothing to undo
 	}
 	if err := a.target.Detach(att.volume); err != nil {
 		return err
@@ -302,7 +302,7 @@ func (a *Agent) DeleteResource(ctx context.Context, id odata.ID) error {
 	volID, ok := a.volByURI[id]
 	a.mu.Unlock()
 	if !ok {
-		return fmt.Errorf("%w: %s", ErrUnknownVolume, id)
+		return nil // created before the agent restarted: nothing to delete
 	}
 	v, err := a.target.Volume(volID)
 	if err != nil {

@@ -8,6 +8,7 @@
 package composer
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
@@ -22,6 +23,7 @@ import (
 	"ofmf/internal/odata"
 	"ofmf/internal/redfish"
 	"ofmf/internal/service"
+	"ofmf/internal/store"
 	"ofmf/internal/tasks"
 )
 
@@ -29,7 +31,7 @@ import (
 var (
 	ErrNoCapacity    = errors.New("composer: no node satisfies the request")
 	ErrNoPool        = errors.New("composer: no pool can satisfy the request")
-	ErrUnknownComp   = errors.New("composer: unknown composition")
+	ErrUnknownComp   = fmt.Errorf("composer: unknown composition: %w", store.ErrNotFound)
 	ErrUnknownNode   = errors.New("composer: unknown node")
 	ErrDuplicateNode = errors.New("composer: duplicate node")
 	// ErrInvalidRequest wraps the service's sentinel so the Redfish
@@ -78,8 +80,8 @@ type Pool struct {
 	Resources odata.ID
 	// Connections is the pool's fabric Connections collection.
 	Connections odata.ID
-	// Free reports remaining capacity in the kind's unit.
-	Free func() int64
+	// Capacity reports the pool's total capacity in the kind's unit.
+	Capacity func() int64
 	// Provision renders the payload POSTed to Resources for amount units;
 	// heads bounds simultaneous sharing and only memory reads it.
 	Provision func(amount int64, heads int) []byte
@@ -89,6 +91,27 @@ type Pool struct {
 	// Zoned pools put the connection's initiator endpoints in a zone of
 	// their own on the pool's fabric before connecting.
 	Zoned bool
+
+	// claim makes checking free capacity and provisioning one step among
+	// the composer's attaches (Capacity and Provision run under it, so
+	// they must not call the composer). sizes and their total, used,
+	// project Resources under the composer's mu.
+	claim sync.Mutex
+	sizes map[odata.ID]int64
+	used  int64
+}
+
+// apply projects one member of Resources (raw nil: gone), sized by kind:
+// MemoryChunkSizeMiB, CapacityBytes, or a GPU partition's TotalCores.
+func (p *Pool) apply(id odata.ID, raw json.RawMessage) {
+	p.used -= p.sizes[id]
+	delete(p.sizes, id)
+	var r struct{ MemoryChunkSizeMiB, CapacityBytes, TotalCores int64 }
+	if raw == nil || json.Unmarshal(raw, &r) != nil {
+		return
+	}
+	p.sizes[id] = map[Kind]int64{KindMemory: r.MemoryChunkSizeMiB, KindStorage: r.CapacityBytes, KindGPU: r.TotalCores}[p.Kind]
+	p.used += p.sizes[id]
 }
 
 // NodeState is a snapshot of one compute node's allocation state.
@@ -102,51 +125,94 @@ type NodeState struct {
 // FreeCores reports the node's unallocated cores.
 func (n NodeState) FreeCores() int { return n.Cores - n.UsedCores }
 
-// step records one reversible action taken during composition.
-type step struct {
-	kind string   // "connection", "zone", "resource", "system"
-	id   odata.ID // what to delete on teardown
-	pool Kind     // for a "resource" step, the kind of pool it came from
-}
-
-// Composition is one realized request.
+// Composition is one realized request, as its ResourceBlock records it.
 type Composition struct {
 	ID        string   `json:"Id"`
 	SystemURI odata.ID `json:"System"`
 	BlockURI  odata.ID `json:"ResourceBlock,omitempty"`
 	Node      string   `json:"Node"`
 	Request   Request  `json:"Request"`
-	// Resources lists the provisioned resources in attach order. It is
-	// filled in snapshots only; steps is the record it is read from.
+	// Resources lists memory, storage, then GPU partitions.
 	Resources []odata.ID `json:"Resources"`
-
-	// steps is the one ordered record of what the composition holds;
-	// undoing it back to front is decomposition and rollback alike.
-	steps []step
 }
 
-// resources lists the provisioned resources that came from pools of the
-// given kind (of any kind when it is ""), in attach order.
-func (comp *Composition) resources(kind Kind) []odata.ID {
+// record is what a composition's ResourceBlock holds in Oem.OFMF: what
+// the rest of the tree lacks.
+type record struct {
+	Node    string     `json:"Node"`
+	Request Request    `json:"Request"`
+	Undo    []odata.ID `json:"Undo"` // zones and connections, oldest first
+}
+
+// block is a stored composition; one without the record is not.
+type block struct {
+	redfish.ResourceBlock
+	Oem struct {
+		OFMF *record `json:"OFMF,omitempty"`
+	} `json:"Oem"`
+}
+
+// decodeBlock reads a stored block; nil unless it is a composition.
+func decodeBlock(raw json.RawMessage) *block {
+	var b block
+	if raw == nil || json.Unmarshal(raw, &b) != nil || b.Oem.OFMF == nil || len(b.Links.ComputerSystems) == 0 {
+		return nil
+	}
+	return &b
+}
+
+func (b *block) system() odata.ID { return b.Links.ComputerSystems[0].ODataID }
+
+// resources lists every provisioned resource the block holds.
+func (b *block) resources() []odata.ID {
 	var out []odata.ID
-	for _, st := range comp.steps {
-		if st.kind == "resource" && (kind == "" || st.pool == kind) {
-			out = append(out, st.id)
-		}
+	for _, refs := range [][]odata.Ref{b.Memory, b.Storage, b.Processors} {
+		out = append(out, odata.IDsOf(refs)...)
 	}
 	return out
 }
 
-// Composer is the Composability Manager.
+// types renders ResourceBlockType from what the block holds.
+func (b *block) types() []string {
+	types := []string{redfish.BlockCompute}
+	for i, refs := range [][]odata.Ref{b.Memory, b.Storage, b.Processors} {
+		if len(refs) > 0 {
+			types = append(types, []string{redfish.BlockMemory, redfish.BlockStorage, redfish.BlockProcessor}[i])
+		}
+	}
+	return types
+}
+
+func (b *block) composition() Composition {
+	rec := b.Oem.OFMF
+	return Composition{ID: b.ID, SystemURI: b.system(), BlockURI: b.ODataID,
+		Node: rec.Node, Request: rec.Request, Resources: b.resources()}
+}
+
+// Composer is the Composability Manager. It keeps no books: compositions
+// and pool usage are projections of the tree, so a restart, a WAL replay
+// or an admin restore leaves it knowing what the tree holds. Watchers run
+// inside store writes: never write to the store holding mu.
 type Composer struct {
 	svc    *service.Service
 	policy Policy
 
-	mu       sync.Mutex
-	nodes    map[string]*NodeState
-	pools    []*Pool
-	comps    map[string]*Composition
-	nextComp int
+	mu    sync.Mutex
+	nodes map[string]NodeState // UsedCores is filled in by nodesLocked
+	pools []*Pool
+	// dirty holds the watched members written since the last syncLocked.
+	dirty map[odata.ID]struct{}
+	// byID and bySystem project the ResourceBlocks collection; a block
+	// in them is never modified, only replaced.
+	byID     map[string]*block
+	bySystem map[odata.ID]string
+	// reserved maps the compositions being realized to the URI of their
+	// block, once known; their cores count until the projection holds it.
+	// It is the one state the tree lacks, which a restart rightly forgets.
+	reserved map[*record]odata.ID
+
+	// idMu keeps a block id from NextID until the block is created.
+	idMu sync.Mutex
 }
 
 // New creates a composer over the given OFMF service. policy defaults to
@@ -155,11 +221,64 @@ func New(svc *service.Service, policy Policy) *Composer {
 	if policy == nil {
 		policy = FirstFit{}
 	}
-	return &Composer{
-		svc:    svc,
-		policy: policy,
-		nodes:  make(map[string]*NodeState),
-		comps:  make(map[string]*Composition),
+	c := &Composer{
+		svc:      svc,
+		policy:   policy,
+		nodes:    make(map[string]NodeState),
+		dirty:    make(map[odata.ID]struct{}),
+		byID:     make(map[string]*block),
+		bySystem: make(map[odata.ID]string),
+		reserved: make(map[*record]odata.ID),
+	}
+	// Registered before recovery, so WAL replay reaches it too.
+	c.watch(service.ResourceBlocksURI)
+	return c
+}
+
+// watch marks every change to a direct member of coll dirty: live
+// writes, WAL replay, a leader's stream and admin restores alike. So a
+// member is decoded once however often it changed, or never if it went.
+// It runs on every store change: a prefix cut costs a 20k-resource
+// subtree push nothing measurable, ID.Parent about a sixth more.
+func (c *Composer) watch(coll odata.ID) {
+	prefix := string(coll) + "/"
+	c.svc.Store().Watch(func(chg store.Change) {
+		if leaf, ok := strings.CutPrefix(string(chg.ID), prefix); ok && !strings.Contains(leaf, "/") {
+			c.mu.Lock()
+			c.dirty[chg.ID] = struct{}{}
+			c.mu.Unlock()
+		}
+	})
+}
+
+// syncLocked brings the projections up to the tree: it re-reads each
+// dirty member (nil once gone). Caller holds c.mu; the store is only read.
+func (c *Composer) syncLocked() {
+	for id := range c.dirty {
+		raw, _, _ := c.svc.Store().Get(id)
+		coll := id.Parent()
+		if coll == service.ResourceBlocksURI {
+			c.setBlock(id.Leaf(), decodeBlock(raw))
+		}
+		for _, p := range c.pools {
+			if coll == p.Resources {
+				p.apply(id, raw)
+			}
+		}
+	}
+	clear(c.dirty)
+}
+
+// setBlock brings the projection to a block's state (nil: gone, or not a
+// composition). Caller holds c.mu.
+func (c *Composer) setBlock(id string, b *block) {
+	if old := c.byID[id]; old != nil && c.bySystem[old.system()] == id {
+		delete(c.bySystem, old.system())
+	}
+	delete(c.byID, id)
+	if b != nil {
+		c.byID[id] = b
+		c.bySystem[b.system()] = id
 	}
 }
 
@@ -171,7 +290,7 @@ func (c *Composer) AddNode(name string, cores int, memoryMiB int64) error {
 		c.mu.Unlock()
 		return fmt.Errorf("%w: %s", ErrDuplicateNode, name)
 	}
-	c.nodes[name] = &NodeState{Name: name, Cores: cores, MemoryMiB: memoryMiB}
+	c.nodes[name] = NodeState{Name: name, Cores: cores, MemoryMiB: memoryMiB}
 	c.mu.Unlock()
 
 	uri := service.SystemsURI.Append(name)
@@ -190,8 +309,19 @@ func (c *Composer) AddNode(name string, cores int, memoryMiB int64) error {
 // they were added.
 func (c *Composer) AddPool(p *Pool) {
 	c.mu.Lock()
+	p.sizes = make(map[odata.ID]int64)
 	c.pools = append(c.pools, p)
 	c.mu.Unlock()
+	c.watch(p.Resources)
+}
+
+// free reports what the pool has left.
+func (c *Composer) free(p *Pool) int64 {
+	capacity := p.Capacity()
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	c.syncLocked()
+	return capacity - p.used
 }
 
 // Nodes returns snapshots of all nodes, sorted by name.
@@ -201,10 +331,24 @@ func (c *Composer) Nodes() []NodeState {
 	return c.nodesLocked()
 }
 
+// nodesLocked snapshots the nodes: a node's used cores are those its
+// projected compositions hold plus those reserved on it for a block the
+// projection does not hold yet.
 func (c *Composer) nodesLocked() []NodeState {
+	c.syncLocked()
+	used := make(map[string]int)
+	for _, b := range c.byID {
+		used[b.Oem.OFMF.Node] += b.Oem.OFMF.Request.Cores
+	}
+	for rec, uri := range c.reserved {
+		if c.byID[uri.Leaf()] == nil {
+			used[rec.Node] += rec.Request.Cores
+		}
+	}
 	out := make([]NodeState, 0, len(c.nodes))
 	for _, n := range c.nodes {
-		out = append(out, *n)
+		n.UsedCores = used[n.Name]
+		out = append(out, n)
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
 	return out
@@ -214,9 +358,10 @@ func (c *Composer) nodesLocked() []NodeState {
 func (c *Composer) Compositions() []Composition {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]Composition, 0, len(c.comps))
-	for _, comp := range c.comps {
-		out = append(out, snapshot(comp))
+	c.syncLocked()
+	out := make([]Composition, 0, len(c.byID))
+	for _, b := range c.byID {
+		out = append(out, b.composition())
 	}
 	sort.Slice(out, func(i, j int) bool { return out[i].ID < out[j].ID })
 	return out
@@ -226,11 +371,12 @@ func (c *Composer) Compositions() []Composition {
 func (c *Composer) Get(id string) (Composition, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	comp, ok := c.comps[id]
-	if !ok {
+	c.syncLocked()
+	b := c.byID[id]
+	if b == nil {
 		return Composition{}, fmt.Errorf("%w: %s", ErrUnknownComp, id)
 	}
-	return snapshot(comp), nil
+	return b.composition(), nil
 }
 
 // observeCompose runs one composer operation as one unit of work
@@ -295,141 +441,124 @@ func (c *Composer) compose(ctx context.Context, req Request) (Composition, error
 		req.MemoryHeads = 1
 	}
 
-	// Select and reserve the node.
+	// Select the node and reserve its cores until the block holds them.
+	rec := &record{Request: req}
 	c.mu.Lock()
 	nodeName, err := c.selectNodeLocked(req)
+	if err == nil {
+		rec.Node, c.reserved[rec] = nodeName, ""
+	}
+	c.mu.Unlock()
 	if err != nil {
-		c.mu.Unlock()
 		return Composition{}, err
 	}
-	c.nodes[nodeName].UsedCores += req.Cores
-	c.nextComp++
-	compID := fmt.Sprintf("comp-%d", c.nextComp)
-	c.mu.Unlock()
-
-	name := req.Name
-	if name == "" {
-		name = compID
-	}
-	comp := &Composition{ID: compID, Node: nodeName, Request: req}
-	if err := c.realize(ctx, comp, name); err != nil {
-		c.undoSteps(ctx, comp, 0)
+	defer func() {
 		c.mu.Lock()
-		c.nodes[nodeName].UsedCores -= req.Cores
+		delete(c.reserved, rec)
 		c.mu.Unlock()
+	}()
+
+	b := &block{}
+	b.Oem.OFMF = rec
+	if err := c.realize(ctx, b); err != nil {
+		c.teardown(ctx, b.Oem.OFMF.Undo, b.resources())
 		return Composition{}, err
 	}
-
-	c.mu.Lock()
-	c.comps[compID] = comp
-	c.mu.Unlock()
-
-	c.svc.Bus().PublishCtx(ctx, redfish.EventRecord{
-		EventType:         redfish.EventResourceAdded,
-		EventID:           compID,
-		Severity:          "OK",
-		Message:           fmt.Sprintf("composed system %s on node %s", name, nodeName),
-		MessageID:         "OFMF.1.0.SystemComposed",
-		OriginOfCondition: refTo(comp.SystemURI),
-	})
-
-	snap, _ := c.Get(compID)
-	return snap, nil
+	comp := b.composition()
+	c.announce(ctx, redfish.EventResourceAdded, "SystemComposed", comp.ID, comp.SystemURI,
+		fmt.Sprintf("composed system %s on node %s", comp.SystemURI.Leaf(), nodeName))
+	return comp, nil
 }
 
 // realize attaches what the request asks for to the reserved node and
-// publishes the composed system and its ResourceBlock. On error the
-// caller undoes whatever steps it recorded.
-func (c *Composer) realize(ctx context.Context, comp *Composition, name string) error {
-	req := comp.Request
+// publishes the composed system and its ResourceBlock, which records the
+// composition. On error the caller tears down what b records.
+func (c *Composer) realize(ctx context.Context, b *block) error {
+	req := b.Oem.OFMF.Request
 	for _, ask := range []struct {
 		kind   Kind
 		amount int64
+		into   *[]odata.Ref
 	}{
-		{KindMemory, req.FabricMemoryMiB},
-		{KindStorage, req.StorageBytes},
-		{KindGPU, int64(req.GPUSlices)},
+		{KindMemory, req.FabricMemoryMiB, &b.Memory},
+		{KindStorage, req.StorageBytes, &b.Storage},
+		{KindGPU, int64(req.GPUSlices), &b.Processors},
 	} {
 		if ask.amount > 0 {
-			if err := c.attach(ctx, comp, ask.kind, ask.amount, req.MemoryHeads); err != nil {
+			if err := c.attach(ctx, b, ask.into, ask.kind, ask.amount, req.MemoryHeads); err != nil {
 				return err
 			}
 		}
 	}
 
-	// Publish the composed system.
+	// NextID names the block and Create never overwrites a stored one;
+	// idMu keeps concurrent composes off the same id.
+	st := c.svc.Store()
+	c.idMu.Lock()
+	defer c.idMu.Unlock()
+	id := st.NextID(service.ResourceBlocksURI)
+	name := req.Name
+	if name == "" {
+		name = "comp-" + id
+	}
+	blockURI := service.ResourceBlocksURI.Append(id)
 	sysURI := service.SystemsURI.Append(name)
+	c.mu.Lock()
+	c.reserved[b.Oem.OFMF] = blockURI
+	c.mu.Unlock()
 	sys := redfish.ComputerSystem{
 		Resource:         odata.NewResource(sysURI, redfish.TypeComputerSystem, name),
 		SystemType:       redfish.SystemTypeComposed,
 		PowerState:       "On",
 		Status:           odata.Status{State: odata.StateComposed, Health: odata.HealthOK},
-		HostName:         comp.Node,
+		HostName:         b.Oem.OFMF.Node,
 		ProcessorSummary: &redfish.ProcessorSummary{Count: 1, TotalCores: req.Cores},
 	}
-	sys.Links.ResourceBlocks = odata.RefSlice(comp.resources(""))
-	if err := c.svc.Store().CreateCtx(ctx, sysURI, sys); err != nil {
+	sys.Links.ResourceBlocks = []odata.Ref{odata.NewRef(blockURI)}
+	if err := st.CreateCtx(ctx, sysURI, sys); err != nil {
 		return fmt.Errorf("composer: publish system: %w", err)
 	}
-	comp.SystemURI = sysURI
-	comp.steps = append(comp.steps, step{kind: "system", id: sysURI})
 
-	// Publish the Redfish-native composition view: a ResourceBlock in the
+	// The Redfish-native composition view: a ResourceBlock in the
 	// CompositionService bundling the composed resources.
-	blockURI := service.ResourceBlocksURI.Append(comp.ID)
-	if err := c.svc.Store().PutCtx(ctx, blockURI, c.resourceBlock(blockURI, comp)); err != nil {
+	b.Resource = odata.NewResource(blockURI, redfish.TypeResourceBlock, "Composition "+id)
+	b.ResourceBlockType = b.types()
+	b.CompositionStatus = redfish.CompositionStatus{CompositionState: redfish.CompositionComposed}
+	b.Status = odata.StatusOK()
+	b.Links.ComputerSystems = []odata.Ref{odata.NewRef(sysURI)}
+	raw, err := json.Marshal(b)
+	if err == nil {
+		err = st.CreateCtx(ctx, blockURI, json.RawMessage(raw))
+	}
+	if err != nil {
+		_ = st.DeleteCtx(ctx, sysURI)
 		return fmt.Errorf("composer: publish resource block: %w", err)
 	}
-	comp.BlockURI = blockURI
-	comp.steps = append(comp.steps, step{kind: "system", id: blockURI})
+	// Unless the block changed since, project b rather than re-read and
+	// decode what it was encoded from.
+	c.mu.Lock()
+	if cur, _, _ := st.Get(blockURI); bytes.Equal(cur, raw) {
+		delete(c.dirty, blockURI)
+		c.setBlock(id, b)
+	}
+	c.mu.Unlock()
 	return nil
 }
 
-func refTo(id odata.ID) *odata.Ref {
-	r := odata.NewRef(id)
-	return &r
-}
-
-// snapshot copies a composition for external callers: the resource list
-// is read out of the step record, which itself stays inside.
-func snapshot(comp *Composition) Composition {
-	cp := *comp
-	cp.Resources = comp.resources("")
-	cp.steps = nil
-	return cp
-}
-
-// resourceBlock renders the composition as a ResourceBlock resource.
-func (c *Composer) resourceBlock(uri odata.ID, comp *Composition) redfish.ResourceBlock {
-	block := redfish.ResourceBlock{
-		Resource:          odata.NewResource(uri, redfish.TypeResourceBlock, "Composition "+comp.ID),
-		ResourceBlockType: []string{redfish.BlockCompute},
-		CompositionStatus: redfish.CompositionStatus{CompositionState: redfish.CompositionComposed},
-		Status:            odata.StatusOK(),
-		Memory:            odata.RefSlice(comp.resources(KindMemory)),
-		Storage:           odata.RefSlice(comp.resources(KindStorage)),
-		Processors:        odata.RefSlice(comp.resources(KindGPU)),
-	}
-	if len(block.Memory) > 0 {
-		block.ResourceBlockType = append(block.ResourceBlockType, redfish.BlockMemory)
-	}
-	if len(block.Storage) > 0 {
-		block.ResourceBlockType = append(block.ResourceBlockType, redfish.BlockStorage)
-	}
-	if len(block.Processors) > 0 {
-		block.ResourceBlockType = append(block.ResourceBlockType, redfish.BlockProcessor)
-	}
-	if !comp.SystemURI.IsZero() {
-		block.Links.ComputerSystems = []odata.Ref{odata.NewRef(comp.SystemURI)}
-	}
-	return block
+// announce publishes one of the composer's events about a system.
+func (c *Composer) announce(ctx context.Context, eventType, messageID, id string, system odata.ID, message string) {
+	c.svc.Bus().PublishCtx(ctx, redfish.EventRecord{EventType: eventType, EventID: id, Severity: "OK",
+		Message: message, MessageID: "OFMF.1.0." + messageID, OriginOfCondition: redfish.Ref(system)})
 }
 
 func (c *Composer) selectNodeLocked(req Request) (string, error) {
-	if req.Node != "" {
-		n, ok := c.nodes[req.Node]
-		if !ok {
-			return "", fmt.Errorf("%w: %s", ErrUnknownNode, req.Node)
+	nodes := c.nodesLocked()
+	if req.Node == "" {
+		return c.policy.SelectNode(nodes, req)
+	}
+	for _, n := range nodes {
+		if n.Name != req.Node {
+			continue
 		}
 		if n.FreeCores() < req.Cores {
 			return "", fmt.Errorf("%w: node %s has %d free cores, need %d",
@@ -437,7 +566,7 @@ func (c *Composer) selectNodeLocked(req Request) (string, error) {
 		}
 		return req.Node, nil
 	}
-	return c.policy.SelectNode(c.nodesLocked(), req)
+	return "", fmt.Errorf("%w: %s", ErrUnknownNode, req.Node)
 }
 
 // units words an amount of each kind in errors.
@@ -448,46 +577,48 @@ var units = map[Kind]string{
 }
 
 // attach provisions amount units from the first pool of the kind that
-// has them and accepts the request, and connects the resource to the
-// composition's node (zoning the node's initiator first where the pool
-// asks for it). A pool that rejects the provisioning is passed over; a
-// connection that fails ends the attempt, and everything attach did is
-// undone back to the mark taken at entry.
-func (c *Composer) attach(ctx context.Context, comp *Composition, kind Kind, amount int64, heads int) error {
+// has them and accepts the request, connects the resource to b's node
+// (zoning the node's initiator first where the pool asks for it), and
+// files the resource in into and the zone and connection in b's record.
+// A pool that rejects the provisioning is passed over; a connection that
+// fails ends the attempt, and what this attach made is undone.
+func (c *Composer) attach(ctx context.Context, b *block, into *[]odata.Ref, kind Kind, amount int64, heads int) error {
 	c.mu.Lock()
 	pools := append([]*Pool(nil), c.pools...)
 	c.mu.Unlock()
-	mark := len(comp.steps)
+	node := b.Oem.OFMF.Node
 	var rejected error
 	for _, p := range pools {
-		if p.Kind != kind || p.Free() < amount {
+		if p.Kind != kind {
 			continue
 		}
-		res, err := c.svc.ProvisionResource(ctx, p.Resources, p.Provision(amount, heads))
+		res, err := c.provision(ctx, p, amount, heads)
 		if err != nil {
 			rejected = fmt.Errorf("pool %s: %w", p.Name, err)
+		}
+		if res == "" {
 			continue
 		}
-		comp.steps = append(comp.steps, step{kind: "resource", id: res, pool: kind})
-		conn := p.Connection(comp.Node, res)
+		var undo []odata.ID
+		conn := p.Connection(node, res)
 		if p.Zoned {
 			// A zone-of-endpoints granting the node access to the pooled
 			// device. A fabric that refuses the zone may still connect.
 			zone, err := c.svc.CreateZone(ctx, p.Connections.Parent().Append("Zones"), redfish.Zone{
-				Resource: odata.Resource{Name: "Zone for " + comp.ID},
 				ZoneType: redfish.ZoneTypeZoneOfEndpoints,
 				Links:    redfish.ZoneLinks{Endpoints: conn.Links.InitiatorEndpoints},
 			})
 			if err == nil {
-				comp.steps = append(comp.steps, step{kind: "zone", id: zone.ODataID})
+				undo = append(undo, zone.ODataID)
 			}
 		}
 		created, err := c.svc.CreateConnection(ctx, p.Connections, conn)
 		if err != nil {
-			c.undoSteps(ctx, comp, mark)
+			c.teardown(ctx, undo, []odata.ID{res})
 			return fmt.Errorf("composer: %s connection: %w", kind, err)
 		}
-		comp.steps = append(comp.steps, step{kind: "connection", id: created.ODataID})
+		*into = append(*into, odata.NewRef(res))
+		b.Oem.OFMF.Undo = append(b.Oem.OFMF.Undo, append(undo, created.ODataID)...)
 		return nil
 	}
 	if rejected != nil {
@@ -496,22 +627,29 @@ func (c *Composer) attach(ctx context.Context, comp *Composition, kind Kind, amo
 	return fmt.Errorf("%w: %d %s", ErrNoPool, amount, units[kind])
 }
 
-// undoSteps is the one rollback: it reverses the composition's steps,
-// newest first, until mark of them are left (0 tears everything down).
-func (c *Composer) undoSteps(ctx context.Context, comp *Composition, mark int) {
-	for len(comp.steps) > mark {
-		st := comp.steps[len(comp.steps)-1]
-		comp.steps = comp.steps[:len(comp.steps)-1]
-		switch st.kind {
-		case "connection":
-			_ = c.svc.DeleteConnection(ctx, st.id)
-		case "zone":
-			_ = c.svc.DeleteZone(ctx, st.id)
-		case "resource":
-			_ = c.svc.DeprovisionResource(ctx, st.id)
-		case "system":
-			_ = c.svc.Store().DeleteCtx(ctx, st.id)
+// provision claims amount units from p; it returns "" and no error when
+// the tree says p lacks them.
+func (c *Composer) provision(ctx context.Context, p *Pool, amount int64, heads int) (odata.ID, error) {
+	p.claim.Lock()
+	defer p.claim.Unlock()
+	if c.free(p) < amount {
+		return "", nil
+	}
+	return c.svc.ProvisionResource(ctx, p.Resources, p.Provision(amount, heads))
+}
+
+// teardown is the one rollback: it removes undo's zones and connections,
+// then the resources, each newest first, and ignores what is gone.
+func (c *Composer) teardown(ctx context.Context, undo, resources []odata.ID) {
+	for i := len(undo) - 1; i >= 0; i-- {
+		if id := undo[i]; id.Parent().Leaf() == "Zones" {
+			_ = c.svc.DeleteZone(ctx, id)
+		} else {
+			_ = c.svc.DeleteConnection(ctx, id)
 		}
+	}
+	for i := len(resources) - 1; i >= 0; i-- {
+		_ = c.svc.DeprovisionResource(ctx, resources[i])
 	}
 }
 
@@ -531,32 +669,23 @@ func (c *Composer) DecomposeCtx(ctx context.Context, id string) error {
 
 func (c *Composer) decompose(ctx context.Context, id string) error {
 	c.mu.Lock()
-	comp, ok := c.comps[id]
-	if ok {
-		delete(c.comps, id)
-	}
+	c.syncLocked()
+	b := c.byID[id]
 	c.mu.Unlock()
-	if !ok {
+	if b == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownComp, id)
 	}
-	c.undoSteps(ctx, comp, 0)
-	c.mu.Lock()
-	if n, ok := c.nodes[comp.Node]; ok {
-		n.UsedCores -= comp.Request.Cores
-		if n.UsedCores < 0 {
-			n.UsedCores = 0
-		}
+	// Deleting the block claims it: a concurrent decompose finds it gone.
+	if err := c.svc.Store().DeleteCtx(ctx, b.ODataID); errors.Is(err, store.ErrNotFound) {
+		return fmt.Errorf("%w: %s", ErrUnknownComp, id)
+	} else if err != nil {
+		return err
 	}
-	c.mu.Unlock()
+	sysURI := b.system()
+	_ = c.svc.Store().DeleteCtx(ctx, sysURI)
+	c.teardown(ctx, b.Oem.OFMF.Undo, b.resources())
 
-	c.svc.Bus().PublishCtx(ctx, redfish.EventRecord{
-		EventType:         redfish.EventResourceRemoved,
-		EventID:           id,
-		Severity:          "OK",
-		Message:           fmt.Sprintf("decomposed system %s", id),
-		MessageID:         "OFMF.1.0.SystemDecomposed",
-		OriginOfCondition: refTo(comp.SystemURI),
-	})
+	c.announce(ctx, redfish.EventResourceRemoved, "SystemDecomposed", id, sysURI, fmt.Sprintf("decomposed system %s", id))
 	return nil
 }
 
@@ -574,33 +703,30 @@ func (c *Composer) HotAddMemoryCtx(ctx context.Context, compID string, sizeMiB i
 }
 
 func (c *Composer) hotAddMemory(ctx context.Context, compID string, sizeMiB int64) error {
-	c.mu.Lock()
-	comp, ok := c.comps[compID]
-	c.mu.Unlock()
-	if !ok {
+	// Read from the store, not the projection: the entity tag guards the
+	// patch against a concurrent hot-add or decompose.
+	uri := service.ResourceBlocksURI.Append(compID)
+	raw, etag, _ := c.svc.Store().Get(uri)
+	b := decodeBlock(raw)
+	if b == nil {
 		return fmt.Errorf("%w: %s", ErrUnknownComp, compID)
 	}
-	if err := c.attach(ctx, comp, KindMemory, sizeMiB, 1); err != nil {
+	rec := b.Oem.OFMF
+	memory, undo := len(b.Memory), len(rec.Undo)
+	if err := c.attach(ctx, b, &b.Memory, KindMemory, sizeMiB, 1); err != nil {
 		return err
 	}
-	// Refresh the composed system's resource links and the block view.
-	patch := map[string]any{"Links": map[string]any{"ResourceBlocks": odata.RefSlice(comp.resources(""))}}
-	if err := c.svc.Store().PatchCtx(ctx, comp.SystemURI, patch, ""); err != nil {
+	patch := map[string]any{
+		"Memory":            b.Memory,
+		"ResourceBlockType": b.types(),
+		"Oem":               map[string]any{"OFMF": map[string]any{"Undo": rec.Undo}},
+	}
+	if err := c.svc.Store().PatchCtx(ctx, uri, patch, etag); err != nil {
+		c.teardown(ctx, rec.Undo[undo:], odata.IDsOf(b.Memory[memory:]))
 		return err
 	}
-	if !comp.BlockURI.IsZero() {
-		if err := c.svc.Store().PutCtx(ctx, comp.BlockURI, c.resourceBlock(comp.BlockURI, comp)); err != nil {
-			return err
-		}
-	}
-	c.svc.Bus().PublishCtx(ctx, redfish.EventRecord{
-		EventType:         redfish.EventResourceUpdated,
-		EventID:           compID,
-		Severity:          "OK",
-		Message:           fmt.Sprintf("hot-added %d MiB to %s", sizeMiB, compID),
-		MessageID:         "OFMF.1.0.MemoryHotAdded",
-		OriginOfCondition: refTo(comp.SystemURI),
-	})
+	c.announce(ctx, redfish.EventResourceUpdated, "MemoryHotAdded", compID, b.system(),
+		fmt.Sprintf("hot-added %d MiB to %s", sizeMiB, compID))
 	return nil
 }
 
@@ -661,15 +787,10 @@ func (c *Composer) ComposeSystem(ctx context.Context, payload []byte) (odata.ID,
 // composition owning the system URI and tears it down.
 func (c *Composer) DecomposeSystem(ctx context.Context, systemURI odata.ID) error {
 	c.mu.Lock()
-	id := ""
-	for cid, comp := range c.comps {
-		if comp.SystemURI == systemURI {
-			id = cid
-			break
-		}
-	}
+	c.syncLocked()
+	id, ok := c.bySystem[systemURI]
 	c.mu.Unlock()
-	if id == "" {
+	if !ok {
 		return fmt.Errorf("%w: system %s", ErrUnknownComp, systemURI)
 	}
 	return c.DecomposeCtx(ctx, id)
@@ -687,22 +808,23 @@ type Stats struct {
 
 // Stats returns current utilization counters.
 func (c *Composer) Stats() Stats {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var s Stats
-	for _, n := range c.nodes {
+	c.mu.Lock()
+	for _, n := range c.nodesLocked() {
 		s.TotalCores += n.Cores
 		s.UsedCores += n.UsedCores
 	}
-	s.Compositions = len(c.comps)
-	for _, p := range c.pools {
-		switch p.Kind {
+	s.Compositions = len(c.byID)
+	pools := append([]*Pool(nil), c.pools...)
+	c.mu.Unlock()
+	for _, p := range pools {
+		switch free := c.free(p); p.Kind {
 		case KindMemory:
-			s.FreeMemoryMiB += p.Free()
+			s.FreeMemoryMiB += free
 		case KindStorage:
-			s.FreeStorageB += p.Free()
+			s.FreeStorageB += free
 		case KindGPU:
-			s.FreeGPUSlices += int(p.Free())
+			s.FreeGPUSlices += int(free)
 		}
 	}
 	return s

@@ -18,6 +18,7 @@ import (
 	"ofmf/internal/core"
 	"ofmf/internal/redfish"
 	"ofmf/internal/service"
+	"ofmf/internal/store"
 )
 
 func newFramework(t *testing.T, cfg core.Config) *core.Framework {
@@ -69,8 +70,8 @@ func TestComposeFullSystem(t *testing.T) {
 	if sys.SystemType != redfish.SystemTypeComposed {
 		t.Errorf("system type = %s", sys.SystemType)
 	}
-	if len(sys.Links.ResourceBlocks) != 3 {
-		t.Errorf("resource links = %v", sys.Links.ResourceBlocks)
+	if len(sys.Links.ResourceBlocks) != 1 || sys.Links.ResourceBlocks[0].ODataID != comp.BlockURI {
+		t.Errorf("resource links = %v, want the composition's block", sys.Links.ResourceBlocks)
 	}
 
 	// Decompose returns every resource to the pool.
@@ -395,8 +396,8 @@ func TestHotAddMemory(t *testing.T) {
 	if err := f.Service.Store().GetAs(comp.SystemURI, &sys); err != nil {
 		t.Fatal(err)
 	}
-	if len(sys.Links.ResourceBlocks) != 2 {
-		t.Errorf("system links = %v", sys.Links.ResourceBlocks)
+	if len(sys.Links.ResourceBlocks) != 1 || sys.Links.ResourceBlocks[0].ODataID != comp.BlockURI {
+		t.Errorf("system links = %v, want the composition's block", sys.Links.ResourceBlocks)
 	}
 	if err := f.Composer.HotAddMemory("ghost", 1); !errors.Is(err, composer.ErrUnknownComp) {
 		t.Errorf("err = %v", err)
@@ -693,8 +694,8 @@ func TestRedfishNativeComposition(t *testing.T) {
 	if sys.SystemType != redfish.SystemTypeComposed || sys.Name != "redfish-native" {
 		t.Errorf("system = %+v", sys)
 	}
-	if len(sys.Links.ResourceBlocks) != 2 {
-		t.Errorf("links = %v", sys.Links.ResourceBlocks)
+	if len(sys.Links.ResourceBlocks) != 1 || sys.Links.ResourceBlocks[0].ODataID.Parent() != service.ResourceBlocksURI {
+		t.Errorf("links = %v, want one ResourceBlock", sys.Links.ResourceBlocks)
 	}
 	if f.CXL.FreeMiB() != 4*256*1024-2048 {
 		t.Errorf("cxl free = %d", f.CXL.FreeMiB())
@@ -837,5 +838,62 @@ func TestArchitectureEndToEnd(t *testing.T) {
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusOK {
 		t.Errorf("report GET = %d", resp.StatusCode)
+	}
+}
+
+// TestComposesExactlyFillANode: a compose's cores count once, from its
+// reservation until the projection holds its block and from the block
+// after. A watcher running inside the block's write, after the
+// composer's, sees 28 of the node's 56 cores used, not 56; and two
+// concurrent 28-core composes pinned to the node both fit, however they
+// interleave.
+func TestComposesExactlyFillANode(t *testing.T) {
+	f := newFramework(t, core.Config{Nodes: 1, CoresPerNode: 56})
+	var mu sync.Mutex
+	var seen []int
+	f.Service.Store().Watch(func(chg store.Change) {
+		if chg.Kind == store.Added && chg.ID.Parent() == service.ResourceBlocksURI {
+			used := f.Composer.Nodes()[0].UsedCores
+			mu.Lock()
+			seen = append(seen, used)
+			mu.Unlock()
+		}
+	})
+	comp, err := f.Composer.Compose(composer.Request{Cores: 28})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(seen, []int{28}) {
+		t.Fatalf("used cores as the block is written = %v, want [28]", seen)
+	}
+	if err := f.Composer.Decompose(comp.ID); err != nil {
+		t.Fatal(err)
+	}
+
+	for round := 0; round < 20; round++ {
+		ids := make(chan string, 2)
+		var wg sync.WaitGroup
+		for range 2 {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				comp, err := f.Composer.Compose(composer.Request{Cores: 28, Node: "node001"})
+				if err != nil {
+					t.Errorf("round %d: %v", round, err)
+					return
+				}
+				ids <- comp.ID
+			}()
+		}
+		wg.Wait()
+		close(ids)
+		for id := range ids {
+			if err := f.Composer.Decompose(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if t.Failed() {
+			return
+		}
 	}
 }

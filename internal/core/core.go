@@ -199,7 +199,12 @@ func New(cfg Config) (*Framework, error) {
 		Name:        "cxl-pool",
 		Resources:   f.CXLAgent.ChassisID().Append("MemoryDomains", "Domain0", "MemoryChunks"),
 		Connections: cxlFabric.Append("Connections"),
-		Free:        f.CXL.FreeMiB,
+		Capacity: func() (mib int64) {
+			for _, d := range f.CXL.Devices() {
+				mib += d.CapacityMiB
+			}
+			return mib
+		},
 		Provision: func(mib int64, heads int) []byte {
 			return fmt.Appendf(nil, `{"MemoryChunkSizeMiB": %d, "Oem": {"OFMF": {"MaxHeads": %d}}}`, mib, heads)
 		},
@@ -223,12 +228,11 @@ func New(cfg Config) (*Framework, error) {
 		Name:        "nvme-pool",
 		Resources:   f.NVMeAgent.StorageID().Append("Volumes"),
 		Connections: nvmeFabric.Append("Connections"),
-		Free: func() int64 {
-			var free int64
+		Capacity: func() (bytes int64) {
 			for _, p := range f.NVMe.Pools() {
-				free += p.CapacityBytes - p.AllocatedBytes()
+				bytes += p.CapacityBytes
 			}
-			return free
+			return bytes
 		},
 		Provision: func(bytes int64, _ int) []byte {
 			return fmt.Appendf(nil, `{"CapacityBytes": %d}`, bytes)
@@ -249,7 +253,12 @@ func New(cfg Config) (*Framework, error) {
 		Name:        "gpu-pool",
 		Resources:   f.GPUAgent.ChassisID().Append("Processors"),
 		Connections: gpuFabric.Append("Connections"),
-		Free:        func() int64 { return int64(f.GPUs.FreeSlices()) },
+		Capacity: func() (slices int64) {
+			for _, g := range f.GPUs.GPUs() {
+				slices += int64(g.Slices)
+			}
+			return slices
+		},
 		Provision: func(slices int64, _ int) []byte {
 			return fmt.Appendf(nil, `{"Oem": {"OFMF": {"Slices": %d}}}`, slices)
 		},

@@ -216,6 +216,12 @@ func (s *Service) dispatch(w http.ResponseWriter, r *http.Request, composer http
 		rt.serve(s, w, r)
 		return
 	}
+	// A ResourceBlock is the composer's record of what it composed: only
+	// composing and decomposing a system write one.
+	if r.Method != http.MethodGet && r.Method != http.MethodHead && id.Under(ResourceBlocksURI) && s.systemComposer() != nil {
+		s.error(w, r, http.StatusMethodNotAllowed, "Base.1.0.OperationNotAllowed", "compose or decompose a system instead")
+		return
+	}
 	switch r.Method {
 	case http.MethodGet, http.MethodHead:
 		s.handleGet(w, r, id)
@@ -847,19 +853,17 @@ func (s *Service) handleDelete(w http.ResponseWriter, r *http.Request, id odata.
 		}
 	default:
 		// DELETE of a composed system routes through the Composability
-		// Manager, releasing its resources.
-		if parent == SystemsURI && s.systemComposer() != nil && s.isComposedSystem(id) {
-			if err := s.systemComposer().DecomposeSystem(r.Context(), id); err != nil {
+		// Manager, releasing its resources; a system it did not compose is
+		// deleted like any other resource.
+		if parent == SystemsURI && s.systemComposer() != nil {
+			switch err := s.systemComposer().DecomposeSystem(r.Context(), id); {
+			case err == nil:
+				w.WriteHeader(http.StatusNoContent)
+				return
+			case !errors.Is(err, store.ErrNotFound):
 				s.error(w, r, http.StatusConflict, "OFMF.1.0.DecompositionFailed", err.Error())
 				return
 			}
-			// The composer removed the resource itself.
-			if err := s.store.DeleteCtx(r.Context(), id); err != nil && !errors.Is(err, store.ErrNotFound) {
-				s.fail(w, r, err)
-				return
-			}
-			w.WriteHeader(http.StatusNoContent)
-			return
 		}
 		if _, h, ok := s.handlerFor(id); ok {
 			var err error
@@ -892,18 +896,6 @@ func (s *Service) handleDelete(w http.ResponseWriter, r *http.Request, id odata.
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
-}
-
-// isComposedSystem reports whether id is a ComputerSystem with
-// SystemType "Composed".
-func (s *Service) isComposedSystem(id odata.ID) bool {
-	var sys struct {
-		SystemType string `json:"SystemType"`
-	}
-	if err := s.store.GetAs(id, &sys); err != nil {
-		return false
-	}
-	return sys.SystemType == redfish.SystemTypeComposed
 }
 
 // json encodes v into a pooled buffer and writes it in one shot, so slow

@@ -84,6 +84,7 @@ func (s *Service) handleAdminTree(w http.ResponseWriter, r *http.Request) {
 				"dump does not contain the service root; not a tree dump")
 			return
 		}
+		// A restore neither mints a login nor ends one: Sessions stay.
 		resources := make(map[odata.ID]any, len(dump))
 		for id, raw := range dump {
 			if !id.Under(RootURI) {
@@ -91,9 +92,11 @@ func (s *Service) handleAdminTree(w http.ResponseWriter, r *http.Request) {
 					"resource outside service root: "+string(id))
 				return
 			}
-			resources[id] = raw
+			if !id.Under(SessionsURI) {
+				resources[id] = raw
+			}
 		}
-		if err := s.store.PutSubtreeCtx(r.Context(), RootURI, resources); err != nil {
+		if err := s.store.PutSubtreeCtx(r.Context(), RootURI, resources, SessionsURI); err != nil {
 			// URIs and payload JSON were validated above, so a failure
 			// here is a durability fault, not a bad request.
 			s.error(w, r, http.StatusInternalServerError, "Base.1.0.InternalError", err.Error())

@@ -352,6 +352,7 @@ func (s *Service) ProvisionResource(ctx context.Context, coll odata.ID, payload 
 // DeprovisionResource deletes an agent-provisioned resource, releasing
 // the hardware capacity first. Serialized with id allocation so the
 // trailing store delete can never clobber a reused URI's new resource.
+// An id the tree does not hold is not found, whatever the agent holds.
 func (s *Service) DeprovisionResource(ctx context.Context, id odata.ID) error {
 	return s.store.Deferred(ctx, func(ctx context.Context) error {
 		s.allocMu.Lock()
@@ -359,6 +360,9 @@ func (s *Service) DeprovisionResource(ctx context.Context, id odata.ID) error {
 		prefix, prov, err := s.provisionerFor(id)
 		if err != nil {
 			return err
+		}
+		if !s.store.Exists(id) {
+			return fmt.Errorf("%w: %s", store.ErrNotFound, id)
 		}
 		if err := s.forward(ctx, prefix, "DeleteResource", func(ctx context.Context) error {
 			return prov.DeleteResource(ctx, id)

@@ -3,6 +3,8 @@ package service
 import (
 	"bufio"
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"io/fs"
 	"log/slog"
@@ -551,5 +553,60 @@ func TestSubscriptionPatchRefusesBadDestination(t *testing.T) {
 	a := putSystem(t, svc, "A", "On")
 	if got := h.settle(t, 1); len(got) != 1 || got[0].OriginOfCondition == nil || got[0].OriginOfCondition.ODataID != a {
 		t.Fatalf("after the refused PATCHes: %+v, want one event about %s", got, a)
+	}
+}
+
+// TestAdminRestoreLeavesSessions: an admin tree restore never installs
+// or removes a Session. The dump holds a forged one (the hash of a token
+// its author chose, created far in the future) and lacks the live one:
+// it restores with 204, the forged token is refused, and the live token
+// still validates.
+func TestAdminRestoreLeavesSessions(t *testing.T) {
+	_, srv := newTestServer(t, Config{Credentials: sessions.StaticCredentials(map[string]string{"admin": "pw"})})
+	resp, body := doJSON(t, http.MethodPost, srv.URL+string(SessionsURI),
+		map[string]string{"UserName": "admin", "Password": "pw"}, nil)
+	if resp.StatusCode != http.StatusCreated {
+		t.Fatalf("login = %d: %s", resp.StatusCode, body)
+	}
+	live := map[string]string{"X-Auth-Token": resp.Header.Get("X-Auth-Token")}
+	resp, body = doJSON(t, http.MethodGet, srv.URL+string(AdminTreeOemURI), nil, live)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("dump = %d: %s", resp.StatusCode, body)
+	}
+	var dump map[odata.ID]json.RawMessage
+	if err := json.Unmarshal(body, &dump); err != nil {
+		t.Fatal(err)
+	}
+	for id := range dump {
+		if id.Parent() == SessionsURI {
+			delete(dump, id)
+		}
+	}
+	forgedURI := SessionsURI.Append("99")
+	sum := sha256.Sum256([]byte("forged"))
+	forged := redfish.Session{
+		Resource:    odata.NewResource(forgedURI, redfish.TypeSession, "Session 99"),
+		UserName:    "admin",
+		CreatedTime: "2999-01-01T00:00:00Z",
+		Oem:         &redfish.SessionOem{},
+	}
+	forged.Oem.OFMF.TokenSHA256 = hex.EncodeToString(sum[:])
+	raw, err := json.Marshal(forged)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dump[forgedURI] = raw
+
+	if resp, body := doJSON(t, http.MethodPost, srv.URL+string(AdminTreeOemURI), dump, live); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("restore = %d: %s", resp.StatusCode, body)
+	}
+	if resp, _ := doJSON(t, http.MethodGet, srv.URL+string(SystemsURI), nil, map[string]string{"X-Auth-Token": "forged"}); resp.StatusCode != http.StatusUnauthorized {
+		t.Errorf("forged token after restore = %d, want 401", resp.StatusCode)
+	}
+	if resp, _ := doJSON(t, http.MethodGet, srv.URL+string(SystemsURI), nil, live); resp.StatusCode != http.StatusOK {
+		t.Errorf("live token after restore = %d, want 200", resp.StatusCode)
+	}
+	if resp, _ := doJSON(t, http.MethodGet, srv.URL+string(forgedURI), nil, live); resp.StatusCode != http.StatusNotFound {
+		t.Errorf("GET %s after restore = %d, want 404", forgedURI, resp.StatusCode)
 	}
 }

@@ -64,7 +64,8 @@ type SystemComposer interface {
 	// ComposeSystem realizes the request payload and returns the composed
 	// system's URI. ctx carries the request id for trace correlation.
 	ComposeSystem(ctx context.Context, payload []byte) (odata.ID, error)
-	// DecomposeSystem releases the composed system at the URI.
+	// DecomposeSystem releases the composed system at the URI; an error
+	// wrapping store.ErrNotFound means it composed none there.
 	DecomposeSystem(ctx context.Context, systemURI odata.ID) error
 }
 
