@@ -37,7 +37,6 @@ import (
 	"os"
 	"os/signal"
 	"strings"
-	"sync"
 	"sync/atomic"
 	"syscall"
 	"time"
@@ -136,7 +135,10 @@ func main() {
 		SlowThreshold: *traceSlow,
 		Logger:        logger,
 	})
-	svcCfg := service.Config{Credentials: creds, Logger: logger, Metrics: metrics, Tracer: tracer}
+	// The liveness sweeper downgrades sources whose heartbeats stop; a
+	// replica's sweeps nothing until it is promoted.
+	svcCfg := service.Config{Credentials: creds, Logger: logger, Metrics: metrics, Tracer: tracer,
+		Liveness: service.LivenessConfig{Interval: *sweepInterval, StaleAfter: *heartbeatTimeout}}
 	svcCfg.Events.Workers = *eventWorkers
 
 	// app serves the Redfish tree (and, on the testbed, the composer
@@ -238,40 +240,7 @@ func main() {
 			service.RootURI))
 	}
 
-	// The liveness sweeper is the OFMF-side half of the heartbeat
-	// contract: agents report in; the sweeper downgrades sources whose
-	// reports stop arriving. It runs only where registrations land —
-	// the leader — so replicas never mark sources stale from a tree
-	// they don't own; failover callbacks toggle it.
-	var sweepMu sync.Mutex
-	var stopSweep func()
-	startSweep := func() {
-		sweepMu.Lock()
-		defer sweepMu.Unlock()
-		if stopSweep != nil || *sweepInterval <= 0 {
-			return
-		}
-		sweeper := ofmfSvc.NewLivenessSweeper(service.LivenessConfig{
-			Interval:   *sweepInterval,
-			StaleAfter: *heartbeatTimeout,
-		})
-		stopSweep = sweeper.Start()
-		logger.Info("ofmf: liveness sweeper running",
-			"interval", *sweepInterval, "heartbeat_timeout", *heartbeatTimeout)
-	}
-	haltSweep := func() {
-		sweepMu.Lock()
-		defer sweepMu.Unlock()
-		if stopSweep != nil {
-			stopSweep()
-			stopSweep = nil
-		}
-	}
-	defer haltSweep()
-
-	if *role == "" {
-		startSweep()
-	} else {
+	if *role != "" {
 		var node *repl.Node
 		var inner store.Backend
 		if b := pb.Load(); b != nil {
@@ -305,12 +274,8 @@ func main() {
 				}
 				return nil, 0, false, nil
 			},
-			OnLeader: func(epoch uint64) {
-				ofmfSvc.ClearReplicaMode()
-				startSweep()
-			},
+			OnLeader: func(uint64) { ofmfSvc.ClearReplicaMode() },
 			OnFollower: func(string) {
-				haltSweep()
 				ofmfSvc.SetReplicaMode(func() string { return node.LeaderURL() }, *proxyWrites)
 			},
 			Logger:  logger,

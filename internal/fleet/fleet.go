@@ -9,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -43,7 +44,8 @@ type Options struct {
 	Sinks      int
 	SSEStreams int
 	// Liveness tunes the sweeper (defaults: 10s interval, 30s stale,
-	// 90s unavailable — all in virtual time).
+	// 90s unavailable — all in virtual time). Interval is the scripts'
+	// beat round.
 	Liveness service.LivenessConfig
 	// Logger receives harness progress (default: drop everything).
 	Logger *slog.Logger
@@ -92,10 +94,10 @@ type Fleet struct {
 	agents []*simAgent
 
 	svc     *service.Service
-	sweeper *service.LivenessSweeper
 	backend *persist.FileBackend
 
 	httpSrv   *httptest.Server
+	hooks     *httptest.Server // webhook receiver; outlives incarnations
 	sseWG     sync.WaitGroup
 	sseBodies []io.Closer
 
@@ -147,10 +149,10 @@ func (f *Fleet) violate(format string, args ...any) {
 	f.violations = append(f.violations, fmt.Sprintf(format, args...))
 }
 
-// boot stands up one OFMF incarnation: service, optional WAL recovery,
-// liveness sweeper on the virtual clock, conservation subscribers, and
-// the ledger baseline. Returns the recovery stats (zero on a fresh
-// directory or without persistence).
+// boot stands up one OFMF incarnation: service with its liveness
+// sweeper on the virtual clock, optional WAL recovery, conservation
+// subscribers, and the ledger baseline. Returns the recovery stats
+// (zero on a fresh directory or without persistence).
 func (f *Fleet) boot() (persist.RecoveryStats, error) {
 	off := false
 	f.svc = service.New(service.Config{
@@ -166,7 +168,12 @@ func (f *Fleet) boot() (persist.RecoveryStats, error) {
 			// at full fleet scale.
 			QueueDepth: 1 << 20,
 		},
+		// No ticker: the scripts sweep on the virtual clock.
+		Liveness: service.LivenessConfig{StaleAfter: f.opts.Liveness.StaleAfter, UnavailableAfter: f.opts.Liveness.UnavailableAfter},
 	})
+	// Before recovery: replay feeds the sweeper, which anchors what it
+	// sees on this clock.
+	f.svc.Liveness().SetClock(f.clock.Now)
 	var stats persist.RecoveryStats
 	if f.opts.PersistDir != "" {
 		b, err := persist.Open(persist.Options{
@@ -183,12 +190,11 @@ func (f *Fleet) boot() (persist.RecoveryStats, error) {
 		f.svc.Store().AttachBackend(b, stats.LastSeq)
 		f.backend = b
 	}
-	f.sweeper = f.svc.NewLivenessSweeper(f.opts.Liveness)
-	f.sweeper.SetClock(f.clock.Now)
 	f.mem.set(f.svc.Handler())
 
 	// Conservation subscribers: every one is match-all, so each publish
-	// must be accounted once per subscription.
+	// must be accounted once per subscription. Stored webhook
+	// subscriptions come back with the tree and count too.
 	for i, cs := range f.sinks {
 		if _, err := f.svc.Bus().Subscribe(cs.sink(), events.Filter{}, fmt.Sprintf("fleet-sink-%d", i)); err != nil {
 			return stats, err
@@ -200,7 +206,11 @@ func (f *Fleet) boot() (persist.RecoveryStats, error) {
 			return stats, err
 		}
 	}
-	f.subCount = f.opts.Sinks + f.opts.SSEStreams
+	stored, err := f.svc.Store().Members(service.SubscriptionsURI)
+	if err != nil {
+		return stats, err
+	}
+	f.subCount = f.opts.Sinks + f.opts.SSEStreams + len(stored)
 	if got := len(f.svc.Bus().Subscriptions()); got != f.subCount {
 		return stats, fmt.Errorf("fleet: expected %d subscriptions, bus has %d", f.subCount, got)
 	}
@@ -256,18 +266,40 @@ func (f *Fleet) kill() {
 	f.svc.Bus().Close()
 	f.backend = nil // abandoned: file contents are the crash state
 	f.svc = nil
-	f.sweeper = nil
 }
 
 // close tears the current incarnation down gracefully (end of run).
 func (f *Fleet) close() {
-	if f.svc == nil {
-		return
+	if f.svc != nil {
+		f.closeSSE()
+		f.httpSrv.Close()
+		f.svc.Close()
+		f.svc = nil
 	}
-	f.closeSSE()
-	f.httpSrv.Close()
-	f.svc.Close()
-	f.svc = nil
+	if f.hooks != nil {
+		f.hooks.Close()
+	}
+}
+
+// subscribeWebhook POSTs one match-all EventDestination for the webhook
+// receiver and returns its id. The ledger's window closes before it and
+// reopens with the subscription counted.
+func (f *Fleet) subscribeWebhook() (string, error) {
+	f.checkConservationNow()
+	if f.hooks == nil {
+		f.hooks = httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, _ *http.Request) {
+			w.WriteHeader(http.StatusNoContent)
+		}))
+	}
+	rec := httptest.NewRecorder()
+	f.svc.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, string(service.SubscriptionsURI),
+		strings.NewReader(fmt.Sprintf(`{"Destination":%q}`, f.hooks.URL))))
+	if rec.Code != http.StatusCreated {
+		return "", fmt.Errorf("fleet: subscribe: %d %s", rec.Code, rec.Body)
+	}
+	f.subCount++
+	f.statsBase = f.svc.Bus().Stats()
+	return odata.ID(rec.Header().Get("Location")).Leaf(), nil
 }
 
 // runParallel applies fn to every index in [0, n) on Workers
@@ -357,7 +389,7 @@ func (f *Fleet) emitRound(n int) {
 // sweep runs one timed liveness pass.
 func (f *Fleet) sweep() {
 	start := time.Now()
-	f.sweeper.Sweep()
+	f.svc.Liveness().Sweep()
 	f.sweepDur = append(f.sweepDur, time.Since(start))
 }
 
@@ -394,12 +426,12 @@ func (f *Fleet) converge(maxSweeps int) (virtual time.Duration, wall time.Durati
 	vstart, wstart := f.clock.Now(), time.Now()
 	for i := 0; i < maxSweeps; i++ {
 		f.sweep()
-		if len(checkLiveness(f.sweeper.SourcesSnapshot(), f.expectedLevels())) == 0 {
+		if len(checkLiveness(f.svc.Liveness().SourcesSnapshot(), f.expectedLevels())) == 0 {
 			return f.clock.Now().Sub(vstart), time.Since(wstart)
 		}
 		f.clock.Advance(time.Second)
 	}
-	for _, v := range checkLiveness(f.sweeper.SourcesSnapshot(), f.expectedLevels()) {
+	for _, v := range checkLiveness(f.svc.Liveness().SourcesSnapshot(), f.expectedLevels()) {
 		f.violate("%s", v)
 	}
 	return f.clock.Now().Sub(vstart), time.Since(wstart)
@@ -493,7 +525,7 @@ func (f *Fleet) checkAgentLedgersNow() {
 
 // checkLivenessNow asserts sweeper convergence against ground truth.
 func (f *Fleet) checkLivenessNow() {
-	for _, v := range checkLiveness(f.sweeper.SourcesSnapshot(), f.expectedLevels()) {
+	for _, v := range checkLiveness(f.svc.Liveness().SourcesSnapshot(), f.expectedLevels()) {
 		f.violate("%s", v)
 	}
 }
@@ -544,7 +576,6 @@ func (f *Fleet) Run(sc Script) (Result, error) {
 		return f.res, err
 	}
 	f.res.RegistrationPerSec = rate
-	f.sweep() // seed the sweeper's index
 
 	for _, step := range sc.Steps {
 		f.opts.Logger.Info("fleet: step", "scenario", sc.Name, "step", step.Name)

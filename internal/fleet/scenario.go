@@ -3,6 +3,8 @@ package fleet
 import (
 	"bytes"
 	"fmt"
+	"slices"
+	"strconv"
 	"time"
 
 	"ofmf/internal/resilience"
@@ -53,7 +55,7 @@ func Scenario(name string) (Script, error) {
 func CrashScript() Script {
 	var victims []*simAgent
 	requireLevel := func(f *Fleet, want int, phase string) {
-		snap := f.sweeper.SourcesSnapshot()
+		snap := f.svc.Liveness().SourcesSnapshot()
 		for _, a := range victims {
 			uri, _ := a.groundTruth()
 			if lvl, ok := snap[uri]; !ok || lvl != want {
@@ -209,7 +211,7 @@ func StormScript() Script {
 			if err != nil {
 				return err
 			}
-			if snap := f.sweeper.SourcesSnapshot(); len(snap) != len(sources) {
+			if snap := f.svc.Liveness().SourcesSnapshot(); len(snap) != len(sources) {
 				f.violate("storm: sweeper tracks %d sources, store holds %d", len(snap), len(sources))
 			}
 			return nil
@@ -219,13 +221,26 @@ func StormScript() Script {
 
 // KillRecoverScript kills the OFMF mid-flight (no graceful shutdown, no
 // final snapshot), boots a fresh incarnation that must rebuild the
-// whole fleet's state from real WAL replay byte-for-byte, then rides
-// out a full-fleet re-registration storm from agents that never heard
-// the OFMF died.
+// whole fleet's state from real WAL replay byte-for-byte — its stored
+// webhook subscriptions live on the bus again — then rides out a
+// full-fleet re-registration storm from agents that never heard the
+// OFMF died.
 func KillRecoverScript() Script {
+	const hooks = 3
 	var preSeq uint64
 	var preExport []byte
+	var hookIDs []string
 	return Script{Name: "killrecover", Persist: true, Steps: []Step{
+		{"subscribe", func(f *Fleet) error {
+			for i := 0; i < hooks; i++ {
+				id, err := f.subscribeWebhook()
+				if err != nil {
+					return err
+				}
+				hookIDs = append(hookIDs, id)
+			}
+			return nil
+		}},
 		{"traffic", func(f *Fleet) error {
 			for i := 0; i < 2; i++ {
 				f.beatRound(f.opts.Liveness.Interval)
@@ -266,6 +281,19 @@ func KillRecoverScript() Script {
 			}
 			if !bytes.Equal(ex, preExport) {
 				f.violate("killrecover: recovered store differs from pre-kill state (%d bytes vs %d)", len(ex), len(preExport))
+			}
+			onBus := f.svc.Bus().Subscriptions()
+			for _, id := range hookIDs {
+				if !slices.Contains(onBus, id) {
+					f.violate("killrecover: stored subscription %s is not on the recovered bus", id)
+				}
+			}
+			id, err := f.subscribeWebhook()
+			if err != nil {
+				return err
+			}
+			if want := strconv.Itoa(hooks + 1); id != want {
+				f.violate("killrecover: subscription after recovery got id %s, want %s", id, want)
 			}
 			return nil
 		}},

@@ -150,6 +150,13 @@ func (f *family) get(labelValues []string) *series {
 	return sr
 }
 
+// delete drops the series with the given label values, if any.
+func (f *family) delete(labelValues []string) {
+	f.mu.Lock()
+	delete(f.series, strings.Join(labelValues, labelSep))
+	f.mu.Unlock()
+}
+
 // CounterVec is a counter family partitioned by labels.
 type CounterVec struct{ fam *family }
 
@@ -157,11 +164,17 @@ type CounterVec struct{ fam *family }
 // first use.
 func (v *CounterVec) With(labelValues ...string) *Counter { return v.fam.get(labelValues).counter }
 
+// Delete removes the counter for the given label values from exposition.
+func (v *CounterVec) Delete(labelValues ...string) { v.fam.delete(labelValues) }
+
 // GaugeVec is a gauge family partitioned by labels.
 type GaugeVec struct{ fam *family }
 
 // With returns the gauge for the given label values.
 func (v *GaugeVec) With(labelValues ...string) *Gauge { return v.fam.get(labelValues).gauge }
+
+// Delete removes the gauge for the given label values from exposition.
+func (v *GaugeVec) Delete(labelValues ...string) { v.fam.delete(labelValues) }
 
 // HistogramVec is a histogram family partitioned by labels.
 type HistogramVec struct{ fam *family }

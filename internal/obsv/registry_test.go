@@ -45,6 +45,13 @@ func TestVecLabelPartitioning(t *testing.T) {
 	if got := v.With("POST", "500").Value(); got != 1 {
 		t.Errorf(`POST/500 = %v, want 1`, got)
 	}
+	v.Delete("GET", "200")
+	if got := v.With("GET", "200").Value(); got != 0 {
+		t.Errorf(`GET/200 after Delete = %v, want a fresh 0`, got)
+	}
+	if got := v.With("POST", "500").Value(); got != 1 {
+		t.Errorf(`POST/500 after deleting GET/200 = %v, want 1`, got)
+	}
 }
 
 func TestVecLabelArityPanics(t *testing.T) {

@@ -3,10 +3,9 @@ package service
 import (
 	"container/heap"
 	"context"
-	"errors"
+	"encoding/json"
 	"fmt"
 	"log/slog"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -34,10 +33,12 @@ const (
 
 // LivenessConfig tunes the aggregation-source liveness sweeper.
 type LivenessConfig struct {
-	// Interval is the sweep cadence (default 10s).
+	// Interval is the sweep cadence. Zero runs no ticker: sweeps happen
+	// only when Sweep is called (tests, the chaos harness's virtual
+	// clock).
 	Interval time.Duration
 	// StaleAfter is the heartbeat age at which a source is marked
-	// Degraded (default 3×Interval).
+	// Degraded (default 3×Interval, 30s without a ticker).
 	StaleAfter time.Duration
 	// UnavailableAfter is the heartbeat age at which a Degraded source
 	// is marked Unavailable (default 3×StaleAfter).
@@ -45,11 +46,11 @@ type LivenessConfig struct {
 }
 
 func (c LivenessConfig) withDefaults() LivenessConfig {
-	if c.Interval <= 0 {
-		c.Interval = 10 * time.Second
-	}
 	if c.StaleAfter <= 0 {
-		c.StaleAfter = 3 * c.Interval
+		c.StaleAfter = 30 * time.Second
+		if c.Interval > 0 {
+			c.StaleAfter = 3 * c.Interval
+		}
 	}
 	if c.UnavailableAfter <= 0 {
 		c.UnavailableAfter = 3 * c.StaleAfter
@@ -57,129 +58,132 @@ func (c LivenessConfig) withDefaults() LivenessConfig {
 	return c
 }
 
-// LivenessSweeper watches every AggregationSource's
-// Oem.OFMF.LastHeartbeat and flips the source's Status as heartbeats go
+// LivenessSweeper is the service's one projection of the
+// AggregationSources collection. It indexes each source's callback URL
+// (registration dedup is one map lookup) and watches its
+// Oem.OFMF.LastHeartbeat, flipping the source's Status as heartbeats go
 // stale — Degraded (Health Warning) after StaleAfter, Unavailable
 // (State UnavailableOffline, Health Critical) after UnavailableAfter —
 // and back to OK when they resume. Every transition publishes a
-// StatusChange event and refreshes the ofmf_agent_liveness gauge, so
-// both subscribers and scrapers see dead agents without polling the
-// tree. This closes the paper's centralization loop: the OFMF owns all
-// composition state, so it must also own the authoritative view of
+// StatusChange event; the ofmf_agent_liveness gauge follows the stored
+// Status. This closes the paper's centralization loop: the OFMF owns
+// all composition state, so it must also own the authoritative view of
 // which agents still answer for theirs.
 //
-// The sweeper keeps its own heartbeat index, fed by the store's change
-// stream (registrations, heartbeat patches, deletions all pass through
-// the store), plus a min-heap of next-transition deadlines. A sweep
-// therefore pops only the sources whose verdict can have changed since
-// the last pass — O(changed), not O(fleet) — and never decodes the
-// AggregationSources collection in steady state. Store writes, event
-// publishes and logging all happen after the sweeper mutex is
-// released, so a slow store can't back up the heartbeat path.
+// The index is a store.Projection: every change to a source — live,
+// replayed at recovery or applied from a leader — re-reads its stored
+// bytes under mu, so the index converges on the tree with no sequence
+// gate, no record of deleted sources and no seeding scan. Each entry
+// holds one slot in a min-heap of next-transition deadlines, so a sweep
+// pops only the sources whose verdict can have changed — O(changed),
+// not O(fleet) — and the heap never holds more items than there are
+// sources. Store writes, event publishes and logging all happen after
+// mu is released, so a slow store can't back up the heartbeat path.
 type LivenessSweeper struct {
-	svc *Service
-	cfg LivenessConfig
+	svc      *Service
+	cfg      LivenessConfig
+	onChange store.Watcher
+	halt     func() // stops the ticker; nil without one
 
-	mu  sync.Mutex
-	now func() time.Time
-	// sources is the in-memory heartbeat index, keyed by source URI.
+	mu      sync.Mutex
+	now     func() time.Time
 	sources map[odata.ID]*sourceEntry
-	// deadlines orders sources by the earliest instant their verdict can
-	// change. Entries are invalidated lazily: each (re)schedule bumps the
-	// entry's gen, and popped items whose gen no longer matches are
-	// skipped.
+	byHost  map[string]odata.ID // remote sources' HostName → URI
+	// deadlines orders scheduled sources by the earliest instant their
+	// verdict can change.
 	deadlines deadlineHeap
-	// tombs records the Change.Seq of each evicted source URI. The store
-	// notifies watchers after releasing its lock, so notifications
-	// for one URI can interleave across goroutines; without the
-	// tombstone, a delete-then-recreate at the same URI whose stale
-	// pre-delete notification replayed last would resurrect the old
-	// entry — and its old deadline — firing a spurious Degraded for a
-	// source that is beating fine.
-	tombs map[odata.ID]uint64
-	// seeded flips once the index has been primed from the store; seeding
-	// is lazy so a sweeper built before a test clock is installed anchors
-	// never-beaten sources against the right epoch.
-	seeded  bool
-	nextGen uint64
 
-	seq int64 // event-id sequence (atomic)
+	seq atomic.Int64 // event-id sequence
 }
 
-// sourceEntry is one aggregation source's liveness state.
+// sourceEntry is one aggregation source as the projection last read it.
 type sourceEntry struct {
-	lastBeat time.Time // zero if the source has never sent a heartbeat
-	// anchor is when the sweeper first saw the source; staleness for
-	// never-beaten sources is measured from it, so an agent that dies
-	// between registration and its first beat is still detected.
+	uri      odata.ID
+	host     string
+	lastBeat time.Time // the stored LastHeartbeat; zero if it has none
+	// anchor is when the projection first saw the source; staleness of
+	// a source with no heartbeat is measured from it.
 	anchor time.Time
 	level  int
 	// local marks in-process agents (no callback URL): they share the
 	// OFMF's process fate, so there is no management path to lose and
 	// they are live by construction, never swept.
 	local bool
-	gen   uint64 // matches the entry's one live deadline item, if any
-	// seq is the Change.Seq of the newest change applied to this entry;
-	// older reordered notifications are discarded against it. Zero for
-	// entries primed by seedLocked (the store read is authoritative).
-	seq uint64
+	at    time.Time // the scheduled deadline, while slot >= 0
+	slot  int       // index in deadlines; -1 when not scheduled
 }
 
-// deadlineItem schedules one source for re-evaluation at a given time.
-type deadlineItem struct {
-	at  time.Time
-	uri odata.ID
-	gen uint64
+// base is the instant the source's heartbeat age is measured from.
+func (e *sourceEntry) base() time.Time {
+	if e.lastBeat.IsZero() {
+		return e.anchor
+	}
+	return e.lastBeat
 }
 
-// deadlineHeap is a min-heap of deadline items ordered by time.
-type deadlineHeap []deadlineItem
+// deadlineHeap is a min-heap of scheduled entries ordered by deadline;
+// each entry tracks its own slot for heap.Fix and heap.Remove.
+type deadlineHeap []*sourceEntry
 
 func (h deadlineHeap) Len() int           { return len(h) }
 func (h deadlineHeap) Less(i, j int) bool { return h[i].at.Before(h[j].at) }
-func (h deadlineHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *deadlineHeap) Push(x any)        { *h = append(*h, x.(deadlineItem)) }
+func (h deadlineHeap) Swap(i, j int) {
+	h[i], h[j] = h[j], h[i]
+	h[i].slot, h[j].slot = i, j
+}
+func (h *deadlineHeap) Push(x any) {
+	e := x.(*sourceEntry)
+	e.slot = len(*h)
+	*h = append(*h, e)
+}
 func (h *deadlineHeap) Pop() any {
 	old := *h
 	n := len(old)
-	it := old[n-1]
-	old[n-1] = deadlineItem{}
+	e := old[n-1]
+	old[n-1] = nil
 	*h = old[:n-1]
-	return it
+	e.slot = -1
+	return e
 }
 
-// aggSourcesPrefix prefixes every aggregation-source URI; precomputed so
-// the change-stream filter on the store's hot mutation path is a plain
-// string check with no allocation.
-var aggSourcesPrefix = string(AggregationSourcesURI) + "/"
-
-// NewLivenessSweeper builds a sweeper over the service's aggregation
-// sources and subscribes it to the store's change stream. Start it with
-// Start, or drive sweeps manually with Sweep.
-func (s *Service) NewLivenessSweeper(cfg LivenessConfig) *LivenessSweeper {
+// newLivenessSweeper builds the service's projection of its aggregation
+// sources and subscribes it to the store's change stream.
+func newLivenessSweeper(s *Service, cfg LivenessConfig) *LivenessSweeper {
 	w := &LivenessSweeper{
 		svc:     s,
 		cfg:     cfg.withDefaults(),
 		now:     time.Now,
 		sources: make(map[odata.ID]*sourceEntry),
-		tombs:   make(map[odata.ID]uint64),
+		byHost:  make(map[string]odata.ID),
 	}
+	w.onChange = s.store.Projection(AggregationSourcesURI, &w.mu, w.apply)
 	s.store.Watch(w.onChange)
 	return w
 }
 
-// SetClock overrides the sweeper's time source (tests).
+// Liveness returns the service's liveness sweeper.
+func (s *Service) Liveness() *LivenessSweeper { return s.liveness }
+
+// SetClock overrides the sweeper's time source (tests, the chaos
+// harness). Install it before the first source is stored: anchors and
+// registration heartbeats are read from it.
 func (w *LivenessSweeper) SetClock(now func() time.Time) {
 	w.mu.Lock()
 	w.now = now
 	w.mu.Unlock()
 }
 
-// Start runs the sweeper at its configured interval until the returned
-// stop function is called.
-func (w *LivenessSweeper) Start() (stop func()) {
-	done := make(chan struct{})
-	finished := make(chan struct{})
+// clock reads the sweeper's time source.
+func (w *LivenessSweeper) clock() time.Time {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.now()
+}
+
+// start runs the sweeper at its configured interval until the returned
+// stop function is called; stop returns once the ticker has exited.
+func (w *LivenessSweeper) start() (stop func()) {
+	done, finished := make(chan struct{}), make(chan struct{})
 	go func() {
 		defer close(finished)
 		tick := time.NewTicker(w.cfg.Interval)
@@ -193,130 +197,120 @@ func (w *LivenessSweeper) Start() (stop func()) {
 			}
 		}
 	}()
-	var once sync.Once
-	return func() {
-		once.Do(func() {
-			close(done)
-			<-finished
-		})
-	}
+	return sync.OnceFunc(func() {
+		close(done)
+		<-finished
+	})
 }
 
-// onChange maintains the heartbeat index from the store's change
-// stream: registrations and heartbeat patches upsert, deletions evict.
-func (w *LivenessSweeper) onChange(c store.Change) {
-	// Cheap reject for the overwhelming majority of mutations: only
-	// direct children of the AggregationSources collection matter.
-	id := string(c.ID)
-	if !strings.HasPrefix(id, aggSourcesPrefix) {
-		return
-	}
-	if rest := id[len(aggSourcesPrefix):]; rest == "" || strings.Contains(rest, "/") {
-		return
-	}
-	if c.Kind == store.Removed {
-		w.mu.Lock()
-		if e, ok := w.sources[c.ID]; ok {
-			if c.Seq > e.seq {
-				delete(w.sources, c.ID)
-				w.nextGen++
-				e.gen = w.nextGen // orphan any scheduled deadline
-				w.tombs[c.ID] = c.Seq
-			}
-			// else: stale delete ordered before the entry's newest state
-			// (the source was recreated); keep the live entry.
-		} else if c.Seq > w.tombs[c.ID] {
-			w.tombs[c.ID] = c.Seq
-		}
-		w.mu.Unlock()
-		return
-	}
-	// The read can observe a state newer than this change; that is safe:
-	// the newer mutation's own (higher-seq) notification re-applies it,
-	// and the seq gate below keeps this one from clobbering it.
-	var src redfish.AggregationSource
-	if err := w.svc.store.GetAs(c.ID, &src); err != nil {
-		return
-	}
+// lookup returns the source URI registered for the callback URL, if any.
+func (w *LivenessSweeper) lookup(host string) (odata.ID, bool) {
 	w.mu.Lock()
-	w.upsertLocked(c.ID, &src, w.now(), c.Seq)
-	w.mu.Unlock()
+	defer w.mu.Unlock()
+	uri, ok := w.byHost[host]
+	return uri, ok
 }
 
-// upsertLocked reconciles one source's index entry against its stored
-// form and (re)schedules its next deadline. seq is the triggering
-// Change.Seq (zero when priming from a direct store read); stale
-// reordered notifications — including upserts ordered before a delete —
-// are discarded so a recreate at the same URI starts from a fresh
-// entry instead of resurrecting the old one's deadline. Callers hold
+// apply brings id's entry to the source's stored state (raw nil: gone):
+// the host index, the heartbeat and its metrics, the level and the
+// entry's deadline. Caller holds w.mu.
+func (w *LivenessSweeper) apply(id odata.ID, raw json.RawMessage) {
+	e, existed := w.sources[id]
+	var src redfish.AggregationSource
+	if raw == nil || json.Unmarshal(raw, &src) != nil {
+		if existed {
+			w.dropLocked(e)
+		}
+		return
+	}
+	now := w.now()
+	if !existed {
+		e = &sourceEntry{uri: id, anchor: now, slot: -1}
+		w.sources[id] = e
+	}
+	if e.host != src.HostName {
+		if w.byHost[e.host] == id {
+			delete(w.byHost, e.host)
+		}
+		e.host = src.HostName
+		if e.host != "" {
+			w.byHost[e.host] = id
+		}
+	}
+	var beat time.Time
+	if o := src.Oem.OFMF; o != nil && o.LastHeartbeat != "" {
+		beat, _ = time.Parse(time.RFC3339, o.LastHeartbeat)
+	}
+	leaf := id.Leaf()
+	m := w.svc.metrics
+	if !beat.IsZero() && !beat.Equal(e.lastBeat) {
+		if existed {
+			m.AgentHeartbeats.With(leaf).Inc()
+		}
+		m.AgentLastHeartbeat.With(leaf).Set(float64(beat.UnixNano()) / 1e9)
+	}
+	e.lastBeat = beat
+	e.local = src.HostName == ""
+	e.level = liveOK
+	if !e.local {
+		e.level = levelOf(src.Status)
+	}
+	m.AgentLiveness.With(leaf).Set(livenessValue(e.level))
+	w.scheduleLocked(e, now)
+}
+
+// dropLocked forgets a source that left the tree, its per-source series
+// included. Callers hold w.mu.
+func (w *LivenessSweeper) dropLocked(e *sourceEntry) {
+	delete(w.sources, e.uri)
+	if w.byHost[e.host] == e.uri {
+		delete(w.byHost, e.host)
+	}
+	if e.slot >= 0 {
+		heap.Remove(&w.deadlines, e.slot)
+	}
+	leaf := e.uri.Leaf()
+	m := w.svc.metrics
+	m.AgentLiveness.Delete(leaf)
+	m.AgentHeartbeats.Delete(leaf)
+	m.AgentLastHeartbeat.Delete(leaf)
+}
+
+// scheduleLocked sets the entry's one deadline: now when the stored
+// level already disagrees with the heartbeat's age (a fresh beat on a
+// downed source, a source registered stale), else the instant its
+// verdict can next change. A local source, and one Unavailable by age,
+// has none: only a change to its stored form can move it. Callers hold
 // w.mu.
-func (w *LivenessSweeper) upsertLocked(uri odata.ID, src *redfish.AggregationSource, now time.Time, seq uint64) {
-	e, ok := w.sources[uri]
-	if !ok {
-		if seq != 0 && seq <= w.tombs[uri] {
-			return // pre-delete notification arriving after the delete
-		}
-		delete(w.tombs, uri)
-		e = &sourceEntry{anchor: now}
-		w.sources[uri] = e
-	} else if seq != 0 && seq <= e.seq {
-		return // stale reordered notification
-	}
-	if seq > e.seq {
-		e.seq = seq
-	}
-	w.nextGen++
-	e.gen = w.nextGen // supersede any previously scheduled deadline
-	if src.HostName == "" {
-		e.local = true
-		w.svc.metrics.AgentLiveness.With(uri.Leaf()).Set(1)
-		return
-	}
-	e.local = false
-	e.lastBeat = time.Time{}
-	if src.Oem.OFMF != nil && src.Oem.OFMF.LastHeartbeat != "" {
-		if t, err := time.Parse(time.RFC3339, src.Oem.OFMF.LastHeartbeat); err == nil {
-			e.lastBeat = t
-		}
-	}
-	e.level = levelOf(src.Status)
-	w.svc.metrics.AgentLiveness.With(uri.Leaf()).Set(livenessValue(e.level))
-	if w.ageLevelLocked(e, now) != e.level {
-		// The stored status already disagrees with the heartbeat age
-		// (fresh beat on a downed source, or a source registered stale):
-		// have the next sweep reconcile it immediately.
-		heap.Push(&w.deadlines, deadlineItem{at: now, uri: uri, gen: e.gen})
-		return
-	}
-	w.scheduleLocked(uri, e)
-}
-
-// scheduleLocked pushes the entry's next possible-transition deadline,
-// derived from its current level and heartbeat anchor. Unavailable is
-// terminal by age alone — only a fresh heartbeat (which arrives through
-// onChange) can move it, so nothing is scheduled. Callers hold w.mu and
-// have already bumped e.gen for this schedule.
-func (w *LivenessSweeper) scheduleLocked(uri odata.ID, e *sourceEntry) {
-	base := e.lastBeat
-	if base.IsZero() {
-		base = e.anchor
-	}
+func (w *LivenessSweeper) scheduleLocked(e *sourceEntry, now time.Time) {
 	var at time.Time
-	switch e.level {
-	case liveOK:
-		at = base.Add(w.cfg.StaleAfter)
-	case liveDegraded:
-		at = base.Add(w.cfg.UnavailableAfter)
-	default:
-		return
+	switch {
+	case e.local:
+	case w.ageLevel(e, now) != e.level:
+		at = now
+	case e.level == liveOK:
+		at = e.base().Add(w.cfg.StaleAfter)
+	case e.level == liveDegraded:
+		at = e.base().Add(w.cfg.UnavailableAfter)
 	}
-	heap.Push(&w.deadlines, deadlineItem{at: at, uri: uri, gen: e.gen})
+	switch {
+	case at.IsZero():
+		if e.slot >= 0 {
+			heap.Remove(&w.deadlines, e.slot)
+		}
+	case e.slot >= 0:
+		e.at = at
+		heap.Fix(&w.deadlines, e.slot)
+	default:
+		e.at = at
+		heap.Push(&w.deadlines, e)
+	}
 }
 
-// ageLevelLocked computes the verdict the source's heartbeat age alone
-// implies at the given instant. Callers hold w.mu.
-func (w *LivenessSweeper) ageLevelLocked(e *sourceEntry, now time.Time) int {
-	age := w.ageLocked(e, now)
+// ageLevel computes the verdict the source's heartbeat age alone
+// implies at the given instant.
+func (w *LivenessSweeper) ageLevel(e *sourceEntry, now time.Time) int {
+	age := now.Sub(e.base())
 	switch {
 	case age >= w.cfg.UnavailableAfter:
 		return liveUnavailable
@@ -326,115 +320,62 @@ func (w *LivenessSweeper) ageLevelLocked(e *sourceEntry, now time.Time) int {
 	return liveOK
 }
 
-// ageLocked is the source's heartbeat age (anchor-relative when it has
-// never beaten). Callers hold w.mu.
-func (w *LivenessSweeper) ageLocked(e *sourceEntry, now time.Time) time.Duration {
-	base := e.lastBeat
-	if base.IsZero() {
-		base = e.anchor
-	}
-	return now.Sub(base)
-}
-
-// seedLocked primes the index from the store. It runs once, on the
-// first sweep; afterwards the change stream keeps the index current and
-// sweeps touch the store only to apply transitions. Callers hold w.mu.
-func (w *LivenessSweeper) seedLocked(now time.Time) {
-	members, err := w.svc.store.Members(AggregationSourcesURI)
-	if err != nil {
-		return
-	}
-	for _, uri := range members {
-		if _, ok := w.sources[uri]; ok {
-			continue // already indexed by a change-stream event
-		}
-		var src redfish.AggregationSource
-		if err := w.svc.store.GetAs(uri, &src); err != nil {
-			continue
-		}
-		w.upsertLocked(uri, &src, now, 0)
-	}
-	w.seeded = true
-}
-
 // transition is one verdict change collected under the sweeper mutex
 // and applied (store patch, event, log) after it is released.
 type transition struct {
-	uri      odata.ID
-	from, to int
-	age      time.Duration
+	uri odata.ID
+	to  int
+	age time.Duration
 }
 
 // Sweep performs one liveness pass. It pops only the sources whose
-// deadline has arrived; everything else is untouched.
+// deadline has arrived; everything else is untouched. A replica sweeps
+// nothing: its sources' Status is its leader's to write.
 func (w *LivenessSweeper) Sweep() {
+	if w.svc.following() {
+		return
+	}
 	start := time.Now()
 	w.mu.Lock()
 	now := w.now()
-	if !w.seeded {
-		w.seedLocked(now)
-	}
 	var due []transition
 	for len(w.deadlines) > 0 && !w.deadlines[0].at.After(now) {
-		it := heap.Pop(&w.deadlines).(deadlineItem)
-		e, ok := w.sources[it.uri]
-		if !ok || e.gen != it.gen || e.local {
-			continue // superseded, evicted, or became in-process
-		}
-		level := w.ageLevelLocked(e, now)
-		w.nextGen++
-		e.gen = w.nextGen
-		if level != e.level {
-			due = append(due, transition{uri: it.uri, from: e.level, to: level, age: w.ageLocked(e, now)})
+		e := w.deadlines[0]
+		if level := w.ageLevel(e, now); level != e.level {
+			due = append(due, transition{uri: e.uri, to: level, age: now.Sub(e.base())})
 			e.level = level
 		}
-		w.scheduleLocked(it.uri, e)
+		// The level now matches the age, so the entry moves to a later
+		// deadline or leaves the heap: the loop ends.
+		w.scheduleLocked(e, now)
 	}
 	w.mu.Unlock()
 	for _, tr := range due {
-		w.apply(tr)
+		w.announce(tr)
 	}
 	if w.svc.metrics.SweepSeconds != nil {
 		w.svc.metrics.SweepSeconds.Observe(time.Since(start).Seconds())
 	}
 }
 
-// apply writes one transition to the store and announces it. Runs with
-// w.mu released: store I/O, event fan-out and logging never block the
-// heartbeat path through onChange.
-func (w *LivenessSweeper) apply(tr transition) {
+// announce writes one transition to the store and publishes it. Runs
+// with w.mu released: store I/O, event fan-out and logging never block
+// the heartbeat path.
+func (w *LivenessSweeper) announce(tr transition) {
 	status, word, severity := statusFor(tr.to)
 	if err := w.svc.store.Patch(tr.uri, map[string]any{"Status": map[string]any{
 		"State": status.State, "Health": status.Health,
 	}}, ""); err != nil {
-		w.mu.Lock()
-		if e, ok := w.sources[tr.uri]; ok && !e.local {
-			if errors.Is(err, store.ErrNotFound) {
-				// The source is gone and its Removed notification may have
-				// been processed before this sweep's transition was
-				// collected: drop the entry. Reverting and rescheduling
-				// here would retry the patch of a deleted source forever.
-				delete(w.sources, tr.uri)
-				w.nextGen++
-				e.gen = w.nextGen
-			} else {
-				// Transient store error: revert the index so the next
-				// sweep retries rather than believing the write.
-				e.level = tr.from
-				w.nextGen++
-				e.gen = w.nextGen
-				heap.Push(&w.deadlines, deadlineItem{at: w.now(), uri: tr.uri, gen: e.gen})
-			}
-		}
-		w.mu.Unlock()
+		// The entry moved ahead of the tree: re-read what is stored, so
+		// the next sweep retries a transient failure and a deleted
+		// source is dropped rather than patched forever.
+		w.onChange(store.Change{ID: tr.uri})
 		return
 	}
-	w.svc.metrics.AgentLiveness.With(tr.uri.Leaf()).Set(livenessValue(tr.to))
-	seq := atomic.AddInt64(&w.seq, 1)
-	rec := events.Record(redfish.EventStatusChange, fmt.Sprintf("liveness-%d", seq),
+	rec := events.Record(redfish.EventStatusChange, fmt.Sprintf("liveness-%d", w.seq.Add(1)),
 		fmt.Sprintf("aggregation source %s is %s (heartbeat age %s)", tr.uri.Leaf(), word, tr.age.Round(time.Second)), tr.uri)
 	rec.Severity = severity
-	w.svc.bus.Publish(rec)
+	w.svc.Publish(rec)
 	w.svc.log.LogAttrs(context.Background(), slog.LevelWarn, "agent liveness transition",
 		slog.String("source", string(tr.uri)),
 		slog.String("to", word),
@@ -457,19 +398,12 @@ func (w *LivenessSweeper) SourcesSnapshot() map[odata.ID]int {
 	return out
 }
 
-// PendingDeadlines returns the deadline heap's length (live plus
-// lazily-invalidated entries) — a churn-leak signal for the harness.
+// PendingDeadlines returns the number of scheduled sources — never
+// more than the sources indexed.
 func (w *LivenessSweeper) PendingDeadlines() int {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return len(w.deadlines)
-}
-
-// Tombstones returns the number of deletion tombstones held.
-func (w *LivenessSweeper) Tombstones() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.tombs)
 }
 
 // levelOf maps a stored Status back to a liveness level.

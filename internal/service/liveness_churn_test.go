@@ -25,11 +25,12 @@ func churnSource(uri odata.ID, beat time.Time) redfish.AggregationSource {
 // new one recreated at the same URI, a stale (reordered) notification
 // from the old incarnation used to resurrect the old entry — and its
 // old heartbeat deadline — firing a spurious Degraded transition for a
-// source that was beating fine. All changes are seq-gated now.
+// source that was beating fine. Every notification re-reads the tree
+// now, so a stale one restates the live source.
 func TestLivenessDeleteRecreateChurn(t *testing.T) {
-	svc := New(Config{})
+	svc := New(Config{Liveness: LivenessConfig{StaleAfter: 3 * time.Second}})
 	defer svc.Close()
-	w := svc.NewLivenessSweeper(LivenessConfig{Interval: time.Second})
+	w := svc.Liveness()
 	base := time.Unix(1700000000, 0).UTC()
 	now := base
 	w.SetClock(func() time.Time { return now })
@@ -41,7 +42,7 @@ func TestLivenessDeleteRecreateChurn(t *testing.T) {
 	if err := st.Put(uri, churnSource(uri, base.Add(-time.Hour))); err != nil {
 		t.Fatal(err)
 	}
-	w.Sweep() // seeds the index
+	w.Sweep() // marks it Unavailable
 	// Delete it, then recreate the same URI with a fresh heartbeat.
 	if err := st.Delete(uri); err != nil {
 		t.Fatal(err)
@@ -87,53 +88,13 @@ func TestLivenessDeleteRecreateChurn(t *testing.T) {
 	}
 }
 
-// TestLivenessTombstoneBlocksPreDeleteUpsert checks that an upsert
-// notification ordered before a delete cannot re-admit the source after
-// the delete was processed, and that a genuinely newer upsert can.
-func TestLivenessTombstoneBlocksPreDeleteUpsert(t *testing.T) {
-	svc := New(Config{})
-	defer svc.Close()
-	w := svc.NewLivenessSweeper(LivenessConfig{Interval: time.Second})
-	now := time.Unix(1700000000, 0).UTC()
-	w.SetClock(func() time.Time { return now })
-
-	uri := AggregationSourcesURI.Append("1")
-	st := svc.Store()
-	if err := st.Put(uri, churnSource(uri, now)); err != nil {
-		t.Fatal(err)
-	}
-	// Synthetic delete with a far-future seq: everything the first
-	// incarnation ever published is now stale.
-	w.onChange(store.Change{Kind: store.Removed, ID: uri, Seq: 1 << 40})
-	if _, ok := w.SourcesSnapshot()[uri]; ok {
-		t.Fatal("entry survived delete")
-	}
-	if w.Tombstones() != 1 {
-		t.Fatalf("tombstones = %d, want 1", w.Tombstones())
-	}
-	// The pre-delete upsert replays late (resource still in the store,
-	// so GetAs succeeds — only the tombstone can reject it).
-	w.onChange(store.Change{Kind: store.Updated, ID: uri, Seq: 7})
-	if _, ok := w.SourcesSnapshot()[uri]; ok {
-		t.Fatal("tombstoned source resurrected by stale upsert")
-	}
-	// A recreate with a newer seq re-admits and clears the tombstone.
-	w.onChange(store.Change{Kind: store.Updated, ID: uri, Seq: 1<<40 + 1})
-	if lvl, ok := w.SourcesSnapshot()[uri]; !ok || lvl != LiveOK {
-		t.Fatalf("recreate not admitted: lvl=%d ok=%v", lvl, ok)
-	}
-	if w.Tombstones() != 0 {
-		t.Fatalf("tombstone not cleared: %d", w.Tombstones())
-	}
-}
-
 // TestLivenessApplyDropsDeletedSource checks that a transition whose
 // store patch fails with ErrNotFound (source deleted mid-sweep) drops
 // the index entry instead of rescheduling the patch forever.
 func TestLivenessApplyDropsDeletedSource(t *testing.T) {
-	svc := New(Config{})
+	svc := New(Config{Liveness: LivenessConfig{StaleAfter: 3 * time.Second}})
 	defer svc.Close()
-	w := svc.NewLivenessSweeper(LivenessConfig{Interval: time.Second})
+	w := svc.Liveness()
 	base := time.Unix(1700000000, 0).UTC()
 	now := base
 	w.SetClock(func() time.Time { return now })
@@ -144,20 +105,16 @@ func TestLivenessApplyDropsDeletedSource(t *testing.T) {
 		t.Fatal(err)
 	}
 	w.Sweep()
-	// Delete behind the sweeper's back: bypass the change stream by
-	// replaying the delete only to the store... the watcher fires on
-	// Delete, so instead simulate the race by deleting the entry's
-	// backing resource and re-adding the index entry with a stale seq.
+	// The watcher fires on Delete, so simulate the race — the source is
+	// gone, its removal not yet applied to the index — by deleting it
+	// and injecting a due entry for it directly.
 	if err := st.Delete(uri); err != nil {
 		t.Fatal(err)
 	}
-	// Resurrect the entry as the pre-fix code could have (stale upsert
-	// with the tombstone absent): inject directly.
 	w.mu.Lock()
-	w.nextGen++
-	e := &sourceEntry{anchor: base.Add(-time.Hour), gen: w.nextGen, level: liveOK}
+	e := &sourceEntry{uri: uri, anchor: base.Add(-time.Hour), level: liveOK, slot: -1}
 	w.sources[uri] = e
-	w.deadlines = append(w.deadlines, deadlineItem{at: now, uri: uri, gen: e.gen})
+	w.scheduleLocked(e, now)
 	w.mu.Unlock()
 
 	// The sweep computes a transition, the patch hits ErrNotFound, and
@@ -167,14 +124,7 @@ func TestLivenessApplyDropsDeletedSource(t *testing.T) {
 	if _, ok := w.SourcesSnapshot()[uri]; ok {
 		t.Fatal("deleted source still indexed after failed patch")
 	}
-	w.Sweep()
 	if n := w.PendingDeadlines(); n > 0 {
-		// Lazily invalidated items may linger one pass; a second sweep at
-		// a later instant must have drained them.
-		now = now.Add(time.Hour)
-		w.Sweep()
-		if n = w.PendingDeadlines(); n > 0 {
-			t.Fatalf("deadline heap not drained: %d", n)
-		}
+		t.Fatalf("deadline heap not drained: %d", n)
 	}
 }

@@ -6,12 +6,14 @@ import (
 	"net/http"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"ofmf/internal/events"
 	"ofmf/internal/odata"
 	"ofmf/internal/redfish"
+	"ofmf/internal/store"
 )
 
 // postSource registers an aggregation source with a heartbeat stamped at
@@ -49,7 +51,10 @@ func sourceStatus(t *testing.T, svc *Service, uri odata.ID) odata.Status {
 // verdict ladder: OK → Degraded → Unavailable → (heartbeat resumes) OK,
 // checking the stored Status and the StatusChange events at each step.
 func TestLivenessSweeperTransitions(t *testing.T) {
-	svc, srv := newTestServer(t, Config{})
+	svc, srv := newTestServer(t, Config{Liveness: LivenessConfig{
+		StaleAfter:       time.Minute,
+		UnavailableAfter: 3 * time.Minute,
+	}})
 
 	var mu sync.Mutex
 	var transitions []string
@@ -65,15 +70,10 @@ func TestLivenessSweeperTransitions(t *testing.T) {
 	}
 
 	start := time.Unix(1_700_000_000, 0)
-	uri := postSource(t, srv.URL, "http://agent-a.example", start)
-
 	now := start
-	sweeper := svc.NewLivenessSweeper(LivenessConfig{
-		Interval:         10 * time.Millisecond,
-		StaleAfter:       time.Minute,
-		UnavailableAfter: 3 * time.Minute,
-	})
+	sweeper := svc.Liveness()
 	sweeper.SetClock(func() time.Time { return now })
+	uri := postSource(t, srv.URL, "http://agent-a.example", start)
 
 	sweeper.Sweep()
 	if st := sourceStatus(t, svc, uri); st != odata.StatusOK() {
@@ -135,9 +135,12 @@ func TestLivenessSweeperTransitions(t *testing.T) {
 }
 
 // TestLivenessSweeperDetectsSilentSinceRegistration covers agents that
-// register and then never beat: staleness is anchored at first sight.
+// register and then never beat: registration stamps the heartbeat.
 func TestLivenessSweeperDetectsSilentSinceRegistration(t *testing.T) {
-	svc, srv := newTestServer(t, Config{})
+	svc, srv := newTestServer(t, Config{Liveness: LivenessConfig{StaleAfter: time.Minute}})
+	start := time.Unix(1_700_000_000, 0)
+	now := start
+	svc.Liveness().SetClock(func() time.Time { return now })
 
 	// Register without any heartbeat field at all.
 	resp, body := doJSON(t, http.MethodPost, srv.URL+string(AggregationSourcesURI), map[string]any{
@@ -151,12 +154,11 @@ func TestLivenessSweeperDetectsSilentSinceRegistration(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	start := time.Unix(1_700_000_000, 0)
-	now := start
-	sweeper := svc.NewLivenessSweeper(LivenessConfig{StaleAfter: time.Minute})
-	sweeper.SetClock(func() time.Time { return now })
-
-	sweeper.Sweep() // anchors firstSeen
+	if src.Oem.OFMF == nil || src.Oem.OFMF.LastHeartbeat != redfish.Timestamp(start) {
+		t.Fatalf("registration stored heartbeat %+v, want %s", src.Oem.OFMF, redfish.Timestamp(start))
+	}
+	sweeper := svc.Liveness()
+	sweeper.Sweep()
 	if st := sourceStatus(t, svc, src.ODataID); st != odata.StatusOK() {
 		t.Fatalf("just-seen source status = %+v", st)
 	}
@@ -168,18 +170,15 @@ func TestLivenessSweeperDetectsSilentSinceRegistration(t *testing.T) {
 }
 
 // TestLivenessSweeperStartStop exercises the ticker path end to end with
-// real (short) intervals.
+// real (short) intervals: a service with a sweep Interval sweeps on its
+// own, and Close stops it.
 func TestLivenessSweeperStartStop(t *testing.T) {
-	svc, srv := newTestServer(t, Config{})
-	uri := postSource(t, srv.URL, "http://agent-b.example", time.Now().Add(-time.Hour))
-
-	sweeper := svc.NewLivenessSweeper(LivenessConfig{
+	svc, srv := newTestServer(t, Config{Liveness: LivenessConfig{
 		Interval:         2 * time.Millisecond,
 		StaleAfter:       10 * time.Millisecond,
 		UnavailableAfter: 20 * time.Millisecond,
-	})
-	stop := sweeper.Start()
-	defer stop()
+	}})
+	uri := postSource(t, srv.URL, "http://agent-b.example", time.Now().Add(-time.Hour))
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
@@ -191,5 +190,139 @@ func TestLivenessSweeperStartStop(t *testing.T) {
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	stop() // idempotent
+	svc.Close() // stops the ticker; the cleanup's second Close is a no-op
+}
+
+// TestReplicaSweepsNothing: a replica's projection follows its leader's
+// sources and heartbeats with at most one deadline per source, but
+// while it follows a sweep neither patches nor publishes. The first
+// sweep after promotion marks the source that went stale meanwhile.
+func TestReplicaSweepsNothing(t *testing.T) {
+	leader := New(Config{})
+	defer leader.Close()
+	replica := New(Config{Liveness: LivenessConfig{StaleAfter: time.Minute}})
+	defer replica.Close()
+	start := time.Unix(1_700_000_000, 0)
+	now := start
+	w := replica.Liveness()
+	w.SetClock(func() time.Time { return now })
+	leader.Store().AttachBackend(follower{replica.Store()}, 0)
+	replica.SetReplicaMode(func() string { return "http://leader.invalid" }, false)
+
+	stale := putSource(leader, "stale", start)
+	beating := putSource(leader, "beating", start)
+	published := replica.Bus().Stats().Published
+	for i := 0; i < 1000; i++ {
+		now = now.Add(100 * time.Millisecond)
+		if err := leader.Store().Patch(beating, map[string]any{
+			"Oem": map[string]any{"OFMF": map[string]any{"LastHeartbeat": redfish.Timestamp(now)}},
+		}, ""); err != nil {
+			t.Fatal(err)
+		}
+		w.Sweep()
+	}
+	if n := w.PendingDeadlines(); n > 2 {
+		t.Fatalf("replica holds %d deadlines for 2 sources", n)
+	}
+	if st := sourceStatus(t, replica, stale); st != odata.StatusOK() {
+		t.Fatalf("a following replica patched %s to %+v", stale, st)
+	}
+	if got := replica.Bus().Stats().Published - published; got != 0 {
+		t.Fatalf("a following replica published %d events", got)
+	}
+
+	replica.ClearReplicaMode()
+	w.Sweep()
+	if st := sourceStatus(t, replica, stale); st.Health != odata.HealthWarning {
+		t.Fatalf("promoted replica left stale source at %+v, want Warning", st)
+	}
+	if st := sourceStatus(t, replica, beating); st != odata.StatusOK() {
+		t.Fatalf("promoted replica marked a beating source %+v", st)
+	}
+}
+
+// TestRecoveredStaleSourceIsSwept: WAL replay feeds the projection, so
+// the first sweep after a restart marks a source whose heartbeat went
+// stale while the OFMF was down, with no scan of the collection.
+func TestRecoveredStaleSourceIsSwept(t *testing.T) {
+	dir := t.TempDir()
+	svc, srv := boot(t, dir, Config{})
+	uri := putSource(svc, "old", time.Now().Add(-2*time.Minute))
+	kill(svc, srv)
+
+	svc, _ = boot(t, dir, Config{Liveness: LivenessConfig{StaleAfter: time.Minute}})
+	var members atomic.Int64
+	svc.Store().SetObserver(&store.Observer{Op: func(op string) {
+		if op == "members" {
+			members.Add(1)
+		}
+	}})
+	svc.Liveness().Sweep()
+	if st := sourceStatus(t, svc, uri); st.Health != odata.HealthWarning {
+		t.Fatalf("recovered stale source status = %+v, want Warning", st)
+	}
+	if n := members.Load(); n != 0 {
+		t.Fatalf("first sweep after recovery made %d members reads, want 0", n)
+	}
+}
+
+// sourceSeries lists the per-source agent series naming source.
+func sourceSeries(svc *Service, source string) []string {
+	var out []string
+	for _, fam := range svc.Metrics().Registry().Gather() {
+		if !strings.HasPrefix(fam.Name, "ofmf_agent_") || len(fam.LabelNames) != 1 || fam.LabelNames[0] != "source" {
+			continue
+		}
+		for _, s := range fam.Samples {
+			if s.LabelValues[0] == source {
+				out = append(out, fam.Name)
+			}
+		}
+	}
+	return out
+}
+
+// TestHeartbeatToMissingSourceMintsNoSeries: a heartbeat PATCH to a
+// source that does not exist is a 404 and leaves /metrics alone; the
+// heartbeat series follow the stored LastHeartbeat only.
+func TestHeartbeatToMissingSourceMintsNoSeries(t *testing.T) {
+	svc, srv := newTestServer(t, Config{})
+	beat := map[string]any{"Oem": map[string]any{"OFMF": map[string]any{"LastHeartbeat": redfish.Timestamp(time.Now())}}}
+	resp, body := doJSON(t, http.MethodPatch, srv.URL+string(AggregationSourcesURI.Append("99")), beat, nil)
+	if resp.StatusCode != http.StatusNotFound {
+		t.Fatalf("heartbeat to a missing source = %d: %s", resp.StatusCode, body)
+	}
+	if got := sourceSeries(svc, "99"); len(got) != 0 {
+		t.Fatalf("a 404 heartbeat minted series %v", got)
+	}
+
+	uri := postSource(t, srv.URL, "http://agent-m.example", time.Now().Add(-time.Minute))
+	resp, body = doJSON(t, http.MethodPatch, srv.URL+string(uri), beat, nil)
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("heartbeat = %d: %s", resp.StatusCode, body)
+	}
+	if got := svc.Metrics().AgentHeartbeats.With(uri.Leaf()).Value(); got != 1 {
+		t.Fatalf("heartbeats_total after one beat = %v, want 1", got)
+	}
+}
+
+// TestDeletedSourceLeavesMetrics: once a source is deleted, none of its
+// per-source series remain.
+func TestDeletedSourceLeavesMetrics(t *testing.T) {
+	svc, srv := newTestServer(t, Config{})
+	uri := postSource(t, srv.URL, "http://agent-d.example", time.Now().Add(-time.Minute))
+	if err := svc.PatchResource(context.Background(), uri, map[string]any{
+		"Oem": map[string]any{"OFMF": map[string]any{"LastHeartbeat": redfish.Timestamp(time.Now())}},
+	}, ""); err != nil {
+		t.Fatal(err)
+	}
+	if got := sourceSeries(svc, uri.Leaf()); len(got) == 0 {
+		t.Fatal("a registered, beating source has no series")
+	}
+	if resp, body := doJSON(t, http.MethodDelete, srv.URL+string(uri), nil, nil); resp.StatusCode != http.StatusNoContent {
+		t.Fatalf("DELETE %s = %d: %s", uri, resp.StatusCode, body)
+	}
+	if got := sourceSeries(svc, uri.Leaf()); len(got) != 0 {
+		t.Fatalf("deleted source left series %v", got)
+	}
 }

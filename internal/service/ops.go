@@ -71,30 +71,6 @@ func (s *Service) forward(ctx context.Context, prefix odata.ID, op string, call 
 	return nil
 }
 
-// recordHeartbeat updates agent liveness metrics when a patch carries the
-// Oem.OFMF.LastHeartbeat shape used by agent heartbeats. Both local
-// (in-process) and remote (HTTP PATCH) heartbeats flow through
-// PatchResource, so this single detection point covers every deployment.
-func (s *Service) recordHeartbeat(id odata.ID, patch map[string]any) {
-	if !id.Under(AggregationSourcesURI) {
-		return
-	}
-	oem, ok := patch["Oem"].(map[string]any)
-	if !ok {
-		return
-	}
-	ofmf, ok := oem["OFMF"].(map[string]any)
-	if !ok {
-		return
-	}
-	if _, ok := ofmf["LastHeartbeat"]; !ok {
-		return
-	}
-	source := id.Leaf()
-	s.metrics.AgentHeartbeats.With(source).Inc()
-	s.metrics.AgentLastHeartbeat.With(source).Set(float64(time.Now().UnixNano()) / 1e9)
-}
-
 // RegisterAggregationSource registers an agent's aggregation source,
 // returning the stored source and whether it was newly created (false
 // means an existing registration for the same HostName was revived).
@@ -104,10 +80,11 @@ func (s *Service) recordHeartbeat(id odata.ID, patch map[string]any) {
 // succeeded must not mint a duplicate source. The dedup lookup and the
 // create both run under allocMu — the lookup used to happen outside it,
 // so two concurrent registrations of one HostName could both miss and
-// mint duplicates. The change-stream-fed host index makes the lookup
-// O(1); the store notifies watchers synchronously on the mutating
-// goroutine, so by the time allocMu is released the index already
-// reflects this registration and the next holder cannot race past it.
+// mint duplicates. The AggregationSources projection (LivenessSweeper)
+// makes the lookup O(1); the store notifies watchers synchronously on
+// the mutating goroutine, so by the time allocMu is released the index
+// already reflects this registration and the next holder cannot race
+// past it.
 func (s *Service) RegisterAggregationSource(ctx context.Context, src redfish.AggregationSource) (redfish.AggregationSource, bool, error) {
 	start := time.Now()
 	err := s.checkClaims(src.Links.ResourcesAccessed)
@@ -167,7 +144,16 @@ func (s *Service) registerSourceLocked(ctx context.Context, src *redfish.Aggrega
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
 	if src.HostName != "" {
-		if uri, ok := s.hosts.lookup(src.HostName); ok {
+		// A remote source is stored with a heartbeat, so its staleness is
+		// measured from the tree: a source re-created at a URI starts
+		// fresh, and one that never beats still goes stale.
+		if src.Oem.OFMF == nil {
+			src.Oem.OFMF = &redfish.AgentDescriptor{}
+		}
+		if src.Oem.OFMF.LastHeartbeat == "" {
+			src.Oem.OFMF.LastHeartbeat = redfish.Timestamp(s.liveness.clock())
+		}
+		if uri, ok := s.liveness.lookup(src.HostName); ok {
 			var existing redfish.AggregationSource
 			if err := s.store.GetAs(uri, &existing); err == nil {
 				// Re-registering an existing HostName updates the record in
@@ -177,9 +163,6 @@ func (s *Service) registerSourceLocked(ctx context.Context, src *redfish.Aggrega
 					src.Name = existing.Name
 				}
 				src.Status = odata.StatusOK()
-				if src.Oem.OFMF != nil && src.Oem.OFMF.LastHeartbeat == "" {
-					src.Oem.OFMF.LastHeartbeat = redfish.Timestamp(time.Now())
-				}
 				return false, s.store.PutCtx(ctx, uri, *src)
 			}
 		}
@@ -299,7 +282,6 @@ func (s *Service) PatchResource(ctx context.Context, id odata.ID, patch map[stri
 // its entity tag. A store-resident resource's come from the mutation
 // itself; an agent's publish is read back.
 func (s *Service) patchResource(ctx context.Context, id odata.ID, patch map[string]any, ifMatch string) (json.RawMessage, string, error) {
-	s.recordHeartbeat(id, patch)
 	prefix, h, ok := s.handlerFor(id)
 	if !ok {
 		return s.store.PatchReturning(ctx, id, patch, ifMatch)

@@ -105,7 +105,8 @@ func TestRegisterManyHostsConcurrent(t *testing.T) {
 // TestHostIndexDeleteRecreate drives the host index with a
 // delete-then-recreate cycle at the same HostName and checks the index
 // tracks the live source, including when a stale pre-delete
-// notification replays after the delete (the seq gate).
+// notification replays after the delete (the projection re-reads the
+// tree, so it is harmless).
 func TestHostIndexDeleteRecreate(t *testing.T) {
 	svc := New(Config{})
 	defer svc.Close()
@@ -119,7 +120,7 @@ func TestHostIndexDeleteRecreate(t *testing.T) {
 	if err := svc.Store().Delete(first.ODataID); err != nil {
 		t.Fatal(err)
 	}
-	if uri, ok := svc.hosts.lookup(host); ok {
+	if uri, ok := svc.liveness.lookup(host); ok {
 		t.Fatalf("host still indexed after delete: %s", uri)
 	}
 	second, created, err := svc.RegisterAggregationSource(ctx, redfish.AggregationSource{HostName: host})
@@ -129,14 +130,14 @@ func TestHostIndexDeleteRecreate(t *testing.T) {
 	if second.ODataID == first.ODataID {
 		t.Fatalf("recreated source reused deleted URI %s", first.ODataID)
 	}
-	if uri, ok := svc.hosts.lookup(host); !ok || uri != second.ODataID {
+	if uri, ok := svc.liveness.lookup(host); !ok || uri != second.ODataID {
 		t.Fatalf("index maps %q to %q, want %q", host, uri, second.ODataID)
 	}
 
 	// A stale pre-delete notification (lower seq than the recreate) must
 	// not clobber the live mapping.
-	svc.hosts.onChange(store.Change{Kind: store.Updated, ID: first.ODataID, Seq: 1})
-	if uri, ok := svc.hosts.lookup(host); !ok || uri != second.ODataID {
+	svc.liveness.onChange(store.Change{Kind: store.Updated, ID: first.ODataID, Seq: 1})
+	if uri, ok := svc.liveness.lookup(host); !ok || uri != second.ODataID {
 		t.Fatalf("stale notification clobbered index: %q → %q, want %q", host, uri, second.ODataID)
 	}
 }

@@ -131,6 +131,9 @@ type Config struct {
 	// logging). It is shared with the store, the event bus and the
 	// composer so one request yields one linked trace.
 	Tracer *obsv.Tracer
+	// Liveness tunes the aggregation-source liveness sweeper (see
+	// LivenessSweeper); with a zero Interval it sweeps only on demand.
+	Liveness LivenessConfig
 	// Deprecated: StoreShards is ignored — the store has one lock domain
 	// (DESIGN §8). It exists only so the frozen bench/ module keeps
 	// compiling; remove it with the persist shims at the next benchmark
@@ -156,9 +159,9 @@ type Service struct {
 
 	subsMu sync.Mutex // serializes applySubscription
 
-	// hosts indexes AggregationSource.HostName → source URI for O(1)
-	// registration dedup (see hostIndex).
-	hosts *hostIndex
+	// liveness is the projection of AggregationSources: the HostName
+	// index registration dedups against, and the heartbeat sweeper.
+	liveness *LivenessSweeper
 
 	// allocMu serializes id allocation for POSTed resources so concurrent
 	// creations in one collection cannot collide.
@@ -213,7 +216,9 @@ func New(cfg Config) *Service {
 		tracer:   cfg.Tracer,
 		handlers: make(map[odata.ID]FabricHandler),
 	}
-	s.hosts = newHostIndex(s.store)
+	// Watching from the very first mutation, the projection also covers
+	// sources re-created by WAL replay and a leader's stream.
+	s.liveness = newLivenessSweeper(s, cfg.Liveness)
 	// One counter per store.OpNames entry, resolved up front: With builds
 	// a key string on every call, which would put an allocation on the
 	// zero-alloc read path. Finding the op is a scan of a dozen short
@@ -307,6 +312,9 @@ func New(cfg Config) *Service {
 	if cfg.ChangeEvents == nil || *cfg.ChangeEvents {
 		s.store.Watch(s.publishChange)
 	}
+	if cfg.Liveness.Interval > 0 {
+		s.liveness.halt = s.liveness.start()
+	}
 	return s
 }
 
@@ -331,11 +339,14 @@ func (s *Service) Metrics() *obsv.Metrics { return s.metrics }
 // (composer, agents, the testbed) record into the same trace ring.
 func (s *Service) Tracer() *obsv.Tracer { return s.tracer }
 
-// Close releases the service's background resources: the event bus, and
-// the store's durability backend if one is attached — flushing its
-// write-ahead log and taking a final snapshot, so a graceful shutdown
-// restarts without replay.
+// Close releases the service's background resources: the liveness
+// ticker, the event bus, and the store's durability backend if one is
+// attached — flushing its write-ahead log and taking a final snapshot,
+// so a graceful shutdown restarts without replay.
 func (s *Service) Close() {
+	if s.liveness.halt != nil {
+		s.liveness.halt()
+	}
 	s.bus.Close()
 	if err := s.store.Close(); err != nil {
 		s.log.Error("service: store backend close failed", "err", err)

@@ -37,7 +37,7 @@ func (n *Node) needsSnapshot() bool {
 // replacement goes through PutSubtree, which removes every local
 // resource absent from the snapshot — including a deposed leader's
 // divergent suffix — and publishes ordinary change notifications, so
-// watchers (host index, SSE sequencing) stay coherent.
+// watchers (the service's projections, SSE sequencing) stay coherent.
 func (n *Node) bootstrap(ctx context.Context, leader string) error {
 	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, leader+"/repl/v1/snapshot", nil)

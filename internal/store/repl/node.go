@@ -70,7 +70,7 @@ type Config struct {
 	PromoteBackend func(st *store.Store, seq uint64) (store.Backend, error)
 	// OnLeader and OnFollower run (outside node locks) after every role
 	// change, including the initial one; the service layer uses them to
-	// toggle replica read-only mode and the liveness sweeper.
+	// toggle replica mode, which also silences the liveness sweeper.
 	OnLeader   func(epoch uint64)
 	OnFollower func(leaderURL string)
 	// Client is used for status polls and snapshots; default a

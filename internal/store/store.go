@@ -85,8 +85,8 @@ func (k ChangeKind) String() string {
 // always advances, backend or not. Because notification runs after the
 // lock is released, two watchers can observe changes to the same URI in
 // either order — but their Seq values always reflect commit order, so a
-// watcher keeping derived per-URI state can discard the stale one (the
-// liveness sweeper's delete/recreate handling depends on this).
+// watcher keeping derived per-URI state could discard the stale one.
+// Projection needs no such gate: it re-reads the member instead.
 //
 // Commit is the WAL commit sequence of the record that logged the
 // change. It is 0 when no backend logged the change, and on a Replayed
@@ -228,10 +228,10 @@ func (s *Store) Watch(w Watcher) {
 // For every change to a direct member of coll — live, replayed at
 // recovery or applied from a leader — it takes mu, reads the member's
 // current bytes (nil once it is gone) and hands them to apply. It
-// neither gates on Change.Seq nor keeps tombstones: notifications for
-// one member may arrive out of order, but each reads, under mu, a state
-// at least as new as its own change, so whichever takes mu last applies
-// the final state.
+// neither gates on Change.Seq nor remembers deleted members:
+// notifications for one member may arrive out of order, but each reads,
+// under mu, a state at least as new as its own change, so whichever
+// takes mu last applies the final state.
 func (s *Store) Projection(coll odata.ID, mu sync.Locker, apply func(id odata.ID, raw json.RawMessage)) Watcher {
 	prefix := string(coll) + "/"
 	return func(c Change) {
