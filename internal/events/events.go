@@ -12,12 +12,10 @@
 package events
 
 import (
-	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"net/url"
 	"runtime"
@@ -58,14 +56,13 @@ type BytesSink interface {
 // HTTPSink posts events to a subscriber's destination URL using the
 // Redfish event payload format. NewHTTPSink validates the destination
 // up front; a literal's URL is resolved at its first delivery. Either
-// way it is parsed once, not once per POST.
+// way it is parsed, and its proxy resolved, once, not once per POST.
 type HTTPSink struct {
-	URL    string
-	Client *http.Client
+	URL string
 
-	once sync.Once
-	dest *url.URL
-	err  error
+	once   sync.Once
+	target *resilience.Target
+	err    error
 }
 
 // NewHTTPSink builds a sink for destination, which must be an absolute
@@ -81,13 +78,11 @@ func NewHTTPSink(destination string) (*HTTPSink, error) {
 func (h *HTTPSink) resolve() error {
 	h.once.Do(func() {
 		u, err := url.Parse(h.URL)
-		switch {
-		case err != nil:
+		if err == nil {
+			h.target, err = poster.Target(u)
+		}
+		if err != nil {
 			h.err = fmt.Errorf("events: destination: %w", err)
-		case (u.Scheme != "http" && u.Scheme != "https") || u.Host == "":
-			h.err = fmt.Errorf("events: destination %q is not an absolute http(s) URL", h.URL)
-		default:
-			h.dest = u
 		}
 	})
 	return h.err
@@ -104,72 +99,32 @@ func (h *HTTPSink) Deliver(ctx context.Context, ev redfish.Event) error {
 	return h.DeliverBytes(ctx, ev.ID, body)
 }
 
-// maxReplyDrain bounds how much of a receiver's reply is read before
-// the body is closed.
-const maxReplyDrain = 4 << 10
-
-// DeliverBytes posts the pre-encoded payload as JSON and treats any 2xx
-// status as success. Each call wraps the shared bytes in a fresh
-// bytes.Reader, and GetBody hands out another, so redirects and every
-// bus-level retry rewind over the same buffer instead of re-marshaling
-// the event. The request is assembled around the sink's parsed URL —
-// what http.NewRequest would build, less the parse.
+// DeliverBytes posts the pre-encoded payload as JSON, with the trace
+// headers of ctx, and treats any 2xx status as success. A 3xx is a
+// failed delivery: redirects are not followed.
 func (h *HTTPSink) DeliverBytes(ctx context.Context, _ string, payload []byte) error {
 	if err := h.resolve(); err != nil {
 		return err
 	}
-	header := make(http.Header, 3) // Content-Type, traceparent, X-Request-Id
-	header["Content-Type"] = jsonContentType
-	obsv.InjectHeaders(ctx, header)
-	req := (&http.Request{
-		Method:        http.MethodPost,
-		URL:           h.dest,
-		Host:          h.dest.Host,
-		Proto:         "HTTP/1.1",
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Header:        header,
-		Body:          io.NopCloser(bytes.NewReader(payload)),
-		ContentLength: int64(len(payload)),
-		GetBody: func() (io.ReadCloser, error) {
-			return io.NopCloser(bytes.NewReader(payload)), nil
-		},
-	}).WithContext(ctx)
-	client := h.Client
-	if client == nil {
-		client = defaultSinkClient()
-	}
-	resp, err := client.Do(req)
+	var buf [256]byte // the header lines: Content-Type, traceparent, X-Request-Id
+	header := obsv.AppendHeaders(ctx, append(buf[:0], jsonContentType...))
+	status, err := poster.Post(ctx, h.target, header, payload)
 	if err != nil {
 		return err
 	}
-	// A body closed unread costs the connection: the transport cannot
-	// reuse it and the next delivery dials. Read a small reply to its
-	// end; a large one is not worth more than a dial, and an empty one
-	// (the usual 204) has no end to read.
-	if resp.ContentLength != 0 {
-		_, _ = io.CopyN(io.Discard, resp.Body, maxReplyDrain)
-	}
-	resp.Body.Close()
-	if resp.StatusCode < 200 || resp.StatusCode > 299 {
-		return fmt.Errorf("events: destination returned %s", resp.Status)
+	if status < 200 || status > 299 {
+		return fmt.Errorf("events: destination returned %d %s", status, http.StatusText(status))
 	}
 	return nil
 }
 
-// jsonContentType is shared by every delivery's header map; net/http
-// only reads it.
-var jsonContentType = []string{"application/json"}
+const jsonContentType = "Content-Type: application/json\r\n"
 
-// defaultSinkClient lazily builds the shared client used by sinks that
-// do not bring their own: per-attempt timeouts and a per-destination
-// circuit breaker, but no transport-level retries — the bus already
-// retries deliveries, and webhook POSTs are not idempotent.
-var defaultSinkClient = sync.OnceValue(func() *http.Client {
-	p := resilience.DefaultPolicy()
-	p.MaxAttempts = 1
-	return resilience.NewHTTPClient(p)
-})
+// poster carries every webhook delivery in the process: one pool of
+// kept-alive connections and one circuit breaker per destination host,
+// and a deadline per attempt. It makes one attempt per call — the bus
+// already retries deliveries, and webhook POSTs are not idempotent.
+var poster = resilience.NewPoster(resilience.DefaultPolicy())
 
 // Filter selects which events a subscription receives. Zero-value filters
 // match everything.
@@ -308,7 +263,7 @@ type Subscription struct {
 func (s *Subscription) holds(sink Sink, f Filter, contextStr string) bool {
 	cur, ok1 := s.sink.(*HTTPSink)
 	next, ok2 := sink.(*HTTPSink)
-	return ok1 && ok2 && cur.URL == next.URL && cur.Client == next.Client && s.Context == contextStr &&
+	return ok1 && ok2 && cur.URL == next.URL && s.Context == contextStr &&
 		s.Filter.Subordinate == f.Subordinate && slices.Equal(s.Filter.EventTypes, f.EventTypes) && slices.Equal(s.Filter.Origins, f.Origins)
 }
 

@@ -179,6 +179,26 @@ func InjectHeaders(ctx context.Context, h http.Header) {
 	}
 }
 
+// AppendHeaders appends what InjectHeaders would set, as HTTP/1.1
+// header lines, for an edge that writes its own request bytes (the
+// webhook poster). A request id that is not 1..128 bytes of visible
+// ASCII is left out: it could not be written as a header value.
+func AppendHeaders(ctx context.Context, dst []byte) []byte {
+	if ref := spanRefFrom(ctx); ref != nil {
+		dst = append(dst, TraceparentHeader+": 00-"...)
+		dst = hex.AppendEncode(dst, ref.trace[:])
+		dst = append(dst, '-')
+		dst = hex.AppendEncode(dst, ref.span[:])
+		dst = append(dst, "-01\r\n"...)
+	}
+	if id := RequestIDFrom(ctx); validRequestID(id) {
+		dst = append(dst, RequestIDHeader+": "...)
+		dst = append(dst, id...)
+		dst = append(dst, "\r\n"...)
+	}
+	return dst
+}
+
 // SpanRecord is one finished span as served by the admin Traces
 // endpoint. Attrs holds the span's attributes; an http.* entry span
 // reports its request line there as "method", "path" and "status".

@@ -1,11 +1,13 @@
 package obsv
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"errors"
 	"log/slog"
 	"net/http"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
@@ -217,6 +219,37 @@ func TestInjectHeaders(t *testing.T) {
 		t.Errorf("injected request id = %q", got)
 	}
 	sp.End()
+}
+
+// TestAppendHeadersMatchesInject: the header lines a hand-written
+// request carries are the headers InjectHeaders sets, and a request id
+// that is no valid header value is left out.
+func TestAppendHeadersMatchesInject(t *testing.T) {
+	if got := AppendHeaders(context.Background(), nil); len(got) != 0 {
+		t.Fatalf("untraced ctx appended %q", got)
+	}
+	tr := NewTracer(nil, TracerOptions{})
+	ctx, sp := tr.Start(context.Background(), "op")
+	defer sp.End()
+	for _, id := range []string{"", "deadbeef00000000", "two words", "line\r\nX-Evil: 1"} {
+		ctx := ctx
+		if id != "" {
+			ctx = ContextWithRequestID(ctx, id)
+		}
+		raw := "POST / HTTP/1.1\r\nHost: h\r\n" + string(AppendHeaders(ctx, nil)) + "\r\n"
+		req, err := http.ReadRequest(bufio.NewReader(strings.NewReader(raw)))
+		if err != nil {
+			t.Fatalf("id %q: %v", id, err)
+		}
+		want := http.Header{}
+		InjectHeaders(ctx, want)
+		if !validRequestID(id) {
+			want.Del(RequestIDHeader)
+		}
+		if !reflect.DeepEqual(req.Header, want) {
+			t.Errorf("id %q: appended %v, InjectHeaders sets %v", id, req.Header, want)
+		}
+	}
 }
 
 // TestTracerConcurrent hammers Start/SetAttr/End/Observe/Dump from many

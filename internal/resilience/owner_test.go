@@ -11,15 +11,17 @@ import (
 
 // TestOneOwnerOfOutboundConnections fails when product code outside
 // this package reaches net/http's process-wide client or transport —
-// by name, or through the package-level helpers that use them. Every
-// such edge would silently get http.DefaultTransport's pool of 2 idle
-// connections per host (which cost the event bus a dial for every 16
-// deliveries) and none of a Policy. Build clients with NewHTTPClient /
-// Transport, or hand BaseTransport to what only needs the pool. The
-// bench module is the load generator, not the product, and is frozen
-// between benchmark PRs; tests may use what they like.
+// by name, or through the package-level helpers that use them — or
+// opens a connection of its own with net.Dial, a net.Dialer, tls.Dial
+// or tls.Client. Every such edge would silently get
+// http.DefaultTransport's pool of 2 idle connections per host (which
+// cost the event bus a dial for every 16 deliveries), or no pool at
+// all, and none of a Policy. Build clients with NewHTTPClient /
+// Transport or a Poster, or hand BaseTransport to what only needs the
+// pool. The bench module is the load generator, not the product, and
+// is frozen between benchmark PRs; tests may use what they like.
 func TestOneOwnerOfOutboundConnections(t *testing.T) {
-	shared := regexp.MustCompile(`\bhttp\.(DefaultTransport|DefaultClient|(Get|Head|Post|PostForm)\()`)
+	shared := regexp.MustCompile(`\bhttp\.(DefaultTransport|DefaultClient|(Get|Head|Post|PostForm)\()|\bnet\.(Dial|Dialer\{)|\btls\.(Dial|Client\()`)
 	root := filepath.Join("..", "..")
 	scanned := 0
 	err := filepath.WalkDir(root, func(path string, d fs.DirEntry, err error) error {

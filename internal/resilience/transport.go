@@ -36,23 +36,32 @@ type Transport struct {
 	breakers  *BreakerSet
 }
 
-// baseTransport is the one owner of outbound connections: every
-// Transport and FaultTransport without a Base of its own dials through
-// it, so webhook deliveries, forwarded writes, Oem remote-handler calls
-// and agent publishes all ride its kept-alive pool. It is
-// http.DefaultTransport's configuration but for the idle pool per host,
-// which there is 2: the event bus drains up to 64 subscriptions (its
-// worker clamp) to one destination at once, and every delivery that
-// finished while 2 connections already sat idle closed its own and
-// dialled again for the next event. The pool must be no smaller than
-// the largest number of callers this process runs against one host,
-// which is that clamp — a property of the code, not of a deployment,
-// hence a constant and not a setting.
+// baseTransport is the pool every Transport and FaultTransport without
+// a Base of its own dials through: agent registrations, publishes and
+// heartbeats (internal/agent, the fleet harness), replication's status
+// polls and stream, the Oem remote handler, ofmfctl and the client
+// package, and — through BaseTransport — the replica's reverse proxy
+// for forwarded writes. Webhook deliveries do not ride it; they go
+// through a Poster. It is http.DefaultTransport's configuration but for
+// the idle pool per host, which there is 2: a caller that runs more
+// requests than that against one host at once closes every connection
+// that finishes while 2 already sit idle, and dials again for its next
+// request. idlePerHost (64) was sized for the event bus's worker clamp
+// when deliveries still rode this pool; no edge left on it has been
+// measured to want less, and an idle connection costs one file
+// descriptor for IdleConnTimeout (90 s).
 var baseTransport = func() *http.Transport {
 	t := http.DefaultTransport.(*http.Transport).Clone()
-	t.MaxIdleConnsPerHost = 64
+	t.MaxIdleConnsPerHost = idlePerHost
 	return t
 }()
+
+// idlePerHost bounds the idle connections kept per host, by the base
+// transport and by every Poster. The Poster's callers are the event
+// bus's workers, at most 64 by its default clamp, so a warm pool lets
+// every worker post to one destination without dialling. It is a
+// property of the code, not of a deployment, hence a constant.
+const idlePerHost = 64
 
 // BaseTransport returns the shared base transport, for an edge that
 // wants its connection pool and nothing of a Policy — the replica's

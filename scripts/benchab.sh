@@ -7,6 +7,10 @@
 # per end-to-end metric (all are lower-is-better, see BENCHMARK.json),
 # both medians, both quartile pairs and in how many pairs the head read
 # better. Writes nothing outside .bench_build/ and records nothing.
+# Before the first run it prints one host line, so tables from
+# different sessions can be told apart: CPUs, the CPUs this process may
+# run on, the Go toolchain, the kernel, both shas and whether the head
+# tree has uncommitted changes.
 set -euo pipefail
 [ $# -ge 2 ] || { echo "usage: $0 <base-ref> <workload> [pairs=10] [seed=1]" >&2; exit 2; }
 ref=$1 workload=$2 pairs=${3:-10} seed=${4:-1}
@@ -18,6 +22,10 @@ if [ ! -d "$base" ]; then
 	git -C "$root" archive "$sha" | tar -x -C "$base.tmp"
 	mv "$base.tmp" "$base"
 fi
+head_sha="$(git -C "$root" rev-parse --short HEAD)"
+dirty=clean; [ -z "$(git -C "$root" status --porcelain --untracked-files=no)" ] || dirty=dirty
+cpus="$(awk '/^Cpus_allowed_list/ { print $2 }' /proc/self/status 2>/dev/null)"
+echo "host: nproc $(nproc) cpus ${cpus:-unknown} $(go version | awk '{ print $3, $4 }') kernel $(uname -r) base ${sha:0:7} head $head_sha ($dirty)"
 # run <side> <tree> <pair>: one run; its metric lines as "pair side name value".
 run() {
 	bash "$2/bench/run.sh" --workload "$workload" --seed "$seed" --seconds 15 --trace 0 |
