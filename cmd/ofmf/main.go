@@ -230,8 +230,8 @@ func main() {
 		bootStats = stats
 		logger.Info("ofmf: store recovered",
 			"data_dir", *dataDir, "resources", stats.Resources,
-			"replayed", stats.Replayed, "snapshot_seq", stats.SnapshotSeq,
-			"truncated", stats.Truncated,
+			"replayed", stats.Replayed, "installed", stats.Installed,
+			"snapshot_seq", stats.SnapshotSeq, "truncated", stats.Truncated,
 			"fsync", *fsync,
 			"duration", stats.Duration)
 		ofmfSvc.Bus().Publish(events.Record(redfish.EventStatusChange, "recovery",

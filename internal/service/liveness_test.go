@@ -326,3 +326,36 @@ func TestDeletedSourceLeavesMetrics(t *testing.T) {
 		t.Fatalf("deleted source left series %v", got)
 	}
 }
+
+// TestRestartCountsNoHeartbeats: a restart re-states heartbeats, it does
+// not receive them. Recovery announces each source once, in its final
+// state, so the restarted sweeper registers it with its last heartbeat,
+// which the gauge reads, and heartbeats_total starts again at zero.
+// (Replayed record by record, it used to count every heartbeat logged
+// after the registration.)
+func TestRestartCountsNoHeartbeats(t *testing.T) {
+	dir := t.TempDir()
+	svc, srv := boot(t, dir, Config{})
+	start := time.Now().Add(-time.Hour).Truncate(time.Second)
+	uri := postSource(t, srv.URL, "http://agent-r.example", start)
+	var last time.Time
+	for i := 1; i <= 3; i++ {
+		last = start.Add(time.Duration(i) * time.Second)
+		beat := map[string]any{"Oem": map[string]any{"OFMF": map[string]any{"LastHeartbeat": redfish.Timestamp(last)}}}
+		if resp, body := doJSON(t, http.MethodPatch, srv.URL+string(uri), beat, nil); resp.StatusCode != http.StatusOK {
+			t.Fatalf("heartbeat = %d: %s", resp.StatusCode, body)
+		}
+	}
+	if got := svc.Metrics().AgentHeartbeats.With(uri.Leaf()).Value(); got != 3 {
+		t.Fatalf("heartbeats_total before the restart = %v, want 3", got)
+	}
+	kill(svc, srv)
+
+	svc, _ = boot(t, dir, Config{})
+	if got := svc.Metrics().AgentHeartbeats.With(uri.Leaf()).Value(); got != 0 {
+		t.Errorf("heartbeats_total after the restart = %v, want 0", got)
+	}
+	if got, want := svc.Metrics().AgentLastHeartbeat.With(uri.Leaf()).Value(), float64(last.UnixNano())/1e9; got != want {
+		t.Errorf("last heartbeat after the restart = %v, want %v", got, want)
+	}
+}

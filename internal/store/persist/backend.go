@@ -13,10 +13,11 @@ import (
 )
 
 // SnapshotSource yields a consistent cut of the resource tree: the
-// export plus the commit sequence number of the last mutation it
-// contains. *store.Store implements it.
+// export, the commit sequence number of the last mutation it contains
+// and the high-water marks the export does not imply. *store.Store
+// implements it.
 type SnapshotSource interface {
-	Snapshot() (data []byte, seq uint64, err error)
+	Cut() (store.Cut, error)
 }
 
 // Options configures a file backend.
@@ -55,9 +56,15 @@ type RecoveryStats struct {
 	// SnapshotSeq is the sequence number of the snapshot loaded (0 when
 	// the directory held none).
 	SnapshotSeq uint64
-	// Replayed is the number of WAL records applied on top of the
-	// snapshot.
+	// Replayed is the number of WAL records read and verified on top of
+	// the snapshot.
 	Replayed int
+	// Installed is the number of ids whose state recovery changed, the
+	// snapshot's and the log's together: each was installed once, with
+	// one Replayed change (see store.Replay). A record a later one
+	// superseded installs nothing, so on a log of churn it is far below
+	// Replayed.
+	Installed int
 	// Truncated reports that a torn tail (crash mid-write) was cut from
 	// the log.
 	Truncated bool
@@ -147,11 +154,12 @@ func (b *FileBackend) Shards() int { return 1 }
 // module; the next benchmark PR deletes it.
 func (b *FileBackend) AppendShard(_ int, batch []store.Record) func() error { return b.Append(batch) }
 
-// Recover rebuilds st from the data directory: load the newest valid
-// snapshot through Store.Import, replay the log through Store.Apply,
-// record by record as it is decoded (truncating a torn tail,
-// quarantining the segments after it), then rotate — open a fresh log
-// segment after the last recovered record — and return. It writes no
+// Recover rebuilds st from the data directory in one fold (see
+// store.Replay): the newest valid snapshot, then the log after it,
+// every record checked as it is decoded (truncating a torn tail,
+// quarantining the segments after it), so each resource is installed
+// once, in its final state. Then it rotates — opens a fresh log
+// segment after the last recovered record — and returns. It writes no
 // snapshot: the segments it replayed stay on disk until the first
 // Compact (periodic, or Close's) has installed one that covers them, the
 // same rotate-first order Compact keeps, so a kill before then boots the
@@ -163,52 +171,101 @@ func (b *FileBackend) AppendShard(_ int, batch []store.Record) func() error { re
 // AttachBackend.
 func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 	start := time.Now()
-	var stats RecoveryStats
 	dir := b.opts.Dir
 	if err := refuseLegacyLayout(dir); err != nil {
-		return stats, err
+		return RecoveryStats{}, err
 	}
 	removeSnapshotTemps(dir)
 
-	// Import changes nothing unless the whole document parses, so a
-	// snapshot it refuses can be passed over for an older one.
-	snap, loaded, skipped, err := newestSnapshot(dir, func(s snapshotFile) bool { return st.Import(s.Resources) == nil })
+	fold := st.Replay()
+	stats, segPaths, err := b.replay(fold)
+	stats.Installed = fold.Finish()
 	if err != nil {
 		return stats, err
+	}
+	lastSeq := stats.LastSeq
+	stats.Resources = st.Len()
+
+	// Rotate. Replayed segments stay for the first Compact to cover; with
+	// nothing replayed they hold nothing the snapshot lacks and go now. A
+	// segment at the fresh one's path holds no record (its records would
+	// start after lastSeq): an empty tail that openWAL's O_EXCL would
+	// refuse, so it goes either way.
+	fresh := walPath(dir, lastSeq+1)
+	for _, p := range segPaths {
+		if stats.Replayed == 0 || p == fresh {
+			os.Remove(p)
+		}
+	}
+	w, err := openWAL(fresh, lastSeq, b.opts.Fsync, b.onFsync)
+	if err != nil {
+		return stats, err
+	}
+	b.mu.Lock()
+	b.w = w
+	b.lastSnapSeq = stats.SnapshotSeq
+	b.recoveredSeq = lastSeq
+	b.mu.Unlock()
+	// The recovered store is the natural snapshot source for the final
+	// compaction on Close; StartSnapshots may override it.
+	b.src = st
+	removeBelow(dir, snapPrefix, snapSuffix, stats.SnapshotSeq)
+
+	stats.Duration = time.Since(start)
+	if m := b.opts.Metrics; m != nil {
+		m.RecoveryReplayed.Add(float64(stats.Replayed))
+	}
+	b.log.Info("persist: recovery complete",
+		"resources", stats.Resources, "replayed", stats.Replayed, "installed", stats.Installed,
+		"snapshot_seq", stats.SnapshotSeq, "truncated", stats.Truncated,
+		"duration", stats.Duration)
+	return stats, nil
+}
+
+// replay folds the newest snapshot the store accepts and the log after
+// it into fold, truncating a torn tail and quarantining what follows it.
+// It returns the paths of the segments left in place.
+func (b *FileBackend) replay(fold *store.Replay) (stats RecoveryStats, segPaths []string, err error) {
+	dir := b.opts.Dir
+	// Import changes nothing unless the whole document parses, so a
+	// snapshot it refuses can be passed over for an older one.
+	snap, _, skipped, err := newestSnapshot(dir, func(s snapshotFile) bool { return fold.Import(s.Resources) == nil })
+	if err != nil {
+		return stats, nil, err
 	}
 	if skipped > 0 {
 		b.log.Warn("persist: skipped unreadable snapshots", "count", skipped)
 	}
+	fold.HiWater(snap.HiWater)
 	stats.SnapshotSeq = snap.Seq
-	lastSeq := snap.Seq
+	stats.LastSeq = snap.Seq
 
 	apply := func(rec store.Record) error {
-		if rec.Seq <= lastSeq {
+		if rec.Seq <= stats.LastSeq {
 			return nil // already in the snapshot (or a duplicate)
 		}
-		if err := st.Apply(rec); err != nil {
+		if err := fold.Add(rec); err != nil {
 			return fmt.Errorf("persist: replay seq %d: %w", rec.Seq, err)
 		}
 		stats.Replayed++
-		lastSeq = rec.Seq
+		stats.LastSeq = rec.Seq
 		stats.LastEpoch = max(stats.LastEpoch, rec.Epoch)
 		return nil
 	}
 	segs, err := listSeqs(dir, walPrefix, walSuffix)
 	if err != nil {
-		return stats, err
+		return stats, nil, err
 	}
-	var segPaths []string // every segment left in place
 	for i, seg := range segs {
 		path := walPath(dir, seg)
 		f, err := os.Open(path)
 		if err != nil {
-			return stats, fmt.Errorf("persist: open segment: %w", err)
+			return stats, segPaths, fmt.Errorf("persist: open segment: %w", err)
 		}
 		good, torn, err := scanFrames(f, apply)
 		f.Close()
 		if err != nil {
-			return stats, err
+			return stats, segPaths, err
 		}
 		segPaths = append(segPaths, path)
 		if !torn {
@@ -230,7 +287,7 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 			b.log.Warn("persist: quarantining segment after torn record",
 				"segment", lp, "quarantined", lp+quarantineSuffix)
 			if err := os.Rename(lp, lp+quarantineSuffix); err != nil {
-				return stats, fmt.Errorf("persist: quarantine %s: %w", lp, err)
+				return stats, segPaths, fmt.Errorf("persist: quarantine %s: %w", lp, err)
 			}
 			if m := b.opts.Metrics; m != nil {
 				m.WALQuarantined.Inc()
@@ -238,54 +295,16 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 		}
 		if i < len(segs)-1 {
 			if err := syncDir(dir); err != nil {
-				return stats, fmt.Errorf("persist: sync quarantine: %w", err)
+				return stats, segPaths, fmt.Errorf("persist: sync quarantine: %w", err)
 			}
 		}
 		b.log.Warn("persist: truncating torn log tail", "segment", path, "offset", good)
 		if err := os.Truncate(path, good); err != nil {
-			return stats, fmt.Errorf("persist: truncate torn tail: %w", err)
+			return stats, segPaths, fmt.Errorf("persist: truncate torn tail: %w", err)
 		}
 		break
 	}
-	stats.LastSeq = lastSeq
-	stats.Resources = st.Len()
-
-	// Rotate. Replayed segments stay for the first Compact to cover; with
-	// nothing replayed they hold nothing the snapshot lacks and go now. A
-	// segment at the fresh one's path holds no record (its records would
-	// start after lastSeq): an empty tail that openWAL's O_EXCL would
-	// refuse, so it goes either way.
-	fresh := walPath(dir, lastSeq+1)
-	for _, p := range segPaths {
-		if stats.Replayed == 0 || p == fresh {
-			os.Remove(p)
-		}
-	}
-	w, err := openWAL(fresh, lastSeq, b.opts.Fsync, b.onFsync)
-	if err != nil {
-		return stats, err
-	}
-	b.mu.Lock()
-	b.w = w
-	b.lastSnapSeq = snap.Seq
-	b.recoveredSeq = lastSeq
-	b.mu.Unlock()
-	// The recovered store is the natural snapshot source for the final
-	// compaction on Close; StartSnapshots may override it.
-	b.src = st
-	if loaded {
-		removeBelow(dir, snapPrefix, snapSuffix, snap.Seq)
-	}
-
-	stats.Duration = time.Since(start)
-	if m := b.opts.Metrics; m != nil {
-		m.RecoveryReplayed.Add(float64(stats.Replayed))
-	}
-	b.log.Info("persist: recovery complete",
-		"resources", stats.Resources, "replayed", stats.Replayed,
-		"snapshot_seq", stats.SnapshotSeq, "truncated", stats.Truncated,
-		"duration", stats.Duration)
-	return stats, nil
+	return stats, segPaths, nil
 }
 
 func (b *FileBackend) onFsync(d time.Duration) {
@@ -395,14 +414,15 @@ func (b *FileBackend) Compact() error {
 			return fmt.Errorf("persist: retire segment: %w", err)
 		}
 	}
-	export, seq, err := b.src.Snapshot()
+	cut, err := b.src.Cut()
 	if err != nil {
 		return fmt.Errorf("persist: snapshot export: %w", err)
 	}
+	seq := cut.Seq
 	if seq < last {
 		return fmt.Errorf("persist: snapshot source at seq %d is behind the log at %d; attach the store first", seq, last)
 	}
-	if err := b.writeSnapshot(seq, export); err != nil {
+	if err := b.writeSnapshot(seq, cut); err != nil {
 		return err
 	}
 	if b.killPoint != nil {

@@ -10,6 +10,7 @@ import (
 	"strconv"
 	"strings"
 
+	"ofmf/internal/odata"
 	"ofmf/internal/store"
 )
 
@@ -32,18 +33,24 @@ const (
 
 // snapshotFile is the on-disk snapshot format, one JSON document
 //
-//	{"Seq":N,"Resources":{"uri":payload,…}}
+//	{"Seq":N[,"HiWater":{"parent":n,…}],"Resources":{"uri":payload,…}}
 //
-// a consistent export of the tree (store.Snapshot's document, verbatim)
-// plus the commit sequence number of the last mutation it reflects.
-// Recovery skips WAL records with Seq <= Seq.
+// a consistent export of the tree (store.Cut's document, verbatim) plus
+// the commit sequence number of the last mutation it reflects. Recovery
+// skips WAL records with Seq <= Seq. HiWater holds the NextID high-water
+// marks the resources do not imply (store.Cut), and is left out when
+// there are none, so such a file is byte for byte what versions without
+// it wrote; they read one that has it through encoding/json, which skips
+// the field.
 type snapshotFile struct {
-	Seq       uint64          `json:"Seq"`
-	Resources json.RawMessage `json:"Resources"`
+	Seq       uint64           `json:"Seq"`
+	HiWater   map[odata.ID]int `json:"HiWater,omitempty"`
+	Resources json.RawMessage  `json:"Resources"`
 }
 
 const (
 	snapSeqKey       = `{"Seq":`
+	snapHiWaterKey   = `,"HiWater":`
 	snapResourcesKey = `,"Resources":`
 
 	// layoutName is the descriptor of the per-shard-stream layout this
@@ -97,21 +104,28 @@ func listSeqs(dir, prefix, suffix string) ([]uint64, error) {
 	return seqs, nil
 }
 
-// writeSnapshot durably installs a snapshot of resources, the document
-// store.Snapshot returns, written around as it is: write to a temp file,
+// writeSnapshot durably installs a snapshot of cut at seq, the document
+// store.Cut returns written around as it is: write to a temp file,
 // fsync it, rename into place, fsync the directory. A crash at any point
 // leaves either the old snapshot set or the complete new file — never a
 // partially visible one — plus, before the rename, the temp file, which
 // the next Recover deletes.
-func (b *FileBackend) writeSnapshot(seq uint64, resources []byte) error {
+func (b *FileBackend) writeSnapshot(seq uint64, cut store.Cut) error {
+	head := strconv.AppendUint([]byte(snapSeqKey), seq, 10)
+	if len(cut.HiWater) > 0 {
+		marks, err := json.Marshal(cut.HiWater) // keys sorted
+		if err != nil {
+			return fmt.Errorf("persist: snapshot marks: %w", err)
+		}
+		head = append(append(head, snapHiWaterKey...), marks...)
+	}
 	dir := b.opts.Dir
 	tmp, err := os.CreateTemp(dir, snapPrefix+"*"+snapTempSuffix)
 	if err != nil {
 		return fmt.Errorf("persist: snapshot temp: %w", err)
 	}
 	defer os.Remove(tmp.Name())
-	head := strconv.AppendUint([]byte(snapSeqKey), seq, 10)
-	for _, part := range [][]byte{append(head, snapResourcesKey...), resources, []byte("}")} {
+	for _, part := range [][]byte{append(head, snapResourcesKey...), cut.Resources, []byte("}")} {
 		if _, err := tmp.Write(part); err != nil {
 			tmp.Close()
 			return fmt.Errorf("persist: snapshot write: %w", err)
@@ -133,16 +147,26 @@ func (b *FileBackend) writeSnapshot(seq uint64, resources []byte) error {
 	return syncDir(dir)
 }
 
-// readSnapshot splits a snapshot file into its sequence number and its
-// resources document without decoding either: the envelope writeSnapshot
-// (and json.Marshal of a snapshotFile before it) writes is recognised by
-// its first and last bytes, anything else is encoding/json's to read.
-// What Resources holds is for the caller to check.
+// readSnapshot splits a snapshot file into its sequence number, its
+// high-water marks and its resources document without decoding the
+// document: the envelope writeSnapshot (and json.Marshal of a
+// snapshotFile before it) writes is recognised by its first and last
+// bytes, with only the marks, which come before the document, read by
+// encoding/json; anything else is encoding/json's to read. What
+// Resources holds is for the caller to check.
 func readSnapshot(data []byte) (snap snapshotFile, ok bool) {
 	if p, found := bytes.CutPrefix(data, []byte(snapSeqKey)); found {
 		seq, p, _ := store.CutUint(p) // no number: p is nil and the next cut fails
+		var marks map[odata.ID]int
+		if rest, found := bytes.CutPrefix(p, []byte(snapHiWaterKey)); found {
+			dec := json.NewDecoder(bytes.NewReader(rest))
+			p = nil // unless the marks decode
+			if dec.Decode(&marks) == nil {
+				p = rest[dec.InputOffset():]
+			}
+		}
 		if p, found = bytes.CutPrefix(p, []byte(snapResourcesKey)); found && len(p) > 1 && p[len(p)-1] == '}' {
-			return snapshotFile{Seq: seq, Resources: p[:len(p)-1]}, true
+			return snapshotFile{Seq: seq, HiWater: marks, Resources: p[:len(p)-1]}, true
 		}
 	}
 	return snap, json.Unmarshal(data, &snap) == nil && len(snap.Resources) > 0

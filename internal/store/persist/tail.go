@@ -130,11 +130,11 @@ func (b *FileBackend) Bootstrap(st *store.Store, seq uint64) error {
 	if err := refuseLegacyLayout(dir); err != nil {
 		return err
 	}
-	resources, _, err := st.Snapshot()
+	cut, err := st.Cut()
 	if err != nil {
 		return fmt.Errorf("persist: bootstrap export: %w", err)
 	}
-	if err := b.writeSnapshot(seq, resources); err != nil {
+	if err := b.writeSnapshot(seq, cut); err != nil {
 		return err
 	}
 	w, err := openWAL(walPath(dir, seq+1), seq, b.opts.Fsync, b.onFsync)

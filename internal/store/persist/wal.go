@@ -1,13 +1,17 @@
 // Package persist is the store's file-based durability layer: one
 // append-only write-ahead log of canonical mutation records with
 // group-commit flush/fsync coalescing, periodic compacted snapshots
-// built from consistent store cuts, and boot-time recovery that loads
-// the newest valid snapshot, replays the log tail in sequence order,
-// and truncates a torn record left by a crash mid-write.
+// built from consistent store cuts, and boot-time recovery that folds
+// the newest valid snapshot and the log tail after it into the tree
+// (store.Replay) — every record read and verified in sequence order,
+// each resource installed once, in its final state — and truncates a
+// torn record left by a crash mid-write.
 //
 // On-disk layout. Everything lives in one data directory:
 //
-//	snap-<seq>.json   compacted snapshot: {"Seq":N,"Resources":{uri:raw}}
+//	snap-<seq>.json   compacted snapshot: {"Seq":N,"Resources":{uri:raw}},
+//	                  with "HiWater":{parent:n} before "Resources" when
+//	                  NextID marks outran the resources (see snapshotFile)
 //	wal-<start>.log   log segment; holds records with Seq >= start
 //
 //	wal-<start>.log.quarantined
@@ -100,9 +104,9 @@ func sealFrame(frame []byte) error {
 // the next frame is read into the same buffer.
 func scanFrames(r io.Reader, fn func(store.Record) error) (good int64, torn bool, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
+	var hdr [frameHeader]byte // escapes into ReadFull: one allocation, not one a frame
 	var payload []byte
 	for {
-		var hdr [frameHeader]byte
 		if _, err := io.ReadFull(br, hdr[:]); err != nil {
 			return good, err != io.EOF, nil
 		}
@@ -120,11 +124,14 @@ func scanFrames(r io.Reader, fn func(store.Record) error) (good int64, torn bool
 		rec, ok := store.DecodeRecord(payload)
 		if !ok {
 			// Not the envelope append writes, or not one this package can
-			// vouch for: encoding/json's verdict is the verdict.
-			rec = store.Record{}
-			if json.Unmarshal(payload, &rec) != nil {
+			// vouch for: encoding/json's verdict is the verdict. (It reads
+			// into a record of its own, which escapes, so that rec stays
+			// on the stack for the frames DecodeRecord reads.)
+			var decoded store.Record
+			if json.Unmarshal(payload, &decoded) != nil {
 				return good, true, nil
 			}
+			rec = decoded
 		}
 		if err := fn(rec); err != nil {
 			return good, false, err

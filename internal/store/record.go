@@ -2,9 +2,7 @@ package store
 
 import (
 	"bytes"
-	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"strconv"
 
@@ -19,9 +17,9 @@ type RecordOp string
 // an ordered batch of these before it reaches a Backend: a Patch is
 // logged as the put of its merged post-state, a subtree refresh as the
 // deletions and puts it actually performed. Replay is therefore
-// insensitive to the original operation's semantics — applying the
-// records in order through the normal Put/Delete paths reconstructs the
-// tree, its children index, and its high-water marks exactly.
+// insensitive to the original operation's semantics — folding the
+// records in order (see Replay) reconstructs the tree, its children
+// index, and its high-water marks exactly.
 const (
 	OpPut    RecordOp = "p"
 	OpDelete RecordOp = "d"
@@ -42,9 +40,9 @@ const (
 // leader committed after losing leadership.
 //
 // verified is DecodeRecord's mark: it proved Raw canonical while reading
-// it, so Apply copies Raw instead of scanning it a second time. Only this
-// package can set it, and it vouches for the bytes DecodeRecord returned;
-// code that puts other bytes in Raw builds a fresh Record.
+// it, so Replay.Add copies Raw instead of scanning it a second time. Only
+// this package can set it, and it vouches for the bytes DecodeRecord
+// returned; code that puts other bytes in Raw builds a fresh Record.
 type Record struct {
 	Seq      uint64          `json:"s"`
 	Epoch    uint64          `json:"e,omitempty"`
@@ -92,7 +90,7 @@ func AppendRecord(dst []byte, rec Record) ([]byte, error) {
 // DecodeRecord reads the envelope AppendRecord writes — fields in struct
 // order, the op "p" or "d", an id free of escapes, the resource last and
 // canonical (so valid) — into the Record json.Unmarshal would build from
-// it, Raw aliasing payload and marked verified, so that Apply does not
+// it, Raw aliasing payload and marked verified, so that Replay.Add does not
 // scan it again. It reports false for anything else, which is
 // json.Unmarshal's to read.
 func DecodeRecord(payload []byte) (rec Record, ok bool) {
@@ -177,36 +175,6 @@ type Backend interface {
 	// Close flushes buffered records and releases the backend's
 	// resources. The store calls it from Store.Close after detaching.
 	Close() error
-}
-
-// Apply replays one log record through the store's normal mutation path:
-// OpPut through Put, OpDelete through Delete. Recovery uses it so
-// replayed state is rebuilt by exactly the code live mutations exercise
-// (children index, collection invalidation, high-water marks). A delete
-// of an id that is already absent is not an error — the record merely
-// re-asserts an absence the snapshot already reflects. The changes it
-// emits are marked Replayed. A put DecodeRecord verified is copied into
-// the tree as it is; any other is canonicalized, as Put would.
-func (s *Store) Apply(rec Record) error {
-	ctx := context.Background()
-	switch rec.Op {
-	case OpPut:
-		if rec.verified {
-			return s.putRaw(ctx, rec.ID, bytes.Clone(rec.Raw), true)
-		}
-		raw, err := canonicalize(rec.Raw)
-		if err != nil {
-			return err
-		}
-		return s.putRaw(ctx, rec.ID, raw, true)
-	case OpDelete:
-		if err := s.remove(ctx, rec.ID, true); err != nil && !errors.Is(err, ErrNotFound) {
-			return err
-		}
-		return nil
-	default:
-		return fmt.Errorf("store: apply: unknown record op %q", rec.Op)
-	}
 }
 
 // AttachBackend installs the durability backend and fast-forwards the

@@ -15,7 +15,9 @@
 // an optional Backend. With no backend attached (the zero-config
 // default) the seam costs one nil check per mutation and nothing on
 // reads. The file-based write-ahead-log backend lives in the
-// store/persist subpackage.
+// store/persist subpackage. replay.go is the way back in: boot recovery,
+// snapshot import and a replica's stream fold history into the tree,
+// installing each id's final state once.
 //
 // One lock domain: the tree sits behind one read-write lock. A mutation
 // — one resource or a whole restore at the service root — applies, is
@@ -246,10 +248,15 @@ func (s *Store) Projection(coll odata.ID, mu sync.Locker, apply func(id odata.ID
 	}
 }
 
-func (s *Store) notify(changes ...Change) {
+// watching returns the registered watchers.
+func (s *Store) watching() []Watcher {
 	s.watchMu.RLock()
-	ws := s.watchers
-	s.watchMu.RUnlock()
+	defer s.watchMu.RUnlock()
+	return s.watchers
+}
+
+func (s *Store) notify(changes ...Change) {
+	ws := s.watching()
 	for _, c := range changes {
 		for _, w := range ws {
 			w(c)
@@ -258,11 +265,10 @@ func (s *Store) notify(changes ...Change) {
 }
 
 // canonicalize is the one way payload bytes enter the tree: Put,
-// PutSubtree and Patch call it, and WAL replay, admin restore and
-// replication apply re-enter through Put. Two readers check the same
-// thing as they parse and then skip it: Import (see scanExport) and Apply
-// of a record DecodeRecord verified (see Record). The invariant readers
-// rely on follows:
+// PutSubtree, Patch and Replay.Add of an unverified record call it. Two
+// readers check the same thing as they parse and then skip it: Import
+// (see scanExport) and Replay.Add of a record DecodeRecord verified (see
+// Record). The invariant readers rely on follows:
 // every stored payload is the output of json.Marshal — compact,
 // HTML-escaped, valid — and therefore a fixed point of it (marshalling a
 // stored payload as a json.RawMessage yields the same bytes). The
@@ -304,11 +310,6 @@ func (s *Store) PutCtx(ctx context.Context, id odata.ID, v any) error {
 	if err != nil {
 		return err
 	}
-	return s.putRaw(ctx, id, raw, false)
-}
-
-// putRaw installs raw, which is canonical and the tree's to keep, at id.
-func (s *Store) putRaw(ctx context.Context, id odata.ID, raw json.RawMessage, replayed bool) error {
 	s.countOp("put")
 	sp := s.traceStart(ctx, "store.put")
 	s.lock()
@@ -328,7 +329,7 @@ func (s *Store) putRaw(ctx context.Context, id odata.ID, raw json.RawMessage, re
 	}
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
-	s.notify(Change{Kind: kind, ID: id, Seq: cs, Commit: commit, Ctx: ctx, Replayed: replayed})
+	s.notify(Change{Kind: kind, ID: id, Seq: cs, Commit: commit, Ctx: ctx})
 	return werr
 }
 
@@ -511,10 +512,6 @@ func (s *Store) Delete(id odata.ID) error {
 // DeleteCtx is Delete carrying the originating request context; see
 // PutCtx for the tracing and change-attribution semantics.
 func (s *Store) DeleteCtx(ctx context.Context, id odata.ID) error {
-	return s.remove(ctx, id, false)
-}
-
-func (s *Store) remove(ctx context.Context, id odata.ID, replayed bool) error {
 	s.countOp("delete")
 	sp := s.traceStart(ctx, "store.delete")
 	s.lock()
@@ -531,7 +528,7 @@ func (s *Store) remove(ctx context.Context, id odata.ID, replayed bool) error {
 
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
-	s.notify(Change{Kind: Removed, ID: id, Seq: cs, Commit: batch[0].Seq, Ctx: ctx, Replayed: replayed})
+	s.notify(Change{Kind: Removed, ID: id, Seq: cs, Commit: batch[0].Seq, Ctx: ctx})
 	return werr
 }
 

@@ -5,8 +5,20 @@
 # bench/run.sh is run alternately in both trees, the side that goes first
 # flipping every pair, so host drift lands on both sides alike. Prints,
 # per end-to-end metric (all are lower-is-better, see BENCHMARK.json),
-# both medians, both quartile pairs and in how many pairs the head read
-# better. Writes nothing outside .bench_build/ and records nothing.
+# both medians, both quartile pairs, in how many pairs the head read
+# better, and a verdict (choosing-metrics §6.5, §8), with the metric's
+# bound read from BENCHMARK.json:
+#   unresolved  the base's own quartile spread, over its median, exceeds
+#               the bound, and not every head run beats every base run
+#   better      the head wins at least nine pairs in ten (ties count for
+#               neither) and the medians differ by more than the base's
+#               quartile spread; or, when the spread exceeds the bound,
+#               every head run beats every base run
+#   worse       the head median is past the base median by more than the
+#               bound
+#   same        none of these
+# A metric BENCHMARK.json gives no bound (failed_checks) gets "-".
+# Writes nothing outside .bench_build/ and records nothing.
 # Before the first run it prints one host line, so tables from
 # different sessions can be told apart: CPUs, the CPUs this process may
 # run on, the Go toolchain, the kernel, both shas and whether the head
@@ -43,17 +55,30 @@ for ((i = 1; i <= pairs; i++)); do
 		rows+="$out"$'\n'
 	done
 done
+# "name bound" for every end-to-end metric of BENCHMARK.json, as its
+# "end_to_end" list spells them, one member a line.
+bounds="$(awk '/"end_to_end"/ { on = 1 } /"per_layer"/ { on = 0 }
+	on && /"name":/ { gsub(/[",]/, "", $2); name = $2 }
+	on && /"bound":/ { gsub(/,/, "", $2); print name, $2 }' "$root/BENCHMARK.json")"
 echo "$workload seed $seed: base $ref (${sha:0:7}) vs head, $pairs alternating pairs, lower is better"
-printf '%-22s %11s %23s %11s %23s %9s\n' metric base_median base_quartiles head_median head_quartiles head_wins
-printf '%s' "$rows" | awk '
+printf '%-22s %11s %23s %11s %23s %9s %10s\n' metric base_median base_quartiles head_median head_quartiles head_wins verdict
+printf '%s' "$rows" | awk -v bounds="$bounds" '
 	function quantile(m, s, p,    pos, lo) { pos = (n[m, s] - 1) * p; lo = int(pos)
 		return v[m, s, lo] + (pos - lo) * (v[m, s, (lo + 1 < n[m, s]) ? lo + 1 : lo] - v[m, s, lo]) }
+	function verdict(m, wins,    b, bm, hm, iqr) { if (!(m in bound)) return "-"
+		b = bound[m]; bm = quantile(m, "base", .5); hm = quantile(m, "head", .5)
+		iqr = quantile(m, "base", .75) - quantile(m, "base", .25)
+		if (bm > 0 && iqr / bm > b) return (v[m, "head", n[m, "head"] - 1] < v[m, "base", 0]) ? "better" : "unresolved"
+		if (wins * 10 >= pairs * 9 && bm - hm > iqr) return "better"
+		if (hm > bm * (1 + b)) return "worse"
+		return "same" }
+	BEGIN { nb = split(bounds, line, "\n"); for (i = 1; i <= nb; i++) { split(line[i], f, " "); bound[f[1]] = f[2] } }
 	NF == 4 { m = $3; s = $2; if (!(m in seen)) { seen[m] = 1; names[++k] = m }
 		at[m, s, $1] = $4
 		for (j = n[m, s]++; j > 0 && v[m, s, j - 1] > $4; j--) v[m, s, j] = v[m, s, j - 1]   # insertion sort
 		v[m, s, j] = $4; if ($1 > pairs) pairs = $1 }
 	END { for (i = 1; i <= k; i++) { m = names[i]; wins = 0
 		for (p = 1; p <= pairs; p++) if (at[m, "head", p] + 0 < at[m, "base", p] + 0) wins++
-		printf "%-22s %11.5g %11.5g-%-11.5g %11.5g %11.5g-%-11.5g %6d/%d\n", m,
+		printf "%-22s %11.5g %11.5g-%-11.5g %11.5g %11.5g-%-11.5g %6d/%d %10s\n", m,
 			quantile(m, "base", .5), quantile(m, "base", .25), quantile(m, "base", .75),
-			quantile(m, "head", .5), quantile(m, "head", .25), quantile(m, "head", .75), wins, pairs } }'
+			quantile(m, "head", .5), quantile(m, "head", .25), quantile(m, "head", .75), wins, pairs, verdict(m, wins) } }'
