@@ -412,12 +412,12 @@ func TestSessionTokenSurvivesRestart(t *testing.T) {
 	}
 	// A replica catches up from its leader's snapshot, as a new replica
 	// does, and serves reads locally.
-	snap, _, err := svc.Store().Snapshot()
+	snap, err := svc.Store().Cut()
 	if err != nil {
 		t.Fatal(err)
 	}
 	replica, rsrv := newTestServer(t, cfg)
-	if err := replica.Store().Import(snap); err != nil {
+	if err := replica.Store().Import(snap.Resources); err != nil {
 		t.Fatal(err)
 	}
 	replica.SetReplicaMode(func() string { return srv.URL }, false)

@@ -290,10 +290,11 @@ func TestStoredPayloadsAreCanonical(t *testing.T) {
 	// The document the snapshot reader walks, with payloads spliced in that
 	// are not canonical: the walk must hand the whole document to
 	// encoding/json rather than store them as they are.
-	cut, _, err := src.Snapshot()
+	c, err := src.Cut()
 	must(err)
+	cut := c.Resources
 	if _, ok := scanExport(cut); !ok {
-		t.Fatal("scanExport declines the document Snapshot wrote")
+		t.Fatal("scanExport declines the document Cut wrote")
 	}
 	spliced := bytes.Replace(cut, []byte(`{"/redfish/v1/A/created":`), []byte(`{"/redfish/v1/A/0":`+string(unescaped)+`,"/redfish/v1/A/created":`), 1)
 	if _, ok := scanExport(spliced); ok {
@@ -455,11 +456,11 @@ func TestBenchmarkShapeNeedsNoFallback(t *testing.T) {
 			}
 		}
 	}
-	doc, _, err := st.Snapshot()
+	c, err := st.Cut()
 	if err != nil {
 		t.Fatal(err)
 	}
-	entries, ok := scanExport(doc)
+	entries, ok := scanExport(c.Resources)
 	if !ok {
 		fallbacks++
 	}

@@ -77,12 +77,12 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			return
 		}
 	}
-	data, seq, err := n.st.Snapshot()
+	c, err := n.st.Cut()
 	if err != nil {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, http.StatusOK, snapshotDoc{Seq: seq, Epoch: hub.Epoch(), Resources: data})
+	writeJSON(w, http.StatusOK, snapshotDoc{Seq: c.Seq, Epoch: hub.Epoch(), Resources: c.Resources})
 }
 
 // streamBatch bounds how many backlogged records one ReadFrom round

@@ -395,7 +395,7 @@ func TestPutSubtreeDoesNotTouchOutside(t *testing.T) {
 
 // TestRestoreAtRootAtomicUnderReaders flips the whole tree between two
 // versions with PutSubtree at the service root (the admin restore path)
-// while concurrent Snapshot readers check they never observe a mix: the
+// while concurrent Cut readers check they never observe a mix: the
 // restore is one hold of the write lock, so a reader sees all of a
 // replacement or none of it.
 func TestRestoreAtRootAtomicUnderReaders(t *testing.T) {
@@ -421,13 +421,13 @@ func TestRestoreAtRootAtomicUnderReaders(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for !stop.Load() {
-				data, _, err := s.Snapshot()
+				c, err := s.Cut()
 				if err != nil {
 					t.Error(err)
 					return
 				}
 				var m map[string]struct{ V int }
-				if err := json.Unmarshal(data, &m); err != nil {
+				if err := json.Unmarshal(c.Resources, &m); err != nil {
 					t.Error(err)
 					return
 				}
