@@ -199,6 +199,15 @@ func main() {
 	// closures always see the current one.
 	var pb atomic.Pointer[persist.FileBackend]
 	var bootStats persist.RecoveryStats
+	// One data dir, opened at boot or at promotion.
+	persistOpts := persist.Options{
+		Dir:              *dataDir,
+		Fsync:            *fsync,
+		SnapshotInterval: *snapInterval,
+		Logger:           logger,
+		Metrics:          metrics,
+		Tracer:           tracer,
+	}
 	if *dataDir != "" && *role == "replica" {
 		// A replica's tree comes from the leader; its data directory
 		// stays untouched until this node is promoted, at which point it
@@ -207,14 +216,7 @@ func main() {
 		// the replicated one.
 		logger.Info("ofmf: replica: data dir deferred until promotion", "data_dir", *dataDir)
 	} else if *dataDir != "" {
-		backend, err := persist.Open(persist.Options{
-			Dir:              *dataDir,
-			Fsync:            *fsync,
-			SnapshotInterval: *snapInterval,
-			Logger:           logger,
-			Metrics:          metrics,
-			Tracer:           tracer,
-		})
+		backend, err := persist.Open(persistOpts)
 		if err != nil {
 			fatal("ofmf: data dir", err)
 		}
@@ -283,14 +285,7 @@ func main() {
 		}
 		if *dataDir != "" {
 			cfg.PromoteBackend = func(st *store.Store, seq uint64) (store.Backend, error) {
-				b, err := persist.Open(persist.Options{
-					Dir:              *dataDir,
-					Fsync:            *fsync,
-					SnapshotInterval: *snapInterval,
-					Logger:           logger,
-					Metrics:          metrics,
-					Tracer:           tracer,
-				})
+				b, err := persist.Open(persistOpts)
 				if err != nil {
 					return nil, err
 				}

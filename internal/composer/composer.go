@@ -94,8 +94,8 @@ type Pool struct {
 
 	// claim makes checking free capacity and provisioning one step among
 	// the composer's attaches (Capacity and Provision run under it, so
-	// they must not call the composer). sizes and their total, used,
-	// project Resources under the composer's mu.
+	// they must not call the composer). sizes and their total, used, are
+	// the store.Projection of Resources, kept under the composer's mu.
 	claim sync.Mutex
 	sizes map[odata.ID]int64
 	used  int64
@@ -190,9 +190,10 @@ func (b *block) composition() Composition {
 }
 
 // Composer is the Composability Manager. It keeps no books: compositions
-// and pool usage are projections of the tree, so a restart, a WAL replay
-// or an admin restore leaves it knowing what the tree holds. Watchers run
-// inside store writes: never write to the store holding mu.
+// and pool usage are store.Projections of the tree, so a restart, a WAL
+// replay or an admin restore leaves it knowing what the tree holds. The
+// projections run inside store writes: never write to the store holding
+// mu.
 type Composer struct {
 	svc    *service.Service
 	policy Policy
@@ -200,19 +201,27 @@ type Composer struct {
 	mu    sync.Mutex
 	nodes map[string]NodeState // UsedCores is filled in by nodesLocked
 	pools []*Pool
-	// dirty holds the watched members written since the last syncLocked.
-	dirty map[odata.ID]struct{}
 	// byID and bySystem project the ResourceBlocks collection; a block
 	// in them is never modified, only replaced.
 	byID     map[string]*block
 	bySystem map[odata.ID]string
-	// reserved maps the compositions being realized to the URI of their
-	// block, once known; their cores count until the projection holds it.
-	// It is the one state the tree lacks, which a restart rightly forgets.
-	reserved map[*record]odata.ID
+	// reserved holds the compositions being realized whose block the
+	// projection does not hold yet; their cores count until it does. It
+	// is the one state the tree lacks, which a restart rightly forgets.
+	reserved map[*record]struct{}
+	// seed is the block a compose is creating, with the bytes it encoded:
+	// the projection takes it instead of decoding them.
+	seed *seed
 
-	// idMu keeps a block id from NextID until the block is created.
+	// idMu keeps a block id from NextID until the block is created, so
+	// one seed at a time is pending.
 	idMu sync.Mutex
+}
+
+// seed is a block as compose encoded it.
+type seed struct {
+	b   *block
+	raw []byte
 }
 
 // New creates a composer over the given OFMF service. policy defaults to
@@ -225,60 +234,42 @@ func New(svc *service.Service, policy Policy) *Composer {
 		svc:      svc,
 		policy:   policy,
 		nodes:    make(map[string]NodeState),
-		dirty:    make(map[odata.ID]struct{}),
 		byID:     make(map[string]*block),
 		bySystem: make(map[odata.ID]string),
-		reserved: make(map[*record]odata.ID),
+		reserved: make(map[*record]struct{}),
 	}
 	// Registered before recovery, so WAL replay reaches it too.
-	c.watch(service.ResourceBlocksURI)
+	st := svc.Store()
+	st.Watch(st.Projection(service.ResourceBlocksURI, &c.mu, c.applyBlock))
 	return c
 }
 
-// watch marks every change to a direct member of coll dirty: live
-// writes, WAL replay, a leader's stream and admin restores alike. So a
-// member is decoded once however often it changed, or never if it went.
-// It runs on every store change: a prefix cut costs a 20k-resource
-// subtree push nothing measurable, ID.Parent about a sixth more.
-func (c *Composer) watch(coll odata.ID) {
-	prefix := string(coll) + "/"
-	c.svc.Store().Watch(func(chg store.Change) {
-		if leaf, ok := strings.CutPrefix(string(chg.ID), prefix); ok && !strings.Contains(leaf, "/") {
-			c.mu.Lock()
-			c.dirty[chg.ID] = struct{}{}
-			c.mu.Unlock()
-		}
-	})
-}
-
-// syncLocked brings the projections up to the tree: it re-reads each
-// dirty member (nil once gone). Caller holds c.mu; the store is only read.
-func (c *Composer) syncLocked() {
-	for id := range c.dirty {
-		raw, _, _ := c.svc.Store().Get(id)
-		coll := id.Parent()
-		if coll == service.ResourceBlocksURI {
-			c.setBlock(id.Leaf(), decodeBlock(raw))
-		}
-		for _, p := range c.pools {
-			if coll == p.Resources {
-				p.apply(id, raw)
-			}
-		}
-	}
-	clear(c.dirty)
-}
-
-// setBlock brings the projection to a block's state (nil: gone, or not a
-// composition). Caller holds c.mu.
-func (c *Composer) setBlock(id string, b *block) {
-	if old := c.byID[id]; old != nil && c.bySystem[old.system()] == id {
+// applyBlock brings the projection to the stored block at id (raw nil:
+// gone; a block that is not a composition is left out). The block
+// compose is creating is taken as it was encoded when the stored bytes
+// are those, and either way its reservation ends here, where the
+// projection starts counting its cores. The projection calls it with
+// c.mu held.
+func (c *Composer) applyBlock(id odata.ID, raw json.RawMessage) {
+	leaf := id.Leaf()
+	if old := c.byID[leaf]; old != nil && c.bySystem[old.system()] == leaf {
 		delete(c.bySystem, old.system())
 	}
-	delete(c.byID, id)
+	delete(c.byID, leaf)
+	var b *block
+	if sd := c.seed; sd != nil && sd.b.ODataID == id {
+		c.seed = nil
+		delete(c.reserved, sd.b.Oem.OFMF)
+		if bytes.Equal(raw, sd.raw) {
+			b = sd.b
+		}
+	}
+	if b == nil {
+		b = decodeBlock(raw)
+	}
 	if b != nil {
-		c.byID[id] = b
-		c.bySystem[b.system()] = id
+		c.byID[leaf] = b
+		c.bySystem[b.system()] = leaf
 	}
 }
 
@@ -312,7 +303,8 @@ func (c *Composer) AddPool(p *Pool) {
 	p.sizes = make(map[odata.ID]int64)
 	c.pools = append(c.pools, p)
 	c.mu.Unlock()
-	c.watch(p.Resources)
+	st := c.svc.Store()
+	st.Watch(st.Projection(p.Resources, &c.mu, p.apply))
 }
 
 // free reports what the pool has left.
@@ -320,7 +312,6 @@ func (c *Composer) free(p *Pool) int64 {
 	capacity := p.Capacity()
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncLocked()
 	return capacity - p.used
 }
 
@@ -332,18 +323,14 @@ func (c *Composer) Nodes() []NodeState {
 }
 
 // nodesLocked snapshots the nodes: a node's used cores are those its
-// projected compositions hold plus those reserved on it for a block the
-// projection does not hold yet.
+// projected compositions hold plus those reserved on it.
 func (c *Composer) nodesLocked() []NodeState {
-	c.syncLocked()
 	used := make(map[string]int)
 	for _, b := range c.byID {
 		used[b.Oem.OFMF.Node] += b.Oem.OFMF.Request.Cores
 	}
-	for rec, uri := range c.reserved {
-		if c.byID[uri.Leaf()] == nil {
-			used[rec.Node] += rec.Request.Cores
-		}
+	for rec := range c.reserved {
+		used[rec.Node] += rec.Request.Cores
 	}
 	out := make([]NodeState, 0, len(c.nodes))
 	for _, n := range c.nodes {
@@ -358,7 +345,6 @@ func (c *Composer) nodesLocked() []NodeState {
 func (c *Composer) Compositions() []Composition {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncLocked()
 	out := make([]Composition, 0, len(c.byID))
 	for _, b := range c.byID {
 		out = append(out, b.composition())
@@ -371,7 +357,6 @@ func (c *Composer) Compositions() []Composition {
 func (c *Composer) Get(id string) (Composition, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.syncLocked()
 	b := c.byID[id]
 	if b == nil {
 		return Composition{}, fmt.Errorf("%w: %s", ErrUnknownComp, id)
@@ -446,7 +431,7 @@ func (c *Composer) compose(ctx context.Context, req Request) (Composition, error
 	c.mu.Lock()
 	nodeName, err := c.selectNodeLocked(req)
 	if err == nil {
-		rec.Node, c.reserved[rec] = nodeName, ""
+		rec.Node, c.reserved[rec] = nodeName, struct{}{}
 	}
 	c.mu.Unlock()
 	if err != nil {
@@ -503,9 +488,6 @@ func (c *Composer) realize(ctx context.Context, b *block) error {
 	}
 	blockURI := service.ResourceBlocksURI.Append(id)
 	sysURI := service.SystemsURI.Append(name)
-	c.mu.Lock()
-	c.reserved[b.Oem.OFMF] = blockURI
-	c.mu.Unlock()
 	sys := redfish.ComputerSystem{
 		Resource:         odata.NewResource(sysURI, redfish.TypeComputerSystem, name),
 		SystemType:       redfish.SystemTypeComposed,
@@ -528,20 +510,20 @@ func (c *Composer) realize(ctx context.Context, b *block) error {
 	b.Links.ComputerSystems = []odata.Ref{odata.NewRef(sysURI)}
 	raw, err := json.Marshal(b)
 	if err == nil {
+		// The projection takes b rather than decode what it was encoded
+		// from, and ends the reservation as it starts counting b.
+		c.mu.Lock()
+		c.seed = &seed{b: b, raw: raw}
+		c.mu.Unlock()
 		err = st.CreateCtx(ctx, blockURI, json.RawMessage(raw))
+		c.mu.Lock()
+		c.seed = nil
+		c.mu.Unlock()
 	}
 	if err != nil {
 		_ = st.DeleteCtx(ctx, sysURI)
 		return fmt.Errorf("composer: publish resource block: %w", err)
 	}
-	// Unless the block changed since, project b rather than re-read and
-	// decode what it was encoded from.
-	c.mu.Lock()
-	if cur, _, _ := st.Get(blockURI); bytes.Equal(cur, raw) {
-		delete(c.dirty, blockURI)
-		c.setBlock(id, b)
-	}
-	c.mu.Unlock()
 	return nil
 }
 
@@ -669,7 +651,6 @@ func (c *Composer) DecomposeCtx(ctx context.Context, id string) error {
 
 func (c *Composer) decompose(ctx context.Context, id string) error {
 	c.mu.Lock()
-	c.syncLocked()
 	b := c.byID[id]
 	c.mu.Unlock()
 	if b == nil {
@@ -787,7 +768,6 @@ func (c *Composer) ComposeSystem(ctx context.Context, payload []byte) (odata.ID,
 // composition owning the system URI and tears it down.
 func (c *Composer) DecomposeSystem(ctx context.Context, systemURI odata.ID) error {
 	c.mu.Lock()
-	c.syncLocked()
 	id, ok := c.bySystem[systemURI]
 	c.mu.Unlock()
 	if !ok {

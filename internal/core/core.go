@@ -30,6 +30,9 @@ import (
 	"ofmf/internal/telemetry"
 )
 
+// nodeMemoryMiB is each compute node's local memory: 128 GiB.
+const nodeMemoryMiB = 128 * 1024
+
 // Config sizes the testbed.
 type Config struct {
 	// Nodes is the number of compute nodes (default 4).
@@ -37,8 +40,6 @@ type Config struct {
 	// CoresPerNode is each node's core count (default 56, matching the
 	// paper's ThunderX2 platform).
 	CoresPerNode int
-	// NodeMemoryMiB is each node's local memory (default 128 GiB).
-	NodeMemoryMiB int64
 	// CXLDevices and CXLDeviceMiB size the pooled memory appliance
 	// (default 4 × 256 GiB).
 	CXLDevices   int
@@ -64,9 +65,6 @@ func (c *Config) defaults() {
 	}
 	if c.CoresPerNode <= 0 {
 		c.CoresPerNode = 56
-	}
-	if c.NodeMemoryMiB <= 0 {
-		c.NodeMemoryMiB = 128 * 1024
 	}
 	if c.CXLDevices <= 0 {
 		c.CXLDevices = 4
@@ -186,7 +184,7 @@ func New(cfg Config) (*Framework, error) {
 	// Composability Manager.
 	f.Composer = composer.New(f.Service, cfg.Policy)
 	for _, n := range f.NodeNames {
-		if err := f.Composer.AddNode(n, cfg.CoresPerNode, cfg.NodeMemoryMiB); err != nil {
+		if err := f.Composer.AddNode(n, cfg.CoresPerNode, nodeMemoryMiB); err != nil {
 			return nil, err
 		}
 	}

@@ -162,16 +162,18 @@ func (f Filter) Matches(rec redfish.EventRecord) bool {
 	return true
 }
 
+// retryMaxFactor caps the backoff between delivery retries at this many
+// RetryIntervals.
+const retryMaxFactor = 10
+
 // Config tunes the bus's delivery behaviour.
 type Config struct {
 	// RetryAttempts is the number of delivery attempts per event (≥1).
 	RetryAttempts int
 	// RetryInterval is the base delay before the first retry. Successive
-	// retries back off exponentially (with jitter) up to RetryMaxInterval.
+	// retries back off exponentially (with jitter) up to
+	// retryMaxFactor×RetryInterval.
 	RetryInterval time.Duration
-	// RetryMaxInterval caps the exponential backoff between retries;
-	// defaults to 10×RetryInterval.
-	RetryMaxInterval time.Duration
 	// QueueDepth bounds each subscription's pending-event queue; events
 	// beyond the bound are dropped and counted.
 	QueueDepth int
@@ -363,9 +365,6 @@ func NewBus(cfg Config) *Bus {
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = def.QueueDepth
 	}
-	if cfg.RetryMaxInterval <= 0 {
-		cfg.RetryMaxInterval = 10 * cfg.RetryInterval
-	}
 	if cfg.Workers <= 0 {
 		cfg.Workers = 4 * runtime.GOMAXPROCS(0)
 		if cfg.Workers < 4 {
@@ -377,7 +376,7 @@ func NewBus(cfg Config) *Bus {
 	}
 	b := &Bus{
 		cfg:     cfg,
-		backoff: resilience.Backoff{Base: cfg.RetryInterval, Max: cfg.RetryMaxInterval, Jitter: 0.5},
+		backoff: resilience.Backoff{Base: cfg.RetryInterval, Max: retryMaxFactor * cfg.RetryInterval, Jitter: 0.5},
 		subs:    make(map[string]*Subscription),
 		ready:   newReadyQueue(),
 	}
@@ -483,6 +482,22 @@ func (b *Bus) Subscriptions() []string {
 		ids = append(ids, id)
 	}
 	return ids
+}
+
+// Lookup returns the subscription registered under id, or nil.
+func (b *Bus) Lookup(id string) *Subscription {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.subs[id]
+}
+
+// Destination returns the URL the subscription delivers to; "" for an
+// in-process sink.
+func (s *Subscription) Destination() string {
+	if h, ok := s.sink.(*HTTPSink); ok {
+		return h.URL
+	}
+	return ""
 }
 
 // Publish fans the record out to every matching subscription with no

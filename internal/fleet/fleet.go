@@ -22,6 +22,14 @@ import (
 	"ofmf/internal/store/persist"
 )
 
+// The subscribers every fleet OFMF gets: sinks in-process counting
+// subscriptions and sseStreams live SSE connections, both in the
+// conservation ledger.
+const (
+	sinks      = 2
+	sseStreams = 2
+)
+
 // Options parameterizes a fleet run.
 type Options struct {
 	// Agents is the fleet size (required, ≥ 1).
@@ -38,11 +46,6 @@ type Options struct {
 	// PersistDir, when non-empty, runs the OFMF on a write-ahead log in
 	// that directory. Required by the killrecover scenario.
 	PersistDir string
-	// Sinks is the number of in-process counting subscriptions
-	// (default 2); SSEStreams the number of live SSE connections
-	// (default 2). Both participate in the conservation ledger.
-	Sinks      int
-	SSEStreams int
 	// Liveness tunes the sweeper (defaults: 10s interval, 30s stale,
 	// 90s unavailable — all in virtual time). Interval is the scripts'
 	// beat round.
@@ -60,14 +63,6 @@ func (o Options) withDefaults() (Options, error) {
 	}
 	if o.Workers <= 0 {
 		o.Workers = 64
-	}
-	if o.Sinks <= 0 {
-		o.Sinks = 2
-	}
-	if o.SSEStreams < 0 {
-		o.SSEStreams = 0
-	} else if o.SSEStreams == 0 {
-		o.SSEStreams = 2
 	}
 	if o.Liveness.Interval <= 0 {
 		o.Liveness.Interval = 10 * time.Second
@@ -131,7 +126,7 @@ func New(opts Options) (*Fleet, error) {
 	// Counting sinks live as long as the fleet, not one OFMF incarnation:
 	// per-agent receipts must stay cumulative across a kill/recover cycle
 	// to match the agents' cumulative delivery counters.
-	f.sinks = make([]*countingSink, opts.Sinks)
+	f.sinks = make([]*countingSink, sinks)
 	for i := range f.sinks {
 		f.sinks[i] = newCountingSink()
 	}
@@ -201,7 +196,7 @@ func (f *Fleet) boot() (persist.RecoveryStats, error) {
 		}
 	}
 	f.httpSrv = httptest.NewServer(f.svc.Handler())
-	for i := 0; i < f.opts.SSEStreams; i++ {
+	for i := 0; i < sseStreams; i++ {
 		if err := f.openSSEStream(); err != nil {
 			return stats, err
 		}
@@ -210,7 +205,7 @@ func (f *Fleet) boot() (persist.RecoveryStats, error) {
 	if err != nil {
 		return stats, err
 	}
-	f.subCount = f.opts.Sinks + f.opts.SSEStreams + len(stored)
+	f.subCount = sinks + sseStreams + len(stored)
 	if got := len(f.svc.Bus().Subscriptions()); got != f.subCount {
 		return stats, fmt.Errorf("fleet: expected %d subscriptions, bus has %d", f.subCount, got)
 	}

@@ -57,12 +57,6 @@ func NewLogger(w io.Writer, level slog.Leveler) *slog.Logger {
 	return slog.New(WrapHandler(slog.NewTextHandler(w, &slog.HandlerOptions{Level: level})))
 }
 
-// NewJSONLogger builds a structured JSON logger writing to w at the
-// given level, with request-id injection from context.
-func NewJSONLogger(w io.Writer, level slog.Leveler) *slog.Logger {
-	return slog.New(WrapHandler(slog.NewJSONHandler(w, &slog.HandlerOptions{Level: level})))
-}
-
 // nopHandler discards every record without formatting it.
 type nopHandler struct{}
 

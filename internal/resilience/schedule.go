@@ -80,9 +80,3 @@ func (s *ScriptedFaults) Active() int {
 func (s *ScriptedFaults) Bind(key string) func(*http.Request) (FaultRule, bool) {
 	return func(*http.Request) (FaultRule, bool) { return s.RuleFor(key) }
 }
-
-// BindByHost returns a Rules hook keyed by the request's target host,
-// for transports shared across many destinations.
-func (s *ScriptedFaults) BindByHost() func(*http.Request) (FaultRule, bool) {
-	return func(req *http.Request) (FaultRule, bool) { return s.RuleFor(req.URL.Host) }
-}

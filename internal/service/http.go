@@ -698,21 +698,13 @@ func (s *Service) postAggregationSource(w http.ResponseWriter, r *http.Request) 
 	if !s.decode(w, r, &src) {
 		return
 	}
+	// The stored source is all it takes: the AggregationSources
+	// projection forwards a remote agent's claimed subtrees to its
+	// callback URL (see LivenessSweeper).
 	src, created, err := s.RegisterAggregationSource(r.Context(), src)
 	if err != nil {
 		s.fail(w, r, err)
 		return
-	}
-	// A remote agent advertising a callback URL gets fabric mutations for
-	// its claimed subtrees forwarded over HTTP.
-	if src.HostName != "" {
-		h := NewRemoteFabricHandler(src.HostName)
-		for _, res := range src.Links.ResourcesAccessed {
-			if err := s.RegisterFabricHandler(res.ODataID, h); err != nil {
-				s.fail(w, r, err)
-				return
-			}
-		}
 	}
 	w.Header().Set("Location", string(src.ODataID))
 	status := http.StatusOK
@@ -848,7 +840,6 @@ func (s *Service) handleDelete(w http.ResponseWriter, r *http.Request, id odata.
 					s.fail(w, r, err)
 					return
 				}
-				s.UnregisterFabricHandler(res.ODataID)
 			}
 		}
 	default:

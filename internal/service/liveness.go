@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -60,7 +61,8 @@ func (c LivenessConfig) withDefaults() LivenessConfig {
 
 // LivenessSweeper is the service's one projection of the
 // AggregationSources collection. It indexes each source's callback URL
-// (registration dedup is one map lookup) and watches its
+// (registration dedup is one map lookup), forwards the fabric operations
+// under a remote source's claims to that URL, and watches its
 // Oem.OFMF.LastHeartbeat, flipping the source's Status as heartbeats go
 // stale — Degraded (Health Warning) after StaleAfter, Unavailable
 // (State UnavailableOffline, Health Critical) after UnavailableAfter —
@@ -71,9 +73,10 @@ func (c LivenessConfig) withDefaults() LivenessConfig {
 // which agents still answer for theirs.
 //
 // The index is a store.Projection: every change to a source — live,
-// replayed at recovery or applied from a leader — re-reads its stored
-// bytes under mu, so the index converges on the tree with no sequence
-// gate, no record of deleted sources and no seeding scan. Each entry
+// replayed at recovery, applied from a leader or restored by an admin —
+// re-reads its stored bytes under mu, so the index and the forwarding
+// converge on the tree with no sequence gate, no record of deleted
+// sources and no seeding scan. Each entry
 // holds one slot in a min-heap of next-transition deadlines, so a sweep
 // pops only the sources whose verdict can have changed — O(changed),
 // not O(fleet) — and the heap never holds more items than there are
@@ -111,6 +114,11 @@ type sourceEntry struct {
 	local bool
 	at    time.Time // the scheduled deadline, while slot >= 0
 	slot  int       // index in deadlines; -1 when not scheduled
+	// claims is a remote source's stored ResourcesAccessed; held is those
+	// of them fwd, the handler forwarding to host, was installed for.
+	claims []odata.ID
+	held   []odata.ID
+	fwd    FabricHandler
 }
 
 // base is the instant the source's heartbeat age is measured from.
@@ -212,8 +220,9 @@ func (w *LivenessSweeper) lookup(host string) (odata.ID, bool) {
 }
 
 // apply brings id's entry to the source's stored state (raw nil: gone):
-// the host index, the heartbeat and its metrics, the level and the
-// entry's deadline. Caller holds w.mu.
+// the host index and forwarding, the heartbeat and its metrics, the level
+// and the entry's deadline. A change that keeps the host and the claims,
+// such as a heartbeat, leaves the forwarding alone. Caller holds w.mu.
 func (w *LivenessSweeper) apply(id odata.ID, raw json.RawMessage) {
 	e, existed := w.sources[id]
 	var src redfish.AggregationSource
@@ -228,14 +237,20 @@ func (w *LivenessSweeper) apply(id odata.ID, raw json.RawMessage) {
 		e = &sourceEntry{uri: id, anchor: now, slot: -1}
 		w.sources[id] = e
 	}
-	if e.host != src.HostName {
+	var claims []odata.ID
+	if src.HostName != "" {
+		claims = odata.IDsOf(src.Links.ResourcesAccessed)
+	}
+	if e.host != src.HostName || !slices.Equal(e.claims, claims) {
+		w.releaseLocked(e)
 		if w.byHost[e.host] == id {
 			delete(w.byHost, e.host)
 		}
-		e.host = src.HostName
+		e.host, e.claims = src.HostName, claims
 		if e.host != "" {
 			w.byHost[e.host] = id
 		}
+		w.installLocked(e)
 	}
 	var beat time.Time
 	if o := src.Oem.OFMF; o != nil && o.LastHeartbeat != "" {
@@ -259,9 +274,53 @@ func (w *LivenessSweeper) apply(id odata.ID, raw json.RawMessage) {
 	w.scheduleLocked(e, now)
 }
 
-// dropLocked forgets a source that left the tree, its per-source series
-// included. Callers hold w.mu.
+// installLocked forwards each of e's claims that registration would
+// accept: claimable, and nesting with no served prefix (an equal one is
+// taken over). A claim that breaks either rule did not come through
+// registration but through a PATCH or a restore; it is logged and
+// skipped, so it cannot take routing. Callers hold w.mu.
+func (w *LivenessSweeper) installLocked(e *sourceEntry) {
+	if len(e.claims) == 0 {
+		return
+	}
+	e.fwd = NewRemoteFabricHandler(e.host)
+	for _, p := range e.claims {
+		var err error
+		if !w.svc.claimable(p) {
+			err = fmt.Errorf("%w: ResourcesAccessed %q is not a subtree below a top-level collection", ErrInvalidRequest, p)
+		} else {
+			err = w.svc.RegisterFabricHandler(p, e.fwd)
+		}
+		if err != nil {
+			w.svc.log.LogAttrs(context.Background(), slog.LevelWarn, "aggregation source claim not forwarded",
+				slog.String("source", string(e.uri)), slog.String("error", err.Error()))
+			continue
+		}
+		e.held = append(e.held, p)
+	}
+}
+
+// releaseLocked withdraws the forwarding e installed. A prefix e still
+// serves passes to another source holding it too, or is dropped; one
+// that was taken over since stays with its new holder. Callers hold w.mu.
+func (w *LivenessSweeper) releaseLocked(e *sourceEntry) {
+	for _, p := range e.held {
+		var next FabricHandler
+		for _, o := range w.sources {
+			if o != e && slices.Contains(o.held, p) {
+				next = o.fwd
+				break
+			}
+		}
+		w.svc.handOver(p, e.fwd, next)
+	}
+	e.held, e.fwd = nil, nil
+}
+
+// dropLocked forgets a source that left the tree, its forwarding and
+// per-source series included. Callers hold w.mu.
 func (w *LivenessSweeper) dropLocked(e *sourceEntry) {
+	w.releaseLocked(e)
 	delete(w.sources, e.uri)
 	if w.byHost[e.host] == e.uri {
 		delete(w.byHost, e.host)

@@ -531,6 +531,20 @@ func (s *Service) UnregisterFabricHandler(prefix odata.ID) {
 	s.mu.Unlock()
 }
 
+// handOver passes prefix from h, if h still serves it, to next; a nil
+// next detaches it.
+func (s *Service) handOver(prefix odata.ID, h, next FabricHandler) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	switch {
+	case s.handlers[prefix] != h:
+	case next == nil:
+		delete(s.handlers, prefix)
+	default:
+		s.handlers[prefix] = next
+	}
+}
+
 // handlerFor returns the handler whose subtree holds id, and the prefix
 // it is registered under: the longest one that matches, whatever order
 // the map yields.

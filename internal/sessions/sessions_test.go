@@ -2,13 +2,17 @@ package sessions
 
 import (
 	"context"
+	"crypto/sha256"
+	"encoding/hex"
 	"errors"
+	"fmt"
 	"sync"
 	"testing"
 	"time"
 
 	"ofmf/internal/odata"
 	"ofmf/internal/store"
+	"ofmf/internal/store/storetest"
 )
 
 const coll = odata.ID("/redfish/v1/SessionService/Sessions")
@@ -175,4 +179,40 @@ func TestConcurrentLoginValidate(t *testing.T) {
 	if left, err := svc.st.Members(coll); err != nil || len(left) != 0 {
 		t.Errorf("sessions remaining = %v (%v)", left, err)
 	}
+}
+
+func TestSessionsProjectionConforms(t *testing.T) {
+	session := func(token, created string) map[string]any {
+		sum := sha256.Sum256([]byte(token))
+		return map[string]any{"UserName": "admin", "CreatedTime": created,
+			"Oem": map[string]any{"OFMF": map[string]any{"TokenSHA256": hex.EncodeToString(sum[:])}}}
+	}
+	put := func(t *testing.T, st *store.Store, id string, v any) {
+		if err := st.Put(coll.Append(id), v); err != nil {
+			t.Fatal(err)
+		}
+	}
+	storetest.RunProjection(t, storetest.Projected{
+		Boot: func(t *testing.T) storetest.Node {
+			now := time.Date(2026, 1, 1, 0, 0, 0, 0, time.UTC)
+			svc := newTestService(&now)
+			return storetest.Node{Store: svc.st, Registry: func() any {
+				svc.mu.Lock()
+				defer svc.mu.Unlock()
+				return fmt.Sprintf("%v\n%v", svc.byHash, svc.hashOf)
+			}}
+		},
+		Write: func(t *testing.T, st *store.Store) {
+			put(t, st, "1", session("a", "2026-01-01T00:00:00Z"))
+			put(t, st, "2", session("b", "2026-01-01T00:00:00Z"))
+			put(t, st, "3", session("c", "2026-01-01T00:00:00Z"))
+			put(t, st, "4", map[string]any{"UserName": "no token"})
+			put(t, st, "2", session("b", "2026-01-01T00:30:00Z"))
+			if err := st.Delete(coll.Append("3")); err != nil {
+				t.Fatal(err)
+			}
+		},
+		Member:   coll.Append("1"),
+		Recreate: session("d", "2026-01-01T00:10:00Z"),
+	})
 }

@@ -21,6 +21,9 @@ var errResync = errors.New("repl: resync required")
 // line that fits is decoded where it lies, a longer one is gathered.
 const streamReadBuffer = 64 << 10
 
+// treeRoot is the subtree a snapshot replaces: the whole Redfish tree.
+const treeRoot = odata.ID("/redfish/v1")
+
 // needsSnapshot reports (and clears are done by bootstrap) whether the
 // replica must replace its tree before streaming. The flag is set at
 // Start, on demotion, and whenever the stream reveals a gap — never
@@ -68,7 +71,7 @@ func (n *Node) bootstrap(ctx context.Context, leader string) error {
 	for id, raw := range flat {
 		resources[id] = raw
 	}
-	if err := n.st.PutSubtree(n.treeRoot, resources); err != nil {
+	if err := n.st.PutSubtree(treeRoot, resources); err != nil {
 		return fmt.Errorf("repl: snapshot install: %w", err)
 	}
 	n.applied.Store(doc.Seq)

@@ -13,7 +13,6 @@ import (
 	"time"
 
 	"ofmf/internal/obsv"
-	"ofmf/internal/odata"
 	"ofmf/internal/resilience"
 	"ofmf/internal/store"
 )
@@ -34,8 +33,6 @@ type Config struct {
 	// should boot with it; everyone else joins as a replica and
 	// discovers the leader by polling peer status.
 	Leader bool
-	// TreeRoot is the subtree snapshots replace (default /redfish/v1).
-	TreeRoot odata.ID
 	// BootEpoch seeds a booting leader's term, normally the highest
 	// epoch recovered from its WAL so a restart continues its last term
 	// (minimum 1). Ignored for replicas, which adopt the leader's.
@@ -96,7 +93,6 @@ type Node struct {
 	streamClient *http.Client
 	lease        time.Duration
 	keepalive    time.Duration
-	treeRoot     odata.ID
 
 	ctx    context.Context
 	cancel context.CancelFunc
@@ -125,9 +121,6 @@ func NewNode(cfg Config) (*Node, error) {
 	if cfg.LeaseTimeout <= 0 {
 		cfg.LeaseTimeout = 3 * time.Second
 	}
-	if cfg.TreeRoot == "" {
-		cfg.TreeRoot = "/redfish/v1"
-	}
 	if cfg.Logger == nil {
 		cfg.Logger = slog.Default()
 	}
@@ -138,7 +131,6 @@ func NewNode(cfg Config) (*Node, error) {
 		m:         cfg.Metrics,
 		lease:     cfg.LeaseTimeout,
 		keepalive: cfg.LeaseTimeout / 3,
-		treeRoot:  cfg.TreeRoot,
 		role:      RoleReplica,
 	}
 	n.client = cfg.Client

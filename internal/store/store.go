@@ -234,6 +234,12 @@ func (s *Store) Watch(w Watcher) {
 // notifications for one member may arrive out of order, but each reads,
 // under mu, a state at least as new as its own change, so whichever
 // takes mu last applies the final state.
+//
+// apply gets the stored bytes themselves, not a copy: the store
+// replaces a payload, never modifies it, so apply may keep them but must
+// not modify them. It runs after the store's read lock is released, so
+// it may read the store again: a nested read lock would deadlock behind
+// a queued writer.
 func (s *Store) Projection(coll odata.ID, mu sync.Locker, apply func(id odata.ID, raw json.RawMessage)) Watcher {
 	prefix := string(coll) + "/"
 	return func(c Change) {
@@ -243,7 +249,12 @@ func (s *Store) Projection(coll odata.ID, mu sync.Locker, apply func(id odata.ID
 		}
 		mu.Lock()
 		defer mu.Unlock()
-		raw, _, _ := s.Get(c.ID)
+		var raw json.RawMessage
+		s.mu.RLock()
+		if e := s.eng.entries[c.ID]; e != nil {
+			raw = e.raw
+		}
+		s.mu.RUnlock()
 		apply(c.ID, raw)
 	}
 }

@@ -1,7 +1,8 @@
-// Package storetest holds the records the tests of the record codec
-// share: the store fuzzes store.AppendRecord against json.Marshal from
-// them, and the replication stream checks its rec lines against
-// json.Encoder's on them.
+// Package storetest holds what the store's tests and its users' share:
+// the records of the record codec (the store fuzzes store.AppendRecord
+// against json.Marshal from them, and the replication stream checks its
+// rec lines against json.Encoder's on them), and RunProjection, the
+// conformance check of every registry that follows the tree.
 package storetest
 
 import (
