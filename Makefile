@@ -23,13 +23,12 @@ test:
 race:
 	$(GO) test -race ./...
 
-# Each fuzz target under internal/store and internal/odata for FUZZTIME
-# (go test -fuzz takes one target of one package at a time). Their seed
-# corpora already run as plain tests; this is the few seconds of mutation
-# on top.
+# Every fuzz target in the module for FUZZTIME (go test -fuzz takes one
+# target of one package at a time). Their seed corpora already run as
+# plain tests; this is the few seconds of mutation on top.
 FUZZTIME ?= 10s
 fuzzsmoke:
-	@for pkg in $$($(GO) list ./internal/store/... ./internal/odata/...); do \
+	@for pkg in $$($(GO) list ./...); do \
 		for target in $$($(GO) test -list '^Fuzz' $$pkg | grep '^Fuzz'); do \
 			echo "=== $$pkg $$target"; \
 			$(GO) test -run '^$$' -fuzz "^$$target\$$" -fuzztime $(FUZZTIME) $$pkg || exit 1; \

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -15,6 +16,7 @@ import (
 	"ofmf/internal/odata"
 	"ofmf/internal/redfish"
 	"ofmf/internal/resilience"
+	"ofmf/internal/store"
 )
 
 // OEM extension URIs used by out-of-process Agents. The reference OFMF
@@ -161,7 +163,9 @@ type CollectionsPayload map[odata.ID][2]string
 
 // SubtreePayload is the wire format of an agent subtree push. Keep lists
 // sub-prefixes whose existing resources must survive the refresh (the
-// OFMF-stored Zones and Connections under the agent's fabric).
+// OFMF-stored Zones and Connections under the agent's fabric). The
+// OFMF reads what json.Marshal writes for it without encoding/json
+// (subtreeEnvelope), which relies on Resources coming last.
 type SubtreePayload struct {
 	Prefix    odata.ID                     `json:"Prefix"`
 	Keep      []odata.ID                   `json:"Keep,omitempty"`
@@ -183,34 +187,117 @@ type OpResponse struct {
 	Resource json.RawMessage `json:"Resource,omitempty"`
 }
 
+// handleSubtreePush installs an agent's subtree. The body json.Marshal
+// writes for a SubtreePayload is read once: subtreeEnvelope walks the
+// envelope and the store's own walk reads the Resources document in
+// place (Store.PutSubtreeDoc). Any other body is decoded by
+// encoding/json, with the replies it always had.
 func (s *Service) handleSubtreePush(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodPost {
 		s.error(w, r, http.StatusMethodNotAllowed, "Base.1.0.OperationNotAllowed", "POST only")
 		return
 	}
+	body, ok := s.readBody(w, r)
+	if !ok {
+		return
+	}
+	// A bad Prefix is answered below, after encoding/json has had its say
+	// on the whole body, as it always was; so is a document it rejects.
+	if prefix, keep, doc, ok := subtreeEnvelope(body); ok && badPushPrefix(prefix) == "" {
+		if err := s.store.PutSubtreeDoc(r.Context(), prefix, doc, keep...); !errors.Is(err, store.ErrBadDocument) {
+			s.subtreePushed(w, r, err)
+			return
+		}
+	}
 	var payload SubtreePayload
-	if !s.decode(w, r, &payload) {
+	if err := json.Unmarshal(body, &payload); err != nil {
+		s.error(w, r, http.StatusBadRequest, "Base.1.0.MalformedJSON", err.Error())
 		return
 	}
-	if payload.Prefix.IsZero() || !payload.Prefix.Under(RootURI) {
-		s.error(w, r, http.StatusBadRequest, "Base.1.0.PropertyValueError", "Prefix must lie under the service root")
-		return
-	}
-	if payload.Prefix.Under(SessionsURI) || SessionsURI.Under(payload.Prefix) {
-		// A Session is what authentication trusts, so only login and
-		// logout write one.
-		s.error(w, r, http.StatusBadRequest, "Base.1.0.PropertyValueError", "Prefix must not cover the sessions")
+	if msg := badPushPrefix(payload.Prefix); msg != "" {
+		s.error(w, r, http.StatusBadRequest, "Base.1.0.PropertyValueError", msg)
 		return
 	}
 	resources := make(map[odata.ID]any, len(payload.Resources))
 	for id, raw := range payload.Resources {
 		resources[id] = raw
 	}
-	if err := s.store.PutSubtreeCtx(r.Context(), payload.Prefix, resources, payload.Keep...); err != nil {
+	s.subtreePushed(w, r, s.store.PutSubtreeCtx(r.Context(), payload.Prefix, resources, payload.Keep...))
+}
+
+// badPushPrefix says what is wrong with a pushed subtree's Prefix, if
+// anything.
+func badPushPrefix(prefix odata.ID) string {
+	if prefix.IsZero() || !prefix.Under(RootURI) {
+		return "Prefix must lie under the service root"
+	}
+	if prefix.Under(SessionsURI) || SessionsURI.Under(prefix) {
+		// A Session is what authentication trusts, so only login and
+		// logout write one.
+		return "Prefix must not cover the sessions"
+	}
+	return ""
+}
+
+func (s *Service) subtreePushed(w http.ResponseWriter, r *http.Request, err error) {
+	if err != nil {
 		s.error(w, r, http.StatusBadRequest, "Base.1.0.PropertyValueError", err.Error())
 		return
 	}
 	w.WriteHeader(http.StatusNoContent)
+}
+
+// subtreeEnvelope reads a push body laid out as json.Marshal writes a
+// SubtreePayload, {"Prefix":"…"[,"Keep":["…",…]],"Resources":{…}}, with
+// every string printable ASCII and unescaped. Resources is the last key,
+// so its document runs to the body's closing brace; it is returned
+// unread. ok is false for any other body.
+func subtreeEnvelope(body []byte) (prefix odata.ID, keep []odata.ID, doc []byte, ok bool) {
+	rest, ok := bytes.CutPrefix(body, []byte(`{"Prefix":`))
+	if !ok {
+		return "", nil, nil, false
+	}
+	if prefix, rest, ok = cutPlainString(rest); !ok {
+		return "", nil, nil, false
+	}
+	if list, found := bytes.CutPrefix(rest, []byte(`,"Keep":[`)); found {
+		for rest = list; len(rest) == 0 || rest[0] != ']'; {
+			if len(keep) > 0 {
+				if rest, ok = bytes.CutPrefix(rest, []byte(",")); !ok {
+					return "", nil, nil, false
+				}
+			}
+			var k odata.ID
+			if k, rest, ok = cutPlainString(rest); !ok {
+				return "", nil, nil, false
+			}
+			keep = append(keep, k)
+		}
+		rest = rest[1:]
+	}
+	doc, ok = bytes.CutPrefix(rest, []byte(`,"Resources":`))
+	if !ok || len(doc) == 0 || doc[len(doc)-1] != '}' {
+		return "", nil, nil, false
+	}
+	return prefix, keep, doc[:len(doc)-1], true
+}
+
+// cutPlainString reads the JSON string at the start of b if it is
+// printable ASCII with no escapes: the spelling that decodes to exactly
+// its own bytes.
+func cutPlainString(b []byte) (odata.ID, []byte, bool) {
+	if len(b) == 0 || b[0] != '"' {
+		return "", nil, false
+	}
+	for i := 1; i < len(b); i++ {
+		switch c := b[i]; {
+		case c == '"':
+			return odata.ID(b[1:i]), b[i+1:], true
+		case c < 0x20 || c > 0x7e || c == '\\':
+			return "", nil, false
+		}
+	}
+	return "", nil, false
 }
 
 func (s *Service) handleCollectionsPush(w http.ResponseWriter, r *http.Request) {

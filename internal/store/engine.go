@@ -64,17 +64,22 @@ func newEngine() engine {
 // identical content is a no-op (the existing entry, and its entity tag,
 // are kept).
 func (e *engine) put(id odata.ID, raw json.RawMessage) (ChangeKind, bool) {
-	old, existed := e.entries[id]
-	if existed && bytes.Equal(old.raw, raw) {
+	if old := e.entries[id]; old != nil && bytes.Equal(old.raw, raw) {
 		return Updated, false
 	}
+	return e.set(id, raw), true
+}
+
+// set installs raw at id as a new entry, whatever the id held before.
+func (e *engine) set(id odata.ID, raw json.RawMessage) ChangeKind {
+	_, existed := e.entries[id]
 	e.entries[id] = &entry{raw: raw, etag: odata.EtagRaw(raw)}
 	e.link(id)
 	if existed {
-		return Updated, true
+		return Updated
 	}
 	e.invalidateCollection(id.Parent())
-	return Added, true
+	return Added
 }
 
 // remove deletes the entry at id, unlinking it from the path index and

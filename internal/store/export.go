@@ -3,7 +3,7 @@ package store
 import (
 	"bytes"
 	"encoding/json"
-	"fmt"
+	"errors"
 	"slices"
 	"strings"
 
@@ -13,9 +13,9 @@ import (
 // This file is the tree as one document, out and in: {"uri":payload,…},
 // keys ascending. Stored payloads are canonical bytes (see canonicalize),
 // so writing the document is concatenation and reading it back is one
-// walk that checks each payload is still canonical and copies it into
-// the tree; encoding/json only sees a document that walk does not
-// recognise.
+// walk that checks each payload is still canonical; the tree copies
+// those that change it. encoding/json only sees a document that walk
+// does not recognise.
 
 // exportEntry is one resource of the document.
 type exportEntry struct {
@@ -24,6 +24,8 @@ type exportEntry struct {
 }
 
 func byID(a, b exportEntry) int { return strings.Compare(string(a.id), string(b.id)) }
+
+func entryCmp(e exportEntry, id odata.ID) int { return strings.Compare(string(e.id), string(id)) }
 
 // Cut is a consistent cut of the tree: the document — compact, keyed by
 // URI in ascending order — with the commit sequence number of the last
@@ -35,6 +37,16 @@ type Cut struct {
 	Resources []byte
 	Seq       uint64
 	HiWater   map[odata.ID]int // nil when the document implies every mark
+}
+
+// HiWater returns the NextID marks the tree does not imply, as Cut
+// reports them. Marks only rise, so a replica handed an older document
+// with these marks, then the log from that document's Seq on, ends with
+// exactly this tree's marks.
+func (s *Store) HiWater() map[odata.ID]int {
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	return s.eng.unimplied()
 }
 
 // Cut takes the tree's Cut. Because mutations hold the write lock while
@@ -103,11 +115,11 @@ func (s *Store) Import(data []byte) error {
 	return err
 }
 
-// scanExport splits the document Cut writes into entries the tree
-// can keep (each payload verified canonical and copied out of data). It
+// scanExport splits the document Cut writes into its entries, each
+// payload verified canonical as its end is found, and aliasing data. It
 // reports false for anything else — whitespace, escaped or unordered
-// keys, a payload scanCanonical does not vouch for — and decodeExport
-// then decides.
+// keys, a payload scanCanonical does not vouch for — and encoding/json
+// then decides (decodeExport, decodeMember).
 func scanExport(data []byte) ([]exportEntry, bool) {
 	if len(data) < 2 || data[0] != '{' {
 		return nil, false
@@ -135,7 +147,7 @@ func scanExport(data []byte) ([]exportEntry, bool) {
 		if !ok || end >= len(data) {
 			return nil, false
 		}
-		entries = append(entries, exportEntry{id, bytes.Clone(data[i+1 : end])})
+		entries = append(entries, exportEntry{id, data[i+1 : end : end]})
 		switch data[end] {
 		case ',':
 			i = end + 1
@@ -148,20 +160,37 @@ func scanExport(data []byte) ([]exportEntry, bool) {
 }
 
 // decodeExport is the encoding/json reading of an export document: any
-// layout, any key escaping, payloads canonicalized one by one.
+// layout, any key escaping, the last of duplicate keys. Its payloads are
+// copies, not yet canonical.
 func decodeExport(data []byte) ([]exportEntry, error) {
 	var doc map[string]json.RawMessage
 	if err := json.Unmarshal(data, &doc); err != nil {
-		return nil, fmt.Errorf("store: import: %w", err)
+		return nil, err
 	}
+	return sortedEntries(doc), nil
+}
+
+// decodeMember is decodeExport of a document that is a member of an
+// envelope, as an agent push's or a snapshot reply's Resources is, read
+// the way encoding/json reads it there: nesting counts from the
+// envelope, so a document one level short of encoding/json's depth
+// limit on its own is refused, as its envelope would be.
+func decodeMember(data []byte) ([]exportEntry, error) {
+	var docs []map[string]json.RawMessage
+	if err := json.Unmarshal(slices.Concat([]byte("["), data, []byte("]")), &docs); err != nil {
+		return nil, err
+	}
+	if len(docs) != 1 {
+		return nil, errors.New("not one JSON value")
+	}
+	return sortedEntries(docs[0]), nil
+}
+
+func sortedEntries(doc map[string]json.RawMessage) []exportEntry {
 	entries := make([]exportEntry, 0, len(doc))
-	for uri, v := range doc {
-		raw, err := canonicalize(v)
-		if err != nil {
-			return nil, fmt.Errorf("store: import %s: %w", uri, err)
-		}
+	for uri, raw := range doc {
 		entries = append(entries, exportEntry{odata.ID(uri), raw})
 	}
 	slices.SortFunc(entries, byID)
-	return entries, nil
+	return entries
 }

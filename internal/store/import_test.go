@@ -2,6 +2,7 @@ package store
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"reflect"
@@ -303,8 +304,13 @@ func TestStoredPayloadsAreCanonical(t *testing.T) {
 	walked := New()
 	must(walked.Import(spliced))
 	must(walked.Delete("/redfish/v1/A/0"))
+	// The same two documents as an agent's push.
+	pushed, pushedSpliced := New(), New()
+	must(pushed.PutSubtreeDoc(context.Background(), "/redfish/v1", cut))
+	must(pushedSpliced.PutSubtreeDoc(context.Background(), "/redfish/v1", spliced))
+	must(pushedSpliced.Delete("/redfish/v1/A/0"))
 
-	for name, st := range map[string]*Store{"source": src, "imported": imported, "walked": walked} {
+	for name, st := range map[string]*Store{"source": src, "imported": imported, "walked": walked, "pushed": pushed, "pushed spliced": pushedSpliced} {
 		ids := st.IDs()
 		if len(ids) != resources {
 			t.Fatalf("%s: %d resources, want %d", name, len(ids), resources)

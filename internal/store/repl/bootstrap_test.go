@@ -609,3 +609,94 @@ func TestReplLeaderRestartKeepsAckedWrites(t *testing.T) {
 		}
 	}
 }
+
+// TestReplBootstrapKeepsNextIDMarks: ids are not reused after deletion,
+// across a snapshot bootstrap and a promotion. The leader mints
+// Chassis/1..3 through NextID and deletes 3, so nothing left in the tree
+// says 3 was spent; the snapshot's HiWater does. A replica that
+// bootstraps from it — a live export, or the leader's on-disk snapshot —
+// and is then promoted must mint Chassis/4 next, not 3 again.
+func TestReplBootstrapKeepsNextIDMarks(t *testing.T) {
+	for _, disk := range []bool{false, true} {
+		name := "live"
+		if disk {
+			name = "disk"
+		}
+		t.Run(name, func(t *testing.T) {
+			leader, leaderMux := newLateNode()
+			replica, replicaMux := newLateNode()
+			defer leader.stop()
+			defer replica.stop()
+			var b *persist.FileBackend
+			var diskServed atomic.Int32
+			leader.start(t, leaderMux, func(cfg *Config) {
+				cfg.Leader = true
+				cfg.Peers = []string{replica.srv.URL}
+				if !disk {
+					return
+				}
+				var err error
+				if b, err = persist.Open(persist.Options{Dir: t.TempDir(), Logger: quietLogger()}); err != nil {
+					t.Fatal(err)
+				}
+				if _, err := b.Recover(cfg.Store); err != nil {
+					t.Fatal(err)
+				}
+				cfg.Inner, cfg.DiskTail, cfg.DiskFlush = b, b.ReadRecords, b.Flush
+				cfg.DiskSnapshot = func() ([]byte, uint64, bool, error) {
+					resources, seq, ok, err := b.LatestSnapshot()
+					if ok {
+						diskServed.Add(1)
+					}
+					return resources, seq, ok, err
+				}
+			})
+			client := leader.srv.Client()
+			for i := 1; i <= 3; i++ {
+				uri, err := postChassis(client, leader.srv.URL, fmt.Sprintf("c%d", i))
+				if want := service.ChassisURI.Append(fmt.Sprint(i)); err != nil || uri != want {
+					t.Fatalf("POST %d minted %s (%v), want %s", i, uri, err, want)
+				}
+			}
+			req, _ := http.NewRequest(http.MethodDelete, leader.srv.URL+string(service.ChassisURI.Append("3")), nil)
+			resp, err := client.Do(req)
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if resp.StatusCode != http.StatusNoContent {
+				t.Fatalf("DELETE Chassis/3 = %s", resp.Status)
+			}
+			if disk {
+				if err := b.Compact(); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			replica.start(t, replicaMux, func(cfg *Config) {
+				cfg.Peers = []string{leader.srv.URL}
+			})
+			waitFor(t, 5*time.Second, "replica bootstrapped", func() bool {
+				return replica.node.Status().LastSeq == leader.node.currentHub().LastSeq()
+			})
+			if disk && diskServed.Load() == 0 {
+				t.Fatal("the replica was not served the on-disk snapshot")
+			}
+			leader.node.Stop()
+			leader.srv.CloseClientConnections()
+			leader.srv.Close()
+			leader.svc.Close()
+			leader.node, leader.svc = nil, nil
+			if b != nil {
+				b.Close()
+			}
+			waitFor(t, 5*time.Second, "replica promoted", func() bool {
+				return replica.node.Leading()
+			})
+			uri, err := postChassis(replica.srv.Client(), replica.srv.URL, "after")
+			if want := service.ChassisURI.Append("4"); err != nil || uri != want {
+				t.Fatalf("the promoted replica minted %s (%v), want %s", uri, err, want)
+			}
+		})
+	}
+}

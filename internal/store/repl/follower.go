@@ -37,10 +37,12 @@ func (n *Node) needsSnapshot() bool {
 
 // bootstrap replaces the replica's tree with the leader's snapshot and
 // positions the stream cursor at the snapshot's sequence number. The
-// replacement goes through PutSubtree, which removes every local
-// resource absent from the snapshot — including a deposed leader's
-// divergent suffix — and publishes ordinary change notifications, so
-// watchers (the service's projections, SSE sequencing) stay coherent.
+// replacement goes through PutSubtreeDoc, which reads the document in
+// place, removes every local resource absent from the snapshot —
+// including a deposed leader's divergent suffix — and publishes ordinary
+// change notifications, so watchers (the service's projections, SSE
+// sequencing) stay coherent. The snapshot's NextID marks are folded in
+// after it.
 func (n *Node) bootstrap(ctx context.Context, leader string) error {
 	start := time.Now()
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, leader+"/repl/v1/snapshot", nil)
@@ -63,17 +65,12 @@ func (n *Node) bootstrap(ctx context.Context, leader string) error {
 	// The encoder's trailing newline: read it, or the connection the
 	// snapshot came over is closed instead of reused for the stream.
 	io.Copy(io.Discard, io.LimitReader(resp.Body, 4096))
-	var flat map[odata.ID]json.RawMessage
-	if err := json.Unmarshal(doc.Resources, &flat); err != nil {
-		return fmt.Errorf("repl: snapshot resources: %w", err)
-	}
-	resources := make(map[odata.ID]any, len(flat))
-	for id, raw := range flat {
-		resources[id] = raw
-	}
-	if err := n.st.PutSubtree(treeRoot, resources); err != nil {
+	if err := n.st.PutSubtreeDoc(context.Background(), treeRoot, doc.Resources); err != nil {
 		return fmt.Errorf("repl: snapshot install: %w", err)
 	}
+	marks := n.st.Replay()
+	marks.HiWater(doc.HiWater)
+	marks.Finish()
 	n.applied.Store(doc.Seq)
 	n.setEpoch(doc.Epoch)
 	n.mu.Lock()
@@ -84,7 +81,7 @@ func (n *Node) bootstrap(ctx context.Context, leader string) error {
 	}
 	n.log.Info("repl: snapshot bootstrap complete",
 		"leader", leader, "seq", doc.Seq, "epoch", doc.Epoch,
-		"resources", len(flat), "duration", time.Since(start))
+		"resources", n.st.Len(), "duration", time.Since(start))
 	return nil
 }
 

@@ -80,6 +80,7 @@ import (
 	"io"
 	"strconv"
 
+	"ofmf/internal/odata"
 	"ofmf/internal/store"
 )
 
@@ -148,13 +149,16 @@ type Progress struct {
 	AgoMillis int64 `json:"AgoMillis"`
 }
 
-// snapshotDoc is the /repl/v1/snapshot payload: a full Store.Export
-// plus the commit sequence number and epoch it reflects. A follower
-// replacing its tree with Resources is exactly caught up to Seq.
+// snapshotDoc is the /repl/v1/snapshot payload: a store.Cut — the
+// tree's document and the NextID marks it does not imply — plus the
+// commit sequence number and epoch it reflects. A follower replacing its
+// tree with Resources and folding in HiWater is exactly caught up to
+// Seq, down to the ids it would mint if promoted.
 type snapshotDoc struct {
-	Seq       uint64          `json:"Seq"`
-	Epoch     uint64          `json:"Epoch"`
-	Resources json.RawMessage `json:"Resources"`
+	Seq       uint64           `json:"Seq"`
+	Epoch     uint64           `json:"Epoch"`
+	HiWater   map[odata.ID]int `json:"HiWater,omitempty"`
+	Resources json.RawMessage  `json:"Resources"`
 }
 
 // Stream frame types. A frame is one NDJSON line on /repl/v1/stream.

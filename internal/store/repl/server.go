@@ -73,7 +73,10 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if n.cfg.DiskSnapshot != nil {
 		resources, seq, ok, err := n.cfg.DiskSnapshot()
 		if err == nil && ok && (n.cfg.DiskTail != nil || seq+1 >= hub.RingFirst()) {
-			writeJSON(w, http.StatusOK, snapshotDoc{Seq: seq, Epoch: hub.Epoch(), Resources: resources})
+			// The tree's marks now, not the snapshot's: they cover every
+			// mark the older document lacks, and the log the follower
+			// applies after it raises none past them.
+			writeJSON(w, http.StatusOK, snapshotDoc{Seq: seq, Epoch: hub.Epoch(), HiWater: n.st.HiWater(), Resources: resources})
 			return
 		}
 	}
@@ -82,7 +85,7 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, http.StatusOK, snapshotDoc{Seq: c.Seq, Epoch: hub.Epoch(), Resources: c.Resources})
+	writeJSON(w, http.StatusOK, snapshotDoc{Seq: c.Seq, Epoch: hub.Epoch(), HiWater: c.HiWater, Resources: c.Resources})
 }
 
 // streamBatch bounds how many backlogged records one ReadFrom round

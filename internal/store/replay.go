@@ -118,23 +118,30 @@ func (r *Replay) Add(rec Record) error {
 // Import folds in a document Export or Cut (its Resources) produced,
 // replacing any entries at the same ids. The whole document is checked
 // first: one that does not parse, or names a relative URI, changes
-// nothing.
+// nothing. A payload that leaves its entry as it was is not copied.
 func (r *Replay) Import(data []byte) error {
-	entries, ok := scanExport(data)
-	if !ok {
+	entries, verified := scanExport(data)
+	if !verified {
 		var err error
 		if entries, err = decodeExport(data); err != nil {
-			return err
+			return fmt.Errorf("store: import: %w", err)
 		}
 	}
-	for _, e := range entries {
+	for i, e := range entries {
 		if !strings.HasPrefix(string(e.id), "/") {
 			return fmt.Errorf("store: import: non-absolute uri %q", e.id)
+		}
+		if !verified {
+			raw, err := canonicalize(e.raw)
+			if err != nil {
+				return fmt.Errorf("store: import %s: %w", e.id, err)
+			}
+			entries[i].raw = raw
 		}
 	}
 	for _, e := range entries {
 		r.s.countOp("put")
-		r.put(e.id, e.raw, true)
+		r.put(e.id, e.raw, !verified)
 	}
 	return nil
 }

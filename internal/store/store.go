@@ -32,6 +32,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -49,6 +50,7 @@ var (
 	ErrNotCollection = errors.New("store: not a collection")
 	ErrEtagMismatch  = errors.New("store: etag mismatch")
 	ErrBadPayload    = errors.New("store: payload not a JSON object")
+	ErrBadDocument   = errors.New("store: resources document does not parse")
 )
 
 // ChangeKind identifies the kind of mutation a change event describes.
@@ -276,10 +278,10 @@ func (s *Store) notify(changes ...Change) {
 }
 
 // canonicalize is the one way payload bytes enter the tree: Put,
-// PutSubtree, Patch and Replay.Add of an unverified record call it. Two
-// readers check the same thing as they parse and then skip it: Import
-// (see scanExport) and Replay.Add of a record DecodeRecord verified (see
-// Record). The invariant readers rely on follows:
+// PutSubtree, Patch and Replay.Add of an unverified record call it.
+// Readers that check the same thing as they parse skip it: Import and
+// PutSubtreeDoc (see scanExport), and Replay.Add of a record
+// DecodeRecord verified (see Record). The invariant readers rely on follows:
 // every stored payload is the output of json.Marshal — compact,
 // HTML-escaped, valid — and therefore a fixed point of it (marshalling a
 // stored payload as a json.RawMessage yields the same bytes). The
@@ -707,26 +709,80 @@ func (s *Store) PutSubtree(prefix odata.ID, resources map[odata.ID]any, keep ...
 func (s *Store) PutSubtreeCtx(ctx context.Context, prefix odata.ID, resources map[odata.ID]any, keep ...odata.ID) error {
 	s.countOp("put_subtree")
 	sp := s.traceStart(ctx, "store.put_subtree")
-	// Serialize outside the lock; entity tags are computed lazily below,
-	// only for payloads that actually changed — an agent heartbeat that
-	// republishes an unchanged snapshot costs one marshal and one byte
-	// compare per resource, nothing more.
-	prepared := make(map[odata.ID]json.RawMessage, len(resources))
-	for id, v := range resources {
-		if !id.Under(prefix) {
-			err := fmt.Errorf("store: %s outside subtree %s", id, prefix)
-			sp.EndErr(err)
-			return err
-		}
-		raw, err := canonicalize(v)
-		if err != nil {
-			err = fmt.Errorf("store: subtree %s: %w", id, err)
-			sp.EndErr(err)
-			return err
-		}
-		prepared[id] = raw
+	entries := make([]exportEntry, 0, len(resources))
+	for id := range resources {
+		entries = append(entries, exportEntry{id: id})
 	}
+	slices.SortFunc(entries, byID)
+	for i, e := range entries {
+		raw, err := subtreeEntry(prefix, e.id, resources[e.id])
+		if err != nil {
+			sp.EndErr(err)
+			return err
+		}
+		entries[i].raw = raw
+	}
+	return s.putSubtree(ctx, sp, prefix, entries, true, keep)
+}
 
+// PutSubtreeDoc is PutSubtreeCtx with the resources as one document,
+// {"uri":payload,…}: the form Cut writes, and the Resources member of an
+// agent's push and of a replica's snapshot. The document is read the way
+// a snapshot file is (see scanExport): the payloads of a compact
+// document with ids ascending are verified canonical where they lie, and
+// only those that change the tree are copied into it — the tree never
+// keeps a reference to doc. Anything else is decoded by encoding/json
+// (see decodeMember), and a document that does not parse as an object
+// fails with ErrBadDocument, the tree unchanged.
+func (s *Store) PutSubtreeDoc(ctx context.Context, prefix odata.ID, doc []byte, keep ...odata.ID) error {
+	s.countOp("put_subtree")
+	sp := s.traceStart(ctx, "store.put_subtree")
+	entries, verified := scanExport(doc)
+	var err error
+	if !verified {
+		if entries, err = decodeMember(doc); err != nil {
+			err = fmt.Errorf("%w: %w", ErrBadDocument, err)
+			sp.EndErr(err)
+			return err
+		}
+	}
+	for i, e := range entries {
+		if !verified {
+			entries[i].raw, err = subtreeEntry(prefix, e.id, e.raw)
+		} else if !e.id.Under(prefix) {
+			err = outsideSubtree(e.id, prefix)
+		}
+		if err != nil {
+			sp.EndErr(err)
+			return err
+		}
+	}
+	return s.putSubtree(ctx, sp, prefix, entries, !verified, keep)
+}
+
+// subtreeEntry is the check each resource of a subtree refresh passes,
+// in ascending id order, so the first bad one is reported whichever
+// form the resources came in: it must lie under prefix and canonicalize.
+func subtreeEntry(prefix, id odata.ID, v any) (json.RawMessage, error) {
+	if !id.Under(prefix) {
+		return nil, outsideSubtree(id, prefix)
+	}
+	raw, err := canonicalize(v)
+	if err != nil {
+		return nil, fmt.Errorf("store: subtree %s: %w", id, err)
+	}
+	return raw, nil
+}
+
+func outsideSubtree(id, prefix odata.ID) error {
+	return fmt.Errorf("store: %s outside subtree %s", id, prefix)
+}
+
+// putSubtree installs entries (ids ascending and unique, payloads
+// canonical) as prefix's subtree, ending sp: the one locked install of
+// PutSubtreeCtx and PutSubtreeDoc. A payload that changes the tree is
+// copied into it unless owned says it is the tree's to keep.
+func (s *Store) putSubtree(ctx context.Context, sp *obsv.Span, prefix odata.ID, entries []exportEntry, owned bool, keep []odata.ID) error {
 	kept := func(id odata.ID) bool {
 		for _, k := range keep {
 			if id.Under(k) {
@@ -740,18 +796,22 @@ func (s *Store) PutSubtreeCtx(ctx context.Context, prefix odata.ID, resources ma
 	s.lock()
 	logging := s.backend != nil
 	// Remove stale descendants, walking only the prefix's subtree via the
-	// children index — the rest of the store is never touched. A kept
-	// prefix keeps its whole subtree: the refresh is a pure upsert (an
-	// agent publishing only what an op touched) and walks nothing.
-	var stale []odata.ID
+	// children index — the rest of the store is never touched — and
+	// looking each up among the sorted entries. A kept prefix keeps its
+	// whole subtree: the refresh is a pure upsert (an agent publishing
+	// only what an op touched) and walks nothing.
 	if !kept(prefix) {
-		stale = s.eng.descendants(prefix, nil)
-	}
-	for _, id := range stale {
-		if kept(id) {
-			continue
+		stale := s.eng.descendants(prefix, make([]odata.ID, 0, len(entries)))
+		n := 0
+		for _, id := range stale {
+			if _, named := slices.BinarySearchFunc(entries, id, entryCmp); !named && !kept(id) {
+				stale[n] = id
+				n++
+			}
 		}
-		if _, present := prepared[id]; !present {
+		stale = stale[:n]
+		slices.Sort(stale)
+		for _, id := range stale {
 			s.eng.remove(id)
 			changes = append(changes, Change{Kind: Removed, ID: id, Seq: s.mutSeq.Add(1), Ctx: ctx})
 			if logging {
@@ -759,14 +819,18 @@ func (s *Store) PutSubtreeCtx(ctx context.Context, prefix odata.ID, resources ma
 			}
 		}
 	}
-	for id, raw := range prepared {
-		kind, changed := s.eng.put(id, raw)
-		if !changed {
+	for _, e := range entries {
+		if cur := s.eng.entries[e.id]; cur != nil && bytes.Equal(cur.raw, e.raw) {
 			continue
 		}
-		changes = append(changes, Change{Kind: kind, ID: id, Seq: s.mutSeq.Add(1), Ctx: ctx})
+		raw := e.raw
+		if !owned {
+			raw = bytes.Clone(raw)
+		}
+		kind := s.eng.set(e.id, raw)
+		changes = append(changes, Change{Kind: kind, ID: e.id, Seq: s.mutSeq.Add(1), Ctx: ctx})
 		if logging {
-			batch = append(batch, Record{Op: OpPut, ID: id, Raw: raw})
+			batch = append(batch, Record{Op: OpPut, ID: e.id, Raw: raw})
 		}
 	}
 	wait := s.commitLocked(batch)
@@ -777,7 +841,7 @@ func (s *Store) PutSubtreeCtx(ctx context.Context, prefix odata.ID, resources ma
 
 	werr := settle(ctx, sp, wait)
 	sp.EndErr(werr)
-	sort.Slice(changes, func(i, j int) bool { return changes[i].ID < changes[j].ID })
+	slices.SortFunc(changes, func(a, b Change) int { return strings.Compare(string(a.ID), string(b.ID)) })
 	s.notify(changes...)
 	return werr
 }
