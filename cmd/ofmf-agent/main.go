@@ -166,7 +166,7 @@ func main() {
 
 	// Serve the ops endpoint before registering so forwarded operations
 	// never race the registration.
-	srv := &http.Server{Handler: mux}
+	srv := obsv.NewServer("", mux)
 	go func() {
 		if err := srv.Serve(lis); err != http.ErrServerClosed {
 			fatal("ofmf-agent: ops server failed", err)

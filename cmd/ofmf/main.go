@@ -13,9 +13,10 @@
 //
 // Durability: with -data-dir the resource tree survives restarts — every
 // mutation is appended to a write-ahead log (group-committed; -fsync
-// selects whether commits wait for stable storage), compacted snapshots
-// are taken every -snapshot-interval, and boot recovers the newest
-// snapshot plus the log tail, truncating records torn by a crash.
+// selects whether commits wait for stable storage), a compacted snapshot
+// is taken whenever the log since the last one outgrows the live tree,
+// and boot recovers the newest snapshot plus the log tail, truncating
+// records torn by a crash.
 // Without -data-dir the store is purely in-memory, as before.
 //
 // Usage:
@@ -56,15 +57,13 @@ import (
 
 func main() {
 	var (
-		addr         = flag.String("addr", ":8080", "listen address")
-		auth         = flag.String("auth", "", "require authentication with user:password")
-		testbed      = flag.Bool("testbed", false, "assemble the emulated composable testbed")
-		nodes        = flag.Int("nodes", 8, "testbed compute node count")
-		oomMiB       = flag.Int64("oom-hot-add", 0, "enable the OOM mitigation rule with this hot-add step (MiB)")
-		dataDir      = flag.String("data-dir", "", "durable store directory (WAL + snapshots); empty keeps the tree in-memory only")
-		fsync        = flag.Bool("fsync", true, "with -data-dir: mutations wait for the WAL fsync (group-committed); false flushes to the OS only")
-		snapInterval = flag.Duration("snapshot-interval", 5*time.Minute,
-			"with -data-dir: cadence of compacted snapshots and WAL rotation (0 disables the periodic loop)")
+		addr        = flag.String("addr", ":8080", "listen address")
+		auth        = flag.String("auth", "", "require authentication with user:password")
+		testbed     = flag.Bool("testbed", false, "assemble the emulated composable testbed")
+		nodes       = flag.Int("nodes", 8, "testbed compute node count")
+		oomMiB      = flag.Int64("oom-hot-add", 0, "enable the OOM mitigation rule with this hot-add step (MiB)")
+		dataDir     = flag.String("data-dir", "", "durable store directory (WAL + snapshots); empty keeps the tree in-memory only")
+		fsync       = flag.Bool("fsync", true, "with -data-dir: mutations wait for the WAL fsync (group-committed); false flushes to the OS only")
 		logLevel    = flag.String("log-level", "info", "log level: debug (adds a per-request access line), info, warn, error")
 		withMetrics = flag.Bool("metrics", true, "expose Prometheus-format metrics at /metrics")
 		withPprof   = flag.Bool("pprof", false, "expose Go profiling at /debug/pprof")
@@ -201,12 +200,11 @@ func main() {
 	var bootStats persist.RecoveryStats
 	// One data dir, opened at boot or at promotion.
 	persistOpts := persist.Options{
-		Dir:              *dataDir,
-		Fsync:            *fsync,
-		SnapshotInterval: *snapInterval,
-		Logger:           logger,
-		Metrics:          metrics,
-		Tracer:           tracer,
+		Dir:     *dataDir,
+		Fsync:   *fsync,
+		Logger:  logger,
+		Metrics: metrics,
+		Tracer:  tracer,
 	}
 	if *dataDir != "" && *role == "replica" {
 		// A replica's tree comes from the leader; its data directory
@@ -326,7 +324,7 @@ func main() {
 
 	// Graceful shutdown: stop accepting requests, then let the deferred
 	// closes flush and close the durable backend.
-	srv := &http.Server{Addr: *addr, Handler: rootHandler(app, metricsHandler, replHandler, pprofHandler)}
+	srv := obsv.NewServer(*addr, rootHandler(app, metricsHandler, replHandler, pprofHandler))
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	go func() {

@@ -242,6 +242,9 @@ func New(cfg Config) *Service {
 	s.metrics.Registry().GaugeFunc("ofmf_store_entries",
 		"Resources held by the store.",
 		func() float64 { return float64(s.store.Len()) })
+	s.metrics.Registry().GaugeFunc("ofmf_store_live_bytes",
+		"Payload bytes the store holds: the live tree the WAL compaction trigger compares its log against.",
+		func() float64 { return float64(s.store.LiveBytes()) })
 	// Degrade a subscription's advertised health as deliveries fail, so
 	// monitoring clients can see dead destinations in the tree.
 	evCfg := cfg.Events

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"sort"
 	"strconv"
+	"sync/atomic"
 
 	"ofmf/internal/odata"
 )
@@ -47,6 +48,10 @@ type engine struct {
 	// are not reused after deletion (which also prevents a deleted
 	// resource's URI from aliasing a new one).
 	hiwater map[odata.ID]int
+	// live is the sum of the stored payloads' lengths. It changes only
+	// under the store's write lock (set, remove, Replay.Finish) and is
+	// read without it: the durability layer paces compaction by it.
+	live atomic.Int64
 }
 
 func newEngine() engine {
@@ -72,12 +77,14 @@ func (e *engine) put(id odata.ID, raw json.RawMessage) (ChangeKind, bool) {
 
 // set installs raw at id as a new entry, whatever the id held before.
 func (e *engine) set(id odata.ID, raw json.RawMessage) ChangeKind {
-	_, existed := e.entries[id]
+	old, existed := e.entries[id]
 	e.entries[id] = &entry{raw: raw, etag: odata.EtagRaw(raw)}
 	e.link(id)
 	if existed {
+		e.live.Add(int64(len(raw) - len(old.raw)))
 		return Updated
 	}
+	e.live.Add(int64(len(raw)))
 	e.invalidateCollection(id.Parent())
 	return Added
 }
@@ -86,9 +93,11 @@ func (e *engine) set(id odata.ID, raw json.RawMessage) ChangeKind {
 // invalidating the parent collection. It reports whether an entry
 // existed.
 func (e *engine) remove(id odata.ID) bool {
-	if _, ok := e.entries[id]; !ok {
+	old, ok := e.entries[id]
+	if !ok {
 		return false
 	}
+	e.live.Add(-int64(len(old.raw)))
 	delete(e.entries, id)
 	e.unlink(id)
 	e.invalidateCollection(id.Parent())

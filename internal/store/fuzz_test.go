@@ -97,27 +97,31 @@ func FuzzPatchMergeEquivalence(f *testing.F) {
 	})
 }
 
+// scannerSeeds are one input per rule of the canonical scanner:
+// whitespace, the escaped bytes, U+2028, number spellings, bad escapes,
+// trailing bytes, nesting past the limit, and documents of the export's
+// shape.
+var scannerSeeds = []string{
+	`{}`, `{"a":1}`, `{"a":{"b":[1,2.5,-0,1e9,1E-2,"x",true,false,null,{},[]]}}`,
+	`{"a": 1}`, "{\"a\":1}\n", " {}", "{\"a\":\"tab\there\"}",
+	`{"a":"<"}`, `{"a":">"}`, `{"a":"&"}`, `{"<":1}`, "{\"a\":\"\u2028\"}", "{\"a\":\"\u2029\"}", "{\"a\":\"\u2027\xe2\x80\"}",
+	`{"a":"< \/\b\f\n\r\t\"\\"}`, `{"a":"\x"}`, `{"a":"\u12g4"}`, `{"a":"\u123"}`, `{"a":"\`,
+	`{"a":01}`, `{"a":-}`, `{"a":1.}`, `{"a":.5}`, `{"a":1e}`, `{"a":1e+}`, `{"a":-0.0e-0}`, `{"a":+1}`,
+	`{"a":1}x`, `{"a":1}}`, `{"a":1,}`, `{"a":[1,]}`, `{,}`, `{"a"}`, `{"a":}`, `{a:1}`, `[]`, `"s"`, `1`, `null`, ``, `{`, `{"a":[}`, `{"a":tru}`, `{"a":nulll}`,
+	`{"a":1,"a":2}`, "{\"a\":\"\xff\xfe\"}", "{\"a\":\"\x7f\"}",
+	`{"a":` + strings.Repeat("[", maxCanonicalDepth-1) + strings.Repeat("]", maxCanonicalDepth-1) + `}`,
+	`{"a":` + strings.Repeat("[", maxCanonicalDepth) + strings.Repeat("]", maxCanonicalDepth) + `}`,
+	`{"/redfish/v1/A":{"Name":"a"},"/redfish/v1/B":{"Name":"b"}}`, `{"/b":{},"/a":{}}`, `{"/a":{},"/a":{}}`, `{"\/a":{}}`, `{"/a":1}`,
+}
+
 // FuzzIsCanonical holds the byte check to what it stands in for: whatever
 // IsCanonical accepts, json.Marshal of it as a json.RawMessage returns
 // unchanged (so canonicalize may copy it), and so does every document
 // scanExport accepts, payload by payload. The reverse is spot-checked
 // where it matters for speed: what json.Marshal itself produced from a
-// value is accepted. The seeds are one per rule of the scanner:
-// whitespace, the escaped bytes, U+2028, number spellings, bad escapes,
-// trailing bytes, nesting past the limit.
+// value is accepted. The seeds are scannerSeeds.
 func FuzzIsCanonical(f *testing.F) {
-	for _, seed := range []string{
-		`{}`, `{"a":1}`, `{"a":{"b":[1,2.5,-0,1e9,1E-2,"x",true,false,null,{},[]]}}`,
-		`{"a": 1}`, "{\"a\":1}\n", " {}", "{\"a\":\"tab\there\"}",
-		`{"a":"<"}`, `{"a":">"}`, `{"a":"&"}`, `{"<":1}`, "{\"a\":\"\u2028\"}", "{\"a\":\"\u2029\"}", "{\"a\":\"\u2027\xe2\x80\"}",
-		`{"a":"< \/\b\f\n\r\t\"\\"}`, `{"a":"\x"}`, `{"a":"\u12g4"}`, `{"a":"\u123"}`, `{"a":"\`,
-		`{"a":01}`, `{"a":-}`, `{"a":1.}`, `{"a":.5}`, `{"a":1e}`, `{"a":1e+}`, `{"a":-0.0e-0}`, `{"a":+1}`,
-		`{"a":1}x`, `{"a":1}}`, `{"a":1,}`, `{"a":[1,]}`, `{,}`, `{"a"}`, `{"a":}`, `{a:1}`, `[]`, `"s"`, `1`, `null`, ``, `{`, `{"a":[}`, `{"a":tru}`, `{"a":nulll}`,
-		`{"a":1,"a":2}`, "{\"a\":\"\xff\xfe\"}", "{\"a\":\"\x7f\"}",
-		`{"a":` + strings.Repeat("[", maxCanonicalDepth-1) + strings.Repeat("]", maxCanonicalDepth-1) + `}`,
-		`{"a":` + strings.Repeat("[", maxCanonicalDepth) + strings.Repeat("]", maxCanonicalDepth) + `}`,
-		`{"/redfish/v1/A":{"Name":"a"},"/redfish/v1/B":{"Name":"b"}}`, `{"/b":{},"/a":{}}`, `{"/a":{},"/a":{}}`, `{"\/a":{}}`, `{"/a":1}`,
-	} {
+	for _, seed := range scannerSeeds {
 		f.Add([]byte(seed))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
@@ -143,6 +147,26 @@ func FuzzIsCanonical(f *testing.F) {
 					t.Fatalf("scanExport read %s as %q, the decode path as %q (%v)", e.id, e.raw, want, err)
 				}
 			}
+		}
+	})
+}
+
+// FuzzValidDocument holds the snapshot check to json.Valid, which it
+// stands in for: the same verdict on any input, whether the export walk
+// or json.Valid gave it.
+func FuzzValidDocument(f *testing.F) {
+	for _, seed := range scannerSeeds {
+		f.Add([]byte(seed))
+	}
+	for _, seed := range []string{
+		`{"/a":{"N":1},"/b":{"N":[1,{"x":null}]}}`, `{"/a":{"N":1} }`, `{"/a":{"N":1},}`, `{"/a":{"N":1}}{}`,
+		`{"/a":{"N":1},"/a":{"N":2}}`, `{"/a":{"N":"\u2028"}}`, `{"/a":{"N":1},"/b":{"N":}}`, "{\"/a\xff\":{}}",
+	} {
+		f.Add([]byte(seed))
+	}
+	f.Fuzz(func(t *testing.T, b []byte) {
+		if got, want := ValidDocument(b), json.Valid(b); got != want {
+			t.Fatalf("ValidDocument(%q) = %v, json.Valid %v", b, got, want)
 		}
 	})
 }

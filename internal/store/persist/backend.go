@@ -6,6 +6,7 @@ import (
 	"log/slog"
 	"os"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ofmf/internal/obsv"
@@ -14,11 +15,41 @@ import (
 
 // SnapshotSource yields a consistent cut of the resource tree: the
 // export, the commit sequence number of the last mutation it contains
-// and the high-water marks the export does not imply. *store.Store
-// implements it.
+// and the high-water marks the export does not imply. LiveBytes is the
+// size of the tree's payloads, which compaction is paced by (see
+// compactStep). *store.Store implements it.
 type SnapshotSource interface {
 	Cut() (store.Cut, error)
+	LiveBytes() int64
 }
+
+// Compaction is paced by the log, not by a clock: what a crash replays
+// is the log since the newest snapshot, so the log is what the trigger
+// bounds. Once that log holds at least max(compactStep, compactRatio ×
+// live) bytes, live being the tree's payload bytes, the backend rotates
+// and installs a snapshot (Compact). Hence:
+//
+//   - a crash reads one snapshot, about live bytes, plus a log of less
+//     than max(compactStep, compactRatio × live) + compactStep + one
+//     batch — the trigger is looked at each time the log crosses a
+//     multiple of compactStep, so it can run that far past a threshold
+//     that is not itself a multiple; when compactRatio × live is below
+//     compactStep the threshold is compactStep and nothing is added;
+//   - each snapshot, about live bytes, is written after at least
+//     compactRatio × live bytes of log, so compaction writes at most
+//     1/compactRatio snapshot bytes per log byte, on top of the log it
+//     writes anyway;
+//   - a tree written once and then read (a log of about 1.4 × live:
+//     each payload framed in its record once) never compacts.
+//
+// compactStep keeps a small tree from snapshotting every few records: a
+// compaction costs a rotation, two directory fsyncs and a snapshot
+// fsync, and a MiB of log replays in milliseconds. Neither is a knob;
+// the figures are DESIGN §6's.
+const (
+	compactStep  = 1 << 20
+	compactRatio = 2
+)
 
 // Options configures a file backend.
 type Options struct {
@@ -35,9 +66,10 @@ type Options struct {
 	// It exists only so the frozen bench/ module still compiles; the
 	// next benchmark PR deletes it.
 	Shards int
-	// SnapshotInterval is the cadence of compacted snapshots and WAL
-	// rotation. Zero or negative disables the periodic loop; a final
-	// compaction still happens on Close.
+	// Deprecated: SnapshotInterval is ignored — compaction is paced by
+	// the log's growth (see compactStep), not by a clock. It exists only
+	// so the frozen bench/ module still compiles; the next benchmark PR
+	// deletes it.
 	SnapshotInterval time.Duration
 	// Logger receives the backend's structured log output (default:
 	// drop everything).
@@ -59,6 +91,10 @@ type RecoveryStats struct {
 	// Replayed is the number of WAL records read and verified on top of
 	// the snapshot.
 	Replayed int
+	// ReplayedBytes is the size of the intact log recovery read on top
+	// of the snapshot, frames included: the figure the compaction
+	// trigger bounds (see compactStep).
+	ReplayedBytes int64
 	// Installed is the number of ids whose state recovery changed, the
 	// snapshot's and the log's together: each was installed once, with
 	// one Replayed change (see store.Replay). A record a later one
@@ -93,7 +129,7 @@ type RecoveryStats struct {
 //	b, _ := persist.Open(opts)
 //	stats, _ := b.Recover(st)          // load snapshot, replay the log
 //	st.AttachBackend(b, stats.LastSeq) // start logging new mutations
-//	b.StartSnapshots(st)               // periodic compaction
+//	b.StartSnapshots(st)               // compaction as the log grows
 //	...
 //	st.Close()                         // detaches and closes b
 type FileBackend struct {
@@ -110,10 +146,21 @@ type FileBackend struct {
 	// first Compact writes one at or above it.
 	recoveredSeq uint64
 
-	// compactMu serializes whole compaction passes (periodic loop,
+	// compactMu serializes whole compaction passes (the paced loop,
 	// explicit Compact, final Close compaction) against each other; mu
 	// alone only covers the rotation bookkeeping inside one pass.
 	compactMu sync.Mutex
+
+	// logBytes is the framed log the newest snapshot does not cover —
+	// what a crash would replay now: what Recover replayed, then what
+	// Append adds under mu; Compact's rotation takes it back to zero.
+	logBytes atomic.Int64
+	// step is compactStep, the growth of logBytes at which Append kicks
+	// the compaction loop. Tests lower it before the first Append.
+	step int64
+	// kick wakes the compaction loop. Append sends without blocking, so
+	// one pending kick stands for any number.
+	kick chan struct{}
 
 	src      SnapshotSource
 	stop     chan struct{}
@@ -143,7 +190,13 @@ func Open(opts Options) (*FileBackend, error) {
 	if log == nil {
 		log = obsv.NopLogger()
 	}
-	return &FileBackend{opts: opts, log: log}, nil
+	b := &FileBackend{opts: opts, log: log, step: compactStep, kick: make(chan struct{}, 1)}
+	if m := opts.Metrics; m != nil {
+		m.Registry().GaugeFunc("ofmf_wal_bytes_since_snapshot",
+			"Framed WAL bytes the newest snapshot does not cover: what a crash would replay now.",
+			func() float64 { return float64(b.logBytes.Load()) })
+	}
+	return b, nil
 }
 
 // Deprecated: Shards always returns 1. Kept for the frozen bench/
@@ -161,11 +214,12 @@ func (b *FileBackend) AppendShard(_ int, batch []store.Record) func() error { re
 // once, in its final state. Then it rotates — opens a fresh log
 // segment after the last recovered record — and returns. It writes no
 // snapshot: the segments it replayed stay on disk until the first
-// Compact (periodic, or Close's) has installed one that covers them, the
+// Compact (paced, or Close's) has installed one that covers them, the
 // same rotate-first order Compact keeps, so a kill before then boots the
-// same way again. A boot that replayed nothing removes the segments
-// right away, since the snapshot it loaded (or, with none, the empty
-// tree) already holds everything they do. Temp files of snapshots that
+// same way again, and their bytes count toward that compaction (see
+// compactStep). A boot that replayed nothing removes the segments right
+// away, since the snapshot it loaded (or, with none, the empty tree)
+// already holds everything they do. Temp files of snapshots that
 // were never renamed into place are deleted. A directory of the retired
 // sharded layout is refused untouched. Call it exactly once, before
 // AttachBackend.
@@ -205,6 +259,9 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 	b.w = w
 	b.lastSnapSeq = stats.SnapshotSeq
 	b.recoveredSeq = lastSeq
+	if stats.Replayed > 0 {
+		b.logBytes.Store(stats.ReplayedBytes)
+	}
 	b.mu.Unlock()
 	// The recovered store is the natural snapshot source for the final
 	// compaction on Close; StartSnapshots may override it.
@@ -264,6 +321,7 @@ func (b *FileBackend) replay(fold *store.Replay) (stats RecoveryStats, segPaths 
 		}
 		good, torn, err := scanFrames(f, apply)
 		f.Close()
+		stats.ReplayedBytes += good
 		if err != nil {
 			return stats, segPaths, err
 		}
@@ -315,8 +373,10 @@ func (b *FileBackend) onFsync(d time.Duration) {
 }
 
 // Append implements store.Backend. It runs under the store's locks, so
-// it only frames the batch into the active segment's buffer; the
-// returned wait completes durability after the locks are released.
+// it only frames the batch into the active segment's buffer, and kicks
+// the compaction loop, without waiting, when the log crosses another
+// step; the returned wait completes durability after the locks are
+// released.
 func (b *FileBackend) Append(batch []store.Record) func() error {
 	start := time.Now()
 	b.mu.Lock()
@@ -324,8 +384,15 @@ func (b *FileBackend) Append(batch []store.Record) func() error {
 		b.mu.Unlock()
 		return func() error { return errors.New("persist: backend not recovered or already closed") }
 	}
-	wait := b.w.append(batch)
+	wait, n := b.w.append(batch)
+	after := b.logBytes.Add(n)
 	b.mu.Unlock()
+	if after/b.step != (after-n)/b.step {
+		select {
+		case b.kick <- struct{}{}:
+		default:
+		}
+	}
 	if m := b.opts.Metrics; m != nil {
 		m.WALAppends.Add(float64(len(batch)))
 	}
@@ -333,31 +400,36 @@ func (b *FileBackend) Append(batch []store.Record) func() error {
 	return wait
 }
 
-// StartSnapshots begins the periodic snapshot/compaction loop over
-// consistent cuts of src. Call it once, after AttachBackend; src is also
-// used for the final compaction on Close.
+// StartSnapshots begins the compaction loop over consistent cuts of
+// src: on each kick from Append, it compacts if compactIfDue finds the
+// log due. Call it once, after AttachBackend; src is also used for the
+// final compaction on Close.
 func (b *FileBackend) StartSnapshots(src SnapshotSource) {
 	b.src = src
-	if b.opts.SnapshotInterval <= 0 {
-		return
-	}
 	b.stop = make(chan struct{})
 	b.loopDone = make(chan struct{})
 	go func() {
 		defer close(b.loopDone)
-		t := time.NewTicker(b.opts.SnapshotInterval)
-		defer t.Stop()
 		for {
 			select {
-			case <-t.C:
-				if err := b.Compact(); err != nil {
-					b.log.Error("persist: periodic snapshot failed", "err", err)
+			case <-b.kick:
+				if err := b.compactIfDue(); err != nil {
+					b.log.Error("persist: paced snapshot failed", "err", err)
 				}
 			case <-b.stop:
 				return
 			}
 		}
 	}()
+}
+
+// compactIfDue compacts when the log the newest snapshot does not cover
+// has reached max(step, compactRatio × the live payload bytes).
+func (b *FileBackend) compactIfDue() error {
+	if b.logBytes.Load() < max(b.step, compactRatio*b.src.LiveBytes()) {
+		return nil
+	}
+	return b.Compact()
 }
 
 // Compact rotates the log and installs a fresh snapshot, then deletes
@@ -406,7 +478,17 @@ func (b *FileBackend) Compact() error {
 		}
 		retired, b.w = w, next
 	}
+	// Everything logged so far is in the segments below the active one,
+	// which the snapshot is to cover; until it does, a failure hands the
+	// bytes back.
+	covered := b.logBytes.Swap(0)
 	b.mu.Unlock()
+	installed := false
+	defer func() {
+		if !installed {
+			b.logBytes.Add(covered)
+		}
+	}()
 
 	start := time.Now()
 	if retired != nil {
@@ -425,6 +507,7 @@ func (b *FileBackend) Compact() error {
 	if err := b.writeSnapshot(seq, cut); err != nil {
 		return err
 	}
+	installed = true
 	if b.killPoint != nil {
 		b.killPoint("installed")
 	}
@@ -447,7 +530,7 @@ func (b *FileBackend) Compact() error {
 	return nil
 }
 
-// Close implements store.Backend: stop the snapshot loop, run a final
+// Close implements store.Backend: stop the compaction loop, run a final
 // compaction so the next boot is snapshot-only, and flush and close the
 // active segment. The store calls it from Store.Close after detaching.
 func (b *FileBackend) Close() error {

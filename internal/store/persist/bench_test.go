@@ -182,7 +182,7 @@ func copyDir(tb testing.TB, src string) string {
 	return dst
 }
 
-// churnDir writes the log a crashed compose_cycle server leaves after
+// churn hands add the records a compose_cycle server commits for
 // cycles compositions made and unmade. A compose is 15 puts: the 12
 // resources it creates (system, block, task, zones, connections, chunk,
 // volume, partition) and the 3 shared ones it draws on (node, memory
@@ -190,23 +190,19 @@ func copyDir(tb testing.TB, src string) string {
 // and the task put back, the block and three connections marked on
 // their way out, and the 12 created resources deleted. All that survives is
 // the 8 nodes and 2 pools.
-func churnDir(tb testing.TB, cycles int) string {
-	tb.Helper()
-	var log []byte
-	seq := uint64(0)
-	add := func(op store.RecordOp, id string, c int) {
+func churn(cycles int, add func(op store.RecordOp, id odata.ID, raw json.RawMessage)) {
+	seq := 0
+	rec := func(op store.RecordOp, id string, c int) {
 		seq++
-		rec := store.Record{Seq: seq, Op: op, ID: odata.ID("/redfish/v1/" + id)}
+		uri := odata.ID("/redfish/v1/" + id)
+		var raw json.RawMessage
 		if op == store.OpPut {
-			rec.Raw = json.RawMessage(fmt.Sprintf(
+			raw = json.RawMessage(fmt.Sprintf(
 				`{"@odata.id":%q,"@odata.type":"#Resource.v1_0_0.Resource","Id":"%d","Name":"composition %d",`+
 					`"Status":{"Health":"OK","State":"Enabled"},"Oem":{"OFMF":{"Composition":%d,"Seq":%d}}}`,
-				rec.ID, c, c, c, seq))
+				uri, c, c, c, seq))
 		}
-		var err error
-		if log, err = appendFrame(log, rec); err != nil {
-			tb.Fatal(err)
-		}
+		add(op, uri, raw)
 	}
 	for c := 1; c <= cycles; c++ {
 		node, n := fmt.Sprintf("Systems/node%03d", c%8), strconv.Itoa(c)
@@ -216,15 +212,30 @@ func churnDir(tb testing.TB, cycles int) string {
 			"Fabrics/GPU/Zones/" + n, "Fabrics/GPU/Connections/" + n, "Systems/gpu/Processors/p" + n}
 		shared := []string{node, "Chassis/CXL/MemoryDomains/1", "Storage/S1/StoragePools/1"}
 		for _, id := range append(created, shared...) {
-			add(store.OpPut, id, c)
+			rec(store.OpPut, id, c)
 		}
 		for _, id := range append(shared, created[2], created[1], created[4], created[7], created[10]) {
-			add(store.OpPut, id, -c)
+			rec(store.OpPut, id, -c)
 		}
 		for _, id := range created {
-			add(store.OpDelete, id, c)
+			rec(store.OpDelete, id, c)
 		}
 	}
+}
+
+// churnDir writes the log a crashed compose_cycle server left after
+// cycles compositions when it never compacted: every record since boot.
+func churnDir(tb testing.TB, cycles int) string {
+	tb.Helper()
+	var log []byte
+	seq := uint64(0)
+	churn(cycles, func(op store.RecordOp, id odata.ID, raw json.RawMessage) {
+		seq++
+		var err error
+		if log, err = appendFrame(log, store.Record{Seq: seq, Op: op, ID: id, Raw: raw}); err != nil {
+			tb.Fatal(err)
+		}
+	})
 	dir := tb.TempDir()
 	if err := os.WriteFile(walPath(dir, 1), log, 0o644); err != nil {
 		tb.Fatal(err)
@@ -232,11 +243,63 @@ func churnDir(tb testing.TB, cycles int) string {
 	return dir
 }
 
+// pacedChurnDir is the directory the same server leaves with compaction
+// paced by the log: the churn runs through a store and its backend,
+// which compacts whenever a kick finds the log due, as the loop would,
+// and is then abandoned without Close.
+func pacedChurnDir(tb testing.TB, cycles int) string {
+	tb.Helper()
+	dir := tb.TempDir()
+	st := store.New()
+	b, err := Open(Options{Dir: dir})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	stats, err := b.Recover(st)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	st.AttachBackend(b, stats.LastSeq)
+	churn(cycles, func(op store.RecordOp, id odata.ID, raw json.RawMessage) {
+		if err := applyOp(st, op, id, raw); err != nil {
+			tb.Fatal(err)
+		}
+		if err := compactIfKicked(b); err != nil {
+			tb.Fatal(err)
+		}
+	})
+	if err := b.w.close(); err != nil { // SIGKILL
+		tb.Fatal(err)
+	}
+	return dir
+}
+
+// applyOp makes the mutation a churn record describes.
+func applyOp(st *store.Store, op store.RecordOp, id odata.ID, raw json.RawMessage) error {
+	if op == store.OpDelete {
+		return st.Delete(id)
+	}
+	return st.Put(id, raw)
+}
+
+// compactIfKicked does on the caller's goroutine what the compaction
+// loop does for a pending kick, so a test knows when it happened.
+func compactIfKicked(b *FileBackend) error {
+	select {
+	case <-b.kick:
+		return b.compactIfDue()
+	default:
+		return nil
+	}
+}
+
 // BenchmarkRecover times FileBackend.Recover over three crashed or clean
 // directories: wal replays the 20 k-resource read_tree tree's log (26 800
 // records, a quarter of them rewrites), snapshot boots from a graceful
-// shutdown's snapshot of it, and churn replays 3 000 compose/decompose
-// cycles (105 000 records over 36 010 ids, 10 of them alive at the end).
+// shutdown's snapshot of it, churn replays 3 000 compose/decompose
+// cycles (105 000 records over 36 010 ids, 10 of them alive at the end)
+// and churn-paced boots from what the same cycles leave when compaction
+// is paced by the log: a snapshot and less than a MiB of log after it.
 // Every iteration gets its own copy, because recovery rotates the log
 // (and removes the empty tail a clean boot finds).
 func BenchmarkRecover(b *testing.B) {
@@ -244,7 +307,7 @@ func BenchmarkRecover(b *testing.B) {
 	for _, c := range []struct {
 		name, dir string
 		resources int
-	}{{"wal", crashed, 20000}, {"snapshot", clean, 20000}, {"churn", churnDir(b, 3000), 10}} {
+	}{{"wal", crashed, 20000}, {"snapshot", clean, 20000}, {"churn", churnDir(b, 3000), 10}, {"churn-paced", pacedChurnDir(b, 3000), 10}} {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
@@ -268,8 +331,8 @@ func BenchmarkRecover(b *testing.B) {
 	}
 }
 
-// BenchmarkSnapshot times Store.Cut over the same tree: the cut the
-// periodic compaction takes, and an upper bound on how long it holds
+// BenchmarkSnapshot times Store.Cut over the same tree: the cut a
+// compaction takes, and an upper bound on how long it holds
 // the store's read lock (writers wait that long).
 func BenchmarkSnapshot(b *testing.B) {
 	_, clean := readTreeDirs(b, 100, 200)

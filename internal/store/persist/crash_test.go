@@ -2,13 +2,16 @@ package persist
 
 import (
 	"bytes"
+	"context"
 	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -399,4 +402,286 @@ func TestRecovery1000Resources(t *testing.T) {
 	if stats.Duration >= time.Second {
 		t.Fatalf("recovery of 1000 resources took %v, want well under 1s", stats.Duration)
 	}
+}
+
+// TestRecoveryBoundedByTree is the recovery bound the paced trigger
+// gives, on compose-shaped churn (see churn) whose tree stays far below
+// half a step, so the trigger's threshold is the step itself: after
+// every record the log the newest snapshot does not cover is within
+// max(compactStep, compactRatio × live) plus that record's batch, and a
+// crash at seeded points replays exactly that log, no more, into the
+// tree the store held.
+func TestRecoveryBoundedByTree(t *testing.T) {
+	const cycles = 600 // about 4.5 MiB of log
+	dir := t.TempDir()
+	st, b, _ := openStore(t, dir, false)
+	rng := rand.New(rand.NewSource(41))
+	crashes, compactions := 0, 0
+	churn(cycles, func(op store.RecordOp, id odata.ID, raw json.RawMessage) {
+		before := b.logBytes.Load()
+		if err := applyOp(st, op, id, raw); err != nil {
+			t.Fatal(err)
+		}
+		batch := b.logBytes.Load() - before
+		if err := compactIfKicked(b); err != nil {
+			t.Fatal(err)
+		}
+		live, uncovered := st.LiveBytes(), b.logBytes.Load()
+		if uncovered < before {
+			compactions++
+		}
+		if 2*compactRatio*live >= compactStep {
+			t.Fatalf("the churned tree holds %d payload bytes; the bound below wants under %d", live, compactStep/(2*compactRatio))
+		}
+		if bound := max(compactStep, compactRatio*live) + batch; uncovered > bound {
+			t.Fatalf("%d log bytes uncovered, bound %d (live %d, batch %d)", uncovered, bound, live, batch)
+		}
+		if rng.Intn(3000) != 0 {
+			return
+		}
+		crashes++
+		crashed := copyDir(t, dir)
+		st2, b2, stats := openStore(t, crashed, false)
+		defer b2.w.close()
+		if stats.ReplayedBytes != uncovered {
+			t.Fatalf("a crash replayed %d log bytes; %d were uncovered", stats.ReplayedBytes, uncovered)
+		}
+		if got, want := export(t, st2), export(t, st); !reflect.DeepEqual(got, want) {
+			t.Fatalf("the crash recovered %d resources, the store held %d", len(got), len(want))
+		}
+	})
+	if compactions < 2 || crashes < 3 {
+		t.Fatalf("%d compactions and %d crashes: the churn is too short to show the bound", compactions, crashes)
+	}
+	st.Close()
+}
+
+// teeBackend logs every batch it passes on, in commit order (the store
+// calls Append under its write lock): the oracle of what each prefix of
+// the log denotes.
+type teeBackend struct {
+	*FileBackend
+	mu   sync.Mutex
+	recs []store.Record
+}
+
+func (t *teeBackend) Append(batch []store.Record) func() error {
+	t.mu.Lock()
+	for _, rec := range batch {
+		rec.Raw = bytes.Clone(rec.Raw)
+		t.recs = append(t.recs, rec)
+	}
+	t.mu.Unlock()
+	return t.FileBackend.Append(batch)
+}
+
+// TestPacedCompactionRacingWriters: writers race the compaction loop,
+// with the trigger's step lowered so it fires dozens of times — two
+// making single puts, two making three-record store.Deferred units —
+// and the directory is copied, as a SIGKILL would leave it, at seeded
+// moments: while writers run, and inside compactions, after the
+// snapshot is written and after it is installed. Each copy recovers to
+// a committed prefix of the log (the tree the records up to its LastSeq
+// denote) that holds every write acknowledged before the copy began.
+// Writers stop once the loop has compacted compactions times.
+func TestPacedCompactionRacingWriters(t *testing.T) {
+	const (
+		writers     = 4
+		ids         = 4
+		compactions = 30
+		maxCrashes  = 60
+	)
+	for seed := int64(0); seed < 3; seed++ {
+		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
+			dir := t.TempDir()
+			st := store.New()
+			b, err := Open(Options{Dir: dir})
+			if err != nil {
+				t.Fatal(err)
+			}
+			b.step = 2 << 10
+			if _, err := b.Recover(st); err != nil {
+				t.Fatal(err)
+			}
+			tee := &teeBackend{FileBackend: b}
+			st.AttachBackend(tee, 0)
+
+			// acked[w] is the last op writer w has had acknowledged; a
+			// copy notes them all before it reads a byte.
+			var acked [writers]atomic.Int64
+			type crash struct {
+				dir   string
+				acked [writers]int64
+			}
+			var (
+				copyMu  sync.Mutex
+				crashes []crash
+				copyErr error
+			)
+			take := func() {
+				copyMu.Lock()
+				full := len(crashes) >= maxCrashes
+				copyMu.Unlock()
+				if full {
+					return
+				}
+				var c crash
+				for w := range acked {
+					c.acked[w] = acked[w].Load()
+				}
+				c.dir = filepath.Join(t.TempDir(), "crashed")
+				err := copyFiles(dir, c.dir)
+				copyMu.Lock()
+				defer copyMu.Unlock()
+				if err != nil && copyErr == nil {
+					copyErr = err
+				}
+				crashes = append(crashes, c)
+			}
+			inCompaction := rand.New(rand.NewSource(seed))
+			installed := 0
+			stop := make(chan struct{})
+			var stopOnce sync.Once
+			b.killPoint = func(step string) { // on the loop's goroutine
+				if step == "installed" {
+					if installed++; installed == compactions {
+						stopOnce.Do(func() { close(stop) })
+					}
+				}
+				if inCompaction.Intn(4) == 0 {
+					take()
+				}
+			}
+			b.StartSnapshots(st)
+
+			done := make(chan struct{})
+			copier := make(chan struct{})
+			go func() { // copies between compactions
+				defer close(copier)
+				rng := rand.New(rand.NewSource(seed + 100))
+				for {
+					select {
+					case <-done:
+						return
+					case <-time.After(time.Duration(rng.Intn(20000)) * time.Microsecond):
+					}
+					b.compactMu.Lock() // no rotation or pruning while the files are read
+					take()
+					b.compactMu.Unlock()
+				}
+			}()
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func(w int) {
+					defer wg.Done()
+					put := func(ctx context.Context, n, k int) error {
+						id := odata.ID(fmt.Sprintf("/redfish/v1/W%d/%d", w, (n+k)%ids))
+						return st.PutCtx(ctx, id, map[string]any{"Writer": w, "N": n, "Pad": strings.Repeat("x", 40)})
+					}
+					for n := 1; ; n++ {
+						select {
+						case <-stop:
+							return
+						default:
+						}
+						var err error
+						if w%2 == 0 {
+							err = put(context.Background(), n, 0)
+						} else {
+							err = st.Deferred(context.Background(), func(ctx context.Context) error {
+								for k := 0; k < 3; k++ {
+									if err := put(ctx, n, k); err != nil {
+										return err
+									}
+								}
+								return nil
+							})
+						}
+						if err != nil {
+							t.Errorf("writer %d op %d: %v", w, n, err)
+							return
+						}
+						acked[w].Store(int64(n))
+					}
+				}(w)
+			}
+			select {
+			case <-stop:
+			case <-time.After(30 * time.Second):
+				stopOnce.Do(func() { close(stop) })
+			}
+			wg.Wait()
+			close(done)
+			<-copier
+			if err := st.Close(); err != nil {
+				t.Fatal(err)
+			}
+			compacted, _ := listSeqs(dir, snapPrefix, snapSuffix)
+			if copyErr != nil {
+				t.Fatal(copyErr)
+			}
+			if installed < 24 {
+				t.Fatalf("the trigger fired %d times, want dozens", installed)
+			}
+			if len(compacted) != 1 || compacted[0] != st.Seq() {
+				t.Fatalf("after Close: snapshots %v, want one at %d", compacted, st.Seq())
+			}
+
+			for i, c := range crashes {
+				st2, b2, stats := openStore(t, c.dir, false)
+				b2.w.close()
+				// The committed prefix the copy holds, by the oracle.
+				want := map[string]json.RawMessage{}
+				for _, rec := range tee.recs[:stats.LastSeq] {
+					if rec.Op == store.OpPut {
+						want[string(rec.ID)] = rec.Raw
+					} else {
+						delete(want, string(rec.ID))
+					}
+				}
+				got := export(t, st2)
+				if !reflect.DeepEqual(normalize(got), normalize(want)) {
+					t.Fatalf("crash %d (LastSeq %d) is not a committed prefix:\n got  %v\n want %v", i, stats.LastSeq, normalize(got), normalize(want))
+				}
+				for w, n := range c.acked {
+					if n == 0 {
+						continue
+					}
+					id := fmt.Sprintf("/redfish/v1/W%d/%d", w, n%ids)
+					var v struct{ N int64 }
+					if err := json.Unmarshal(got[id], &v); err != nil || v.N < n {
+						t.Fatalf("crash %d: writer %d had op %d acknowledged, %s holds %s", i, w, n, id, got[id])
+					}
+				}
+			}
+			if len(crashes) < 10 {
+				t.Fatalf("only %d crashes copied", len(crashes))
+			}
+			t.Logf("%d compactions, %d crashes", installed, len(crashes))
+		})
+	}
+}
+
+// copyFiles copies the regular files of src into a new directory dst.
+// A file that grows while it is read is copied as far as it was read:
+// the torn tail a kill mid-write leaves.
+func copyFiles(src, dst string) error {
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return err
+	}
+	entries, err := os.ReadDir(src)
+	if err != nil {
+		return err
+	}
+	for _, e := range entries {
+		data, err := os.ReadFile(filepath.Join(src, e.Name()))
+		if err != nil {
+			return err
+		}
+		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
+			return err
+		}
+	}
+	return nil
 }

@@ -236,6 +236,8 @@ type flakySrc struct {
 	fail bool
 }
 
+func (f *flakySrc) LiveBytes() int64 { return f.st.LiveBytes() }
+
 func (f *flakySrc) Cut() (store.Cut, error) {
 	if f.fail {
 		return store.Cut{}, errors.New("injected snapshot failure")
@@ -399,55 +401,71 @@ func TestWALAppendAllocs(t *testing.T) {
 	}
 }
 
-func TestSnapshotLoopRuns(t *testing.T) {
+// TestPacedCompactionWaitsForTheLog: a log below the trigger compacts
+// nothing, and an explicit Compact still installs the one snapshot and
+// leaves no log uncovered.
+func TestPacedCompactionWaitsForTheLog(t *testing.T) {
 	dir := t.TempDir()
 	st, b, _ := openStore(t, dir, false)
 	b.StartSnapshots(st)
-	b.opts.SnapshotInterval = 0 // loop not started with 0; drive manually below
 	if err := st.Put("/a/x", res("x")); err != nil {
 		t.Fatal(err)
+	}
+	if err := b.compactIfDue(); err != nil {
+		t.Fatal(err)
+	}
+	if snaps, _ := listSeqs(dir, snapPrefix, snapSuffix); len(snaps) != 0 {
+		t.Fatalf("a log below the trigger compacted: snapshots %v", snaps)
 	}
 	if err := b.Compact(); err != nil {
 		t.Fatal(err)
 	}
 	snaps, _ := listSeqs(dir, snapPrefix, snapSuffix)
-	if len(snaps) != 1 {
-		t.Fatalf("want exactly one snapshot, got %d", len(snaps))
+	if len(snaps) != 1 || b.logBytes.Load() != 0 {
+		t.Fatalf("after Compact: snapshots %v, %d log bytes uncovered; want one and 0", snaps, b.logBytes.Load())
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
 	}
 }
 
-func TestPeriodicSnapshotTicker(t *testing.T) {
+// TestPacedCompactionRuns: rewriting one resource grows the log while
+// the tree stays put, so the loop — kicked by Append alone, nothing
+// calling Compact — installs a snapshot.
+func TestPacedCompactionRuns(t *testing.T) {
 	dir := t.TempDir()
 	st := store.New()
-	b, err := Open(Options{Dir: dir, Fsync: false, SnapshotInterval: 10 * time.Millisecond})
+	b, err := Open(Options{Dir: dir})
 	if err != nil {
 		t.Fatal(err)
 	}
+	b.step = 512
 	stats, err := b.Recover(st)
 	if err != nil {
 		t.Fatal(err)
 	}
 	st.AttachBackend(b, stats.LastSeq)
 	b.StartSnapshots(st)
-	if err := st.Put("/a/x", res("x")); err != nil {
-		t.Fatal(err)
-	}
-	deadline := time.Now().Add(2 * time.Second)
-	for {
-		snaps, _ := listSeqs(dir, snapPrefix, snapSuffix)
-		if len(snaps) > 0 && snaps[len(snaps)-1] > 0 {
+	deadline := time.Now().Add(5 * time.Second)
+	for i := 0; ; i++ {
+		if err := st.Put("/a/x", map[string]any{"Name": "x", "N": i}); err != nil {
+			t.Fatal(err)
+		}
+		if snaps, _ := listSeqs(dir, snapPrefix, snapSuffix); len(snaps) > 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatal("periodic snapshot never ran")
+			t.Fatalf("no snapshot after %d rewrites (%d log bytes uncovered)", i+1, b.logBytes.Load())
 		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)
+	}
+	st2, _, stats := openStore(t, dir, false)
+	defer st2.Close()
+	if stats.SnapshotSeq == 0 || stats.Replayed != 0 {
+		t.Fatalf("after a paced compaction and a clean close: %+v, want a snapshot and nothing to replay", stats)
 	}
 }
 

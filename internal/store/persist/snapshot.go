@@ -193,9 +193,10 @@ func newestSnapshot(dir string, accept func(snapshotFile) bool) (snap snapshotFi
 }
 
 // loadNewestSnapshot reads the newest snapshot in dir that is a valid
-// JSON document.
+// JSON document, as store.ValidDocument judges it: one walk for what
+// writeSnapshot wrote, json.Valid for anything else.
 func loadNewestSnapshot(dir string) (snap snapshotFile, ok bool, skipped int, err error) {
-	return newestSnapshot(dir, func(s snapshotFile) bool { return json.Valid(s.Resources) })
+	return newestSnapshot(dir, func(s snapshotFile) bool { return store.ValidDocument(s.Resources) })
 }
 
 // removeSnapshotTemps deletes the temp files writeSnapshot leaves when a

@@ -1,7 +1,8 @@
 // Package persist is the store's file-based durability layer: one
 // append-only write-ahead log of canonical mutation records with
-// group-commit flush/fsync coalescing, periodic compacted snapshots
-// built from consistent store cuts, and boot-time recovery that folds
+// group-commit flush/fsync coalescing, compacted snapshots built from
+// consistent store cuts whenever the log outgrows the live tree, and
+// boot-time recovery that folds
 // the newest valid snapshot and the log tail after it into the tree
 // (store.Replay) — every record read and verified in sequence order,
 // each resource installed once, in its final state — and truncates a
@@ -201,15 +202,16 @@ func openWAL(path string, base uint64, fsync bool, onFsync func(time.Duration)) 
 }
 
 // append frames the batch into the segment buffer and returns a wait
-// function that blocks until the batch is durable. The caller (the
-// store, under its write lock, via FileBackend.Append) guarantees batches
-// arrive in commit order.
-func (w *wal) append(recs []store.Record) func() error {
+// function that blocks until the batch is durable, and the bytes it
+// framed. The caller (the store, under its write lock, via
+// FileBackend.Append) guarantees batches arrive in commit order.
+func (w *wal) append(recs []store.Record) (wait func() error, n int64) {
 	w.mu.Lock()
 	var werr error
 	for _, rec := range recs {
 		if w.frame, werr = appendFrame(w.frame[:0], rec); werr == nil {
 			_, werr = w.bw.Write(w.frame)
+			n += int64(len(w.frame))
 		}
 		if werr != nil {
 			break
@@ -221,10 +223,10 @@ func (w *wal) append(recs []store.Record) func() error {
 	w.mu.Unlock()
 	if werr != nil {
 		w.fail(werr)
-		return func() error { return werr }
+		return func() error { return werr }, n
 	}
 	last := recs[len(recs)-1].Seq
-	return func() error { return w.waitFor(last) }
+	return func() error { return w.waitFor(last) }, n
 }
 
 func (w *wal) fail(err error) {

@@ -206,11 +206,14 @@ func (r *Replay) pend(id odata.ID, old *entry) *entry {
 // changed: one Replayed change each.
 func (r *Replay) Finish() int {
 	s, e := r.s, &r.s.eng
+	var live int64 // what the fold adds to the live payload bytes
 	for _, d := range r.olds {
 		if cur := e.entries[d.id]; cur.raw != nil && bytes.Equal(cur.raw, d.e.raw) {
 			cur.etag = goneTag
 			e.entries[d.id] = d.e // back where it started: entity tag and all
+			continue
 		}
+		live -= int64(len(d.e.raw))
 	}
 	// Walk back: the first time the walk meets a pending entry is at its
 	// id's last record. The ids whose state moved gather at the tail of
@@ -258,8 +261,10 @@ func (r *Replay) Finish() int {
 		}
 		if t.e.raw != nil {
 			t.e.etag = odata.EtagRaw(t.e.raw)
+			live += int64(len(t.e.raw))
 		}
 	}
+	e.live.Add(live)
 	seq := s.mutSeq.Add(uint64(len(changed))) - uint64(len(changed))
 	r.order, r.olds = nil, nil
 	s.mu.Unlock()

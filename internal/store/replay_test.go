@@ -174,12 +174,26 @@ func watch(s *Store) *projector {
 	return p
 }
 
+// checkLive fails t unless LiveBytes is the sum of the stored payloads'
+// lengths.
+func checkLive(t *testing.T, s *Store) {
+	t.Helper()
+	var live int64
+	for _, e := range s.eng.entries {
+		live += int64(len(e.raw))
+	}
+	if got := s.LiveBytes(); got != live {
+		t.Fatalf("LiveBytes %d, the stored payloads hold %d", got, live)
+	}
+}
+
 // foldState is everything a reader can learn from a tree — its document,
 // every entity tag, every registered collection's members and payload,
 // and NextID under every parent in the universe — and the derived state
 // behind it: the children index and the high-water marks.
 func foldState(t *testing.T, s *Store) map[string]string {
 	t.Helper()
+	checkLive(t, s)
 	out := map[string]string{
 		"children": fmt.Sprint(s.eng.children), // fmt sorts map keys
 		"hiwater":  fmt.Sprint(s.eng.hiwater),

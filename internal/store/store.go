@@ -685,6 +685,11 @@ func (s *Store) Len() int {
 	return len(s.eng.entries)
 }
 
+// LiveBytes returns the total length of the stored payloads: what a
+// snapshot of the tree holds, less its URIs and punctuation. It reads
+// no lock.
+func (s *Store) LiveBytes() int64 { return s.eng.live.Load() }
+
 // PutSubtree atomically installs a set of resources, all of which must lie
 // under prefix. It is the aggregation primitive used when an Agent
 // publishes or refreshes its resource subtree: existing resources under

@@ -1,6 +1,7 @@
 package store
 
 import (
+	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
@@ -790,5 +791,43 @@ func TestRawMessagePut(t *testing.T) {
 	}
 	if got.Name != "raw" || got.Value != 3 {
 		t.Errorf("got %+v", got)
+	}
+}
+
+// TestLiveBytesFollowsEveryMutation: every way a payload enters or
+// leaves the tree keeps LiveBytes equal to the stored payloads' lengths,
+// the figure the durability layer paces compaction by.
+func TestLiveBytesFollowsEveryMutation(t *testing.T) {
+	s := New()
+	ctx := context.Background()
+	steps := []func() error{
+		func() error { return s.Put("/r/a", testRes{Name: "a"}) },
+		func() error { return s.Put("/r/a", testRes{Name: "a longer name"}) },
+		func() error { return s.Create("/r/b", testRes{Name: "b", Value: 1}) },
+		func() error { return s.Patch("/r/b", map[string]any{"Value": 12345}, "") },
+		func() error {
+			return s.PutSubtree("/r/f", map[odata.ID]any{"/r/f": testRes{Name: "f"}, "/r/f/1": testRes{Name: "f1"}, "/r/f/2": testRes{Name: "f2"}})
+		},
+		func() error {
+			return s.PutSubtree("/r/f", map[odata.ID]any{"/r/f": testRes{Name: "f"}, "/r/f/2": testRes{Name: "f2, again"}})
+		},
+		func() error {
+			return s.PutSubtreeDoc(ctx, "/r/g", []byte(`{"/r/g":{"Name":"g"},"/r/g/1":{"Name":"g1"}}`))
+		},
+		func() error { return s.Delete("/r/a") },
+		func() error { _, err := s.DeleteSubtree("/r/f"); return err },
+		func() error { return s.Import([]byte(`{"/r/b":{"Name":"imported"},"/r/h":{"Name":"h"}}`)) },
+		func() error {
+			return s.Apply(Record{Seq: 1, Op: OpDelete, ID: "/r/g/1"})
+		},
+	}
+	for i, step := range steps {
+		if err := step(); err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		checkLive(t, s)
+	}
+	if s.LiveBytes() == 0 {
+		t.Fatal("the tree holds payloads, LiveBytes reads 0")
 	}
 }
