@@ -166,20 +166,33 @@ func readTreeDirs(tb testing.TB, fabrics, perFabric int) (crashed, clean string)
 func copyDir(tb testing.TB, src string) string {
 	tb.Helper()
 	dst := tb.TempDir()
+	if err := copyFiles(src, dst); err != nil {
+		tb.Fatal(err)
+	}
+	return dst
+}
+
+// copyFiles copies the regular files of src into a new directory dst.
+// A file that grows while it is read is copied as far as it was read:
+// the torn tail a kill mid-write leaves.
+func copyFiles(src, dst string) error {
+	if err := os.MkdirAll(dst, 0o755); err != nil {
+		return err
+	}
 	entries, err := os.ReadDir(src)
 	if err != nil {
-		tb.Fatal(err)
+		return err
 	}
 	for _, e := range entries {
 		data, err := os.ReadFile(filepath.Join(src, e.Name()))
 		if err != nil {
-			tb.Fatal(err)
+			return err
 		}
 		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			tb.Fatal(err)
+			return err
 		}
 	}
-	return dst
+	return nil
 }
 
 // churn hands add the records a compose_cycle server commits for
@@ -350,6 +363,20 @@ func BenchmarkSnapshot(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := st.Cut(); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkLoadSnapshot times what LatestSnapshot does per replica
+// bootstrap: read the newest snapshot of the 20 k-resource tree and
+// check its document (store.ValidDocument).
+func BenchmarkLoadSnapshot(b *testing.B) {
+	_, clean := readTreeDirs(b, 100, 200)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, ok, _, err := loadNewestSnapshot(clean); !ok || err != nil {
+			b.Fatalf("no snapshot: %v", err)
 		}
 	}
 }

@@ -662,26 +662,3 @@ func TestPacedCompactionRacingWriters(t *testing.T) {
 		})
 	}
 }
-
-// copyFiles copies the regular files of src into a new directory dst.
-// A file that grows while it is read is copied as far as it was read:
-// the torn tail a kill mid-write leaves.
-func copyFiles(src, dst string) error {
-	if err := os.MkdirAll(dst, 0o755); err != nil {
-		return err
-	}
-	entries, err := os.ReadDir(src)
-	if err != nil {
-		return err
-	}
-	for _, e := range entries {
-		data, err := os.ReadFile(filepath.Join(src, e.Name()))
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(filepath.Join(dst, e.Name()), data, 0o644); err != nil {
-			return err
-		}
-	}
-	return nil
-}

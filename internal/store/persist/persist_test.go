@@ -445,19 +445,29 @@ func TestPacedCompactionRuns(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.AttachBackend(b, stats.LastSeq)
+	installed := make(chan struct{}, 1)
+	b.killPoint = func(step string) { // on the loop's goroutine
+		if step == "installed" {
+			select {
+			case installed <- struct{}{}:
+			default:
+			}
+		}
+	}
 	b.StartSnapshots(st)
-	deadline := time.Now().Add(5 * time.Second)
+	deadline := time.After(5 * time.Second)
+rewrite:
 	for i := 0; ; i++ {
 		if err := st.Put("/a/x", map[string]any{"Name": "x", "N": i}); err != nil {
 			t.Fatal(err)
 		}
-		if snaps, _ := listSeqs(dir, snapPrefix, snapSuffix); len(snaps) > 0 {
-			break
-		}
-		if time.Now().After(deadline) {
+		select {
+		case <-installed:
+			break rewrite
+		case <-deadline:
 			t.Fatalf("no snapshot after %d rewrites (%d log bytes uncovered)", i+1, b.logBytes.Load())
+		default:
 		}
-		time.Sleep(time.Millisecond)
 	}
 	if err := st.Close(); err != nil {
 		t.Fatal(err)

@@ -2,11 +2,10 @@
 // append-only write-ahead log of canonical mutation records with
 // group-commit flush/fsync coalescing, compacted snapshots built from
 // consistent store cuts whenever the log outgrows the live tree, and
-// boot-time recovery that folds
-// the newest valid snapshot and the log tail after it into the tree
-// (store.Replay) — every record read and verified in sequence order,
-// each resource installed once, in its final state — and truncates a
-// torn record left by a crash mid-write.
+// boot-time recovery that folds the newest valid snapshot and the log
+// tail after it into the tree (store.Replay) — every record read and
+// verified in sequence order, each resource installed once, in its
+// final state — and truncates a torn record left by a crash mid-write.
 //
 // On-disk layout. Everything lives in one data directory:
 //
