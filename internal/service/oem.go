@@ -257,7 +257,7 @@ func subtreeEnvelope(body []byte) (prefix odata.ID, keep []odata.ID, doc []byte,
 	if !ok {
 		return "", nil, nil, false
 	}
-	if prefix, rest, ok = cutPlainString(rest); !ok {
+	if prefix, rest, ok = store.CutPlainString(rest); !ok {
 		return "", nil, nil, false
 	}
 	if list, found := bytes.CutPrefix(rest, []byte(`,"Keep":[`)); found {
@@ -268,7 +268,7 @@ func subtreeEnvelope(body []byte) (prefix odata.ID, keep []odata.ID, doc []byte,
 				}
 			}
 			var k odata.ID
-			if k, rest, ok = cutPlainString(rest); !ok {
+			if k, rest, ok = store.CutPlainString(rest); !ok {
 				return "", nil, nil, false
 			}
 			keep = append(keep, k)
@@ -280,24 +280,6 @@ func subtreeEnvelope(body []byte) (prefix odata.ID, keep []odata.ID, doc []byte,
 		return "", nil, nil, false
 	}
 	return prefix, keep, doc[:len(doc)-1], true
-}
-
-// cutPlainString reads the JSON string at the start of b if it is
-// printable ASCII with no escapes: the spelling that decodes to exactly
-// its own bytes.
-func cutPlainString(b []byte) (odata.ID, []byte, bool) {
-	if len(b) == 0 || b[0] != '"' {
-		return "", nil, false
-	}
-	for i := 1; i < len(b); i++ {
-		switch c := b[i]; {
-		case c == '"':
-			return odata.ID(b[1:i]), b[i+1:], true
-		case c < 0x20 || c > 0x7e || c == '\\':
-			return "", nil, false
-		}
-	}
-	return "", nil, false
 }
 
 func (s *Service) handleCollectionsPush(w http.ResponseWriter, r *http.Request) {

@@ -75,7 +75,7 @@ func (s *Store) Cut() (Cut, error) {
 		if i > 0 {
 			data = append(data, ',')
 		}
-		if plainString(string(e.id)) {
+		if PlainString(string(e.id)) {
 			data = append(append(append(data, '"'), e.id...), '"')
 		} else {
 			data, _ = appendPatchValue(data, string(e.id)) // as encoding/json quotes it
@@ -117,13 +117,10 @@ func (s *Store) Import(data []byte) error {
 
 // ValidDocument reports whether data is valid JSON, as json.Valid does,
 // at the cost of one walk for the document Cut writes: that walk, the
-// one Import reads it by, vouches for the document, and json.Valid
-// decides whatever it declines.
+// one Import reads it by, vouches for the document without collecting
+// its entries, and json.Valid decides whatever it declines.
 func ValidDocument(data []byte) bool {
-	if _, ok := scanExport(data); ok {
-		return true
-	}
-	return json.Valid(data)
+	return walkExport(data, nil) || json.Valid(data)
 }
 
 // scanExport splits the document Cut writes into its entries, each
@@ -132,40 +129,53 @@ func ValidDocument(data []byte) bool {
 // keys, a payload scanCanonical does not vouch for — and encoding/json
 // then decides (decodeExport, decodeMember).
 func scanExport(data []byte) ([]exportEntry, bool) {
-	if len(data) < 2 || data[0] != '{' {
+	var entries []exportEntry
+	if !walkExport(data, &entries) {
 		return nil, false
 	}
-	if len(data) == 2 {
-		return nil, data[1] == '}'
+	return entries, true
+}
+
+// walkExport is scanExport's walk. It appends the entries to *dst, or,
+// with dst nil, only checks the document and allocates nothing.
+func walkExport(data []byte, dst *[]exportEntry) bool {
+	if len(data) < 2 || data[0] != '{' {
+		return false
 	}
-	var entries []exportEntry
+	if len(data) == 2 {
+		return data[1] == '}'
+	}
+	var prev []byte // the last key, ids ascending
 	for i := 1; ; {
 		if i >= len(data) || data[i] != '"' {
-			return nil, false
+			return false
 		}
 		n := bytes.IndexByte(data[i+1:], '"')
-		if n < 0 || !plainString(data[i+1:i+1+n]) {
-			return nil, false
+		if n < 0 || !PlainString(data[i+1:i+1+n]) {
+			return false
 		}
-		id := odata.ID(data[i+1 : i+1+n])
-		if len(entries) > 0 && id <= entries[len(entries)-1].id {
-			return nil, false
+		key := data[i+1 : i+1+n]
+		if prev != nil && string(key) <= string(prev) {
+			return false
 		}
+		prev = key
 		if i += n + 2; i >= len(data) || data[i] != ':' {
-			return nil, false
+			return false
 		}
 		end, ok := scanCanonical(data, i+1)
 		if !ok || end >= len(data) {
-			return nil, false
+			return false
 		}
-		entries = append(entries, exportEntry{id, data[i+1 : end : end]})
+		if dst != nil {
+			*dst = append(*dst, exportEntry{odata.ID(key), data[i+1 : end : end]})
+		}
 		switch data[end] {
 		case ',':
 			i = end + 1
 		case '}':
-			return entries, end+1 == len(data)
+			return end+1 == len(data)
 		default:
-			return nil, false
+			return false
 		}
 	}
 }
@@ -182,7 +192,7 @@ func decodeExport(data []byte) ([]exportEntry, error) {
 }
 
 // decodeMember is decodeExport of a document that is a member of an
-// envelope, as an agent push's or a snapshot reply's Resources is, read
+// envelope, as an agent push's Resources is, read
 // the way encoding/json reads it there: nesting counts from the
 // envelope, so a document one level short of encoding/json's depth
 // limit on its own is refused, as its envelope would be.

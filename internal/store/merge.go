@@ -176,7 +176,7 @@ func appendObject(dst, obj []byte, patch map[string]any, depth int) ([]byte, boo
 }
 
 // splitObject appends obj's members to members. Keys must be plain (see
-// plainString): their bytes are then the decoded key, so they sort and
+// PlainString): their bytes are then the decoded key, so they sort and
 // compare as the map path's keys do.
 func splitObject(obj []byte, members []member) ([]member, bool) {
 	if len(obj) < 2 || obj[0] != '{' || obj[len(obj)-1] != '}' {
@@ -190,7 +190,7 @@ func splitObject(obj []byte, members []member) ([]member, bool) {
 			return nil, false
 		}
 		keyEnd, ok := skipValue(obj, i)
-		if !ok || keyEnd >= len(obj) || obj[keyEnd] != ':' || !plainString(obj[i+1:keyEnd-1]) {
+		if !ok || keyEnd >= len(obj) || obj[keyEnd] != ':' || !PlainString(obj[i+1:keyEnd-1]) {
 			return nil, false
 		}
 		valEnd, ok := skipValue(obj, keyEnd+1)
@@ -286,7 +286,7 @@ func appendCanonical(dst, v []byte, depth int) ([]byte, bool) {
 		}
 		return append(dst, ']'), true
 	case '"':
-		if len(v) >= 2 && v[len(v)-1] == '"' && plainString(v[1:len(v)-1]) {
+		if len(v) >= 2 && v[len(v)-1] == '"' && PlainString(v[1:len(v)-1]) {
 			return append(dst, v...), true
 		}
 	case 't', 'f', 'n':
@@ -313,7 +313,7 @@ func appendCanonical(dst, v []byte, depth int) ([]byte, bool) {
 func appendPatchValue(dst []byte, v any) ([]byte, bool) {
 	switch x := v.(type) {
 	case string:
-		if plainString(x) {
+		if PlainString(x) {
 			return append(append(append(dst, '"'), x...), '"'), true
 		}
 	case bool:
@@ -331,11 +331,12 @@ func appendPatchValue(dst []byte, v any) ([]byte, bool) {
 	return append(dst, b...), true
 }
 
-// plainString reports whether s, the inside of a string literal or a Go
-// string, is its own JSON encoding and its own decoding: valid UTF-8
+// PlainString reports whether s, the inside of a string literal or a Go
+// string, is its own JSON encoding and its own decoding, so that a
+// writer may put it between quotes as it is: valid UTF-8
 // holding nothing encoding/json escapes (quotes, backslashes, controls,
 // <, >, &, U+2028, U+2029).
-func plainString[S string | []byte](s S) bool {
+func PlainString[S string | []byte](s S) bool {
 	for i := 0; i < len(s); {
 		c := s[i]
 		if c < utf8.RuneSelf {

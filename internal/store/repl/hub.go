@@ -240,6 +240,7 @@ func (h *Hub) Ack(peer string, epoch, seq uint64) error {
 	if fs == nil {
 		fs = &followerState{}
 		h.acks[peer] = fs
+		defer h.log.Info("repl: follower acknowledging", "peer", peer, "seq", seq)
 	}
 	fs.lastAt = now
 	if seq <= fs.ackSeq {

@@ -71,7 +71,8 @@ type Config struct {
 	OnLeader   func(epoch uint64)
 	OnFollower func(leaderURL string)
 	// Client is used for status polls and snapshots; default a
-	// resilience client with a lease-scaled attempt timeout.
+	// resilience client with a lease-scaled attempt timeout (a cold
+	// replica's polls go through one like it without a breaker).
 	// StreamClient is used for the long-lived record stream and the acks
 	// on its request body; default resilience.NewStreamingHTTPClient.
 	// Tests inject FaultTransports here.
@@ -90,6 +91,7 @@ type Node struct {
 	log          *slog.Logger
 	m            *obsv.Metrics
 	client       *http.Client
+	coldClient   *http.Client // status polls while cold: no breaker
 	streamClient *http.Client
 	lease        time.Duration
 	keepalive    time.Duration
@@ -133,12 +135,17 @@ func NewNode(cfg Config) (*Node, error) {
 		keepalive: cfg.LeaseTimeout / 3,
 		role:      RoleReplica,
 	}
-	n.client = cfg.Client
+	n.client, n.coldClient = cfg.Client, cfg.Client
 	if n.client == nil {
 		p := resilience.DefaultPolicy()
 		p.AttemptTimeout = n.lease
 		p.MaxAttempts = 1
 		n.client = resilience.NewHTTPClient(p)
+		// A cold replica polls a leader that is not up yet every
+		// coldPoll: its refused dials must not open the breaker that
+		// would then keep it from seeing the leader come up.
+		p.Breaker.Threshold = -1
+		n.coldClient = resilience.NewHTTPClient(p)
 	}
 	n.streamClient = cfg.StreamClient
 	if n.streamClient == nil {
@@ -339,8 +346,8 @@ type peerView struct {
 	ok  bool
 }
 
-// pollPeers fetches every peer's status concurrently.
-func (n *Node) pollPeers(ctx context.Context) []peerView {
+// pollPeers fetches every peer's status concurrently with client.
+func (n *Node) pollPeers(ctx context.Context, client *http.Client) []peerView {
 	views := make([]peerView, len(n.cfg.Peers))
 	var wg sync.WaitGroup
 	for i, peer := range n.cfg.Peers {
@@ -352,7 +359,7 @@ func (n *Node) pollPeers(ctx context.Context) []peerView {
 			if err != nil {
 				return
 			}
-			resp, err := n.client.Do(req)
+			resp, err := client.Do(req)
 			if err != nil {
 				return
 			}
@@ -391,8 +398,13 @@ func (n *Node) electOrFind(ctx context.Context) (leader string, promote bool) {
 	myEpoch, mySelf := n.epoch, n.cfg.Self
 	n.mu.Unlock()
 	myApplied := n.applied.Load()
+	cold := myEpoch == 0 && myApplied == 0
 
-	views := n.pollPeers(ctx)
+	client := n.client
+	if cold {
+		client = n.coldClient
+	}
+	views := n.pollPeers(ctx, client)
 	var bestLeader string
 	var bestLeaderEpoch uint64
 	for _, v := range views {
@@ -407,7 +419,7 @@ func (n *Node) electOrFind(ctx context.Context) (leader string, promote bool) {
 		return bestLeader, false
 	}
 
-	if myEpoch == 0 && myApplied == 0 {
+	if cold {
 		return "", false // cold replica: nothing to lead with yet
 	}
 	winE, winS, winURL := myEpoch, myApplied, mySelf
@@ -426,6 +438,28 @@ func (n *Node) electOrFind(ctx context.Context) (leader string, promote bool) {
 	return "", winURL == mySelf
 }
 
+// A cold replica (see electOrFind) is in no election: it can only wait
+// for its leader to come up, and a group's nodes are normally started
+// together, so the leader is up within milliseconds. For its first
+// coldFast it looks every coldPoll — a poll of a peer that is not up yet
+// is a refused dial or a 404, microseconds each — and then backs off
+// from coldBackoff, doubling, to the election's pace.
+const (
+	coldPoll    = 2 * time.Millisecond
+	coldFast    = time.Second
+	coldBackoff = 50 * time.Millisecond
+)
+
+// coldWait is how long a replica that has been cold for cold, and last
+// waited last, waits before it looks for its leader again; retry is the
+// election's pace.
+func coldWait(cold, last, retry time.Duration) time.Duration {
+	if cold < coldFast {
+		return coldPoll
+	}
+	return min(max(2*last, coldBackoff), retry)
+}
+
 // followerLoop is the replica's life: find (or become) the leader,
 // bootstrap if needed, stream and apply until the stream dies, repeat.
 func (n *Node) followerLoop() {
@@ -434,7 +468,8 @@ func (n *Node) followerLoop() {
 	if retry < 50*time.Millisecond {
 		retry = 50 * time.Millisecond
 	}
-	var cold time.Duration
+	var coldSince time.Time
+	var coldLast time.Duration
 	mismatched := false // a protocol mismatch is logged once, not once per retry
 	for n.ctx.Err() == nil {
 		leader, promote := n.electOrFind(n.ctx)
@@ -445,13 +480,14 @@ func (n *Node) followerLoop() {
 		if leader == "" {
 			// Another candidate won (or nobody is reachable); give the
 			// winner a beat to assume leadership, then look again. A cold
-			// replica (see electOrFind) is in no election: it can only wait
-			// for its leader to come up, so it looks again soon and backs
-			// off to the election's pace.
+			// replica looks again on coldWait's schedule.
 			wait := retry
 			if n.epochNow() == 0 && n.applied.Load() == 0 {
-				cold = min(max(2*cold, 50*time.Millisecond), retry)
-				wait = cold
+				if coldSince.IsZero() {
+					coldSince = time.Now()
+				}
+				coldLast = coldWait(time.Since(coldSince), coldLast, retry)
+				wait = coldLast
 			}
 			if !sleepCtx(n.ctx, wait) {
 				return

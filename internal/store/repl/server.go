@@ -59,7 +59,8 @@ func (n *Node) handleStatus(w http.ResponseWriter, r *http.Request) {
 // sequence number (always true with a disk tail; otherwise it must
 // still be inside the backlog) — that skips a whole-tree export under
 // the store's read lock. A diskless or compaction-lagged leader
-// exports live instead.
+// exports live instead. Either document goes out as it is stored
+// (writeSnapshot).
 func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 	if r.Method != http.MethodGet {
 		http.Error(w, "method not allowed", http.StatusMethodNotAllowed)
@@ -76,7 +77,7 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 			// The tree's marks now, not the snapshot's: they cover every
 			// mark the older document lacks, and the log the follower
 			// applies after it raises none past them.
-			writeJSON(w, http.StatusOK, snapshotDoc{Seq: seq, Epoch: hub.Epoch(), HiWater: n.st.HiWater(), Resources: resources})
+			writeSnapshot(w, seq, hub.Epoch(), n.st.HiWater(), resources)
 			return
 		}
 	}
@@ -85,7 +86,7 @@ func (n *Node) handleSnapshot(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, err.Error(), http.StatusInternalServerError)
 		return
 	}
-	writeJSON(w, http.StatusOK, snapshotDoc{Seq: c.Seq, Epoch: hub.Epoch(), HiWater: c.HiWater, Resources: c.Resources})
+	writeSnapshot(w, c.Seq, hub.Epoch(), c.HiWater, c.Resources)
 }
 
 // streamBatch bounds how many backlogged records one ReadFrom round

@@ -732,7 +732,7 @@ func (s *Store) PutSubtreeCtx(ctx context.Context, prefix odata.ID, resources ma
 
 // PutSubtreeDoc is PutSubtreeCtx with the resources as one document,
 // {"uri":payload,…}: the form Cut writes, and the Resources member of an
-// agent's push and of a replica's snapshot. The document is read the way
+// agent's push. The document is read the way
 // a snapshot file is (see scanExport): the payloads of a compact
 // document with ids ascending are verified canonical where they lie, and
 // only those that change the tree are copied into it — the tree never
@@ -740,12 +740,27 @@ func (s *Store) PutSubtreeCtx(ctx context.Context, prefix odata.ID, resources ma
 // (see decodeMember), and a document that does not parse as an object
 // fails with ErrBadDocument, the tree unchanged.
 func (s *Store) PutSubtreeDoc(ctx context.Context, prefix odata.ID, doc []byte, keep ...odata.ID) error {
+	return s.putSubtreeDoc(ctx, prefix, doc, decodeMember, keep)
+}
+
+// PutSubtreeCut is PutSubtreeDoc of a document that stands on its own,
+// as Cut writes it, rather than as a member of a request body: a
+// document encoding/json reads on its own is read, however deep its
+// envelope would have nested it. A replica installs its leader's
+// snapshot with it, so every tree the leader can hold crosses.
+func (s *Store) PutSubtreeCut(ctx context.Context, prefix odata.ID, doc []byte) error {
+	return s.putSubtreeDoc(ctx, prefix, doc, decodeExport, nil)
+}
+
+// putSubtreeDoc is PutSubtreeDoc with decode as the encoding/json
+// reading of a document the walk declines.
+func (s *Store) putSubtreeDoc(ctx context.Context, prefix odata.ID, doc []byte, decode func([]byte) ([]exportEntry, error), keep []odata.ID) error {
 	s.countOp("put_subtree")
 	sp := s.traceStart(ctx, "store.put_subtree")
 	entries, verified := scanExport(doc)
 	var err error
 	if !verified {
-		if entries, err = decodeMember(doc); err != nil {
+		if entries, err = decode(doc); err != nil {
 			err = fmt.Errorf("%w: %w", ErrBadDocument, err)
 			sp.EndErr(err)
 			return err

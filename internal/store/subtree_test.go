@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"errors"
 	"reflect"
+	"strings"
 	"testing"
 
 	"ofmf/internal/odata"
@@ -100,5 +101,25 @@ func TestPutSubtreeDocIsPutSubtree(t *testing.T) {
 	}
 	if err := New().PutSubtreeDoc(context.Background(), "/f", []byte(`{"/f/1":{}`)); !errors.Is(err, ErrBadDocument) {
 		t.Errorf("a document cut short: %v, want ErrBadDocument", err)
+	}
+}
+
+// TestPutSubtreeCutCountsDepthFromDocument: a document holding a payload
+// nested 9 999 deep is at encoding/json's depth limit on its own and one
+// level past it as a member of an envelope. PutSubtreeDoc reads it as a
+// member, as a push body holds it, and refuses it; PutSubtreeCut reads
+// it on its own, as a Cut holds it, and installs the payload.
+func TestPutSubtreeCutCountsDepthFromDocument(t *testing.T) {
+	payload := strings.Repeat(`{"a":`, 9998) + `{}` + strings.Repeat("}", 9998)
+	doc := []byte(`{"/f/deep":` + payload + `}`)
+	if err := New().PutSubtreeDoc(context.Background(), "/f", doc); !errors.Is(err, ErrBadDocument) {
+		t.Fatalf("PutSubtreeDoc: %v, want ErrBadDocument", err)
+	}
+	st := New()
+	if err := st.PutSubtreeCut(context.Background(), "/f", doc); err != nil {
+		t.Fatalf("PutSubtreeCut: %v", err)
+	}
+	if raw, _, err := st.Get("/f/deep"); err != nil || string(raw) != payload {
+		t.Fatalf("stored %d bytes (%v), want the %d-byte payload", len(raw), err, len(payload))
 	}
 }
