@@ -218,7 +218,9 @@ func main() {
 		if err != nil {
 			fatal("ofmf: data dir", err)
 		}
+		release := holdGC(*dataDir)
 		stats, err := backend.Recover(tree)
+		release()
 		if err != nil {
 			fatal("ofmf: recovery", err)
 		}

@@ -189,9 +189,10 @@ func TestTracesEndpointReportsRequestLine(t *testing.T) {
 // lookup; 40 when the event record and its envelope were built before
 // the bus knew nobody would receive them) — 15 reading and decoding the
 // body into its three maps, the middleware's 6, 2 for the store.patch
-// span, 3 for the new entry, its bytes and its tag, 2 header values,
-// the patch variable, the change notice, the decoder's error context;
-// the publish itself costs none. The number is the gate, not a ceiling
+// span, 4 for the new entry, its bytes, its tag and the pointer the
+// entry keeps to it (the reply carries the tag, so it is hashed at
+// once), 2 header values, the patch variable, the change notice, the
+// decoder's error context; the publish itself costs none. The number is the gate, not a ceiling
 // to grow into.
 func TestHandlerPatchAllocs(t *testing.T) {
 	svc := New(Config{Logger: obsv.NewLogger(io.Discard, slog.LevelInfo), DirectWrites: true})

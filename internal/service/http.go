@@ -428,9 +428,10 @@ func (s *Service) expandedCollection(w http.ResponseWriter, coll odata.Collectio
 	defer putBuf(members)
 	found := 0
 	for _, ref := range coll.Members {
-		// A member that raced a delete is omitted: View fails and the
-		// callback, which alone writes, never runs.
-		_ = s.store.View(ref.ODataID, func(raw json.RawMessage, _ string) {
+		// A member that raced a delete is omitted: ViewRaw fails and the
+		// callback, which alone writes, never runs. The splice needs no
+		// entity tag, so it hashes nothing.
+		_ = s.store.ViewRaw(ref.ODataID, func(raw json.RawMessage) {
 			if found > 0 {
 				members.WriteByte(',')
 			}

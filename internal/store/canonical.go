@@ -7,7 +7,11 @@ import "bytes"
 // three things to it: refuse it unless encoding/json's scanner calls it
 // valid, drop the whitespace between its tokens, and escape <, >, & and
 // U+2028/U+2029. Bytes that are valid, compact and free of those five
-// come back unchanged, and one walk can tell.
+// come back unchanged, and one walk can tell. The walk runs on every
+// replayed record, snapshot load, subtree push, replica bootstrap and WAL
+// append, and most of what it reads is the inside of strings, so it
+// crosses them eight bytes a step until a word holds a byte it must look
+// at (stringStop).
 
 // maxCanonicalDepth bounds the nesting the walk follows. Redfish payloads
 // nest a handful of levels; deeper input is left to encoding/json.
@@ -88,17 +92,31 @@ var stringStop = func() (t [256]bool) {
 	return t
 }()
 
-// scanString walks the string literal that starts at b[i].
+// scanString walks the string literal that starts at b[i]. It steps
+// eight bytes at a time while none of them is a stop byte, then byte by
+// byte to the stop byte, which it looks at, and then steps by eight
+// again: Redfish strings are mostly long runs of plain ASCII. The loops
+// are written out here and in PlainString rather than shared: a call
+// per string cost the walk of a read_tree payload about 15 %.
 func scanString(b []byte, i int) (int, bool) {
 	if i >= len(b) || b[i] != '"' {
 		return 0, false
 	}
-	for i++; i < len(b); i++ {
-		c := b[i]
-		if !stringStop[c] {
-			continue
+	for i++; ; i++ {
+		for ; i+8 <= len(b); i += 8 {
+			w := b[i : i+8 : i+8]
+			if stringStop[w[0]] || stringStop[w[1]] || stringStop[w[2]] || stringStop[w[3]] ||
+				stringStop[w[4]] || stringStop[w[5]] || stringStop[w[6]] || stringStop[w[7]] {
+				break
+			}
 		}
-		switch c {
+		for i < len(b) && !stringStop[b[i]] {
+			i++
+		}
+		if i >= len(b) {
+			return 0, false
+		}
+		switch c := b[i]; c {
 		case '"':
 			return i + 1, true
 		case '\\':
@@ -124,7 +142,6 @@ func scanString(b []byte, i int) (int, bool) {
 			return 0, false // a control byte, or one of < > &
 		}
 	}
-	return 0, false
 }
 
 // scanNumber walks the number that starts at b[i]:

@@ -10,9 +10,27 @@ import (
 	"ofmf/internal/odata"
 )
 
+// entry is one stored resource: its canonical bytes and, once a reader
+// has asked for it, their entity tag. tag is nil until then. The first
+// reader hashes raw and stores the tag, holding the store's lock (the
+// read lock will do); readers that race there compute the same tag, so
+// whichever store lands is right. While a fold runs, tag also holds
+// the fold's marks (see Replay), which no reader sees: the fold holds
+// the write lock.
 type entry struct {
-	raw  json.RawMessage
-	etag string
+	raw json.RawMessage
+	tag atomic.Pointer[string]
+}
+
+// etag returns the entry's entity tag, odata.EtagRaw(raw), hashing it on
+// the first call. Callers hold the store's lock.
+func (e *entry) etag() string {
+	if t := e.tag.Load(); t != nil {
+		return *t
+	}
+	t := odata.EtagRaw(e.raw)
+	e.tag.Store(&t)
+	return t
 }
 
 type collectionMeta struct {
@@ -66,8 +84,8 @@ func newEngine() engine {
 
 // put installs raw at id, creating or replacing the entry, and reports
 // the change kind and whether anything actually changed. Rewriting
-// identical content is a no-op (the existing entry, and its entity tag,
-// are kept).
+// identical content is a no-op (the existing entry, and its entity tag
+// if a reader has asked for it, are kept).
 func (e *engine) put(id odata.ID, raw json.RawMessage) (ChangeKind, bool) {
 	if old := e.entries[id]; old != nil && bytes.Equal(old.raw, raw) {
 		return Updated, false
@@ -76,9 +94,10 @@ func (e *engine) put(id odata.ID, raw json.RawMessage) (ChangeKind, bool) {
 }
 
 // set installs raw at id as a new entry, whatever the id held before.
+// The entry's entity tag waits for its first reader.
 func (e *engine) set(id odata.ID, raw json.RawMessage) ChangeKind {
 	old, existed := e.entries[id]
-	e.entries[id] = &entry{raw: raw, etag: odata.EtagRaw(raw)}
+	e.entries[id] = &entry{raw: raw}
 	e.link(id)
 	if existed {
 		e.live.Add(int64(len(raw) - len(old.raw)))

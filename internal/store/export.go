@@ -54,33 +54,35 @@ func (s *Store) HiWater() map[odata.ID]int {
 // holding the read lock makes it an exact cut of the log: every record
 // with Seq <= Cut.Seq is reflected in the document, none with a greater
 // Seq is. The lock is held only while the entries and marks are listed —
-// a stored payload is never modified, only replaced, so the document is
-// put together after writers are let back in.
+// an installed entry's payload is never modified, only replaced by a new
+// entry, so the ids are sorted and the document is put together after
+// writers are let back in. The sort moves an id and an entry pointer,
+// not the payload's slice header as well.
 func (s *Store) Cut() (Cut, error) {
 	var c Cut
 	s.mu.RLock()
-	entries := make([]exportEntry, 0, len(s.eng.entries))
+	entries := make([]touch, 0, len(s.eng.entries))
 	size := 2
 	for id, e := range s.eng.entries {
-		entries = append(entries, exportEntry{id, e.raw})
+		entries = append(entries, touch{id, e})
 		size += len(id) + len(e.raw) + len(`"":,`)
 	}
 	c.Seq = s.seq.Load()
 	c.HiWater = s.eng.unimplied()
 	s.mu.RUnlock()
 
-	slices.SortFunc(entries, byID)
+	slices.SortFunc(entries, func(a, b touch) int { return strings.Compare(string(a.id), string(b.id)) })
 	data := append(make([]byte, 0, size), '{')
-	for i, e := range entries {
+	for i, t := range entries {
 		if i > 0 {
 			data = append(data, ',')
 		}
-		if PlainString(string(e.id)) {
-			data = append(append(append(data, '"'), e.id...), '"')
+		if PlainString(string(t.id)) {
+			data = append(append(append(data, '"'), t.id...), '"')
 		} else {
-			data, _ = appendPatchValue(data, string(e.id)) // as encoding/json quotes it
+			data, _ = appendPatchValue(data, string(t.id)) // as encoding/json quotes it
 		}
-		data = append(append(data, ':'), e.raw...)
+		data = append(append(data, ':'), t.e.raw...)
 	}
 	c.Resources = append(data, '}')
 	return c, nil

@@ -119,10 +119,20 @@ var scannerSeeds = []string{
 // unchanged (so canonicalize may copy it), and so does every document
 // scanExport accepts, payload by payload. The reverse is spot-checked
 // where it matters for speed: what json.Marshal itself produced from a
-// value is accepted. The seeds are scannerSeeds.
+// value is accepted. The seeds are scannerSeeds, and strideSeeds of
+// every byte scanString stops at and every escape it reads.
 func FuzzIsCanonical(f *testing.F) {
 	for _, seed := range scannerSeeds {
 		f.Add([]byte(seed))
+	}
+	stops := []string{`\"`, `\\`, `\/`, `\n`, `\u00e9`, `\u12`, "\u2028", "\u2029", "\u2027", "\xe2\x80"}
+	for c := range 256 {
+		if stringStop[c] {
+			stops = append(stops, string([]byte{byte(c)}))
+		}
+	}
+	for _, seed := range strideSeeds(stops) {
+		f.Add([]byte(`{"a":"` + seed + `"}`))
 	}
 	f.Fuzz(func(t *testing.T, b []byte) {
 		again, err := json.Marshal(json.RawMessage(b))
@@ -147,6 +157,50 @@ func FuzzIsCanonical(f *testing.F) {
 					t.Fatalf("scanExport read %s as %q, the decode path as %q (%v)", e.id, e.raw, want, err)
 				}
 			}
+		}
+	})
+}
+
+// strideSeeds puts each of stops at every offset 0–16 of a 24-byte
+// string of plain letters (longer where a stop is), so that each falls
+// at every place of an eight-byte step and across the boundary of the
+// next.
+func strideSeeds(stops []string) []string {
+	var out []string
+	for _, stop := range stops {
+		for off := 0; off <= 16; off++ {
+			s := strings.Repeat("a", off) + stop
+			out = append(out, s+strings.Repeat("b", max(0, 24-len(s))))
+		}
+	}
+	return out
+}
+
+// FuzzPlainString holds PlainString to the encoder it lets writers skip:
+// s is plain exactly when json.Marshal writes it as s between quotes,
+// and the string and []byte forms agree. The seeds put every byte
+// PlainString stops at, and runes of each UTF-8 length, at every offset
+// of an eight-byte step.
+func FuzzPlainString(f *testing.F) {
+	stops := []string{"é", "€", "😀", "\u2028", "\u2029", "\xe2\x80", "\xff", "\xc3"}
+	for c := range 256 {
+		if plainStop[c] && c < 0x80 {
+			stops = append(stops, string([]byte{byte(c)}))
+		}
+	}
+	f.Add("")
+	f.Add("/redfish/v1/Fabrics/CXL/Endpoints/E001")
+	for _, seed := range strideSeeds(stops) {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		b, err := json.Marshal(s)
+		want := err == nil && string(b) == `"`+s+`"`
+		if got := PlainString(s); got != want {
+			t.Fatalf("PlainString(%q) = %v, json.Marshal writes %s", s, got, b)
+		}
+		if got := PlainString([]byte(s)); got != want {
+			t.Fatalf("PlainString([]byte(%q)) = %v, json.Marshal writes %s", s, got, b)
 		}
 	})
 }

@@ -118,6 +118,11 @@ type RecoveryStats struct {
 	// replaying the log and opening the fresh segment. Compacting what
 	// was replayed is the first Compact's work and is not in it.
 	Duration time.Duration
+	// Snapshot, Fold and Install split Duration by phase: reading and
+	// folding in the snapshot, reading, decoding and folding in the log
+	// after it (Replay.Add), and installing the fold's final state
+	// (Replay.Finish). The rest of Duration is the rotation.
+	Snapshot, Fold, Install time.Duration
 }
 
 // FileBackend is the store.Backend persisting mutations to one WAL
@@ -233,7 +238,9 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 
 	fold := st.Replay()
 	stats, segPaths, err := b.replay(fold)
+	install := time.Now()
 	stats.Installed = fold.Finish()
+	stats.Install = time.Since(install)
 	if err != nil {
 		return stats, err
 	}
@@ -275,7 +282,7 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 	b.log.Info("persist: recovery complete",
 		"resources", stats.Resources, "replayed", stats.Replayed, "installed", stats.Installed,
 		"snapshot_seq", stats.SnapshotSeq, "truncated", stats.Truncated,
-		"duration", stats.Duration)
+		"duration", stats.Duration, "snapshot", stats.Snapshot, "fold", stats.Fold, "install", stats.Install)
 	return stats, nil
 }
 
@@ -284,6 +291,7 @@ func (b *FileBackend) Recover(st *store.Store) (RecoveryStats, error) {
 // It returns the paths of the segments left in place.
 func (b *FileBackend) replay(fold *store.Replay) (stats RecoveryStats, segPaths []string, err error) {
 	dir := b.opts.Dir
+	start := time.Now()
 	// Import changes nothing unless the whole document parses, so a
 	// snapshot it refuses can be passed over for an older one.
 	snap, _, skipped, err := newestSnapshot(dir, func(s snapshotFile) bool { return fold.Import(s.Resources) == nil })
@@ -296,6 +304,9 @@ func (b *FileBackend) replay(fold *store.Replay) (stats RecoveryStats, segPaths 
 	fold.HiWater(snap.HiWater)
 	stats.SnapshotSeq = snap.Seq
 	stats.LastSeq = snap.Seq
+	stats.Snapshot = time.Since(start)
+	start = time.Now()
+	defer func() { stats.Fold = time.Since(start) }()
 
 	apply := func(rec store.Record) error {
 		if rec.Seq <= stats.LastSeq {

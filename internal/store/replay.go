@@ -13,11 +13,12 @@ import (
 // Replay folds history into the tree: the WAL tail a boot reads, the
 // snapshot under it, one record from a leader's stream. Every record is
 // checked where it sits, as Add describes, but each id's state is
-// installed once, when Finish runs: its entity tag is hashed, it is
-// linked into or out of the children index, its collection is
-// invalidated and its change is announced once, however many records
-// came before its last. A put a later record supersedes costs the copy
-// of its bytes and nothing else.
+// installed once, when Finish runs: it is linked into or out of the
+// children index, its collection is invalidated and its change is
+// announced once, however many records came before its last. Nothing is
+// hashed: an installed entry's entity tag waits for its first reader. A
+// put a later record supersedes costs the copy of its bytes and nothing
+// else.
 //
 // What the fold leaves equals what applying the records one at a time
 // would: the same entries and entity tags, the same children index and
@@ -46,8 +47,9 @@ type Replay struct {
 	olds []touch
 }
 
-// touch is an id and an entry of it: the pending one a record changed,
-// or the one a pending entry displaced.
+// touch is an id and an entry of it: in a fold, the pending one a
+// record changed, or the one a pending entry displaced; in a Cut, the
+// one the tree holds.
 type touch struct {
 	id odata.ID
 	e  *entry
@@ -55,21 +57,27 @@ type touch struct {
 
 // While a fold runs, the entries it has touched are pending: installed
 // in the entry map, which no reader can see until Finish, with raw nil
-// for a deleted id. A finished entry's etag is never empty, so the etag
-// of an entry the fold made says where it is: empty for a pending entry
-// of an id the tree did not hold, displacedTag for one whose old entry
-// is in olds. Finish's walk back marks each with the change it makes
-// (addedTag, updatedTag, removedTag), or with goneTag when it leaves the
-// map unannounced, and then hashes the ones that stay.
-const (
-	displacedTag = "\x00"
-	addedTag     = "\x01"
-	updatedTag   = "\x02"
-	removedTag   = "\x03"
-	goneTag      = "\x04"
+// for a deleted id. Their tag pointer holds one of the marks below
+// instead of an entity tag, and says where the entry is:
+// pendingTag for one of an id the tree did not hold, displacedTag for
+// one whose old entry is in olds. Finish's walk back marks each with the
+// change it makes (addedTag, updatedTag, removedTag), or with goneTag
+// when it leaves the map unannounced, and then clears the tag of the
+// ones that stay, for their first reader to hash. A mark is told by its
+// address, never by the string it points to.
+var (
+	pendingTag   = new(string)
+	displacedTag = new(string)
+	addedTag     = new(string)
+	updatedTag   = new(string)
+	removedTag   = new(string)
+	goneTag      = new(string)
 )
 
-func (e *entry) pending() bool { return e.etag == "" || e.etag == displacedTag }
+func (e *entry) pending() bool {
+	t := e.tag.Load()
+	return t == pendingTag || t == displacedTag
+}
 
 // Replay begins a fold of history into the tree; see Replay.
 func (s *Store) Replay() *Replay {
@@ -192,11 +200,12 @@ func (r *Replay) delete(id odata.ID) {
 
 // pend installs a pending entry at id in place of old, which may be nil.
 func (r *Replay) pend(id odata.ID, old *entry) *entry {
-	p := &entry{}
+	p, mark := &entry{}, pendingTag
 	if old != nil {
 		r.olds = append(r.olds, touch{id, old})
-		p.etag = displacedTag
+		mark = displacedTag
 	}
+	p.tag.Store(mark)
 	r.s.eng.entries[id] = p
 	return p
 }
@@ -209,7 +218,7 @@ func (r *Replay) Finish() int {
 	var live int64 // what the fold adds to the live payload bytes
 	for _, d := range r.olds {
 		if cur := e.entries[d.id]; cur.raw != nil && bytes.Equal(cur.raw, d.e.raw) {
-			cur.etag = goneTag
+			cur.tag.Store(goneTag)
 			e.entries[d.id] = d.e // back where it started: entity tag and all
 			continue
 		}
@@ -224,17 +233,17 @@ func (r *Replay) Finish() int {
 		if !t.e.pending() {
 			continue // finished at a later record, or restored
 		}
-		was := t.e.etag == displacedTag
+		was := t.e.tag.Load() == displacedTag
 		switch {
 		case t.e.raw != nil && was:
-			t.e.etag = updatedTag
+			t.e.tag.Store(updatedTag)
 		case t.e.raw != nil:
-			t.e.etag = addedTag
+			t.e.tag.Store(addedTag)
 		case was:
-			t.e.etag = removedTag
+			t.e.tag.Store(removedTag)
 			delete(e.entries, t.id)
 		default:
-			t.e.etag = goneTag
+			t.e.tag.Store(goneTag)
 			delete(e.entries, t.id)
 			e.raise(t.id) // never linked, yet a put spent the id
 			continue
@@ -247,7 +256,7 @@ func (r *Replay) Finish() int {
 	changed := r.order[w:]
 	kinds := make([]ChangeKind, len(changed))
 	for i, t := range changed {
-		switch t.e.etag {
+		switch t.e.tag.Load() {
 		case addedTag:
 			kinds[i] = Added
 			e.link(t.id)
@@ -260,7 +269,7 @@ func (r *Replay) Finish() int {
 			e.invalidateCollection(t.id.Parent())
 		}
 		if t.e.raw != nil {
-			t.e.etag = odata.EtagRaw(t.e.raw)
+			t.e.tag.Store(nil) // hashed by its first reader
 			live += int64(len(t.e.raw))
 		}
 	}

@@ -307,7 +307,7 @@ func canonicalize(v any) (json.RawMessage, error) {
 
 // Put creates or replaces the resource at id with the JSON serialization of
 // v, which must marshal to a JSON object. Rewriting identical content does
-// not notify watchers (and skips re-hashing: the existing entry is kept).
+// not notify watchers (the existing entry, and its ETag, are kept).
 func (s *Store) Put(id odata.ID, v any) error {
 	return s.PutCtx(context.Background(), id, v)
 }
@@ -386,13 +386,17 @@ func (s *Store) Get(id odata.ID) (json.RawMessage, string, error) {
 	s.countOp("get")
 	s.mu.RLock()
 	e, ok := s.eng.entries[id]
+	var etag string
+	if ok {
+		etag = e.etag()
+	}
 	s.mu.RUnlock()
 	if !ok {
 		return nil, "", fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
 	out := make(json.RawMessage, len(e.raw))
 	copy(out, e.raw)
-	return out, e.etag, nil
+	return out, etag, nil
 }
 
 // View invokes fn with the raw JSON of the resource at id without
@@ -407,29 +411,48 @@ func (s *Store) View(id odata.ID, fn func(raw json.RawMessage, etag string)) err
 	if !ok {
 		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	fn(e.raw, e.etag)
+	fn(e.raw, e.etag())
 	return nil
 }
 
-// GetAs decodes the resource at id into out.
-func (s *Store) GetAs(id odata.ID, out any) error {
-	raw, _, err := s.Get(id)
-	if err != nil {
-		return err
+// ViewRaw is View for a reader that has no use for the entity tag, such
+// as a splice of the payload into a larger reply: it never hashes.
+func (s *Store) ViewRaw(id odata.ID, fn func(raw json.RawMessage)) error {
+	s.countOp("view")
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	e, ok := s.eng.entries[id]
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	return json.Unmarshal(raw, out)
+	fn(e.raw)
+	return nil
+}
+
+// GetAs decodes the resource at id into out. It decodes the stored
+// bytes, which are never modified, only replaced, and does not hash
+// them.
+func (s *Store) GetAs(id odata.ID, out any) error {
+	s.countOp("get")
+	s.mu.RLock()
+	e, ok := s.eng.entries[id]
+	s.mu.RUnlock()
+	if !ok {
+		return fmt.Errorf("%w: %s", ErrNotFound, id)
+	}
+	return json.Unmarshal(e.raw, out)
 }
 
 // Etag returns the entity tag of the resource at id.
 func (s *Store) Etag(id odata.ID) (string, error) {
 	s.countOp("etag")
 	s.mu.RLock()
+	defer s.mu.RUnlock()
 	e, ok := s.eng.entries[id]
-	s.mu.RUnlock()
 	if !ok {
 		return "", fmt.Errorf("%w: %s", ErrNotFound, id)
 	}
-	return e.etag, nil
+	return e.etag(), nil
 }
 
 // Exists reports whether a resource (not a collection) is stored at id.
@@ -474,7 +497,7 @@ func (s *Store) PatchReturning(ctx context.Context, id odata.ID, patch map[strin
 		sp.EndErr(err)
 		return nil, "", err
 	}
-	if ifMatch != "" && ifMatch != e.etag {
+	if ifMatch != "" && ifMatch != e.etag() {
 		s.mu.Unlock()
 		err := fmt.Errorf("%w: %s", ErrEtagMismatch, id)
 		sp.EndErr(err)
@@ -496,16 +519,17 @@ func (s *Store) PatchReturning(ctx context.Context, id odata.ID, patch map[strin
 		}
 	}
 	if bytes.Equal(merged, e.raw) {
+		etag := e.etag()
 		s.mu.Unlock()
 		sp.End()
-		return e.raw, e.etag, nil
+		return e.raw, etag, nil
 	}
 	raw := json.RawMessage(merged)
 	if spliced {
 		raw = bytes.Clone(merged) // out of the pooled buffer, at its exact size
 	}
 	s.eng.put(id, raw)
-	etag := s.eng.entries[id].etag
+	etag := s.eng.entries[id].etag() // the reply carries it: hashed now
 	cs := s.mutSeq.Add(1)
 	batch := []Record{{Op: OpPut, ID: id, Raw: raw}}
 	wait := s.commitLocked(batch)
