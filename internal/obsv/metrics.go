@@ -67,8 +67,8 @@ type Metrics struct {
 	// WALAppends counts mutation records appended to the store's
 	// write-ahead log: ofmf_wal_appends_total.
 	WALAppends *Counter
-	// WALFsync times WAL group-commit fsync rounds; one round can make
-	// many concurrent mutations durable: ofmf_wal_fsync_seconds.
+	// WALFsync times WAL group-commit sync (fdatasync) rounds; one round
+	// can make many concurrent mutations durable: ofmf_wal_fsync_seconds.
 	WALFsync *Histogram
 	// SnapshotSeconds times durable snapshot capture, write and log
 	// rotation: ofmf_snapshot_seconds.
@@ -165,7 +165,7 @@ func NewMetrics(reg *Registry) *Metrics {
 		WALAppends: reg.Counter("ofmf_wal_appends_total",
 			"Mutation records appended to the store write-ahead log."),
 		WALFsync: reg.Histogram("ofmf_wal_fsync_seconds",
-			"WAL group-commit fsync round duration in seconds.", nil),
+			"WAL group-commit sync (fdatasync) round duration in seconds.", nil),
 		SnapshotSeconds: reg.Histogram("ofmf_snapshot_seconds",
 			"Durable store snapshot duration in seconds.", nil),
 		RecoveryReplayed: reg.Counter("ofmf_recovery_replayed_total",

@@ -271,8 +271,10 @@ func baseSnapshot(t *testing.T, dir string) map[string]json.RawMessage {
 // moment keeps the write — with eight writers racing, each below its
 // own top-level segment, which the retired per-shard streams could get
 // wrong by dropping an acknowledged record behind another stream's
-// in-flight one. Each writer notes the WAL size after every
-// acknowledged Put; the log is then cut at a random offset and the
+// in-flight one. Each writer notes the end of the WAL's frames after
+// every acknowledged Put (the file runs ahead of them by the zeros
+// allocated past its frames, see segFile; every frame ends in a
+// nonzero byte); the log is then cut at a random offset and the
 // recovered tree must (a) contain every write acknowledged at or below
 // the cut and (b) be exactly a prefix of the global commit order.
 func TestAckedWritesSurviveTruncation(t *testing.T) {
@@ -283,7 +285,11 @@ func TestAckedWritesSurviveTruncation(t *testing.T) {
 	)
 	type ack struct {
 		id   odata.ID
-		size int64 // WAL file size observed after Put returned
+		size int64 // end of the WAL's frames observed after Put returned
+	}
+	frameEnd := func(path string) (int64, error) {
+		data, err := os.ReadFile(path)
+		return int64(len(bytes.TrimRight(data, "\x00"))), err
 	}
 	for seed := 0; seed < seeds; seed++ {
 		t.Run(fmt.Sprintf("seed=%d", seed), func(t *testing.T) {
@@ -303,12 +309,12 @@ func TestAckedWritesSurviveTruncation(t *testing.T) {
 							t.Errorf("put %s: %v", id, err)
 							return
 						}
-						fi, err := os.Stat(active)
+						end, err := frameEnd(active)
 						if err != nil {
-							t.Errorf("stat wal: %v", err)
+							t.Errorf("read wal: %v", err)
 							return
 						}
-						acks[w] = append(acks[w], ack{id: id, size: fi.Size()})
+						acks[w] = append(acks[w], ack{id: id, size: end})
 					}
 				}(w)
 			}
@@ -317,11 +323,13 @@ func TestAckedWritesSurviveTruncation(t *testing.T) {
 				return
 			}
 
-			// Crash: no Close. Cut the log at a seeded random offset.
+			// Crash: no Close. Cut the log's frames at a seeded random
+			// offset.
 			full, err := os.ReadFile(active)
 			if err != nil {
 				t.Fatal(err)
 			}
+			full = bytes.TrimRight(full, "\x00")
 			rng := rand.New(rand.NewSource(0xACED ^ int64(seed)*2654435761))
 			cut := int64(rng.Intn(len(full) + 1))
 			if err := os.Truncate(active, cut); err != nil {

@@ -23,8 +23,10 @@ func frames(t interface{ Fatal(...any) }, recs ...store.Record) []byte {
 
 // FuzzWALDecode hammers the record decoder with arbitrary bytes. The
 // decoder must never panic, must never claim more good bytes than it was
-// given, and re-scanning the good prefix must be clean: the same records
-// with no tear — the invariant recovery's truncation step relies on.
+// given, must end a clean scan only where nothing but zeros follows (the
+// space a segment allocates past its frames), and re-scanning the good
+// prefix must be clean: the same records with no tear — the invariant
+// recovery's truncation step relies on.
 func FuzzWALDecode(f *testing.F) {
 	valid := frames(f,
 		store.Record{Seq: 1, Op: store.OpPut, ID: "/redfish/v1/S/1", Raw: json.RawMessage(`{"Name":"s1"}`)},
@@ -35,13 +37,18 @@ func FuzzWALDecode(f *testing.F) {
 	f.Add(valid[:len(valid)-3])                       // torn tail
 	f.Add(append(append([]byte{}, valid...), 0xde))   // trailing garbage
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff, 0, 0, 0, 0}) // absurd length
+	zeroTail := append(append([]byte{}, valid...), make([]byte, allocBlock)...)
+	f.Add(zeroTail)                                         // allocated past the frames
+	f.Add(append(append([]byte{}, zeroTail...), 0xde))      // zeros, then garbage: torn
+	f.Add(append(append([]byte{}, valid...), 0, 0, 0))      // zeros shorter than a header
+	f.Add([]byte{0, 0, 0, 0, 0xff, 0xff, 0xff, 0xff, 0, 0}) // zero length, nonzero CRC: torn
 	f.Fuzz(func(t *testing.T, data []byte) {
 		recs, good, torn := decodeAll(bytes.NewReader(data))
 		if good < 0 || good > int64(len(data)) {
 			t.Fatalf("good offset %d outside [0,%d]", good, len(data))
 		}
-		if !torn && good != int64(len(data)) {
-			t.Fatalf("clean scan stopped at %d of %d bytes", good, len(data))
+		if !torn && !allZero(data[good:]) {
+			t.Fatalf("clean scan stopped at %d of %d bytes, before nonzero ones", good, len(data))
 		}
 		again, goodAgain, tornAgain := decodeAll(bytes.NewReader(data[:good]))
 		if tornAgain {

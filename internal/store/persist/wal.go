@@ -31,7 +31,9 @@
 // store.Record. The frame makes torn tails self-identifying: a partial
 // header, short payload, checksum mismatch, or undecodable payload all
 // mark the end of the committed prefix, and recovery truncates the file
-// there.
+// there. Zero bytes after the last frame are not a tear but the end of
+// the log: a segment is allocated a block ahead of its frames (see
+// segFile), so the one active at a crash ends in zeros.
 //
 // Bytes cross the disk boundary verified, not re-encoded; encoding/json
 // is the fallback, never the path. A record is written by
@@ -96,22 +98,30 @@ func sealFrame(frame []byte) error {
 	return nil
 }
 
-// scanFrames reads framed records from r until EOF or the first torn or
-// corrupt frame, handing each to fn as it is decoded. It returns the byte
-// offset of the end of the last intact frame and whether the stream was
-// torn (false means it ended cleanly at EOF); an error from fn stops the
-// scan and is returned. The record's Raw is only valid during the call:
-// the next frame is read into the same buffer.
+// scanFrames reads framed records from r until EOF, a tail of zero
+// bytes, or the first torn or corrupt frame, handing each to fn as it is
+// decoded. It returns the byte offset of the end of the last intact frame
+// and whether the stream was torn (false means it ended cleanly, at EOF
+// or with nothing but zeros after good); an error from fn stops the scan
+// and is returned. The record's Raw is only valid during the call: the
+// next frame is read into the same buffer.
 func scanFrames(r io.Reader, fn func(store.Record) error) (good int64, torn bool, err error) {
 	br := bufio.NewReaderSize(r, 1<<16)
 	var hdr [frameHeader]byte // escapes into ReadFull: one allocation, not one a frame
 	var payload []byte
 	for {
-		if _, err := io.ReadFull(br, hdr[:]); err != nil {
-			return good, err != io.EOF, nil
+		if k, err := io.ReadFull(br, hdr[:]); err != nil {
+			end := err == io.EOF || err == io.ErrUnexpectedEOF && allZero(hdr[:k])
+			return good, !end, nil
 		}
 		n := binary.LittleEndian.Uint32(hdr[0:4])
-		if n == 0 || n > maxRecordBytes {
+		if n == 0 {
+			// No frame is empty, so a zero length is either the space
+			// allocated ahead of the frames, which holds nothing but
+			// zeros, or a tear.
+			return good, binary.LittleEndian.Uint32(hdr[4:8]) != 0 || !zeroTail(br), nil
+		}
+		if n > maxRecordBytes {
 			return good, true, nil
 		}
 		payload = slices.Grow(payload[:0], int(n))[:n]
@@ -140,6 +150,29 @@ func scanFrames(r io.Reader, fn func(store.Record) error) (good int64, torn bool
 	}
 }
 
+// zeroTail reports whether nothing but zero bytes is left in br.
+func zeroTail(br *bufio.Reader) bool {
+	for {
+		buf, err := br.Peek(br.Size())
+		if !allZero(buf) {
+			return false
+		}
+		if err != nil {
+			return err == io.EOF
+		}
+		br.Discard(len(buf))
+	}
+}
+
+func allZero(b []byte) bool {
+	for _, c := range b {
+		if c != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // decodeAll collects every record scanFrames yields.
 func decodeAll(r io.Reader) (recs []store.Record, good int64, torn bool) {
 	good, torn, _ = scanFrames(r, func(rec store.Record) error {
@@ -150,17 +183,70 @@ func decodeAll(r io.Reader) (recs []store.Record, good int64, torn bool) {
 	return recs, good, torn
 }
 
-// wal is one append-only log segment with group-commit semantics.
-// Appends serialize frames into a buffered writer under mu; durability
-// happens in waitFor, where the first waiter becomes the flush leader
-// and flushes (and fsyncs, in fsync mode) on behalf of every commit
-// queued behind it — concurrent writers pay one fsync, not one each.
+// Space is allocated ahead of a segment's frames a block at a time, and
+// only for a write of less than half a block: a larger one lands in a
+// fresh block at nearly every sync, where turning an allocated extent
+// into a written one costs as much as the size change it saves. DESIGN
+// §6 has the figures.
+const (
+	allocBlock = 4 << 10
+	allocBelow = allocBlock / 2
+)
+
+// segFile is a segment file as its bufio.Writer sees it. Each write lands
+// at off, and a small one that would pass the file's end first extends
+// the file to the next block boundary, so the sync of a small commit
+// writes data and no size change. The file therefore ends in up to a
+// block of zeros, which readers take for the end of the log (scanFrames)
+// and close cuts off.
+type segFile struct {
+	f    *os.File
+	off  int64 // bytes written
+	size int64 // the file's length: off, or the block boundary past it
+	// allocate extends f by n bytes at off (allocateFile); tests replace
+	// it. Nil once it has failed: the segment then grows with each write.
+	allocate func(f *os.File, off, n int64) error
+}
+
+func (s *segFile) Write(p []byte) (int, error) {
+	end := s.off + int64(len(p))
+	if end > s.size && len(p) < allocBelow && s.allocate != nil {
+		next := (end + allocBlock - 1) &^ (allocBlock - 1)
+		if err := s.allocate(s.f, s.size, next-s.size); err != nil {
+			s.allocate = nil
+		} else {
+			s.size = next
+		}
+	}
+	n, err := s.f.WriteAt(p, s.off)
+	s.off += int64(n)
+	s.size = max(s.size, s.off)
+	return n, err
+}
+
+// trim cuts the file to the bytes written.
+func (s *segFile) trim() error {
+	if s.size == s.off {
+		return nil
+	}
+	if err := s.f.Truncate(s.off); err != nil {
+		return err
+	}
+	s.size = s.off
+	return nil
+}
+
+// wal is one log segment with group-commit semantics. Appends serialize
+// frames into a buffered writer under mu; durability happens in waitFor,
+// where the first waiter becomes the flush leader and flushes (and
+// fdatasyncs, in fsync mode) on behalf of every commit queued behind it —
+// concurrent writers pay one sync, not one each.
 type wal struct {
 	path string
-	f    *os.File
+	file segFile
 	base uint64 // sequence number the segment starts after; immutable
 
-	mu      sync.Mutex // guards bw, frame, lastSeq
+	mu      sync.Mutex // guards bw, file, frame, lastSeq
 	bw      *bufio.Writer
 	frame   []byte // the frame being encoded, reused from one to the next
 	lastSeq uint64
@@ -185,7 +271,7 @@ type wal struct {
 // fsyncing the file alone does not persist its existence, and a power
 // failure could otherwise drop the whole segment.
 func openWAL(path string, base uint64, fsync bool, onFsync func(time.Duration)) (*wal, error) {
-	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY|os.O_APPEND, 0o644)
+	f, err := os.OpenFile(path, os.O_CREATE|os.O_EXCL|os.O_WRONLY, 0o644)
 	if err != nil {
 		return nil, fmt.Errorf("persist: create wal: %w", err)
 	}
@@ -193,7 +279,8 @@ func openWAL(path string, base uint64, fsync bool, onFsync func(time.Duration)) 
 		f.Close()
 		return nil, fmt.Errorf("persist: sync wal dir: %w", err)
 	}
-	w := &wal{path: path, f: f, base: base, bw: bufio.NewWriterSize(f, 1<<16), fsync: fsync, onFsync: onFsync}
+	w := &wal{path: path, file: segFile{f: f, allocate: allocateFile}, base: base, fsync: fsync, onFsync: onFsync}
+	w.bw = bufio.NewWriterSize(&w.file, 1<<16)
 	w.lastSeq = base
 	w.flushedSeq = base
 	w.syncCond = sync.NewCond(&w.syncMu)
@@ -271,7 +358,7 @@ func (w *wal) waitFor(seq uint64) error {
 		w.mu.Unlock()
 		if err == nil && w.fsync {
 			start := time.Now()
-			err = w.f.Sync()
+			err = datasync(w.file.f)
 			if w.onFsync != nil {
 				w.onFsync(time.Since(start))
 			}
@@ -288,15 +375,19 @@ func (w *wal) waitFor(seq uint64) error {
 	}
 }
 
-// close flushes and fsyncs the segment (regardless of mode — a closing
-// segment is about to be dropped from the active set, so it must be
-// fully on disk) and closes the file.
+// close flushes the segment, cuts the space allocated past its frames,
+// syncs it (regardless of mode — a closing segment is about to be
+// dropped from the active set, so it must be fully on disk) and closes
+// the file.
 func (w *wal) close() error {
 	w.mu.Lock()
 	err := w.bw.Flush()
+	if err == nil {
+		err = w.file.trim()
+	}
 	last := w.lastSeq
 	w.mu.Unlock()
-	if serr := w.f.Sync(); err == nil {
+	if serr := datasync(w.file.f); err == nil {
 		err = serr
 	}
 	w.syncMu.Lock()
@@ -309,7 +400,7 @@ func (w *wal) close() error {
 	}
 	w.syncCond.Broadcast()
 	w.syncMu.Unlock()
-	if cerr := w.f.Close(); err == nil {
+	if cerr := w.file.f.Close(); err == nil {
 		err = cerr
 	}
 	return err

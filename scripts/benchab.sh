@@ -21,8 +21,9 @@
 # Writes nothing outside .bench_build/ and records nothing.
 # Before the first run it prints one host line, so tables from
 # different sessions can be told apart: CPUs, the CPUs this process may
-# run on, the Go toolchain, the kernel, both shas and whether the head
-# tree has uncommitted changes.
+# run on, the Go toolchain, the kernel, the filesystem type of
+# .bench_build/ (where the runs' data dirs live, so the WAL's syncs land
+# on it), both shas and whether the head tree has uncommitted changes.
 set -euo pipefail
 [ $# -ge 2 ] || { echo "usage: $0 <base-ref> <workload> [pairs=10] [seed=1]" >&2; exit 2; }
 ref=$1 workload=$2 pairs=${3:-10} seed=${4:-1}
@@ -37,7 +38,8 @@ fi
 head_sha="$(git -C "$root" rev-parse --short HEAD)"
 dirty=clean; [ -z "$(git -C "$root" status --porcelain --untracked-files=no)" ] || dirty=dirty
 cpus="$(awk '/^Cpus_allowed_list/ { print $2 }' /proc/self/status 2>/dev/null)"
-echo "host: nproc $(nproc) cpus ${cpus:-unknown} $(go version | awk '{ print $3, $4 }') kernel $(uname -r) base ${sha:0:7} head $head_sha ($dirty)"
+fs="$(stat -f -c %T "$root/.bench_build" 2>/dev/null)"
+echo "host: nproc $(nproc) cpus ${cpus:-unknown} $(go version | awk '{ print $3, $4 }') kernel $(uname -r) fs ${fs:-unknown} base ${sha:0:7} head $head_sha ($dirty)"
 # run <side> <tree> <pair>: one run; its metric lines as "pair side name value".
 run() {
 	bash "$2/bench/run.sh" --workload "$workload" --seed "$seed" --seconds 15 --trace 0 |
