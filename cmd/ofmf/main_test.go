@@ -2,7 +2,9 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"context"
+	"encoding/json"
 	"io"
 	"net/http"
 	"net/http/httptest"
@@ -10,8 +12,10 @@ import (
 	"testing"
 	"time"
 
+	"ofmf/internal/composer"
 	"ofmf/internal/core"
 	"ofmf/internal/obsv"
+	"ofmf/internal/service"
 	"ofmf/internal/store/repl"
 )
 
@@ -127,5 +131,91 @@ func TestCollapsedStackReachesEveryHandler(t *testing.T) {
 				t.Errorf("uninstrumented endpoint was counted: %v = %v", s.LabelValues, s.Value)
 			}
 		}
+	}
+}
+
+// TestReplicaServesTheComposer assembles a leader with the testbed and a
+// replica without, as the daemon does, and composes at the leader. The
+// replica's composer follows the replicated tree, so it lists the
+// leader's compositions from its own projection; a compose sent to the
+// replica is a write, redirected to the leader.
+func TestReplicaServesTheComposer(t *testing.T) {
+	type member struct {
+		f    *core.Framework
+		srv  *httptest.Server
+		node *repl.Node
+	}
+	nodes := make([]*member, 2)
+	for i := range nodes {
+		nodes[i] = &member{srv: httptest.NewUnstartedServer(nil)}
+	}
+	url := func(i int) string { return "http://" + nodes[i].srv.Listener.Addr().String() }
+	for i, m := range nodes {
+		f, err := core.Assemble(core.Config{Nodes: 2, Service: service.Config{Logger: obsv.NopLogger()}}, i == 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		node, err := repl.NewNode(repl.Config{
+			Store:      f.Service.Store(),
+			Self:       url(i),
+			Peers:      []string{url(1 - i)},
+			Leader:     i == 0,
+			OnLeader:   func(uint64) { f.Service.ClearReplicaMode() },
+			OnFollower: func(string) { f.Service.SetReplicaMode(func() string { return url(0) }) },
+			Logger:     obsv.NopLogger(),
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m.f, m.node = f, node
+		m.srv.Config.Handler = rootHandler(f.Handler(), nil, node.Handler(), nil)
+		m.srv.Start()
+	}
+	for _, m := range nodes {
+		m.node.Start()
+	}
+	defer func() {
+		for _, m := range nodes {
+			m.node.Stop()
+			m.srv.CloseClientConnections()
+			m.srv.Close()
+			m.f.Close()
+		}
+	}()
+	leader, replica := nodes[0], nodes[1]
+	if _, err := leader.f.Composer.Compose(composer.Request{Name: "job", Cores: 4, FabricMemoryMiB: 1024}); err != nil {
+		t.Fatal(err)
+	}
+	want, err := json.Marshal(leader.f.Composer.Compositions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []byte
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(10 * time.Millisecond) {
+		resp, err := http.Get(url(1) + "/composer/v1/Compositions")
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ = io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode == http.StatusOK && string(bytes.TrimSpace(got)) == string(want) {
+			break
+		}
+	}
+	if string(bytes.TrimSpace(got)) != string(want) {
+		t.Fatalf("replica's compositions = %s, want the leader's %s", got, want)
+	}
+
+	noRedirect := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error { return http.ErrUseLastResponse }}
+	resp, err := noRedirect.Post(url(1)+"/composer/v1/Compose", "application/json", strings.NewReader(`{"Cores":1}`))
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if loc := resp.Header.Get("Location"); resp.StatusCode != http.StatusTemporaryRedirect || loc != url(0)+"/composer/v1/Compose" {
+		t.Errorf("compose at the replica = %s to %q, want 307 to the leader", resp.Status, loc)
+	}
+	if n := len(replica.f.Composer.Compositions()); n != 1 {
+		t.Errorf("replica projects %d compositions after the redirect, want 1", n)
 	}
 }

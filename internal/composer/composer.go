@@ -17,6 +17,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"ofmf/internal/obsv"
@@ -29,11 +30,10 @@ import (
 
 // Sentinel errors.
 var (
-	ErrNoCapacity    = errors.New("composer: no node satisfies the request")
-	ErrNoPool        = errors.New("composer: no pool can satisfy the request")
-	ErrUnknownComp   = fmt.Errorf("composer: unknown composition: %w", store.ErrNotFound)
-	ErrUnknownNode   = errors.New("composer: unknown node")
-	ErrDuplicateNode = errors.New("composer: duplicate node")
+	ErrNoCapacity  = errors.New("composer: no node satisfies the request")
+	ErrNoPool      = errors.New("composer: no pool can satisfy the request")
+	ErrUnknownComp = fmt.Errorf("composer: unknown composition: %w", store.ErrNotFound)
+	ErrUnknownNode = errors.New("composer: unknown node")
 	// ErrInvalidRequest wraps the service's sentinel so the Redfish
 	// surface (POST /redfish/v1/Systems) answers 400 as the facade does.
 	ErrInvalidRequest = fmt.Errorf("composer: %w", service.ErrInvalidRequest)
@@ -66,53 +66,6 @@ const (
 	KindStorage Kind = "storage" // bytes
 	KindGPU     Kind = "gpu"     // slices
 )
-
-// Pool describes one source of disaggregated capacity the composer may
-// attach to a node: a CXL memory domain, a storage service, a GPU
-// appliance. The collections say where the OFMF is asked; the closures
-// say what it is asked for, which is all that differs between
-// technologies, and decouple the composer from agent internals.
-type Pool struct {
-	Kind Kind
-	Name string
-	// Resources is the collection capacity is provisioned in
-	// (MemoryChunks, Volumes, Processors).
-	Resources odata.ID
-	// Connections is the pool's fabric Connections collection.
-	Connections odata.ID
-	// Capacity reports the pool's total capacity in the kind's unit.
-	Capacity func() int64
-	// Provision renders the payload POSTed to Resources for amount units;
-	// heads bounds simultaneous sharing and only memory reads it.
-	Provision func(amount int64, heads int) []byte
-	// Connection renders the connection that attaches the provisioned
-	// resource to the node.
-	Connection func(node string, resource odata.ID) redfish.Connection
-	// Zoned pools put the connection's initiator endpoints in a zone of
-	// their own on the pool's fabric before connecting.
-	Zoned bool
-
-	// claim makes checking free capacity and provisioning one step among
-	// the composer's attaches (Capacity and Provision run under it, so
-	// they must not call the composer). sizes and their total, used, are
-	// the store.Projection of Resources, kept under the composer's mu.
-	claim sync.Mutex
-	sizes map[odata.ID]int64
-	used  int64
-}
-
-// apply projects one member of Resources (raw nil: gone), sized by kind:
-// MemoryChunkSizeMiB, CapacityBytes, or a GPU partition's TotalCores.
-func (p *Pool) apply(id odata.ID, raw json.RawMessage) {
-	p.used -= p.sizes[id]
-	delete(p.sizes, id)
-	var r struct{ MemoryChunkSizeMiB, CapacityBytes, TotalCores int64 }
-	if raw == nil || json.Unmarshal(raw, &r) != nil {
-		return
-	}
-	p.sizes[id] = map[Kind]int64{KindMemory: r.MemoryChunkSizeMiB, KindStorage: r.CapacityBytes, KindGPU: r.TotalCores}[p.Kind]
-	p.used += p.sizes[id]
-}
 
 // NodeState is a snapshot of one compute node's allocation state.
 type NodeState struct {
@@ -189,18 +142,23 @@ func (b *block) composition() Composition {
 		Node: rec.Node, Request: rec.Request, Resources: b.resources()}
 }
 
-// Composer is the Composability Manager. It keeps no books: compositions
-// and pool usage are store.Projections of the tree, so a restart, a WAL
-// replay or an admin restore leaves it knowing what the tree holds. The
-// projections run inside store writes: never write to the store holding
-// mu.
+// Composer is the Composability Manager. It keeps no books: it is a
+// projection of the tree. Compositions are the ResourceBlocks, compute
+// nodes the Physical Systems, pools the AggregationSources of the
+// technologies it knows, and their usage and capacity what those
+// agents publish; so a restart, a WAL replay, a replica's apply or an
+// admin restore leaves it knowing what the tree holds. The projection
+// runs inside store writes: never write to the store holding mu.
 type Composer struct {
 	svc    *service.Service
 	policy Policy
+	// routes maps each collection the projection follows to its apply;
+	// it is replaced, never modified, and only under mu.
+	routes atomic.Pointer[map[odata.ID]func(odata.ID, json.RawMessage)]
 
 	mu    sync.Mutex
 	nodes map[string]NodeState // UsedCores is filled in by nodesLocked
-	pools []*Pool
+	pools []*pool              // by their sources' ids
 	// byID and bySystem project the ResourceBlocks collection; a block
 	// in them is never modified, only replaced.
 	byID     map[string]*block
@@ -238,9 +196,13 @@ func New(svc *service.Service, policy Policy) *Composer {
 		bySystem: make(map[odata.ID]string),
 		reserved: make(map[*record]struct{}),
 	}
-	// Registered before recovery, so WAL replay reaches it too.
+	c.reroute()
+	// One watcher for every collection followed, registered before
+	// recovery, so WAL replay reaches it too.
 	st := svc.Store()
-	st.Watch(st.Projection(service.ResourceBlocksURI, &c.mu, c.applyBlock))
+	st.Watch(st.Projector(&c.mu, func(coll odata.ID) func(odata.ID, json.RawMessage) {
+		return (*c.routes.Load())[coll]
+	}))
 	return c
 }
 
@@ -271,48 +233,6 @@ func (c *Composer) applyBlock(id odata.ID, raw json.RawMessage) {
 		c.byID[leaf] = b
 		c.bySystem[b.system()] = leaf
 	}
-}
-
-// AddNode registers a compute node and publishes it as a physical
-// ComputerSystem.
-func (c *Composer) AddNode(name string, cores int, memoryMiB int64) error {
-	c.mu.Lock()
-	if _, ok := c.nodes[name]; ok {
-		c.mu.Unlock()
-		return fmt.Errorf("%w: %s", ErrDuplicateNode, name)
-	}
-	c.nodes[name] = NodeState{Name: name, Cores: cores, MemoryMiB: memoryMiB}
-	c.mu.Unlock()
-
-	uri := service.SystemsURI.Append(name)
-	return c.svc.Store().Put(uri, redfish.ComputerSystem{
-		Resource:         odata.NewResource(uri, redfish.TypeComputerSystem, name),
-		SystemType:       redfish.SystemTypePhysical,
-		PowerState:       "On",
-		Status:           odata.StatusOK(),
-		HostName:         name,
-		ProcessorSummary: &redfish.ProcessorSummary{Count: 1, TotalCores: cores},
-		MemorySummary:    &redfish.MemorySummary{TotalSystemMemoryGiB: float64(memoryMiB) / 1024},
-	})
-}
-
-// AddPool registers a pool; attach tries pools of a kind in the order
-// they were added.
-func (c *Composer) AddPool(p *Pool) {
-	c.mu.Lock()
-	p.sizes = make(map[odata.ID]int64)
-	c.pools = append(c.pools, p)
-	c.mu.Unlock()
-	st := c.svc.Store()
-	st.Watch(st.Projection(p.Resources, &c.mu, p.apply))
-}
-
-// free reports what the pool has left.
-func (c *Composer) free(p *Pool) int64 {
-	capacity := p.Capacity()
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return capacity - p.used
 }
 
 // Nodes returns snapshots of all nodes, sorted by name.
@@ -566,27 +486,27 @@ var units = map[Kind]string{
 // fails ends the attempt, and what this attach made is undone.
 func (c *Composer) attach(ctx context.Context, b *block, into *[]odata.Ref, kind Kind, amount int64, heads int) error {
 	c.mu.Lock()
-	pools := append([]*Pool(nil), c.pools...)
+	pools := append([]*pool(nil), c.pools...)
 	c.mu.Unlock()
 	node := b.Oem.OFMF.Node
 	var rejected error
 	for _, p := range pools {
-		if p.Kind != kind {
+		if p.kind != kind {
 			continue
 		}
 		res, err := c.provision(ctx, p, amount, heads)
 		if err != nil {
-			rejected = fmt.Errorf("pool %s: %w", p.Name, err)
+			rejected = fmt.Errorf("pool %s: %w", p.source, err)
 		}
 		if res == "" {
 			continue
 		}
 		var undo []odata.ID
-		conn := p.Connection(node, res)
-		if p.Zoned {
+		conn := p.connection(node, res)
+		if p.zoned {
 			// A zone-of-endpoints granting the node access to the pooled
 			// device. A fabric that refuses the zone may still connect.
-			zone, err := c.svc.CreateZone(ctx, p.Connections.Parent().Append("Zones"), redfish.Zone{
+			zone, err := c.svc.CreateZone(ctx, p.fabric.Append("Zones"), redfish.Zone{
 				ZoneType: redfish.ZoneTypeZoneOfEndpoints,
 				Links:    redfish.ZoneLinks{Endpoints: conn.Links.InitiatorEndpoints},
 			})
@@ -594,7 +514,7 @@ func (c *Composer) attach(ctx context.Context, b *block, into *[]odata.Ref, kind
 				undo = append(undo, zone.ODataID)
 			}
 		}
-		created, err := c.svc.CreateConnection(ctx, p.Connections, conn)
+		created, err := c.svc.CreateConnection(ctx, p.fabric.Append("Connections"), conn)
 		if err != nil {
 			c.teardown(ctx, undo, []odata.ID{res})
 			return fmt.Errorf("composer: %s connection: %w", kind, err)
@@ -611,13 +531,16 @@ func (c *Composer) attach(ctx context.Context, b *block, into *[]odata.Ref, kind
 
 // provision claims amount units from p; it returns "" and no error when
 // the tree says p lacks them.
-func (c *Composer) provision(ctx context.Context, p *Pool, amount int64, heads int) (odata.ID, error) {
+func (c *Composer) provision(ctx context.Context, p *pool, amount int64, heads int) (odata.ID, error) {
 	p.claim.Lock()
 	defer p.claim.Unlock()
-	if c.free(p) < amount {
+	c.mu.Lock()
+	free := p.capacity.sum - p.used.sum
+	c.mu.Unlock()
+	if free < amount {
 		return "", nil
 	}
-	return c.svc.ProvisionResource(ctx, p.Resources, p.Provision(amount, heads))
+	return c.svc.ProvisionResource(ctx, p.used.coll, fmt.Appendf(nil, p.provision, amount, heads))
 }
 
 // teardown is the one rollback: it removes undo's zones and connections,
@@ -790,15 +713,14 @@ type Stats struct {
 func (c *Composer) Stats() Stats {
 	var s Stats
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	for _, n := range c.nodesLocked() {
 		s.TotalCores += n.Cores
 		s.UsedCores += n.UsedCores
 	}
 	s.Compositions = len(c.byID)
-	pools := append([]*Pool(nil), c.pools...)
-	c.mu.Unlock()
-	for _, p := range pools {
-		switch free := c.free(p); p.Kind {
+	for _, p := range c.pools {
+		switch free := p.capacity.sum - p.used.sum; p.kind {
 		case KindMemory:
 			s.FreeMemoryMiB += free
 		case KindStorage:

@@ -16,6 +16,7 @@ import (
 
 	"ofmf/internal/composer"
 	"ofmf/internal/core"
+	"ofmf/internal/odata"
 	"ofmf/internal/redfish"
 	"ofmf/internal/service"
 	"ofmf/internal/store"
@@ -314,7 +315,13 @@ func TestAttachRollback(t *testing.T) {
 			if err := f.NVMeAgent.Publish(); err != nil {
 				t.Fatal(err)
 			}
-			if err := f.Composer.AddNode("stray", 8, 1024); err != nil {
+			stray := service.SystemsURI.Append("stray")
+			if err := f.Service.Store().Put(stray, redfish.ComputerSystem{
+				Resource:         odata.NewResource(stray, redfish.TypeComputerSystem, "stray"),
+				SystemType:       redfish.SystemTypePhysical,
+				ProcessorSummary: &redfish.ProcessorSummary{Count: 1, TotalCores: 8},
+				MemorySummary:    &redfish.MemorySummary{TotalSystemMemoryGiB: 1},
+			}); err != nil {
 				t.Fatal(err)
 			}
 			if tc.refuseOnFabric {

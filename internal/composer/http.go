@@ -9,9 +9,10 @@ import (
 	"ofmf/internal/service"
 )
 
-// Handler returns the Composability Layer's REST facade — the interface
+// ServeHTTP serves the Composability Layer's REST facade — the interface
 // the paper places between clients (workload managers, runtimes,
-// administrators) and the OFMF:
+// administrators) and the OFMF; the service mounts it with
+// SetSystemComposer:
 //
 //	POST   /composer/v1/Compose           — realize a Request
 //	GET    /composer/v1/Compositions      — list live compositions
@@ -19,23 +20,21 @@ import (
 //	DELETE /composer/v1/Compositions/{id} — decompose
 //	POST   /composer/v1/Compositions/{id}/Actions/HotAddMemory — grow memory
 //	GET    /composer/v1/Stats             — utilization counters
-func (c *Composer) Handler() http.Handler {
-	return http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		switch rest, _ := strings.CutPrefix(r.URL.Path, "/composer/v1/"); {
-		case rest == "Compose":
-			c.handleCompose(w, r)
-		case rest == "ComposeAsync":
-			c.handleComposeAsync(w, r)
-		case rest == "Compositions":
-			c.handleList(w, r)
-		case strings.HasPrefix(rest, "Compositions/"):
-			c.handleComposition(w, r, strings.Split(rest[len("Compositions/"):], "/"))
-		case rest == "Stats":
-			c.handleStats(w, r)
-		default:
-			httpError(w, http.StatusNotFound, "Base.1.0.ResourceMissingAtURI", "no such resource: "+r.URL.Path)
-		}
-	})
+func (c *Composer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	switch rest, _ := strings.CutPrefix(r.URL.Path, "/composer/v1/"); {
+	case rest == "Compose":
+		c.handleCompose(w, r)
+	case rest == "ComposeAsync":
+		c.handleComposeAsync(w, r)
+	case rest == "Compositions":
+		c.handleList(w, r)
+	case strings.HasPrefix(rest, "Compositions/"):
+		c.handleComposition(w, r, strings.Split(rest[len("Compositions/"):], "/"))
+	case rest == "Stats":
+		c.handleStats(w, r)
+	default:
+		httpError(w, http.StatusNotFound, "Base.1.0.ResourceMissingAtURI", "no such resource: "+r.URL.Path)
+	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, v any) {

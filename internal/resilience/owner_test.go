@@ -17,9 +17,9 @@ import (
 // http.DefaultTransport's pool of 2 idle connections per host (which
 // cost the event bus a dial for every 16 deliveries), or no pool at
 // all, and none of a Policy. Build clients with NewHTTPClient /
-// Transport or a Poster, or hand BaseTransport to what only needs the
-// pool. The bench module is the load generator, not the product, and
-// is frozen between benchmark PRs; tests may use what they like.
+// Transport or a Poster. The bench module is the load generator, not
+// the product, and is frozen between benchmark PRs; tests may use what
+// they like.
 func TestOneOwnerOfOutboundConnections(t *testing.T) {
 	shared := regexp.MustCompile(`\bhttp\.(DefaultTransport|DefaultClient|(Get|Head|Post|PostForm)\()|\bnet\.(Dial|Dialer\{)|\btls\.(Dial|Client\()`)
 	root := filepath.Join("..", "..")

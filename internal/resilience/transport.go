@@ -40,9 +40,8 @@ type Transport struct {
 // a Base of its own dials through: agent registrations, publishes and
 // heartbeats (internal/agent, the fleet harness), replication's status
 // polls and stream, the Oem remote handler, ofmfctl and the client
-// package, and — through BaseTransport — the replica's reverse proxy
-// for forwarded writes. Webhook deliveries do not ride it; they go
-// through a Poster. It is http.DefaultTransport's configuration but for
+// package. Webhook deliveries do not ride it; they go through a
+// Poster. It is http.DefaultTransport's configuration but for
 // the idle pool per host, which there is 2: a caller that runs more
 // requests than that against one host at once closes every connection
 // that finishes while 2 already sit idle, and dials again for its next
@@ -62,12 +61,6 @@ var baseTransport = func() *http.Transport {
 // every worker post to one destination without dialling. It is a
 // property of the code, not of a deployment, hence a constant.
 const idlePerHost = 64
-
-// BaseTransport returns the shared base transport, for an edge that
-// wants its connection pool and nothing of a Policy — the replica's
-// reverse proxy, which must not put a deadline or a breaker on a
-// forwarded write.
-func BaseTransport() http.RoundTripper { return baseTransport }
 
 // NewHTTPClient wraps a Transport with the given policy in an
 // http.Client. The client's own Timeout is left at zero: attempt

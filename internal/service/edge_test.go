@@ -195,8 +195,27 @@ func TestTracesEndpointReportsRequestLine(t *testing.T) {
 // decoder's error context; the publish itself costs none. The number is the gate, not a ceiling
 // to grow into.
 func TestHandlerPatchAllocs(t *testing.T) {
+	allocs := PatchAllocs(t, nil)
+	t.Logf("PATCH %v allocations", allocs)
+	if allocs > 33 && !raceDetector {
+		t.Errorf("PATCH = %v allocations, want <= 33", allocs)
+	}
+}
+
+// RaceDetector tells the external tests whether allocation counts hold.
+const RaceDetector = raceDetector
+
+// PatchAllocs measures the allocations of a PATCH of a compute node's
+// system through the handler of a service that mount, when not nil,
+// adds to before the node is stored (the composer's external test
+// builds the composer with it).
+func PatchAllocs(t *testing.T, mount func(*Service)) float64 {
+	t.Helper()
 	svc := New(Config{Logger: obsv.NewLogger(io.Discard, slog.LevelInfo), DirectWrites: true})
 	defer svc.Close()
+	if mount != nil {
+		mount(svc)
+	}
 	id := SystemsURI.Append("node001")
 	if err := svc.Store().Put(id, redfish.ComputerSystem{
 		Resource:         odata.NewResource(id, redfish.TypeComputerSystem, "node001"),
@@ -232,8 +251,5 @@ func TestHandlerPatchAllocs(t *testing.T) {
 	if err := svc.Store().GetAs(id, &got); err != nil || got.Oem.Bench.Seq != 1+(n-1)%2 {
 		t.Fatalf("stored Seq = %d (%v) after %d PATCHes", got.Oem.Bench.Seq, err, n)
 	}
-	t.Logf("PATCH %v allocations", allocs)
-	if allocs > 33 && !raceDetector {
-		t.Errorf("PATCH = %v allocations, want <= 33", allocs)
-	}
+	return allocs
 }

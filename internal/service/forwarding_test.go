@@ -97,7 +97,7 @@ func TestRemoteForwardingFollowsTheTree(t *testing.T) {
 		leader, lsrv := newTestServer(t, Config{})
 		replica, rsrv := newTestServer(t, Config{})
 		leader.Store().AttachBackend(follower{replica.Store()}, 0)
-		replica.SetReplicaMode(func() string { return lsrv.URL }, false)
+		replica.SetReplicaMode(func() string { return lsrv.URL })
 		agent.register(t, lsrv.URL, fabric)
 		replica.ClearReplicaMode()
 		if got := connect(t, rsrv.URL, fabric, agent); !got[0] {

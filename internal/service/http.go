@@ -48,19 +48,13 @@ func putBuf(b *bytes.Buffer) {
 	}
 }
 
-// Handler returns the service's HTTP handler. Every request passes
-// through the observability middleware: it gets an entry span and one
-// correlation id (echoed as X-Request-Id), and lands in the ofmf_http_*
-// metrics under its bounded route class.
-func (s *Service) Handler() http.Handler { return s.HandlerWithComposer(nil) }
-
-// HandlerWithComposer is Handler that also serves the Composability
-// Layer facade under /composer/, inside the same middleware instance, so
-// a composer request is traced and counted exactly like a Redfish one.
-// There is no mux: one route lookup per request decides where it goes.
-func (s *Service) HandlerWithComposer(facade http.Handler) http.Handler {
-	dispatch := func(w http.ResponseWriter, r *http.Request) { s.dispatch(w, r, facade) }
-	return obsv.Middleware(http.HandlerFunc(dispatch), s.metrics, s.log, RouteClass, s.tracer)
+// Handler returns the service's HTTP handler, which also serves the
+// SystemComposer's facade under /composer/ once one is set. Every request
+// passes through the one observability middleware: it gets an entry span
+// and one correlation id (echoed as X-Request-Id), and lands in the
+// ofmf_http_* metrics under its bounded route class.
+func (s *Service) Handler() http.Handler {
+	return obsv.Middleware(http.HandlerFunc(s.dispatch), s.metrics, s.log, RouteClass, s.tracer)
 }
 
 // route is what one lookup of a request path yields: the bounded class
@@ -185,8 +179,9 @@ func (s *Service) handleVersions(w http.ResponseWriter, r *http.Request) {
 	s.json(w, http.StatusOK, map[string]string{"v1": "/redfish/v1/"})
 }
 
-func (s *Service) dispatch(w http.ResponseWriter, r *http.Request, composer http.Handler) {
+func (s *Service) dispatch(w http.ResponseWriter, r *http.Request) {
 	rt := lookupRoute(r.URL.Path)
+	var composer SystemComposer
 	switch rt.kind {
 	case routeVersions:
 		s.handleVersions(w, r)
@@ -195,9 +190,8 @@ func (s *Service) dispatch(w http.ResponseWriter, r *http.Request, composer http
 		s.json(w, http.StatusOK, map[string]string{"@odata.context": string(RootURI) + "/$metadata"})
 		return
 	case routeComposer:
-		if composer != nil {
-			composer.ServeHTTP(w, r)
-			return
+		if composer = s.systemComposer(); composer != nil {
+			break
 		}
 		fallthrough
 	case routeOutside:
@@ -208,15 +202,20 @@ func (s *Service) dispatch(w http.ResponseWriter, r *http.Request, composer http
 	if !s.authorize(w, r, id) {
 		return
 	}
-	// Replica serving: reads come from the local replicated tree;
-	// mutations and SSE (the event plane is leader-owned) forward to
-	// the leader. One atomic load — the GET hot path stays allocation
-	// free when the pointer is nil (the normal, non-replica case).
-	if rm := s.replica.Load(); rm != nil {
+	// Replica serving: reads come from the local replicated tree (and the
+	// composer's projection of it); mutations, composing among them, and
+	// SSE (the event plane is leader-owned) go to the leader. One atomic
+	// load — the GET hot path stays allocation free when the pointer is
+	// nil (the normal, non-replica case).
+	if leader := s.replica.Load(); leader != nil {
 		if (r.Method != http.MethodGet && r.Method != http.MethodHead) || id == SSEURI {
-			s.forwardToLeader(w, r, rm)
+			s.forwardToLeader(w, r, *leader)
 			return
 		}
+	}
+	if composer != nil {
+		composer.ServeHTTP(w, r)
+		return
 	}
 	if rt.serve != nil {
 		rt.serve(s, w, r)

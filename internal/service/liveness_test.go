@@ -207,7 +207,7 @@ func TestReplicaSweepsNothing(t *testing.T) {
 	w := replica.Liveness()
 	w.SetClock(func() time.Time { return now })
 	leader.Store().AttachBackend(follower{replica.Store()}, 0)
-	replica.SetReplicaMode(func() string { return "http://leader.invalid" }, false)
+	replica.SetReplicaMode(func() string { return "http://leader.invalid" })
 
 	stale := putSource(leader, "stale", start)
 	beating := putSource(leader, "beating", start)

@@ -420,7 +420,7 @@ func TestSessionTokenSurvivesRestart(t *testing.T) {
 	if err := replica.Store().Import(snap.Resources); err != nil {
 		t.Fatal(err)
 	}
-	replica.SetReplicaMode(func() string { return srv.URL }, false)
+	replica.SetReplicaMode(func() string { return srv.URL })
 	if resp, _ := doJSON(t, http.MethodGet, rsrv.URL+string(SystemsURI), nil, auth); resp.StatusCode != http.StatusOK {
 		t.Errorf("leader's token on a caught-up replica = %d, want 200", resp.StatusCode)
 	}
@@ -465,7 +465,7 @@ func TestReplicaStaysSilent(t *testing.T) {
 	leader, lsrv := newTestServer(t, Config{})
 	replica, _ := newTestServer(t, Config{})
 	leader.Store().AttachBackend(follower{replica.Store()}, 0)
-	replica.SetReplicaMode(func() string { return lsrv.URL }, false)
+	replica.SetReplicaMode(func() string { return lsrv.URL })
 	postSub(t, lsrv.URL, redfish.EventDestination{Destination: h.url})
 	if ids := replica.Bus().Subscriptions(); len(ids) != 1 {
 		t.Fatalf("replica bus subscriptions = %v, want the leader's one", ids)

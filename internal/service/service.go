@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"log/slog"
+	"net/http"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -58,9 +59,11 @@ const (
 
 // SystemComposer handles Redfish-native composition: a POST to the
 // Systems collection becomes a composition request, and a DELETE of a
-// composed system becomes decomposition. The Composability Manager
-// implements it; the service stays policy-free.
+// composed system becomes decomposition; requests under /composer/ are
+// its facade's. The Composability Manager implements it; the service
+// stays policy-free.
 type SystemComposer interface {
+	http.Handler
 	// ComposeSystem realizes the request payload and returns the composed
 	// system's URI. ctx carries the request id for trace correlation.
 	ComposeSystem(ctx context.Context, payload []byte) (odata.ID, error)
@@ -169,13 +172,14 @@ type Service struct {
 
 	// replica, when non-nil, puts the service in replica serving mode:
 	// reads are served from the local (replicated) tree, everything
-	// else is forwarded to the leader (see replica.go). An atomic
-	// pointer so the hot GET path pays one load, no lock.
-	replica atomic.Pointer[replicaMode]
+	// else is redirected to the leader it names (see replica.go). An
+	// atomic pointer so the hot GET path pays one load, no lock.
+	replica atomic.Pointer[func() string]
 }
 
 // SetSystemComposer wires Redfish-native composition: subsequent POSTs to
-// /redfish/v1/Systems and DELETEs of composed systems route through c.
+// /redfish/v1/Systems, DELETEs of composed systems and requests under
+// /composer/ route through c.
 func (s *Service) SetSystemComposer(c SystemComposer) {
 	s.mu.Lock()
 	s.composer = c

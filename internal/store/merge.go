@@ -209,6 +209,22 @@ func splitObject(obj []byte, members []member) ([]member, bool) {
 	}
 }
 
+// Field returns the bytes of the value the stored payload raw holds under
+// key at its top level (the last one if repeated, as encoding/json
+// reads it), or nil. It allocates nothing for an object of up to 32
+// members: a projection reads the few properties it keeps without
+// decoding the rest.
+func Field(raw []byte, key string) []byte {
+	var buf [32]member
+	members, _ := splitObject(raw, buf[:0])
+	for i := len(members) - 1; i >= 0; i-- {
+		if string(members[i].key) == key {
+			return members[i].val
+		}
+	}
+	return nil
+}
+
 // skipValue returns the index just past the value that starts at b[i].
 // It finds the value's end, no more: the value itself is checked when
 // appendObject hands it to appendCanonical, kept or not.

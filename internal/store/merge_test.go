@@ -227,3 +227,31 @@ func TestPatchMergeFallsBack(t *testing.T) {
 		t.Error("a patch value encoding/json cannot marshal was handled")
 	}
 }
+
+// TestField reads top-level members of stored payloads as encoding/json
+// would: the last of a repeated key, nested objects by a second call,
+// nil for what is absent or not an object, and no allocation.
+func TestField(t *testing.T) {
+	raw := []byte(`{"A":1,"B":{"C":"x","D":[1,{"E":2}]},"A":3,"F":null}`)
+	for _, tc := range []struct {
+		got  []byte
+		want string
+	}{
+		{Field(raw, "A"), "3"},
+		{Field(raw, "B"), `{"C":"x","D":[1,{"E":2}]}`},
+		{Field(Field(raw, "B"), "C"), `"x"`},
+		{Field(Field(raw, "B"), "E"), ""},
+		{Field(raw, "F"), "null"},
+		{Field(raw, "G"), ""},
+		{Field(Field(raw, "A"), "A"), ""},
+		{Field(nil, "A"), ""},
+		{Field([]byte(`{}`), "A"), ""},
+	} {
+		if string(tc.got) != tc.want {
+			t.Errorf("got %q, want %q", tc.got, tc.want)
+		}
+	}
+	if n := testing.AllocsPerRun(100, func() { Field(Field(raw, "B"), "C") }); n != 0 {
+		t.Errorf("Field allocates %v times", n)
+	}
+}

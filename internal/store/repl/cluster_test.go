@@ -96,7 +96,7 @@ func startTestCluster(t *testing.T, n int, mut func(i int, cfg *Config)) *testCl
 		}
 		if cfg.OnFollower == nil {
 			cfg.OnFollower = func(string) {
-				svc.SetReplicaMode(func() string { return node.LeaderURL() }, false)
+				svc.SetReplicaMode(func() string { return node.LeaderURL() })
 			}
 		}
 		var err error
@@ -258,8 +258,9 @@ func TestReplShipAndServe(t *testing.T) {
 }
 
 // TestReplReplicaForwardsWrites: mutations against a replica carry the
-// client to the leader — as a 307 with the leader's Location by
-// default, transparently when the default client follows it.
+// client to the leader — as a 307 with the leader's Location,
+// transparently when the default client follows it — and a replica
+// between leaders answers 503.
 func TestReplReplicaForwardsWrites(t *testing.T) {
 	c := startTestCluster(t, 2, nil)
 	leader, replica := c.nodes[0], c.nodes[1]
@@ -302,77 +303,17 @@ func TestReplReplicaForwardsWrites(t *testing.T) {
 	if resp.StatusCode != http.StatusTemporaryRedirect {
 		t.Fatalf("replica SSE GET: want 307, got %s", resp.Status)
 	}
-}
 
-// TestReplReplicaProxiesWrites covers ofmf's -repl-proxy-writes: for
-// clients that cannot chase redirects, a replica relays the mutation to
-// the leader itself and hands back the leader's answer.
-func TestReplReplicaProxiesWrites(t *testing.T) {
-	c := startTestCluster(t, 2, nil)
-	leader, replica := c.nodes[0], c.nodes[1]
-	waitFor(t, 5*time.Second, "follower connected", func() bool {
-		return len(leader.node.Status().Followers) == 1
-	})
-	uri, err := postChassis(leader.srv.Client(), leader.URL(), "proxied")
+	// Between leaders there is nowhere to send a write: 503, not a hang.
+	replica.svc.SetReplicaMode(func() string { return "" })
+	resp, err = noRedirect.Post(replica.URL()+string(service.ChassisURI), "application/json",
+		bytes.NewReader([]byte(`{"ChassisType":"Sled"}`)))
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.waitConverged(5 * time.Second)
-
-	// Re-arm the replica the way cmd/ofmf does with the flag set.
-	replica.svc.SetReplicaMode(func() string { return replica.node.LeaderURL() }, true)
-
-	noRedirect := &http.Client{CheckRedirect: func(*http.Request, []*http.Request) error {
-		return http.ErrUseLastResponse
-	}}
-	patch := func() *http.Response {
-		t.Helper()
-		req, err := http.NewRequest(http.MethodPatch, replica.URL()+string(uri),
-			bytes.NewReader([]byte(`{"Model":"via-proxy"}`)))
-		if err != nil {
-			t.Fatal(err)
-		}
-		req.Header.Set("Content-Type", "application/json")
-		resp, err := noRedirect.Do(req)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_, _ = io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		return resp
-	}
-	model := func(tn *testNode) string {
-		t.Helper()
-		resp, err := noRedirect.Get(tn.URL() + string(uri))
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer resp.Body.Close()
-		if resp.StatusCode != http.StatusOK {
-			t.Fatalf("GET %s%s: %s", tn.URL(), uri, resp.Status)
-		}
-		var ch redfish.Chassis
-		if err := json.NewDecoder(resp.Body).Decode(&ch); err != nil {
-			t.Fatal(err)
-		}
-		return ch.Model
-	}
-
-	if resp := patch(); resp.StatusCode != http.StatusOK {
-		t.Fatalf("proxied PATCH at replica: want 200, got %s", resp.Status)
-	}
-	if got := model(leader); got != "via-proxy" {
-		t.Fatalf("leader Model = %q after proxied PATCH, want via-proxy", got)
-	}
-	c.waitConverged(5 * time.Second)
-	if got := model(replica); got != "via-proxy" {
-		t.Fatalf("replica Model = %q once replicated, want via-proxy", got)
-	}
-
-	// Between leaders there is nowhere to relay to: 503, not a hang.
-	replica.svc.SetReplicaMode(func() string { return "" }, true)
-	if resp := patch(); resp.StatusCode != http.StatusServiceUnavailable {
-		t.Fatalf("proxied PATCH with no leader: want 503, got %s", resp.Status)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("replica POST with no leader: want 503, got %s", resp.Status)
 	}
 }
 

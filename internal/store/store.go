@@ -243,10 +243,23 @@ func (s *Store) Watch(w Watcher) {
 // it may read the store again: a nested read lock would deadlock behind
 // a queued writer.
 func (s *Store) Projection(coll odata.ID, mu sync.Locker, apply func(id odata.ID, raw json.RawMessage)) Watcher {
-	prefix := string(coll) + "/"
+	return s.Projector(mu, func(c odata.ID) func(odata.ID, json.RawMessage) {
+		if c == coll {
+			return apply
+		}
+		return nil
+	})
+}
+
+// Projector is Projection over any number of collections: route names
+// the apply of the collection a change's id is a direct member of (nil:
+// none). It runs on every change, before mu is taken, so it must be
+// cheap and must not block.
+func (s *Store) Projector(mu sync.Locker, route func(coll odata.ID) func(id odata.ID, raw json.RawMessage)) Watcher {
 	return func(c Change) {
-		leaf, ok := strings.CutPrefix(string(c.ID), prefix)
-		if !ok || leaf == "" || strings.Contains(leaf, "/") {
+		i := strings.LastIndexByte(string(c.ID), '/')
+		apply := route(c.ID[:max(i, 0)])
+		if apply == nil || i == len(c.ID)-1 {
 			return
 		}
 		mu.Lock()
@@ -258,6 +271,22 @@ func (s *Store) Projection(coll odata.ID, mu sync.Locker, apply func(id odata.ID
 		}
 		s.mu.RUnlock()
 		apply(c.ID, raw)
+	}
+}
+
+// Seed hands apply every direct member of coll with its stored bytes, as
+// a projection's watcher would on a change to each: a projection that
+// starts after they were stored begins from them. The caller holds mu.
+func (s *Store) Seed(coll odata.ID, apply func(id odata.ID, raw json.RawMessage)) {
+	s.mu.RLock()
+	ids := s.eng.members(coll)
+	raws := make([]json.RawMessage, len(ids))
+	for i, id := range ids {
+		raws[i] = s.eng.entries[id].raw
+	}
+	s.mu.RUnlock()
+	for i, id := range ids {
+		apply(id, raws[i])
 	}
 }
 
