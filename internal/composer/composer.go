@@ -14,10 +14,10 @@ import (
 	"errors"
 	"fmt"
 	"log/slog"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ofmf/internal/obsv"
@@ -152,13 +152,15 @@ func (b *block) composition() Composition {
 type Composer struct {
 	svc    *service.Service
 	policy Policy
-	// routes maps each collection the projection follows to its apply;
-	// it is replaced, never modified, and only under mu.
-	routes atomic.Pointer[map[odata.ID]func(odata.ID, json.RawMessage)]
+	// routes maps each collection the projection follows to its apply,
+	// a func(odata.ID, json.RawMessage); a pool edits its own two, under
+	// mu, and the watcher reads them with no lock.
+	routes sync.Map
 
-	mu    sync.Mutex
-	nodes map[string]NodeState // UsedCores is filled in by nodesLocked
-	pools []*pool              // by their sources' ids
+	mu      sync.Mutex
+	nodes   map[string]NodeState // UsedCores is filled in by nodesLocked
+	sources map[odata.ID]offer   // every AggregationSource, by URI
+	pools   map[odata.ID]*pool   // by the collection they provision into
 	// byID and bySystem project the ResourceBlocks collection; a block
 	// in them is never modified, only replaced.
 	byID     map[string]*block
@@ -192,16 +194,22 @@ func New(svc *service.Service, policy Policy) *Composer {
 		svc:      svc,
 		policy:   policy,
 		nodes:    make(map[string]NodeState),
+		sources:  make(map[odata.ID]offer),
+		pools:    make(map[odata.ID]*pool),
 		byID:     make(map[string]*block),
 		bySystem: make(map[odata.ID]string),
 		reserved: make(map[*record]struct{}),
 	}
-	c.reroute()
+	c.routes.Store(service.ResourceBlocksURI, c.applyBlock)
+	c.routes.Store(service.AggregationSourcesURI, c.applySource)
+	c.routes.Store(service.SystemsURI, c.applySystem)
 	// One watcher for every collection followed, registered before
 	// recovery, so WAL replay reaches it too.
 	st := svc.Store()
 	st.Watch(st.Projector(&c.mu, func(coll odata.ID) func(odata.ID, json.RawMessage) {
-		return (*c.routes.Load())[coll]
+		apply, _ := c.routes.Load(coll)
+		f, _ := apply.(func(odata.ID, json.RawMessage))
+		return f
 	}))
 	return c
 }
@@ -486,8 +494,12 @@ var units = map[Kind]string{
 // fails ends the attempt, and what this attach made is undone.
 func (c *Composer) attach(ctx context.Context, b *block, into *[]odata.Ref, kind Kind, amount int64, heads int) error {
 	c.mu.Lock()
-	pools := append([]*pool(nil), c.pools...)
+	pools := make([]*pool, 0, len(c.pools))
+	for _, p := range c.pools {
+		pools = append(pools, p)
+	}
 	c.mu.Unlock()
+	slices.SortFunc(pools, bySource)
 	node := b.Oem.OFMF.Node
 	var rejected error
 	for _, p := range pools {

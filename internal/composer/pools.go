@@ -3,7 +3,6 @@ package composer
 import (
 	"cmp"
 	"encoding/json"
-	"slices"
 	"strconv"
 	"sync"
 
@@ -124,56 +123,57 @@ func newPool(source odata.ID, raw json.RawMessage) *pool {
 	return p
 }
 
-// applySource projects AggregationSources as pools, one per subtree: of
-// the sources that claim one, the first by id offers it. A new pool
-// starts from what the store holds, so the order sources and members
-// arrive in does not matter; a source that goes or claims other subtrees
-// takes its pool with it, and a heartbeat leaves it as it is.
+// offer is an AggregationSource as the composer last read it: the
+// stored bytes that decide its pool, and that pool (nil: none).
+type offer struct {
+	links, technology string
+	pool              *pool
+}
+
+// applySource projects the AggregationSource at id as the pool it
+// offers, if any: a source of a known technology claiming one fabric and
+// one device root whose collection no other source's pool provisions
+// into. A new pool starts from what the store holds, so the order
+// sources and members arrive in does not matter; a source that goes or
+// claims other subtrees takes its pool with it. A change that keeps the
+// source's Links and technology, such as a heartbeat, is told by its
+// stored bytes and decodes nothing. The caller holds mu.
 func (c *Composer) applySource(id odata.ID, raw json.RawMessage) {
-	p := newPool(id, raw)
-	if p != nil && slices.ContainsFunc(c.pools, func(q *pool) bool { return q.used.coll == p.used.coll && bySource(q, p) < 0 }) {
-		p = nil
-	}
-	i := slices.IndexFunc(c.pools, func(q *pool) bool { return q.source == id })
-	if i < 0 && p == nil || i >= 0 && p != nil && c.pools[i].technology == p.technology &&
-		c.pools[i].fabric == p.fabric && c.pools[i].used.coll == p.used.coll {
+	links := store.Field(raw, "Links")
+	tech := store.Field(store.Field(store.Field(raw, "Oem"), "OFMF"), "Technology")
+	old, seen := c.sources[id]
+	if seen && raw != nil && string(links) == old.links && string(tech) == old.technology {
 		return
 	}
-	if i >= 0 {
-		c.pools = slices.Delete(c.pools, i, i+1)
+	if p := old.pool; p != nil {
+		delete(c.pools, p.used.coll)
+		c.routes.Delete(p.used.coll)
+		c.routes.Delete(p.capacity.coll)
 	}
-	if p != nil {
-		c.pools = append(slices.DeleteFunc(c.pools, func(q *pool) bool { return q.used.coll == p.used.coll }), p)
-		slices.SortFunc(c.pools, bySource)
+	delete(c.sources, id)
+	if raw == nil {
+		return
 	}
-	c.reroute()
+	p := newPool(id, raw)
+	if p != nil && c.pools[p.used.coll] != nil {
+		p = nil // another source's pool
+	}
+	c.sources[id] = offer{string(links), string(tech), p}
+	if p == nil {
+		return
+	}
+	c.pools[p.used.coll] = p
+	c.routes.Store(p.used.coll, p.used.apply)
+	c.routes.Store(p.capacity.coll, p.capacity.apply)
 	st := c.svc.Store()
-	if p != nil {
-		st.Seed(p.used.coll, p.used.apply)
-		st.Seed(p.capacity.coll, p.capacity.apply)
-	}
-	st.Seed(service.AggregationSourcesURI, c.applySource) // a subtree id gave up goes to the next claimer
+	st.Seed(p.used.coll, p.used.apply)
+	st.Seed(p.capacity.coll, p.capacity.apply)
 }
 
 // bySource orders pools by their sources' ids, numerically for numeric
 // leaves: the order attach tries them in.
 func bySource(a, b *pool) int {
 	return cmp.Or(cmp.Compare(len(a.source), len(b.source)), cmp.Compare(a.source, b.source))
-}
-
-// reroute installs the routes of the composer's one watcher for the
-// current pools. The caller holds mu.
-func (c *Composer) reroute() {
-	routes := map[odata.ID]func(odata.ID, json.RawMessage){
-		service.ResourceBlocksURI:     c.applyBlock,
-		service.AggregationSourcesURI: c.applySource,
-		service.SystemsURI:            c.applySystem,
-	}
-	for _, p := range c.pools {
-		routes[p.used.coll] = p.used.apply
-		routes[p.capacity.coll] = p.capacity.apply
-	}
-	c.routes.Store(&routes)
 }
 
 // applySystem projects a Physical system as a compute node of its

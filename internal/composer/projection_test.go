@@ -1,7 +1,11 @@
 package composer
 
 import (
+	"context"
 	"fmt"
+	"maps"
+	"slices"
+	"strings"
 	"testing"
 
 	"ofmf/internal/odata"
@@ -89,8 +93,7 @@ func TestBlocksProjectionConforms(t *testing.T) {
 // their usage and capacity from the members the agents publish. The
 // leader stores chunks before their source, so its pool starts from
 // what the store holds; a node built fresh gets the source first.
-// Source 4 claims what source 1 does, so it offers no pool until
-// source 1 stops claiming it.
+// Source 4 is a second CXL pool, with no members yet.
 func TestPoolProjectionConforms(t *testing.T) {
 	chunk := func(mib int64) map[string]any { return map[string]any{"MemoryChunkSizeMiB": mib} }
 	device := func(mib int64) map[string]any { return map[string]any{"CapacityMiB": mib} }
@@ -103,6 +106,7 @@ func TestPoolProjectionConforms(t *testing.T) {
 					out = append(out, fmt.Sprintf("%s %s %v %d %v %d", p.source, p.used.coll,
 						p.used.sizes, p.used.sum, p.capacity.sizes, p.capacity.sum))
 				}
+				slices.Sort(out)
 				return out
 			})
 		},
@@ -112,7 +116,7 @@ func TestPoolProjectionConforms(t *testing.T) {
 			put(t, st, src("1"), source(redfish.ProtocolCXL, fabric, appliance))
 			put(t, st, src("2"), source(redfish.ProtocolInfiniBand, service.FabricsURI.Append("IB")))
 			put(t, st, src("3"), source("GPU", service.FabricsURI.Append("G"), service.ChassisURI.Append("G")))
-			put(t, st, src("4"), source(redfish.ProtocolCXL, fabric, appliance))
+			put(t, st, src("4"), source(redfish.ProtocolCXL, service.FabricsURI.Append("F4"), service.ChassisURI.Append("Pool4")))
 			put(t, st, chunks.Append("2"), chunk(2048))
 			put(t, st, chunks.Append("3"), chunk(512))
 			put(t, st, devices.Append("dev1"), device(8192))
@@ -158,30 +162,52 @@ func TestNodeProjectionConforms(t *testing.T) {
 	})
 }
 
-// TestOnePoolPerSubtree: an agent that registers again under a new
-// source (a remote agent restarted on another port) claims what its old
-// source still does. The subtree is one pool, counted once, offered by
-// the first source until that one goes.
+// TestOnePoolPerSubtree: an agent restarted on ten ports in turn
+// registers from a new HostName each time, with the claims it had. Each
+// registration supersedes its source in place, so the subtree stays one
+// source at its first URI, one pool counted once, one forwarding target
+// (the last port) and one liveness series, and what the agent published
+// survives every restart.
 func TestOnePoolPerSubtree(t *testing.T) {
 	off := false
 	svc := service.New(service.Config{ChangeEvents: &off})
 	defer svc.Close()
 	c := New(svc, nil)
 	st := svc.Store()
-	src := func(n string) odata.ID { return service.AggregationSourcesURI.Append(n) }
-	put(t, st, src("1"), source(redfish.ProtocolCXL, fabric, appliance))
-	put(t, st, devices.Append("d0"), map[string]any{"CapacityMiB": 4096})
-	put(t, st, src("2"), source(redfish.ProtocolCXL, fabric, appliance))
-	put(t, st, chunks.Append("1"), map[string]any{"MemoryChunkSizeMiB": 1024})
-	check := func(step string, want odata.ID) {
-		t.Helper()
-		if len(c.pools) != 1 || c.pools[0].source != want || c.Stats().FreeMemoryMiB != 3072 {
-			t.Errorf("%s: pools %v, stats %+v; want one from %s with 3072 MiB free", step, c.pools, c.Stats(), want)
+	var first odata.ID
+	var host string
+	for port := 9001; port <= 9010; port++ {
+		src := source(redfish.ProtocolCXL, fabric, appliance)
+		host = fmt.Sprintf("http://cxl.example:%d", port)
+		src.HostName = host
+		stored, _, err := svc.RegisterAggregationSource(context.Background(), src)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if first == "" {
+			first = stored.ODataID
+			put(t, st, devices.Append("d0"), map[string]any{"CapacityMiB": 4096})
+			put(t, st, chunks.Append("1"), map[string]any{"MemoryChunkSizeMiB": 1024})
+		}
+		if stored.ODataID != first {
+			t.Fatalf("the registration from %s stored %s, want it to supersede %s", host, stored.ODataID, first)
 		}
 	}
-	check("two sources", src("1"))
-	if err := st.Delete(src("1")); err != nil {
+	members, err := st.Members(service.AggregationSourcesURI)
+	if err != nil {
 		t.Fatal(err)
 	}
-	check("first source gone", src("2"))
+	if len(members) != 1 || len(c.pools) != 1 || c.pools[chunks].source != first || c.Stats().FreeMemoryMiB != 3072 {
+		t.Errorf("sources %v, pools %v, stats %+v; want one of each, from %s, with 3072 MiB free", members, c.pools, c.Stats(), first)
+	}
+	want := map[odata.ID]string{fabric: host, appliance: host}
+	if got := svc.Liveness().Forwarding(); !maps.Equal(got, want) {
+		t.Errorf("forwarding %v, want %v", got, want)
+	}
+	if n := strings.Count(svc.Metrics().Registry().Expose(), "\nofmf_agent_liveness{"); n != 1 {
+		t.Errorf("%d ofmf_agent_liveness series, want 1", n)
+	}
+	if !st.Exists(chunks.Append("1")) {
+		t.Error("the agent's subtree did not survive its restarts")
+	}
 }

@@ -37,6 +37,7 @@ type simAgent struct {
 	idx  int
 	key  string // fault-schedule key
 	host string // callback URL, the registration dedup key
+	port int
 	conn *agent.Remote
 	ft   *resilience.FaultTransport
 
@@ -55,6 +56,7 @@ func newSimAgent(idx int, seed int64, mem *memTransport, faults *resilience.Scri
 	a := &simAgent{
 		idx:  idx,
 		key:  key,
+		port: 9000,
 		host: "http://" + key + ".sim:9000",
 	}
 	// Each agent derives its own seed so fault sequences are per-agent
@@ -82,9 +84,17 @@ func (a *simAgent) fabricURI() odata.ID {
 	return odata.ID(fmt.Sprintf("/redfish/v1/Fabrics/Sim%05d", a.idx))
 }
 
-// register announces the agent, stamping the heartbeat with virtual
-// now so the liveness sweeper's verdicts are clock-deterministic (the
-// service would otherwise stamp wall time on revival).
+// rehost moves the agent to its next port, as a restart on another port
+// would: the URL it registers from changes, its claims do not.
+func (a *simAgent) rehost() {
+	a.port++
+	a.host = fmt.Sprintf("http://%s.sim:%d", a.key, a.port)
+}
+
+// register announces the agent and claims the fabric it publishes,
+// stamping the heartbeat with virtual now so the liveness sweeper's
+// verdicts are clock-deterministic (the service would otherwise stamp
+// wall time on revival).
 func (a *simAgent) register(vnow time.Time) error {
 	src := redfish.AggregationSource{
 		HostName: a.host,
@@ -93,6 +103,7 @@ func (a *simAgent) register(vnow time.Time) error {
 			Version:       "1.0",
 			LastHeartbeat: redfish.Timestamp(vnow),
 		}},
+		Links: redfish.AggSourceLinks{ResourcesAccessed: []odata.Ref{odata.NewRef(a.fabricURI())}},
 	}
 	uri, err := a.conn.Register(src)
 	if err != nil {

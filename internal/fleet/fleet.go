@@ -468,26 +468,27 @@ func (f *Fleet) checkConservationNow() {
 	}
 }
 
-// storedSources reads URI → HostName for every member of the
-// AggregationSources collection.
-func (f *Fleet) storedSources() (map[odata.ID]string, error) {
+// storedSources reads every member of the AggregationSources
+// collection as stored.
+func (f *Fleet) storedSources() (map[odata.ID]storedSource, error) {
 	members, err := f.svc.Store().Members(service.AggregationSourcesURI)
 	if err != nil {
 		return nil, err
 	}
-	out := make(map[odata.ID]string, len(members))
+	out := make(map[odata.ID]storedSource, len(members))
 	for _, uri := range members {
 		var src redfish.AggregationSource
 		if err := f.svc.Store().GetAs(uri, &src); err != nil {
 			return nil, fmt.Errorf("fleet: read %s: %w", uri, err)
 		}
-		out[uri] = src.HostName
+		out[uri] = storedSource{host: src.HostName, claims: odata.IDsOf(src.Links.ResourcesAccessed)}
 	}
 	return out, nil
 }
 
 // checkSourcesNow asserts no ghost/duplicate/missing aggregation
-// sources against the full agent set.
+// sources against the full agent set, and one source and one
+// forwarding target per claimed subtree.
 func (f *Fleet) checkSourcesNow() {
 	sources, err := f.storedSources()
 	if err != nil {
@@ -498,7 +499,14 @@ func (f *Fleet) checkSourcesNow() {
 	for _, a := range f.agents {
 		expected[a.host] = true
 	}
-	for _, v := range checkSources(sources, expected) {
+	hosts := make(map[odata.ID]string, len(sources))
+	for uri, src := range sources {
+		hosts[uri] = src.host
+	}
+	for _, v := range checkSources(hosts, expected) {
+		f.violate("%s", v)
+	}
+	for _, v := range checkClaims(sources, f.svc.Liveness().Forwarding()) {
 		f.violate("%s", v)
 	}
 }

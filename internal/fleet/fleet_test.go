@@ -32,6 +32,31 @@ func TestCheckSources(t *testing.T) {
 	}
 }
 
+func TestCheckClaims(t *testing.T) {
+	sources := map[odata.ID]storedSource{
+		"/s/1": {host: "h1", claims: []odata.ID{"/f/1"}},
+		"/s/2": {host: "h2", claims: []odata.ID{"/f/2"}},
+		"/s/3": {host: "h3"},
+	}
+	forward := map[odata.ID]string{"/f/1": "h1", "/f/2": "h2"}
+	if v := checkClaims(sources, forward); len(v) != 0 {
+		t.Fatalf("one holder per subtree reported violations: %v", v)
+	}
+	sources["/s/3"] = storedSource{host: "h3", claims: []odata.ID{"/f/1"}} // a second source
+	forward["/f/2"] = "h-old"                                              // a stale target
+	forward["/f/9"] = "h9"                                                 // nobody claims it
+	v := checkClaims(sources, forward)
+	if len(v) != 3 {
+		t.Fatalf("want 3 violations, got %d: %v", len(v), v)
+	}
+	joined := strings.Join(v, "\n")
+	for _, want := range []string{"/f/1 claimed by several sources", "/f/2 of source /s/2 at h2 is forwarded to \"h-old\"", "ghost forwarding of unclaimed subtree /f/9"} {
+		if !strings.Contains(joined, want) {
+			t.Errorf("violations missing %q:\n%s", want, joined)
+		}
+	}
+}
+
 func TestCheckConservation(t *testing.T) {
 	base := events.Stats{Published: 10, Delivered: 30, Failed: 1, Dropped: 2, DroppedClosed: 3}
 	// 90 publishes × 2 subs = 180, split across the four outcome counters.

@@ -40,6 +40,42 @@ func checkSources(sources map[odata.ID]string, expectedHosts map[string]bool) []
 	return v
 }
 
+// storedSource is an AggregationSource as stored: its HostName and its
+// claims.
+type storedSource struct {
+	host   string
+	claims []odata.ID
+}
+
+// checkClaims asserts one holder per subtree: every subtree a stored
+// source claims is claimed by that source alone, and forward (prefix →
+// the callback URL the OFMF forwards its operations to) sends it to that
+// source's host, and nothing else anywhere.
+func checkClaims(sources map[odata.ID]storedSource, forward map[odata.ID]string) []string {
+	var v []string
+	holders := make(map[odata.ID][]odata.ID)
+	for uri, src := range sources {
+		for _, c := range src.claims {
+			holders[c] = append(holders[c], uri)
+		}
+	}
+	for prefix, uris := range holders {
+		if len(uris) > 1 {
+			sort.Slice(uris, func(i, j int) bool { return uris[i] < uris[j] })
+			v = append(v, fmt.Sprintf("subtree %s claimed by several sources: %v", prefix, uris))
+		} else if host := sources[uris[0]].host; forward[prefix] != host {
+			v = append(v, fmt.Sprintf("subtree %s of source %s at %s is forwarded to %q", prefix, uris[0], host, forward[prefix]))
+		}
+	}
+	for prefix, url := range forward {
+		if len(holders[prefix]) == 0 {
+			v = append(v, fmt.Sprintf("ghost forwarding of unclaimed subtree %s to %s", prefix, url))
+		}
+	}
+	sort.Strings(v)
+	return v
+}
+
 // checkConservation asserts the event bus ledger over one incarnation:
 // with subs match-all subscriptions live for the whole window, every
 // published record must land in exactly one delivery-outcome counter

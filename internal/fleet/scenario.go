@@ -158,8 +158,10 @@ func PartitionScript() Script {
 
 // StormScript hammers the registration and heartbeat paths: heartbeat
 // bursts, a full-fleet re-registration storm that must mint zero new
-// sources, delete-then-recreate churn on 5%% of sources, and an event
-// burst — then requires the sweeper's index to match the store exactly.
+// sources, 10%% of the fleet re-registering from a new port (each must
+// supersede its own source), delete-then-recreate churn on 5%% of
+// sources, and an event burst — then requires the sweeper's index to
+// match the store exactly.
 func StormScript() Script {
 	return Script{Name: "storm", Steps: []Step{
 		{"beat-storm", func(f *Fleet) error {
@@ -180,6 +182,20 @@ func StormScript() Script {
 			}
 			if len(sources) != len(f.agents) {
 				f.violate("storm: re-registration changed source count: %d sources for %d agents", len(sources), len(f.agents))
+			}
+			return nil
+		}},
+		{"port-churn-10pct", func(f *Fleet) error {
+			vnow := f.clock.Now()
+			for _, a := range f.pickAgents(0.10) {
+				old, _ := a.groundTruth()
+				a.rehost()
+				if err := a.register(vnow); err != nil {
+					return fmt.Errorf("re-register %s: %w", a.host, err)
+				}
+				if cur, _ := a.groundTruth(); cur != old {
+					f.violate("storm: %s re-registered from a new port as %s, want its source %s", a.key, cur, old)
+				}
 			}
 			return nil
 		}},

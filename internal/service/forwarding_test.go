@@ -74,7 +74,7 @@ func deleteSource(t *testing.T, base string, src odata.ID) {
 // AggregationSources projection's, so it comes back however the source
 // does — a reboot from the data dir, a promotion after applying the
 // leader's records, an admin restore — and goes with the source's
-// DELETE, which leaves another source's equal claim forwarded.
+// DELETE. A second registration of equal claims supersedes the first.
 func TestRemoteForwardingFollowsTheTree(t *testing.T) {
 	fabric := FabricsURI.Append("Remote")
 	agent := newOpsAgent(t)
@@ -126,21 +126,17 @@ func TestRemoteForwardingFollowsTheTree(t *testing.T) {
 	})
 
 	t.Run("equal claims", func(t *testing.T) {
-		_, srv := newTestServer(t, Config{})
-		a, b, c := newOpsAgent(t), newOpsAgent(t), newOpsAgent(t)
+		svc, srv := newTestServer(t, Config{})
+		a, b := newOpsAgent(t), newOpsAgent(t)
 		srcA := a.register(t, srv.URL, fabric)
-		b.register(t, srv.URL, fabric)
-		if got := connect(t, srv.URL, fabric, a, b); got[0] || !got[1] {
-			t.Fatalf("ops reached %v, want the last registered source's agent only", got)
+		if srcB := b.register(t, srv.URL, fabric); srcB != srcA {
+			t.Errorf("the second registration stored %s, want it to supersede %s", srcB, srcA)
 		}
-		deleteSource(t, srv.URL, srcA)
-		if got := connect(t, srv.URL, fabric, a, b); got[0] || !got[1] {
-			t.Errorf("after deleting the source it replaced, ops reached %v, want b only", got)
+		if members, _ := svc.Store().Members(AggregationSourcesURI); len(members) != 1 {
+			t.Errorf("sources %v, want one", members)
 		}
-		srcC := c.register(t, srv.URL, fabric)
-		deleteSource(t, srv.URL, srcC)
-		if got := connect(t, srv.URL, fabric, b, c); !got[0] || got[1] {
-			t.Errorf("after deleting the source serving the prefix, ops reached %v, want b only", got)
+		if got := connect(t, srv.URL, fabric, a, b); got[0] || !got[1] {
+			t.Errorf("ops reached %v, want the last registered agent only", got)
 		}
 	})
 }
@@ -170,6 +166,48 @@ func TestPatchedClaimsCannotTakeRouting(t *testing.T) {
 	}
 	if got := connect(t, srv.URL, other, intruder); !got[0] {
 		t.Error("the valid claim beside the refused ones is not forwarded")
+	}
+	claim(owned)
+	if got := connect(t, srv.URL, owned, owner, intruder); !got[0] || got[1] {
+		t.Errorf("after the intruder claimed the owned fabric itself, ops under it reached %v, want its owner only", got)
+	}
+}
+
+// TestDeleteDropsOnlyHeldSubtrees: DELETE of a source removes the
+// subtrees it holds in the handler index, and nothing another source
+// serves. Two agents registering one fabric leave one source; an
+// intruder whose PATCHed claim collides with it deletes nothing of it.
+func TestDeleteDropsOnlyHeldSubtrees(t *testing.T) {
+	svc, srv := newTestServer(t, Config{})
+	fabric, other := FabricsURI.Append("Shared"), FabricsURI.Append("Other")
+	a, b, intruder := newOpsAgent(t), newOpsAgent(t), newOpsAgent(t)
+	src := a.register(t, srv.URL, fabric)
+	b.register(t, srv.URL, fabric)
+	endpoint := fabric.Append("Endpoints", "1")
+	mustPut(t, svc.Store(), endpoint, odata.NewResource(endpoint, redfish.TypeEndpoint, "EP 1"))
+	if members, _ := svc.Store().Members(AggregationSourcesURI); len(members) != 1 {
+		t.Errorf("two registrations of one fabric left sources %v, want one", members)
+	}
+
+	stray := intruder.register(t, srv.URL, other)
+	patch := map[string]any{"Links": map[string]any{"ResourcesAccessed": odata.RefSlice([]odata.ID{fabric})}}
+	if resp, body := doJSON(t, http.MethodPatch, srv.URL+string(stray), patch, nil); resp.StatusCode != http.StatusOK {
+		t.Fatalf("PATCH claims = %d: %s", resp.StatusCode, body)
+	}
+	deleteSource(t, srv.URL, stray)
+	if !svc.Store().Exists(endpoint) {
+		t.Error("deleting a source whose PATCHed claim collided erased the subtree another source serves")
+	}
+	if got := connect(t, srv.URL, fabric, b, intruder); !got[0] || got[1] {
+		t.Errorf("ops under the fabric reached %v, want b only", got)
+	}
+
+	deleteSource(t, srv.URL, src)
+	if svc.Store().Exists(endpoint) {
+		t.Error("deleting the source that holds the fabric left its subtree")
+	}
+	if _, _, ok := svc.handlerFor(endpoint); ok {
+		t.Error("the deleted source's subtree is still forwarded")
 	}
 }
 

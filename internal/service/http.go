@@ -849,19 +849,12 @@ func (s *Service) handleDelete(w http.ResponseWriter, r *http.Request, id odata.
 		// Deleting the resource is the whole logout or unsubscribe: the
 		// session table and the bus are projections of the tree.
 	case parent == AggregationSourcesURI:
-		// Deleting an aggregation source also drops its aggregated subtree.
-		var src redfish.AggregationSource
-		if err := s.store.GetAs(id, &src); err == nil {
-			for _, res := range src.Links.ResourcesAccessed {
-				// The stored claim list is patchable; honour only what
-				// registration would have accepted.
-				if !s.claimable(res.ODataID) {
-					continue
-				}
-				if _, err := s.store.DeleteSubtreeCtx(r.Context(), res.ODataID); err != nil {
-					s.fail(w, r, err)
-					return
-				}
+		// Deleting an aggregation source also drops the subtrees it holds
+		// in the handler index: not a stored claim the index refused.
+		for _, prefix := range s.liveness.held(id) {
+			if _, err := s.store.DeleteSubtreeCtx(r.Context(), prefix); err != nil {
+				s.fail(w, r, err)
+				return
 			}
 		}
 	default:

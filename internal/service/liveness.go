@@ -114,11 +114,10 @@ type sourceEntry struct {
 	local bool
 	at    time.Time // the scheduled deadline, while slot >= 0
 	slot  int       // index in deadlines; -1 when not scheduled
-	// claims is a remote source's stored ResourcesAccessed; held is those
-	// of them fwd, the handler forwarding to host, was installed for.
+	// claims is the source's stored ResourcesAccessed; held is those of
+	// them the handler index holds for it.
 	claims []odata.ID
 	held   []odata.ID
-	fwd    FabricHandler
 }
 
 // base is the instant the source's heartbeat age is measured from.
@@ -219,10 +218,56 @@ func (w *LivenessSweeper) lookup(host string) (odata.ID, bool) {
 	return uri, ok
 }
 
+// match returns the stored source a registration from host claiming
+// claims revives, "" for none: the source holding claims[0] if it
+// claims the same set, else the one registered from host. A claim that
+// overlaps a subtree the handler index holds, other than one that
+// source holds, is ErrPrefixConflict.
+func (w *LivenessSweeper) match(host string, claims []odata.ID) (odata.ID, error) {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	w.svc.mu.RLock()
+	defer w.svc.mu.RUnlock()
+	var e *sourceEntry
+	if len(claims) > 0 {
+		o := w.sources[holderOf(w.svc.handlers[claims[0]])]
+		if o != nil && len(o.claims) == len(claims) &&
+			!slices.ContainsFunc(claims, func(c odata.ID) bool { return !slices.Contains(o.claims, c) }) {
+			e = o
+		}
+	}
+	if e == nil && host != "" {
+		e = w.sources[w.byHost[host]]
+	}
+	var uri odata.ID
+	var own []odata.ID
+	if e != nil {
+		uri, own = e.uri, e.held
+	}
+	for _, p := range claims {
+		if err := w.svc.conflictLocked(p, own); err != nil {
+			return "", err
+		}
+	}
+	return uri, nil
+}
+
+// held returns the subtrees the source at uri holds in the handler
+// index: what deleting it removes.
+func (w *LivenessSweeper) held(uri odata.ID) []odata.ID {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if e := w.sources[uri]; e != nil {
+		return slices.Clone(e.held)
+	}
+	return nil
+}
+
 // apply brings id's entry to the source's stored state (raw nil: gone):
-// the host index and forwarding, the heartbeat and its metrics, the level
-// and the entry's deadline. A change that keeps the host and the claims,
-// such as a heartbeat, leaves the forwarding alone. Caller holds w.mu.
+// the host index and the handler index, the heartbeat and its metrics,
+// the level and the entry's deadline. A change that keeps the host and
+// the claims, such as a heartbeat, leaves the handler index alone.
+// Caller holds w.mu.
 func (w *LivenessSweeper) apply(id odata.ID, raw json.RawMessage) {
 	e, existed := w.sources[id]
 	var src redfish.AggregationSource
@@ -237,10 +282,7 @@ func (w *LivenessSweeper) apply(id odata.ID, raw json.RawMessage) {
 		e = &sourceEntry{uri: id, anchor: now, slot: -1}
 		w.sources[id] = e
 	}
-	var claims []odata.ID
-	if src.HostName != "" {
-		claims = odata.IDsOf(src.Links.ResourcesAccessed)
-	}
+	claims := odata.IDsOf(src.Links.ResourcesAccessed)
 	if e.host != src.HostName || !slices.Equal(e.claims, claims) {
 		w.releaseLocked(e)
 		if w.byHost[e.host] == id {
@@ -274,22 +316,23 @@ func (w *LivenessSweeper) apply(id odata.ID, raw json.RawMessage) {
 	w.scheduleLocked(e, now)
 }
 
-// installLocked forwards each of e's claims that registration would
-// accept: claimable, and nesting with no served prefix (an equal one is
-// taken over). A claim that breaks either rule did not come through
-// registration but through a PATCH or a restore; it is logged and
-// skipped, so it cannot take routing. Callers hold w.mu.
+// installLocked enters e's claims into the handler index: a remote
+// source's forwarded to its host, a local one's held for the handler
+// its in-process agent attaches. A claim registration would refuse —
+// not claimable, or overlapping a subtree the index holds — came
+// through a PATCH or a restore; it is logged and skipped, so it cannot
+// take routing. Callers hold w.mu.
 func (w *LivenessSweeper) installLocked(e *sourceEntry) {
-	if len(e.claims) == 0 {
-		return
-	}
-	e.fwd = NewRemoteFabricHandler(e.host)
 	for _, p := range e.claims {
 		var err error
 		if !w.svc.claimable(p) {
 			err = fmt.Errorf("%w: ResourcesAccessed %q is not a subtree below a top-level collection", ErrInvalidRequest, p)
 		} else {
-			err = w.svc.RegisterFabricHandler(p, e.fwd)
+			var h FabricHandler = &claimed{source: e.uri}
+			if e.host != "" {
+				h = &remoteHandler{url: e.host, source: e.uri}
+			}
+			err = w.svc.hold(p, h, false)
 		}
 		if err != nil {
 			w.svc.log.LogAttrs(context.Background(), slog.LevelWarn, "aggregation source claim not forwarded",
@@ -300,21 +343,17 @@ func (w *LivenessSweeper) installLocked(e *sourceEntry) {
 	}
 }
 
-// releaseLocked withdraws the forwarding e installed. A prefix e still
-// serves passes to another source holding it too, or is dropped; one
-// that was taken over since stays with its new holder. Callers hold w.mu.
+// releaseLocked drops the subtrees e holds from the handler index.
+// Callers hold w.mu.
 func (w *LivenessSweeper) releaseLocked(e *sourceEntry) {
+	w.svc.mu.Lock()
+	defer w.svc.mu.Unlock()
 	for _, p := range e.held {
-		var next FabricHandler
-		for _, o := range w.sources {
-			if o != e && slices.Contains(o.held, p) {
-				next = o.fwd
-				break
-			}
+		if holderOf(w.svc.handlers[p]) == e.uri {
+			w.svc.dropLocked(p)
 		}
-		w.svc.handOver(p, e.fwd, next)
 	}
-	e.held, e.fwd = nil, nil
+	e.held = nil
 }
 
 // dropLocked forgets a source that left the tree, its forwarding and
@@ -440,6 +479,22 @@ func (w *LivenessSweeper) announce(tr transition) {
 		slog.String("to", word),
 		slog.Duration("heartbeat_age", tr.age),
 	)
+}
+
+// Forwarding returns the handler index's remote subtrees, each with the
+// callback URL its operations are forwarded to. The chaos harness
+// checks it against the stored claims: one source and one target per
+// claimed subtree.
+func (w *LivenessSweeper) Forwarding() map[odata.ID]string {
+	w.svc.mu.RLock()
+	defer w.svc.mu.RUnlock()
+	out := make(map[odata.ID]string)
+	for prefix, h := range w.svc.handlers {
+		if rh, ok := h.(*remoteHandler); ok {
+			out[prefix] = rh.url
+		}
+	}
+	return out
 }
 
 // SourcesSnapshot returns the sweeper's current verdict for every

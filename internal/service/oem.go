@@ -332,13 +332,8 @@ var defaultAgentClient = sync.OnceValue(func() *http.Client {
 // Each forwarded call runs under the request context it is given, so the
 // OFMF->agent POST carries the request's trace context and cancellation.
 type remoteHandler struct {
-	url string // agent callback base URL
-}
-
-// NewRemoteFabricHandler builds a FabricHandler that forwards operations
-// to the agent ops server at callbackURL.
-func NewRemoteFabricHandler(callbackURL string) FabricHandler {
-	return &remoteHandler{url: callbackURL}
+	url    string   // agent callback base URL
+	source odata.ID // the AggregationSource it forwards for
 }
 
 func (h *remoteHandler) post(ctx context.Context, op OpRequest, out any) error {

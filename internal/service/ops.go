@@ -22,8 +22,9 @@ var (
 	// system's name that is not one path segment, a claim on a subtree no
 	// agent may own. It maps to 400.
 	ErrInvalidRequest = errors.New("invalid request")
-	// ErrPrefixConflict marks a handler whose subtree nests with one
-	// already registered. It maps to 409.
+	// ErrPrefixConflict marks a claim or handler whose subtree another
+	// source or handler serves, or nests with one it serves. It maps to
+	// 409.
 	ErrPrefixConflict = errors.New("service: subtree already has a handler")
 )
 
@@ -73,25 +74,22 @@ func (s *Service) forward(ctx context.Context, prefix odata.ID, op string, call 
 
 // RegisterAggregationSource registers an agent's aggregation source,
 // returning the stored source and whether it was newly created (false
-// means an existing registration for the same HostName was revived).
+// means an existing source was revived).
 //
-// Registration is idempotent per HostName: agents retry the POST
-// through their resilient transport, and a retry of a POST that in fact
-// succeeded must not mint a duplicate source. The dedup lookup and the
-// create both run under allocMu — the lookup used to happen outside it,
-// so two concurrent registrations of one HostName could both miss and
-// mint duplicates. The AggregationSources projection (LivenessSweeper)
-// makes the lookup O(1); the store notifies watchers synchronously on
-// the mutating goroutine, so by the time allocMu is released the index
-// already reflects this registration and the next holder cannot race
-// past it.
+// A source is revived in place — same URI, the new HostName, Status OK,
+// a fresh heartbeat — when it holds the same non-empty set of claims
+// (an agent restarted on another port), or else when it was registered
+// from the same HostName: agents retry the POST through their resilient
+// transport, and a retry of a POST that in fact succeeded must not mint
+// a duplicate. A claim that overlaps a subtree another source or
+// handler serves, including one equal to a claim of a source claiming a
+// different set, is ErrPrefixConflict. The match and the create run
+// under allocMu, and the store notifies the AggregationSources
+// projection (LivenessSweeper) on the mutating goroutine, so by the time
+// allocMu is released its indexes reflect this registration.
 func (s *Service) RegisterAggregationSource(ctx context.Context, src redfish.AggregationSource) (redfish.AggregationSource, bool, error) {
 	start := time.Now()
-	err := s.checkClaims(src.Links.ResourcesAccessed)
-	created := false
-	if err == nil {
-		created, err = s.registerSourceLocked(ctx, &src)
-	}
+	created, err := s.registerSourceLocked(ctx, &src)
 	outcome := "created"
 	switch {
 	case err != nil:
@@ -118,31 +116,22 @@ func (s *Service) claimable(id odata.ID) bool {
 	return below && s.store.IsCollection(RootURI.Append(top))
 }
 
-// checkClaims refuses a registration before anything is stored: a claim
-// that is not claimable is ErrInvalidRequest, one that nests with a
-// served subtree is ErrPrefixConflict (RegisterFabricHandler's rule;
-// equal prefixes pass, so re-registration works).
-func (s *Service) checkClaims(claims []odata.Ref) error {
+// registerSourceLocked is RegisterAggregationSource's critical section:
+// the claims checked, the source they name revived or a new one
+// created, the store write, all under allocMu.
+func (s *Service) registerSourceLocked(ctx context.Context, src *redfish.AggregationSource) (bool, error) {
+	claims := odata.IDsOf(src.Links.ResourcesAccessed)
 	for _, c := range claims {
-		if !s.claimable(c.ODataID) {
-			return fmt.Errorf("%w: ResourcesAccessed %q is not a subtree below a top-level collection", ErrInvalidRequest, c.ODataID)
-		}
-		// s.mu is never held across a store call: store watchers take it.
-		s.mu.RLock()
-		err := s.prefixConflictLocked(c.ODataID)
-		s.mu.RUnlock()
-		if err != nil {
-			return err
+		if !s.claimable(c) {
+			return false, fmt.Errorf("%w: ResourcesAccessed %q is not a subtree below a top-level collection", ErrInvalidRequest, c)
 		}
 	}
-	return nil
-}
-
-// registerSourceLocked is RegisterAggregationSource's critical section:
-// dedup, revive-or-create, store write, all under allocMu.
-func (s *Service) registerSourceLocked(ctx context.Context, src *redfish.AggregationSource) (bool, error) {
 	s.allocMu.Lock()
 	defer s.allocMu.Unlock()
+	uri, err := s.liveness.match(src.HostName, claims)
+	if err != nil {
+		return false, err
+	}
 	if src.HostName != "" {
 		// A remote source is stored with a heartbeat, so its staleness is
 		// measured from the tree: a source re-created at a URI starts
@@ -153,22 +142,20 @@ func (s *Service) registerSourceLocked(ctx context.Context, src *redfish.Aggrega
 		if src.Oem.OFMF.LastHeartbeat == "" {
 			src.Oem.OFMF.LastHeartbeat = redfish.Timestamp(s.liveness.clock())
 		}
-		if uri, ok := s.liveness.lookup(src.HostName); ok {
-			var existing redfish.AggregationSource
-			if err := s.store.GetAs(uri, &existing); err == nil {
-				// Re-registering an existing HostName updates the record in
-				// place and revives it.
-				src.Resource = existing.Resource
-				if src.Name == "" {
-					src.Name = existing.Name
-				}
-				src.Status = odata.StatusOK()
-				return false, s.store.PutCtx(ctx, uri, *src)
+	}
+	if uri != "" {
+		var existing redfish.AggregationSource
+		if err := s.store.GetAs(uri, &existing); err == nil {
+			src.Resource = existing.Resource
+			if src.Name == "" {
+				src.Name = existing.Name
 			}
+			src.Status = odata.StatusOK()
+			return false, s.store.PutCtx(ctx, uri, *src)
 		}
 	}
 	id := s.store.NextID(AggregationSourcesURI)
-	uri := AggregationSourcesURI.Append(id)
+	uri = AggregationSourcesURI.Append(id)
 	name := src.Name
 	if name == "" {
 		name = "Agent " + id

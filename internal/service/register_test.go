@@ -220,6 +220,11 @@ func TestAggregationSourceClaims(t *testing.T) {
 	if prefix, _, ok := svc.handlerFor(fab.Append("Connections", "1")); !ok || prefix != fab {
 		t.Errorf("handlerFor under %s = %q, %v", fab, prefix, ok)
 	}
+	// A claim equal to one of the source's, in another set, is the same
+	// conflict as a nesting one.
+	if resp, body := post("http://other.example:9001", fab); resp.StatusCode != http.StatusConflict {
+		t.Errorf("a part of a served claim set = %d %s, want 409", resp.StatusCode, body)
+	}
 
 	// The stored claim list is patchable: a claim registration would have
 	// refused is not honoured when the source is deleted.

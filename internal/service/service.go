@@ -18,6 +18,7 @@ import (
 	"fmt"
 	"log/slog"
 	"net/http"
+	"slices"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -156,8 +157,12 @@ type Service struct {
 	metrics  *obsv.Metrics
 	tracer   *obsv.Tracer
 
-	mu       sync.RWMutex
+	mu sync.RWMutex
+	// handlers is the handler index, who serves each subtree: the handler
+	// operations under a prefix go to. below counts the prefixes strictly
+	// under each id, so the nesting check is lookups along one path.
 	handlers map[odata.ID]FabricHandler
+	below    map[odata.ID]int
 	composer SystemComposer
 
 	subsMu sync.Mutex // serializes applySubscription
@@ -219,6 +224,7 @@ func New(cfg Config) *Service {
 		metrics:  cfg.Metrics,
 		tracer:   cfg.Tracer,
 		handlers: make(map[odata.ID]FabricHandler),
+		below:    make(map[odata.ID]int),
 	}
 	// Watching from the very first mutation, the projection also covers
 	// sources re-created by WAL replay and a leader's stream.
@@ -503,66 +509,109 @@ func (s *Service) Publish(rec redfish.EventRecord) {
 // is promoted.
 func (s *Service) following() bool { return s.replica.Load() != nil }
 
+// claimed is a subtree a source holds in the handler index (see
+// Service.handlers) with an in-process handler, nil until its agent
+// attaches; a remote source holds its own by its *remoteHandler.
+type claimed struct {
+	FabricHandler
+	source odata.ID
+}
+
+// holderOf returns the source an index entry belongs to; "" for a
+// handler attached with none.
+func holderOf(h FabricHandler) odata.ID {
+	switch h := h.(type) {
+	case *remoteHandler:
+		return h.source
+	case *claimed:
+		return h.source
+	}
+	return ""
+}
+
 // RegisterFabricHandler attaches an Agent's handler for the subtree
 // rooted at prefix (a fabric, a chassis, a storage service): requests
-// that mutate resources under it are forwarded to h. Registering a
-// prefix again replaces its handler, so a restarted agent re-attaches;
-// a prefix that strictly contains another registered one, or lies
+// that mutate resources under it are forwarded to h. Attaching at a
+// prefix in the index replaces its handler and keeps its source, so a
+// restarted agent re-attaches and a local agent serves what its source
+// claims; a prefix that strictly contains one in the index, or lies
 // strictly inside it, is refused with ErrPrefixConflict — no agent may
-// take over another's subtree, or part of it.
+// take part of another's subtree.
 func (s *Service) RegisterFabricHandler(prefix odata.ID, h FabricHandler) error {
+	return s.hold(prefix, h, true)
+}
+
+// UnregisterFabricHandler drops prefix from the index.
+func (s *Service) UnregisterFabricHandler(prefix odata.ID) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if err := s.prefixConflictLocked(prefix); err != nil {
+	s.dropLocked(prefix)
+}
+
+// hold enters prefix into the index for h. An entry at prefix itself
+// is replaced if attach is set, and any other overlap is
+// ErrPrefixConflict.
+func (s *Service) hold(prefix odata.ID, h FabricHandler, attach bool) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if old, ok := s.handlers[prefix]; ok && attach {
+		if src := holderOf(old); src != "" {
+			h = &claimed{h, src}
+		}
+		s.handlers[prefix] = h
+		return nil
+	}
+	if err := s.conflictLocked(prefix, nil); err != nil {
 		return err
 	}
 	s.handlers[prefix] = h
-	return nil
-}
-
-// prefixConflictLocked reports the registered prefix, if any, that
-// nests with prefix without equalling it. Callers hold s.mu.
-func (s *Service) prefixConflictLocked(prefix odata.ID) error {
-	for other := range s.handlers {
-		if other != prefix && (prefix.Under(other) || other.Under(prefix)) {
-			return fmt.Errorf("%w: %s overlaps %s", ErrPrefixConflict, prefix, other)
-		}
+	for p := prefix.Parent(); len(p) > 1; p = p.Parent() {
+		s.below[p]++
 	}
 	return nil
 }
 
-// UnregisterFabricHandler detaches the handler registered for prefix.
-func (s *Service) UnregisterFabricHandler(prefix odata.ID) {
-	s.mu.Lock()
-	delete(s.handlers, prefix)
-	s.mu.Unlock()
+// conflictLocked is ErrPrefixConflict if the index holds prefix or an
+// ancestor of it, other than one in own, or a descendant of it.
+// Callers hold s.mu.
+func (s *Service) conflictLocked(prefix odata.ID, own []odata.ID) error {
+	for p := prefix; len(p) > 1; p = p.Parent() {
+		if _, ok := s.handlers[p]; ok && !slices.Contains(own, p) {
+			return fmt.Errorf("%w: %s overlaps %s", ErrPrefixConflict, prefix, p)
+		}
+	}
+	if s.below[prefix] > 0 {
+		return fmt.Errorf("%w: %s contains a served subtree", ErrPrefixConflict, prefix)
+	}
+	return nil
 }
 
-// handOver passes prefix from h, if h still serves it, to next; a nil
-// next detaches it.
-func (s *Service) handOver(prefix odata.ID, h, next FabricHandler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	switch {
-	case s.handlers[prefix] != h:
-	case next == nil:
-		delete(s.handlers, prefix)
-	default:
-		s.handlers[prefix] = next
+// dropLocked removes prefix from the index. Callers hold s.mu.
+func (s *Service) dropLocked(prefix odata.ID) {
+	if _, ok := s.handlers[prefix]; !ok {
+		return
+	}
+	delete(s.handlers, prefix)
+	for p := prefix.Parent(); len(p) > 1; p = p.Parent() {
+		if s.below[p]--; s.below[p] == 0 {
+			delete(s.below, p)
+		}
 	}
 }
 
 // handlerFor returns the handler whose subtree holds id, and the prefix
-// it is registered under: the longest one that matches, whatever order
-// the map yields.
+// it is registered under: the first of id and its ancestors in the
+// index, which never holds two of them.
 func (s *Service) handlerFor(id odata.ID) (odata.ID, FabricHandler, bool) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var best odata.ID
-	for prefix := range s.handlers {
-		if len(prefix) > len(best) && id.Under(prefix) {
-			best = prefix
+	for p := id; len(p) > 1; p = p.Parent() {
+		if h, ok := s.handlers[p]; ok {
+			if c, ok := h.(*claimed); ok {
+				h = c.FabricHandler
+			}
+			return p, h, h != nil
 		}
 	}
-	return best, s.handlers[best], best != ""
+	return "", nil, false
 }
